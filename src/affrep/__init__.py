@@ -60,6 +60,6 @@ from .rationality import (
     stable_level,
 )
 from .catalog import CatalogEntry, enumerate_exceptional_candidates, irreps_up_to_dim
-from .config import ModelInvariantError, ResourceCapError, RunConfig
+from .config import ModelInvariantError, ResourceCapError
 
 __version__ = "0.1.0"

@@ -72,18 +72,6 @@ def _tensor_with_standard(n: int, q: WeightMultiset) -> WeightMultiset:
     return total
 
 
-def _submultisets_sorted(ms: WeightMultiset):
-    import itertools
-
-    ranges = [range(m + 1) for _, m in ms.entries]
-    subs = []
-    for counts in itertools.product(*ranges):
-        entries = [(w, c) for (w, _), c in zip(ms.entries, counts) if c]
-        subs.append(WeightMultiset.of(ms.n, entries))
-    subs.sort(key=lambda s: (s.dim(), s.entries))
-    return subs
-
-
 def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
     """Multisets over the nontrivial bad labels that the stabilizer engine
     still classifies as bad.  Monotone pruning: once a multiset is no longer
@@ -169,12 +157,12 @@ def enumerate_exceptional_candidates(
         for t in range(trivial_cap + 1):
             q = core.add(WeightMultiset.of(n, [(triv, t)])) if t else core
             product = _tensor_with_standard(n, q)
-            for s in _submultisets_sorted(product):
+            for s in product.submultisets():
                 consider(q, s, TRIGGER_BAD_Q)
     # pure-trivial quotients are bad as well
     for t in range(1, trivial_cap + 1):
         q = WeightMultiset.of(n, [(triv, t)])
-        for s in _submultisets_sorted(_tensor_with_standard(n, q)):
+        for s in _tensor_with_standard(n, q).submultisets():
             consider(q, s, TRIGGER_BAD_Q)
 
     # clause (ii): small submodules; Q runs over sub-multisets of
@@ -203,7 +191,7 @@ def enumerate_exceptional_candidates(
         prod = WeightMultiset.of(n, [])
         for w, m in s.entries:
             prod = prod.add(lr_decompose(w, dstd).scale(m))
-        for q in _submultisets_sorted(prod):
+        for q in prod.submultisets():
             if q.is_empty():
                 continue
             trigger = (

@@ -20,7 +20,6 @@ from .config import (
     DEFAULT_TRIALS,
     ModelInvariantError,
     ResourceCapError,
-    RunConfig,
 )
 from .filtration import (
     check_blocks_containment,
@@ -36,7 +35,7 @@ from .rationality import (
     decide_rationality,
 )
 from .repclass import classify_with_report
-from .schur import WeightMultiset, dual, lr_decompose, normalize, pieri_sym, weyl_dim
+from .schur import dual, lr_decompose, normalize, pieri_sym, weyl_dim
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,10 +52,6 @@ def parse_weight_arg(n: int, text: str):
         except ValueError:
             raise ValueError(f"invalid weight entry {token!r} in {text!r}")
     return normalize(n, parts)
-
-
-def format_multiset(ms: WeightMultiset) -> str:
-    return str(ms)
 
 
 def emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -105,14 +100,14 @@ def cmd_tensor(args) -> int:
     a = parse_weight_arg(args.n, args.a)
     b = parse_weight_arg(args.n, args.b)
     ms = lr_decompose(a, b)
-    emit(args, {"decomposition": ser.multiset_to_json(ms)}, [format_multiset(ms)])
+    emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK
 
 
 def cmd_pieri(args) -> int:
     w = parse_weight_arg(args.n, args.lam)
     ms = pieri_sym(w, args.k)
-    emit(args, {"decomposition": ser.multiset_to_json(ms)}, [format_multiset(ms)])
+    emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK
 
 
@@ -318,16 +313,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # one config object owns every reproducibility knob and cap
-        config = RunConfig(
-            seed=args.seed,
-            trials=args.trials,
-            max_model_dim=args.max_model_dim,
-            output_format=args.format,
-        )
-        args.seed = config.seed
-        args.trials = config.trials
-        args.max_model_dim = config.max_model_dim
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        if args.max_model_dim < 1:
+            raise ValueError(f"--max-model-dim must be at least 1, got {args.max_model_dim}")
         return args.fn(args)
     except (ValueError, ResourceCapError, ModelInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

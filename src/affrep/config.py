@@ -1,12 +1,11 @@
-"""Run configuration: seeds, trial counts and resource caps.
+"""Defaults for seeds, trial counts and resource caps, and the errors raised
+when a cap or a model invariant is violated.
 
-Every randomized subsystem draws from one seeded generator configured here,
-so identical (inputs, seed) always reproduce identical outputs.
+Every randomized subsystem draws from one generator seeded with the run's
+seed, so identical (inputs, seed) always reproduce identical outputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 3
@@ -38,21 +37,3 @@ class ModelInvariantError(RuntimeError):
         self.relation = relation
         super().__init__(f"model invariant violated: {relation}")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    coord_bound: int = DEFAULT_COORD_BOUND
-    max_tensor_cells: int = DEFAULT_MAX_TENSOR_CELLS
-    max_model_dim: int = DEFAULT_MAX_MODEL_DIM
-    max_split_candidates: int = DEFAULT_MAX_SPLIT_CANDIDATES
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.trials < 1 or self.coord_bound < 1:
-            raise ValueError("trials and coord_bound must be positive")
-        if min(self.max_tensor_cells, self.max_model_dim, self.max_split_candidates) < 1:
-            raise ValueError("resource caps must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("output_format must be 'text' or 'json'")

@@ -22,7 +22,7 @@ from .linalg import Echelon, Vec, nullspace
 from .matmodel import AffMatrixRep, dual_model, grading_rep
 from .oracle import ssyt_contents
 from .repclass import SemisimpleRep
-from .schur import Weight, WeightMultiset, contains, dual, normalize
+from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
 
 SOCLE = "socle"
 RADICAL = "radical"
@@ -195,16 +195,6 @@ def check_duality(rep: AffMatrixRep) -> bool:
     l = soc.length
     for j in range(l + 1):
         if rad.layers[l - j] != dual_multiset(soc.layers[j]):
-            return False
-    return True
-
-
-def multiset_fits_in_product(inner: WeightMultiset, outer: WeightMultiset,
-                             factor: Weight) -> bool:
-    """inner contained (with multiplicities) in outer tensor (irrep factor)."""
-    for w, m in inner.entries:
-        avail = sum(mu * contains(w, u, factor) for u, mu in outer.entries)
-        if avail < m:
             return False
     return True
 

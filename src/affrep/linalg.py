@@ -14,9 +14,6 @@ from fractions import Fraction
 Vec = dict  # {index: Fraction}
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
 def vec_scale(v: Vec, c) -> Vec:
     c = Fraction(c)
     if not c:
@@ -53,20 +50,8 @@ class SMat:
         self.cols: dict[int, Vec] = cols if cols is not None else {}
 
     @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, {i: {i: Fraction(1)} for i in range(n)})
-
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries):
-        """entries: iterable of (row, col, value); values accumulate."""
-        m = cls(nrows, ncols)
-        for r, c, v in entries:
-            m.add_entry(r, c, v)
-        return m
 
     def add_entry(self, r, c, v):
         v = Fraction(v)
@@ -244,13 +229,6 @@ class Echelon:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def rank(vectors) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return len(ech)
-
-
 def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
     """Basis of {x supported on `variables` : each equation row dotted with x
     vanishes}.  Equations are sparse rows over the variable indices.
@@ -278,90 +256,3 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
         basis.append(sol)
     return basis
 
-
-def invert(mat: SMat) -> SMat:
-    """Inverse of a square matrix via Gauss-Jordan; raises if singular."""
-    if mat.nrows != mat.ncols:
-        raise ValueError("not square")
-    n = mat.nrows
-    a = mat.to_dense()
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[col])]
-    return SMat.from_dense(inv)
-
-
-# --- small multivariate polynomial helpers (exponent tuple -> Fraction) ---
-
-def poly_zero() -> dict:
-    return {}
-
-def poly_const(c, nvars: int) -> dict:
-    c = Fraction(c)
-    return {(0,) * nvars: c} if c else {}
-
-def poly_var(i: int, nvars: int) -> dict:
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-def poly_add_scaled(p: dict, q: dict, c) -> dict:
-    c = Fraction(c)
-    out = dict(p)
-    for e, v in q.items():
-        val = out.get(e, 0) + c * v
-        if val:
-            out[e] = val
-        else:
-            out.pop(e, None)
-    return out
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, v1 in p.items():
-        for e2, v2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            val = out.get(e, 0) + v1 * v2
-            if val:
-                out[e] = val
-            else:
-                del out[e]
-    return out
-
-def poly_scale(p: dict, c) -> dict:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-def poly_degree(p: dict) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    if not p:
-        return -1
-    return max(sum(e) for e in p)
-
-def poly_eval(p: dict, point) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.items():
-        term = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term *= x
-        total += term
-    return total

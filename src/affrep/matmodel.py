@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .config import (
     DEFAULT_MAX_MODEL_DIM,
@@ -25,19 +25,7 @@ from .config import (
     ModelInvariantError,
     ResourceCapError,
 )
-from .linalg import (
-    Echelon,
-    SMat,
-    Vec,
-    invert,
-    nullspace,
-    poly_add_scaled,
-    poly_const,
-    poly_degree,
-    poly_eval,
-    poly_mul,
-    poly_var,
-)
+from .linalg import Echelon, SMat, Vec, nullspace
 from .repclass import (
     bracket_coefficients,
     model_for_weight,
@@ -430,137 +418,29 @@ def generated_submodel(rep: AffMatrixRep, seeds: list[Vec]) -> AffMatrixRep:
 
 # --- the polynomial degree bound ---------------------------------------------
 
-def symbolic_unipotent(rep: AffMatrixRep) -> dict[int, dict[int, dict]]:
-    """exp(sum v_i T_i) with v symbolic: column-major matrix of polynomials
-    in v_1..v_n."""
-    n = rep.n
-    nvars = n
-    # M = sum v_i T_i as a polynomial matrix
-    mcols: dict[int, dict[int, dict]] = {}
-    for i, t in enumerate(rep.trans_gens):
-        xi = poly_var(i, nvars)
-        for c, col in t.cols.items():
-            for r, val in col.items():
-                cell = mcols.setdefault(c, {}).setdefault(r, {})
-                mcols[c][r] = poly_add_scaled(cell, xi, val)
-
-    def pmatmul(a, b):
-        out: dict[int, dict[int, dict]] = {}
-        for c, bcol in b.items():
-            newcol: dict[int, dict] = {}
-            for k, poly in bcol.items():
-                acol = a.get(k)
-                if not acol:
-                    continue
-                for r, apoly in acol.items():
-                    prod = poly_mul(apoly, poly)
-                    if r in newcol:
-                        newcol[r] = poly_add_scaled(newcol[r], prod, 1)
-                        if not newcol[r]:
-                            del newcol[r]
-                    elif prod:
-                        newcol[r] = prod
-            if newcol:
-                out[c] = newcol
-        return out
-
-    total: dict[int, dict[int, dict]] = {
-        i: {i: poly_const(1, nvars)} for i in range(rep.dim)
-    }
-    term = {i: {i: poly_const(1, nvars)} for i in range(rep.dim)}
-    k = 1
-    while True:
-        term = pmatmul(mcols, term)
-        if not term:
-            break
-        for c, col in term.items():
-            tc = total.setdefault(c, {})
-            for r, p in col.items():
-                tc[r] = poly_add_scaled(tc.get(r, {}), p, Fraction(1, factorial(k)))
-                if not tc[r]:
-                    del tc[r]
-        k += 1
-        if k > rep.dim + 1:
-            raise ModelInvariantError("translation sum is not nilpotent")
-    return total
-
-
 def verify_degree_bound(rep: AffMatrixRep, filtration) -> bool:
-    """Expand the unipotent action symbolically in a filtration-adapted basis
-    and check that the block from layer j to layer i has entries of total
-    degree at most j - i (in particular blocks below the diagonal vanish and
-    diagonal blocks are identities)."""
-    sizes = filtration.layer_sizes()
-    basis = filtration.adapted_basis()
-    if sum(sizes) != rep.dim or len(basis) != rep.dim:
+    """In a filtration-adapted basis, is the block of exp(sum v_i T_i) from
+    layer j to layer i of total degree at most j - i in v (blocks below the
+    diagonal vanishing, diagonal blocks identities)?
+
+    Checked as chain containment: every T_i maps chain member j into member
+    j - 1.  That is equivalent, because the degree-k part of exp(M), with
+    M = sum v_i T_i, is M^k/k!: the linear part is M itself and cannot
+    cancel, and a strictly block-triangular M lowers the layer k times in M^k.
+    Raises ValueError if the layer sizes do not sum to the model dimension
+    or the adapted basis is linearly dependent.
+    """
+    if sum(filtration.layer_sizes()) != rep.dim:
         raise ValueError("filtration does not match the model")
-    layer_of = []
-    for i, s in enumerate(sizes):
-        layer_of.extend([i] * s)
-
-    bmat = SMat(rep.dim, rep.dim)
-    for j, vec in enumerate(basis):
-        for r, v in vec.items():
-            bmat.add_entry(r, j, v)
-    binv = invert(bmat)
-
-    sym = symbolic_unipotent(rep)
-
-    # conjugate: B^{-1} * sym * B, mixing scalar and polynomial matrices
-    def scalar_times_poly(s: SMat, p):
-        out: dict[int, dict[int, dict]] = {}
-        for c, pcol in p.items():
-            newcol: dict[int, dict] = {}
-            for k, poly in pcol.items():
-                scol = s.cols.get(k)
-                if not scol:
-                    continue
-                for r, val in scol.items():
-                    cur = newcol.get(r, {})
-                    newcol[r] = poly_add_scaled(cur, poly, val)
-                    if not newcol[r]:
-                        del newcol[r]
-            if newcol:
-                out[c] = newcol
-        return out
-
-    def poly_times_scalar(p, s: SMat):
-        out: dict[int, dict[int, dict]] = {}
-        for c, scol in s.cols.items():
-            newcol: dict[int, dict] = {}
-            for k, val in scol.items():
-                pcol = p.get(k)
-                if not pcol:
-                    continue
-                for r, poly in pcol.items():
-                    cur = newcol.get(r, {})
-                    newcol[r] = poly_add_scaled(cur, poly, val)
-                    if not newcol[r]:
-                        del newcol[r]
-            if newcol:
-                out[c] = newcol
-        return out
-
-    adapted = poly_times_scalar(scalar_times_poly(binv, sym), bmat)
-
-    # at v = 0 the matrix is the identity, so constant terms are delta_rc;
-    # after subtracting the identity the degree bound alone rules out any
-    # deviation from the block-unipotent shape
-    for c, col in adapted.items():
-        for r, poly in col.items():
-            p = dict(poly)
-            if r == c:
-                p = poly_add_scaled(p, poly_const(1, rep.n), -1)
-            if poly_degree(p) > layer_of[c] - layer_of[r]:
-                return False
-    return True
-
-
-def evaluate_symbolic(sym, point, dim: int) -> SMat:
-    """Evaluate a polynomial matrix at a rational point."""
-    out = SMat(dim, dim)
-    pt = [Fraction(x) for x in point]
-    for c, col in sym.items():
-        for r, poly in col.items():
-            out.add_entry(r, c, poly_eval(poly, pt))
-    return out
+    ech = Echelon()
+    holds = True
+    for step in filtration.snapshots:
+        # ech spans member j - 1 here; keep going after a failure so that a
+        # dependent basis is always reported
+        holds = holds and all(
+            ech.contains(t.apply(vec)) for vec in step for t in rep.trans_gens
+        )
+        for vec in step:
+            if ech.insert(vec) is None:
+                raise ValueError("filtration-adapted basis is linearly dependent")
+    return holds

@@ -12,7 +12,6 @@ evidence trail.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_MAX_SPLIT_CANDIDATES, DEFAULT_SEED, DEFAULT_TRIALS
@@ -23,7 +22,14 @@ from .repclass import (
     SemisimpleRep,
     classify,
 )
-from .schur import Weight, WeightMultiset, contains, dual, normalize, weyl_dim
+from .schur import (
+    Weight,
+    WeightMultiset,
+    dual,
+    multiset_fits_in_product,
+    normalize,
+    weyl_dim,
+)
 
 RATIONAL_BY_A = "RationalByA"
 RATIONAL_BY_B = "RationalByB"
@@ -78,18 +84,8 @@ def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
     S (x) dual standard, with multiplicities."""
     std = normalize(ext.n, [1])
-    dstd = dual(std)
-
-    def fits(inner: WeightMultiset, outer: WeightMultiset, factor: Weight) -> bool:
-        for w, m in inner.entries:
-            avail = sum(mu * contains(w, u, factor) for u, mu in outer.entries)
-            if avail < m:
-                return False
-        return True
-
-    return fits(ext.S.summands, ext.Q.summands, std) and fits(
-        ext.Q.summands, ext.S.summands, dstd
-    )
+    s, q = ext.S.summands, ext.Q.summands
+    return multiset_fits_in_product(s, q, std) and multiset_fits_in_product(q, s, dual(std))
 
 
 def _r3_shapes(n: int, q: WeightMultiset) -> bool:
@@ -125,19 +121,6 @@ def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
     if verdict == BAD:
         return POSSIBLY_NOT_FREE, "bad-quotient"
     return FREE, verdict
-
-
-def _submultisets(ms: WeightMultiset):
-    """All sub-multisets in a canonical order: increasing dimension, ties by
-    the entries tuple."""
-    ranges = [range(m + 1) for _, m in ms.entries]
-    subs = []
-    for counts in itertools.product(*ranges):
-        entries = [(w, c) for (w, _), c in zip(ms.entries, counts) if c]
-        sub = WeightMultiset.of(ms.n, entries)
-        subs.append(sub)
-    subs.sort(key=lambda s: (s.dim(), s.entries))
-    return subs
 
 
 def _split_candidate_count(ms: WeightMultiset) -> int:
@@ -192,7 +175,7 @@ def decide_rationality(
     count = _split_candidate_count(ext.W.summands)
     exhaustive = count <= max_split_candidates
     candidates = (
-        _submultisets(ext.W.summands) if exhaustive else _greedy_candidates(ext)
+        ext.W.summands.submultisets() if exhaustive else _greedy_candidates(ext)
     )
     if not exhaustive:
         evidence.append(

@@ -8,6 +8,7 @@ trivially on SL_n).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,9 +86,6 @@ class WeightMultiset:
     def dim(self) -> int:
         return sum(m * weyl_dim(w) for w, m in self.entries)
 
-    def total_mult(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def weights(self) -> list[Weight]:
         return [w for w, _ in self.entries]
 
@@ -105,6 +103,16 @@ class WeightMultiset:
 
     def is_empty(self) -> bool:
         return not self.entries
+
+    def submultisets(self) -> list["WeightMultiset"]:
+        """All sub-multisets in a canonical order: increasing dimension, ties
+        by the entries tuple."""
+        subs = [
+            WeightMultiset.of(self.n, [(w, c) for (w, _), c in zip(self.entries, counts) if c])
+            for counts in itertools.product(*(range(m + 1) for _, m in self.entries))
+        ]
+        subs.sort(key=lambda s: (s.dim(), s.entries))
+        return subs
 
     def __str__(self) -> str:
         if not self.entries:
@@ -156,11 +164,6 @@ def lambda_gap(w: Weight) -> int:
     if w.n == 1:
         return 0
     return w.parts[0] - w.parts[1]
-
-
-def sym_weight(n: int, k: int) -> Weight:
-    """Label of the k-th symmetric power of the standard representation."""
-    return normalize(n, [k])
 
 
 def horizontal_strips(parts: tuple[int, ...], k: int, nrows: int):
@@ -276,6 +279,16 @@ def lr_decompose(a: Weight, b: Weight) -> WeightMultiset:
 def contains(target: Weight, a: Weight, b: Weight) -> int:
     """Multiplicity of `target` inside (irrep a) tensor (irrep b)."""
     return lr_decompose(a, b).count(target)
+
+
+def multiset_fits_in_product(inner: WeightMultiset, outer: WeightMultiset,
+                             factor: Weight) -> bool:
+    """inner contained (with multiplicities) in outer tensor (irrep factor)."""
+    for w, m in inner.entries:
+        avail = sum(mu * contains(w, u, factor) for u, mu in outer.entries)
+        if avail < m:
+            return False
+    return True
 
 
 def check_lr_gap_bound(w: Weight, k: int) -> bool:

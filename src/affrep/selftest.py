@@ -134,7 +134,8 @@ def _model_sweep():
 
 
 def criterion_4_degree_bound() -> tuple[bool, str]:
-    """Symbolic upper-triangular block degrees stay within layer distance."""
+    """Upper-triangular block degrees stay within layer distance: the
+    block-degree check (chain containment) on every model of the sweep."""
     count = 0
     for name, m in _model_sweep():
         if not verify_degree_bound(m, socle_filtration(m)):

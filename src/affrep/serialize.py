@@ -38,10 +38,6 @@ def fraction_from_str(s) -> Fraction:
 
 # --- weights and multisets ----------------------------------------------------
 
-def weight_to_json(w: Weight) -> list[int]:
-    return list(w.parts)
-
-
 def weight_from_json(n: int, data) -> Weight:
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ValueError(f"weight must be a list of integers, got {data!r}")
@@ -63,10 +59,6 @@ def multiset_from_json(data) -> WeightMultiset:
     for s in data["summands"]:
         items.append((weight_from_json(n, s["lambda"]), int(s.get("mult", 1))))
     return WeightMultiset.of(n, items)
-
-
-def rep_to_json(rep: SemisimpleRep) -> dict:
-    return multiset_to_json(rep.summands)
 
 
 def rep_from_json(data) -> SemisimpleRep:

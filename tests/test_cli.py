@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from affrep.cli import main
 
 
@@ -47,9 +49,11 @@ class TestWeightCommands:
         assert rc == 1
         assert "--l" in err
 
-    def test_invalid_config_rejected(self, capsys):
-        rc, _, err = run(capsys, "dim", "--n", "3", "--lambda", "1,0,0", "--trials", "0")
+    @pytest.mark.parametrize("flag", ["--trials", "--max-model-dim"])
+    def test_invalid_config_rejected(self, capsys, flag):
+        rc, _, err = run(capsys, "dim", "--n", "3", "--lambda", "1,0,0", flag, "0")
         assert rc == 1
+        assert flag in err
 
 
 class TestClassify:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +23,7 @@ from affrep.matmodel import (
     verify_degree_bound,
 )
 from affrep.schur import WeightMultiset, dual, normalize
+from symbolic_oracle import degree_bound_holds, evaluate, symbolic_unipotent
 
 
 def W(n, *parts):
@@ -101,12 +104,10 @@ class TestUnipotentImage:
     def test_degree_two_block_entries(self):
         # the block mapping degree-2 monomials to constants of model(2,2) is
         # quadratic in v: compare against the symbolic expansion at (1,2)
-        from affrep.matmodel import evaluate_symbolic, symbolic_unipotent
-
         m = model_sym_dual(2, 2)
-        sym = symbolic_unipotent(m)
+        sym = symbolic_unipotent(m.trans_gens, m.dim)
         point = [Fraction(1), Fraction(2)]
-        assert evaluate_symbolic(sym, point, m.dim) == unipotent_image(m, point).matrix
+        assert evaluate(sym, point, m.dim) == unipotent_image(m, point).matrix
         # entry (constant row 0, column of x^2): polynomial of degree exactly 2
         basis = monomial_basis(2, 2)
         col_x2 = basis.index((2, 0))
@@ -236,3 +237,50 @@ class TestDegreeBound:
 
         m = dual_model(model_sym_dual(3, 2))
         assert verify_degree_bound(m, radical_filtration(m))
+
+    @pytest.mark.parametrize("reorder", [
+        lambda s: s[::-1],
+        lambda s: [s[1], s[3], s[0], s[2]],
+        lambda s: [[row for step in s for row in step]],
+    ], ids=["reversed", "shuffled", "merged"])
+    def test_reordered_layers_fail(self, reorder):
+        from affrep.filtration import socle_filtration
+
+        m = model_sym_dual(2, 3)
+        f = socle_filtration(m)
+        assert verify_degree_bound(m, replace(f, snapshots=reorder(f.snapshots))) is False
+
+    def test_sizes_must_sum_to_dimension(self):
+        from affrep.filtration import socle_filtration
+
+        m = model_sym_dual(2, 2)
+        f = socle_filtration(m)
+        with pytest.raises(ValueError):
+            verify_degree_bound(m, replace(f, snapshots=f.snapshots[:-1]))
+
+    def test_dependent_basis_rejected(self):
+        from affrep.filtration import socle_filtration
+
+        m = model_sym_dual(2, 2)
+        f = socle_filtration(m)
+        top = f.snapshots[-1]
+        snapshots = f.snapshots[:-1] + [top[:-1] + [dict(top[0])]]
+        with pytest.raises(ValueError):
+            verify_degree_bound(m, replace(f, snapshots=snapshots))
+
+    def test_agrees_with_symbolic_expansion(self):
+        from affrep.filtration import radical_filtration, socle_filtration
+        from affrep.selftest import _model_sweep
+
+        rng = random.Random(5)
+        outcomes = set()
+        for name, m in _model_sweep():
+            for f in (socle_filtration(m), radical_filtration(m)):
+                shuffled = list(f.snapshots)
+                rng.shuffle(shuffled)
+                for snapshots in (f.snapshots, f.snapshots[::-1], shuffled):
+                    g = replace(f, snapshots=snapshots)
+                    got = verify_degree_bound(m, g)
+                    assert got == degree_bound_holds(m, g), (name, f.kind, g.layer_sizes())
+                    outcomes.add(got)
+        assert outcomes == {True, False}
