@@ -4,12 +4,14 @@ Vectors are dicts {index: Fraction} with no stored zeros.  Matrices keep a
 column-major sparse layout, which makes applying a matrix to a vector (the
 hot path everywhere in this package) a handful of dict lookups.  Row
 reduction uses the leftmost-pivot rule throughout so that every echelon
-basis, kernel and chain computed here is bit-reproducible.
+basis, kernel and chain computed here is bit-reproducible.  Where only a
+rank is needed, `integer_rank` eliminates integer rows without fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Vec = dict  # {index: Fraction}
 
@@ -256,3 +258,33 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
         basis.append(sol)
     return basis
 
+
+def integer_rank(rows) -> int:
+    """Exact rank of equal-length integer rows, by fraction-free elimination.
+
+    Each row is reduced against the independent rows kept so far by
+    cross-multiplication (r <- p*r - c*b at the pivot of b, divided by
+    gcd(p, c)), then divided by the gcd of its entries so that entry sizes
+    stay bounded (the content-removal variant of integer-preserving Gaussian
+    elimination; E. H. Bareiss, Math. Comp. 22 (1968)).  A kept row is zero
+    at the pivots of all rows kept before it, so one pass in insertion order
+    reduces a new row completely.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (pivot, row), row[pivot] != 0
+    for row in rows:
+        row = list(row)
+        for p, b in kept:
+            c = row[p]
+            if c:
+                bp = b[p]
+                g = gcd(bp, c)
+                bp //= g
+                c //= g
+                row = [bp * x - c * y for x, y in zip(row, b)]
+        g = gcd(*row)
+        if not g:
+            continue
+        if g != 1:
+            row = [x // g for x in row]
+        kept.append((next(i for i, x in enumerate(row) if x), row))
+    return len(kept)

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .config import (
     DEFAULT_COORD_BOUND,
@@ -23,7 +24,7 @@ from .config import (
     DEFAULT_TRIALS,
     ResourceCapError,
 )
-from .linalg import Echelon, SMat, Vec
+from .linalg import Echelon, SMat, Vec, integer_rank
 from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 GOOD = "Good"
@@ -327,6 +328,28 @@ def model_for_weight(n: int, parts: tuple[int, ...],
     return _build_tensor_model(n, parts, max_cells)
 
 
+@lru_cache(maxsize=None)
+def _integer_gens(n: int, parts: tuple[int, ...], max_cells: int):
+    """The model's generators in sl_basis_keys order, each as integer columns
+    [(row, value), ...] indexed by column, all scaled by one common
+    denominator.  A nonzero scalar on a summand's block of coordinates does
+    not change the rank of the stacked action, so the kernel is unchanged."""
+    m = model_for_weight(n, parts, max_cells)
+    gens = [m.gens[k] for k in sl_basis_keys(n)]
+    denom = 1
+    for g in gens:
+        for col in g.cols.values():
+            for v in col.values():
+                denom = lcm(denom, v.denominator)
+    return tuple(
+        tuple(
+            tuple((r, v.numerator * (denom // v.denominator)) for r, v in g.cols.get(c, {}).items())
+            for c in range(m.dim)
+        )
+        for g in gens
+    )
+
+
 def stabilizer_dimension(
     rep: SemisimpleRep,
     seed: int = DEFAULT_SEED,
@@ -335,34 +358,35 @@ def stabilizer_dimension(
     max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
 ) -> StabilizerReport:
     """Minimum over trials of dim{X in sl_n : X.v = 0} at random integer
-    points v, by exact rank.  0 certifies a finite generic stabilizer."""
+    points v, by exact rank.  0 certifies a finite generic stabilizer.
+
+    Each trial draws every coordinate of every summand copy, in summand
+    order, from one generator seeded with `seed`; the rank of the stacked
+    images X.v over the basis of sl_n is an exact integer rank."""
     n = rep.n
-    models: list[SlModel] = []
+    models = []
     for w, mult in rep.summands.entries:
-        m = model_for_weight(n, w.parts, max_cells)
-        models.extend([m] * mult)
-    keys = sl_basis_keys(n)
+        models.extend([_integer_gens(n, w.parts, max_cells)] * mult)
+    nkeys = len(sl_basis_keys(n))
     rng = random.Random(seed)
     best = None
     for _ in range(trials):
         points = [
-            {i: Fraction(rng.randint(-coord_bound, coord_bound)) for i in range(m.dim)}
-            for m in models
+            [rng.randint(-coord_bound, coord_bound) for _ in range(len(gens[0]))]
+            for gens in models
         ]
-        points = [{i: v for i, v in pt.items() if v} for pt in points]
-        ech = Echelon()
-        r = 0
-        for key in keys:
-            stacked: Vec = {}
-            offset = 0
-            for m, pt in zip(models, points):
-                img = m.gens[key].apply(pt)
-                for i, v in img.items():
-                    stacked[offset + i] = v
-                offset += m.dim
-            if ech.insert(stacked) is not None:
-                r += 1
-        stab = len(keys) - r
+        rows = []
+        for k in range(nkeys):
+            row: list[int] = []
+            for gens, pt in zip(models, points):
+                img = [0] * len(pt)
+                for col, x in zip(gens[k], pt):
+                    if x:
+                        for r, a in col:
+                            img[r] += a * x
+                row += img
+            rows.append(row)
+        stab = nkeys - integer_rank(rows)
         best = stab if best is None else min(best, stab)
     return StabilizerReport(rep=rep, stab_dim=best, trials=trials, seed=seed)
 

@@ -261,16 +261,23 @@ def lr_decompose(a: Weight, b: Weight) -> WeightMultiset:
     multiplicities, normalized to SL_n labels."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    n = a.n
     if b.size > a.size:
         a, b = b, a  # fewer fillings with the smaller content
-    total = a.size + b.size
+    return _lr_decompose(a.n, a.parts, b.parts)
+
+
+# structure checks ask for the same few products over and over (21 distinct
+# pairs behind 188k calls in the rank-3 catalog); the bound keeps a
+# long-running process from growing without limit
+@lru_cache(maxsize=4096)
+def _lr_decompose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> WeightMultiset:
+    total = sum(a) + sum(b)
     out = []
-    bparts = tuple(p for p in b.parts if p > 0)
-    for nu in _candidate_outer_shapes(a.parts, total, n):
-        if any(x < y for x, y in zip(nu, a.parts)):
+    bparts = tuple(p for p in b if p > 0)
+    for nu in _candidate_outer_shapes(a, total, n):
+        if any(x < y for x, y in zip(nu, a)):
             continue
-        c = _lr_fillings(nu, a.parts, bparts) if bparts else 1
+        c = _lr_fillings(nu, a, bparts) if bparts else 1
         if c:
             out.append((normalize(n, nu), c))
     return WeightMultiset.of(n, out)

@@ -38,9 +38,18 @@ def fraction_from_str(s) -> Fraction:
 
 # --- weights and multisets ----------------------------------------------------
 
+# `type(x) is int` and not isinstance: JSON true/false load as bool, a
+# subclass of int, and are never a count or a part
+
+def _require_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def weight_from_json(n: int, data) -> Weight:
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-        raise ValueError(f"weight must be a list of integers, got {data!r}")
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
+        raise ValueError(f"field 'lambda' must be a list of integers, got {data!r}")
     return Weight(n, tuple(data))
 
 
@@ -54,10 +63,19 @@ def multiset_to_json(ms: WeightMultiset) -> dict:
 def multiset_from_json(data) -> WeightMultiset:
     if not isinstance(data, dict) or "n" not in data or "summands" not in data:
         raise ValueError("weight multiset needs fields 'n' and 'summands'")
-    n = data["n"]
+    n = _require_int(data["n"], "n")
+    if not isinstance(data["summands"], list):
+        raise ValueError(f"field 'summands' must be a list, got {data['summands']!r}")
     items = []
     for s in data["summands"]:
-        items.append((weight_from_json(n, s["lambda"]), int(s.get("mult", 1))))
+        if not isinstance(s, dict):
+            raise ValueError(f"each entry of 'summands' must be an object, got {s!r}")
+        if "lambda" not in s:
+            raise ValueError(f"summand {s!r} is missing field 'lambda'")
+        mult = _require_int(s.get("mult", 1), "mult")
+        if mult < 1:
+            raise ValueError(f"field 'mult' must be at least 1, got {mult}")
+        items.append((weight_from_json(n, s["lambda"]), mult))
     return WeightMultiset.of(n, items)
 
 
@@ -142,23 +160,25 @@ def extension_to_json(ext: TwoStepExtension) -> dict:
 
 
 def extension_from_json(data) -> TwoStepExtension:
+    if not isinstance(data, dict):
+        raise ValueError(f"extension file must hold an object, got {data!r}")
     for key in ("n", "S", "Q", "W"):
         if key not in data:
             raise ValueError(f"extension file missing field {key!r}")
-    n = data["n"]
+    n = _require_int(data["n"], "n")
 
-    def part(d):
+    def part(key):
+        d = data[key]
+        if not isinstance(d, dict):
+            raise ValueError(f"field {key!r} must be an object, got {d!r}")
         if d.get("n", n) != n:
             raise ValueError("rank mismatch inside extension file")
         return SemisimpleRep(multiset_from_json(d))
 
-    return TwoStepExtension(
-        n,
-        part(data["S"]),
-        part(data["Q"]),
-        part(data["W"]),
-        bool(data.get("assume_generically_free", False)),
-    )
+    free = data.get("assume_generically_free", False)
+    if not isinstance(free, bool):
+        raise ValueError(f"field 'assume_generically_free' must be true or false, got {free!r}")
+    return TwoStepExtension(n, part("S"), part("Q"), part("W"), free)
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -1,0 +1,55 @@
+"""Reference for the stabilizer engine, by rational elimination.
+
+The same random points as `affrep.repclass.stabilizer_dimension` (the same
+`randint` calls in the same order), applied with the rational model
+matrices and ranked by inserting the stacked images into an `Echelon`.
+Independent of the integer path, which tests compare against it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from affrep.config import DEFAULT_COORD_BOUND, DEFAULT_MAX_TENSOR_CELLS, DEFAULT_SEED, DEFAULT_TRIALS
+from affrep.linalg import Echelon, Vec
+from affrep.repclass import SemisimpleRep, SlModel, model_for_weight, sl_basis_keys
+
+
+def stabilizer_dimension(
+    rep: SemisimpleRep,
+    seed: int = DEFAULT_SEED,
+    trials: int = DEFAULT_TRIALS,
+    coord_bound: int = DEFAULT_COORD_BOUND,
+    max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
+) -> int:
+    """Minimum over trials of dim{X in sl_n : X.v = 0}."""
+    n = rep.n
+    models: list[SlModel] = []
+    for w, mult in rep.summands.entries:
+        m = model_for_weight(n, w.parts, max_cells)
+        models.extend([m] * mult)
+    keys = sl_basis_keys(n)
+    rng = random.Random(seed)
+    best = None
+    for _ in range(trials):
+        points = [
+            {i: Fraction(rng.randint(-coord_bound, coord_bound)) for i in range(m.dim)}
+            for m in models
+        ]
+        points = [{i: v for i, v in pt.items() if v} for pt in points]
+        ech = Echelon()
+        r = 0
+        for key in keys:
+            stacked: Vec = {}
+            offset = 0
+            for m, pt in zip(models, points):
+                img = m.gens[key].apply(pt)
+                for i, v in img.items():
+                    stacked[offset + i] = v
+                offset += m.dim
+            if ech.insert(stacked) is not None:
+                r += 1
+        stab = len(keys) - r
+        best = stab if best is None else min(best, stab)
+    return best

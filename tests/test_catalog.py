@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 
 import pytest
+from cli_process import run_affrep
 
 from affrep.catalog import (
     TRIGGER_BAD_Q,
@@ -107,3 +109,28 @@ class TestEnumerate:
             e.verdict.outcome in ("Exceptional", "PossiblyNotGenericallyFree")
             for e in entries
         )
+
+
+CATALOG_SHA256 = {
+    2: "cc126f7a8ad28a8e9e938d38bc866608e9ae63706c53cf6b2eea0dc6cc7be685",
+    3: "ee468af4e7741556cd0f17c661e95f9dd00caddd95f7037da656ce1e16b8748e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
+def test_catalog_bytes_pinned(tmp_path, n):
+    from affrep.cli import main
+
+    out = tmp_path / "catalog.jsonl"
+    assert main(["enumerate", "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[n]
+
+
+def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):
+    outputs = []
+    for hashseed in ("0", "12345"):
+        out = tmp_path / f"catalog-{hashseed}.jsonl"
+        proc = run_affrep("enumerate", "--n", "3", "--out", str(out), hashseed=hashseed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

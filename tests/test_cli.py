@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from cli_process import run_affrep
 
 from affrep.cli import main
 
@@ -201,6 +202,35 @@ class TestCheck2Step:
         rc, _, err = run(capsys, "check2step", str(f))
         assert rc == 1
         assert "structural" in err
+
+
+MALFORMED_INPUT = [
+    ("classify", {"n": 3, "summands": [{"mult": 1}]}, "lambda"),
+    ("classify", {"n": 3, "summands": [{"lambda": [1, 0, 0], "mult": True}]}, "mult"),
+    ("classify", {"n": 3, "summands": [{"lambda": [1, 0, 0], "mult": "2"}]}, "mult"),
+    ("classify", {"n": 3, "summands": [[1, 0, 0]]}, "summands"),
+    ("classify", {"n": 3, "summands": [{"lambda": [True, 0, 0]}]}, "lambda"),
+    ("check2step", {"n": 3, "S": [], "Q": {"n": 3, "summands": []},
+                    "W": {"n": 3, "summands": []}}, "S"),
+    ("check2step", {"n": True, "S": {"n": 3, "summands": []}, "Q": {"n": 3, "summands": []},
+                    "W": {"n": 3, "summands": []}}, "n"),
+    ("check2step", {"n": 3, "S": {"n": 3, "summands": [{"lambda": [2, 0, 0]}]},
+                    "Q": {"n": 3, "summands": [{"lambda": [1, 0, 0]}]},
+                    "W": {"n": 3, "summands": []}, "assume_generically_free": "false"},
+     "assume_generically_free"),
+]
+
+
+@pytest.mark.parametrize("command,payload,field", MALFORMED_INPUT,
+                         ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(MALFORMED_INPUT)])
+def test_malformed_file_exits_1_naming_the_field(tmp_path, command, payload, field):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(payload))
+    proc = run_affrep(command, str(f))
+    assert proc.returncode == 1, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert f"'{field}'" in proc.stderr
 
 
 class TestEnumerate:

@@ -1,7 +1,11 @@
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+import stabilizer_oracle
 
+from affrep import repclass
 from affrep.config import ResourceCapError
 from affrep.linalg import SMat
 from affrep.oracle import schur_monomials
@@ -10,6 +14,7 @@ from affrep.repclass import (
     GOOD,
     GOOD_HEURISTIC,
     SemisimpleRep,
+    SlModel,
     bad_list,
     bracket_coefficients,
     build_tensor_model,
@@ -175,6 +180,55 @@ class TestStabilizer:
                 # the dual has the same generic stabilizer dimension
                 got_dual = stabilizer_dimension(SemisimpleRep.of(n, [dual(w)]), seed=13).stab_dim
                 assert got_dual == got, (n, w)
+
+
+def _bad_family_reps():
+    """Every multiset of nontrivial bad-family labels with total multiplicity
+    <= 3 at ranks 2 and 3, and each single nontrivial bad label at rank 4."""
+    for n, top in ((2, 3), (3, 3), (4, 1)):
+        labels = sorted(w for w in bad_list(n) if not w.is_trivial())
+        for size in range(1, top + 1):
+            for combo in itertools.combinations_with_replacement(labels, size):
+                yield SemisimpleRep.of(n, combo)
+
+
+class TestIntegerStabilizerAgainstOracle:
+    # with coordinates in {-1, 0, 1} special points are common, so the kernel
+    # dimension of a single trial depends on the exact draws
+    @pytest.mark.parametrize("trials,coord_bound", [(3, 100), (1, 1)])
+    @pytest.mark.parametrize("seed", [1, 7, 1729])
+    def test_bad_family_sweep(self, seed, trials, coord_bound):
+        for rep in _bad_family_reps():
+            got = stabilizer_dimension(rep, seed=seed, trials=trials, coord_bound=coord_bound)
+            want = stabilizer_oracle.stabilizer_dimension(
+                rep, seed=seed, trials=trials, coord_bound=coord_bound)
+            assert got.stab_dim == want, (str(rep), seed)
+
+    def test_rational_generators_are_scaled_per_summand(self, monkeypatch):
+        # the models built here happen to be integral; rescaling each label's
+        # generators by its own rational factor must not move any kernel
+        reps = [SemisimpleRep.of(3, items) for items in (
+            [W(3, 1), W(3, 1, 1)], [W(3, 2, 1)], [W(3, 2), W(3, 1)], [W(3, 2), W(3, 1, 1)],
+            [W(3, 2, 1), W(3, 1)],
+        )]
+        want = [stabilizer_dimension(rep, seed=7).stab_dim for rep in reps]
+        assert want == [3, 2, 1, 1, 0]
+        factors = {(1, 0, 0): Fraction(1, 3), (2, 1, 0): Fraction(3, 2),
+                   (2, 0, 0): Fraction(-1, 2), (1, 1, 0): Fraction(9, 4)}
+        real = repclass.model_for_weight
+
+        def rescaled(n, parts, max_cells):
+            m = real(n, parts, max_cells)
+            gens = {k: g.scale(factors[parts]) for k, g in m.gens.items()}
+            return SlModel(m.weight, m.dim, gens, m.grading)
+
+        monkeypatch.setattr(repclass, "model_for_weight", rescaled)
+        repclass._integer_gens.cache_clear()
+        try:
+            got = [stabilizer_dimension(rep, seed=7).stab_dim for rep in reps]
+        finally:
+            repclass._integer_gens.cache_clear()
+        assert got == want
 
 
 class TestClassify:
