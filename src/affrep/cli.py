@@ -28,7 +28,7 @@ from .filtration import (
     radical_filtration,
     socle_filtration,
 )
-from .matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model, validate_model
+from .matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model
 from .rationality import (
     EXCEPTIONAL,
     POSSIBLY_NOT_GENERICALLY_FREE,
@@ -143,14 +143,13 @@ def cmd_model(args) -> int:
         rep = tensor_model(a, b, max_dim=args.max_model_dim)
     else:
         _require(args, n=args.n, **{"lambda": args.lam})
-        rep = sl_only_model(parse_weight_arg(args.n, args.lam))
+        rep = sl_only_model(parse_weight_arg(args.n, args.lam), max_dim=args.max_model_dim)
     write_or_print(args, ser.dumps(ser.model_to_json(rep)))
     return EXIT_OK
 
 
 def cmd_filtrate(args) -> int:
     rep = ser.model_from_json(read_json_file(args.model_file))
-    validate_model(rep)
     filt = socle_filtration(rep) if args.kind == "socle" else radical_filtration(rep)
     checks = {
         "duality": check_duality(rep),

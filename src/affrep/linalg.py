@@ -156,21 +156,12 @@ class SMat:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.cols == other.cols
 
     def to_dense(self) -> list[list[Fraction]]:
+        """Dense rows of Fractions; for tests that read small matrices."""
         out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
         for c, col in self.cols.items():
             for r, v in col.items():
                 out[r][c] = v
         return out
-
-    @classmethod
-    def from_dense(cls, rows) -> "SMat":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        m = cls(nr, nc)
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                m.add_entry(r, c, v)
-        return m
 
 
 class Echelon:

@@ -32,7 +32,7 @@ from .repclass import (
     sl_basis_keys,
     sl_defining_matrix,
 )
-from .schur import Weight, WeightMultiset
+from .schur import Weight, WeightMultiset, weyl_dim
 
 
 @dataclass
@@ -165,10 +165,12 @@ def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
                         list(a.weight_grading) + list(b.weight_grading))
 
 
-def sl_only_model(w: Weight, max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> AffMatrixRep:
+def sl_only_model(w: Weight, max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
+                  max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
     """A pure SL_n-representation viewed as an affine-group model: all
     translation generators are zero.  Built through the cheaper of the label
     and its dual."""
+    _check_cap(weyl_dim(w), max_dim)
     m = model_for_weight(w.n, w.parts, max_cells)
     zero = [SMat(m.dim, m.dim) for _ in range(w.n)]
     return AffMatrixRep(w.n, m.dim, dict(m.gens), zero, list(m.grading))
@@ -264,10 +266,10 @@ def validate_model(rep: AffMatrixRep) -> None:
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
-    for a in keys:
-        for b in keys:
-            if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, a, b):
-                raise ModelInvariantError(f"[{a},{b}]")
+    # both sides are antisymmetric and [X, X] = 0, so each pair a < b once
+    for a, b in itertools.combinations(keys, 2):
+        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, a, b):
+            raise ModelInvariantError(f"[{a},{b}]")
 
     for i in range(n):
         for j in range(i + 1, n):

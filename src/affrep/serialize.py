@@ -13,7 +13,7 @@ from fractions import Fraction
 from .catalog import CatalogEntry
 from .filtration import Filtration
 from .linalg import SMat
-from .matmodel import AffMatrixRep
+from .matmodel import AffMatrixRep, validate_model
 from .rationality import TwoStepExtension, Verdict
 from .repclass import SemisimpleRep, StabilizerReport
 from .schur import Weight, WeightMultiset
@@ -23,17 +23,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def fraction_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    # bool is an int subclass, but JSON true/false is never a rational
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {s!r}")
-    return Fraction(s)
+        raise ValueError(f"expected a rational string or an integer, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 # --- weights and multisets ----------------------------------------------------
@@ -44,6 +43,12 @@ def fraction_from_str(s) -> Fraction:
 def _require_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _require_positive(value, field: str) -> int:
+    if _require_int(value, field) < 1:
+        raise ValueError(f"field {field!r} must be at least 1, got {value}")
     return value
 
 
@@ -72,9 +77,7 @@ def multiset_from_json(data) -> WeightMultiset:
             raise ValueError(f"each entry of 'summands' must be an object, got {s!r}")
         if "lambda" not in s:
             raise ValueError(f"summand {s!r} is missing field 'lambda'")
-        mult = _require_int(s.get("mult", 1), "mult")
-        if mult < 1:
-            raise ValueError(f"field 'mult' must be at least 1, got {mult}")
+        mult = _require_positive(s.get("mult", 1), "mult")
         items.append((weight_from_json(n, s["lambda"]), mult))
     return WeightMultiset.of(n, items)
 
@@ -90,13 +93,29 @@ def stabilizer_report_to_json(r: StabilizerReport) -> dict:
 # --- matrix models -------------------------------------------------------------
 
 def _matrix_to_json(m: SMat) -> list[list[str]]:
-    return [[fraction_to_str(x) for x in row] for row in m.to_dense()]
+    # str of a Fraction is already the canonical "3" / "-5/7"
+    rows = [["0"] * m.ncols for _ in range(m.nrows)]
+    for c, col in m.cols.items():
+        for r, v in col.items():
+            rows[r][c] = str(v)
+    return rows
 
 
-def _matrix_from_json(data, dim: int) -> SMat:
-    if len(data) != dim or any(len(row) != dim for row in data):
-        raise ValueError("matrix has wrong shape")
-    return SMat.from_dense([[fraction_from_str(x) for x in row] for row in data])
+def _matrix_from_json(data, dim: int, field: str) -> SMat:
+    if not isinstance(data, list) or len(data) != dim or any(
+            not isinstance(row, list) or len(row) != dim for row in data):
+        raise ValueError(f"field {field!r} must be a list of {dim} lists of {dim} entries")
+    cols: dict[int, dict] = {}
+    for r, row in enumerate(data):
+        for c, x in enumerate(row):
+            if x != "0":
+                try:
+                    v = fraction_from_str(x)
+                except ValueError as exc:
+                    raise ValueError(f"field {field!r}: {exc}") from None
+                if v:
+                    cols.setdefault(c, {})[r] = v
+    return SMat(dim, dim, cols)
 
 
 def model_to_json(rep: AffMatrixRep) -> dict:
@@ -110,16 +129,30 @@ def model_to_json(rep: AffMatrixRep) -> dict:
 
 
 def model_from_json(data) -> AffMatrixRep:
+    """Read a model file's object and re-verify every defining relation."""
+    if not isinstance(data, dict):
+        raise ValueError(f"model file must hold an object, got {type(data).__name__}")
     for key in ("n", "N", "sl_gens", "trans_gens", "weight_grading"):
         if key not in data:
             raise ValueError(f"model file missing field {key!r}")
-    n, dim = data["n"], data["N"]
-    sl_gens = {k: _matrix_from_json(v, dim) for k, v in data["sl_gens"].items()}
-    trans = [_matrix_from_json(t, dim) for t in data["trans_gens"]]
-    grading = [tuple(int(x) for x in g) for g in data["weight_grading"]]
-    if len(grading) != dim:
-        raise ValueError("grading length differs from the model dimension")
-    return AffMatrixRep(n, dim, sl_gens, trans, grading)
+    n, dim = _require_positive(data["n"], "n"), _require_positive(data["N"], "N")
+    sl, trans, grading = data["sl_gens"], data["trans_gens"], data["weight_grading"]
+    if not isinstance(sl, dict):
+        raise ValueError(f"field 'sl_gens' must be an object, got {type(sl).__name__}")
+    if not isinstance(trans, list) or len(trans) != n:
+        raise ValueError(f"field 'trans_gens' must be a list of {n} matrices")
+    if not isinstance(grading, list) or len(grading) != dim or any(
+            not isinstance(g, list) or len(g) != n or any(type(x) is not int for x in g)
+            for g in grading):
+        raise ValueError(f"field 'weight_grading' must be a list of {dim} lists of {n} integers")
+    rep = AffMatrixRep(
+        n, dim,
+        {k: _matrix_from_json(m, dim, f"sl_gens.{k}") for k, m in sl.items()},
+        [_matrix_from_json(m, dim, f"trans_gens[{i}]") for i, m in enumerate(trans)],
+        [tuple(g) for g in grading],
+    )
+    validate_model(rep)
+    return rep
 
 
 # --- filtration reports ---------------------------------------------------------

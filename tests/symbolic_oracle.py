@@ -94,7 +94,11 @@ def _inverse(mat: SMat) -> SMat:
                 g = a[r][col]
                 a[r] = [x - g * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - g * y for x, y in zip(inv[r], inv[col])]
-    return SMat.from_dense(inv)
+    out = SMat(n, n)
+    for r, row in enumerate(inv):
+        for c, v in enumerate(row):
+            out.add_entry(r, c, v)
+    return out
 
 
 def degree_bound_holds(rep, filtration) -> bool:

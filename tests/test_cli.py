@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 from cli_process import run_affrep
 
+from affrep import serialize as ser
 from affrep.cli import main
+from affrep.matmodel import model_sym_dual
 
 
 def run(capsys, *argv):
@@ -132,24 +135,48 @@ class TestModelAndFiltrate:
         assert rc == 0
         assert json.loads(out)["chain_dims"] == [8]
 
-    def test_filtrate_rejects_broken_model(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", [
+        ["filtrate"], ["model", "dual", "--in"], ["model", "tensor", "--b", "{f}", "--a"],
+    ], ids=["filtrate", "model-dual", "model-tensor"])
+    def test_rejects_broken_model(self, capsys, tmp_path, command):
         f = tmp_path / "m.json"
         run(capsys, "model", "sym-dual", "--n", "2", "--l", "1", "--out", str(f))
         data = json.loads(f.read_text())
         data["sl_gens"]["E_1_2"][0][1] = "17"
         f.write_text(json.dumps(data))
-        rc, _, err = run(capsys, "filtrate", str(f))
+        rc, out, err = run(capsys, *(a.format(f=f) for a in command), str(f))
         assert rc == 1
-        assert "E_1_2" in err or "invariant" in err
+        assert out == ""
+        assert "E_1_2" in err
 
-    def test_model_cap(self, capsys):
-        rc, _, err = run(capsys, "model", "sym-dual", "--n", "3", "--l", "4",
-                         "--max-model-dim", "10")
+    @pytest.mark.parametrize("which,flags", [
+        ("sym-dual", ["--n", "3", "--l", "4"]),          # dim 35
+        ("sl-only", ["--n", "3", "--lambda", "2,1,0"]),  # dim 8
+    ], ids=["sym-dual", "sl-only"])
+    def test_model_cap(self, capsys, tmp_path, which, flags):
+        out_file = tmp_path / "m.json"
+        rc, _, err = run(capsys, "model", which, *flags, "--max-model-dim", "4",
+                         "--out", str(out_file))
         assert rc == 1
         assert "max_model_dim" in err
+        assert not out_file.exists()
+
+    def test_files_pinned(self, capsys, tmp_path):
+        a, b, t, d = (tmp_path / f"{x}.json" for x in "abtd")
+        for argv in (["sl-only", "--n", "4", "--lambda", "2,0,0,0", "--out", a],
+                     ["sym-dual", "--n", "4", "--l", "2", "--out", b],
+                     ["tensor", "--a", a, "--b", b, "--out", t],
+                     ["dual", "--in", t, "--out", d]):
+            rc, _, err = run(capsys, "model", *map(str, argv))
+            assert rc == 0, err
+        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in (a, b, t, d)] == [
+            "cb35296a63460bf5ee80e61a4cc5b2849d5cab6fe86d7509555f8473adc09be2",
+            "db10979e92bb79b60b0de4bfc89ce52eab5fc92630add89779a51f0666ea4cd4",
+            "f7fbdf1b9d2073126b139d844cc37ddeaee3c25febe558e5b635ed4af437fee5",
+            "f4e3c83e76971306df04f4be50b268e6772fcffad1750599709256d48b4a12db",
+        ]
 
     def test_filtrate_bundled_example(self, capsys, tmp_path):
-        from affrep import serialize as ser
         from affrep.gallery import cubic_top_submodel
 
         f = tmp_path / "example.json"
@@ -204,6 +231,37 @@ class TestCheck2Step:
         assert "structural" in err
 
 
+def _malformed_models():
+    """(model file object, field named in the error), each a small edit of
+    the 3-dim model of functions of degree <= 1 in two variables (basis 1,
+    x_1, x_2)."""
+    base = ser.model_to_json(model_sym_dual(2, 1))
+
+    def edit(change):
+        data = json.loads(ser.dumps(base))
+        change(data)
+        return data
+
+    def zero_rows_as_strings(d):
+        for m in [*d["sl_gens"].values(), *d["trans_gens"]]:
+            m[:] = ["000" if row == ["0"] * 3 else row for row in m]
+
+    def empty(d):
+        d.update(N=0, sl_gens={k: [] for k in d["sl_gens"]}, trans_gens=[[], []],
+                 weight_grading=[])
+
+    return [
+        (edit(lambda d: d.update(sl_gens=[])), "sl_gens"),
+        (edit(lambda d: d.update(trans_gens=5)), "trans_gens"),
+        (edit(zero_rows_as_strings), "sl_gens.E_1_2"),
+        # d/dx_1 sends x_1 to 1, the only nonzero entry of T_1
+        (edit(lambda d: d["trans_gens"][0][0].__setitem__(1, True)), "trans_gens[0]"),
+        (edit(lambda d: d["weight_grading"][0].__setitem__(0, 0.7)), "weight_grading"),
+        (edit(lambda d: d["weight_grading"][0].append(0)), "weight_grading"),
+        (edit(empty), "N"),
+    ]
+
+
 MALFORMED_INPUT = [
     ("classify", {"n": 3, "summands": [{"mult": 1}]}, "lambda"),
     ("classify", {"n": 3, "summands": [{"lambda": [1, 0, 0], "mult": True}]}, "mult"),
@@ -218,15 +276,19 @@ MALFORMED_INPUT = [
                     "Q": {"n": 3, "summands": [{"lambda": [1, 0, 0]}]},
                     "W": {"n": 3, "summands": []}, "assume_generically_free": "false"},
      "assume_generically_free"),
+] + [
+    (command, payload, field)
+    for command in ("filtrate", "model dual --in")
+    for payload, field in _malformed_models()
 ]
 
 
 @pytest.mark.parametrize("command,payload,field", MALFORMED_INPUT,
-                         ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(MALFORMED_INPUT)])
+                         ids=[f"{c.split()[0]}-{i}" for i, (c, _, _) in enumerate(MALFORMED_INPUT)])
 def test_malformed_file_exits_1_naming_the_field(tmp_path, command, payload, field):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(payload))
-    proc = run_affrep(command, str(f))
+    proc = run_affrep(*command.split(), str(f))
     assert proc.returncode == 1, proc.stdout
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")

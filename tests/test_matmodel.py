@@ -211,6 +211,12 @@ class TestValidator:
         with pytest.raises(ModelInvariantError):
             validate_model(m)
 
+    def test_names_first_broken_bracket(self):
+        m = model_sym_dual(3, 2)
+        m.sl_gens["H_2"] = m.sl_gens["H_2"].scale(2)
+        with pytest.raises(ModelInvariantError, match=r"\[E_1_2,H_2\]"):
+            validate_model(m)
+
     def test_detects_broken_grading(self):
         m = model_sym_dual(2, 1)
         m.weight_grading[1] = (5, 5)

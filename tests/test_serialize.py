@@ -1,10 +1,15 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affrep import serialize as ser
-from affrep.matmodel import model_sym_dual, validate_model
+from affrep.gallery import cubic_top_submodel, three_generator_submodel
+from affrep.linalg import SMat
+from affrep.matmodel import model_sym_dual
 from affrep.rationality import TwoStepExtension, decide_rationality
 from affrep.repclass import SemisimpleRep
 from affrep.schur import WeightMultiset, normalize
@@ -15,12 +20,93 @@ def W(n, *parts):
 
 
 def test_fraction_strings():
-    assert ser.fraction_to_str(Fraction(3)) == "3"
-    assert ser.fraction_to_str(Fraction(-5, 7)) == "-5/7"
     assert ser.fraction_from_str("3") == 3
     assert ser.fraction_from_str("-5/7") == Fraction(-5, 7)
-    with pytest.raises(ValueError):
-        ser.fraction_from_str(None)
+    for bad in (None, True, 1.5, "1/0"):
+        with pytest.raises(ValueError):
+            ser.fraction_from_str(bad)
+
+
+# the dense codec the matrix helpers replace, kept as their reference
+
+def reference_rows(m: SMat) -> list[list[str]]:
+    return [[str(x) for x in row] for row in m.to_dense()]
+
+
+def reference_matrix(rows, dim: int) -> SMat:
+    m = SMat(dim, dim)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            m.add_entry(r, c, ser.fraction_from_str(x))
+    return m
+
+
+def layout(m: SMat):
+    """Stored entries in storage order, which later iteration follows."""
+    return [(c, list(col.items())) for c, col in m.cols.items()]
+
+
+NONZERO = st.fractions(-1000, 1000, max_denominator=60).filter(bool)
+ZERO_SPELLINGS = ["0", 0, "-0", "0/5"]
+
+
+@st.composite
+def sparse_matrices(draw):
+    dim = draw(st.integers(1, 10))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    m = SMat(dim, dim)
+    for (r, c), v in draw(st.dictionaries(cells, NONZERO, max_size=2 * dim)).items():
+        m.add_entry(r, c, v)
+    return m
+
+
+def spell(x: Fraction, k: int):
+    """The k-th way a model file may spell x: a zero spelling, the canonical
+    string, an unreduced fraction, or an integer."""
+    if not x:
+        return ZERO_SPELLINGS[k % len(ZERO_SPELLINGS)]
+    options = [str(x), f"{2 * x.numerator}/{2 * x.denominator}"]
+    if x.denominator == 1:
+        options.append(x.numerator)
+    return options[k % len(options)]
+
+
+@st.composite
+def spelled_matrices(draw):
+    m = draw(sparse_matrices())
+    cells = m.nrows * m.ncols
+    picks = iter(draw(st.lists(st.integers(0, 11), min_size=cells, max_size=cells)))
+    return m, [[spell(x, next(picks)) for x in row] for row in m.to_dense()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_matrix_writer_matches_dense_reference(m):
+    assert ser._matrix_to_json(m) == reference_rows(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_matrices())
+def test_matrix_reader_matches_dense_reference(case):
+    m, rows = case
+    got = ser._matrix_from_json(rows, m.nrows, "m")
+    want = reference_matrix(rows, m.nrows)
+    assert got == want == m
+    assert layout(got) == layout(want)
+    assert all(v for col in got.cols.values() for v in col.values())
+    assert got == ser._matrix_from_json(ser._matrix_to_json(m), m.nrows, "m")
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: cubic_top_submodel(3),
+     "5753811efe44d3feb51f7ec3c7a0f5449897ce3357995e820ddef188863dd491"),
+    (lambda: three_generator_submodel(4),
+     "10b436970fe41f5f1b8f7940014ad0a0928ac7724e1b21cf5bd75298c9c038c2"),
+], ids=["cubic_top_submodel(3)", "three_generator_submodel(4)"])
+def test_gallery_model_bytes_pinned(build, digest):
+    text = ser.dumps(ser.model_to_json(build())) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert ser.dumps(ser.model_to_json(ser.model_from_json(json.loads(text)))) + "\n" == text
 
 
 def test_multiset_round_trip():
@@ -41,7 +127,6 @@ def test_model_round_trip_bit_exact():
     m = model_sym_dual(2, 2)
     text = ser.dumps(ser.model_to_json(m))
     back = ser.model_from_json(json.loads(text))
-    validate_model(back)
     assert ser.dumps(ser.model_to_json(back)) == text
 
 
