@@ -20,7 +20,6 @@ from .repclass import (
     BAD,
     GOOD,
     GOOD_HEURISTIC,
-    SemisimpleRep,
     StabilizerReport,
     bad_list,
     build_tensor_model,

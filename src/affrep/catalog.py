@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
-from .repclass import BAD, SemisimpleRep, bad_list, classify
+from .repclass import BAD, bad_list, classify
 from .rationality import (
     TwoStepExtension,
     Verdict,
     check_structural,
     decide_rationality,
 )
-from .schur import Weight, WeightMultiset, lr_decompose, normalize, weyl_dim
+from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
@@ -28,8 +28,8 @@ TRIGGER_SMALL_S = "dim-S-small"
 @dataclass
 class CatalogEntry:
     n: int
-    S: SemisimpleRep
-    Q: SemisimpleRep
+    S: WeightMultiset
+    Q: WeightMultiset
     trigger: str
     verdict: Verdict
 
@@ -64,14 +64,6 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
 
-def _tensor_with_standard(n: int, q: WeightMultiset) -> WeightMultiset:
-    std = normalize(n, [1])
-    total = WeightMultiset.of(n, [])
-    for w, m in q.entries:
-        total = total.add(lr_decompose(w, std).scale(m))
-    return total
-
-
 def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
     """Multisets over the nontrivial bad labels that the stabilizer engine
     still classifies as bad.  Monotone pruning: once a multiset is no longer
@@ -85,7 +77,7 @@ def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
             return
         seen.add(ms.entries)
         if not ms.is_empty():
-            if classify(SemisimpleRep(ms), seed=seed, trials=trials) != BAD:
+            if classify(ms, seed=seed, trials=trials) != BAD:
                 return
             cores.append(ms)
         for w in labels:
@@ -117,12 +109,16 @@ def enumerate_exceptional_candidates(
     trivial_cap = n * n - 2
     dim_s_cap = n * n + 2 * n - 1
     if max_trivials is not None:
+        if max_trivials < 0:
+            raise ValueError(f"cap violated: max_trivials {max_trivials} is below 0")
         if max_trivials > trivial_cap:
             raise ValueError(
                 f"cap violated: max_trivials {max_trivials} exceeds the clause bound {trivial_cap}"
             )
         trivial_cap = max_trivials
     if max_dim_s is not None:
+        if max_dim_s < 1:
+            raise ValueError(f"cap violated: max_dim_s {max_dim_s} is below 1")
         if max_dim_s > dim_s_cap:
             raise ValueError(
                 f"cap violated: max_dim_s {max_dim_s} exceeds the clause bound {dim_s_cap}"
@@ -132,6 +128,7 @@ def enumerate_exceptional_candidates(
         dim_s_cap_small = dim_s_cap
 
     triv = normalize(n, [])
+    std = normalize(n, [1])
     entries: dict[tuple, CatalogEntry] = {}
 
     def consider(q: WeightMultiset, s: WeightMultiset, trigger: str):
@@ -144,32 +141,27 @@ def enumerate_exceptional_candidates(
         key = (q.entries, s.entries)
         if key in entries:
             return
-        ext = TwoStepExtension(n, SemisimpleRep(s), SemisimpleRep(q), SemisimpleRep.of(n, []))
+        ext = TwoStepExtension(n, s, q, WeightMultiset.of(n, []))
         if not check_structural(ext):
             return
         verdict = decide_rationality(ext, seed=seed, trials=trials)
-        entries[key] = CatalogEntry(
-            n, SemisimpleRep(s), SemisimpleRep(q), trigger, verdict
-        )
+        entries[key] = CatalogEntry(n, s, q, trigger, verdict)
 
     # clause (i): bad quotients, trivial padding below the threshold
     for core in _bad_cores(n, seed, trials):
         for t in range(trivial_cap + 1):
             q = core.add(WeightMultiset.of(n, [(triv, t)])) if t else core
-            product = _tensor_with_standard(n, q)
-            for s in product.submultisets():
+            for s in q.tensor(std).submultisets():
                 consider(q, s, TRIGGER_BAD_Q)
     # pure-trivial quotients are bad as well
     for t in range(1, trivial_cap + 1):
         q = WeightMultiset.of(n, [(triv, t)])
-        for s in _tensor_with_standard(n, q).submultisets():
+        for s in q.tensor(std).submultisets():
             consider(q, s, TRIGGER_BAD_Q)
 
     # clause (ii): small submodules; Q runs over sub-multisets of
     # S (x) dual standard, S over small multisets of small irreducibles
-    from .schur import dual
-
-    dstd = dual(normalize(n, [1]))
+    dstd = dual(std)
     universe = irreps_up_to_dim(n, dim_s_cap_small)
 
     def s_multisets(i: int, dim_left: int, acc: list):
@@ -188,18 +180,15 @@ def enumerate_exceptional_candidates(
     for s in s_multisets(0, dim_s_cap_small, []):
         if s.is_empty():
             continue
-        prod = WeightMultiset.of(n, [])
-        for w, m in s.entries:
-            prod = prod.add(lr_decompose(w, dstd).scale(m))
-        for q in prod.submultisets():
+        for q in s.tensor(dstd).submultisets():
             if q.is_empty():
                 continue
             trigger = (
                 TRIGGER_BAD_Q
-                if classify(SemisimpleRep(q), seed=seed, trials=trials) == BAD
+                if classify(q, seed=seed, trials=trials) == BAD
                 else TRIGGER_SMALL_S
             )
             consider(q, s, trigger)
 
-    out = sorted(entries.values(), key=lambda e: (e.Q.summands.entries, e.S.summands.entries))
+    out = sorted(entries.values(), key=lambda e: (e.Q.entries, e.S.entries))
     return out

@@ -73,6 +73,16 @@ def read_json_file(path: str):
             raise ValueError(f"invalid JSON in {path}: {exc}")
 
 
+def read_model_file(path: str, max_dim: int):
+    data = read_json_file(path)
+    # refuse an oversized model before its O(N^2) entries are converted and
+    # validated; a malformed N is left to model_from_json, which names the field
+    dim = data.get("N") if isinstance(data, dict) else None
+    if type(dim) is int and dim > max_dim:
+        raise ResourceCapError("max_model_dim", dim, max_dim)
+    return ser.model_from_json(data)
+
+
 def write_or_print(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -112,7 +122,7 @@ def cmd_pieri(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rep = ser.rep_from_json(read_json_file(args.rep_file))
+    rep = ser.multiset_from_json(read_json_file(args.rep_file))
     verdict, report = classify_with_report(rep, seed=args.seed, trials=args.trials)
     payload = {"classification": verdict}
     lines = [verdict]
@@ -135,11 +145,11 @@ def cmd_model(args) -> int:
         rep = model_sym_dual(args.n, args.l, max_dim=args.max_model_dim)
     elif args.which == "dual":
         _require(args, **{"in": args.infile})
-        rep = dual_model(ser.model_from_json(read_json_file(args.infile)))
+        rep = dual_model(read_model_file(args.infile, args.max_model_dim))
     elif args.which == "tensor":
         _require(args, a=args.a, b=args.b)
-        a = ser.model_from_json(read_json_file(args.a))
-        b = ser.model_from_json(read_json_file(args.b))
+        a = read_model_file(args.a, args.max_model_dim)
+        b = read_model_file(args.b, args.max_model_dim)
         rep = tensor_model(a, b, max_dim=args.max_model_dim)
     else:
         _require(args, n=args.n, **{"lambda": args.lam})
@@ -149,7 +159,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_filtrate(args) -> int:
-    rep = ser.model_from_json(read_json_file(args.model_file))
+    rep = read_model_file(args.model_file, args.max_model_dim)
     filt = socle_filtration(rep) if args.kind == "socle" else radical_filtration(rep)
     checks = {
         "duality": check_duality(rep),

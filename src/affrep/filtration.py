@@ -21,7 +21,6 @@ from functools import lru_cache
 from .linalg import Echelon, Vec, nullspace
 from .matmodel import AffMatrixRep, dual_model, grading_rep
 from .oracle import ssyt_contents
-from .repclass import SemisimpleRep
 from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
 
 SOCLE = "socle"
@@ -103,13 +102,10 @@ def decompose_character(n: int, char: Counter) -> WeightMultiset:
     return WeightMultiset.of(n, found)
 
 
-def identify_layers(rep: AffMatrixRep, filtration: Filtration) -> list[SemisimpleRep]:
+def identify_layers(rep: AffMatrixRep, filtration: Filtration) -> list[WeightMultiset]:
     """Each layer's character, decomposed into irreducible labels."""
-    out = []
-    for step in filtration.snapshots:
-        char = _layer_weight_counter(rep, step)
-        out.append(SemisimpleRep(decompose_character(rep.n, char)))
-    return out
+    return [decompose_character(rep.n, _layer_weight_counter(rep, step))
+            for step in filtration.snapshots]
 
 
 def socle_filtration(rep: AffMatrixRep) -> Filtration:
@@ -144,7 +140,7 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
         snapshots.append(step_rows)
         total += len(step_rows)
     filt = Filtration(rep, SOCLE, snapshots, [])
-    filt.layers = [s.summands for s in identify_layers(rep, filt)]
+    filt.layers = identify_layers(rep, filt)
     return filt
 
 
@@ -177,7 +173,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
                 step.append(dict(ech.rows[p]))
         snapshots.append(step)
     filt = Filtration(rep, RADICAL, snapshots, [])
-    filt.layers = [s.summands for s in identify_layers(rep, filt)]
+    filt.layers = identify_layers(rep, filt)
     return filt
 
 

@@ -19,7 +19,6 @@ from .repclass import (
     BAD,
     GOOD,
     GOOD_HEURISTIC,
-    SemisimpleRep,
     classify,
 )
 from .schur import (
@@ -45,9 +44,9 @@ class TwoStepExtension:
     """Semisimple data of a length-two extension plus a detached summand."""
 
     n: int
-    S: SemisimpleRep
-    Q: SemisimpleRep
-    W: SemisimpleRep
+    S: WeightMultiset
+    Q: WeightMultiset
+    W: WeightMultiset
     assume_generically_free: bool = False
 
     def __post_init__(self):
@@ -59,9 +58,9 @@ class TwoStepExtension:
     def of(cls, n: int, S=(), Q=(), W=(), assume_generically_free: bool = False):
         return cls(
             n,
-            SemisimpleRep.of(n, S),
-            SemisimpleRep.of(n, Q),
-            SemisimpleRep.of(n, W),
+            WeightMultiset.of(n, S),
+            WeightMultiset.of(n, Q),
+            WeightMultiset.of(n, W),
             assume_generically_free,
         )
 
@@ -84,8 +83,8 @@ def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
     S (x) dual standard, with multiplicities."""
     std = normalize(ext.n, [1])
-    s, q = ext.S.summands, ext.Q.summands
-    return multiset_fits_in_product(s, q, std) and multiset_fits_in_product(q, s, dual(std))
+    return (multiset_fits_in_product(ext.S, ext.Q, std)
+            and multiset_fits_in_product(ext.Q, ext.S, dual(std)))
 
 
 def _r3_shapes(n: int, q: WeightMultiset) -> bool:
@@ -110,14 +109,14 @@ def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
     if ext.assume_generically_free:
         return FREE, "asserted"
     n = ext.n
-    q = ext.Q.summands
+    q = ext.Q
     if q == WeightMultiset.of(n, [normalize(n, [1])]):
         return POSSIBLY_NOT_FREE, "R1"
     if q == WeightMultiset.of(n, [dual(normalize(n, [1, 1]))]):
         return POSSIBLY_NOT_FREE, "R2"
     if _r3_shapes(n, q):
         return POSSIBLY_NOT_FREE, "R3"
-    verdict = classify(ext.Q, seed=seed, trials=trials)
+    verdict = classify(q, seed=seed, trials=trials)
     if verdict == BAD:
         return POSSIBLY_NOT_FREE, "bad-quotient"
     return FREE, verdict
@@ -158,7 +157,7 @@ def decide_rationality(
     if status != FREE:
         return Verdict(POSSIBLY_NOT_GENERICALLY_FREE, None, evidence, seed)
 
-    trivial_count = ext.Q.summands.count(normalize(n, []))
+    trivial_count = ext.Q.count(normalize(n, []))
     threshold_b = n * n - 1
     evidence.append(
         {
@@ -172,10 +171,10 @@ def decide_rationality(
 
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
-    count = _split_candidate_count(ext.W.summands)
+    count = _split_candidate_count(ext.W)
     exhaustive = count <= max_split_candidates
     candidates = (
-        ext.W.summands.submultisets() if exhaustive else _greedy_candidates(ext)
+        ext.W.submultisets() if exhaustive else _greedy_candidates(ext)
     )
     if not exhaustive:
         evidence.append(
@@ -186,8 +185,7 @@ def decide_rationality(
             }
         )
     for w2 in candidates:
-        q_aug = SemisimpleRep(ext.Q.summands.add(w2)) if not w2.is_empty() else ext.Q
-        cls = classify(q_aug, seed=seed, trials=trials)
+        cls = classify(ext.Q.add(w2), seed=seed, trials=trials)
         dim_ok = dim_sw - w2.dim() >= threshold_a
         evidence.append(
             {
@@ -200,7 +198,7 @@ def decide_rationality(
             }
         )
         if cls in (GOOD, GOOD_HEURISTIC) and dim_ok:
-            w1 = _subtract(ext.W.summands, w2)
+            w1 = _subtract(ext.W, w2)
             witness = {
                 "W1": [[list(w.parts), m] for w, m in w1.entries],
                 "W2": [[list(w.parts), m] for w, m in w2.entries],
@@ -226,7 +224,7 @@ def _greedy_candidates(ext: TwoStepExtension):
     dimension first until the augmented quotient is good."""
     n = ext.n
     singles = sorted(
-        ((w, weyl_dim(w)) for w, m in ext.W.summands.entries for _ in range(m)),
+        ((w, weyl_dim(w)) for w, m in ext.W.entries for _ in range(m)),
         key=lambda t: (t[1], t[0].parts),
     )
     out = [WeightMultiset.of(n, [])]

@@ -33,29 +33,8 @@ GOOD_HEURISTIC = "GoodHeuristic"
 
 
 @dataclass(frozen=True)
-class SemisimpleRep:
-    """A completely reducible SL_n-representation, given by its summands."""
-
-    summands: WeightMultiset
-
-    @property
-    def n(self) -> int:
-        return self.summands.n
-
-    def dim(self) -> int:
-        return self.summands.dim()
-
-    @classmethod
-    def of(cls, n: int, items=()) -> "SemisimpleRep":
-        return cls(WeightMultiset.of(n, items))
-
-    def __str__(self) -> str:
-        return str(self.summands)
-
-
-@dataclass(frozen=True)
 class StabilizerReport:
-    rep: SemisimpleRep
+    rep: WeightMultiset
     stab_dim: int
     trials: int
     seed: int
@@ -351,7 +330,7 @@ def _integer_gens(n: int, parts: tuple[int, ...], max_cells: int):
 
 
 def stabilizer_dimension(
-    rep: SemisimpleRep,
+    rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
@@ -365,7 +344,7 @@ def stabilizer_dimension(
     images X.v over the basis of sl_n is an exact integer rank."""
     n = rep.n
     models = []
-    for w, mult in rep.summands.entries:
+    for w, mult in rep.entries:
         models.extend([_integer_gens(n, w.parts, max_cells)] * mult)
     nkeys = len(sl_basis_keys(n))
     rng = random.Random(seed)
@@ -393,7 +372,7 @@ def stabilizer_dimension(
 
 @lru_cache(maxsize=None)
 def classify_with_report(
-    rep: SemisimpleRep,
+    rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
@@ -408,14 +387,14 @@ def classify_with_report(
     inputs are immutable.
     """
     bad = bad_list(rep.n)
-    if any(w not in bad for w in rep.summands.weights()):
+    if any(w not in bad for w in rep.weights()):
         return GOOD, None
     report = stabilizer_dimension(rep, seed=seed, trials=trials,
                                   coord_bound=coord_bound, max_cells=max_cells)
     return (BAD if report.stab_dim > 0 else GOOD_HEURISTIC), report
 
 
-def classify(rep: SemisimpleRep, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
+def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
              coord_bound: int = DEFAULT_COORD_BOUND,
              max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> str:
     return classify_with_report(rep, seed, trials, coord_bound, max_cells)[0]
@@ -428,7 +407,7 @@ def minimal_good_power(w: Weight, max_t: int = 20, seed: int = DEFAULT_SEED,
     A computed answer from the stabilizer engine, not ground truth; None when
     no t up to max_t works (always for the trivial representation)."""
     for t in range(1, max_t + 1):
-        rep = SemisimpleRep.of(w.n, [(w, t)])
+        rep = WeightMultiset.of(w.n, [(w, t)])
         if classify(rep, seed=seed, trials=trials) != BAD:
             return t
     return None

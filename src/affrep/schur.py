@@ -94,15 +94,16 @@ class WeightMultiset:
             raise ValueError("rank mismatch")
         return WeightMultiset.of(self.n, list(self.entries) + list(other.entries))
 
-    def scale(self, k: int) -> "WeightMultiset":
-        return WeightMultiset.of(self.n, [(w, m * k) for w, m in self.entries])
-
     def contains_multiset(self, other: "WeightMultiset") -> bool:
         """True if every weight of `other` occurs here with at least its multiplicity."""
         return all(self.count(w) >= m for w, m in other.entries)
 
     def is_empty(self) -> bool:
         return not self.entries
+
+    def tensor(self, factor: Weight) -> "WeightMultiset":
+        """Decomposition of (this sum) tensor (irrep factor)."""
+        return WeightMultiset.of(self.n, tensor_counts(self, factor).items())
 
     def submultisets(self) -> list["WeightMultiset"]:
         """All sub-multisets in a canonical order: increasing dimension, ties
@@ -267,7 +268,7 @@ def lr_decompose(a: Weight, b: Weight) -> WeightMultiset:
 
 
 # structure checks ask for the same few products over and over (21 distinct
-# pairs behind 188k calls in the rank-3 catalog); the bound keeps a
+# pairs behind 86k calls in the rank-3 catalog); the bound keeps a
 # long-running process from growing without limit
 @lru_cache(maxsize=4096)
 def _lr_decompose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> WeightMultiset:
@@ -288,14 +289,22 @@ def contains(target: Weight, a: Weight, b: Weight) -> int:
     return lr_decompose(a, b).count(target)
 
 
+def tensor_counts(ms: WeightMultiset, factor: Weight) -> dict[Weight, int]:
+    """Multiplicity of each label in (ms) tensor (irrep factor), unsorted."""
+    counts: dict[Weight, int] = {}
+    for u, mu in ms.entries:
+        for w, c in lr_decompose(u, factor).entries:
+            counts[w] = counts.get(w, 0) + mu * c
+    return counts
+
+
 def multiset_fits_in_product(inner: WeightMultiset, outer: WeightMultiset,
                              factor: Weight) -> bool:
     """inner contained (with multiplicities) in outer tensor (irrep factor)."""
-    for w, m in inner.entries:
-        avail = sum(mu * contains(w, u, factor) for u, mu in outer.entries)
-        if avail < m:
-            return False
-    return True
+    # the plain dict, not a WeightMultiset: `of` would sort and validate the
+    # product on every structural check
+    avail = tensor_counts(outer, factor)
+    return all(avail.get(w, 0) >= m for w, m in inner.entries)
 
 
 def check_lr_gap_bound(w: Weight, k: int) -> bool:

@@ -34,7 +34,7 @@ from .rationality import (
     check_structural,
     decide_rationality,
 )
-from .repclass import BAD, SemisimpleRep, bad_list, classify, stabilizer_dimension
+from .repclass import BAD, bad_list, classify, stabilizer_dimension
 from .schur import (
     Weight,
     WeightMultiset,
@@ -187,13 +187,13 @@ def criterion_8_stabilizer_regressions() -> tuple[bool, str]:
         std = normalize(n, [1])
         cases.extend(
             [
-                (SemisimpleRep.of(n, [std]), n * n - 1 - n),
-                (SemisimpleRep.of(n, [normalize(n, [2] + [1] * (n - 2))]), n - 1),
-                (SemisimpleRep.of(n, [normalize(n, [2])]), n * (n - 1) // 2),
-                (SemisimpleRep.of(n, [(std, n)]), 0),
+                (WeightMultiset.of(n, [std]), n * n - 1 - n),
+                (WeightMultiset.of(n, [normalize(n, [2] + [1] * (n - 2))]), n - 1),
+                (WeightMultiset.of(n, [normalize(n, [2])]), n * (n - 1) // 2),
+                (WeightMultiset.of(n, [(std, n)]), 0),
             ]
         )
-    cases.append((SemisimpleRep.of(4, [normalize(4, [1, 1])]), 10))
+    cases.append((WeightMultiset.of(4, [normalize(4, [1, 1])]), 10))
     for rep, want in cases:
         for seed in seeds:
             got = stabilizer_dimension(rep, seed=seed).stab_dim
@@ -255,10 +255,10 @@ def criterion_10_catalog() -> tuple[bool, str]:
     n = 3
     triv = normalize(n, [])
     for e in first:
-        ext = TwoStepExtension(n, e.S, e.Q, SemisimpleRep.of(n, []))
+        ext = TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, []))
         if not check_structural(ext):
             return False, f"entry fails structural containments: Q={e.Q}, S={e.S}"
-        if e.Q.summands.count(triv) >= n * n - 1:
+        if e.Q.count(triv) >= n * n - 1:
             return False, f"entry exceeds the trivial-summand clause: Q={e.Q}"
         if e.trigger == TRIGGER_BAD_Q:
             if classify(e.Q) != BAD:

@@ -15,7 +15,7 @@ from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, validate_model
 from .rationality import TwoStepExtension, Verdict
-from .repclass import SemisimpleRep, StabilizerReport
+from .repclass import StabilizerReport
 from .schur import Weight, WeightMultiset
 
 
@@ -80,10 +80,6 @@ def multiset_from_json(data) -> WeightMultiset:
         mult = _require_positive(s.get("mult", 1), "mult")
         items.append((weight_from_json(n, s["lambda"]), mult))
     return WeightMultiset.of(n, items)
-
-
-def rep_from_json(data) -> SemisimpleRep:
-    return SemisimpleRep(multiset_from_json(data))
 
 
 def stabilizer_report_to_json(r: StabilizerReport) -> dict:
@@ -185,9 +181,9 @@ def filtration_text(filt: Filtration, checks: dict | None = None) -> str:
 def extension_to_json(ext: TwoStepExtension) -> dict:
     return {
         "n": ext.n,
-        "S": multiset_to_json(ext.S.summands),
-        "Q": multiset_to_json(ext.Q.summands),
-        "W": multiset_to_json(ext.W.summands),
+        "S": multiset_to_json(ext.S),
+        "Q": multiset_to_json(ext.Q),
+        "W": multiset_to_json(ext.W),
         "assume_generically_free": ext.assume_generically_free,
     }
 
@@ -206,7 +202,7 @@ def extension_from_json(data) -> TwoStepExtension:
             raise ValueError(f"field {key!r} must be an object, got {d!r}")
         if d.get("n", n) != n:
             raise ValueError("rank mismatch inside extension file")
-        return SemisimpleRep(multiset_from_json(d))
+        return multiset_from_json(d)
 
     free = data.get("assume_generically_free", False)
     if not isinstance(free, bool):
@@ -226,8 +222,8 @@ def verdict_to_json(v: Verdict) -> dict:
 def catalog_entry_to_json(e: CatalogEntry) -> dict:
     return {
         "n": e.n,
-        "S": multiset_to_json(e.S.summands),
-        "Q": multiset_to_json(e.Q.summands),
+        "S": multiset_to_json(e.S),
+        "Q": multiset_to_json(e.Q),
         "trigger": e.trigger,
         "verdict": verdict_to_json(e.verdict),
     }

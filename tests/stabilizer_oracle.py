@@ -13,11 +13,12 @@ from fractions import Fraction
 
 from affrep.config import DEFAULT_COORD_BOUND, DEFAULT_MAX_TENSOR_CELLS, DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.linalg import Echelon, Vec
-from affrep.repclass import SemisimpleRep, SlModel, model_for_weight, sl_basis_keys
+from affrep.repclass import SlModel, model_for_weight, sl_basis_keys
+from affrep.schur import WeightMultiset
 
 
 def stabilizer_dimension(
-    rep: SemisimpleRep,
+    rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
@@ -26,7 +27,7 @@ def stabilizer_dimension(
     """Minimum over trials of dim{X in sl_n : X.v = 0}."""
     n = rep.n
     models: list[SlModel] = []
-    for w, mult in rep.summands.entries:
+    for w, mult in rep.entries:
         m = model_for_weight(n, w.parts, max_cells)
         models.extend([m] * mult)
     keys = sl_basis_keys(n)

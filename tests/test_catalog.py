@@ -11,8 +11,8 @@ from affrep.catalog import (
     irreps_up_to_dim,
 )
 from affrep.rationality import TwoStepExtension, check_structural
-from affrep.repclass import BAD, SemisimpleRep, classify
-from affrep.schur import Weight, dual, normalize, weyl_dim
+from affrep.repclass import BAD, classify
+from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 
 def W(n, *parts):
@@ -67,8 +67,8 @@ class TestEnumerate:
         assert entries
         triv = W(n, 0)
         for e in entries:
-            assert check_structural(TwoStepExtension(n, e.S, e.Q, SemisimpleRep.of(n, [])))
-            assert e.Q.summands.count(triv) < n * n - 1
+            assert check_structural(TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, [])))
+            assert e.Q.count(triv) < n * n - 1
             if e.trigger == TRIGGER_BAD_Q:
                 assert classify(e.Q) == BAD
             else:
@@ -96,8 +96,8 @@ class TestEnumerate:
         hits = [
             e
             for e in entries
-            if e.Q.summands.entries == ((dual(W(3, 1)), 1),)
-            and e.S.summands.entries == ((W(3, 0), 1),)
+            if e.Q.entries == ((dual(W(3, 1)), 1),)
+            and e.S.entries == ((W(3, 0), 1),)
         ]
         assert len(hits) == 1
         assert hits[0].verdict.outcome == "PossiblyNotGenericallyFree"

@@ -161,6 +161,22 @@ class TestModelAndFiltrate:
         assert "max_model_dim" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["filtrate", "{f}"],
+        ["model", "dual", "--in", "{f}"],
+        ["model", "tensor", "--a", "{f}", "--b", "{f}"],
+    ], ids=["filtrate", "model-dual", "model-tensor"])
+    def test_model_cap_on_read(self, capsys, tmp_path, command):
+        f = tmp_path / "adj.json"
+        rc, _, err = run(capsys, "model", "sl-only", "--n", "3", "--lambda", "2,1,0",
+                         "--out", str(f))
+        assert rc == 0, err
+        rc, out, err = run(capsys, *(a.format(f=f) for a in command), "--max-model-dim", "4")
+        assert rc == 1
+        assert out == ""
+        # the 8-dim file itself is refused, not only a 64-dim product
+        assert "max_model_dim needs 8" in err
+
     def test_files_pinned(self, capsys, tmp_path):
         a, b, t, d = (tmp_path / f"{x}.json" for x in "abtd")
         for argv in (["sl-only", "--n", "4", "--lambda", "2,0,0,0", "--out", a],
@@ -334,3 +350,13 @@ class TestEnumerate:
         rc, _, err = run(capsys, "enumerate", "--n", "3", "--max-trivials", "99")
         assert rc == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--max-trivials", "-1", "max_trivials"),
+        ("--max-dim-s", "0", "max_dim_s"),
+    ], ids=["max-trivials", "max-dim-s"])
+    def test_cap_below_range_exit_1(self, capsys, flag, value, name):
+        rc, out, err = run(capsys, "enumerate", "--n", "2", flag, value)
+        assert rc == 1
+        assert out == ""
+        assert f"cap violated: {name} {value}" in err

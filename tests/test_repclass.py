@@ -13,7 +13,6 @@ from affrep.repclass import (
     BAD,
     GOOD,
     GOOD_HEURISTIC,
-    SemisimpleRep,
     SlModel,
     bad_list,
     bracket_coefficients,
@@ -24,7 +23,7 @@ from affrep.repclass import (
     sl_defining_matrix,
     stabilizer_dimension,
 )
-from affrep.schur import Weight, dual, normalize, weyl_dim
+from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 
 def W(n, *parts):
@@ -136,16 +135,16 @@ class TestTensorModel:
 
 class TestStabilizer:
     def test_standard_vector(self):
-        rep = SemisimpleRep.of(3, [W(3, 1)])
+        rep = WeightMultiset.of(3, [W(3, 1)])
         rpt = stabilizer_dimension(rep, seed=7)
         assert rpt.stab_dim == 5  # n^2 - 1 - n
 
     def test_adjoint_centralizer(self):
-        rep = SemisimpleRep.of(3, [W(3, 2, 1)])
+        rep = WeightMultiset.of(3, [W(3, 2, 1)])
         assert stabilizer_dimension(rep, seed=7).stab_dim == 2  # n - 1
 
     def test_three_standards_free(self):
-        rep = SemisimpleRep.of(3, [(W(3, 1), 3)])
+        rep = WeightMultiset.of(3, [(W(3, 1), 3)])
         assert stabilizer_dimension(rep, seed=7).stab_dim == 0
 
     def test_classical_values(self):
@@ -156,29 +155,29 @@ class TestStabilizer:
             (4, (2, 1, 1, 0)): 3,
         }
         for (n, parts), want in expectations.items():
-            rep = SemisimpleRep.of(n, [Weight(n, parts)])
+            rep = WeightMultiset.of(n, [Weight(n, parts)])
             got = stabilizer_dimension(rep, seed=11).stab_dim
             assert got == want, (n, parts, got, want)
 
     def test_reproducible(self):
-        rep = SemisimpleRep.of(3, [(W(3, 1), 2)])
+        rep = WeightMultiset.of(3, [(W(3, 1), 2)])
         a = stabilizer_dimension(rep, seed=5)
         b = stabilizer_dimension(rep, seed=5)
         assert a == b
 
     def test_dual_summand_uses_small_model(self):
         # dual of Sym^2 at n=4 has a 9-box label; the dual route keeps it tiny
-        rep = SemisimpleRep.of(4, [dual(W(4, 2))])
+        rep = WeightMultiset.of(4, [dual(W(4, 2))])
         assert stabilizer_dimension(rep, seed=3).stab_dim == 6
 
     def test_every_bad_irreducible_has_positive_stabilizer(self):
         for n in (3, 4):
             for w in sorted(bad_list(n)):
-                rep = SemisimpleRep.of(n, [w])
+                rep = WeightMultiset.of(n, [w])
                 got = stabilizer_dimension(rep, seed=13).stab_dim
                 assert got > 0, (n, w, got)
                 # the dual has the same generic stabilizer dimension
-                got_dual = stabilizer_dimension(SemisimpleRep.of(n, [dual(w)]), seed=13).stab_dim
+                got_dual = stabilizer_dimension(WeightMultiset.of(n, [dual(w)]), seed=13).stab_dim
                 assert got_dual == got, (n, w)
 
 
@@ -189,7 +188,7 @@ def _bad_family_reps():
         labels = sorted(w for w in bad_list(n) if not w.is_trivial())
         for size in range(1, top + 1):
             for combo in itertools.combinations_with_replacement(labels, size):
-                yield SemisimpleRep.of(n, combo)
+                yield WeightMultiset.of(n, combo)
 
 
 class TestIntegerStabilizerAgainstOracle:
@@ -207,7 +206,7 @@ class TestIntegerStabilizerAgainstOracle:
     def test_rational_generators_are_scaled_per_summand(self, monkeypatch):
         # the models built here happen to be integral; rescaling each label's
         # generators by its own rational factor must not move any kernel
-        reps = [SemisimpleRep.of(3, items) for items in (
+        reps = [WeightMultiset.of(3, items) for items in (
             [W(3, 1), W(3, 1, 1)], [W(3, 2, 1)], [W(3, 2), W(3, 1)], [W(3, 2), W(3, 1, 1)],
             [W(3, 2, 1), W(3, 1)],
         )]
@@ -233,29 +232,28 @@ class TestIntegerStabilizerAgainstOracle:
 
 class TestClassify:
     def test_exterior_square_n10_bad(self):
-        rep = SemisimpleRep.of(10, [normalize(10, [1, 1])])
+        rep = WeightMultiset.of(10, [normalize(10, [1, 1])])
         assert classify(rep) == BAD
 
     def test_sym3_good_by_list(self):
-        verdict, report = classify_with_report(SemisimpleRep.of(3, [W(3, 3)]))
+        verdict, report = classify_with_report(WeightMultiset.of(3, [W(3, 3)]))
         assert verdict == GOOD
         assert report is None
 
     def test_n_standards_good_heuristic(self):
-        verdict, report = classify_with_report(SemisimpleRep.of(3, [(W(3, 1), 3)]))
+        verdict, report = classify_with_report(WeightMultiset.of(3, [(W(3, 1), 3)]))
         assert verdict == GOOD_HEURISTIC
         assert report is not None and report.stab_dim == 0
 
     def test_trivial_rep_bad(self):
         for k in (1, 4):
-            assert classify(SemisimpleRep.of(3, [(W(3, 0), k)])) == BAD
+            assert classify(WeightMultiset.of(3, [(W(3, 0), k)])) == BAD
 
     def test_monotone_under_adding_summands(self):
-        base = SemisimpleRep.of(3, [(W(3, 1), 3)])
+        base = WeightMultiset.of(3, [(W(3, 1), 3)])
         assert classify(base) in (GOOD, GOOD_HEURISTIC)
         for extra in [W(3, 0), W(3, 1), W(3, 2, 1), W(3, 3)]:
-            bigger = SemisimpleRep(base.summands.add(
-                SemisimpleRep.of(3, [extra]).summands))
+            bigger = base.add(WeightMultiset.of(3, [extra]))
             assert classify(bigger) in (GOOD, GOOD_HEURISTIC)
 
 

@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affrep.oracle import product_as_multiset
 from affrep.schur import (
     Weight,
     WeightMultiset,
@@ -11,6 +14,7 @@ from affrep.schur import (
     horizontal_strips,
     lambda_gap,
     lr_decompose,
+    multiset_fits_in_product,
     normalize,
     pieri_sym,
     weyl_dim,
@@ -194,6 +198,81 @@ class TestContains:
 
     def test_adjoint_multiplicity(self):
         assert contains(W(3, 2, 1), W(3, 2, 1), W(3, 2, 1)) == 2
+
+
+# --- multiset (x) irrep against independent references ----------------------
+
+SMALL = {n: small_weights(n, 4) for n in (2, 3, 4)}
+
+
+def fits_by_contains(inner, outer, factor):
+    """Reference: the per-weight `contains` sums `multiset_fits_in_product`
+    used before it compared against one product."""
+    for w, m in inner.entries:
+        avail = sum(mu * contains(w, u, factor) for u, mu in outer.entries)
+        if avail < m:
+            return False
+    return True
+
+
+def oracle_tensor(ms, factor):
+    """(ms) (x) (irrep factor) through the monomial oracle, one label at a time."""
+    return WeightMultiset.of(ms.n, [
+        (w, m * c) for u, m in ms.entries for w, c in product_as_multiset(u, factor).entries
+    ])
+
+
+@st.composite
+def multisets(draw, n):
+    labels = draw(st.lists(st.sampled_from(SMALL[n]), max_size=3, unique=True))
+    return WeightMultiset.of(n, [(w, draw(st.integers(1, 4))) for w in labels])
+
+
+@st.composite
+def products(draw):
+    """(outer, factor) with labels of size <= 4 at ranks 2-4."""
+    n = draw(st.integers(2, 4))
+    return draw(multisets(n)), draw(st.sampled_from(SMALL[n]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_tensor_matches_monomial_oracle(case):
+    outer, factor = case
+    assert outer.tensor(factor) == oracle_tensor(outer, factor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products(), st.data())
+def test_fits_in_product_matches_contains_sums(case, data):
+    outer, factor = case
+    n = outer.n
+    product = oracle_tensor(outer, factor)
+    # a sub-multiset of the product, maybe with one multiplicity pushed over
+    counts = [data.draw(st.integers(0, m)) for _, m in product.entries]
+    if counts and data.draw(st.booleans()):
+        counts[data.draw(st.integers(0, len(counts) - 1))] += 1
+    sub = WeightMultiset.of(n, [(w, c) for (w, _), c in zip(product.entries, counts)])
+    for inner in (sub, product, data.draw(multisets(n))):
+        assert multiset_fits_in_product(inner, outer, factor) == fits_by_contains(
+            inner, outer, factor)
+    assert multiset_fits_in_product(product, outer, factor)
+
+
+@st.composite
+def larger_pairs(draw):
+    """(a, b) at ranks 2-3 with |a| in 5..6 and |b| <= 6."""
+    n = draw(st.integers(2, 3))
+    ws = small_weights(n, 6)
+    a = draw(st.sampled_from([w for w in ws if w.size >= 5]))
+    return a, draw(st.sampled_from(ws))
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_pairs())
+def test_lr_matches_monomial_oracle_beyond_size_4(pair):
+    a, b = pair
+    assert lr_decompose(a, b) == product_as_multiset(a, b)
 
 
 class TestGapBound:

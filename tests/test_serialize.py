@@ -11,7 +11,6 @@ from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
 from affrep.matmodel import model_sym_dual
 from affrep.rationality import TwoStepExtension, decide_rationality
-from affrep.repclass import SemisimpleRep
 from affrep.schur import WeightMultiset, normalize
 
 
@@ -138,9 +137,9 @@ def test_model_from_json_rejects_missing_fields():
 def test_extension_round_trip():
     ext = TwoStepExtension(
         3,
-        SemisimpleRep.of(3, [(W(3, 1), 8)]),
-        SemisimpleRep.of(3, [(W(3, 0), 8)]),
-        SemisimpleRep.of(3, []),
+        WeightMultiset.of(3, [(W(3, 1), 8)]),
+        WeightMultiset.of(3, [(W(3, 0), 8)]),
+        WeightMultiset.of(3, []),
         True,
     )
     back = ser.extension_from_json(json.loads(ser.dumps(ser.extension_to_json(ext))))
@@ -150,9 +149,9 @@ def test_extension_round_trip():
 def test_verdict_serialization_has_seed():
     ext = TwoStepExtension(
         3,
-        SemisimpleRep.of(3, [(W(3, 1), 8)]),
-        SemisimpleRep.of(3, [(W(3, 0), 8)]),
-        SemisimpleRep.of(3, []),
+        WeightMultiset.of(3, [(W(3, 1), 8)]),
+        WeightMultiset.of(3, [(W(3, 0), 8)]),
+        WeightMultiset.of(3, []),
         True,
     )
     v = decide_rationality(ext, seed=99)
