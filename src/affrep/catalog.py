@@ -2,24 +2,31 @@
 
 The finiteness clauses bound the search: either the quotient Q is a bad sum
 (with fewer than n^2 - 1 trivial summands), or the submodule S is small
-(dim S < n^2 + 2n).  In both regimes S runs over sub-multisets of
-Q (x) C^n, and pairs must satisfy the structural containments both ways.
-Enumeration order is canonical, so repeated runs are byte-identical.
+(dim S < n^2 + 2n).  Pairs must satisfy the structural containments both
+ways; each regime draws one side from a product with the other (S from
+Q (x) C^n, or Q from S (x) dual C^n), so only the other containment is
+tested.  Enumeration order is canonical, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import BAD, bad_list, classify
-from .rationality import (
-    TwoStepExtension,
-    Verdict,
-    check_structural,
-    decide_rationality,
+from .rationality import TwoStepExtension, Verdict, decide_rationality
+from .schur import (
+    Weight,
+    WeightMultiset,
+    dual,
+    multiset_fits_in_product,
+    normalize,
+    sub_entries,
+    tensor_counts,
+    weyl_dim,
 )
-from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
@@ -62,6 +69,13 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
         return [Weight(1, (0,))]
     rec([])
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
+
+
+def _nonempty_subs(product: dict[Weight, int]):
+    """Every nonempty sub-multiset of a product, as `WeightMultiset` entries
+    from count vectors over its sorted labels; `sub_entries` yields the
+    empty one first."""
+    return itertools.islice(sub_entries(sorted(product.items())), 1, None)
 
 
 def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
@@ -129,39 +143,40 @@ def enumerate_exceptional_candidates(
 
     triv = normalize(n, [])
     std = normalize(n, [1])
+    dstd = dual(std)
+    no_w = WeightMultiset.of(n, [])
     entries: dict[tuple, CatalogEntry] = {}
 
-    def consider(q: WeightMultiset, s: WeightMultiset, trigger: str):
-        if s.is_empty() or q.is_empty():
-            return
-        if q.count(triv) > trivial_cap:
-            return
-        if max_dim_s is not None and s.dim() > max_dim_s:
-            return
+    def admit(q: WeightMultiset, s: WeightMultiset, trigger: str):
+        """Record a pair that passed both containments; the first clause to
+        produce a pair sets its trigger."""
         key = (q.entries, s.entries)
         if key in entries:
             return
-        ext = TwoStepExtension(n, s, q, WeightMultiset.of(n, []))
-        if not check_structural(ext):
-            return
+        ext = TwoStepExtension(n, s, q, no_w)
         verdict = decide_rationality(ext, seed=seed, trials=trials)
         entries[key] = CatalogEntry(n, s, q, trigger, verdict)
 
-    # clause (i): bad quotients, trivial padding below the threshold
-    for core in _bad_cores(n, seed, trials):
-        for t in range(trivial_cap + 1):
-            q = core.add(WeightMultiset.of(n, [(triv, t)])) if t else core
-            for s in q.tensor(std).submultisets():
-                consider(q, s, TRIGGER_BAD_Q)
-    # pure-trivial quotients are bad as well
-    for t in range(1, trivial_cap + 1):
-        q = WeightMultiset.of(n, [(triv, t)])
-        for s in q.tensor(std).submultisets():
-            consider(q, s, TRIGGER_BAD_Q)
+    # clause (i): bad quotients, trivial padding below the threshold; S is
+    # drawn from Q (x) standard, so only Q inside S (x) dual standard is open
+    def bad_quotients():
+        for core in _bad_cores(n, seed, trials):
+            for t in range(trivial_cap + 1):
+                yield core.add(WeightMultiset.of(n, [(triv, t)])) if t else core
+        # pure-trivial quotients are bad as well
+        for t in range(1, trivial_cap + 1):
+            yield WeightMultiset.of(n, [(triv, t)])
+
+    for q in bad_quotients():
+        for s in _nonempty_subs(tensor_counts(q.entries, std)):
+            if max_dim_s is not None and sum(m * weyl_dim(w) for w, m in s) > max_dim_s:
+                continue
+            if multiset_fits_in_product(q.entries, s, dstd):
+                admit(q, WeightMultiset(n, s), TRIGGER_BAD_Q)
 
     # clause (ii): small submodules; Q runs over sub-multisets of
-    # S (x) dual standard, S over small multisets of small irreducibles
-    dstd = dual(std)
+    # S (x) dual standard, so only S inside Q (x) standard is open, and S
+    # over small multisets of small irreducibles
     universe = irreps_up_to_dim(n, dim_s_cap_small)
 
     def s_multisets(i: int, dim_left: int, acc: list):
@@ -180,15 +195,14 @@ def enumerate_exceptional_candidates(
     for s in s_multisets(0, dim_s_cap_small, []):
         if s.is_empty():
             continue
-        for q in s.tensor(dstd).submultisets():
-            if q.is_empty():
+        for q in _nonempty_subs(tensor_counts(s.entries, dstd)):
+            # the trivial label sorts first
+            if q[0][0] == triv and q[0][1] > trivial_cap:
                 continue
-            trigger = (
-                TRIGGER_BAD_Q
-                if classify(q, seed=seed, trials=trials) == BAD
-                else TRIGGER_SMALL_S
-            )
-            consider(q, s, trigger)
+            if multiset_fits_in_product(s.entries, q, std):
+                qm = WeightMultiset(n, q)
+                bad = classify(qm, seed=seed, trials=trials) == BAD
+                admit(qm, s, TRIGGER_BAD_Q if bad else TRIGGER_SMALL_S)
 
     out = sorted(entries.values(), key=lambda e: (e.Q.entries, e.S.entries))
     return out

@@ -207,11 +207,11 @@ def check_blocks_containment(filtration: Filtration) -> bool:
             k = j - i
             if filtration.kind == SOCLE:
                 factor = dual(normalize(n, [k]))
-                if not multiset_fits_in_product(layers[j], layers[i], factor):
+                if not multiset_fits_in_product(layers[j].entries, layers[i].entries, factor):
                     return False
             else:
                 factor = normalize(n, [k])
-                if not multiset_fits_in_product(layers[i], layers[j], factor):
+                if not multiset_fits_in_product(layers[i].entries, layers[j].entries, factor):
                     return False
     return True
 
@@ -224,6 +224,6 @@ def check_embedding_theorem(rep: AffMatrixRep) -> bool:
     n = rep.n
     for i, layer in enumerate(filt.layers):
         factor = dual(normalize(n, [i]))
-        if not multiset_fits_in_product(layer, filt.layers[0], factor):
+        if not multiset_fits_in_product(layer.entries, filt.layers[0].entries, factor):
             return False
     return True

@@ -250,7 +250,7 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
     return basis
 
 
-def integer_rank(rows) -> int:
+def integer_rank(rows, stop_at: int | None = None) -> int:
     """Exact rank of equal-length integer rows, by fraction-free elimination.
 
     Each row is reduced against the independent rows kept so far by
@@ -260,9 +260,17 @@ def integer_rank(rows) -> int:
     elimination; E. H. Bareiss, Math. Comp. 22 (1968)).  A kept row is zero
     at the pivots of all rows kept before it, so one pass in insertion order
     reduces a new row completely.
+
+    `rows` may be any iterable and is consumed lazily: with `stop_at`, no
+    row is drawn once that many are kept, and the result is
+    min(stop_at, rank).
     """
     kept: list[tuple[int, list[int]]] = []  # (pivot, row), row[pivot] != 0
-    for row in rows:
+    rows = iter(rows)
+    while len(kept) != stop_at:
+        row = next(rows, None)
+        if row is None:
+            break
         row = list(row)
         for p, b in kept:
             c = row[p]

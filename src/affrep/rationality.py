@@ -83,8 +83,8 @@ def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
     S (x) dual standard, with multiplicities."""
     std = normalize(ext.n, [1])
-    return (multiset_fits_in_product(ext.S, ext.Q, std)
-            and multiset_fits_in_product(ext.Q, ext.S, dual(std)))
+    return (multiset_fits_in_product(ext.S.entries, ext.Q.entries, std)
+            and multiset_fits_in_product(ext.Q.entries, ext.S.entries, dual(std)))
 
 
 def _r3_shapes(n: int, q: WeightMultiset) -> bool:

@@ -40,6 +40,8 @@ class StabilizerReport:
     seed: int
 
 
+# asked once per classification; one entry per rank
+@lru_cache(maxsize=16)
 def bad_list(n: int) -> frozenset[Weight]:
     """Canonical labels of the irreducible representations in the known bad
     family: exterior square, symmetric square, standard, trivial, the
@@ -329,6 +331,21 @@ def _integer_gens(n: int, parts: tuple[int, ...], max_cells: int):
     )
 
 
+def _image_rows(models, points):
+    """The images X.v of the sl_n basis elements X, transposed: one row of
+    length n^2 - 1 per coordinate of V, summand copy by summand copy."""
+    for gens, pt in zip(models, points):
+        imgs = []
+        for gen in gens:
+            img = [0] * len(pt)
+            for col, x in zip(gen, pt):
+                if x:
+                    for r, a in col:
+                        img[r] += a * x
+            imgs.append(img)
+        yield from zip(*imgs)
+
+
 def stabilizer_dimension(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
@@ -340,8 +357,12 @@ def stabilizer_dimension(
     points v, by exact rank.  0 certifies a finite generic stabilizer.
 
     Each trial draws every coordinate of every summand copy, in summand
-    order, from one generator seeded with `seed`; the rank of the stacked
-    images X.v over the basis of sl_n is an exact integer rank."""
+    order, from one generator seeded with `seed`.  The rank of the images
+    X.v over the basis of sl_n is an exact integer rank of their transpose,
+    fed one summand copy at a time and stopped at full rank n^2 - 1.  The
+    trials stop once the minimum is 0; the generator is local to the call,
+    so the skipped draws are never observed, and the report keeps the
+    requested `trials`."""
     n = rep.n
     models = []
     for w, mult in rep.entries:
@@ -354,19 +375,10 @@ def stabilizer_dimension(
             [rng.randint(-coord_bound, coord_bound) for _ in range(len(gens[0]))]
             for gens in models
         ]
-        rows = []
-        for k in range(nkeys):
-            row: list[int] = []
-            for gens, pt in zip(models, points):
-                img = [0] * len(pt)
-                for col, x in zip(gens[k], pt):
-                    if x:
-                        for r, a in col:
-                            img[r] += a * x
-                row += img
-            rows.append(row)
-        stab = nkeys - integer_rank(rows)
+        stab = nkeys - integer_rank(_image_rows(models, points), stop_at=nkeys)
         best = stab if best is None else min(best, stab)
+        if best == 0:
+            break
     return StabilizerReport(rep=rep, stab_dim=best, trials=trials, seed=seed)
 
 

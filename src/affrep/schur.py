@@ -94,24 +94,13 @@ class WeightMultiset:
             raise ValueError("rank mismatch")
         return WeightMultiset.of(self.n, list(self.entries) + list(other.entries))
 
-    def contains_multiset(self, other: "WeightMultiset") -> bool:
-        """True if every weight of `other` occurs here with at least its multiplicity."""
-        return all(self.count(w) >= m for w, m in other.entries)
-
     def is_empty(self) -> bool:
         return not self.entries
-
-    def tensor(self, factor: Weight) -> "WeightMultiset":
-        """Decomposition of (this sum) tensor (irrep factor)."""
-        return WeightMultiset.of(self.n, tensor_counts(self, factor).items())
 
     def submultisets(self) -> list["WeightMultiset"]:
         """All sub-multisets in a canonical order: increasing dimension, ties
         by the entries tuple."""
-        subs = [
-            WeightMultiset.of(self.n, [(w, c) for (w, _), c in zip(self.entries, counts) if c])
-            for counts in itertools.product(*(range(m + 1) for _, m in self.entries))
-        ]
+        subs = [WeightMultiset(self.n, e) for e in sub_entries(self.entries)]
         subs.sort(key=lambda s: (s.dim(), s.entries))
         return subs
 
@@ -122,6 +111,14 @@ class WeightMultiset:
         for w, m in self.entries:
             terms.append(str(w) if m == 1 else f"{m}*{w}")
         return " + ".join(terms)
+
+
+def sub_entries(pairs):
+    """Every sub-multiset of (label, mult) pairs sorted by label, as the
+    entries of a `WeightMultiset`: one per count vector from all zeros (the
+    empty one, first) to the multiplicities."""
+    for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
+        yield tuple((w, c) for (w, _), c in zip(pairs, counts) if c)
 
 
 def normalize(n: int, raw) -> Weight:
@@ -177,7 +174,9 @@ def horizontal_strips(parts: tuple[int, ...], k: int, nrows: int):
             if remaining == 0:
                 yield ()
             return
-        lo = base[i]
+        # rows below can absorb at most base[i] - base[-1] boxes, each row
+        # growing at most to the old length of the row above it
+        lo = max(base[i], remaining + base[nrows - 1])
         hi = min(prev, base[i] + remaining) if i > 0 else base[i] + remaining
         # strip condition: row i may grow at most to the old length of row i-1
         if i > 0:
@@ -289,22 +288,23 @@ def contains(target: Weight, a: Weight, b: Weight) -> int:
     return lr_decompose(a, b).count(target)
 
 
-def tensor_counts(ms: WeightMultiset, factor: Weight) -> dict[Weight, int]:
-    """Multiplicity of each label in (ms) tensor (irrep factor), unsorted."""
+def tensor_counts(pairs, factor: Weight) -> dict[Weight, int]:
+    """Multiplicity of each label in (the sum of mult copies of each irrep
+    of the (label, mult) pairs) tensor (irrep factor), unsorted."""
     counts: dict[Weight, int] = {}
-    for u, mu in ms.entries:
+    for u, mu in pairs:
         for w, c in lr_decompose(u, factor).entries:
             counts[w] = counts.get(w, 0) + mu * c
     return counts
 
 
-def multiset_fits_in_product(inner: WeightMultiset, outer: WeightMultiset,
-                             factor: Weight) -> bool:
-    """inner contained (with multiplicities) in outer tensor (irrep factor)."""
-    # the plain dict, not a WeightMultiset: `of` would sort and validate the
-    # product on every structural check
+def multiset_fits_in_product(inner, outer, factor: Weight) -> bool:
+    """inner contained (with multiplicities) in outer tensor (irrep factor);
+    both are (label, mult) pairs, such as `WeightMultiset.entries`."""
+    # plain pairs and dicts, not WeightMultisets: `of` would sort and
+    # validate on every check, and the catalog checks candidates it never keeps
     avail = tensor_counts(outer, factor)
-    return all(avail.get(w, 0) >= m for w, m in inner.entries)
+    return all(avail.get(w, 0) >= m for w, m in inner)
 
 
 def check_lr_gap_bound(w: Weight, k: int) -> bool:

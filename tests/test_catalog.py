@@ -114,6 +114,22 @@ class TestEnumerate:
 CATALOG_SHA256 = {
     2: "cc126f7a8ad28a8e9e938d38bc866608e9ae63706c53cf6b2eea0dc6cc7be685",
     3: "ee468af4e7741556cd0f17c661e95f9dd00caddd95f7037da656ce1e16b8748e",
+    4: "e4732dbdc81778736e4586f28f3802eea984d19e46853b561ec963797631b0fe",
+}
+
+# catalogs under caps and other seeds, which take other paths through both
+# clauses (the dim-S filter of clause (i), the trivial filter of clause (ii))
+CAPPED_SHA256 = {
+    "--n 3 --max-trivials 2":
+        "f0b68892345dc1ff897ec16c04959715698a57cd8979b141ed2968e7e99ce660",
+    "--n 3 --max-dim-s 5":
+        "25641ff0b9a60bdd2f9f1e906b973c7176ecb059f1e1a945bc75a1ab49040c1e",
+    "--n 3 --max-trivials 0 --max-dim-s 8":
+        "7134cecf90c2803854581b92ad8ec846a68a37b5a824c0a6df781f97e8476747",
+    "--n 2 --max-dim-s 3":
+        "68ba8bd7eeed36308ddfd9eea2758c866c323b71688e8f0cf43804660133eca3",
+    "--n 3 --seed 42 --trials 5":
+        "76de251e72a9218d238e3367a4c3465fcae6eb24b9fcbb3f7ebcbc3699e3c71a",
 }
 
 
@@ -124,6 +140,15 @@ def test_catalog_bytes_pinned(tmp_path, n):
     out = tmp_path / "catalog.jsonl"
     assert main(["enumerate", "--n", str(n), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[n]
+
+
+@pytest.mark.parametrize("args", sorted(CAPPED_SHA256))
+def test_capped_catalog_bytes_pinned(tmp_path, args):
+    from affrep.cli import main
+
+    out = tmp_path / "catalog.jsonl"
+    assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CAPPED_SHA256[args]
 
 
 def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from cli_process import run_affrep
@@ -7,6 +8,7 @@ from cli_process import run_affrep
 from affrep import serialize as ser
 from affrep.cli import main
 from affrep.matmodel import model_sym_dual
+from affrep.repclass import stabilizer_dimension
 
 
 def run(capsys, *argv):
@@ -37,6 +39,14 @@ class TestWeightCommands:
         rc, out, _ = run(capsys, "pieri", "--n", "3", "--lambda", "3,0,0", "--k", "1")
         assert rc == 0
         assert out.splitlines()[0] == "[3,1,0] + [4,0,0]"
+
+    def test_pieri_huge_k_is_fast(self, capsys):
+        # the strip scan starts where the rows below can absorb the rest
+        t0 = time.perf_counter()
+        rc, out, _ = run(capsys, "pieri", "--n", "3", "--lambda", "1", "--k", "100000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        assert out.splitlines()[0] == "[100000000,1,0] + [100000001,0,0]"
 
     def test_dual(self, capsys):
         rc, out, _ = run(capsys, "dual", "--n", "4", "--lambda", "2,1,1,0")
@@ -84,6 +94,20 @@ class TestClassify:
         data = json.loads(out)
         assert data["classification"] == "GoodHeuristic"
         assert data["stabilizer"]["stab_dim"] == 0
+
+    def test_trials_line_keeps_requested_count_after_early_stop(self, capsys, tmp_path):
+        # the first trial already gives 0, so the engine stops there; the
+        # report still names the 3 trials asked for
+        rep = {"n": 3, "summands": [{"lambda": [1, 0, 0], "mult": 3}]}
+        ms = ser.multiset_from_json(rep)
+        assert stabilizer_dimension(ms, trials=1).stab_dim == 0
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(rep))
+        rc, out, _ = run(capsys, "classify", str(f))
+        assert rc == 0
+        assert out.splitlines() == ["GoodHeuristic", "stab_dim: 0 (trials 3)", "seed: 1729"]
+        rc, out, _ = run(capsys, "classify", str(f), "--format", "json")
+        assert json.loads(out)["stabilizer"]["trials"] == 3
 
 
 class TestModelAndFiltrate:

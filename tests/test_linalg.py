@@ -43,11 +43,38 @@ def test_integer_rank_equals_echelon_rank(rows):
     assert integer_rank(rows) == echelon_rank(rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(integer_rows(), st.integers(1, NCOLS + 1))
+def test_integer_rank_stops_at_kept_rows(rows, k):
+    pulled = []
+
+    def feed():
+        for row in rows:
+            pulled.append(row)
+            yield row
+
+    got = integer_rank(feed(), stop_at=k)
+    assert got == min(k, integer_rank(rows))
+    if got == k:
+        # the last row drawn is the k-th one kept
+        assert integer_rank(pulled) == k
+        assert integer_rank(pulled[:-1]) == k - 1
+    else:
+        assert len(pulled) == len(rows)
+
+
 def test_integer_rank_small_cases():
     assert integer_rank([]) == 0
     assert integer_rank([[0, 0], [0, 0]]) == 0
     assert integer_rank([[2, 4], [3, 6]]) == 1
     assert integer_rank([[0, 3], [5, 0], [7, 7]]) == 2
+    assert integer_rank(iter([[1, 0], [0, 1], [1, 1]]), stop_at=2) == 2
+
+    def nothing():
+        raise AssertionError("no row may be drawn")
+        yield
+
+    assert integer_rank(nothing(), stop_at=0) == 0
     # does not mutate its input
     rows = [[6, 4], [3, 5]]
     assert integer_rank(rows) == 2
