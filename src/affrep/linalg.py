@@ -1,6 +1,8 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts {index: Fraction} with no stored zeros.  Matrices keep a
+Vectors are dicts {index: value} with no stored zeros; a value is an `int`
+or a `Fraction`, and integral entries stay `int` until a true division
+(`Echelon.insert` normalizing a pivot) makes a `Fraction`.  Matrices keep a
 column-major sparse layout, which makes applying a matrix to a vector (the
 hot path everywhere in this package) a handful of dict lookups.  Row
 reduction uses the leftmost-pivot rule throughout so that every echelon
@@ -13,18 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Vec = dict  # {index: Fraction}
+Vec = dict  # {index: int | Fraction}
 
 
 def vec_scale(v: Vec, c) -> Vec:
-    c = Fraction(c)
     if not c:
         return {}
     return {i: x * c for i, x in v.items()}
 
 def vec_add_scaled(v: Vec, w: Vec, c) -> Vec:
     """v + c*w as a fresh dict."""
-    c = Fraction(c)
     out = dict(v)
     if not c:
         return out
@@ -53,10 +53,9 @@ class SMat:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {i: {i: Fraction(1)} for i in range(n)})
+        return cls(n, n, {i: {i: 1} for i in range(n)})
 
     def add_entry(self, r, c, v):
-        v = Fraction(v)
         if not v:
             return
         col = self.cols.setdefault(c, {})
@@ -68,8 +67,8 @@ class SMat:
             if not col:
                 del self.cols[c]
 
-    def entry(self, r, c) -> Fraction:
-        return self.cols.get(c, {}).get(r, Fraction(0))
+    def entry(self, r, c):
+        return self.cols.get(c, {}).get(r, 0)
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -109,7 +108,6 @@ class SMat:
         return out
 
     def scale(self, c) -> "SMat":
-        c = Fraction(c)
         if not c:
             return SMat(self.nrows, self.ncols)
         return SMat(
@@ -154,14 +152,6 @@ class SMat:
         if not isinstance(other, SMat):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.cols == other.cols
-
-    def to_dense(self) -> list[list[Fraction]]:
-        """Dense rows of Fractions; for tests that read small matrices."""
-        out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for c, col in self.cols.items():
-            for r, v in col.items():
-                out[r][c] = v
-        return out
 
 
 class Echelon:

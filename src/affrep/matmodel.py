@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .config import (
@@ -244,19 +245,65 @@ def unipotent_image(rep: AffMatrixRep, v) -> UnipotentImage:
 
 # --- validation --------------------------------------------------------------
 
-def _expected_bracket(rep: AffMatrixRep, akey: str, bkey: str) -> SMat:
-    coeffs = bracket_coefficients(
-        rep.n, sl_defining_matrix(rep.n, akey).commutator(sl_defining_matrix(rep.n, bkey))
-    )
+def _expected_bracket(rep: AffMatrixRep, terms) -> SMat:
     out = SMat(rep.dim, rep.dim)
-    for key, c in coeffs.items():
+    for key, c in terms:
         out = out.add(rep.sl_gens[key].scale(c))
     return out
 
 
+def _chevalley_generators(n: int) -> tuple[list[str], list[str], list[str]]:
+    """The keys of e_i = E_i_(i+1), f_i = E_(i+1)_i and h_i = H_i."""
+    return ([f"E_{i}_{i + 1}" for i in range(1, n)],
+            [f"E_{i + 1}_{i}" for i in range(1, n)],
+            [f"H_{i}" for i in range(1, n)])
+
+
+@lru_cache(maxsize=16)
+def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
+    """The bracket pairs (a, b, [a, b]) that `validate_model` checks, with
+    [a, b] as (key, coefficient) terms in the sl_basis_keys basis.  They are
+    a generating set of the relations of sl_n, in the order of
+    itertools.combinations(keys, 2):
+
+      * every pair of Chevalley generators e_i, f_i, h_i;
+      * for each non-simple E_i_j (|i - j| >= 2), the pair (E_i_k, E_k_j)
+        with k adjacent to j between i and j, which defines it by roots of
+        lower height;
+      * the Serre pairs (e_i, [e_i, e_j]) and (f_i, [f_i, f_j]) for
+        adjacent i, j.
+
+    If they hold, the generators satisfy the Chevalley-Serre relations, so
+    they extend to a Lie homomorphism from sl_n (Serre's theorem; Humphreys,
+    GTM 9, 18.3), and by induction on height every stored E_i_j is its image.
+    Every other pair then holds too.
+    """
+    e, f, h = _chevalley_generators(n)
+    wanted = {frozenset(p) for p in itertools.combinations(e + f + h, 2)}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if abs(i - j) >= 2:
+                k = j - 1 if i < j else j + 1
+                wanted.add(frozenset((f"E_{i}_{k}", f"E_{k}_{j}")))
+    for i in range(1, n - 1):
+        # [e_i, e_(i+1)] = E_i_(i+2) and [f_i, f_(i+1)] = -E_(i+2)_i
+        for x in e[i - 1:i + 1]:
+            wanted.add(frozenset((x, f"E_{i}_{i + 2}")))
+        for x in f[i - 1:i + 1]:
+            wanted.add(frozenset((x, f"E_{i + 2}_{i}")))
+    return tuple(
+        (a, b, tuple(bracket_coefficients(
+            n, sl_defining_matrix(n, a).commutator(sl_defining_matrix(n, b))).items()))
+        for a, b in itertools.combinations(sl_basis_keys(n), 2)
+        if frozenset((a, b)) in wanted
+    )
+
+
 def validate_model(rep: AffMatrixRep) -> None:
-    """Re-verify every defining relation; raises ModelInvariantError naming
-    the first failure."""
+    """Re-verify the defining relations; raises ModelInvariantError naming
+    the first failure.  Brackets are checked on the generating set
+    `relation_pairs` and the translation action on the generators e_i, f_i,
+    which accepts exactly the models that satisfy every relation."""
     n = rep.n
     keys = rep.sl_keys()
     if sorted(rep.sl_gens) != sorted(keys):
@@ -266,9 +313,8 @@ def validate_model(rep: AffMatrixRep) -> None:
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
-    # both sides are antisymmetric and [X, X] = 0, so each pair a < b once
-    for a, b in itertools.combinations(keys, 2):
-        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, a, b):
+    for a, b, terms in relation_pairs(n):
+        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, terms):
             raise ModelInvariantError(f"[{a},{b}]")
 
     for i in range(n):
@@ -276,8 +322,11 @@ def validate_model(rep: AffMatrixRep) -> None:
             if not rep.trans_gens[i].commutator(rep.trans_gens[j]).is_zero():
                 raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
 
-    # [X, T_j] = sum_i X_ij T_i : translations transform like the standard rep
-    for key in keys:
+    # [X, T_j] = sum_i X_ij T_i : translations transform like the standard
+    # rep.  By the Jacobi identity the X that satisfy it form a subalgebra,
+    # and e_i, f_i generate sl_n, so checking them suffices.
+    e, f, _ = _chevalley_generators(n)
+    for key in [k for k in keys if k in e or k in f]:
         x = sl_defining_matrix(n, key)
         for j in range(n):
             expect = SMat(rep.dim, rep.dim)

@@ -84,9 +84,9 @@ def sl_defining_matrix(n: int, key: str) -> SMat:
     return m
 
 
-def bracket_coefficients(n: int, mat: SMat) -> dict[str, Fraction]:
+def bracket_coefficients(n: int, mat: SMat) -> dict:
     """Expand a traceless n x n matrix in the sl_basis_keys basis."""
-    coeffs: dict[str, Fraction] = {}
+    coeffs = {}
     diag = [mat.entry(i, i) for i in range(n)]
     if sum(diag) != 0:
         raise ValueError("matrix has nonzero trace")
@@ -97,7 +97,7 @@ def bracket_coefficients(n: int, mat: SMat) -> dict[str, Fraction]:
                 if v:
                     coeffs[f"E_{i + 1}_{j + 1}"] = v
     # telescoping: diag = sum c_k (e_k - e_{k+1}) with c_k = d_1 + ... + d_k
-    acc = Fraction(0)
+    acc = 0
     for k in range(n - 1):
         acc += diag[k]
         if acc:

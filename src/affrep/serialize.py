@@ -23,16 +23,23 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def fraction_from_str(s) -> Fraction:
+def fraction_from_str(s) -> int | Fraction:
+    """A rational from its string or JSON integer, as an `int` when it is
+    integral ("3", "6/2", "-0") and a `Fraction` otherwise."""
     # bool is an int subclass, but JSON true/false is never a rational
     if type(s) is int:
-        return Fraction(s)
+        return s
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string or an integer, got {s!r}")
+    # the common case, ASCII digits with an optional minus, parses as int
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isdigit() and digits.isascii():
+        return int(s)
     try:
-        return Fraction(s)
+        v = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
+    return v.numerator if v.denominator == 1 else v
 
 
 # --- weights and multisets ----------------------------------------------------
@@ -89,7 +96,7 @@ def stabilizer_report_to_json(r: StabilizerReport) -> dict:
 # --- matrix models -------------------------------------------------------------
 
 def _matrix_to_json(m: SMat) -> list[list[str]]:
-    # str of a Fraction is already the canonical "3" / "-5/7"
+    # str of an int or a Fraction is already the canonical "3" / "-5/7"
     rows = [["0"] * m.ncols for _ in range(m.nrows)]
     for c, col in m.cols.items():
         for r, v in col.items():

@@ -14,6 +14,7 @@ from math import factorial
 
 from affrep.linalg import SMat
 from affrep.oracle import poly_mul, poly_sub_scaled
+from dense import to_dense
 
 PolyMatrix = dict  # column-major {col: {row: polynomial}}
 
@@ -78,7 +79,7 @@ def evaluate(sym: PolyMatrix, point, dim: int) -> SMat:
 def _inverse(mat: SMat) -> SMat:
     """Gauss-Jordan inverse; raises ValueError if singular."""
     n = mat.nrows
-    a = mat.to_dense()
+    a = to_dense(mat)
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)

@@ -1,11 +1,19 @@
+import copy
+import functools
 import itertools
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
+import validator_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affrep import serialize as ser
 from affrep.config import ModelInvariantError, ResourceCapError
 from affrep.linalg import SMat
 from affrep.matmodel import (
@@ -14,6 +22,7 @@ from affrep.matmodel import (
     highest_weight_vectors,
     model_sym_dual,
     monomial_basis,
+    relation_pairs,
     sl_only_model,
     sl_only_sum_model,
     tensor_model,
@@ -22,7 +31,9 @@ from affrep.matmodel import (
     validate_model,
     verify_degree_bound,
 )
+from affrep.repclass import sl_basis_keys
 from affrep.schur import WeightMultiset, dual, normalize
+from dense import to_dense
 from symbolic_oracle import degree_bound_holds, evaluate, symbolic_unipotent
 
 
@@ -36,7 +47,7 @@ class TestModelSymDual:
         assert m.dim == 2
         u = unipotent_image(m, [Fraction(7)])
         # ordered basis (1, x): the shift f(x) -> f(x + 7)
-        assert u.matrix.to_dense() == [[1, 7], [0, 1]]
+        assert to_dense(u.matrix) == [[1, 7], [0, 1]]
 
     def test_dimension(self):
         for n in (1, 2, 3):
@@ -126,7 +137,7 @@ class TestDualModel:
     def test_dual_of_affine_line_lower_triangular(self):
         m = dual_model(model_sym_dual(1, 1))
         u = unipotent_image(m, [Fraction(5)])
-        assert u.matrix.to_dense() == [[1, 0], [-5, 1]]
+        assert to_dense(u.matrix) == [[1, 0], [-5, 1]]
 
     def test_invariants_hold(self):
         validate_model(dual_model(model_sym_dual(3, 2)))
@@ -222,6 +233,148 @@ class TestValidator:
         m.weight_grading[1] = (5, 5)
         with pytest.raises(ModelInvariantError):
             validate_model(m)
+
+
+def _read_back(rep):
+    return ser.model_from_json(json.loads(ser.dumps(ser.model_to_json(rep))))
+
+
+def _entry_types(rep):
+    return {type(v) for m in rep.all_gens() for col in m.cols.values() for v in col.values()}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_models():
+    """Small models of each kind the CLI writes, and read-back ones, at n = 1..4."""
+    out = []
+    for n, l, label in [(1, 2, (1,)), (2, 2, (2,)), (3, 1, (2, 1)), (4, 1, (1, 1))]:
+        sym = model_sym_dual(n, l)
+        sl = sl_only_model(W(n, *label))
+        tensor = tensor_model(sl, model_sym_dual(n, 1))
+        out += [sym, sl, dual_model(sym), tensor, _read_back(tensor), _read_back(dual_model(sym))]
+    return out
+
+
+def _gens(rep):
+    """Every generator as (getter key, matrix): sl keys, then translation indices."""
+    return [(k, rep.sl_gens[k]) for k in rep.sl_keys()] + list(enumerate(rep.trans_gens))
+
+
+def _set_gen(rep, key, m):
+    if isinstance(key, str):
+        rep.sl_gens[key] = m
+    else:
+        rep.trans_gens[key] = m
+
+
+@st.composite
+def perturbed_models(draw):
+    """A base model with one perturbation: add to one entry, scale a
+    generator by 0, 2 or -1, swap two generators, or add a multiple of
+    another generator to a translation."""
+    rep = copy.deepcopy(draw(st.sampled_from(_base_models())))
+    gens = _gens(rep)
+    kind = draw(st.sampled_from(["entry", "scale", "swap", "translation"]))
+    if kind == "entry":
+        key, m = draw(st.sampled_from(gens))
+        r, c = draw(st.integers(0, rep.dim - 1)), draw(st.integers(0, rep.dim - 1))
+        m.add_entry(r, c, draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    elif kind == "scale":
+        key, m = draw(st.sampled_from(gens))
+        _set_gen(rep, key, m.scale(draw(st.sampled_from([0, 2, -1]))))
+    elif kind == "swap" and len(gens) > 1:
+        (k1, m1), (k2, m2) = draw(st.permutations(gens))[:2]
+        _set_gen(rep, k1, m2)
+        _set_gen(rep, k2, m1)
+    elif kind == "translation":
+        j = draw(st.integers(0, rep.n - 1))
+        _, other = draw(st.sampled_from(gens))
+        c = draw(st.sampled_from([1, -1, 2]))
+        rep.trans_gens[j] = rep.trans_gens[j].add(other.scale(c))
+    return rep
+
+
+def _failure(validate, rep):
+    try:
+        validate(rep)
+    except ModelInvariantError as exc:
+        return exc.relation
+    return None
+
+
+def _check_position(n: int, message: str):
+    """(stage, position) of a failure message in the oracle's check order;
+    messages of the later, shared checks are compared whole."""
+    keys = sl_basis_keys(n)
+    if message.startswith("[T_"):
+        return 2, message
+    if message.startswith("["):
+        a, b = message[1:-1].split(",")
+        if b.startswith("T_"):
+            return 3, (keys.index(a), int(b[2:]))
+        return 1, list(itertools.combinations(keys, 2)).index((a, b))
+    return 0, message
+
+
+class TestValidatorAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_models())
+    def test_accepts_and_rejects_like_all_pairs(self, rep):
+        new = _failure(validate_model, rep)
+        old = _failure(validator_oracle.validate_model, rep)
+        assert (new is None) == (old is None), (new, old)
+        if new is None:
+            return
+        stage, pos = _check_position(rep.n, new)
+        old_stage, old_pos = _check_position(rep.n, old)
+        # the reduced checks run in the oracle's order, so the oracle fails
+        # at the same kind of check, no later; the shared checks agree
+        assert old_stage == stage
+        if stage in (1, 3):
+            assert old_pos <= pos
+        else:
+            assert old == new
+        # and the new message names a relation of the reduced set
+        a, _, b = new[1:-1].partition(",")
+        if stage == 1:
+            assert (a, b) in [p[:2] for p in relation_pairs(rep.n)]
+        if stage == 3:
+            assert a in {f"E_{i}_{i + 1}" for i in range(1, rep.n)} | {
+                f"E_{i + 1}_{i}" for i in range(1, rep.n)}
+
+    def test_unperturbed_models_pass_both(self):
+        for rep in _base_models():
+            validate_model(rep)
+            validator_oracle.validate_model(rep)
+
+    @pytest.mark.parametrize("n,brackets,actions", [(3, 19, 12), (4, 46, 24)])
+    def test_relation_set_size(self, monkeypatch, n, brackets, actions):
+        # pins the generating set: at n = 4 the full set is 105 brackets and
+        # 60 [X, T] checks, at n = 3 it is 28 and 24
+        rep = model_sym_dual(n, 2)
+        sl = {id(m) for m in rep.sl_gens.values()}
+        calls = Counter()
+        commutator = SMat.commutator
+
+        def counting(a, b):
+            if id(a) in sl:
+                calls["bracket" if id(b) in sl else "action"] += 1
+            return commutator(a, b)
+
+        monkeypatch.setattr(SMat, "commutator", counting)
+        validate_model(rep)
+        assert calls["bracket"] <= brackets
+        assert calls["action"] <= actions
+        assert len(relation_pairs(n)) == brackets
+
+
+def test_integral_entries_stay_int():
+    sym = model_sym_dual(3, 2)
+    a = _read_back(sl_only_model(W(3, 2, 1)))
+    b = _read_back(sym)
+    assert _entry_types(sym) == _entry_types(a) == _entry_types(b) == {int}
+    assert _entry_types(dual_model(b)) == {int}
+    assert _entry_types(tensor_model(a, b)) == {int}
 
 
 class TestDegreeBound:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import stabilizer_oracle
+from dense import to_dense
 
 from affrep import repclass
 from affrep.config import ResourceCapError
@@ -72,9 +73,9 @@ class TestTensorModel:
     def test_sl2_defining(self):
         m = build_tensor_model(W(2, 1))
         assert m.dim == 2
-        e = m.gens["E_1_2"].to_dense()
-        f = m.gens["E_2_1"].to_dense()
-        h = m.gens["H_1"].to_dense()
+        e = to_dense(m.gens["E_1_2"])
+        f = to_dense(m.gens["E_2_1"])
+        h = to_dense(m.gens["H_1"])
         # defining matrices up to basis order: check brackets and traces instead
         assert [[h[i][j] for j in range(2)] for i in range(2)] in (
             [[1, 0], [0, -1]],

@@ -12,6 +12,7 @@ from affrep.linalg import SMat
 from affrep.matmodel import model_sym_dual
 from affrep.rationality import TwoStepExtension, decide_rationality
 from affrep.schur import WeightMultiset, normalize
+from dense import to_dense
 
 
 def W(n, *parts):
@@ -24,12 +25,36 @@ def test_fraction_strings():
     for bad in (None, True, 1.5, "1/0"):
         with pytest.raises(ValueError):
             ser.fraction_from_str(bad)
+    # integral values are stored as int, all others as Fraction
+    for integral in (3, "3", "6/2", "-0"):
+        assert type(ser.fraction_from_str(integral)) is int
+    assert type(ser.fraction_from_str("-5/7")) is Fraction
+    for bad in (False, [], {}, Fraction(1, 2), "", "abc", "1/", "1//2", "0/0", "nan", "inf"):
+        with pytest.raises(ValueError):
+            ser.fraction_from_str(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text("0123456789-+/. e_\t\u0663\u00b2", max_size=8),
+                 st.integers(-10**6, 10**6)))
+def test_fraction_from_str_is_fraction_on_int_and_str(s):
+    """Accepts exactly what Fraction accepts (a ZeroDivisionError refused as
+    ValueError) and returns the same value, as int when it is integral."""
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            ser.fraction_from_str(s)
+        return
+    got = ser.fraction_from_str(s)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 # the dense codec the matrix helpers replace, kept as their reference
 
 def reference_rows(m: SMat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.to_dense()]
+    return [[str(x) for x in row] for row in to_dense(m)]
 
 
 def reference_matrix(rows, dim: int) -> SMat:
@@ -75,7 +100,7 @@ def spelled_matrices(draw):
     m = draw(sparse_matrices())
     cells = m.nrows * m.ncols
     picks = iter(draw(st.lists(st.integers(0, 11), min_size=cells, max_size=cells)))
-    return m, [[spell(x, next(picks)) for x in row] for row in m.to_dense()]
+    return m, [[spell(x, next(picks)) for x in row] for row in to_dense(m)]
 
 
 @settings(max_examples=200, deadline=None)

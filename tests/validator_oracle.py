@@ -1,0 +1,93 @@
+"""Reference for `affrep.matmodel.validate_model`, checking every relation.
+
+Brackets of all C(n^2 - 1, 2) pairs of sl_basis_keys and the translation
+action [X, T_j] = sum_i X_ij T_i for every key, then the commutativity,
+nilpotency and grading checks, in that order.  Tests compare the program's
+validator, which checks a generating set of these relations, against it:
+both must accept and reject the same models.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from affrep.config import ModelInvariantError
+from affrep.linalg import SMat
+from affrep.matmodel import AffMatrixRep
+from affrep.repclass import bracket_coefficients, sl_defining_matrix
+
+
+def _expected_bracket(rep: AffMatrixRep, akey: str, bkey: str) -> SMat:
+    coeffs = bracket_coefficients(
+        rep.n, sl_defining_matrix(rep.n, akey).commutator(sl_defining_matrix(rep.n, bkey))
+    )
+    out = SMat(rep.dim, rep.dim)
+    for key, c in coeffs.items():
+        out = out.add(rep.sl_gens[key].scale(c))
+    return out
+
+
+def validate_model(rep: AffMatrixRep) -> None:
+    """Raises ModelInvariantError naming the first failing relation."""
+    n = rep.n
+    keys = rep.sl_keys()
+    if sorted(rep.sl_gens) != sorted(keys):
+        raise ModelInvariantError("sl generator keys")
+    if len(rep.trans_gens) != n:
+        raise ModelInvariantError("translation generator count")
+    if len(rep.weight_grading) != rep.dim:
+        raise ModelInvariantError("grading length")
+
+    # both sides are antisymmetric and [X, X] = 0, so each pair a < b once
+    for a, b in itertools.combinations(keys, 2):
+        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, a, b):
+            raise ModelInvariantError(f"[{a},{b}]")
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not rep.trans_gens[i].commutator(rep.trans_gens[j]).is_zero():
+                raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
+
+    for key in keys:
+        x = sl_defining_matrix(n, key)
+        for j in range(n):
+            expect = SMat(rep.dim, rep.dim)
+            for i, c in x.cols.get(j, {}).items():
+                expect = expect.add(rep.trans_gens[i].scale(c))
+            if rep.sl_gens[key].commutator(rep.trans_gens[j]) != expect:
+                raise ModelInvariantError(f"[{key},T_{j + 1}]")
+
+    for j, t in enumerate(rep.trans_gens):
+        power = t
+        for _ in range(rep.dim):
+            if power.is_zero():
+                break
+            power = power.matmul(t)
+        if not power.is_zero():
+            raise ModelInvariantError(f"T_{j + 1} nilpotency")
+
+    g = rep.weight_grading
+    for key in keys:
+        parts = key.split("_")
+        mat = rep.sl_gens[key]
+        if parts[0] == "E":
+            a, b = int(parts[1]) - 1, int(parts[2]) - 1
+            want = tuple((1 if i == a else 0) - (1 if i == b else 0) for i in range(n))
+            for c, col in mat.cols.items():
+                for r in col:
+                    if tuple(x - y for x, y in zip(g[r], g[c])) != want:
+                        raise ModelInvariantError(f"grading shift of {key}")
+        else:
+            k = int(parts[1]) - 1
+            for c, col in mat.cols.items():
+                for r, val in col.items():
+                    if r != c:
+                        raise ModelInvariantError(f"{key} not diagonal")
+                    if val != g[c][k] - g[c][k + 1]:
+                        raise ModelInvariantError(f"{key} eigenvalue")
+    for j, t in enumerate(rep.trans_gens):
+        want = tuple(1 if i == j else 0 for i in range(n))
+        for c, col in t.cols.items():
+            for r in col:
+                if tuple(x - y for x, y in zip(g[r], g[c])) != want:
+                    raise ModelInvariantError(f"grading shift of T_{j + 1}")
