@@ -5,25 +5,25 @@ The finiteness clauses bound the search: either the quotient Q is a bad sum
 (dim S < n^2 + 2n).  Pairs must satisfy the structural containments both
 ways; each regime draws one side from a product with the other (S from
 Q (x) C^n, or Q from S (x) dual C^n), so only the other containment is
-tested.  Enumeration order is canonical, so repeated runs are
-byte-identical.
+tested, as integer dot products of each candidate's count vector with
+columns built once per product.  Enumeration order is canonical, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import BAD, bad_list, classify
-from .rationality import TwoStepExtension, Verdict, decide_rationality
+from .rationality import TwoStepExtension, Verdict, decide_rationality, rank_labels
 from .schur import (
     Weight,
     WeightMultiset,
-    dual,
-    multiset_fits_in_product,
-    normalize,
-    sub_entries,
+    count_vectors,
+    lr_decompose,
     tensor_counts,
     weyl_dim,
 )
@@ -71,11 +71,22 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
 
-def _nonempty_subs(product: dict[Weight, int]):
-    """Every nonempty sub-multiset of a product, as `WeightMultiset` entries
-    from count vectors over its sorted labels; `sub_entries` yields the
-    empty one first."""
-    return itertools.islice(sub_entries(sorted(product.items())), 1, None)
+def _fitting_subs(labels, factor: Weight, inner, caps=()):
+    """Every nonempty sub-multiset s of `labels` ((label, mult) pairs sorted
+    by label) with `inner` contained in s (x) (irrep factor), as
+    `WeightMultiset` entries in `sub_entries` order.
+
+    With `inner` fixed the test is linear in the count vector c of s: for
+    each (w, m) of `inner`, sum_j c_j * mult(w in labels_j (x) factor) >= m,
+    the sum `tensor_counts` would form for w.  Those columns are built once.
+    `caps` are (column, bound) pairs that c must keep at or below bound."""
+    prods = [dict(lr_decompose(u, factor).entries) for u, _ in labels]
+    needs = [([p.get(w, 0) for p in prods], m) for w, m in inner]
+    for counts in itertools.islice(count_vectors(labels), 1, None):
+        if any(sum(map(mul, counts, col)) > bound for col, bound in caps):
+            continue
+        if all(sum(map(mul, counts, col)) >= m for col, m in needs):
+            yield tuple((w, c) for (w, _), c in zip(labels, counts) if c)
 
 
 def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
@@ -141,9 +152,7 @@ def enumerate_exceptional_candidates(
     else:
         dim_s_cap_small = dim_s_cap
 
-    triv = normalize(n, [])
-    std = normalize(n, [1])
-    dstd = dual(std)
+    triv, std, dstd = rank_labels(n)[:3]
     no_w = WeightMultiset.of(n, [])
     entries: dict[tuple, CatalogEntry] = {}
 
@@ -168,11 +177,10 @@ def enumerate_exceptional_candidates(
             yield WeightMultiset.of(n, [(triv, t)])
 
     for q in bad_quotients():
-        for s in _nonempty_subs(tensor_counts(q.entries, std)):
-            if max_dim_s is not None and sum(m * weyl_dim(w) for w, m in s) > max_dim_s:
-                continue
-            if multiset_fits_in_product(q.entries, s, dstd):
-                admit(q, WeightMultiset(n, s), TRIGGER_BAD_Q)
+        labels = sorted(tensor_counts(q.entries, std).items())
+        caps = [] if max_dim_s is None else [([weyl_dim(w) for w, _ in labels], max_dim_s)]
+        for s in _fitting_subs(labels, dstd, q.entries, caps):
+            admit(q, WeightMultiset(n, s), TRIGGER_BAD_Q)
 
     # clause (ii): small submodules; Q runs over sub-multisets of
     # S (x) dual standard, so only S inside Q (x) standard is open, and S
@@ -195,14 +203,13 @@ def enumerate_exceptional_candidates(
     for s in s_multisets(0, dim_s_cap_small, []):
         if s.is_empty():
             continue
-        for q in _nonempty_subs(tensor_counts(s.entries, dstd)):
-            # the trivial label sorts first
-            if q[0][0] == triv and q[0][1] > trivial_cap:
-                continue
-            if multiset_fits_in_product(s.entries, q, std):
-                qm = WeightMultiset(n, q)
-                bad = classify(qm, seed=seed, trials=trials) == BAD
-                admit(qm, s, TRIGGER_BAD_Q if bad else TRIGGER_SMALL_S)
+        labels = sorted(tensor_counts(s.entries, dstd).items())
+        # the trivial label sorts first
+        caps = [([1] + [0] * (len(labels) - 1), trivial_cap)] if labels[0][0] == triv else []
+        for q in _fitting_subs(labels, std, s.entries, caps):
+            qm = WeightMultiset(n, q)
+            bad = classify(qm, seed=seed, trials=trials) == BAD
+            admit(qm, s, TRIGGER_BAD_Q if bad else TRIGGER_SMALL_S)
 
     out = sorted(entries.values(), key=lambda e: (e.Q.entries, e.S.entries))
     return out

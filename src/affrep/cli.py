@@ -18,6 +18,7 @@ from .config import (
     DEFAULT_MAX_MODEL_DIM,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_WEIGHT_RANK,
     ModelInvariantError,
     ResourceCapError,
 )
@@ -44,6 +45,8 @@ EXIT_NOT_FREE = 3
 
 
 def parse_weight_arg(n: int, text: str):
+    if n > MAX_WEIGHT_RANK:
+        raise ValueError(f"--n {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
     parts = []
     for token in text.split(","):
         token = token.strip()

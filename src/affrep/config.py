@@ -15,6 +15,10 @@ DEFAULT_COORD_BOUND = 100
 DEFAULT_MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000
+# largest rank a weight argument (`--n` of dim, dual, tensor, pieri and
+# model sl-only) may name; the Weyl dimension takes O(n^2) Fraction products
+# and the LR sweep one row per rank, while every command path stops far below
+MAX_WEIGHT_RANK = 32
 # largest number of W2 sub-multisets searched exhaustively before the
 # greedy shortcut kicks in
 DEFAULT_MAX_SPLIT_CANDIDATES = 1_000_000

@@ -71,7 +71,8 @@ def _layer_weight_counter(rep: AffMatrixRep, rows: list[Vec]) -> Counter:
     return out
 
 
-@lru_cache(maxsize=None)
+# one entry per layer label met; bounded for a long-running process
+@lru_cache(maxsize=1024)
 def _irrep_character(n: int, parts: tuple[int, ...]) -> Counter:
     """Weight multiset of the irreducible with the given normalized label,
     as canonical representatives modulo the diagonal."""

@@ -14,7 +14,8 @@ from functools import lru_cache
 from .schur import Weight, WeightMultiset, normalize
 
 
-@lru_cache(maxsize=None)
+# one entry per (shape, rank); 88 for the inputs of 2550 seeded requests
+@lru_cache(maxsize=256)
 def ssyt_contents(shape: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...], ...]:
     """Content vectors of all semistandard tableaux of the given shape with
     entries in 1..num_vars, one vector per tableau (repeats kept)."""

@@ -13,6 +13,8 @@ evidence trail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .config import DEFAULT_MAX_SPLIT_CANDIDATES, DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import (
@@ -79,21 +81,40 @@ class Verdict:
             raise ValueError("evidence must be nonempty")
 
 
+class RankLabels(NamedTuple):
+    """The labels every extension of one rank is tested against: trivial,
+    standard, dual standard, and the quotients of the R1 and R2 shapes
+    (R2 is None below rank 2, where it has no label)."""
+
+    triv: Weight
+    std: Weight
+    dstd: Weight
+    r1: WeightMultiset
+    r2: WeightMultiset | None
+
+
+# the same few values for every extension of a rank; one entry per rank
+@lru_cache(maxsize=16)
+def rank_labels(n: int) -> RankLabels:
+    std = normalize(n, [1])
+    r2 = WeightMultiset.of(n, [dual(normalize(n, [1, 1]))]) if n >= 2 else None
+    return RankLabels(normalize(n, []), std, dual(std), WeightMultiset.of(n, [std]), r2)
+
+
 def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
     S (x) dual standard, with multiplicities."""
-    std = normalize(ext.n, [1])
-    return (multiset_fits_in_product(ext.S.entries, ext.Q.entries, std)
-            and multiset_fits_in_product(ext.Q.entries, ext.S.entries, dual(std)))
+    labels = rank_labels(ext.n)
+    return (multiset_fits_in_product(ext.S.entries, ext.Q.entries, labels.std)
+            and multiset_fits_in_product(ext.Q.entries, ext.S.entries, labels.dstd))
 
 
 def _r3_shapes(n: int, q: WeightMultiset) -> bool:
     """Is q a sum of at most n-1 copies of the trivial and dual standard?"""
-    triv = normalize(n, [])
-    dstd = dual(normalize(n, [1]))
+    labels = rank_labels(n)
     total = 0
     for w, m in q.entries:
-        if w not in (triv, dstd):
+        if w not in (labels.triv, labels.dstd):
             return False
         total += m
     return 1 <= total <= n - 1
@@ -108,13 +129,13 @@ def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
     """
     if ext.assume_generically_free:
         return FREE, "asserted"
-    n = ext.n
     q = ext.Q
-    if q == WeightMultiset.of(n, [normalize(n, [1])]):
+    labels = rank_labels(ext.n)
+    if q == labels.r1:
         return POSSIBLY_NOT_FREE, "R1"
-    if q == WeightMultiset.of(n, [dual(normalize(n, [1, 1]))]):
+    if q == labels.r2:
         return POSSIBLY_NOT_FREE, "R2"
-    if _r3_shapes(n, q):
+    if _r3_shapes(ext.n, q):
         return POSSIBLY_NOT_FREE, "R3"
     verdict = classify(q, seed=seed, trials=trials)
     if verdict == BAD:
@@ -157,7 +178,7 @@ def decide_rationality(
     if status != FREE:
         return Verdict(POSSIBLY_NOT_GENERICALLY_FREE, None, evidence, seed)
 
-    trivial_count = ext.Q.count(normalize(n, []))
+    trivial_count = ext.Q.count(rank_labels(n).triv)
     threshold_b = n * n - 1
     evidence.append(
         {

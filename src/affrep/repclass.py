@@ -190,7 +190,9 @@ def _row_sorted_words(n: int, shape: tuple[int, ...]):
         yield tuple(itertools.chain.from_iterable(combo))
 
 
-@lru_cache(maxsize=None)
+# models and their integer generators: a handful of labels per workload
+# (7 in the rank-4 catalog, 16 in 2550 seeded requests); the bound caps memory
+@lru_cache(maxsize=128)
 def _build_tensor_model(n: int, parts: tuple[int, ...], max_cells: int) -> SlModel:
     w = Weight(n, parts)
     d = w.size
@@ -294,7 +296,7 @@ def build_tensor_model(w: Weight, max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> 
     return _build_tensor_model(w.n, w.parts, max_cells)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def model_for_weight(n: int, parts: tuple[int, ...],
                      max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> SlModel:
     """Model of the labeled irreducible, built through the cheaper of the
@@ -309,7 +311,7 @@ def model_for_weight(n: int, parts: tuple[int, ...],
     return _build_tensor_model(n, parts, max_cells)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _integer_gens(n: int, parts: tuple[int, ...], max_cells: int):
     """The model's generators in sl_basis_keys order, each as integer columns
     [(row, value), ...] indexed by column, all scaled by one common
@@ -382,7 +384,8 @@ def stabilizer_dimension(
     return StabilizerReport(rep=rep, stab_dim=best, trials=trials, seed=seed)
 
 
-@lru_cache(maxsize=None)
+# the rank-4 catalog classifies 7,580 distinct multisets
+@lru_cache(maxsize=16384)
 def classify_with_report(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
@@ -410,16 +413,3 @@ def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAUL
              coord_bound: int = DEFAULT_COORD_BOUND,
              max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> str:
     return classify_with_report(rep, seed, trials, coord_bound, max_cells)[0]
-
-
-def minimal_good_power(w: Weight, max_t: int = 20, seed: int = DEFAULT_SEED,
-                       trials: int = DEFAULT_TRIALS) -> int | None:
-    """Smallest t for which t copies of the irreducible classify as good.
-
-    A computed answer from the stabilizer engine, not ground truth; None when
-    no t up to max_t works (always for the trivial representation)."""
-    for t in range(1, max_t + 1):
-        rep = WeightMultiset.of(w.n, [(w, t)])
-        if classify(rep, seed=seed, trials=trials) != BAD:
-            return t
-    return None

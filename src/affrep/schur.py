@@ -9,7 +9,7 @@ trivially on SL_n).  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +20,7 @@ class Weight:
 
     n: int
     parts: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -32,6 +33,12 @@ class Weight:
             raise ValueError(f"weight {list(self.parts)} is not non-increasing")
         if self.parts[-1] != 0:
             raise ValueError(f"weight {list(self.parts)} is not normalized (last part nonzero)")
+        # labels are dict keys on every hot path; a tuple of ints hashes the
+        # same under every PYTHONHASHSEED
+        object.__setattr__(self, "_hash", hash((self.n, self.parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -113,11 +120,17 @@ class WeightMultiset:
         return " + ".join(terms)
 
 
+def count_vectors(pairs):
+    """Every count vector from all zeros to the multiplicities of (label,
+    mult) pairs, in lexicographic order: the sub-multisets of the pairs."""
+    return itertools.product(*(range(m + 1) for _, m in pairs))
+
+
 def sub_entries(pairs):
     """Every sub-multiset of (label, mult) pairs sorted by label, as the
     entries of a `WeightMultiset`: one per count vector from all zeros (the
     empty one, first) to the multiplicities."""
-    for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
+    for counts in count_vectors(pairs):
         yield tuple((w, c) for (w, _), c in zip(pairs, counts) if c)
 
 
@@ -142,7 +155,9 @@ def dual(w: Weight) -> Weight:
     return Weight(w.n, tuple(top - p for p in reversed(w.parts)))
 
 
-@lru_cache(maxsize=None)
+# the rank-4 catalog asks for 2,300 labels; the bound keeps a long-running
+# process from growing without limit
+@lru_cache(maxsize=8192)
 def _weyl_dim(n: int, parts: tuple[int, ...]) -> int:
     d = Fraction(1)
     for i in range(n):

@@ -12,12 +12,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_affrep(*args: str, hashseed: str | None = None) -> subprocess.CompletedProcess:
+def run_affrep(*args: str, hashseed: str | None = None,
+               timeout: float = 600) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if hashseed is not None:
         env["PYTHONHASHSEED"] = hashseed
     return subprocess.run(
         [sys.executable, "-m", "affrep.cli", *args],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )

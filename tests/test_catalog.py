@@ -1,18 +1,35 @@
 import hashlib
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
-from cli_process import run_affrep
+from cli_process import SRC, run_affrep
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
+    _fitting_subs,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
 from affrep.rationality import TwoStepExtension, check_structural
 from affrep.repclass import BAD, classify
-from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
+from affrep.schur import (
+    Weight,
+    WeightMultiset,
+    dual,
+    multiset_fits_in_product,
+    normalize,
+    sub_entries,
+    tensor_counts,
+    weyl_dim,
+)
 
 
 def W(n, *parts):
@@ -49,6 +66,73 @@ class TestIrrepsUpToDim:
             if weyl_dim(w) <= bound:
                 brute.add(w)
         assert set(irreps_up_to_dim(n, bound)) == brute
+
+
+# --- the candidate filter against the one it replaced ------------------------
+
+def fitting_subs_oracle(labels, factor, inner, caps=()):
+    """The catalog's filter before containment columns: every nonempty
+    sub-multiset, dropped by its caps ((weight of each label, bound) pairs),
+    then one `multiset_fits_in_product` on each."""
+    for s in itertools.islice(sub_entries(labels), 1, None):
+        if any(sum(c * weight[w] for w, c in s) > bound for weight, bound in caps):
+            continue
+        if multiset_fits_in_product(inner, s, factor):
+            yield s
+
+
+# the labels of size <= 3 at ranks 2-4, all of dimension at most 20
+SMALL_LABELS = {n: [w for w in irreps_up_to_dim(n, 20) if w.size <= 3] for n in (2, 3, 4)}
+
+
+@st.composite
+def small_multisets(draw, n):
+    """At most 3 labels of size <= 3, each with multiplicity <= 3."""
+    labels = draw(st.lists(st.sampled_from(SMALL_LABELS[n]), min_size=1, max_size=3, unique=True))
+    return WeightMultiset.of(n, [(w, draw(st.integers(1, 3))) for w in labels])
+
+
+@st.composite
+def filter_cases(draw):
+    """(sorted labels of M (x) f, test factor, inner, caps) at ranks 2-4,
+    with f and the test factor each the standard or its dual.  The inner side
+    is M itself, as in the catalog, or an unrelated small multiset."""
+    n = draw(st.integers(2, 4))
+    std = normalize(n, [1])
+    outer = draw(small_multisets(n))
+    labels = sorted(tensor_counts(outer.entries, draw(st.sampled_from([std, dual(std)]))).items())
+    # the oracle forms a product per candidate; keep it to a few thousand
+    assume(math.prod(m + 1 for _, m in labels) <= 4096)
+    factor = draw(st.sampled_from([std, dual(std)]))
+    inner = draw(st.one_of(st.just(outer), small_multisets(n)))
+    caps = []
+    if draw(st.booleans()):
+        caps.append(({w: weyl_dim(w) for w, _ in labels}, draw(st.integers(1, 40))))
+    if draw(st.booleans()):
+        caps.append(({w: int(w.is_trivial()) for w, _ in labels}, draw(st.integers(0, 3))))
+    return labels, factor, inner.entries, caps
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_cases())
+def test_fitting_subs_match_oracle(case):
+    labels, factor, inner, caps = case
+    columns = [([weight[w] for w, _ in labels], bound) for weight, bound in caps]
+    got = list(_fitting_subs(labels, factor, inner, columns))
+    assert got == list(fitting_subs_oracle(labels, factor, inner, caps))
+
+
+def test_fitting_subs_keep_equality_and_drop_empty():
+    # S = standard gives standard (x) dual standard = trivial + adjoint: the
+    # fixed side is met with equality, the empty candidate never appears, and
+    # the count vectors run in lexicographic order
+    n = 3
+    std, dstd = W(n, 1), dual(W(n, 1))
+    labels = sorted(tensor_counts([(std, 1)], dstd).items())
+    got = list(_fitting_subs(labels, std, [(std, 1)]))
+    assert got == [((W(n, 2, 1), 1),), ((W(n, 0), 1),), ((W(n, 0), 1), (W(n, 2, 1), 1))]
+    assert list(_fitting_subs(labels, std, [(std, 2)])) == [
+        ((W(n, 0), 1), (W(n, 2, 1), 1))]
 
 
 class TestEnumerate:
@@ -159,3 +243,38 @@ def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# every bounded cache a catalog run fills, as module.function
+CATALOG_CACHES = (
+    "schur._weyl_dim",
+    "schur._lr_decompose",
+    "repclass._build_tensor_model",
+    "repclass.model_for_weight",
+    "repclass._integer_gens",
+    "repclass.classify_with_report",
+    "repclass.bad_list",
+    "rationality.rank_labels",
+)
+
+
+def test_rank4_catalog_evicts_no_cache_entry():
+    # in a fresh process, so the counts are the catalog's alone; a cache
+    # evicted nothing when it still holds every miss
+    code = (
+        "import importlib, json, sys\n"
+        "from affrep.catalog import enumerate_exceptional_candidates\n"
+        "enumerate_exceptional_candidates(4)\n"
+        "info = {}\n"
+        "for name in sys.argv[1:]:\n"
+        "    mod, fn = name.split('.')\n"
+        "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
+        ".cache_info()._asdict()\n"
+        "print(json.dumps(info))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *CATALOG_CACHES], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for name, info in json.loads(proc.stdout).items():
+        assert info["misses"] == info["currsize"] < info["maxsize"], name

@@ -335,6 +335,38 @@ def test_malformed_file_exits_1_naming_the_field(tmp_path, command, payload, fie
     assert f"'{field}'" in proc.stderr
 
 
+# above the rank ceiling each of these ran for seconds to minutes (the Weyl
+# dimension's O(n^2) Fractions, the LR sweep's rows); now none starts work
+OVER_RANK_CEILING = {
+    "dim": ("dim", "--n", "3000", "--lambda", "1"),
+    "dual": ("dual", "--n", "3000", "--lambda", "1"),
+    "tensor": ("tensor", "--n", "40", "--a", "9,9,9,9,9", "--b", "9,9,9,9"),
+    "pieri": ("pieri", "--n", "3000", "--lambda", "1", "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVER_RANK_CEILING))
+def test_rank_above_ceiling_exits_1_naming_n(command):
+    t0 = time.perf_counter()
+    proc = run_affrep(*OVER_RANK_CEILING[command], timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --n ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_rank_ceiling_is_inclusive(capsys):
+    from affrep.config import MAX_WEIGHT_RANK
+
+    n = str(MAX_WEIGHT_RANK)
+    rc, out, _ = run(capsys, "dim", "--n", n, "--lambda", "1")
+    assert (rc, out.splitlines()[0]) == (0, n)
+    rc, _, err = run(capsys, "dual", "--n", str(MAX_WEIGHT_RANK + 1), "--lambda", "1")
+    assert rc == 1
+    assert f"--n {MAX_WEIGHT_RANK + 1}" in err
+
+
 class TestEnumerate:
     def test_deterministic_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -258,19 +258,23 @@ class TestClassify:
             assert classify(bigger) in (GOOD, GOOD_HEURISTIC)
 
 
+def minimal_good_power(w: Weight, max_t: int = 20) -> int | None:
+    """Smallest t for which t copies of the irreducible classify as good,
+    by the stabilizer engine at the default seed; None when no t up to
+    max_t works (always for the trivial representation)."""
+    for t in range(1, max_t + 1):
+        if classify(WeightMultiset.of(w.n, [(w, t)])) != BAD:
+            return t
+    return None
+
+
 class TestMinimalGoodPower:
     def test_standard_needs_rank_many(self):
-        from affrep.repclass import minimal_good_power
-
         assert minimal_good_power(W(3, 1)) == 3
         assert minimal_good_power(W(4, 1)) == 4
 
     def test_adjoint_pair(self):
-        from affrep.repclass import minimal_good_power
-
         assert minimal_good_power(W(3, 2, 1)) == 2
 
     def test_trivial_never_good(self):
-        from affrep.repclass import minimal_good_power
-
         assert minimal_good_power(W(3, 0), max_t=5) is None

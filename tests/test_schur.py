@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+from cli_process import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +66,33 @@ class TestNormalize:
     def test_rejects_negative_below_padding(self):
         with pytest.raises(ValueError):
             normalize(3, [1, -1])
+
+
+class TestWeightHash:
+    def test_equal_weights_hash_equal(self):
+        for n in (1, 2, 3, 4):
+            for w in small_weights(n, 4):
+                twin = Weight(n, tuple(w.parts))
+                assert twin == w and twin is not w
+                assert hash(twin) == hash(w)
+                assert {w: 1}[twin] == 1
+
+    def test_hash_is_the_tuple_hash(self):
+        for w in small_weights(3, 4) + [normalize(2, [5]), normalize(1, [])]:
+            assert hash(w) == hash((w.n, w.parts))
+
+    def test_hash_ignores_the_hash_seed(self):
+        code = ("from affrep.schur import normalize; "
+                "print(hash(normalize(4, [2, 1])), hash(normalize(3, [])))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        outs = set()
+        for hashseed in ("0", "12345"):
+            env["PYTHONHASHSEED"] = hashseed
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert outs == {f"{hash((4, (2, 1, 0, 0)))} {hash((3, (0, 0, 0)))}\n"}
 
 
 class TestWeightMultiset:
