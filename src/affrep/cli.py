@@ -163,11 +163,12 @@ def cmd_model(args) -> int:
 
 def cmd_filtrate(args) -> int:
     rep = read_model_file(args.model_file, args.max_model_dim)
-    filt = socle_filtration(rep) if args.kind == "socle" else radical_filtration(rep)
+    soc = socle_filtration(rep)
+    filt = soc if args.kind == "socle" else radical_filtration(rep)
     checks = {
-        "duality": check_duality(rep),
+        "duality": check_duality(soc),
         "blocks": check_blocks_containment(filt),
-        "embedding": check_embedding_theorem(rep),
+        "embedding": check_embedding_theorem(soc),
     }
     payload = ser.filtration_report(filt, checks)
     emit(args, payload, ser.filtration_text(filt, checks).splitlines())

@@ -11,8 +11,9 @@ DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 3
 DEFAULT_COORD_BOUND = 100
 
-# largest n^|w| tensor power the Schur-functor builder will touch
-DEFAULT_MAX_TENSOR_CELLS = 300_000
+# largest n^|w| tensor power the Schur-functor builder will touch; the
+# rank-8 adjoint (8^8 cells) is refused, every catalog label fits
+MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000
 # largest rank a weight argument (`--n` of dim, dual, tensor, pieri and

@@ -182,49 +182,40 @@ def dual_multiset(ms: WeightMultiset) -> WeightMultiset:
     return WeightMultiset.of(ms.n, [(dual(w), m) for w, m in ms.entries])
 
 
-def check_duality(rep: AffMatrixRep) -> bool:
+def _require_socle(filtration: Filtration) -> None:
+    if filtration.kind != SOCLE:
+        raise ValueError(f"expected a socle filtration, got a {filtration.kind} one")
+
+
+def _layers_fit(filtration: Filtration, i: int, j: int) -> bool:
+    """Containment bound between layers i <= j: ascending chains satisfy
+    Q_j inside Q_i (x) Sym^(j-i) of the dual standard, descending ones
+    Q_i inside Q_j (x) Sym^(j-i) of the standard."""
+    layers = filtration.layers
+    factor = normalize(filtration.rep.n, [j - i])
+    if filtration.kind == SOCLE:
+        return multiset_fits_in_product(layers[j].entries, layers[i].entries, dual(factor))
+    return multiset_fits_in_product(layers[i].entries, layers[j].entries, factor)
+
+
+def check_duality(soc: Filtration) -> bool:
     """The radical layers of the dual model must be the duals of the socle
     layers of the model, in reversed order."""
-    soc = socle_filtration(rep)
-    rad = radical_filtration(dual_model(rep))
-    if soc.length != rad.length:
-        return False
-    l = soc.length
-    for j in range(l + 1):
-        if rad.layers[l - j] != dual_multiset(soc.layers[j]):
-            return False
-    return True
+    _require_socle(soc)
+    rad = radical_filtration(dual_model(soc.rep))
+    return rad.layers[::-1] == [dual_multiset(q) for q in soc.layers]
 
 
 def check_blocks_containment(filtration: Filtration) -> bool:
-    """Layer containment bounds: ascending chains satisfy
-    Q_j inside Q_i (x) Sym^(j-i) of the dual standard, descending ones
-    Q_i inside Q_j (x) Sym^(j-i) of the standard, for i <= j."""
-    n = filtration.rep.n
-    layers = filtration.layers
-    l = len(layers) - 1
-    for i in range(l + 1):
-        for j in range(i, l + 1):
-            k = j - i
-            if filtration.kind == SOCLE:
-                factor = dual(normalize(n, [k]))
-                if not multiset_fits_in_product(layers[j].entries, layers[i].entries, factor):
-                    return False
-            else:
-                factor = normalize(n, [k])
-                if not multiset_fits_in_product(layers[i].entries, layers[j].entries, factor):
-                    return False
-    return True
+    """The containment bound between every pair of layers i <= j."""
+    l = filtration.length
+    return all(_layers_fit(filtration, i, j) for i in range(l + 1) for j in range(i, l + 1))
 
 
-def check_embedding_theorem(rep: AffMatrixRep) -> bool:
+def check_embedding_theorem(soc: Filtration) -> bool:
     """Character-level containment of the whole model in (bottom socle layer)
-    tensor (degree <= l affine functions): every socle layer i must fit in
-    Q_0 tensor Sym^i of the dual standard."""
-    filt = socle_filtration(rep)
-    n = rep.n
-    for i, layer in enumerate(filt.layers):
-        factor = dual(normalize(n, [i]))
-        if not multiset_fits_in_product(layer.entries, filt.layers[0].entries, factor):
-            return False
-    return True
+    tensor (degree <= l affine functions): the i = 0 row of the socle
+    containment bounds, every layer j inside Q_0 tensor Sym^j of the dual
+    standard."""
+    _require_socle(soc)
+    return all(_layers_fit(soc, 0, j) for j in range(soc.length + 1))

@@ -220,22 +220,20 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
     ech = Echelon()
     for eq in equations:
         ech.insert(eq)
-    pivots = set(ech.rows)
-    free = [v for v in variables if v not in pivots]
+    # pivots in descending order, the order the entries of a solution take
+    rows = sorted(ech.rows.items(), reverse=True)
     basis = []
-    for f in free:
+    for f in variables:
+        if f in ech.rows:
+            continue
         sol: Vec = {f: Fraction(1)}
-        # back-substitute: pivot variable p satisfies x_p = -sum_{j>p} row[j] x_j
-        for p in sorted(ech.rows, reverse=True):
-            row = ech.rows[p]
-            s = Fraction(0)
-            for j, c in row.items():
-                if j == p:
-                    continue
-                if j in sol:
-                    s += c * sol[j]
-            if s:
-                sol[p] = -s
+        # the rows are fully reduced with pivot entry 1, so row p meets no
+        # other pivot and x_p = -row_p[f] when x_f = 1 and the other free
+        # variables are 0
+        for p, row in rows:
+            c = row.get(f)
+            if c:
+                sol[p] = -c
         basis.append(sol)
     return basis
 

@@ -22,7 +22,6 @@ from math import comb
 
 from .config import (
     DEFAULT_MAX_MODEL_DIM,
-    DEFAULT_MAX_TENSOR_CELLS,
     ModelInvariantError,
     ResourceCapError,
 )
@@ -166,13 +165,12 @@ def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
                         list(a.weight_grading) + list(b.weight_grading))
 
 
-def sl_only_model(w: Weight, max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
-                  max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
+def sl_only_model(w: Weight, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
     """A pure SL_n-representation viewed as an affine-group model: all
     translation generators are zero.  Built through the cheaper of the label
     and its dual."""
     _check_cap(weyl_dim(w), max_dim)
-    m = model_for_weight(w.n, w.parts, max_cells)
+    m = model_for_weight(w.n, w.parts)
     zero = [SMat(m.dim, m.dim) for _ in range(w.n)]
     return AffMatrixRep(w.n, m.dim, dict(m.gens), zero, list(m.grading))
 
@@ -186,7 +184,7 @@ def shift_grading(rep: AffMatrixRep, c: int) -> AffMatrixRep:
     )
 
 
-def sl_only_sum_model(ms: WeightMultiset, max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> AffMatrixRep:
+def sl_only_sum_model(ms: WeightMultiset) -> AffMatrixRep:
     """Direct sum of sl-only models over a weight multiset, in canonical order.
 
     Each irreducible model has a constant grading coordinate-sum; summands
@@ -195,7 +193,7 @@ def sl_only_sum_model(ms: WeightMultiset, max_cells: int = DEFAULT_MAX_TENSOR_CE
     """
     reps = []
     for w, mult in ms.entries:
-        reps.extend([sl_only_model(w, max_cells)] * mult)
+        reps.extend([sl_only_model(w)] * mult)
     if not reps:
         raise ValueError("empty multiset")
     n = ms.n

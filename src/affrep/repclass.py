@@ -19,9 +19,9 @@ from math import lcm
 
 from .config import (
     DEFAULT_COORD_BOUND,
-    DEFAULT_MAX_TENSOR_CELLS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_TENSOR_CELLS,
     ResourceCapError,
 )
 from .linalg import Echelon, SMat, Vec, integer_rank
@@ -193,15 +193,15 @@ def _row_sorted_words(n: int, shape: tuple[int, ...]):
 # models and their integer generators: a handful of labels per workload
 # (7 in the rank-4 catalog, 16 in 2550 seeded requests); the bound caps memory
 @lru_cache(maxsize=128)
-def _build_tensor_model(n: int, parts: tuple[int, ...], max_cells: int) -> SlModel:
+def _build_tensor_model(n: int, parts: tuple[int, ...]) -> SlModel:
     w = Weight(n, parts)
     d = w.size
     target_dim = weyl_dim(w)
     if d == 0:
         zero = {k: SMat(1, 1) for k in sl_basis_keys(n)}
         return SlModel(w, 1, zero, ((0,) * n,))
-    if n ** d > max_cells:
-        raise ResourceCapError("max_tensor_cells", n ** d, max_cells)
+    if n ** d > MAX_TENSOR_CELLS:
+        raise ResourceCapError("max_tensor_cells", n ** d, MAX_TENSOR_CELLS)
 
     symm = _young_symmetrizer(parts)
 
@@ -289,35 +289,34 @@ def _build_tensor_model(n: int, parts: tuple[int, ...], max_cells: int) -> SlMod
     return SlModel(w, target_dim, gens, tuple(grading))
 
 
-def build_tensor_model(w: Weight, max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> SlModel:
+def build_tensor_model(w: Weight) -> SlModel:
     """Realize the irreducible with label w inside the |w|-th tensor power of
     the standard representation, via a Young symmetrizer; the Lie algebra
     acts factorwise.  Exact rational matrices with a weight grading."""
-    return _build_tensor_model(w.n, w.parts, max_cells)
+    return _build_tensor_model(w.n, w.parts)
 
 
 @lru_cache(maxsize=128)
-def model_for_weight(n: int, parts: tuple[int, ...],
-                     max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> SlModel:
+def model_for_weight(n: int, parts: tuple[int, ...]) -> SlModel:
     """Model of the labeled irreducible, built through the cheaper of the
     label and its dual (the dual of a model is the negated transpose)."""
     w = Weight(n, parts)
     dw = dual(w)
     if dw.size < w.size:
-        m = _build_tensor_model(n, dw.parts, max_cells)
+        m = _build_tensor_model(n, dw.parts)
         gens = {k: mat.neg_transpose() for k, mat in m.gens.items()}
         grading = tuple(tuple(-x for x in g) for g in m.grading)
         return SlModel(w, m.dim, gens, grading)
-    return _build_tensor_model(n, parts, max_cells)
+    return _build_tensor_model(n, parts)
 
 
 @lru_cache(maxsize=128)
-def _integer_gens(n: int, parts: tuple[int, ...], max_cells: int):
+def _integer_gens(n: int, parts: tuple[int, ...]):
     """The model's generators in sl_basis_keys order, each as integer columns
     [(row, value), ...] indexed by column, all scaled by one common
     denominator.  A nonzero scalar on a summand's block of coordinates does
     not change the rank of the stacked action, so the kernel is unchanged."""
-    m = model_for_weight(n, parts, max_cells)
+    m = model_for_weight(n, parts)
     gens = [m.gens[k] for k in sl_basis_keys(n)]
     denom = 1
     for g in gens:
@@ -353,7 +352,6 @@ def stabilizer_dimension(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
-    max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
 ) -> StabilizerReport:
     """Minimum over trials of dim{X in sl_n : X.v = 0} at random integer
     points v, by exact rank.  0 certifies a finite generic stabilizer.
@@ -368,7 +366,7 @@ def stabilizer_dimension(
     n = rep.n
     models = []
     for w, mult in rep.entries:
-        models.extend([_integer_gens(n, w.parts, max_cells)] * mult)
+        models.extend([_integer_gens(n, w.parts)] * mult)
     nkeys = len(sl_basis_keys(n))
     rng = random.Random(seed)
     best = None
@@ -391,7 +389,6 @@ def classify_with_report(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
-    max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
 ):
     """(classification, StabilizerReport or None).
 
@@ -404,12 +401,10 @@ def classify_with_report(
     bad = bad_list(rep.n)
     if any(w not in bad for w in rep.weights()):
         return GOOD, None
-    report = stabilizer_dimension(rep, seed=seed, trials=trials,
-                                  coord_bound=coord_bound, max_cells=max_cells)
+    report = stabilizer_dimension(rep, seed=seed, trials=trials, coord_bound=coord_bound)
     return (BAD if report.stab_dim > 0 else GOOD_HEURISTIC), report
 
 
 def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
-             coord_bound: int = DEFAULT_COORD_BOUND,
-             max_cells: int = DEFAULT_MAX_TENSOR_CELLS) -> str:
-    return classify_with_report(rep, seed, trials, coord_bound, max_cells)[0]
+             coord_bound: int = DEFAULT_COORD_BOUND) -> str:
+    return classify_with_report(rep, seed, trials, coord_bound)[0]

@@ -147,7 +147,7 @@ def criterion_4_degree_bound() -> tuple[bool, str]:
 def criterion_5_duality() -> tuple[bool, str]:
     count = 0
     for name, m in _model_sweep():
-        if not check_duality(m):
+        if not check_duality(socle_filtration(m)):
             return False, f"duality fails for {name}"
         count += 1
     return True, f"duality holds on {count} models"
@@ -156,11 +156,12 @@ def criterion_5_duality() -> tuple[bool, str]:
 def criterion_6_blocks_and_embedding() -> tuple[bool, str]:
     count = 0
     for name, m in _model_sweep():
-        if not check_blocks_containment(socle_filtration(m)):
+        soc = socle_filtration(m)
+        if not check_blocks_containment(soc):
             return False, f"socle blocks containment fails for {name}"
         if not check_blocks_containment(radical_filtration(m)):
             return False, f"radical blocks containment fails for {name}"
-        if not check_embedding_theorem(m):
+        if not check_embedding_theorem(soc):
             return False, f"embedding containment fails for {name}"
         count += 1
     return True, f"blocks and embedding containments hold on {count} models"

@@ -53,9 +53,9 @@ def _require_int(value, field: str) -> int:
     return value
 
 
-def _require_positive(value, field: str) -> int:
-    if _require_int(value, field) < 1:
-        raise ValueError(f"field {field!r} must be at least 1, got {value}")
+def _require_at_least(value, field: str, least: int) -> int:
+    if _require_int(value, field) < least:
+        raise ValueError(f"field {field!r} must be at least {least}, got {value}")
     return value
 
 
@@ -75,7 +75,9 @@ def multiset_to_json(ms: WeightMultiset) -> dict:
 def multiset_from_json(data) -> WeightMultiset:
     if not isinstance(data, dict) or "n" not in data or "summands" not in data:
         raise ValueError("weight multiset needs fields 'n' and 'summands'")
-    n = _require_int(data["n"], "n")
+    # multiset and extension files feed the classifier and the two-step
+    # decision, whose bad list starts at rank 2
+    n = _require_at_least(data["n"], "n", 2)
     if not isinstance(data["summands"], list):
         raise ValueError(f"field 'summands' must be a list, got {data['summands']!r}")
     items = []
@@ -84,7 +86,7 @@ def multiset_from_json(data) -> WeightMultiset:
             raise ValueError(f"each entry of 'summands' must be an object, got {s!r}")
         if "lambda" not in s:
             raise ValueError(f"summand {s!r} is missing field 'lambda'")
-        mult = _require_positive(s.get("mult", 1), "mult")
+        mult = _require_at_least(s.get("mult", 1), "mult", 1)
         items.append((weight_from_json(n, s["lambda"]), mult))
     return WeightMultiset.of(n, items)
 
@@ -138,7 +140,7 @@ def model_from_json(data) -> AffMatrixRep:
     for key in ("n", "N", "sl_gens", "trans_gens", "weight_grading"):
         if key not in data:
             raise ValueError(f"model file missing field {key!r}")
-    n, dim = _require_positive(data["n"], "n"), _require_positive(data["N"], "N")
+    n, dim = _require_at_least(data["n"], "n", 1), _require_at_least(data["N"], "N", 1)
     sl, trans, grading = data["sl_gens"], data["trans_gens"], data["weight_grading"]
     if not isinstance(sl, dict):
         raise ValueError(f"field 'sl_gens' must be an object, got {type(sl).__name__}")
@@ -201,7 +203,7 @@ def extension_from_json(data) -> TwoStepExtension:
     for key in ("n", "S", "Q", "W"):
         if key not in data:
             raise ValueError(f"extension file missing field {key!r}")
-    n = _require_int(data["n"], "n")
+    n = _require_at_least(data["n"], "n", 2)
 
     def part(key):
         d = data[key]

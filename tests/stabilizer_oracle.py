@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affrep.config import DEFAULT_COORD_BOUND, DEFAULT_MAX_TENSOR_CELLS, DEFAULT_SEED, DEFAULT_TRIALS
+from affrep.config import DEFAULT_COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.linalg import Echelon, Vec
 from affrep.repclass import SlModel, model_for_weight, sl_basis_keys
 from affrep.schur import WeightMultiset
@@ -22,13 +22,12 @@ def stabilizer_dimension(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     coord_bound: int = DEFAULT_COORD_BOUND,
-    max_cells: int = DEFAULT_MAX_TENSOR_CELLS,
 ) -> int:
     """Minimum over trials of dim{X in sl_n : X.v = 0}."""
     n = rep.n
     models: list[SlModel] = []
     for w, mult in rep.entries:
-        m = model_for_weight(n, w.parts, max_cells)
+        m = model_for_weight(n, w.parts)
         models.extend([m] * mult)
     keys = sl_basis_keys(n)
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 from cli_process import run_affrep
@@ -109,6 +110,15 @@ class TestClassify:
         rc, out, _ = run(capsys, "classify", str(f), "--format", "json")
         assert json.loads(out)["stabilizer"]["trials"] == 3
 
+    def test_tensor_cell_cap(self, capsys, tmp_path):
+        # the rank-8 adjoint is in the bad list, and its model would need
+        # 8^8 cells of the 8th tensor power
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({"n": 8, "summands": [{"lambda": [2, 1, 1, 1, 1, 1, 1, 0]}]}))
+        rc, out, err = run(capsys, "classify", str(f))
+        assert (rc, out) == (1, "")
+        assert "max_tensor_cells needs 16777216" in err
+
 
 class TestModelAndFiltrate:
     def test_model_round_trip(self, capsys, tmp_path):
@@ -216,6 +226,30 @@ class TestModelAndFiltrate:
             "f4e3c83e76971306df04f4be50b268e6772fcffad1750599709256d48b4a12db",
         ]
 
+    @pytest.mark.parametrize("kind,radical_calls", [("socle", 1), ("radical", 2)])
+    def test_filtrate_computes_each_filtration_once(self, capsys, tmp_path, monkeypatch,
+                                                    kind, radical_calls):
+        # the socle filtration serves the printed chain (for --kind socle) and
+        # both socle checks; the radical one of the dual model is the duality
+        # check's own
+        from affrep import cli, filtration
+        from affrep.gallery import cubic_top_submodel
+
+        calls = Counter()
+        for name in ("socle_filtration", "radical_filtration"):
+            def counted(rep, real=getattr(filtration, name), name=name):
+                calls[name] += 1
+                return real(rep)
+
+            monkeypatch.setattr(filtration, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        f = tmp_path / "example.json"
+        f.write_text(ser.dumps(ser.model_to_json(cubic_top_submodel(3))))
+        rc, out, _ = run(capsys, "filtrate", str(f), "--kind", kind)
+        assert rc == 0
+        assert out.splitlines()[0] == f"kind: {kind}"
+        assert calls == {"socle_filtration": 1, "radical_filtration": radical_calls}
+
     def test_filtrate_bundled_example(self, capsys, tmp_path):
         from affrep.gallery import cubic_top_submodel
 
@@ -320,6 +354,15 @@ MALFORMED_INPUT = [
     (command, payload, field)
     for command in ("filtrate", "model dual --in")
     for payload, field in _malformed_models()
+] + [
+    # ranks below 2 are refused at the field, not from deep inside the
+    # decision procedure or the classifier (appended last: ids are positions)
+    ("check2step", {"n": 1, "S": {"n": 1, "summands": []}, "Q": {"n": 1, "summands": []},
+                    "W": {"n": 1, "summands": []}}, "n"),
+    ("check2step", {"n": 0, "S": {"n": 0, "summands": []}, "Q": {"n": 0, "summands": []},
+                    "W": {"n": 0, "summands": []}}, "n"),
+    ("classify", {"n": 1, "summands": [{"lambda": [0]}]}, "n"),
+    ("classify", {"n": -3, "summands": []}, "n"),
 ]
 
 

@@ -147,7 +147,7 @@ class TestChecks:
 
     def test_duality(self):
         for m in self.models():
-            assert check_duality(m)
+            assert check_duality(socle_filtration(m))
 
     def test_blocks(self):
         for m in self.models():
@@ -156,7 +156,21 @@ class TestChecks:
 
     def test_embedding(self):
         for m in self.models():
-            assert check_embedding_theorem(m)
+            assert check_embedding_theorem(socle_filtration(m))
+
+    def test_checks_refuse_a_radical_filtration(self):
+        rad = radical_filtration(model_sym_dual(3, 2))
+        for check in (check_duality, check_embedding_theorem):
+            with pytest.raises(ValueError, match="socle"):
+                check(rad)
+
+    def test_embedding_is_the_first_row_of_the_socle_bounds(self):
+        # a socle chain whose layer 1 is not inside Q_0 (x) dual standard:
+        # both checks must see the same failing pair (0, 1)
+        soc = socle_filtration(model_sym_dual(3, 2))
+        soc.layers = [soc.layers[0], WeightMultiset.of(3, [W(3, 1)]), soc.layers[2]]
+        assert not check_embedding_theorem(soc)
+        assert not check_blocks_containment(soc)
 
     def test_dual_multiset(self):
         ms = WeightMultiset.of(3, [(W(3, 2), 2), W(3, 1)])
@@ -186,10 +200,10 @@ class TestGallery:
         from affrep.gallery import cubic_top_submodel
 
         v = cubic_top_submodel(3)
-        assert check_duality(v)
+        assert check_duality(socle_filtration(v))
         assert check_blocks_containment(socle_filtration(v))
         assert check_blocks_containment(radical_filtration(v))
-        assert check_embedding_theorem(v)
+        assert check_embedding_theorem(socle_filtration(v))
 
     def test_three_generator_layers(self):
         from affrep.gallery import three_generator_submodel

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affrep.linalg import Echelon, integer_rank
+from affrep.linalg import Echelon, integer_rank, nullspace
 
 NCOLS = 12
 ENTRY = st.integers(-10**6, 10**6)
@@ -79,3 +79,72 @@ def test_integer_rank_small_cases():
     rows = [[6, 4], [3, 5]]
     assert integer_rank(rows) == 2
     assert rows == [[6, 4], [3, 5]]
+
+
+def back_substitution_nullspace(equations, variables):
+    """The kernel by a full back-substitution over every entry of each
+    reduced row, the reference for the read-off in `nullspace`."""
+    ech = Echelon()
+    for eq in equations:
+        ech.insert(eq)
+    pivots = set(ech.rows)
+    free = [v for v in variables if v not in pivots]
+    basis = []
+    for f in free:
+        sol = {f: Fraction(1)}
+        # back-substitute: pivot variable p satisfies x_p = -sum_{j>p} row[j] x_j
+        for p in sorted(ech.rows, reverse=True):
+            row = ech.rows[p]
+            s = Fraction(0)
+            for j, c in row.items():
+                if j == p:
+                    continue
+                if j in sol:
+                    s += c * sol[j]
+            if s:
+                sol[p] = -s
+        basis.append(sol)
+    return basis
+
+
+@st.composite
+def equation_sets(draw):
+    """Sparse equations over a sorted subset of the columns, with `int` or
+    `Fraction` entries; some rows combine earlier ones, so the rank drops."""
+    variables = sorted(draw(st.sets(st.integers(0, NCOLS - 1), min_size=1)))
+    entry = st.one_of(st.integers(-30, 30),
+                      st.fractions(min_value=-30, max_value=30, max_denominator=12))
+    equations: list[dict] = []
+    for _ in range(draw(st.integers(0, 10))):
+        if equations and draw(st.booleans()):
+            row: dict = {}
+            for i in draw(st.lists(st.sampled_from(range(len(equations))), min_size=1, max_size=3)):
+                c = draw(st.integers(-5, 5))
+                for j, x in equations[i].items():
+                    row[j] = row.get(j, 0) + c * x
+            row = {j: x for j, x in row.items() if x}
+        else:
+            support = draw(st.lists(st.sampled_from(variables), max_size=4, unique=True))
+            row = {j: draw(entry) for j in support}
+            row = {j: x for j, x in row.items() if x}
+        equations.append(row)
+    return equations, variables
+
+
+@settings(max_examples=300, deadline=None)
+@given(equation_sets())
+def test_nullspace_matches_back_substitution(case):
+    equations, variables = case
+    got = nullspace(equations, variables)
+    # the same vectors with the same key order: model files built from
+    # kernel vectors keep their bytes
+    assert [list(v.items()) for v in got] == [
+        list(v.items()) for v in back_substitution_nullspace(equations, variables)]
+    ech = Echelon()
+    for eq in equations:
+        ech.insert(eq)
+    assert len(got) == len(variables) - len(ech)
+    for vec in got:
+        assert set(vec) <= set(variables)
+        for eq in equations:
+            assert sum(c * vec.get(j, 0) for j, c in eq.items()) == 0

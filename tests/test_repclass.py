@@ -7,7 +7,7 @@ import stabilizer_oracle
 from dense import to_dense
 
 from affrep import repclass
-from affrep.config import ResourceCapError
+from affrep.config import MAX_TENSOR_CELLS, ResourceCapError
 from affrep.linalg import SMat
 from affrep.oracle import schur_monomials
 from affrep.repclass import (
@@ -130,8 +130,14 @@ class TestTensorModel:
                 assert diff == (1, -1, 0)
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceCapError):
-            build_tensor_model(W(4, 3, 2, 1), max_cells=10)
+        # a self-dual size-10 label at rank 4 needs 4^10 cells, so neither
+        # it nor its dual is built
+        w = W(4, 5, 3, 2)
+        assert dual(w) == w
+        for build in (lambda: build_tensor_model(w), lambda: repclass.model_for_weight(4, w.parts)):
+            with pytest.raises(ResourceCapError) as exc:
+                build()
+            assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
 
 
 class TestStabilizer:
@@ -217,8 +223,8 @@ class TestIntegerStabilizerAgainstOracle:
                    (2, 0, 0): Fraction(-1, 2), (1, 1, 0): Fraction(9, 4)}
         real = repclass.model_for_weight
 
-        def rescaled(n, parts, max_cells):
-            m = real(n, parts, max_cells)
+        def rescaled(n, parts):
+            m = real(n, parts)
             gens = {k: g.scale(factors[parts]) for k, g in m.gens.items()}
             return SlModel(m.weight, m.dim, gens, m.grading)
 
