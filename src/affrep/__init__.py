@@ -10,7 +10,6 @@ from .schur import (
     check_lr_gap_bound,
     contains,
     dual,
-    lambda_gap,
     lr_decompose,
     normalize,
     pieri_sym,
@@ -22,18 +21,15 @@ from .repclass import (
     GOOD_HEURISTIC,
     StabilizerReport,
     bad_list,
-    build_tensor_model,
     classify,
     stabilizer_dimension,
 )
 from .matmodel import (
     AffMatrixRep,
-    UnipotentImage,
     dual_model,
     model_sym_dual,
     sl_only_model,
     tensor_model,
-    unipotent_image,
     validate_model,
     verify_degree_bound,
 )
@@ -56,7 +52,6 @@ from .rationality import (
     check_generic_freeness,
     check_structural,
     decide_rationality,
-    stable_level,
 )
 from .catalog import CatalogEntry, enumerate_exceptional_candidates, irreps_up_to_dim
 from .config import ModelInvariantError, ResourceCapError

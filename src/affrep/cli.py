@@ -18,6 +18,7 @@ from .config import (
     DEFAULT_MAX_MODEL_DIM,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_LR_CONTENT,
     MAX_WEIGHT_RANK,
     ModelInvariantError,
     ResourceCapError,
@@ -112,6 +113,9 @@ def cmd_dual(args) -> int:
 def cmd_tensor(args) -> int:
     a = parse_weight_arg(args.n, args.a)
     b = parse_weight_arg(args.n, args.b)
+    content = min(a.size, b.size)
+    if content > MAX_LR_CONTENT:
+        raise ResourceCapError("max_lr_content", content, MAX_LR_CONTENT)
     ms = lr_decompose(a, b)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 3
-DEFAULT_COORD_BOUND = 100
+# random stabilizer points draw each coordinate from [-COORD_BOUND, COORD_BOUND]
+COORD_BOUND = 100
 
 # largest n^|w| tensor power the Schur-functor builder will touch; the
 # rank-8 adjoint (8^8 cells) is refused, every catalog label fits
@@ -20,9 +21,13 @@ DEFAULT_MAX_MODEL_DIM = 5_000
 # model sl-only) may name; the Weyl dimension takes O(n^2) Fraction products
 # and the LR sweep one row per rank, while every command path stops far below
 MAX_WEIGHT_RANK = 32
+# largest size of the smaller weight `tensor` decomposes; the LR fillings
+# recurse once per box of it and their count grows with it and the rank (4
+# rows of 5 boxes take 1.5 s at rank 32)
+MAX_LR_CONTENT = 16
 # largest number of W2 sub-multisets searched exhaustively before the
 # greedy shortcut kicks in
-DEFAULT_MAX_SPLIT_CANDIDATES = 1_000_000
+MAX_SPLIT_CANDIDATES = 1_000_000
 
 
 class ResourceCapError(RuntimeError):

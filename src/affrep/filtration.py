@@ -56,12 +56,6 @@ class Filtration:
             dims.append(total)
         return dims
 
-    def adapted_basis(self) -> list[Vec]:
-        return [row for step in self.snapshots for row in step]
-
-    def member_basis(self, i: int) -> list[Vec]:
-        return [row for step in self.snapshots[: i + 1] for row in step]
-
 
 def _layer_weight_counter(rep: AffMatrixRep, rows: list[Vec]) -> Counter:
     out: Counter = Counter()

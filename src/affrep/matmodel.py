@@ -3,20 +3,20 @@
 An AffMatrixRep packages matrices for the fixed sl_n basis together with n
 commuting nilpotent translation generators T_1..T_n and an integer torus
 weight for every basis vector.  All constructors produce models whose
-defining relations can be re-verified exactly with `validate`.
+defining relations can be re-verified exactly with `validate_model`.
 
 Sign conventions, fixed once:
   * functions-of-degree<=l models use X.f = -(Xx).grad(f) for sl_n and
     T_i = d/dx_i for translations, so exp(t T) is the shift f -> f(. + t);
   * on the affine line (n=1, l=1) with ordered basis (1, x) this gives
-    exp(t T) = [[1, t], [0, 1]].
+    T_1 = [[0, 1], [0, 0]], and the dual model's T_1 = [[0, 0], [-1, 0]]
+    (negated transpose).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -50,15 +50,6 @@ class AffMatrixRep:
 
     def all_gens(self) -> list[SMat]:
         return [self.sl_gens[k] for k in self.sl_keys()] + list(self.trans_gens)
-
-
-@dataclass
-class UnipotentImage:
-    """exp of a translation: an exact unipotent matrix."""
-
-    rep: AffMatrixRep
-    v: tuple[Fraction, ...]
-    matrix: SMat
 
 
 def _check_cap(dim: int, max_dim: int):
@@ -210,35 +201,6 @@ def sl_only_sum_model(ms: WeightMultiset) -> AffMatrixRep:
     for r in reps[1:]:
         out = direct_sum_model(out, r)
     return out
-
-
-def translation_matrix(rep: AffMatrixRep, v) -> SMat:
-    """Sum v_i T_i for a rational vector v."""
-    if len(v) != rep.n:
-        raise ValueError(f"vector has length {len(v)}, expected {rep.n}")
-    m = SMat(rep.dim, rep.dim)
-    for vi, t in zip(v, rep.trans_gens):
-        if vi:
-            m = m.add(t.scale(vi))
-    return m
-
-
-def unipotent_image(rep: AffMatrixRep, v) -> UnipotentImage:
-    """exp(sum v_i T_i), an exact finite sum by nilpotency."""
-    v = tuple(Fraction(x) for x in v)
-    m = translation_matrix(rep, v)
-    total = SMat.identity(rep.dim)
-    term = SMat.identity(rep.dim)
-    k = 1
-    while True:
-        term = term.matmul(m).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        total = total.add(term)
-        k += 1
-        if k > rep.dim + 1:
-            raise ModelInvariantError("translation sum is not nilpotent")
-    return UnipotentImage(rep, v, total)
 
 
 # --- validation --------------------------------------------------------------

@@ -97,26 +97,6 @@ def monomials_to_schur(poly: dict, num_vars: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def multiset_monomials(ms: WeightMultiset, num_vars: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of the character of a weight multiset."""
-    out: dict[tuple[int, ...], int] = {}
-    for w, m in ms.entries:
-        for e, c in schur_monomials(w.parts, num_vars).items():
-            v = out.get(e, 0) + m * c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def schur_oracle(ms: WeightMultiset, num_vars: int) -> list[tuple[tuple[int, ...], int]]:
-    """Expanded monomial list of the multiset's character, sorted by exponent."""
-    if num_vars != ms.n:
-        raise ValueError("num_vars must equal the multiset rank")
-    return sorted(multiset_monomials(ms, num_vars).items())
-
-
 def product_as_multiset(a: Weight, b: Weight) -> WeightMultiset:
     """Tensor decomposition computed purely through monomial expansions;
     the independent cross-check for lr_decompose."""
@@ -125,8 +105,3 @@ def product_as_multiset(a: Weight, b: Weight) -> WeightMultiset:
     return WeightMultiset.of(
         n, [(normalize(n, shape), c) for shape, c in monomials_to_schur(prod, n).items()]
     )
-
-
-def principal_specialization(poly: dict) -> int:
-    """Value at x_1 = ... = x_n = 1: the dimension, for a character."""
-    return sum(poly.values())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import DEFAULT_MAX_SPLIT_CANDIDATES, DEFAULT_SEED, DEFAULT_TRIALS
+from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES
 from .repclass import (
     BAD,
     GOOD,
@@ -154,7 +154,6 @@ def decide_rationality(
     ext: TwoStepExtension,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    max_split_candidates: int = DEFAULT_MAX_SPLIT_CANDIDATES,
 ) -> Verdict:
     """Outcome of the two-step rationality criteria with an evidence trail.
 
@@ -193,7 +192,7 @@ def decide_rationality(
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
     count = _split_candidate_count(ext.W)
-    exhaustive = count <= max_split_candidates
+    exhaustive = count <= MAX_SPLIT_CANDIDATES
     candidates = (
         ext.W.submultisets() if exhaustive else _greedy_candidates(ext)
     )
@@ -254,11 +253,3 @@ def _greedy_candidates(ext: TwoStepExtension):
         acc.append(w)
         out.append(WeightMultiset.of(n, list(acc)))
     return out
-
-
-def stable_level(n: int) -> dict[str, int]:
-    """Stably-rational levels granted by specialness: the group dimension,
-    for the linear and the affine group."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    return {"SL": n * n - 1, "SAff": n * n - 1 + n}

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import lcm
 
 from .config import (
-    DEFAULT_COORD_BOUND,
+    COORD_BOUND,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     MAX_TENSOR_CELLS,
@@ -289,13 +289,6 @@ def _build_tensor_model(n: int, parts: tuple[int, ...]) -> SlModel:
     return SlModel(w, target_dim, gens, tuple(grading))
 
 
-def build_tensor_model(w: Weight) -> SlModel:
-    """Realize the irreducible with label w inside the |w|-th tensor power of
-    the standard representation, via a Young symmetrizer; the Lie algebra
-    acts factorwise.  Exact rational matrices with a weight grading."""
-    return _build_tensor_model(w.n, w.parts)
-
-
 @lru_cache(maxsize=128)
 def model_for_weight(n: int, parts: tuple[int, ...]) -> SlModel:
     """Model of the labeled irreducible, built through the cheaper of the
@@ -351,10 +344,10 @@ def stabilizer_dimension(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    coord_bound: int = DEFAULT_COORD_BOUND,
 ) -> StabilizerReport:
     """Minimum over trials of dim{X in sl_n : X.v = 0} at random integer
-    points v, by exact rank.  0 certifies a finite generic stabilizer.
+    points v with coordinates in [-COORD_BOUND, COORD_BOUND], by exact
+    rank.  0 certifies a finite generic stabilizer.
 
     Each trial draws every coordinate of every summand copy, in summand
     order, from one generator seeded with `seed`.  The rank of the images
@@ -372,7 +365,7 @@ def stabilizer_dimension(
     best = None
     for _ in range(trials):
         points = [
-            [rng.randint(-coord_bound, coord_bound) for _ in range(len(gens[0]))]
+            [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(len(gens[0]))]
             for gens in models
         ]
         stab = nkeys - integer_rank(_image_rows(models, points), stop_at=nkeys)
@@ -388,7 +381,6 @@ def classify_with_report(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    coord_bound: int = DEFAULT_COORD_BOUND,
 ):
     """(classification, StabilizerReport or None).
 
@@ -401,10 +393,9 @@ def classify_with_report(
     bad = bad_list(rep.n)
     if any(w not in bad for w in rep.weights()):
         return GOOD, None
-    report = stabilizer_dimension(rep, seed=seed, trials=trials, coord_bound=coord_bound)
+    report = stabilizer_dimension(rep, seed=seed, trials=trials)
     return (BAD if report.stab_dim > 0 else GOOD_HEURISTIC), report
 
 
-def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
-             coord_bound: int = DEFAULT_COORD_BOUND) -> str:
-    return classify_with_report(rep, seed, trials, coord_bound)[0]
+def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> str:
+    return classify_with_report(rep, seed, trials)[0]

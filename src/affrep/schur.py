@@ -172,13 +172,6 @@ def weyl_dim(w: Weight) -> int:
     return _weyl_dim(w.n, w.parts)
 
 
-def lambda_gap(w: Weight) -> int:
-    """Difference of the two leading parts; 0 for rank 1."""
-    if w.n == 1:
-        return 0
-    return w.parts[0] - w.parts[1]
-
-
 def horizontal_strips(parts: tuple[int, ...], k: int, nrows: int):
     """All partitions (length <= nrows) obtained from `parts` by adding a
     horizontal strip with k boxes: at most one new box per column."""

@@ -286,10 +286,10 @@ CRITERIA = [
 ]
 
 
-def run_all(write=print) -> bool:
+def run_all() -> bool:
     ok = True
     for name, fn in CRITERIA:
         passed, detail = fn()
         ok &= passed
-        write(f"{'PASS' if passed else 'FAIL'} criterion {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} criterion {name}: {detail}")
     return ok

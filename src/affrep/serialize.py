@@ -162,40 +162,27 @@ def model_from_json(data) -> AffMatrixRep:
 
 # --- filtration reports ---------------------------------------------------------
 
-def filtration_report(filt: Filtration, checks: dict | None = None) -> dict:
-    out = {
+def filtration_report(filt: Filtration, checks: dict) -> dict:
+    return {
         "kind": filt.kind,
         "length": filt.length,
         "chain_dims": filt.chain_dims(),
         "layers": [multiset_to_json(ms) for ms in filt.layers],
+        "checks": checks,
     }
-    if checks is not None:
-        out["checks"] = checks
-    return out
 
 
-def filtration_text(filt: Filtration, checks: dict | None = None) -> str:
+def filtration_text(filt: Filtration, checks: dict) -> str:
     mark = "'" if filt.kind == "radical" else ""
     lines = [f"kind: {filt.kind}", f"chain dims: {filt.chain_dims()}"]
     for i, ms in enumerate(filt.layers):
         lines.append(f"Q{mark}_{i} = {ms}")
-    if checks:
-        for name, val in sorted(checks.items()):
-            lines.append(f"check {name}: {val}")
+    for name, val in sorted(checks.items()):
+        lines.append(f"check {name}: {val}")
     return "\n".join(lines)
 
 
 # --- extensions and verdicts ----------------------------------------------------
-
-def extension_to_json(ext: TwoStepExtension) -> dict:
-    return {
-        "n": ext.n,
-        "S": multiset_to_json(ext.S),
-        "Q": multiset_to_json(ext.Q),
-        "W": multiset_to_json(ext.W),
-        "assume_generically_free": ext.assume_generically_free,
-    }
-
 
 def extension_from_json(data) -> TwoStepExtension:
     if not isinstance(data, dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affrep.config import DEFAULT_COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS
+from affrep.config import COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.linalg import Echelon, Vec
 from affrep.repclass import SlModel, model_for_weight, sl_basis_keys
 from affrep.schur import WeightMultiset
@@ -21,7 +21,7 @@ def stabilizer_dimension(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    coord_bound: int = DEFAULT_COORD_BOUND,
+    coord_bound: int = COORD_BOUND,
 ) -> int:
     """Minimum over trials of dim{X in sl_n : X.v = 0}."""
     n = rep.n

@@ -61,21 +61,6 @@ def symbolic_unipotent(gens: list[SMat], dim: int) -> PolyMatrix:
     raise ValueError("translation sum is not nilpotent")
 
 
-def evaluate(sym: PolyMatrix, point, dim: int) -> SMat:
-    """The polynomial matrix at a rational point."""
-    out = SMat(dim, dim)
-    for c, col in sym.items():
-        for r, poly in col.items():
-            value = Fraction(0)
-            for e, coeff in poly.items():
-                term = coeff
-                for x, k in zip(point, e):
-                    term *= Fraction(x) ** k
-                value += term
-            out.add_entry(r, c, value)
-    return out
-
-
 def _inverse(mat: SMat) -> SMat:
     """Gauss-Jordan inverse; raises ValueError if singular."""
     n = mat.nrows
@@ -110,7 +95,8 @@ def degree_bound_holds(rep, filtration) -> bool:
         raise ValueError("filtration does not match the model")
     layer_of = [i for i, s in enumerate(sizes) for _ in range(s)]
     b = SMat(rep.dim, rep.dim)
-    for j, vec in enumerate(filtration.adapted_basis()):
+    adapted_basis = [row for step in filtration.snapshots for row in step]
+    for j, vec in enumerate(adapted_basis):
         for r, v in vec.items():
             b.add_entry(r, j, v)
     binv = _inverse(b)

@@ -410,6 +410,38 @@ def test_rank_ceiling_is_inclusive(capsys):
     assert f"--n {MAX_WEIGHT_RANK + 1}" in err
 
 
+
+# the smaller weight's size is capped before the LR decomposition: the first
+# case crashed with a RecursionError (one frame per box), the second ran for
+# seconds (and 43 s at --n 12)
+OVER_LR_CONTENT = {
+    "recursion": ("tensor", "--n", "2", "--a", "1200", "--b", "990"),
+    "runaway": ("tensor", "--n", "8", "--a", "9,9,9,9,9", "--b", "9,9,9,9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LR_CONTENT))
+def test_tensor_above_content_cap_exits_1_naming_it(case):
+    t0 = time.perf_counter()
+    proc = run_affrep(*OVER_LR_CONTENT[case], timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource cap exceeded: max_lr_content")
+    assert "Traceback" not in proc.stderr
+
+
+def test_tensor_content_cap_is_inclusive(capsys):
+    from affrep.config import MAX_LR_CONTENT
+
+    k = str(MAX_LR_CONTENT)
+    rc, out, _ = run(capsys, "tensor", "--n", "2", "--a", k, "--b", k)
+    assert rc == 0
+    assert len(out.splitlines()[0].split(" + ")) == MAX_LR_CONTENT + 1
+    rc, _, err = run(capsys, "tensor", "--n", "2", "--a", "100", "--b", str(MAX_LR_CONTENT + 1))
+    assert rc == 1
+    assert f"max_lr_content needs {MAX_LR_CONTENT + 1}, cap is {MAX_LR_CONTENT}" in err
+
 class TestEnumerate:
     def test_deterministic_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"

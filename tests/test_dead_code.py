@@ -1,71 +1,167 @@
 """Dead-code guard: every top-level function, class and method defined in
-`src/affrep` must be referenced somewhere in `src/`, `tests/` or `perfbench/`
-outside its own definition.
+`src/affrep` must be reachable from an `affrep` command, and every optional
+parameter must be passed by some call in `src/affrep`.
 
-References are matched by bare name (identifiers, attribute names, imported
-names and identifier-like strings), so a dead definition whose name is a
-common word slips through; the guard is a floor, not a proof of use.
+The roots are `cli.main` and the module-level code of every `src/affrep`
+module but `__init__` (so `selftest.CRITERIA` reaches the criteria, and
+decorators and default values count).  From there the walk follows bare-name
+references (identifiers, attribute names and identifier-like strings)
+through reached definitions only.  Re-exports in `__init__`, imports, and
+references from `tests/` or `perfbench/` are not use.
+
+A reference reaches every definition of that name, in any module or class,
+so a dead definition that shares its name with a live one slips through.
+`schur.contains` is such a case: no command path calls it, but the live
+`Echelon.contains` lets it pass, and it stays while `perfbench` reads its
+per-layer metric `schur.contains.calls`.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "affrep"
-SCANNED = ("src", "tests", "perfbench")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ROOT_DEF = "cli.main"
 
 
-def _definitions():
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+
+
+def _definitions(modules):
+    """{qualified name: node} for every top-level definition and every
+    method that is not a dunder (dunders run with their class)."""
+    out = {}
+    for stem, tree in modules.items():
+        for node in tree.body:
             if not isinstance(node, DEFS):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            out[f"{stem}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, DEFS) and not item.name.startswith("__"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    if _is_method(item):
+                        out[f"{stem}.{node.name}.{item.name}"] = item
+    return out
 
 
-class _References(ast.NodeVisitor):
-    """Counts names referenced outside the definitions that bear them."""
+def _header(node):
+    """The parts of a definition that run where it is defined: decorators,
+    and default values or bases."""
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords
+    return node.decorator_list + [node.args]
+
+
+def _is_method(node):
+    return isinstance(node, DEFS) and not node.name.startswith("__")
+
+
+class _Names(ast.NodeVisitor):
+    """Bare names referenced by the visited code, skipping the bodies of
+    methods that are definitions in their own right."""
 
     def __init__(self):
-        self.names = Counter()
-        self.inside: list[str] = []
+        self.names = set()
 
-    def _ref(self, name):
-        if name not in self.inside:
-            self.names[name] += 1
-
-    def _visit_def(self, node):
-        self.inside.append(node.name)
-        self.generic_visit(node)
-        self.inside.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_def
+    def visit_ClassDef(self, node):
+        for part in _header(node):
+            self.visit(part)
+        for item in node.body:
+            for part in _header(item) if _is_method(item) else [item]:
+                self.visit(part)
 
     def visit_Name(self, node):
-        self._ref(node.id)
+        self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        self._ref(node.attr)
+        self.names.add(node.attr)
         self.generic_visit(node)
-
-    def visit_alias(self, node):
-        self._ref(node.name.rsplit(".", 1)[-1])
 
     def visit_Constant(self, node):
         if isinstance(node.value, str) and node.value.isidentifier():
-            self._ref(node.value)
+            self.names.add(node.value)
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+
+def _module_level_names(tree):
+    """Names used by the code a module runs at import: its statements and
+    the headers of its definitions."""
+    names = _Names()
+    for node in tree.body:
+        for part in _header(node) if isinstance(node, DEFS) else [node]:
+            names.visit(part)
+    return names.names
+
+
+def _unreached(modules):
+    defs = _definitions(modules)
+    by_name = {}
+    for qual, node in defs.items():
+        by_name.setdefault(node.name, []).append(qual)
+    seen = {ROOT_DEF}
+    todo = [ROOT_DEF]
+    pending = set()
+    for tree in modules.values():
+        pending |= _module_level_names(tree)
+    while True:
+        for name in pending:
+            for qual in by_name.get(name, ()):
+                if qual not in seen:
+                    seen.add(qual)
+                    todo.append(qual)
+        if not todo:
+            break
+        names = _Names()
+        names.visit(defs[todo.pop()])
+        pending = names.names
+    return sorted(set(defs) - seen)
 
 
 def test_every_definition_is_referenced():
-    refs = _References()
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            refs.visit(ast.parse(path.read_text(encoding="utf-8")))
-    unreferenced = [qual for qual, name in _definitions() if not refs.names[name]]
-    assert unreferenced == []
+    assert _unreached(_modules()) == []
+
+
+def _passes(call, index, name, bound_first):
+    """Does the call pass the parameter at positional `index` (None for a
+    keyword-only one) called `name`?  A `*` or `**` argument passes all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) + bound_first > index
+
+
+def test_every_optional_parameter_is_passed():
+    """A parameter that no call passes always takes its default, so it is a
+    constant.  With every definition reached (the test above), every call in
+    `src/affrep` but `__init__` is on a command path.  `cli.main` is the root:
+    its callers are outside."""
+    modules = _modules()
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never_passed = []
+    for qual, node in _definitions(modules).items():
+        if isinstance(node, ast.ClassDef) or qual == ROOT_DEF:
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        optional = [(i, x.arg) for i, x in enumerate(positional)
+                    if i >= len(positional) - len(a.defaults)]
+        optional += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        method = qual.count(".") == 2
+        for index, name in optional:
+            # `obj.method(...)` binds self (or cls) to the first parameter
+            if not any(_passes(c, index, name, method and isinstance(c.func, ast.Attribute))
+                       for c in calls.get(node.name, ())):
+                never_passed.append(f"{qual}({name})")
+    assert never_passed == []

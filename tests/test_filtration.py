@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -20,7 +19,6 @@ from affrep.matmodel import (
     model_sym_dual,
     sl_only_model,
     tensor_model,
-    translation_matrix,
 )
 from affrep.schur import WeightMultiset, dual, normalize
 
@@ -51,8 +49,9 @@ class TestSocle:
         # derivative operators have maximal rank: the chain length must match
         # the kernel-of-powers chain of a generic translation
         m = model_sym_dual(3, 3)
-        v = [Fraction(3), Fraction(-1), Fraction(7)]
-        t = translation_matrix(m, v)
+        t = SMat(m.dim, m.dim)
+        for vi, ti in zip([3, -1, 7], m.trans_gens):
+            t = t.add(ti.scale(vi))
         order = 0
         power = SMat.identity(m.dim)
         while not power.is_zero():
@@ -75,7 +74,7 @@ class TestSocle:
 
         for i in range(f.length + 1):
             ech = Echelon()
-            rows = f.member_basis(i)
+            rows = [row for step in f.snapshots[: i + 1] for row in step]
             for r in rows:
                 ech.insert(r)
             for g in m.all_gens():

@@ -26,15 +26,13 @@ from affrep.matmodel import (
     sl_only_model,
     sl_only_sum_model,
     tensor_model,
-    translation_matrix,
-    unipotent_image,
     validate_model,
     verify_degree_bound,
 )
 from affrep.repclass import sl_basis_keys
 from affrep.schur import WeightMultiset, dual, normalize
 from dense import to_dense
-from symbolic_oracle import degree_bound_holds, evaluate, symbolic_unipotent
+from symbolic_oracle import degree_bound_holds, symbolic_unipotent
 
 
 def W(n, *parts):
@@ -45,9 +43,9 @@ class TestModelSymDual:
     def test_affine_line_shift(self):
         m = model_sym_dual(1, 1)
         assert m.dim == 2
-        u = unipotent_image(m, [Fraction(7)])
-        # ordered basis (1, x): the shift f(x) -> f(x + 7)
-        assert to_dense(u.matrix) == [[1, 7], [0, 1]]
+        # ordered basis (1, x): T = d/dx maps x to 1, so exp(t T) is the
+        # shift f(x) -> f(x + t)
+        assert to_dense(m.trans_gens[0]) == [[0, 1], [0, 0]]
 
     def test_dimension(self):
         for n in (1, 2, 3):
@@ -67,8 +65,9 @@ class TestModelSymDual:
         # (sum v_i T_i)^(l+1) = 0, and not before, for generic v
         for n, l in [(2, 2), (2, 3), (3, 2)]:
             m = model_sym_dual(n, l)
-            v = [Fraction(k + 2) for k in range(n)]
-            t = translation_matrix(m, v)
+            t = SMat(m.dim, m.dim)
+            for k, tk in enumerate(m.trans_gens):
+                t = t.add(tk.scale(k + 2))
             power = SMat.identity(m.dim)
             for _ in range(l):
                 power = power.matmul(t)
@@ -77,48 +76,13 @@ class TestModelSymDual:
 
 
 class TestUnipotentImage:
-    def test_zero_vector_is_identity(self):
-        m = model_sym_dual(2, 2)
-        assert unipotent_image(m, [0, 0]).matrix == SMat.identity(m.dim)
-
-    def test_homomorphism_property(self):
-        m = model_sym_dual(2, 2)
-        grid = [Fraction(a) for a in (-2, 0, 1, 3)]
-        for v1, v2 in itertools.product(grid, repeat=2):
-            for w1, w2 in [(Fraction(1), Fraction(-1)), (Fraction(2), Fraction(5))]:
-                a = unipotent_image(m, [v1, v2]).matrix
-                b = unipotent_image(m, [w1, w2]).matrix
-                c = unipotent_image(m, [v1 + w1, v2 + w2]).matrix
-                assert a.matmul(b) == c
-
-    def test_homomorphism_on_generated_submodel(self):
-        from affrep.gallery import cubic_top_submodel
-
-        m = cubic_top_submodel(3)
-        for v, w in [((1, 0, 2), (0, 1, -1)), ((2, 2, 2), (-1, 3, 0))]:
-            a = unipotent_image(m, v).matrix
-            b = unipotent_image(m, w).matrix
-            c = unipotent_image(m, [x + y for x, y in zip(v, w)]).matrix
-            assert a.matmul(b) == c
-
-    def test_unipotent(self):
-        m = model_sym_dual(3, 2)
-        u = unipotent_image(m, [1, 2, 3]).matrix
-        nilp = u.sub(SMat.identity(m.dim))
-        power = nilp
-        for _ in range(m.dim):
-            power = power.matmul(nilp)
-            if power.is_zero():
-                break
-        assert power.is_zero()
+    """exp(sum v_i T_i), expanded symbolically by the test oracle."""
 
     def test_degree_two_block_entries(self):
         # the block mapping degree-2 monomials to constants of model(2,2) is
-        # quadratic in v: compare against the symbolic expansion at (1,2)
+        # quadratic in v
         m = model_sym_dual(2, 2)
         sym = symbolic_unipotent(m.trans_gens, m.dim)
-        point = [Fraction(1), Fraction(2)]
-        assert evaluate(sym, point, m.dim) == unipotent_image(m, point).matrix
         # entry (constant row 0, column of x^2): polynomial of degree exactly 2
         basis = monomial_basis(2, 2)
         col_x2 = basis.index((2, 0))
@@ -136,8 +100,7 @@ class TestDualModel:
 
     def test_dual_of_affine_line_lower_triangular(self):
         m = dual_model(model_sym_dual(1, 1))
-        u = unipotent_image(m, [Fraction(5)])
-        assert to_dense(u.matrix) == [[1, 0], [-5, 1]]
+        assert to_dense(m.trans_gens[0]) == [[0, 0], [-1, 0]]
 
     def test_invariants_hold(self):
         validate_model(dual_model(model_sym_dual(3, 2)))

@@ -1,5 +1,6 @@
 import pytest
 
+from affrep.config import MAX_SPLIT_CANDIDATES
 from affrep.rationality import (
     EXCEPTIONAL,
     FREE,
@@ -12,7 +13,6 @@ from affrep.rationality import (
     check_generic_freeness,
     check_structural,
     decide_rationality,
-    stable_level,
 )
 from affrep.schur import dual, normalize
 
@@ -152,16 +152,14 @@ class TestDecide:
         assert a.outcome == b.outcome and a.witness == b.witness and a.evidence == b.evidence
 
     def test_greedy_shortcut_records_incompleteness(self):
-        # 21 summand slots exceed the candidate cap when it is forced tiny
-        ext = TwoStepExtension.of(
-            3,
-            S=[W(3, 4, 3)],
-            Q=[W(3, 3, 3)],
-            W=[(W(3, 1), 10), (W(3, 2), 11)],
-        )
-        v = decide_rationality(ext, max_split_candidates=8)
+        # 20 distinct labels of multiplicity 1 have 2^20 sub-multisets, over
+        # the cap of MAX_SPLIT_CANDIDATES
+        labels = [W(3, a, b) for a in range(1, 6) for b in range(a + 1)]
+        assert len(set(labels)) == 20 and 2 ** 20 > MAX_SPLIT_CANDIDATES
+        ext = TwoStepExtension.of(3, S=[W(3, 4, 3)], Q=[W(3, 3, 3)], W=labels)
+        v = decide_rationality(ext)
         flags = [e for e in v.evidence if e["condition"] == "split-search-incomplete"]
-        assert len(flags) == 1
+        assert [f["result"] for f in flags] == [f"greedy shortcut over {2 ** 20} candidates"]
         assert v.outcome == RATIONAL_BY_A  # the empty split already works
 
 
@@ -175,14 +173,3 @@ class TestVerdictInvariants:
     def test_evidence_nonempty(self):
         with pytest.raises(ValueError):
             Verdict(RATIONAL_BY_B, None, [], 0)
-
-
-class TestStableLevel:
-    def test_values(self):
-        assert stable_level(3) == {"SL": 8, "SAff": 11}
-        assert stable_level(2) == {"SL": 3, "SAff": 5}
-        assert stable_level(10) == {"SL": 99, "SAff": 109}
-
-    def test_rejects_rank_one(self):
-        with pytest.raises(ValueError):
-            stable_level(1)

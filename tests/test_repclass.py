@@ -17,7 +17,6 @@ from affrep.repclass import (
     SlModel,
     bad_list,
     bracket_coefficients,
-    build_tensor_model,
     classify,
     classify_with_report,
     sl_basis_keys,
@@ -71,7 +70,8 @@ class TestSlBasis:
 
 class TestTensorModel:
     def test_sl2_defining(self):
-        m = build_tensor_model(W(2, 1))
+        w = W(2, 1)
+        m = repclass._build_tensor_model(w.n, w.parts)
         assert m.dim == 2
         e = to_dense(m.gens["E_1_2"])
         f = to_dense(m.gens["E_2_1"])
@@ -85,13 +85,15 @@ class TestTensorModel:
         assert comm == m.gens["H_1"]
 
     def test_trivial_weight(self):
-        m = build_tensor_model(W(3, 0))
+        w = W(3, 0)
+        m = repclass._build_tensor_model(w.n, w.parts)
         assert m.dim == 1
         assert all(mat.is_zero() for mat in m.gens.values())
 
     def test_sym2_character(self):
         # the multiset of grading vectors must match the monomial expansion
-        m = build_tensor_model(W(3, 2))
+        w = W(3, 2)
+        m = repclass._build_tensor_model(w.n, w.parts)
         assert m.dim == 6
         expected = Counter()
         for e, c in schur_monomials((2, 0, 0), 3).items():
@@ -102,7 +104,8 @@ class TestTensorModel:
         # the 8-dimensional model must act like the adjoint representation:
         # check all bracket relations hold exactly
         n = 3
-        m = build_tensor_model(W(3, 2, 1))
+        w = W(3, 2, 1)
+        m = repclass._build_tensor_model(w.n, w.parts)
         assert m.dim == 8
         keys = sl_basis_keys(n)
         for a in keys:
@@ -119,10 +122,11 @@ class TestTensorModel:
     def test_dimensions_match_weyl(self):
         for n, parts in [(2, (3, 0)), (3, (2, 2, 0)), (4, (1, 1, 0, 0)), (4, (2, 1, 1, 0))]:
             w = Weight(n, parts)
-            assert build_tensor_model(w).dim == weyl_dim(w)
+            assert repclass._build_tensor_model(w.n, w.parts).dim == weyl_dim(w)
 
     def test_grading_shifts(self):
-        m = build_tensor_model(W(3, 2, 1))
+        w = W(3, 2, 1)
+        m = repclass._build_tensor_model(w.n, w.parts)
         e12 = m.gens["E_1_2"]
         for c, col in e12.cols.items():
             for r in col:
@@ -134,7 +138,8 @@ class TestTensorModel:
         # it nor its dual is built
         w = W(4, 5, 3, 2)
         assert dual(w) == w
-        for build in (lambda: build_tensor_model(w), lambda: repclass.model_for_weight(4, w.parts)):
+        for build in (lambda: repclass._build_tensor_model(4, w.parts),
+                      lambda: repclass.model_for_weight(4, w.parts)):
             with pytest.raises(ResourceCapError) as exc:
                 build()
             assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
@@ -203,9 +208,10 @@ class TestIntegerStabilizerAgainstOracle:
     # dimension of a single trial depends on the exact draws
     @pytest.mark.parametrize("trials,coord_bound", [(3, 100), (1, 1)])
     @pytest.mark.parametrize("seed", [1, 7, 1729])
-    def test_bad_family_sweep(self, seed, trials, coord_bound):
+    def test_bad_family_sweep(self, seed, trials, coord_bound, monkeypatch):
+        monkeypatch.setattr(repclass, "COORD_BOUND", coord_bound)
         for rep in _bad_family_reps():
-            got = stabilizer_dimension(rep, seed=seed, trials=trials, coord_bound=coord_bound)
+            got = stabilizer_dimension(rep, seed=seed, trials=trials)
             want = stabilizer_oracle.stabilizer_dimension(
                 rep, seed=seed, trials=trials, coord_bound=coord_bound)
             assert got.stab_dim == want, (str(rep), seed)

