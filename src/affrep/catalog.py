@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
-from .repclass import BAD, bad_list, classify
-from .rationality import TwoStepExtension, Verdict, decide_rationality, rank_labels
+from .repclass import BAD, bad_list, classify, nontrivial_part
+from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
 from .schur import (
     Weight,
     WeightMultiset,
@@ -45,28 +45,33 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
     """All normalized weights of dimension at most max_dim, sorted by
     (dimension, label).
 
-    Complete because the highest-root string forces dim >= first part + 1,
-    so first parts beyond max_dim - 1 cannot occur; the sweep below is
-    exhaustive under that cap.  (The dimension is not monotone in the later
-    parts, so no further pruning is sound.)
+    The sweep runs over the Dynkin labels a_i = parts[i] - parts[i + 1].
+    The dimension is nondecreasing in each a_i (each factor of Weyl's
+    formula grows along the fundamental weights), so completing a prefix of
+    labels with zeros gives the least dimension of any weight extending it:
+    once that exceeds max_dim, so does every larger value of the prefix's
+    last label, with any completion.  (In partition coordinates no such
+    pruning is sound: the dimension is not monotone in the later parts.)
     """
     if max_dim < 1:
         raise ValueError("dimension bound must be >= 1")
-    cap = max_dim - 1
     found: list[Weight] = []
 
-    def rec(prefix: list[int]):
-        if len(prefix) == n - 1:
-            w = Weight(n, tuple(prefix) + (0,))
-            if weyl_dim(w) <= max_dim:
-                found.append(w)
-            return
-        hi = prefix[-1] if prefix else cap
-        for v in range(hi + 1):
-            rec(prefix + [v])
+    def weight(labels: list[int]) -> Weight:
+        parts = [0] * n
+        for i in range(len(labels) - 1, -1, -1):
+            parts[i] = parts[i + 1] + labels[i]
+        return Weight(n, tuple(parts))
 
-    if n == 1:
-        return [Weight(1, (0,))]
+    def rec(labels: list[int]):
+        if len(labels) == n - 1:
+            found.append(weight(labels))
+            return
+        a = 0
+        while weyl_dim(weight(labels + [a])) <= max_dim:
+            rec(labels + [a])
+            a += 1
+
     rec([])
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
@@ -157,19 +162,21 @@ def enumerate_exceptional_candidates(
     entries: dict[tuple, CatalogEntry] = {}
 
     def admit(q: WeightMultiset, s: WeightMultiset, trigger: str):
-        """Record a pair that passed both containments; the first clause to
-        produce a pair sets its trigger."""
+        """Record a pair that passed both containments (so the decision does
+        not check them again); the first clause to produce a pair sets its
+        trigger."""
         key = (q.entries, s.entries)
         if key in entries:
             return
-        ext = TwoStepExtension(n, s, q, no_w)
-        verdict = decide_rationality(ext, seed=seed, trials=trials)
+        verdict = _decide(TwoStepExtension(n, s, q, no_w), seed, trials)
         entries[key] = CatalogEntry(n, s, q, trigger, verdict)
+
+    cores = _bad_cores(n, seed, trials)
 
     # clause (i): bad quotients, trivial padding below the threshold; S is
     # drawn from Q (x) standard, so only Q inside S (x) dual standard is open
     def bad_quotients():
-        for core in _bad_cores(n, seed, trials):
+        for core in cores:
             for t in range(trivial_cap + 1):
                 yield core.add(WeightMultiset.of(n, [(triv, t)])) if t else core
         # pure-trivial quotients are bad as well
@@ -184,7 +191,12 @@ def enumerate_exceptional_candidates(
 
     # clause (ii): small submodules; Q runs over sub-multisets of
     # S (x) dual standard, so only S inside Q (x) standard is open, and S
-    # over small multisets of small irreducibles
+    # over small multisets of small irreducibles.  Q is classified as its
+    # nontrivial part is, and that part is bad when it is empty or a bad
+    # core.  The cores are every bad multiset over the nontrivial labels
+    # whenever badness passes to sub-multisets, as it does generically (a
+    # summand can only shrink the stabilizer)
+    bad_cores = {core.entries for core in cores}
     universe = irreps_up_to_dim(n, dim_s_cap_small)
 
     def s_multisets(i: int, dim_left: int, acc: list):
@@ -208,7 +220,8 @@ def enumerate_exceptional_candidates(
         caps = [([1] + [0] * (len(labels) - 1), trivial_cap)] if labels[0][0] == triv else []
         for q in _fitting_subs(labels, std, s.entries, caps):
             qm = WeightMultiset(n, q)
-            bad = classify(qm, seed=seed, trials=trials) == BAD
+            core = nontrivial_part(qm).entries
+            bad = not core or core in bad_cores
             admit(qm, s, TRIGGER_BAD_Q if bad else TRIGGER_SMALL_S)
 
     out = sorted(entries.values(), key=lambda e: (e.Q.entries, e.S.entries))

@@ -165,6 +165,12 @@ def decide_rationality(
     """
     if not check_structural(ext):
         raise ValueError("structural containments fail; not a two-step extension")
+    return _decide(ext, seed, trials)
+
+
+def _decide(ext: TwoStepExtension, seed: int, trials: int) -> Verdict:
+    """`decide_rationality` for an extension whose structural containments
+    the caller has established (the catalog builds its pairs that way)."""
     n = ext.n
     evidence: list[dict] = [
         {"condition": "structural-containments", "paper_clause": "shape", "result": True}

@@ -34,7 +34,6 @@ GOOD_HEURISTIC = "GoodHeuristic"
 
 @dataclass(frozen=True)
 class StabilizerReport:
-    rep: WeightMultiset
     stab_dim: int
     trials: int
     seed: int
@@ -349,7 +348,15 @@ def stabilizer_dimension(
     points v with coordinates in [-COORD_BOUND, COORD_BOUND], by exact
     rank.  0 certifies a finite generic stabilizer.
 
-    Each trial draws every coordinate of every summand copy, in summand
+    Only the nontrivial summands count: sl_n kills a trivial one, so its
+    copies add nothing to the stabilizer and none of their coordinates is
+    drawn.  Of each nontrivial label at most n^2 - 1 copies count: if one
+    more copy of a label leaves the generic stabilizer h unchanged, then h
+    kills a generic vector of that label, hence the whole summand, and no
+    later copy changes h; the dimension can drop at most n^2 - 1 times, so
+    further copies cannot lower it.
+
+    Each trial draws every coordinate of every counted copy, in summand
     order, from one generator seeded with `seed`.  The rank of the images
     X.v over the basis of sl_n is an exact integer rank of their transpose,
     fed one summand copy at a time and stopped at full rank n^2 - 1.  The
@@ -357,10 +364,11 @@ def stabilizer_dimension(
     so the skipped draws are never observed, and the report keeps the
     requested `trials`."""
     n = rep.n
+    nkeys = len(sl_basis_keys(n))
     models = []
     for w, mult in rep.entries:
-        models.extend([_integer_gens(n, w.parts)] * mult)
-    nkeys = len(sl_basis_keys(n))
+        if not w.is_trivial():
+            models.extend([_integer_gens(n, w.parts)] * min(mult, nkeys))
     rng = random.Random(seed)
     best = None
     for _ in range(trials):
@@ -372,10 +380,18 @@ def stabilizer_dimension(
         best = stab if best is None else min(best, stab)
         if best == 0:
             break
-    return StabilizerReport(rep=rep, stab_dim=best, trials=trials, seed=seed)
+    return StabilizerReport(stab_dim=best, trials=trials, seed=seed)
 
 
-# the rank-4 catalog classifies 7,580 distinct multisets
+def nontrivial_part(rep: WeightMultiset) -> WeightMultiset:
+    """`rep` without its trivial summand, which is its first entry when
+    present (the trivial label sorts first); `rep` itself when it has none."""
+    if rep.entries and rep.entries[0][0].is_trivial():
+        return WeightMultiset(rep.n, rep.entries[1:])
+    return rep
+
+
+# the rank-4 catalog classifies 7,575 distinct multisets
 @lru_cache(maxsize=16384)
 def classify_with_report(
     rep: WeightMultiset,
@@ -387,9 +403,14 @@ def classify_with_report(
     A summand outside the bad family makes the whole sum good outright.
     Otherwise the stabilizer engine decides: positive kernel dimension means
     no isogenous group can act generically freely; a zero kernel is reported
-    as GoodHeuristic (see module docstring).  Results are memoized; all
+    as GoodHeuristic (see module docstring).  Trivial summands change
+    neither (the engine skips them), so a `rep` with trivial summands gets
+    the memoized answer of its nontrivial part.  Results are memoized; all
     inputs are immutable.
     """
+    core = nontrivial_part(rep)
+    if core != rep:
+        return classify_with_report(core, seed, trials)
     bad = bad_list(rep.n)
     if any(w not in bad for w in rep.weights()):
         return GOOD, None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -155,16 +154,19 @@ def dual(w: Weight) -> Weight:
     return Weight(w.n, tuple(top - p for p in reversed(w.parts)))
 
 
-# the rank-4 catalog asks for 2,300 labels; the bound keeps a long-running
+# the rank-4 catalog asks for 24 labels; the bound keeps a long-running
 # process from growing without limit
 @lru_cache(maxsize=8192)
 def _weyl_dim(n: int, parts: tuple[int, ...]) -> int:
-    d = Fraction(1)
+    # prod over i < j of (parts[i] - parts[j] + j - i) / (j - i), as one
+    # integer product over one product of the denominators: exact, since
+    # the quotient is the dimension
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            d *= Fraction(parts[i] - parts[j] + j - i, j - i)
-    assert d.denominator == 1
-    return d.numerator
+            num *= parts[i] - parts[j] + j - i
+            den *= j - i
+    return num // den
 
 
 def weyl_dim(w: Weight) -> int:

@@ -1,8 +1,9 @@
 """Reference for the stabilizer engine, by rational elimination.
 
 The same random points as `affrep.repclass.stabilizer_dimension` (the same
-`randint` calls in the same order), applied with the rational model
-matrices and ranked by inserting the stacked images into an `Echelon`.
+`randint` calls in the same order: no trivial summand copies, and at most
+n^2 - 1 copies of each label), applied with the rational model matrices and
+ranked by inserting the stacked images into an `Echelon`.
 Independent of the integer path, which tests compare against it.
 """
 
@@ -25,11 +26,11 @@ def stabilizer_dimension(
 ) -> int:
     """Minimum over trials of dim{X in sl_n : X.v = 0}."""
     n = rep.n
+    keys = sl_basis_keys(n)
     models: list[SlModel] = []
     for w, mult in rep.entries:
-        m = model_for_weight(n, w.parts)
-        models.extend([m] * mult)
-    keys = sl_basis_keys(n)
+        if not w.is_trivial():
+            models.extend([model_for_weight(n, w.parts)] * min(mult, len(keys)))
     rng = random.Random(seed)
     best = None
     for _ in range(trials):

@@ -11,15 +11,18 @@ from cli_process import SRC, run_affrep
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from affrep import rationality, repclass
 from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
+    _bad_cores,
     _fitting_subs,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
+from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.rationality import TwoStepExtension, check_structural
-from affrep.repclass import BAD, classify
+from affrep.repclass import BAD, classify, classify_with_report, stabilizer_dimension
 from affrep.schur import (
     Weight,
     WeightMultiset,
@@ -54,14 +57,13 @@ class TestIrrepsUpToDim:
             keys = [(weyl_dim(w), w.parts) for w in ws]
             assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("n,bound", [(2, 50), (3, 50), (4, 50)])
+    @pytest.mark.parametrize("n,bound", [(2, 50), (3, 50), (4, 50), (5, 40), (6, 21)])
     def test_complete_against_brute_force(self, n, bound):
         # every weight with first part <= bound has dimension >= first part,
-        # so the brute-force sweep below is exhaustive for dims <= bound
+        # so the brute-force sweep below is exhaustive for dims <= bound; it
+        # runs over every non-increasing tuple of parts up to bound
         brute = set()
-        for parts in itertools.product(range(bound + 1), repeat=n - 1):
-            if any(a < b for a, b in zip(parts, parts[1:])):
-                continue
+        for parts in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
             w = Weight(n, parts + (0,))
             if weyl_dim(w) <= bound:
                 brute.add(w)
@@ -146,18 +148,23 @@ class TestEnumerate:
         ]
 
     def test_entries_satisfy_clauses(self):
-        n = 2
-        entries = enumerate_exceptional_candidates(n)
-        assert entries
-        triv = W(n, 0)
-        for e in entries:
-            assert check_structural(TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, [])))
-            assert e.Q.count(triv) < n * n - 1
-            if e.trigger == TRIGGER_BAD_Q:
-                assert classify(e.Q) == BAD
-            else:
-                assert e.trigger == TRIGGER_SMALL_S
-                assert e.S.dim() < n * n + 2 * n
+        # the catalog decides without checking the containments again and
+        # takes its clause-(ii) triggers from the bad cores; both must agree
+        # with the full checks on every entry, a trigger Q-bad exactly when
+        # Q classifies as bad
+        for n, seed, trials in ((2, DEFAULT_SEED, DEFAULT_TRIALS), (3, DEFAULT_SEED, DEFAULT_TRIALS),
+                                (2, 42, 5), (3, 42, 5)):
+            entries = enumerate_exceptional_candidates(n, seed=seed, trials=trials)
+            assert entries
+            triv = W(n, 0)
+            for e in entries:
+                assert check_structural(TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, [])))
+                assert e.Q.count(triv) < n * n - 1
+                bad = classify(e.Q, seed=seed, trials=trials) == BAD
+                assert (e.trigger == TRIGGER_BAD_Q) == bad, (n, seed, str(e.Q), str(e.S))
+                if not bad:
+                    assert e.trigger == TRIGGER_SMALL_S
+                    assert e.S.dim() < n * n + 2 * n
 
     def test_dim_s_cap_flag(self):
         entries = enumerate_exceptional_candidates(2, max_dim_s=4)
@@ -193,6 +200,45 @@ class TestEnumerate:
             e.verdict.outcome in ("Exceptional", "PossiblyNotGenericallyFree")
             for e in entries
         )
+
+
+def test_trivial_padding_of_a_core_changes_no_classification():
+    # clause (i) pads every bad core with up to n^2 - 2 trivial summands;
+    # the padded quotient is answered by the core's memoized result, and a
+    # stabilizer run on it draws and returns what the core's run does
+    n = 3
+    triv = W(n, 0)
+    for core in _bad_cores(n, DEFAULT_SEED, DEFAULT_TRIALS):
+        want = classify_with_report(core)
+        want_dim = stabilizer_dimension(core).stab_dim
+        for t in range(8):
+            padded = core.add(WeightMultiset.of(n, [(triv, t)]))
+            assert classify_with_report(padded) == want, (str(core), t)
+            assert stabilizer_dimension(padded).stab_dim == want_dim, (str(core), t)
+
+
+def test_rank3_catalog_repeats_no_work(monkeypatch):
+    # a count of calls, not a time: the rank-3 catalog runs the stabilizer
+    # once per distinct nontrivial quotient part it classifies (364 runs; it
+    # took 917 when Q and Q + trivials each had their own run) and never
+    # checks the containments again (it took 3,015 checks, one per entry)
+    calls = {"stabilizer_dimension": 0, "check_structural": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(repclass, "stabilizer_dimension")
+    counted(rationality, "check_structural")
+    repclass.classify_with_report.cache_clear()
+    assert len(enumerate_exceptional_candidates(3)) == 3015
+    assert calls["stabilizer_dimension"] <= 364
+    assert calls["check_structural"] == 0
 
 
 CATALOG_SHA256 = {

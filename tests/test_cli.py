@@ -110,6 +110,18 @@ class TestClassify:
         rc, out, _ = run(capsys, "classify", str(f), "--format", "json")
         assert json.loads(out)["stabilizer"]["trials"] == 3
 
+    def test_huge_multiplicities_answer_within_a_second(self, tmp_path):
+        # trivial copies draw nothing and at most n^2 - 1 copies of a label
+        # count, so a multiplicity of 10^9 costs what 8 copies cost
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({"n": 3, "summands": [{"lambda": [0, 0, 0], "mult": 10 ** 9},
+                                                      {"lambda": [1, 0, 0], "mult": 10 ** 9}]}))
+        t0 = time.perf_counter()
+        proc = run_affrep("classify", str(f), timeout=30)
+        assert time.perf_counter() - t0 < 1.0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["GoodHeuristic", "stab_dim: 0 (trials 3)", "seed: 1729"]
+
     def test_tensor_cell_cap(self, capsys, tmp_path):
         # the rank-8 adjoint is in the bad list, and its model would need
         # 8^8 cells of the 8th tensor power

@@ -216,6 +216,20 @@ class TestIntegerStabilizerAgainstOracle:
                 rep, seed=seed, trials=trials, coord_bound=coord_bound)
             assert got.stab_dim == want, (str(rep), seed)
 
+    @pytest.mark.parametrize("seed", [1, 7, 1729])
+    def test_trivial_copies_and_copies_over_the_cap_draw_nothing(self, seed, monkeypatch):
+        # with coordinates in {-1, 0, 1} a shifted draw would show; the
+        # oracle skips trivial copies and counts n^2 - 1 copies of a label
+        monkeypatch.setattr(repclass, "COORD_BOUND", 1)
+        reps = [WeightMultiset.of(2, [(W(2, 0), 4), (W(2, 1), 5)]),
+                WeightMultiset.of(2, [(W(2, 2), 7)]),
+                WeightMultiset.of(3, [(W(3, 0), 2), (W(3, 1), 2), (W(3, 2, 1), 9)]),
+                WeightMultiset.of(3, [(W(3, 0), 3)])]
+        for rep in reps:
+            got = stabilizer_dimension(rep, seed=seed, trials=1)
+            want = stabilizer_oracle.stabilizer_dimension(rep, seed=seed, trials=1, coord_bound=1)
+            assert got.stab_dim == want, (str(rep), seed)
+
     def test_rational_generators_are_scaled_per_summand(self, monkeypatch):
         # the models built here happen to be integral; rescaling each label's
         # generators by its own rational factor must not move any kernel
