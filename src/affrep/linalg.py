@@ -8,12 +8,16 @@ hot path everywhere in this package) a handful of dict lookups.  Row
 reduction uses the leftmost-pivot rule throughout so that every echelon
 basis, kernel and chain computed here is bit-reproducible.  Where only a
 rank is needed, `integer_rank` eliminates integer rows without fractions.
+`closure` and `restrict` turn a set of linear maps and seed vectors into the
+generated invariant subspace and the matrices of the maps on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .config import ModelInvariantError
 
 Vec = dict  # {index: int | Fraction}
 
@@ -207,9 +211,36 @@ class Echelon:
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
-    def basis(self) -> list[Vec]:
-        """Rows in pivot order."""
-        return [self.rows[p] for p in sorted(self.rows)]
+
+def closure(seeds, ops) -> Echelon:
+    """The smallest subspace that contains `seeds` and that every op maps into
+    itself.  An op is a linear map given as a function on sparse vectors (a
+    matrix's bound `apply`, say).  The reduced rows are unique to the
+    subspace, so they do not depend on the seeds or ops that span it."""
+    ech = Echelon()
+    work = [s for s in seeds if ech.insert(s) is not None]
+    while work:
+        vec = work.pop()
+        for op in ops:
+            img = op(vec)
+            if img and ech.insert(img) is not None:
+                work.append(img)
+    return ech
+
+
+def restrict(ech: Echelon, op) -> SMat:
+    """The matrix of `op` (as in `closure`) on the span of `ech`, in its rows
+    taken in pivot order; raises ModelInvariantError if op leaves the span."""
+    pivots = sorted(ech.rows)
+    col_of = {p: i for i, p in enumerate(pivots)}
+    out = SMat(len(pivots), len(pivots))
+    for j, p in enumerate(pivots):
+        coeff = ech.coords(op(ech.rows[p]))
+        if coeff is None:
+            raise ModelInvariantError("span not invariant")
+        for q, c in coeff.items():
+            out.add_entry(col_of[q], j, c)
+    return out
 
 
 def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:

@@ -25,7 +25,7 @@ from .config import (
     ModelInvariantError,
     ResourceCapError,
 )
-from .linalg import Echelon, SMat, Vec, nullspace
+from .linalg import Echelon, SMat, Vec, closure, nullspace, restrict
 from .repclass import (
     bracket_coefficients,
     model_for_weight,
@@ -390,41 +390,11 @@ def generated_submodel(rep: AffMatrixRep, seeds: list[Vec]) -> AffMatrixRep:
         ws = {g[i] for i in s}
         if len(ws) != 1:
             raise ValueError("seed is not a weight vector")
-    gens = rep.all_gens()
-    ech = Echelon()
-    work: list[Vec] = []
-    for s in seeds:
-        p = ech.insert(s)
-        if p is not None:
-            work.append(dict(s))
-    while work:
-        vec = work.pop()
-        for m in gens:
-            img = m.apply(vec)
-            if img and ech.insert(img) is not None:
-                work.append(img)
-    pivots = sorted(ech.rows)
-    basis = [ech.rows[p] for p in pivots]
-    col_of = {p: i for i, p in enumerate(pivots)}
-    dim = len(basis)
-
-    def restrict(m: SMat) -> SMat:
-        out = SMat(dim, dim)
-        for j, b in enumerate(basis):
-            img = m.apply(b)
-            if not img:
-                continue
-            coeff = ech.coords(img)
-            if coeff is None:
-                raise ModelInvariantError("closure not invariant")
-            for p, c in coeff.items():
-                out.add_entry(col_of[p], j, c)
-        return out
-
-    sl_gens = {k: restrict(rep.sl_gens[k]) for k in rep.sl_keys()}
-    trans = [restrict(t) for t in rep.trans_gens]
-    grading = [g[p] for p in pivots]
-    return AffMatrixRep(rep.n, dim, sl_gens, trans, grading)
+    ech = closure(seeds, [m.apply for m in rep.all_gens()])
+    sl_gens = {k: restrict(ech, rep.sl_gens[k].apply) for k in rep.sl_keys()}
+    trans = [restrict(ech, t.apply) for t in rep.trans_gens]
+    grading = [g[p] for p in sorted(ech.rows)]
+    return AffMatrixRep(rep.n, len(ech), sl_gens, trans, grading)
 
 
 # --- the polynomial degree bound ---------------------------------------------

@@ -6,6 +6,8 @@ exact kernel ranks of the infinitesimal action at random integer points.
 A zero kernel certifies a finite generic stabilizer, which is reported as
 `GoodHeuristic` rather than `Good` because a finite stabilizer at the Lie
 level does not exclude a finite non-central one at the group level.
+The engine runs on exact matrix models of the irreducibles, each the
+submodule of a tensor power of C^n generated by its highest weight vector.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -24,7 +25,7 @@ from .config import (
     MAX_TENSOR_CELLS,
     ResourceCapError,
 )
-from .linalg import Echelon, SMat, Vec, integer_rank
+from .linalg import SMat, Vec, closure, integer_rank, restrict
 from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 GOOD = "Good"
@@ -104,7 +105,7 @@ def bracket_coefficients(n: int, mat: SMat) -> dict:
     return coeffs
 
 
-# --- Schur functor models via Young symmetrizers ----------------------------
+# --- irreducible models generated by a highest weight vector ----------------
 
 @dataclass(frozen=True)
 class SlModel:
@@ -124,75 +125,41 @@ class SlModel:
         return self.weight.n
 
 
-def _young_symmetrizer(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Column antisymmetrizer times row symmetrizer of the row-filled standard
-    tableau, as a list of (position permutation, sign)."""
-    shape = tuple(p for p in shape if p > 0)
-    d = sum(shape)
-    rows: list[list[int]] = []
-    idx = 0
-    for width in shape:
-        rows.append(list(range(idx, idx + width)))
-        idx += width
-    ncols = shape[0]
-    cols = [[rows[r][c] for r in range(len(shape)) if c < shape[r]] for c in range(ncols)]
+def _tensor_op(mat: SMat, places: list[int]):
+    """The action of an n x n matrix on a tensor power of C^n, one slot at a
+    time (a derivation), as a function on sparse vectors.  A coordinate is a
+    word read as a base-n number: the letter in slot s has place value
+    places[s]."""
+    n = mat.nrows
 
-    def group_perms(blocks):
-        perms = [tuple(range(d))]
-        for block in blocks:
-            new = []
-            for base in perms:
-                for sigma in itertools.permutations(block):
-                    p = list(base)
-                    for src, dst in zip(block, sigma):
-                        p[src] = base[dst]
-                    new.append(tuple(p))
-            perms = new
-        return perms
+    def op(vec: Vec) -> Vec:
+        out: Vec = {}
+        for code, val in vec.items():
+            for place in places:
+                letter = code // place % n
+                for target, a in mat.cols.get(letter, {}).items():
+                    key = code + (target - letter) * place
+                    out[key] = out.get(key, 0) + a * val
+        return {c: v for c, v in out.items() if v}
 
-    def sign_of(p):
-        seen = [False] * d
-        sgn = 1
-        for i in range(d):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
-
-    row_perms = group_perms(rows)
-    col_perms = group_perms(cols)
-    acc: dict[tuple[int, ...], int] = {}
-    for q in col_perms:
-        sq = sign_of(q)
-        for p in row_perms:
-            # row symmetrizer first, then the signed column sum; composing
-            # index lookups this way keeps the row-sorted word reduction valid
-            comp = tuple(p[q[i]] for i in range(d))
-            acc[comp] = acc.get(comp, 0) + sq
-    return [(p, c) for p, c in acc.items() if c]
-
-
-def _row_sorted_words(n: int, shape: tuple[int, ...]):
-    """Index words sorted inside each row block; one representative per orbit
-    of the row stabilizer, enough to span the symmetrizer image."""
-    blocks = []
-    for width in (p for p in shape if p > 0):
-        blocks.append(list(itertools.combinations_with_replacement(range(n), width)))
-    for combo in itertools.product(*blocks):
-        yield tuple(itertools.chain.from_iterable(combo))
+    return op
 
 
 # models and their integer generators: a handful of labels per workload
 # (7 in the rank-4 catalog, 16 in 2550 seeded requests); the bound caps memory
 @lru_cache(maxsize=128)
 def _build_tensor_model(n: int, parts: tuple[int, ...]) -> SlModel:
+    """The irreducible with label `parts` as the submodule of the |parts|-th
+    tensor power of C^n generated by its highest weight vector (Weyl's
+    construction; Fulton-Harris, Representation Theory, section 6.1).
+
+    The seed is the tensor product, over the columns of the row-filled
+    diagram, of the wedges e_1 ^ ... ^ e_h of the column heights h: a vector
+    of weight `parts` that every raising operator kills, so the lowering
+    operators E_i_j (i > j) span the irreducible from it.  The model basis is
+    the reduced echelon basis of that span, which depends on the subspace
+    alone.  Every tensor coordinate has a definite torus weight, so no row
+    mixes weights and a row's grading is that of its pivot."""
     w = Weight(n, parts)
     d = w.size
     target_dim = weyl_dim(w)
@@ -202,89 +169,31 @@ def _build_tensor_model(n: int, parts: tuple[int, ...]) -> SlModel:
     if n ** d > MAX_TENSOR_CELLS:
         raise ResourceCapError("max_tensor_cells", n ** d, MAX_TENSOR_CELLS)
 
-    symm = _young_symmetrizer(parts)
+    # first slot most significant
+    places = [n ** (d - 1 - slot) for slot in range(d)]
+    starts = list(itertools.accumulate(parts, initial=0))
+    seed: Vec = {0: 1}
+    for c in range(parts[0]):
+        # the slots of column c, top to bottom, hold letters 0..h-1 in every order
+        slots = [places[starts[r] + c] for r in range(n) if parts[r] > c]
+        wedge = {}
+        for perm in itertools.permutations(range(len(slots))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            wedge[sum(x * p for x, p in zip(perm, slots))] = (-1) ** inversions
+        seed = {a + b: x * y for a, x in seed.items() for b, y in wedge.items()}
 
-    def encode(word):
-        code = 0
-        for c in word:
-            code = code * n + c
-        return code
-
-    def apply_symmetrizer(word) -> Vec:
-        out: Vec = {}
-        for perm, coeff in symm:
-            # permutation acts on positions: letter at slot perm[i] moves to slot i
-            moved = tuple(word[perm[i]] for i in range(d))
-            code = encode(moved)
-            val = out.get(code, 0) + coeff
-            if val:
-                out[code] = val
-            else:
-                del out[code]
-        return {c: Fraction(v) for c, v in out.items()}
-
-    def weight_of_code(code):
+    ops = {key: _tensor_op(sl_defining_matrix(n, key), places) for key in sl_basis_keys(n)}
+    lowering = [ops[f"E_{i}_{j}"] for i in range(2, n + 1) for j in range(1, i)]
+    span = closure([seed], lowering)
+    if len(span) != target_dim:
+        raise RuntimeError(f"generated submodule has dimension {len(span)}, expected {target_dim}")
+    gens = {key: restrict(span, op) for key, op in ops.items()}
+    grading = []
+    for code in sorted(span.rows):
         g = [0] * n
-        for _ in range(d):
-            g[code % n] += 1
-            code //= n
-        return tuple(g)
-
-    joint = Echelon()
-    for word in _row_sorted_words(n, parts):
-        vec = apply_symmetrizer(word)
-        if vec:
-            joint.insert(vec)
-            if len(joint) == target_dim:
-                break
-    if len(joint) != target_dim:
-        raise RuntimeError(f"symmetrizer image has rank {len(joint)}, expected {target_dim}")
-
-    # the reduced echelon rows are the model basis; every ambient index has a
-    # definite torus weight, so rows never mix weights and the row's pivot
-    # determines its grading vector
-    pivots = sorted(joint.rows)
-    basis = [joint.rows[p] for p in pivots]
-    grading = [weight_of_code(p) for p in pivots]
-    col_of_pivot = {p: i for i, p in enumerate(pivots)}
-
-    def act(key, vec: Vec) -> Vec:
-        mat = sl_defining_matrix(n, key)
-        out: Vec = {}
-        for code, val in vec.items():
-            word = []
-            c = code
-            for _ in range(d):
-                word.append(c % n)
-                c //= n
-            word.reverse()
-            for pos in range(d):
-                letter = word[pos]
-                col = mat.cols.get(letter)
-                if not col:
-                    continue
-                for target, a in col.items():
-                    nw = list(word)
-                    nw[pos] = target
-                    ncode = encode(nw)
-                    nv = out.get(ncode, 0) + a * val
-                    if nv:
-                        out[ncode] = nv
-                    else:
-                        del out[ncode]
-        return out
-
-    gens: dict[str, SMat] = {}
-    for key in sl_basis_keys(n):
-        m = SMat(target_dim, target_dim)
-        for j, vec in enumerate(basis):
-            img = act(key, vec)
-            coeff = joint.coords(img)
-            if coeff is None:
-                raise RuntimeError(f"action of {key} leaves the symmetrizer image")
-            for p, c in coeff.items():
-                m.add_entry(col_of_pivot[p], j, c)
-        gens[key] = m
+        for place in places:
+            g[code // place % n] += 1
+        grading.append(tuple(g))
     return SlModel(w, target_dim, gens, tuple(grading))
 
 

@@ -4,10 +4,14 @@ parameter must be passed by some call in `src/affrep`.
 
 The roots are `cli.main` and the module-level code of every `src/affrep`
 module but `__init__` (so `selftest.CRITERIA` reaches the criteria, and
-decorators and default values count).  From there the walk follows bare-name
-references (identifiers, attribute names and identifier-like strings)
-through reached definitions only.  Re-exports in `__init__`, imports, and
-references from `tests/` or `perfbench/` are not use.
+decorators and default values count).  From there the walk follows name
+references through reached definitions only.  A top-level definition is
+reached by any reference to its name: an identifier, an attribute name or an
+identifier-like string.  A method is reached only by an attribute name
+(`x.basis`) or an identifier-like string, since code can name a method only
+that way; a local variable that shares the method's name does not reach it.
+Re-exports in `__init__`, imports, and references from `tests/` or
+`perfbench/` are not use.
 
 A reference reaches every definition of that name, in any module or class,
 so a dead definition that shares its name with a live one slips through.
@@ -59,11 +63,13 @@ def _is_method(node):
 
 
 class _Names(ast.NodeVisitor):
-    """Bare names referenced by the visited code, skipping the bodies of
-    methods that are definitions in their own right."""
+    """Names referenced by the visited code, skipping the bodies of methods
+    that are definitions in their own right: `names` holds identifiers,
+    `attrs` attribute names and identifier-like strings."""
 
     def __init__(self):
         self.names = set()
+        self.attrs = set()
 
     def visit_ClassDef(self, node):
         for part in _header(node):
@@ -76,12 +82,12 @@ class _Names(ast.NodeVisitor):
         self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        self.names.add(node.attr)
+        self.attrs.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str) and node.value.isidentifier():
-            self.names.add(node.value)
+            self.attrs.add(node.value)
 
     def visit_Import(self, node):
         pass
@@ -89,37 +95,31 @@ class _Names(ast.NodeVisitor):
     visit_ImportFrom = visit_Import
 
 
-def _module_level_names(tree):
-    """Names used by the code a module runs at import: its statements and
-    the headers of its definitions."""
-    names = _Names()
-    for node in tree.body:
-        for part in _header(node) if isinstance(node, DEFS) else [node]:
-            names.visit(part)
-    return names.names
-
-
 def _unreached(modules):
     defs = _definitions(modules)
-    by_name = {}
+    top, methods = {}, {}
     for qual, node in defs.items():
-        by_name.setdefault(node.name, []).append(qual)
+        (methods if qual.count(".") == 2 else top).setdefault(node.name, []).append(qual)
     seen = {ROOT_DEF}
     todo = [ROOT_DEF]
-    pending = set()
+    # first the code each module runs at import: its statements and the
+    # headers of its definitions
+    refs = _Names()
     for tree in modules.values():
-        pending |= _module_level_names(tree)
+        for node in tree.body:
+            for part in _header(node) if isinstance(node, DEFS) else [node]:
+                refs.visit(part)
     while True:
-        for name in pending:
-            for qual in by_name.get(name, ()):
-                if qual not in seen:
-                    seen.add(qual)
-                    todo.append(qual)
+        reached = [q for name in refs.names | refs.attrs for q in top.get(name, ())]
+        reached += [q for name in refs.attrs for q in methods.get(name, ())]
+        for qual in reached:
+            if qual not in seen:
+                seen.add(qual)
+                todo.append(qual)
         if not todo:
             break
-        names = _Names()
-        names.visit(defs[todo.pop()])
-        pending = names.names
+        refs = _Names()
+        refs.visit(defs[todo.pop()])
     return sorted(set(defs) - seen)
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affrep.linalg import Echelon, integer_rank, nullspace
+from affrep.config import ModelInvariantError
+from affrep.linalg import Echelon, SMat, closure, integer_rank, nullspace, restrict, vec_add_scaled
 
 NCOLS = 12
 ENTRY = st.integers(-10**6, 10**6)
@@ -148,3 +150,89 @@ def test_nullspace_matches_back_substitution(case):
         assert set(vec) <= set(variables)
         for eq in equations:
             assert sum(c * vec.get(j, 0) for j, c in eq.items()) == 0
+
+
+DIM = 5
+# mostly zeros, so that proper invariant subspaces are common
+SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def ops_and_seeds(draw):
+    """One to three sparse integer DIM x DIM matrices and one or two integer
+    seed vectors (possibly zero)."""
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = SMat(DIM, DIM)
+        for r in range(DIM):
+            for c in range(DIM):
+                m.add_entry(r, c, draw(SPARSE_ENTRY))
+        mats.append(m)
+    seeds = [{i: x for i, x in enumerate(draw(st.lists(SPARSE_ENTRY, min_size=DIM, max_size=DIM)))
+              if x} for _ in range(draw(st.integers(1, 2)))]
+    return mats, seeds
+
+
+def krylov_dim(mats, seeds) -> int:
+    """dim of the span of all words in the matrices applied to the seeds,
+    grown one word length at a time until the integer rank stops growing."""
+    words, frontier = list(seeds), list(seeds)
+    rank = None
+    while True:
+        new = integer_rank([v.get(i, 0) for i in range(DIM)] for v in words)
+        if new == rank:
+            return rank
+        rank = new
+        frontier = [m.apply(v) for m in mats for v in frontier]
+        words += frontier
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops_and_seeds())
+def test_closure_is_the_smallest_invariant_span(case):
+    mats, seeds = case
+    ech = closure(seeds, [m.apply for m in mats])
+    assert all(ech.contains(s) for s in seeds)
+    assert all(ech.contains(m.apply(row)) for m in mats for row in ech.rows.values())
+    assert len(ech) == krylov_dim(mats, seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops_and_seeds())
+def test_restrict_is_the_matrix_on_the_pivot_ordered_rows(case):
+    mats, seeds = case
+    ech = closure(seeds, [m.apply for m in mats])
+    rows = [ech.rows[p] for p in sorted(ech.rows)]
+    for m in mats:
+        res = restrict(ech, m.apply)
+        assert (res.nrows, res.ncols) == (len(rows), len(rows))
+        for j, row in enumerate(rows):
+            image: dict = {}
+            for i, c in res.cols.get(j, {}).items():
+                image = vec_add_scaled(image, rows[i], c)
+            assert image == m.apply(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops_and_seeds())
+def test_restrict_refuses_a_span_that_is_not_invariant(case):
+    mats, seeds = case
+    ech = Echelon()
+    for s in seeds:
+        ech.insert(s)
+    for m in mats:
+        if all(ech.contains(m.apply(row)) for row in ech.rows.values()):
+            restrict(ech, m.apply)
+        else:
+            with pytest.raises(ModelInvariantError):
+                restrict(ech, m.apply)
+
+
+def test_restrict_refuses_a_line_that_is_moved():
+    # e_1 -> e_2 moves the line through e_1 off itself
+    shift = SMat(2, 2, {0: {1: 1}})
+    ech = Echelon()
+    ech.insert({0: 1})
+    with pytest.raises(ModelInvariantError):
+        restrict(ech, shift.apply)
+    assert len(closure([{0: 1}], [shift.apply])) == 2

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from affrep import serialize as ser
 from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
-from affrep.matmodel import model_sym_dual
+from affrep.matmodel import model_sym_dual, sl_only_model
 from affrep.rationality import TwoStepExtension, decide_rationality
-from affrep.schur import WeightMultiset, normalize
+from affrep.schur import Weight, WeightMultiset, normalize
 from dense import to_dense
 
 
@@ -131,6 +132,18 @@ def test_gallery_model_bytes_pinned(build, digest):
     text = ser.dumps(ser.model_to_json(build())) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert ser.dumps(ser.model_to_json(ser.model_from_json(json.loads(text)))) + "\n" == text
+
+
+def test_sl_only_model_bytes_pinned_over_label_sweep():
+    # every label at ranks 2-4 with parts <= 3 (34 labels, some built
+    # through the dual), in ascending (n, parts) order
+    labels = [Weight(n, (*parts, 0)) for n in (2, 3, 4)
+              for parts in itertools.product(range(4), repeat=n - 1)
+              if list(parts) == sorted(parts, reverse=True)]
+    assert len(labels) == 34
+    text = "".join(ser.dumps(ser.model_to_json(sl_only_model(w))) + "\n" for w in labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "094937bb903256d78251064f6f1d9cc4b3817cffadbc297aa680ff9aeee06278")
 
 
 def test_multiset_round_trip():
