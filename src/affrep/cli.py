@@ -161,7 +161,7 @@ def cmd_model(args) -> int:
     else:
         _require(args, n=args.n, **{"lambda": args.lam})
         rep = sl_only_model(parse_weight_arg(args.n, args.lam), max_dim=args.max_model_dim)
-    write_or_print(args, ser.dumps(ser.model_to_json(rep)))
+    write_or_print(args, ser.model_dumps(rep))
     return EXIT_OK
 
 

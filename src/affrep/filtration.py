@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-
 from functools import lru_cache
 
 from .linalg import Echelon, Vec, nullspace
@@ -143,7 +141,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
     """Descending construction, recorded ascending: member j is the span of
     all products of at least (length - j) translation generators."""
     # level 0 = whole space; level k+1 = sum of translation images of level k
-    levels: list[list[Vec]] = [[{i: Fraction(1)} for i in range(rep.dim)]]
+    levels: list[list[Vec]] = [[{i: 1} for i in range(rep.dim)]]
     while True:
         ech = Echelon()
         rows: list[Vec] = []

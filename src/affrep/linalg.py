@@ -2,9 +2,10 @@
 
 Vectors are dicts {index: value} with no stored zeros; a value is an `int`
 or a `Fraction`, and integral entries stay `int` until a true division
-(`Echelon.insert` normalizing a pivot) makes a `Fraction`.  Matrices keep a
-column-major sparse layout, which makes applying a matrix to a vector (the
-hot path everywhere in this package) a handful of dict lookups.  Row
+(`Echelon.insert` normalizing a pivot other than 1 or -1) makes a
+`Fraction`.  Matrices keep a column-major sparse layout, which makes
+applying a matrix to a vector (the hot path everywhere in this package) a
+handful of dict lookups.  Row
 reduction uses the leftmost-pivot rule throughout so that every echelon
 basis, kernel and chain computed here is bit-reproducible.  Where only a
 rank is needed, `integer_rank` eliminates integer rows without fractions.
@@ -162,8 +163,11 @@ class Echelon:
     """Reduced row echelon accumulator over sparse vectors.
 
     Pivot rule: first nonzero coordinate (smallest index).  Rows are kept
-    mutually reduced with pivot entry 1, so coordinates of a vector in the
-    accumulated basis can be read off at the pivots.
+    mutually reduced with pivot entry 1: each row is zero at every other
+    row's pivot.  So reducing a vector by one row changes it at no other
+    pivot, the pivots in its support can be cleared in any order, and the
+    coordinates of a vector in the span are its entries at the pivots.  A
+    row of `int` entries stays `int` when its pivot is 1 or -1.
     """
 
     def __init__(self):
@@ -173,21 +177,32 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v: Vec) -> Vec:
-        # rows are mutually reduced, so one ascending pass over pivots suffices
+        """v minus its component in the span, as a fresh dict."""
         out = dict(v)
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if c:
-                out = vec_add_scaled(out, self.rows[p], -c)
+        rows = self.rows
+        # no row changes another row's pivot entry, so out[p] is still v[p]
+        for p, c in v.items():
+            row = rows.get(p)
+            if row is None:
+                continue
+            for i, x in row.items():
+                val = out.get(i, 0) - c * x
+                if val:
+                    out[i] = val
+                else:
+                    del out[i]
         return out
 
     def insert(self, v: Vec):
         """Reduce v; if independent add it and return its pivot, else None."""
-        res = self.reduce(v)
-        if not res:
+        row = self.reduce(v)
+        if not row:
             return None
-        p = vec_pivot(res)
-        row = vec_scale(res, Fraction(1) / res[p])
+        p = vec_pivot(row)
+        lead = row[p]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            row = vec_scale(row, inv.numerator if inv.denominator == 1 else inv)
         # keep full reduction: clear the new pivot from existing rows
         for q, r in self.rows.items():
             if p in r:
@@ -197,16 +212,9 @@ class Echelon:
 
     def coords(self, v: Vec):
         """Coefficients {pivot: c} with v = sum c * row; None if not in span."""
-        out = dict(v)
-        coeff: dict[int, Fraction] = {}
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if c:
-                coeff[p] = c
-                out = vec_add_scaled(out, self.rows[p], -c)
-        if out:
+        if self.reduce(v):
             return None
-        return coeff
+        return {p: c for p, c in v.items() if p in self.rows}
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
@@ -257,7 +265,7 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
     for f in variables:
         if f in ech.rows:
             continue
-        sol: Vec = {f: Fraction(1)}
+        sol: Vec = {f: 1}
         # the rows are fully reduced with pivot entry 1, so row p meets no
         # other pivot and x_p = -row_p[f] when x_f = 1 and the other free
         # variables are 0

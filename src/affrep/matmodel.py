@@ -205,11 +205,35 @@ def sl_only_sum_model(ms: WeightMultiset) -> AffMatrixRep:
 
 # --- validation --------------------------------------------------------------
 
-def _expected_bracket(rep: AffMatrixRep, terms) -> SMat:
-    out = SMat(rep.dim, rep.dim)
-    for key, c in terms:
-        out = out.add(rep.sl_gens[key].scale(c))
-    return out
+def _bracket_is(a: SMat, b: SMat, terms) -> bool:
+    """Is [a, b] = sum of c * m over the (m, c) in `terms`?  Compared one
+    column at a time, with no intermediate matrix: column j of xy is
+    sum_k y_kj (column k of x)."""
+    cols = set(a.cols) | set(b.cols)
+    for m, _ in terms:
+        cols.update(m.cols)
+    products = ((a.cols, b.cols, 1), (b.cols, a.cols, -1))
+    negated = [(m.cols, -c) for m, c in terms]
+    for j in cols:
+        diff: Vec = {}
+        for x_cols, y_cols, sign in products:
+            y_j = y_cols.get(j)
+            if not y_j:
+                continue
+            for k, c in y_j.items():
+                x_k = x_cols.get(k)
+                if x_k:
+                    c *= sign
+                    for r, v in x_k.items():
+                        diff[r] = diff.get(r, 0) + c * v
+        for m_cols, c in negated:
+            m_j = m_cols.get(j)
+            if m_j:
+                for r, v in m_j.items():
+                    diff[r] = diff.get(r, 0) + c * v
+        if any(diff.values()):
+            return False
+    return True
 
 
 def _chevalley_generators(n: int) -> tuple[list[str], list[str], list[str]]:
@@ -273,13 +297,14 @@ def validate_model(rep: AffMatrixRep) -> None:
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
+    sl, trans = rep.sl_gens, rep.trans_gens
     for a, b, terms in relation_pairs(n):
-        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, terms):
+        if not _bracket_is(sl[a], sl[b], [(sl[k], c) for k, c in terms]):
             raise ModelInvariantError(f"[{a},{b}]")
 
     for i in range(n):
         for j in range(i + 1, n):
-            if not rep.trans_gens[i].commutator(rep.trans_gens[j]).is_zero():
+            if not _bracket_is(trans[i], trans[j], ()):
                 raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
 
     # [X, T_j] = sum_i X_ij T_i : translations transform like the standard
@@ -289,12 +314,8 @@ def validate_model(rep: AffMatrixRep) -> None:
     for key in [k for k in keys if k in e or k in f]:
         x = sl_defining_matrix(n, key)
         for j in range(n):
-            expect = SMat(rep.dim, rep.dim)
-            col = x.cols.get(j, {})
-            for i, c in col.items():
-                expect = expect.add(rep.trans_gens[i].scale(c))
-            got = rep.sl_gens[key].commutator(rep.trans_gens[j])
-            if got != expect:
+            terms = [(trans[i], c) for i, c in x.cols.get(j, {}).items()]
+            if not _bracket_is(sl[key], trans[j], terms):
                 raise ModelInvariantError(f"[{key},T_{j + 1}]")
 
     for j, t in enumerate(rep.trans_gens):
@@ -314,12 +335,10 @@ def validate_model(rep: AffMatrixRep) -> None:
         mat = rep.sl_gens[key]
         if parts[0] == "E":
             a, b = int(parts[1]) - 1, int(parts[2]) - 1
+            want = tuple((1 if i == a else 0) - (1 if i == b else 0) for i in range(n))
             for c, col in mat.cols.items():
                 for r in col:
                     diff = tuple(x - y for x, y in zip(g[r], g[c]))
-                    want = tuple(
-                        (1 if i == a else 0) - (1 if i == b else 0) for i in range(n)
-                    )
                     if diff != want:
                         raise ModelInvariantError(f"grading shift of {key}")
         else:
@@ -332,10 +351,10 @@ def validate_model(rep: AffMatrixRep) -> None:
                         raise ModelInvariantError(f"{key} eigenvalue")
     # nonzero translations shift every weight by the corresponding unit vector
     for j, t in enumerate(rep.trans_gens):
+        want = tuple(1 if i == j else 0 for i in range(n))
         for c, col in t.cols.items():
             for r in col:
                 diff = tuple(x - y for x, y in zip(g[r], g[c]))
-                want = tuple(1 if i == j else 0 for i in range(n))
                 if diff != want:
                     raise ModelInvariantError(f"grading shift of T_{j + 1}")
 

@@ -112,6 +112,8 @@ def _matrix_from_json(data, dim: int, field: str) -> SMat:
         raise ValueError(f"field {field!r} must be a list of {dim} lists of {dim} entries")
     cols: dict[int, dict] = {}
     for r, row in enumerate(data):
+        if row.count("0") == dim:
+            continue
         for c, x in enumerate(row):
             if x != "0":
                 try:
@@ -131,6 +133,23 @@ def model_to_json(rep: AffMatrixRep) -> dict:
         "trans_gens": [_matrix_to_json(t) for t in rep.trans_gens],
         "weight_grading": [list(g) for g in rep.weight_grading],
     }
+
+
+def model_dumps(rep: AffMatrixRep) -> str:
+    """The model file text, exactly `dumps(model_to_json(rep))`, written
+    without the general encoder: top-level and `sl_gens` keys in sorted
+    order, each dense row joined as one string.  Nothing needs escaping:
+    every cell is `str` of an `int` or a `Fraction` ("3", "-5/7") and every
+    key is a canonical `E_i_j` / `H_k`."""
+    data = model_to_json(rep)
+
+    def matrix(rows):
+        return "[" + ",".join('["' + '","'.join(row) + '"]' for row in rows) + "]"
+
+    sl = ",".join(f'"{k}":{matrix(m)}' for k, m in sorted(data["sl_gens"].items()))
+    trans = ",".join(matrix(t) for t in data["trans_gens"])
+    return (f'{{"N":{data["N"]},"n":{data["n"]},"sl_gens":{{{sl}}},'
+            f'"trans_gens":[{trans}],"weight_grading":{dumps(data["weight_grading"])}}}')
 
 
 def model_from_json(data) -> AffMatrixRep:

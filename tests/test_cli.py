@@ -12,6 +12,24 @@ from affrep.matmodel import model_sym_dual
 from affrep.repclass import stabilizer_dimension
 
 
+# sl-only and sym-dual factors at n = 4, their tensor and its dual
+PINNED_MODEL_SHA256 = [
+    "cb35296a63460bf5ee80e61a4cc5b2849d5cab6fe86d7509555f8473adc09be2",
+    "db10979e92bb79b60b0de4bfc89ce52eab5fc92630add89779a51f0666ea4cd4",
+    "f7fbdf1b9d2073126b139d844cc37ddeaee3c25febe558e5b635ed4af437fee5",
+    "f4e3c83e76971306df04f4be50b268e6772fcffad1750599709256d48b4a12db",
+]
+
+
+def pinned_model_commands(a, b, t, d) -> list[list[str]]:
+    """`affrep model` arguments writing the files of PINNED_MODEL_SHA256."""
+    return [list(map(str, argv)) for argv in (
+        ["sl-only", "--n", "4", "--lambda", "2,0,0,0", "--out", a],
+        ["sym-dual", "--n", "4", "--l", "2", "--out", b],
+        ["tensor", "--a", a, "--b", b, "--out", t],
+        ["dual", "--in", t, "--out", d])]
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -224,19 +242,21 @@ class TestModelAndFiltrate:
         assert "max_model_dim needs 8" in err
 
     def test_files_pinned(self, capsys, tmp_path):
-        a, b, t, d = (tmp_path / f"{x}.json" for x in "abtd")
-        for argv in (["sl-only", "--n", "4", "--lambda", "2,0,0,0", "--out", a],
-                     ["sym-dual", "--n", "4", "--l", "2", "--out", b],
-                     ["tensor", "--a", a, "--b", b, "--out", t],
-                     ["dual", "--in", t, "--out", d]):
-            rc, _, err = run(capsys, "model", *map(str, argv))
+        files = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.json", tmp_path / "d.json"
+        for argv in pinned_model_commands(*files):
+            rc, _, err = run(capsys, "model", *argv)
             assert rc == 0, err
-        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in (a, b, t, d)] == [
-            "cb35296a63460bf5ee80e61a4cc5b2849d5cab6fe86d7509555f8473adc09be2",
-            "db10979e92bb79b60b0de4bfc89ce52eab5fc92630add89779a51f0666ea4cd4",
-            "f7fbdf1b9d2073126b139d844cc37ddeaee3c25febe558e5b635ed4af437fee5",
-            "f4e3c83e76971306df04f4be50b268e6772fcffad1750599709256d48b4a12db",
-        ]
+        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == PINNED_MODEL_SHA256
+
+    @pytest.mark.parametrize("hashseed", ["0", "1"])
+    def test_files_pinned_in_fresh_processes(self, tmp_path, hashseed):
+        # the writer's key order and the echelon's reduction order must not
+        # depend on the hash seed or on anything a process shares
+        files = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.json", tmp_path / "d.json"
+        for argv in pinned_model_commands(*files):
+            proc = run_affrep("model", *argv, hashseed=hashseed)
+            assert proc.returncode == 0, proc.stderr
+        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == PINNED_MODEL_SHA256
 
     @pytest.mark.parametrize("kind,radical_calls", [("socle", 1), ("radical", 2)])
     def test_filtrate_computes_each_filtration_once(self, capsys, tmp_path, monkeypatch,

@@ -152,6 +152,66 @@ def test_nullspace_matches_back_substitution(case):
             assert sum(c * vec.get(j, 0) for j, c in eq.items()) == 0
 
 
+# the ascending-pivot elimination that `Echelon.reduce` and `coords` replace,
+# kept as their reference
+
+def ascending_reduce(ech, v):
+    out, coeff = dict(v), {}
+    for p in sorted(ech.rows):
+        c = out.get(p)
+        if c:
+            coeff[p] = c
+            out = vec_add_scaled(out, ech.rows[p], -c)
+    return out, coeff
+
+
+@st.composite
+def echelons_and_vectors(draw):
+    """An echelon built from sparse equations, and vectors to reduce: free
+    ones, and combinations of its rows with or without a free part."""
+    equations, variables = draw(equation_sets())
+    ech = Echelon()
+    for eq in equations:
+        ech.insert(eq)
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        vec = {j: draw(entry) for j in draw(st.lists(st.integers(0, NCOLS - 1),
+                                                      max_size=4, unique=True))}
+        vec = {j: x for j, x in vec.items() if x}
+        if ech.rows and draw(st.booleans()):
+            if draw(st.booleans()):
+                vec = {}
+            for p in draw(st.lists(st.sampled_from(sorted(ech.rows)), max_size=3)):
+                vec = vec_add_scaled(vec, ech.rows[p], draw(entry))
+        vectors.append(vec)
+    return ech, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelons_and_vectors())
+def test_reduce_and_coords_match_ascending_elimination(case):
+    ech, vectors = case
+    for vec in vectors:
+        residue, coeff = ascending_reduce(ech, vec)
+        assert ech.reduce(vec) == residue
+        assert ech.coords(vec) == (None if residue else coeff)
+        assert ech.contains(vec) == (not residue)
+
+
+def test_insert_keeps_int_rows_for_unit_pivots():
+    ech = Echelon()
+    assert ech.insert({1: -1, 3: 4}) == 1
+    assert ech.insert({0: 1, 1: 2, 2: 5}) == 0
+    assert ech.rows == {1: {1: 1, 3: -4}, 0: {0: 1, 2: 5, 3: 8}}
+    assert {type(x) for row in ech.rows.values() for x in row.values()} == {int}
+    # a pivot other than 1 or -1 divides, and only then a Fraction appears
+    assert ech.insert({2: 2, 3: 1}) == 2
+    assert ech.rows[2] == {2: 1, 3: Fraction(1, 2)}
+    assert ech.rows[0] == {0: 1, 3: Fraction(11, 2)}
+    assert type(ech.rows[1][3]) is int
+
+
 DIM = 5
 # mostly zeros, so that proper invariant subspaces are common
 SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2])

@@ -13,6 +13,7 @@ import validator_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affrep import matmodel
 from affrep import serialize as ser
 from affrep.config import ModelInvariantError, ResourceCapError
 from affrep.linalg import SMat
@@ -317,18 +318,60 @@ class TestValidatorAgainstOracle:
         rep = model_sym_dual(n, 2)
         sl = {id(m) for m in rep.sl_gens.values()}
         calls = Counter()
-        commutator = SMat.commutator
+        bracket_is = matmodel._bracket_is
 
-        def counting(a, b):
+        def counting(a, b, terms):
             if id(a) in sl:
                 calls["bracket" if id(b) in sl else "action"] += 1
-            return commutator(a, b)
+            return bracket_is(a, b, terms)
 
-        monkeypatch.setattr(SMat, "commutator", counting)
+        monkeypatch.setattr(matmodel, "_bracket_is", counting)
         validate_model(rep)
-        assert calls["bracket"] <= brackets
-        assert calls["action"] <= actions
+        assert calls["bracket"] == brackets
+        assert calls["action"] == actions
         assert len(relation_pairs(n)) == brackets
+
+
+@st.composite
+def small_sparse_matrices(draw, dim):
+    """A dim x dim matrix with a few int or Fraction entries."""
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    m = SMat(dim, dim)
+    for (r, c), v in draw(st.dictionaries(cells, entry, max_size=2 * dim)).items():
+        m.add_entry(r, c, v)
+    return m
+
+
+@st.composite
+def bracket_cases(draw):
+    """Matrices a, b and terms (m, c); half the time one more term makes the
+    terms sum to [a, b] exactly, and sometimes one entry is then moved."""
+    dim = draw(st.integers(1, 5))
+    a, b = draw(small_sparse_matrices(dim)), draw(small_sparse_matrices(dim))
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+    terms = [(draw(small_sparse_matrices(dim)), draw(coeff))
+             for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        rest = a.commutator(b)
+        for m, c in terms:
+            rest = rest.sub(m.scale(c))
+        terms.append((rest, 1))
+        if draw(st.booleans()):
+            rest.add_entry(draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)),
+                           draw(st.sampled_from([1, Fraction(-1, 3)])))
+    return a, b, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_cases())
+def test_bracket_is_agrees_with_the_commutator(case):
+    a, b, terms = case
+    want = SMat(a.nrows, a.ncols)
+    for m, c in terms:
+        want = want.add(m.scale(c))
+    assert matmodel._bracket_is(a, b, terms) == (a.commutator(b) == want)
 
 
 def test_integral_entries_stay_int():

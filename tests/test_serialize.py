@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from affrep import serialize as ser
 from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
-from affrep.matmodel import model_sym_dual, sl_only_model
+from affrep.matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model
 from affrep.rationality import TwoStepExtension, decide_rationality
 from affrep.schur import Weight, WeightMultiset, normalize
 from dense import to_dense
@@ -134,16 +135,44 @@ def test_gallery_model_bytes_pinned(build, digest):
     assert ser.dumps(ser.model_to_json(ser.model_from_json(json.loads(text)))) + "\n" == text
 
 
+def sweep_labels() -> list[Weight]:
+    """Every label at ranks 2-4 with parts <= 3 (34 labels, some built
+    through the dual), in ascending (n, parts) order."""
+    return [Weight(n, (*parts, 0)) for n in (2, 3, 4)
+            for parts in itertools.product(range(4), repeat=n - 1)
+            if list(parts) == sorted(parts, reverse=True)]
+
+
 def test_sl_only_model_bytes_pinned_over_label_sweep():
-    # every label at ranks 2-4 with parts <= 3 (34 labels, some built
-    # through the dual), in ascending (n, parts) order
-    labels = [Weight(n, (*parts, 0)) for n in (2, 3, 4)
-              for parts in itertools.product(range(4), repeat=n - 1)
-              if list(parts) == sorted(parts, reverse=True)]
+    labels = sweep_labels()
     assert len(labels) == 34
     text = "".join(ser.dumps(ser.model_to_json(sl_only_model(w))) + "\n" for w in labels)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "094937bb903256d78251064f6f1d9cc4b3817cffadbc297aa680ff9aeee06278")
+
+
+def _fractional_model():
+    """A model (not a valid one) holding the entry -5/7."""
+    m = model_sym_dual(2, 1)
+    m.sl_gens["H_1"].add_entry(0, 1, Fraction(-5, 7))
+    return m
+
+
+@pytest.mark.parametrize("build", [
+    *(functools.partial(model_sym_dual, n, 2) for n in (1, 2, 3, 4)),
+    *(functools.partial(sl_only_model, w) for w in sweep_labels()),
+    lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 1)),
+    lambda: dual_model(tensor_model(sl_only_model(W(4, 1, 1)), model_sym_dual(4, 1))),
+    _fractional_model,
+])
+def test_model_dumps_is_dumps_of_model_to_json(build):
+    rep = build()
+    assert ser.model_dumps(rep) == ser.dumps(ser.model_to_json(rep))
+
+
+def test_model_dumps_cases_cover_a_fraction_and_empty_sl_gens():
+    assert '"-5/7"' in ser.model_dumps(_fractional_model())
+    assert model_sym_dual(1, 2).sl_gens == {}
 
 
 def test_multiset_round_trip():
