@@ -9,6 +9,7 @@ two-step instance, 3 possibly-not-generically-free instance.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -19,6 +20,7 @@ from .config import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     MAX_LR_CONTENT,
+    MAX_LR_SHAPES,
     MAX_WEIGHT_RANK,
     ModelInvariantError,
     ResourceCapError,
@@ -37,7 +39,7 @@ from .rationality import (
     decide_rationality,
 )
 from .repclass import classify_with_report
-from .schur import dual, lr_decompose, normalize, pieri_sym, weyl_dim
+from .schur import _candidate_outer_shapes, dual, lr_decompose, normalize, pieri_sym, weyl_dim
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -116,6 +118,12 @@ def cmd_tensor(args) -> int:
     content = min(a.size, b.size)
     if content > MAX_LR_CONTENT:
         raise ResourceCapError("max_lr_content", content, MAX_LR_CONTENT)
+    # the shapes the decomposition sweeps, around the larger weight as
+    # lr_decompose picks it; counted no further than one past the cap
+    outer = b if b.size > a.size else a
+    shapes = _candidate_outer_shapes(outer.parts, a.size + b.size, args.n)
+    if sum(1 for _ in itertools.islice(shapes, MAX_LR_SHAPES + 1)) > MAX_LR_SHAPES:
+        raise ResourceCapError("max_lr_shapes", f"more than {MAX_LR_SHAPES}", MAX_LR_SHAPES)
     ms = lr_decompose(a, b)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK

@@ -25,6 +25,12 @@ MAX_WEIGHT_RANK = 32
 # recurse once per box of it and their count grows with it and the rank (4
 # rows of 5 boxes take 1.5 s at rank 32)
 MAX_LR_CONTENT = 16
+# largest number of candidate outer shapes `tensor` lets the LR
+# decomposition sweep; a shape costs 20-640 us of fillings below the content
+# cap, more for a larger smaller weight (the slowest product timed under
+# this bound took 0.76 s), and the rank-32 staircase with 4 boxes (37,388
+# shapes, 2 s) is refused
+MAX_LR_SHAPES = 3_000
 # largest number of W2 sub-multisets searched exhaustively before the
 # greedy shortcut kicks in
 MAX_SPLIT_CANDIDATES = 1_000_000

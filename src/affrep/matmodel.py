@@ -2,8 +2,11 @@
 
 An AffMatrixRep packages matrices for the fixed sl_n basis together with n
 commuting nilpotent translation generators T_1..T_n and an integer torus
-weight for every basis vector.  All constructors produce models whose
-defining relations can be re-verified exactly with `validate_model`.
+weight for every basis vector.  This module owns that basis: its key
+strings (`E_i_j`, `H_k`) are parsed only by `sl_defining_matrix`, and every
+matrix model, the irreducible SL_n-models included, is built here.  All
+constructors produce models whose defining relations can be re-verified
+exactly with `validate_model`.
 
 Sign conventions, fixed once:
   * functions-of-degree<=l models use X.f = -(Xx).grad(f) for sl_n and
@@ -22,17 +25,64 @@ from math import comb
 
 from .config import (
     DEFAULT_MAX_MODEL_DIM,
+    MAX_TENSOR_CELLS,
     ModelInvariantError,
     ResourceCapError,
 )
 from .linalg import Echelon, SMat, Vec, closure, nullspace, restrict
-from .repclass import (
-    bracket_coefficients,
-    model_for_weight,
-    sl_basis_keys,
-    sl_defining_matrix,
-)
-from .schur import Weight, WeightMultiset, weyl_dim
+from .schur import Weight, WeightMultiset, dual, weyl_dim
+
+
+# --- sl_n basis bookkeeping -------------------------------------------------
+
+def sl_basis_keys(n: int) -> list[str]:
+    """Fixed ordered basis of sl_n: elementary E_i_j (i != j, row-major),
+    then Cartan differences H_k = E_k_k - E_(k+1)_(k+1)."""
+    keys = [f"E_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    keys += [f"H_{k}" for k in range(1, n)]
+    return keys
+
+
+def sl_defining_matrix(n: int, key: str) -> SMat:
+    """The n x n matrix of a basis element in the defining representation."""
+    m = SMat(n, n)
+    parts = key.split("_")
+    if parts[0] == "E":
+        i, j = int(parts[1]) - 1, int(parts[2]) - 1
+        m.add_entry(i, j, 1)
+    elif parts[0] == "H":
+        k = int(parts[1]) - 1
+        m.add_entry(k, k, 1)
+        m.add_entry(k + 1, k + 1, -1)
+    else:
+        raise ValueError(f"unknown generator key {key!r}")
+    return m
+
+
+def bracket_coefficients(n: int, mat: SMat) -> dict:
+    """Expand a traceless n x n matrix in the sl_basis_keys basis."""
+    coeffs = {}
+    diag = [mat.entry(i, i) for i in range(n)]
+    if sum(diag) != 0:
+        raise ValueError("matrix has nonzero trace")
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                v = mat.entry(i, j)
+                if v:
+                    coeffs[f"E_{i + 1}_{j + 1}"] = v
+    # telescoping: diag = sum c_k (e_k - e_{k+1}) with c_k = d_1 + ... + d_k
+    acc = 0
+    for k in range(n - 1):
+        acc += diag[k]
+        if acc:
+            coeffs[f"H_{k + 1}"] = acc
+    return coeffs
+
+
+def _entries(m: SMat) -> list[tuple[int, int, object]]:
+    """The nonzero entries (row, column, value) of a matrix."""
+    return [(r, c, v) for c, col in m.cols.items() for r, v in col.items()]
 
 
 @dataclass
@@ -82,22 +132,15 @@ def model_sym_dual(n: int, l: int, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffM
     sl_gens: dict[str, SMat] = {}
     for key in sl_basis_keys(n):
         m = SMat(N, N)
-        parts = key.split("_")
-        if parts[0] == "E":
-            a, b = int(parts[1]) - 1, int(parts[2]) - 1
-            # X = E_ab acts as -x_b d/dx_a
-            for e, i in index.items():
+        entries = _entries(sl_defining_matrix(n, key))
+        for e, i in index.items():
+            # an entry v at (a, b) acts as -v x_b d/dx_a
+            for a, b, v in entries:
                 if e[a] > 0:
                     ne = list(e)
                     ne[a] -= 1
                     ne[b] += 1
-                    m.add_entry(index[tuple(ne)], i, -e[a])
-        else:
-            k = int(parts[1]) - 1
-            for e, i in index.items():
-                coeff = -(e[k] - e[k + 1])
-                if coeff:
-                    m.add_entry(i, i, coeff)
+                    m.add_entry(index[tuple(ne)], i, -v * e[a])
         sl_gens[key] = m
 
     trans = []
@@ -156,14 +199,98 @@ def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
                         list(a.weight_grading) + list(b.weight_grading))
 
 
+# --- irreducible models generated by a highest weight vector ----------------
+
+def _tensor_op(mat: SMat, places: list[int]):
+    """The action of an n x n matrix on a tensor power of C^n, one slot at a
+    time (a derivation), as a function on sparse vectors.  A coordinate is a
+    word read as a base-n number: the letter in slot s has place value
+    places[s]."""
+    n = mat.nrows
+
+    def op(vec: Vec) -> Vec:
+        out: Vec = {}
+        for code, val in vec.items():
+            for place in places:
+                letter = code // place % n
+                for target, a in mat.cols.get(letter, {}).items():
+                    key = code + (target - letter) * place
+                    out[key] = out.get(key, 0) + a * val
+        return {c: v for c, v in out.items() if v}
+
+    return op
+
+
+def _build_tensor_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
+    """The irreducible with label `parts` as the submodule of the |parts|-th
+    tensor power of C^n generated by its highest weight vector (Weyl's
+    construction; Fulton-Harris, Representation Theory, section 6.1), with
+    zero translations.
+
+    The seed is the tensor product, over the columns of the row-filled
+    diagram, of the wedges e_1 ^ ... ^ e_h of the column heights h: a vector
+    of weight `parts` that every raising operator kills, so the lowering
+    operators E_i_j (i > j) span the irreducible from it.  The model basis is
+    the reduced echelon basis of that span, which depends on the subspace
+    alone.  Every tensor coordinate has a definite torus weight, so no row
+    mixes weights and a row's grading is that of its pivot."""
+    w = Weight(n, parts)
+    d = w.size
+    target_dim = weyl_dim(w)
+    if d == 0:
+        gens = {k: SMat(1, 1) for k in sl_basis_keys(n)}
+        return AffMatrixRep(n, 1, gens, [SMat(1, 1) for _ in range(n)], [(0,) * n])
+    if n ** d > MAX_TENSOR_CELLS:
+        raise ResourceCapError("max_tensor_cells", n ** d, MAX_TENSOR_CELLS)
+
+    # first slot most significant
+    places = [n ** (d - 1 - slot) for slot in range(d)]
+    starts = list(itertools.accumulate(parts, initial=0))
+    seed: Vec = {0: 1}
+    for c in range(parts[0]):
+        # the slots of column c, top to bottom, hold letters 0..h-1 in every order
+        slots = [places[starts[r] + c] for r in range(n) if parts[r] > c]
+        wedge = {}
+        for perm in itertools.permutations(range(len(slots))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            wedge[sum(x * p for x, p in zip(perm, slots))] = (-1) ** inversions
+        seed = {a + b: x * y for a, x in seed.items() for b, y in wedge.items()}
+
+    ops = {key: _tensor_op(sl_defining_matrix(n, key), places) for key in sl_basis_keys(n)}
+    lowering = [ops[f"E_{i}_{j}"] for i in range(2, n + 1) for j in range(1, i)]
+    span = closure([seed], lowering)
+    if len(span) != target_dim:
+        raise RuntimeError(f"generated submodule has dimension {len(span)}, expected {target_dim}")
+    gens = {key: restrict(span, op) for key, op in ops.items()}
+    grading = []
+    for code in sorted(span.rows):
+        g = [0] * n
+        for place in places:
+            g[code // place % n] += 1
+        grading.append(tuple(g))
+    zero = [SMat(target_dim, target_dim) for _ in range(n)]
+    return AffMatrixRep(n, target_dim, gens, zero, grading)
+
+
+# a handful of labels per workload (6 in the rank-4 catalog); the bound
+# caps memory
+@lru_cache(maxsize=128)
+def model_for_weight(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
+    """Model of the labeled irreducible with zero translations, built
+    through the cheaper of the label and its dual.  The model is shared by
+    every caller, so none may mutate it."""
+    w = Weight(n, parts)
+    dw = dual(w)
+    if dw.size < w.size:
+        return dual_model(model_for_weight(n, dw.parts))
+    return _build_tensor_model(n, parts)
+
+
 def sl_only_model(w: Weight, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
     """A pure SL_n-representation viewed as an affine-group model: all
-    translation generators are zero.  Built through the cheaper of the label
-    and its dual."""
+    translation generators are zero."""
     _check_cap(weyl_dim(w), max_dim)
-    m = model_for_weight(w.n, w.parts)
-    zero = [SMat(m.dim, m.dim) for _ in range(w.n)]
-    return AffMatrixRep(w.n, m.dim, dict(m.gens), zero, list(m.grading))
+    return model_for_weight(w.n, w.parts)
 
 
 def shift_grading(rep: AffMatrixRep, c: int) -> AffMatrixRep:
@@ -327,28 +454,27 @@ def validate_model(rep: AffMatrixRep) -> None:
         if not power.is_zero():
             raise ModelInvariantError(f"T_{j + 1} nilpotency")
 
-    # grading: E_a_b shifts weights by e_a - e_b, Cartan generators act
-    # diagonally with the paired grading differences as eigenvalues
+    # grading: a root vector E_a_b shifts weights by e_a - e_b, a diagonal
+    # generator X acts on a vector of weight g by the scalar sum_i X_ii g_i
     g = rep.weight_grading
     for key in keys:
-        parts = key.split("_")
         mat = rep.sl_gens[key]
-        if parts[0] == "E":
-            a, b = int(parts[1]) - 1, int(parts[2]) - 1
+        entries = _entries(sl_defining_matrix(n, key))
+        if all(a == b for a, b, _ in entries):
+            for c, col in mat.cols.items():
+                for r, val in col.items():
+                    if r != c:
+                        raise ModelInvariantError(f"{key} not diagonal")
+                    if val != sum(v * g[c][a] for a, _, v in entries):
+                        raise ModelInvariantError(f"{key} eigenvalue")
+        else:
+            [(a, b, _)] = entries
             want = tuple((1 if i == a else 0) - (1 if i == b else 0) for i in range(n))
             for c, col in mat.cols.items():
                 for r in col:
                     diff = tuple(x - y for x, y in zip(g[r], g[c]))
                     if diff != want:
                         raise ModelInvariantError(f"grading shift of {key}")
-        else:
-            k = int(parts[1]) - 1
-            for c, col in mat.cols.items():
-                for r, val in col.items():
-                    if r != c:
-                        raise ModelInvariantError(f"{key} not diagonal")
-                    if val != g[c][k] - g[c][k + 1]:
-                        raise ModelInvariantError(f"{key} eigenvalue")
     # nonzero translations shift every weight by the corresponding unit vector
     for j, t in enumerate(rep.trans_gens):
         want = tuple(1 if i == j else 0 for i in range(n))

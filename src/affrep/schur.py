@@ -58,17 +58,18 @@ class WeightMultiset:
     entries: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self):
-        seen = set()
+        # canonical means strictly increasing labels: sorted, no label twice
+        prev = None
         for w, m in self.entries:
             if w.n != self.n:
                 raise ValueError(f"weight {w} has rank {w.n}, expected {self.n}")
             if m < 1:
                 raise ValueError(f"multiplicity of {w} must be >= 1, got {m}")
-            if w in seen:
-                raise ValueError(f"duplicate entry for {w}")
-            seen.add(w)
-        if list(self.entries) != sorted(self.entries):
-            raise ValueError("entries not in canonical order; use WeightMultiset.of")
+            if prev is not None and not prev < w:
+                if prev == w:
+                    raise ValueError(f"duplicate entry for {w}")
+                raise ValueError("entries not in canonical order; use WeightMultiset.of")
+            prev = w
 
     @classmethod
     def of(cls, n: int, items=()) -> "WeightMultiset":

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from affrep.config import COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.linalg import Echelon, Vec
-from affrep.repclass import SlModel, model_for_weight, sl_basis_keys
+from affrep.matmodel import AffMatrixRep, model_for_weight, sl_basis_keys
 from affrep.schur import WeightMultiset
 
 
@@ -27,7 +27,7 @@ def stabilizer_dimension(
     """Minimum over trials of dim{X in sl_n : X.v = 0}."""
     n = rep.n
     keys = sl_basis_keys(n)
-    models: list[SlModel] = []
+    models: list[AffMatrixRep] = []
     for w, mult in rep.entries:
         if not w.is_trivial():
             models.extend([model_for_weight(n, w.parts)] * min(mult, len(keys)))
@@ -45,7 +45,7 @@ def stabilizer_dimension(
             stacked: Vec = {}
             offset = 0
             for m, pt in zip(models, points):
-                img = m.gens[key].apply(pt)
+                img = m.sl_gens[key].apply(pt)
                 for i, v in img.items():
                     stacked[offset + i] = v
                 offset += m.dim

@@ -295,8 +295,7 @@ def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):
 CATALOG_CACHES = (
     "schur._weyl_dim",
     "schur._lr_decompose",
-    "repclass._build_tensor_model",
-    "repclass.model_for_weight",
+    "matmodel.model_for_weight",
     "repclass._integer_gens",
     "repclass.classify_with_report",
     "repclass.bad_list",

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from cli_process import run_affrep
 
+from affrep import cli
 from affrep import serialize as ser
 from affrep.cli import main
 from affrep.matmodel import model_sym_dual
@@ -165,6 +166,17 @@ class TestModelAndFiltrate:
         rc, _, _ = run(capsys, "model", "dual", "--in", str(dual1), "--out", str(dual2))
         assert rc == 0
         assert dual2.read_text() == first
+
+    def test_sl_only_through_the_dual_equals_model_dual(self, capsys, tmp_path):
+        # [2,2,2,0] has 6 boxes and its dual [2,0,0,0] 2, so sl-only builds
+        # it as the dual of the [2,0,0,0] model
+        sym, dual_file, built = tmp_path / "s.json", tmp_path / "d.json", tmp_path / "b.json"
+        for argv in (["sl-only", "--n", "4", "--lambda", "2,0,0,0", "--out", sym],
+                     ["dual", "--in", sym, "--out", dual_file],
+                     ["sl-only", "--n", "4", "--lambda", "2,2,2,0", "--out", built]):
+            rc, _, err = run(capsys, "model", *map(str, argv))
+            assert rc == 0, err
+        assert built.read_bytes() == dual_file.read_bytes()
 
     def test_tensor_model_files(self, capsys, tmp_path):
         a = tmp_path / "a.json"
@@ -473,6 +485,36 @@ def test_tensor_content_cap_is_inclusive(capsys):
     rc, _, err = run(capsys, "tensor", "--n", "2", "--a", "100", "--b", str(MAX_LR_CONTENT + 1))
     assert rc == 1
     assert f"max_lr_content needs {MAX_LR_CONTENT + 1}, cap is {MAX_LR_CONTENT}" in err
+
+
+STAIRCASE_32 = ",".join(str(31 - i) for i in range(32))
+
+
+# below the content cap the outer shapes set the cost: the rank-32 staircase
+# with 4 boxes sweeps 37,388 shapes (about 2 s), and with 8 boxes over
+# 200,000 (still running after 6 s)
+@pytest.mark.parametrize("b", ["4", "4,4"])
+def test_tensor_above_shape_cap_exits_1_naming_it(b):
+    t0 = time.perf_counter()
+    proc = run_affrep("tensor", "--n", "32", "--a", STAIRCASE_32, "--b", b, timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource cap exceeded: max_lr_shapes")
+    assert "Traceback" not in proc.stderr
+
+
+def test_tensor_shape_cap_is_inclusive(capsys, monkeypatch):
+    # the rank-8 staircase with [2,2] sweeps 142 outer shapes
+    argv = ("tensor", "--n", "8", "--a", "7,6,5,4,3,2,1", "--b", "2,2")
+    monkeypatch.setattr(cli, "MAX_LR_SHAPES", 142)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert len(out.splitlines()[0].split(" + ")) == 134
+    monkeypatch.setattr(cli, "MAX_LR_SHAPES", 141)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert "max_lr_shapes needs more than 141, cap is 141" in err
 
 class TestEnumerate:
     def test_deterministic_byte_identical(self, capsys, tmp_path):

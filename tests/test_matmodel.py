@@ -15,23 +15,27 @@ from hypothesis import strategies as st
 
 from affrep import matmodel
 from affrep import serialize as ser
-from affrep.config import ModelInvariantError, ResourceCapError
+from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapError
 from affrep.linalg import SMat
 from affrep.matmodel import (
+    bracket_coefficients,
     dual_model,
     generated_submodel,
     highest_weight_vectors,
     model_sym_dual,
     monomial_basis,
+    model_for_weight,
     relation_pairs,
+    sl_basis_keys,
+    sl_defining_matrix,
     sl_only_model,
     sl_only_sum_model,
     tensor_model,
     validate_model,
     verify_degree_bound,
 )
-from affrep.repclass import sl_basis_keys
-from affrep.schur import WeightMultiset, dual, normalize
+from affrep.oracle import schur_monomials
+from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from dense import to_dense
 from symbolic_oracle import degree_bound_holds, symbolic_unipotent
 
@@ -150,6 +154,89 @@ class TestSlOnly:
         m = sl_only_sum_model(ms)
         sums = {sum(g) for g in m.weight_grading}
         assert len(sums) == 1
+
+
+class TestSlBasis:
+    def test_defining_brackets_expand(self):
+        n = 3
+        for a in sl_basis_keys(n):
+            for b in sl_basis_keys(n):
+                ma, mb = sl_defining_matrix(n, a), sl_defining_matrix(n, b)
+                coeffs = bracket_coefficients(n, ma.commutator(mb))
+                recon = SMat(n, n)
+                for key, c in coeffs.items():
+                    recon = recon.add(sl_defining_matrix(n, key).scale(c))
+                assert recon == ma.commutator(mb)
+
+
+class TestIrreducibleModel:
+    def test_sl2_defining(self):
+        m = matmodel._build_tensor_model(2, (1, 0))
+        assert m.dim == 2
+        h = to_dense(m.sl_gens["H_1"])
+        # defining matrices up to basis order: check brackets and traces instead
+        assert [[h[i][j] for j in range(2)] for i in range(2)] in (
+            [[1, 0], [0, -1]],
+            [[-1, 0], [0, 1]],
+        )
+        comm = m.sl_gens["E_1_2"].commutator(m.sl_gens["E_2_1"])
+        assert comm == m.sl_gens["H_1"]
+
+    def test_trivial_weight(self):
+        m = matmodel._build_tensor_model(3, (0, 0, 0))
+        assert m.dim == 1
+        assert all(mat.is_zero() for mat in m.all_gens())
+
+    def test_sym2_character(self):
+        # the multiset of grading vectors must match the monomial expansion
+        m = matmodel._build_tensor_model(3, (2, 0, 0))
+        assert m.dim == 6
+        expected = Counter()
+        for e, c in schur_monomials((2, 0, 0), 3).items():
+            expected[e] += c
+        assert Counter(m.weight_grading) == expected
+
+    def test_adjoint_is_bracket_equivariant(self):
+        # the 8-dimensional model must act like the adjoint representation:
+        # check all bracket relations hold exactly
+        n = 3
+        m = matmodel._build_tensor_model(n, (2, 1, 0))
+        assert m.dim == 8
+        keys = sl_basis_keys(n)
+        for a in keys:
+            for b in keys:
+                lhs = m.sl_gens[a].commutator(m.sl_gens[b])
+                coeffs = bracket_coefficients(
+                    n, sl_defining_matrix(n, a).commutator(sl_defining_matrix(n, b))
+                )
+                rhs = SMat(m.dim, m.dim)
+                for key, c in coeffs.items():
+                    rhs = rhs.add(m.sl_gens[key].scale(c))
+                assert lhs == rhs, (a, b)
+
+    def test_dimensions_match_weyl(self):
+        for n, parts in [(2, (3, 0)), (3, (2, 2, 0)), (4, (1, 1, 0, 0)), (4, (2, 1, 1, 0))]:
+            w = Weight(n, parts)
+            assert matmodel._build_tensor_model(w.n, w.parts).dim == weyl_dim(w)
+
+    def test_grading_shifts(self):
+        m = matmodel._build_tensor_model(3, (2, 1, 0))
+        e12 = m.sl_gens["E_1_2"]
+        for c, col in e12.cols.items():
+            for r in col:
+                diff = tuple(a - b for a, b in zip(m.weight_grading[r], m.weight_grading[c]))
+                assert diff == (1, -1, 0)
+
+    def test_resource_cap(self):
+        # a self-dual size-10 label at rank 4 needs 4^10 cells, so neither
+        # it nor its dual is built
+        w = W(4, 5, 3, 2)
+        assert dual(w) == w
+        for build in (lambda: matmodel._build_tensor_model(4, w.parts),
+                      lambda: model_for_weight(4, w.parts)):
+            with pytest.raises(ResourceCapError) as exc:
+                build()
+            assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
 
 
 class TestGeneratedSubmodel:

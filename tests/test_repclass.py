@@ -1,29 +1,22 @@
 import itertools
-from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 import stabilizer_oracle
-from dense import to_dense
 
 from affrep import repclass
-from affrep.config import MAX_TENSOR_CELLS, ResourceCapError
-from affrep.linalg import SMat
-from affrep.oracle import schur_monomials
+from affrep.matmodel import sl_basis_keys
 from affrep.repclass import (
     BAD,
     GOOD,
     GOOD_HEURISTIC,
-    SlModel,
     bad_list,
-    bracket_coefficients,
     classify,
     classify_with_report,
-    sl_basis_keys,
-    sl_defining_matrix,
     stabilizer_dimension,
 )
-from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
+from affrep.schur import Weight, WeightMultiset, dual, normalize
 
 
 def W(n, *parts):
@@ -55,94 +48,6 @@ class TestSlBasis:
     def test_count(self):
         for n in (2, 3, 4):
             assert len(sl_basis_keys(n)) == n * n - 1
-
-    def test_defining_brackets_expand(self):
-        n = 3
-        for a in sl_basis_keys(n):
-            for b in sl_basis_keys(n):
-                ma, mb = sl_defining_matrix(n, a), sl_defining_matrix(n, b)
-                coeffs = bracket_coefficients(n, ma.commutator(mb))
-                recon = SMat(n, n)
-                for key, c in coeffs.items():
-                    recon = recon.add(sl_defining_matrix(n, key).scale(c))
-                assert recon == ma.commutator(mb)
-
-
-class TestTensorModel:
-    def test_sl2_defining(self):
-        w = W(2, 1)
-        m = repclass._build_tensor_model(w.n, w.parts)
-        assert m.dim == 2
-        e = to_dense(m.gens["E_1_2"])
-        f = to_dense(m.gens["E_2_1"])
-        h = to_dense(m.gens["H_1"])
-        # defining matrices up to basis order: check brackets and traces instead
-        assert [[h[i][j] for j in range(2)] for i in range(2)] in (
-            [[1, 0], [0, -1]],
-            [[-1, 0], [0, 1]],
-        )
-        comm = m.gens["E_1_2"].commutator(m.gens["E_2_1"])
-        assert comm == m.gens["H_1"]
-
-    def test_trivial_weight(self):
-        w = W(3, 0)
-        m = repclass._build_tensor_model(w.n, w.parts)
-        assert m.dim == 1
-        assert all(mat.is_zero() for mat in m.gens.values())
-
-    def test_sym2_character(self):
-        # the multiset of grading vectors must match the monomial expansion
-        w = W(3, 2)
-        m = repclass._build_tensor_model(w.n, w.parts)
-        assert m.dim == 6
-        expected = Counter()
-        for e, c in schur_monomials((2, 0, 0), 3).items():
-            expected[e] += c
-        assert Counter(m.grading) == expected
-
-    def test_adjoint_is_bracket_equivariant(self):
-        # the 8-dimensional model must act like the adjoint representation:
-        # check all bracket relations hold exactly
-        n = 3
-        w = W(3, 2, 1)
-        m = repclass._build_tensor_model(w.n, w.parts)
-        assert m.dim == 8
-        keys = sl_basis_keys(n)
-        for a in keys:
-            for b in keys:
-                lhs = m.gens[a].commutator(m.gens[b])
-                coeffs = bracket_coefficients(
-                    n, sl_defining_matrix(n, a).commutator(sl_defining_matrix(n, b))
-                )
-                rhs = SMat(m.dim, m.dim)
-                for key, c in coeffs.items():
-                    rhs = rhs.add(m.gens[key].scale(c))
-                assert lhs == rhs, (a, b)
-
-    def test_dimensions_match_weyl(self):
-        for n, parts in [(2, (3, 0)), (3, (2, 2, 0)), (4, (1, 1, 0, 0)), (4, (2, 1, 1, 0))]:
-            w = Weight(n, parts)
-            assert repclass._build_tensor_model(w.n, w.parts).dim == weyl_dim(w)
-
-    def test_grading_shifts(self):
-        w = W(3, 2, 1)
-        m = repclass._build_tensor_model(w.n, w.parts)
-        e12 = m.gens["E_1_2"]
-        for c, col in e12.cols.items():
-            for r in col:
-                diff = tuple(a - b for a, b in zip(m.grading[r], m.grading[c]))
-                assert diff == (1, -1, 0)
-
-    def test_resource_cap(self):
-        # a self-dual size-10 label at rank 4 needs 4^10 cells, so neither
-        # it nor its dual is built
-        w = W(4, 5, 3, 2)
-        assert dual(w) == w
-        for build in (lambda: repclass._build_tensor_model(4, w.parts),
-                      lambda: repclass.model_for_weight(4, w.parts)):
-            with pytest.raises(ResourceCapError) as exc:
-                build()
-            assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
 
 
 class TestStabilizer:
@@ -245,8 +150,7 @@ class TestIntegerStabilizerAgainstOracle:
 
         def rescaled(n, parts):
             m = real(n, parts)
-            gens = {k: g.scale(factors[parts]) for k, g in m.gens.items()}
-            return SlModel(m.weight, m.dim, gens, m.grading)
+            return replace(m, sl_gens={k: g.scale(factors[parts]) for k, g in m.sl_gens.items()})
 
         monkeypatch.setattr(repclass, "model_for_weight", rescaled)
         repclass._integer_gens.cache_clear()

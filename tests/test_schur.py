@@ -109,6 +109,17 @@ class TestWeightMultiset:
         with pytest.raises(ValueError):
             WeightMultiset.of(3, [Weight(2, (1, 0))])
 
+    @pytest.mark.parametrize("entries,message", [
+        (((Weight(2, (1, 0)), 1),), r"weight \[1,0\] has rank 2, expected 3"),
+        (((W(3, 1), 0),), r"multiplicity of \[1,0,0\] must be >= 1, got 0"),
+        (((W(3, 1), 1), (W(3, 1), 2)), r"duplicate entry for \[1,0,0\]"),
+        (((W(3, 0), 1), (W(3, 2), 1), (W(3, 1), 1)),
+         r"entries not in canonical order; use WeightMultiset\.of"),
+    ])
+    def test_direct_construction_names_each_fault(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightMultiset(3, entries)
+
 
 class TestDual:
     def test_dual_of_standard(self):

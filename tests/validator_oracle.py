@@ -13,8 +13,7 @@ import itertools
 
 from affrep.config import ModelInvariantError
 from affrep.linalg import SMat
-from affrep.matmodel import AffMatrixRep
-from affrep.repclass import bracket_coefficients, sl_defining_matrix
+from affrep.matmodel import AffMatrixRep, bracket_coefficients, sl_defining_matrix
 
 
 def _expected_bracket(rep: AffMatrixRep, akey: str, bkey: str) -> SMat:
