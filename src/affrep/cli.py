@@ -21,6 +21,7 @@ from .config import (
     DEFAULT_TRIALS,
     MAX_LR_CONTENT,
     MAX_LR_SHAPES,
+    MAX_PIERI_STRIPS,
     MAX_WEIGHT_RANK,
     ModelInvariantError,
     ResourceCapError,
@@ -39,7 +40,15 @@ from .rationality import (
     decide_rationality,
 )
 from .repclass import classify_with_report
-from .schur import _candidate_outer_shapes, dual, lr_decompose, normalize, pieri_sym, weyl_dim
+from .schur import (
+    _candidate_outer_shapes,
+    dual,
+    horizontal_strips,
+    lr_decompose,
+    normalize,
+    pieri_sym,
+    weyl_dim,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -131,6 +140,10 @@ def cmd_tensor(args) -> int:
 
 def cmd_pieri(args) -> int:
     w = parse_weight_arg(args.n, args.lam)
+    # one summand per strip; counted no further than one past the cap
+    strips = horizontal_strips(w.parts, args.k, w.n)
+    if sum(1 for _ in itertools.islice(strips, MAX_PIERI_STRIPS + 1)) > MAX_PIERI_STRIPS:
+        raise ResourceCapError("max_pieri_strips", f"more than {MAX_PIERI_STRIPS}", MAX_PIERI_STRIPS)
     ms = pieri_sym(w, args.k)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK

@@ -31,6 +31,10 @@ MAX_LR_CONTENT = 16
 # this bound took 0.76 s), and the rank-32 staircase with 4 boxes (37,388
 # shapes, 2 s) is refused
 MAX_LR_SHAPES = 3_000
+# largest number of horizontal strips (one summand each) `pieri` lets its
+# decomposition build; a strip costs 12-40 us to build and print, more at a
+# higher rank, and a huge k at rank 3 or more has astronomically many
+MAX_PIERI_STRIPS = 10_000
 # largest number of W2 sub-multisets searched exhaustively before the
 # greedy shortcut kicks in
 MAX_SPLIT_CANDIDATES = 1_000_000

@@ -286,31 +286,37 @@ def integer_rank(rows, stop_at: int | None = None) -> int:
     stay bounded (the content-removal variant of integer-preserving Gaussian
     elimination; E. H. Bareiss, Math. Comp. 22 (1968)).  A kept row is zero
     at the pivots of all rows kept before it, so one pass in insertion order
-    reduces a new row completely.
+    reduces a new row completely.  So a kept row is stored without those
+    columns, and without its own pivot column, whose entry is kept beside
+    it; a new row drops each pivot column as it is eliminated there, so it
+    always has the columns of the next kept row, and each reduction step is
+    one entry shorter than the one before.
 
     `rows` may be any iterable and is consumed lazily: with `stop_at`, no
     row is drawn once that many are kept, and the result is
     min(stop_at, rank).
     """
-    kept: list[tuple[int, list[int]]] = []  # (pivot, row), row[pivot] != 0
+    # (pivot, pivot entry, the other entries), indexed by the columns left
+    # when the row was kept
+    kept: list[tuple[int, int, list[int]]] = []
     rows = iter(rows)
     while len(kept) != stop_at:
         row = next(rows, None)
         if row is None:
             break
         row = list(row)
-        for p, b in kept:
-            c = row[p]
+        for p, bp, b in kept:
+            c = row.pop(p)
             if c:
-                bp = b[p]
                 g = gcd(bp, c)
-                bp //= g
+                s = bp // g
                 c //= g
-                row = [bp * x - c * y for x, y in zip(row, b)]
+                row = [s * x - c * y for x, y in zip(row, b)]
         g = gcd(*row)
         if not g:
             continue
         if g != 1:
             row = [x // g for x in row]
-        kept.append((next(i for i, x in enumerate(row) if x), row))
+        p = next(i for i, x in enumerate(row) if x)
+        kept.append((p, row.pop(p), row))
     return len(kept)

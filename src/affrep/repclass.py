@@ -56,10 +56,11 @@ def bad_list(n: int) -> frozenset[Weight]:
 # bound caps memory
 @lru_cache(maxsize=128)
 def _integer_gens(n: int, parts: tuple[int, ...]):
-    """The model's generators in sl_basis_keys order, each as integer columns
-    [(row, value), ...] indexed by column, all scaled by one common
-    denominator.  A nonzero scalar on a summand's block of coordinates does
-    not change the rank of the stacked action, so the kernel is unchanged."""
+    """(dim, gens): the model's dimension and its generators in sl_basis_keys
+    order, each as flat (row, col, value) integer triples, all scaled by one
+    common denominator.  A nonzero scalar on a summand's block of coordinates
+    does not change the rank of the stacked action, so the kernel is
+    unchanged."""
     m = model_for_weight(n, parts)
     gens = [m.sl_gens[k] for k in sl_basis_keys(n)]
     denom = 1
@@ -67,26 +68,28 @@ def _integer_gens(n: int, parts: tuple[int, ...]):
         for col in g.cols.values():
             for v in col.values():
                 denom = lcm(denom, v.denominator)
-    return tuple(
+    return m.dim, tuple(
         tuple(
-            tuple((r, v.numerator * (denom // v.denominator)) for r, v in g.cols.get(c, {}).items())
-            for c in range(m.dim)
+            (r, c, v.numerator * (denom // v.denominator))
+            for c, col in g.cols.items() for r, v in col.items()
         )
         for g in gens
     )
 
 
-def _image_rows(models, points):
+def _image_rows(models, rng):
     """The images X.v of the sl_n basis elements X, transposed: one row of
-    length n^2 - 1 per coordinate of V, summand copy by summand copy."""
-    for gens, pt in zip(models, points):
+    length n^2 - 1 per coordinate of V, summand copy by summand copy.  Each
+    copy's coordinates v are drawn from `rng`, in coordinate order, just
+    before its rows, so a consumer that stops early leaves the later copies
+    undrawn."""
+    for dim, gens in models:
+        pt = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(dim)]
         imgs = []
         for gen in gens:
-            img = [0] * len(pt)
-            for col, x in zip(gen, pt):
-                if x:
-                    for r, a in col:
-                        img[r] += a * x
+            img = [0] * dim
+            for r, c, a in gen:
+                img[r] += a * pt[c]
             imgs.append(img)
         yield from zip(*imgs)
 
@@ -108,29 +111,31 @@ def stabilizer_dimension(
     later copy changes h; the dimension can drop at most n^2 - 1 times, so
     further copies cannot lower it.
 
-    Each trial draws every coordinate of every counted copy, in summand
-    order, from one generator seeded with `seed`.  The rank of the images
-    X.v over the basis of sl_n is an exact integer rank of their transpose,
-    fed one summand copy at a time and stopped at full rank n^2 - 1.  The
-    trials stop once the minimum is 0; the generator is local to the call,
-    so the skipped draws are never observed, and the report keeps the
-    requested `trials`."""
+    The trials draw from one generator seeded with `seed`, each the
+    coordinates of the counted copies in summand order, a copy's just
+    before its rows.  The rank of the images X.v over the basis of sl_n is
+    an exact integer rank of their transpose, fed one summand copy at a time
+    and stopped at full rank n^2 - 1, which leaves the later copies of that
+    trial undrawn.  The rank is at most the number of rows, one per
+    coordinate of a counted copy, so no trial can go below
+    max(0, n^2 - 1 - that number); the trials stop once the minimum reaches
+    it.  Both stops end the call, and the generator is local to it, so every
+    trial that can lower the minimum sees the points it would see if each
+    trial drew all of its coordinates; the report keeps the requested
+    `trials`."""
     n = rep.n
     nkeys = len(sl_basis_keys(n))
     models = []
     for w, mult in rep.entries:
         if not w.is_trivial():
             models.extend([_integer_gens(n, w.parts)] * min(mult, nkeys))
+    floor = max(0, nkeys - sum(dim for dim, _ in models))
     rng = random.Random(seed)
     best = None
     for _ in range(trials):
-        points = [
-            [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(len(gens[0]))]
-            for gens in models
-        ]
-        stab = nkeys - integer_rank(_image_rows(models, points), stop_at=nkeys)
+        stab = nkeys - integer_rank(_image_rows(models, rng), stop_at=nkeys)
         best = stab if best is None else min(best, stab)
-        if best == 0:
+        if best == floor:
             break
     return StabilizerReport(stab_dim=best, trials=trials, seed=seed)
 

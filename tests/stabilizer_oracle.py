@@ -3,7 +3,9 @@
 The same random points as `affrep.repclass.stabilizer_dimension` (the same
 `randint` calls in the same order: no trivial summand copies, and at most
 n^2 - 1 copies of each label), applied with the rational model matrices and
-ranked by inserting the stacked images into an `Echelon`.
+ranked by inserting the stacked images into an `Echelon`.  Every trial draws
+all of its coordinates up front and every requested trial runs, so a draw
+that the engine's early stops moved would show as a different answer.
 Independent of the integer path, which tests compare against it.
 """
 

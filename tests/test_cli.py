@@ -516,6 +516,32 @@ def test_tensor_shape_cap_is_inclusive(capsys, monkeypatch):
     assert rc == 1
     assert "max_lr_shapes needs more than 141, cap is 141" in err
 
+
+# at rank 6 a 20-digit k has astronomically many horizontal strips; the
+# strip sweep ran without end before it was counted against the cap
+def test_pieri_above_strip_cap_exits_1_naming_it():
+    huge = "99999999999999999999"
+    t0 = time.perf_counter()
+    proc = run_affrep("pieri", "--n", "6", "--lambda", huge, "--k", huge, timeout=30)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource cap exceeded: max_pieri_strips")
+    assert "Traceback" not in proc.stderr
+
+
+def test_pieri_strip_cap_is_inclusive(capsys, monkeypatch):
+    argv = ("pieri", "--n", "3", "--lambda", "3,0,0", "--k", "2")
+    monkeypatch.setattr(cli, "MAX_PIERI_STRIPS", 3)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out.splitlines()[0] == "[3,2,0] + [4,1,0] + [5,0,0]"
+    monkeypatch.setattr(cli, "MAX_PIERI_STRIPS", 2)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert "max_pieri_strips needs more than 2, cap is 2" in err
+
+
 class TestEnumerate:
     def test_deterministic_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"

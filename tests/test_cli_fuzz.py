@@ -10,7 +10,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affrep import serialize as ser
@@ -68,6 +68,9 @@ def weight_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(weight_argv())
+# huge k at rank 6: astronomically many horizontal strips, refused by a cap
+@example(["pieri", "--n", "6", "--lambda", "99999999999999999999",
+          "--k", "99999999999999999999"])
 def test_weight_commands_never_raise(argv):
     assert _exit_code(argv) in (0, 1, 2, 3)
 

@@ -71,16 +71,45 @@ def test_integer_rank_small_cases():
     assert integer_rank([[2, 4], [3, 6]]) == 1
     assert integer_rank([[0, 3], [5, 0], [7, 7]]) == 2
     assert integer_rank(iter([[1, 0], [0, 1], [1, 1]]), stop_at=2) == 2
+    # does not mutate its input
+    rows = [[6, 4], [3, 5]]
+    assert integer_rank(rows) == 2
+    assert rows == [[6, 4], [3, 5]]
 
+
+def test_integer_rank_stop_at_zero_draws_no_row():
     def nothing():
         raise AssertionError("no row may be drawn")
         yield
 
     assert integer_rank(nothing(), stop_at=0) == 0
-    # does not mutate its input
-    rows = [[6, 4], [3, 5]]
-    assert integer_rank(rows) == 2
-    assert rows == [[6, 4], [3, 5]]
+
+
+HUGE = st.integers(2**64, 2**80)
+
+
+@st.composite
+def huge_integer_rows(draw):
+    """Up to 10 rows with entries above 2^64 in absolute value: a few base
+    rows and integer combinations of them with coefficients that large."""
+    base = draw(st.lists(
+        st.lists(st.one_of(st.just(0), HUGE, HUGE.map(lambda x: -x)),
+                 min_size=NCOLS, max_size=NCOLS),
+        min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [0] * NCOLS
+        for b in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            c = draw(st.one_of(st.integers(-3, 3), HUGE))
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_integer_rows())
+def test_integer_rank_of_huge_entries_equals_echelon_rank(rows):
+    assert integer_rank(rows) == echelon_rank(rows)
 
 
 def back_substitution_nullspace(equations, variables):

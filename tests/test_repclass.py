@@ -97,11 +97,28 @@ class TestStabilizer:
                 got_dual = stabilizer_dimension(WeightMultiset.of(n, [dual(w)]), seed=13).stab_dim
                 assert got_dual == got, (n, w)
 
+    @pytest.mark.parametrize("label,rank,trials", [
+        ((1, 0, 0, 0), 4, 1),  # 4 rows of rank 4: the first trial reaches the floor 15 - 4
+        ((1, 1, 0, 0), 5, 3),  # 6 rows of rank 5: no trial reaches the floor 15 - 6
+    ])
+    def test_trials_stop_at_the_row_count_floor(self, label, rank, trials, monkeypatch):
+        ranks = []
+        real = repclass.integer_rank
+
+        def counted(rows, stop_at=None):
+            ranks.append(real(rows, stop_at))
+            return ranks[-1]
+
+        monkeypatch.setattr(repclass, "integer_rank", counted)
+        got = stabilizer_dimension(WeightMultiset.of(4, [Weight(4, label)]), seed=1729, trials=3)
+        assert ranks == [rank] * trials
+        assert (got.stab_dim, got.trials) == (15 - rank, 3)
+
 
 def _bad_family_reps():
     """Every multiset of nontrivial bad-family labels with total multiplicity
-    <= 3 at ranks 2 and 3, and each single nontrivial bad label at rank 4."""
-    for n, top in ((2, 3), (3, 3), (4, 1)):
+    <= 3 at ranks 2 and 3, and <= 2 at rank 4."""
+    for n, top in ((2, 3), (3, 3), (4, 2)):
         labels = sorted(w for w in bad_list(n) if not w.is_trivial())
         for size in range(1, top + 1):
             for combo in itertools.combinations_with_replacement(labels, size):
@@ -110,8 +127,10 @@ def _bad_family_reps():
 
 class TestIntegerStabilizerAgainstOracle:
     # with coordinates in {-1, 0, 1} special points are common, so the kernel
-    # dimension of a single trial depends on the exact draws
-    @pytest.mark.parametrize("trials,coord_bound", [(3, 100), (1, 1)])
+    # dimension of a trial depends on the exact draws, and with several trials
+    # a draw moved from one trial to the next would show; the oracle draws
+    # every coordinate of every trial up front
+    @pytest.mark.parametrize("trials,coord_bound", [(3, 100), (1, 1), (3, 1)])
     @pytest.mark.parametrize("seed", [1, 7, 1729])
     def test_bad_family_sweep(self, seed, trials, coord_bound, monkeypatch):
         monkeypatch.setattr(repclass, "COORD_BOUND", coord_bound)
