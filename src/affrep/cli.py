@@ -56,9 +56,13 @@ EXIT_EXCEPTIONAL = 2
 EXIT_NOT_FREE = 3
 
 
-def parse_weight_arg(n: int, text: str):
+def _check_rank(n: int) -> None:
     if n > MAX_WEIGHT_RANK:
         raise ValueError(f"--n {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
+
+
+def parse_weight_arg(n: int, text: str):
+    _check_rank(n)
     parts = []
     for token in text.split(","):
         token = token.strip()
@@ -170,6 +174,7 @@ def _require(args, **needed):
 def cmd_model(args) -> int:
     if args.which == "sym-dual":
         _require(args, n=args.n, l=args.l)
+        _check_rank(args.n)
         rep = model_sym_dual(args.n, args.l, max_dim=args.max_model_dim)
     elif args.which == "dual":
         _require(args, **{"in": args.infile})

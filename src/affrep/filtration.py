@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, Vec, nullspace
+from .linalg import Echelon, Vec, common_kernel
 from .matmodel import AffMatrixRep, dual_model, grading_rep
 from .oracle import ssyt_contents
 from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
@@ -108,21 +108,9 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
     snapshots: list[list[Vec]] = []
     total = 0
     while total < rep.dim:
-        pivots = set(ech.rows)
-        coords = [c for c in range(rep.dim) if c not in pivots]
         # induced translation action on the quotient (non-pivot coordinates)
-        equations: list[Vec] = []
-        for t in rep.trans_gens:
-            residues: dict[int, Vec] = {}
-            for c in coords:
-                img = t.cols.get(c)
-                if not img:
-                    continue
-                res = ech.reduce(dict(img))
-                for r, v in res.items():
-                    residues.setdefault(r, {})[c] = v
-            equations.extend(residues[r] for r in sorted(residues))
-        kernel = nullspace(equations, coords)
+        coords = [c for c in range(rep.dim) if c not in ech.rows]
+        kernel = common_kernel(rep.trans_gens, coords, ech)
         if not kernel:
             raise RuntimeError("socle of a nonzero quotient is zero; translations not nilpotent?")
         step_rows: list[Vec] = []

@@ -277,6 +277,23 @@ def nullspace(equations: list[Vec], variables: list[int]) -> list[Vec]:
     return basis
 
 
+def common_kernel(mats, coords: list[int], modulo: Echelon) -> list[Vec]:
+    """`nullspace` basis of the vectors supported on `coords` that every
+    matrix in `mats` maps into the span of `modulo` (to zero when it is
+    empty): one equation per (matrix, row) of the images of the coordinate
+    vectors reduced modulo that span, by matrix and then by row."""
+    equations: list[Vec] = []
+    for m in mats:
+        by_row: dict[int, Vec] = {}
+        for c in coords:
+            img = m.cols.get(c)
+            if img:
+                for r, v in modulo.reduce(img).items():
+                    by_row.setdefault(r, {})[c] = v
+        equations.extend(by_row[r] for r in sorted(by_row))
+    return nullspace(equations, coords)
+
+
 def integer_rank(rows, stop_at: int | None = None) -> int:
     """Exact rank of equal-length integer rows, by fraction-free elimination.
 

@@ -29,7 +29,7 @@ from .config import (
     ModelInvariantError,
     ResourceCapError,
 )
-from .linalg import Echelon, SMat, Vec, closure, nullspace, restrict
+from .linalg import Echelon, SMat, Vec, closure, common_kernel, restrict
 from .schur import Weight, WeightMultiset, dual, weyl_dim
 
 
@@ -109,10 +109,12 @@ def _check_cap(dim: int, max_dim: int):
 
 def monomial_basis(n: int, l: int) -> list[tuple[int, ...]]:
     """Exponent vectors of monomials of total degree <= l, ordered by degree
-    then lexicographically."""
+    then lexicographically.  A monomial of degree deg is the multiset of its
+    deg variables, so each degree's vectors come straight from those."""
     out = []
     for deg in range(l + 1):
-        out.extend(sorted(e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) == deg))
+        out.extend(sorted(tuple(map(c.count, range(n)))
+                          for c in itertools.combinations_with_replacement(range(n), deg)))
     return out
 
 
@@ -510,17 +512,7 @@ def highest_weight_vectors(rep: AffMatrixRep, label: Weight, indices=None) -> li
         for i in range(1, rep.n + 1)
         for j in range(i + 1, rep.n + 1)
     ]
-    # one equation per (raising op, target row): sum_c X[r][c] x_c = 0
-    by_row: dict[tuple[int, int], Vec] = {}
-    for oi, op in enumerate(raising):
-        for c in coords:
-            col = op.cols.get(c)
-            if not col:
-                continue
-            for r, v in col.items():
-                by_row.setdefault((oi, r), {})[c] = v
-    equations = [by_row[k] for k in sorted(by_row)]
-    return nullspace(equations, coords)
+    return common_kernel(raising, coords, Echelon())
 
 
 def generated_submodel(rep: AffMatrixRep, seeds: list[Vec]) -> AffMatrixRep:

@@ -12,6 +12,7 @@ evidence trail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -143,13 +144,6 @@ def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
     return FREE, verdict
 
 
-def _split_candidate_count(ms: WeightMultiset) -> int:
-    total = 1
-    for _, m in ms.entries:
-        total *= m + 1
-    return total
-
-
 def decide_rationality(
     ext: TwoStepExtension,
     seed: int = DEFAULT_SEED,
@@ -197,7 +191,7 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int) -> Verdict:
 
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
-    count = _split_candidate_count(ext.W)
+    count = math.prod(m + 1 for _, m in ext.W.entries)
     exhaustive = count <= MAX_SPLIT_CANDIDATES
     candidates = (
         ext.W.submultisets() if exhaustive else _greedy_candidates(ext)

@@ -101,9 +101,6 @@ class WeightMultiset:
             raise ValueError("rank mismatch")
         return WeightMultiset.of(self.n, list(self.entries) + list(other.entries))
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def submultisets(self) -> list["WeightMultiset"]:
         """All sub-multisets in a canonical order: increasing dimension, ties
         by the entries tuple."""

@@ -17,6 +17,7 @@ from affrep.catalog import (
     TRIGGER_SMALL_S,
     _bad_cores,
     _fitting_subs,
+    _grown,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
@@ -68,6 +69,28 @@ class TestIrrepsUpToDim:
             if weyl_dim(w) <= bound:
                 brute.add(w)
         assert set(irreps_up_to_dim(n, bound)) == brute
+
+
+@pytest.mark.parametrize("n,bound", [(2, 9), (3, 10), (4, 12)])
+def test_grown_reaches_each_bounded_multiset_once(n, bound):
+    # the monotone bound of clause (ii): every nonempty multiset of the
+    # irreducibles with total dimension <= bound, against all count vectors
+    labels = irreps_up_to_dim(n, bound)
+    tried = []
+
+    def keep(ms):
+        tried.append(ms.entries)
+        return ms.dim() <= bound
+
+    got = [ms.entries for ms in _grown(n, labels, keep)]
+    most = WeightMultiset.of(n, [(w, bound // weyl_dim(w)) for w in labels])
+    brute = {e for e in itertools.islice(sub_entries(most.entries), 1, None)
+             if WeightMultiset(n, e).dim() <= bound}
+    assert len(got) == len(set(got))
+    assert set(got) == brute
+    # keep sees each grown multiset once, and each accepted one is kept
+    assert len(tried) == len(set(tried))
+    assert [e for e in tried if WeightMultiset(n, e).dim() <= bound] == got
 
 
 # --- the candidate filter against the one it replaced ------------------------
@@ -156,6 +179,8 @@ class TestEnumerate:
                                 (2, 42, 5), (3, 42, 5)):
             entries = enumerate_exceptional_candidates(n, seed=seed, trials=trials)
             assert entries
+            # the clauses are disjoint, so no pair is produced twice
+            assert len({(e.Q.entries, e.S.entries) for e in entries}) == len(entries)
             triv = W(n, 0)
             for e in entries:
                 assert check_structural(TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, [])))

@@ -454,6 +454,22 @@ def test_rank_ceiling_is_inclusive(capsys):
     assert f"--n {MAX_WEIGHT_RANK + 1}" in err
 
 
+def test_sym_dual_rank_ceiling(capsys):
+    # the monomial basis used to filter (deg + 1)^n exponent tuples per
+    # degree, so --n 24 --l 1 took seconds and --n 30 did not finish
+    from affrep.config import MAX_WEIGHT_RANK
+
+    n = MAX_WEIGHT_RANK
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "model", "sym-dual", "--n", str(n), "--l", "1")
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 0
+    assert json.loads(out)["N"] == n + 1
+    rc, out, err = run(capsys, "model", "sym-dual", "--n", str(n + 1), "--l", "1")
+    assert (rc, out) == (1, "")
+    assert f"--n {n + 1} exceeds the largest supported rank {n}" in err
+
+
 
 # the smaller weight's size is capped before the LR decomposition: the first
 # case crashed with a RecursionError (one frame per box), the second ran for

@@ -80,6 +80,17 @@ class TestModelSymDual:
             assert power.matmul(t).is_zero()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monomial_basis_matches_filtered_product(n):
+    # the basis once filtered every tuple with entries up to the degree
+    for l in range(6):
+        brute = []
+        for deg in range(l + 1):
+            brute.extend(sorted(e for e in itertools.product(range(deg + 1), repeat=n)
+                                if sum(e) == deg))
+        assert monomial_basis(n, l) == brute
+
+
 class TestUnipotentImage:
     """exp(sum v_i T_i), expanded symbolically by the test oracle."""
 

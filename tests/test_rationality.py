@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from affrep.config import MAX_SPLIT_CANDIDATES
@@ -161,6 +163,19 @@ class TestDecide:
         flags = [e for e in v.evidence if e["condition"] == "split-search-incomplete"]
         assert [f["result"] for f in flags] == [f"greedy shortcut over {2 ** 20} candidates"]
         assert v.outcome == RATIONAL_BY_A  # the empty split already works
+
+    def test_split_setup_is_bounded(self):
+        # every candidate is built and sorted before the first is classified:
+        # 2^17 of them took about 4 s and 120 MB, so 17 distinct labels take
+        # the greedy path
+        labels = [W(3, a, b) for a in range(1, 6) for b in range(a + 1)][:17]
+        assert len(set(labels)) == 17 and 2 ** 17 > MAX_SPLIT_CANDIDATES
+        ext = TwoStepExtension.of(3, S=[W(3, 4, 3)], Q=[W(3, 3, 3)], W=labels)
+        t0 = time.perf_counter()
+        v = decide_rationality(ext)
+        assert time.perf_counter() - t0 < 2.0
+        flags = [e for e in v.evidence if e["condition"] == "split-search-incomplete"]
+        assert [f["result"] for f in flags] == [f"greedy shortcut over {2 ** 17} candidates"]
 
 
 class TestVerdictInvariants:
