@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
-from .repclass import BAD, bad_list, classify, nontrivial_part
+from .repclass import BAD, bad_list, classify
 from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
 from .schur import (
     Weight,
@@ -107,17 +107,6 @@ def _fitting_subs(labels, factor: Weight, inner, caps=()):
             yield tuple((w, c) for (w, _), c in zip(labels, counts) if c)
 
 
-def _bad_cores(n: int, seed: int, trials: int) -> list[WeightMultiset]:
-    """The nonempty multisets over the nontrivial bad labels that the
-    stabilizer engine still classifies as bad, sorted by (dimension,
-    entries).  Badness passes to sub-multisets (a summand can only shrink
-    the generic stabilizer), so once a multiset is no longer bad, no
-    extension of it is, and the grower finds every core."""
-    labels = sorted(w for w in bad_list(n) if not w.is_trivial())
-    cores = _grown(n, labels, lambda ms: classify(ms, seed=seed, trials=trials) == BAD)
-    return sorted(cores, key=lambda s: (s.dim(), s.entries))
-
-
 def _cap(name: str, value: int | None, least: int, clause_bound: int) -> int:
     """The requested cap, or the clause bound when none is given; a cap
     below `least` or beyond the clause bound is refused."""
@@ -162,14 +151,14 @@ def enumerate_exceptional_candidates(
         verdict = _decide(TwoStepExtension(n, s, q, no_w), seed, trials)
         entries.append(CatalogEntry(n, s, q, trigger, verdict))
 
-    cores = _bad_cores(n, seed, trials)
-
-    # clause (i): bad quotients, a bad core or nothing padded with trivials
-    # below the threshold (pure-trivial quotients are bad as well); S is
-    # drawn from Q (x) standard, so only Q inside S (x) dual standard is
+    # clause (i): the bad quotients under the trivial cap, grown over the bad
+    # labels, the trivial one first; badness passes to sub-multisets and a
+    # quotient is classified as its nontrivial part is, so all are found.  S
+    # is drawn from Q (x) standard, so only Q inside S (x) dual standard is
     # open, and S is capped only when a cap is asked for
-    pads = [WeightMultiset.of(n, [(triv, t)]) for t in range(trivial_cap + 1)]
-    for q in [core.add(pad) for core in cores for pad in pads] + pads[1:]:
+    bad_qs = _grown(n, sorted(bad_list(n)), lambda q: q.count(triv) <= trivial_cap
+                    and classify(q, seed=seed, trials=trials) == BAD)
+    for q in bad_qs:
         labels = sorted(tensor_counts(q.entries, std).items())
         caps = [] if max_dim_s is None else [([weyl_dim(w) for w, _ in labels], max_dim_s)]
         for s in _fitting_subs(labels, dstd, q.entries, caps):
@@ -178,21 +167,15 @@ def enumerate_exceptional_candidates(
     # clause (ii): small submodules, over multisets of small irreducibles;
     # Q runs over sub-multisets of S (x) dual standard, so only S inside
     # Q (x) standard is open.  Clause (i) already admits every pair whose Q
-    # is bad, under the same caps, so this clause admits only the rest.  Q
-    # is classified as its nontrivial part is, and that part is bad when it
-    # is empty or a bad core.  The cores are every bad multiset over the
-    # nontrivial labels whenever badness passes to sub-multisets, as it
-    # does generically
-    bad_cores = {core.entries for core in cores}
+    # is bad, under the same caps, so this clause admits only the rest
+    bad_entries = {q.entries for q in bad_qs}
     for s in _grown(n, irreps_up_to_dim(n, dim_s_cap), lambda s: s.dim() <= dim_s_cap):
         labels = sorted(tensor_counts(s.entries, dstd).items())
         # the trivial label sorts first
         caps = [([1] + [0] * (len(labels) - 1), trivial_cap)] if labels[0][0] == triv else []
         for q in _fitting_subs(labels, std, s.entries, caps):
-            qm = WeightMultiset(n, q)
-            core = nontrivial_part(qm).entries
-            if core and core not in bad_cores:
-                admit(qm, s, TRIGGER_SMALL_S)
+            if q not in bad_entries:
+                admit(WeightMultiset(n, q), s, TRIGGER_SMALL_S)
 
     entries.sort(key=lambda e: (e.Q.entries, e.S.entries))
     return entries

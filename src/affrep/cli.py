@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 
 from . import catalog as catalog_mod
 from . import serialize as ser
@@ -231,20 +232,16 @@ def cmd_enumerate(args) -> int:
         seed=args.seed,
         trials=args.trials,
     )
-    lines = [ser.dumps(ser.catalog_entry_to_json(e)) for e in entries]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        stream = sys.stdout
-    else:
-        for line in lines:
-            print(line)
-        stream = sys.stderr
+    # the file is opened only now, so a refused catalog leaves none; each
+    # line is written as it is serialized
     by_trigger: dict[str, int] = {}
     by_verdict: dict[str, int] = {}
-    for e in entries:
-        by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
-        by_verdict[e.verdict.outcome] = by_verdict.get(e.verdict.outcome, 0) + 1
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for e in entries:
+            fh.write(ser.dumps(ser.catalog_entry_to_json(e)) + "\n")
+            by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
+            by_verdict[e.verdict.outcome] = by_verdict.get(e.verdict.outcome, 0) + 1
+    stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(entries)}", file=stream)
     for k in sorted(by_trigger):
         print(f"trigger {k}: {by_trigger[k]}", file=stream)

@@ -35,6 +35,12 @@ MAX_LR_SHAPES = 3_000
 # decomposition build; a strip costs 12-40 us to build and print, more at a
 # higher rank, and a huge k at rank 3 or more has astronomically many
 MAX_PIERI_STRIPS = 10_000
+# largest stabilizer work, trials x rows x (n^2 - 1) x min(rows, n^2 - 1)
+# with one row per coordinate of a counted summand copy, that
+# `stabilizer_dimension` starts; the slowest input timed under it (rank-12
+# exterior square and its dual, one trial) took 1.8 s, and three copies of
+# the rank-12 exterior square (12.1 M, 2.4 s) are refused
+MAX_STABILIZER_WORK = 2_500_000
 # largest number of W2 sub-multisets searched exhaustively before the
 # greedy shortcut kicks in; they are all built and sorted before the first
 # is classified, which took 0.6-0.7 s (39 MB peak) for 2^15 of them and

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .config import COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS
+from .config import (COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, MAX_STABILIZER_WORK,
+                     ResourceCapError)
 from .linalg import integer_rank
 from .matmodel import model_for_weight, sl_basis_keys
-from .schur import Weight, WeightMultiset, dual, normalize
+from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 GOOD = "Good"
 BAD = "Bad"
@@ -124,12 +125,21 @@ def stabilizer_dimension(
     trial drew all of its coordinates; the report keeps the requested
     `trials`."""
     n = rep.n
-    nkeys = len(sl_basis_keys(n))
+    nkeys = n * n - 1
+    counted = [(w, min(mult, nkeys)) for w, mult in rep.entries if not w.is_trivial()]
+    # the work of the eliminations, trials x rows x (n^2 - 1) x rank, is
+    # bounded before any model is built; a first pass at n rows per copy,
+    # the least any nontrivial label has, refuses a large rank before its
+    # Weyl dimensions (O(n^2) products each) are computed
+    for dim in (lambda w: n, weyl_dim):
+        rows = sum(mult * dim(w) for w, mult in counted)
+        work = trials * rows * nkeys * min(rows, nkeys)
+        if work > MAX_STABILIZER_WORK:
+            raise ResourceCapError("max_stabilizer_work", work, MAX_STABILIZER_WORK)
     models = []
-    for w, mult in rep.entries:
-        if not w.is_trivial():
-            models.extend([_integer_gens(n, w.parts)] * min(mult, nkeys))
-    floor = max(0, nkeys - sum(dim for dim, _ in models))
+    for w, mult in counted:
+        models.extend([_integer_gens(n, w.parts)] * mult)
+    floor = max(0, nkeys - rows)
     rng = random.Random(seed)
     best = None
     for _ in range(trials):
@@ -148,7 +158,7 @@ def nontrivial_part(rep: WeightMultiset) -> WeightMultiset:
     return rep
 
 
-# the rank-4 catalog classifies 7,575 distinct multisets
+# the rank-4 catalog classifies 9,117 distinct multisets
 @lru_cache(maxsize=16384)
 def classify_with_report(
     rep: WeightMultiset,

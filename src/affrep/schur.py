@@ -274,8 +274,8 @@ def lr_decompose(a: Weight, b: Weight) -> WeightMultiset:
     return _lr_decompose(a.n, a.parts, b.parts)
 
 
-# structure checks ask for the same few products over and over (21 distinct
-# pairs behind 86k calls in the rank-3 catalog); the bound keeps a
+# the catalog asks for the same few products over and over (20 distinct
+# pairs behind 1,919 calls in the rank-3 catalog); the bound keeps a
 # long-running process from growing without limit
 @lru_cache(maxsize=4096)
 def _lr_decompose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> WeightMultiset:

@@ -15,7 +15,6 @@ from affrep import rationality, repclass
 from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
-    _bad_cores,
     _fitting_subs,
     _grown,
     enumerate_exceptional_candidates,
@@ -23,7 +22,7 @@ from affrep.catalog import (
 )
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.rationality import TwoStepExtension, check_structural
-from affrep.repclass import BAD, classify, classify_with_report, stabilizer_dimension
+from affrep.repclass import BAD, bad_list, classify, classify_with_report, stabilizer_dimension
 from affrep.schur import (
     Weight,
     WeightMultiset,
@@ -227,13 +226,47 @@ class TestEnumerate:
         )
 
 
+# --- clause (i) against the construction it replaced ---------------------------
+
+def bad_cores(n, seed, trials):
+    """The nonempty multisets over the nontrivial bad labels that `classify`
+    still calls bad, grown label by label."""
+    labels = sorted(w for w in bad_list(n) if not w.is_trivial())
+    return _grown(n, labels, lambda ms: classify(ms, seed=seed, trials=trials) == BAD)
+
+
+def bad_quotients_reference(n, trivial_cap, seed, trials):
+    """Clause (i)'s quotients as the catalog once built them: every bad core
+    padded with 0 to `trivial_cap` trivial summands, and the pure-trivial
+    multisets with 1 to `trivial_cap` summands."""
+    pads = [WeightMultiset.of(n, [(W(n, 0), t)]) for t in range(trivial_cap + 1)]
+    return [core.add(pad) for core in bad_cores(n, seed, trials) for pad in pads] + pads[1:]
+
+
+@pytest.mark.parametrize("n,max_trivials,seed,trials", [
+    (2, None, DEFAULT_SEED, DEFAULT_TRIALS), (3, None, DEFAULT_SEED, DEFAULT_TRIALS),
+    (2, 0, DEFAULT_SEED, DEFAULT_TRIALS), (3, 0, DEFAULT_SEED, DEFAULT_TRIALS),
+    (2, 2, DEFAULT_SEED, DEFAULT_TRIALS), (3, 2, DEFAULT_SEED, DEFAULT_TRIALS),
+    (2, None, 42, 5), (3, None, 42, 5),
+])
+def test_bad_quotients_match_padded_cores(n, max_trivials, seed, trials):
+    # the grown bad quotients are the padded cores: a quotient classifies as
+    # its nontrivial part, and a pure-trivial one is bad; with no cap on
+    # dim S every bad quotient has some S, so each one is in the catalog
+    entries = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed,
+                                               trials=trials)
+    cap = n * n - 2 if max_trivials is None else max_trivials
+    want = {q.entries for q in bad_quotients_reference(n, cap, seed, trials)}
+    assert {e.Q.entries for e in entries if e.trigger == TRIGGER_BAD_Q} == want
+
+
 def test_trivial_padding_of_a_core_changes_no_classification():
-    # clause (i) pads every bad core with up to n^2 - 2 trivial summands;
+    # clause (i) holds every bad core with up to n^2 - 2 trivial summands;
     # the padded quotient is answered by the core's memoized result, and a
     # stabilizer run on it draws and returns what the core's run does
     n = 3
     triv = W(n, 0)
-    for core in _bad_cores(n, DEFAULT_SEED, DEFAULT_TRIALS):
+    for core in bad_cores(n, DEFAULT_SEED, DEFAULT_TRIALS):
         want = classify_with_report(core)
         want_dim = stabilizer_dimension(core).stab_dim
         for t in range(8):
@@ -328,23 +361,35 @@ CATALOG_CACHES = (
 )
 
 
-def test_rank4_catalog_evicts_no_cache_entry():
-    # in a fresh process, so the counts are the catalog's alone; a cache
-    # evicted nothing when it still holds every miss
+def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
+    # in a fresh process, so the counts and the peak memory are the
+    # catalog's alone; a cache evicted nothing when it still holds every
+    # miss.  The lines are written as they are made, so the peak holds the
+    # entries but not the file's 14 MB of text twice over (95 MB when it
+    # did, 56 MB since).  The peak is the process's own VmHWM in KiB: its
+    # ru_maxrss would also count the test process, whose peak a child
+    # inherits through exec on Linux
     code = (
-        "import importlib, json, sys\n"
-        "from affrep.catalog import enumerate_exceptional_candidates\n"
-        "enumerate_exceptional_candidates(4)\n"
-        "info = {}\n"
-        "for name in sys.argv[1:]:\n"
+        "import contextlib, importlib, json, sys\n"
+        "from affrep.cli import main\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    assert main(['enumerate', '--n', '4', '--out', sys.argv[1]]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
+        "info = {'peak_kib': int(hwm.split()[1])}\n"
+        "for name in sys.argv[2:]:\n"
         "    mod, fn = name.split('.')\n"
         "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
         ".cache_info()._asdict()\n"
         "print(json.dumps(info))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code, *CATALOG_CACHES], env=env,
+    out = tmp_path / "catalog.jsonl"
+    proc = subprocess.run([sys.executable, "-c", code, str(out), *CATALOG_CACHES], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    for name, info in json.loads(proc.stdout).items():
-        assert info["misses"] == info["currsize"] < info["maxsize"], name
+    info = json.loads(proc.stdout)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[4]
+    assert info.pop("peak_kib") < 70 * 1024
+    for name, cache in info.items():
+        assert cache["misses"] == cache["currsize"] < cache["maxsize"], name

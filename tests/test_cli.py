@@ -141,6 +141,21 @@ class TestClassify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["GoodHeuristic", "stab_dim: 0 (trials 3)", "seed: 1729"]
 
+    @pytest.mark.parametrize("n,summand,needed", [
+        # three exterior squares at rank 13: 234 rows, 4.4 s when it ran
+        (13, {"lambda": [1, 1] + [0] * 11, "mult": 3}, 3 * 234 * 168 * 168),
+        # refused on the first pass, before its Weyl dimension is computed
+        (1000, {"lambda": [1] + [0] * 999}, 3 * 1000 * 999_999 * 1000),
+    ], ids=["rank-13", "rank-1000"])
+    def test_stabilizer_work_cap(self, capsys, tmp_path, n, summand, needed):
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({"n": n, "summands": [summand]}))
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "classify", str(f))
+        assert time.perf_counter() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert f"max_stabilizer_work needs {needed}, cap is 2500000" in err
+
     def test_tensor_cell_cap(self, capsys, tmp_path):
         # the rank-8 adjoint is in the bad list, and its model would need
         # 8^8 cells of the 8th tensor power
@@ -577,6 +592,26 @@ class TestEnumerate:
             line.split(": ") for line in out.splitlines() if ": " in line
         )
         assert int(summary["entries"]) == len(lines)
+
+    def test_stdout_holds_the_file_bytes_and_stderr_the_summary(self, capsys, tmp_path):
+        out_file = tmp_path / "cat.jsonl"
+        rc, summary, err = run(capsys, "enumerate", "--n", "2", "--out", str(out_file))
+        assert rc == 0 and err == ""
+        rc, out, err = run(capsys, "enumerate", "--n", "2")
+        assert rc == 0
+        assert out == out_file.read_text(encoding="utf-8")
+        assert err == summary
+        assert err.splitlines()[0] == f"entries: {len(out.splitlines())}"
+
+    @pytest.mark.parametrize("flags", [["--n", "5"], ["--n", "3", "--max-trivials", "99"]],
+                             ids=["rank", "max-trivials"])
+    def test_refused_catalog_creates_no_file(self, capsys, tmp_path, flags):
+        out_file = tmp_path / "cat.jsonl"
+        rc, out, err = run(capsys, "enumerate", *flags, "--out", str(out_file))
+        assert rc == 1
+        assert out == ""
+        assert "cap" in err
+        assert not out_file.exists()
 
     def test_dim_s_cap(self, capsys, tmp_path):
         out_file = tmp_path / "cat.jsonl"

@@ -6,6 +6,7 @@ import pytest
 import stabilizer_oracle
 
 from affrep import repclass
+from affrep.config import ResourceCapError
 from affrep.matmodel import sl_basis_keys
 from affrep.repclass import (
     BAD,
@@ -113,6 +114,29 @@ class TestStabilizer:
         got = stabilizer_dimension(WeightMultiset.of(4, [Weight(4, label)]), seed=1729, trials=3)
         assert ranks == [rank] * trials
         assert (got.stab_dim, got.trials) == (15 - rank, 3)
+
+    # two standards and a trivial at rank 3: 6 counted rows, so the work of
+    # 3 trials is 3 x 6 x 8 x 6 = 864; the trivial summand adds no row
+    EDGE = WeightMultiset.of(3, [(W(3, 1), 2), (W(3, 0), 5)])
+
+    def test_work_at_the_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(repclass, "MAX_STABILIZER_WORK", 864)
+        assert stabilizer_dimension(self.EDGE, seed=7, trials=3).stab_dim == 2
+
+    @pytest.mark.parametrize("rep,trials,needed", [
+        (EDGE, 3, 864),
+        (EDGE, 4, 1152),   # every trial counts
+        # five adjoints: refused on the first pass, at 3 of their 8 rows each
+        (WeightMultiset.of(3, [(W(3, 2, 1), 5)]), 1, 15 * 8 * 8),
+    ], ids=["edge", "trials", "first-pass"])
+    def test_work_above_the_cap_is_refused_before_any_model(self, monkeypatch, rep, trials,
+                                                            needed):
+        monkeypatch.setattr(repclass, "MAX_STABILIZER_WORK", 863)
+        monkeypatch.setattr(repclass, "_integer_gens", None)
+        with pytest.raises(ResourceCapError) as err:
+            stabilizer_dimension(rep, seed=7, trials=trials)
+        assert (err.value.cap_name, err.value.needed, err.value.cap) == (
+            "max_stabilizer_work", needed, 863)
 
 
 def _bad_family_reps():
