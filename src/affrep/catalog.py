@@ -17,13 +17,13 @@ byte-identical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import BAD, bad_list, classify
 from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
 from .schur import (
+    Value,
     Weight,
     WeightMultiset,
     count_vectors,
@@ -36,13 +36,16 @@ TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
 
 
-@dataclass
-class CatalogEntry:
-    n: int
-    S: WeightMultiset
-    Q: WeightMultiset
-    trigger: str
-    verdict: Verdict
+class CatalogEntry(Value):
+    __slots__ = ("n", "S", "Q", "trigger", "verdict")
+
+    def __init__(self, n: int, S: WeightMultiset, Q: WeightMultiset, trigger: str,
+                 verdict: Verdict):
+        self.n = n
+        self.S = S
+        self.Q = Q
+        self.trigger = trigger
+        self.verdict = verdict
 
 
 def _grown(n: int, labels, keep) -> list[WeightMultiset]:
@@ -141,7 +144,8 @@ def enumerate_exceptional_candidates(
     trivial_cap = _cap("max_trivials", max_trivials, 0, n * n - 2)
     dim_s_cap = _cap("max_dim_s", max_dim_s, 1, n * n + 2 * n - 1)
 
-    triv, std, dstd = rank_labels(n)[:3]
+    base = rank_labels(n)
+    triv, std, dstd = base.triv, base.std, base.dstd
     no_w = WeightMultiset.of(n, [])
     entries: list[CatalogEntry] = []
 

@@ -91,6 +91,9 @@ def read_json_file(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}")
+        except RecursionError:
+            # the decoder recurses once per open array or object
+            raise ValueError(f"invalid JSON in {path}: nested too deeply")
 
 
 def read_model_file(path: str, max_dim: int):

@@ -13,20 +13,18 @@ reduces layer identification to character bookkeeping.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Echelon, Vec, common_kernel
 from .matmodel import AffMatrixRep, dual_model, grading_rep
 from .oracle import ssyt_contents
-from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
+from .schur import Value, Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
 
 SOCLE = "socle"
 RADICAL = "radical"
 
 
-@dataclass
-class Filtration:
+class Filtration(Value):
     """A chain of invariant subspaces with identified semisimple layers.
 
     snapshots[i] holds the basis rows added at step i, so the concatenation
@@ -34,10 +32,14 @@ class Filtration:
     snapshots[0..i].
     """
 
-    rep: AffMatrixRep
-    kind: str
-    snapshots: list[list[Vec]]
-    layers: list[WeightMultiset]
+    __slots__ = ("rep", "kind", "snapshots", "layers")
+
+    def __init__(self, rep: AffMatrixRep, kind: str, snapshots: list[list[Vec]],
+                 layers: list[WeightMultiset]):
+        self.rep = rep
+        self.kind = kind
+        self.snapshots = snapshots
+        self.layers = layers
 
     @property
     def length(self) -> int:

@@ -13,9 +13,7 @@ evidence trail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES
 from .repclass import (
@@ -25,6 +23,7 @@ from .repclass import (
     classify,
 )
 from .schur import (
+    Value,
     Weight,
     WeightMultiset,
     dual,
@@ -42,20 +41,24 @@ FREE = "Free"
 POSSIBLY_NOT_FREE = "PossiblyNotFree"
 
 
-@dataclass(frozen=True)
-class TwoStepExtension:
+class TwoStepExtension(Value):
     """Semisimple data of a length-two extension plus a detached summand."""
 
-    n: int
-    S: WeightMultiset
-    Q: WeightMultiset
-    W: WeightMultiset
-    assume_generically_free: bool = False
+    __slots__ = ("n", "S", "Q", "W", "assume_generically_free")
 
-    def __post_init__(self):
-        for part in (self.S, self.Q, self.W):
-            if part.n != self.n:
+    def __init__(self, n: int, S: WeightMultiset, Q: WeightMultiset, W: WeightMultiset,
+                 assume_generically_free: bool = False):
+        for part in (S, Q, W):
+            if part.n != n:
                 raise ValueError("rank mismatch between extension parts")
+        self.n = n
+        self.S = S
+        self.Q = Q
+        self.W = W
+        self.assume_generically_free = assume_generically_free
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @classmethod
     def of(cls, n: int, S=(), Q=(), W=(), assume_generically_free: bool = False):
@@ -68,30 +71,37 @@ class TwoStepExtension:
         )
 
 
-@dataclass
-class Verdict:
-    outcome: str
-    witness: dict | None
-    evidence: list[dict]
-    seed: int
+class Verdict(Value):
+    __slots__ = ("outcome", "witness", "evidence", "seed")
 
-    def __post_init__(self):
-        if (self.outcome == RATIONAL_BY_A) != (self.witness is not None):
+    def __init__(self, outcome: str, witness: dict | None, evidence: list[dict], seed: int):
+        if (outcome == RATIONAL_BY_A) != (witness is not None):
             raise ValueError("witness present iff the split criterion decided")
-        if not self.evidence:
+        if not evidence:
             raise ValueError("evidence must be nonempty")
+        self.outcome = outcome
+        self.witness = witness
+        self.evidence = evidence
+        self.seed = seed
 
 
-class RankLabels(NamedTuple):
+class RankLabels(Value):
     """The labels every extension of one rank is tested against: trivial,
     standard, dual standard, and the quotients of the R1 and R2 shapes
     (R2 is None below rank 2, where it has no label)."""
 
-    triv: Weight
-    std: Weight
-    dstd: Weight
-    r1: WeightMultiset
-    r2: WeightMultiset | None
+    __slots__ = ("triv", "std", "dstd", "r1", "r2")
+
+    def __init__(self, triv: Weight, std: Weight, dstd: Weight, r1: WeightMultiset,
+                 r2: WeightMultiset | None):
+        self.triv = triv
+        self.std = std
+        self.dstd = dstd
+        self.r1 = r1
+        self.r2 = r2
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 # the same few values for every extension of a rank; one entry per rank

@@ -13,7 +13,6 @@ The engine runs on the exact matrix models of the irreducibles that
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -21,18 +20,23 @@ from .config import (COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, MAX_STABILIZER_W
                      ResourceCapError)
 from .linalg import integer_rank
 from .matmodel import model_for_weight, sl_basis_keys
-from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
+from .schur import Value, Weight, WeightMultiset, dual, normalize, weyl_dim
 
 GOOD = "Good"
 BAD = "Bad"
 GOOD_HEURISTIC = "GoodHeuristic"
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
-    stab_dim: int
-    trials: int
-    seed: int
+class StabilizerReport(Value):
+    __slots__ = ("stab_dim", "trials", "seed")
+
+    def __init__(self, stab_dim: int, trials: int, seed: int):
+        self.stab_dim = stab_dim
+        self.trials = trials
+        self.seed = seed
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 # asked once per classification; one entry per rank

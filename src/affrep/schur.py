@@ -9,35 +9,87 @@ trivially on SL_n).  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
+class Value:
+    """Base of the slotted value types built on weights: equality field by
+    field, over the names in `__slots__`, and the `Type(field=value, ...)`
+    repr.  A subclass is unhashable unless it defines `__hash__`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
 class Weight:
-    """Normalized highest-weight label for an irreducible SL_n-representation."""
+    """Normalized highest-weight label for an irreducible SL_n-representation.
 
-    n: int
-    parts: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    A value: equal, hashed and ordered as the tuple (n, parts).  Immutable
+    by convention; nothing assigns to a weight after it is built, and
+    enforcing it would cost a call on every construction."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
-        if len(self.parts) != self.n:
+    __slots__ = ("n", "parts", "_hash")
+
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        if len(parts) != n:
             raise ValueError(
-                f"weight {list(self.parts)} has length {len(self.parts)}, expected {self.n}"
+                f"weight {list(parts)} has length {len(parts)}, expected {n}"
             )
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"weight {list(self.parts)} is not non-increasing")
-        if self.parts[-1] != 0:
-            raise ValueError(f"weight {list(self.parts)} is not normalized (last part nonzero)")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"weight {list(parts)} is not non-increasing")
+        if parts[-1] != 0:
+            raise ValueError(f"weight {list(parts)} is not normalized (last part nonzero)")
+        self.n = n
+        self.parts = parts
         # labels are dict keys on every hot path; a tuple of ints hashes the
         # same under every PYTHONHASHSEED
-        object.__setattr__(self, "_hash", hash((self.n, self.parts)))
+        self._hash = hash((n, parts))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.n == other.n and self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.n, self.parts) < (other.n, other.parts)
+
+    def __le__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.n, self.parts) <= (other.n, other.parts)
+
+    def __gt__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.n, self.parts) > (other.n, other.parts)
+
+    def __ge__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.n, self.parts) >= (other.n, other.parts)
+
+    def __repr__(self) -> str:
+        return f"Weight(n={self.n!r}, parts={self.parts!r})"
 
     @property
     def size(self) -> int:
@@ -50,19 +102,20 @@ class Weight:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True)
 class WeightMultiset:
-    """Finite multiset of same-rank weights; the semisimple data everywhere."""
+    """Finite multiset of same-rank weights; the semisimple data everywhere.
+    A value like `Weight`: equal and hashed as the tuple (n, entries)."""
 
-    n: int
-    entries: tuple[tuple[Weight, int], ...]
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
+    def __init__(self, n: int, entries: tuple[tuple[Weight, int], ...]):
+        self.n = n
+        self.entries = entries
         # canonical means strictly increasing labels: sorted, no label twice
         prev = None
-        for w, m in self.entries:
-            if w.n != self.n:
-                raise ValueError(f"weight {w} has rank {w.n}, expected {self.n}")
+        for w, m in entries:
+            if w.n != n:
+                raise ValueError(f"weight {w} has rank {w.n}, expected {n}")
             if m < 1:
                 raise ValueError(f"multiplicity of {w} must be >= 1, got {m}")
             if prev is not None and not prev < w:
@@ -70,6 +123,17 @@ class WeightMultiset:
                     raise ValueError(f"duplicate entry for {w}")
                 raise ValueError("entries not in canonical order; use WeightMultiset.of")
             prev = w
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightMultiset:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"WeightMultiset(n={self.n!r}, entries={self.entries!r})"
 
     @classmethod
     def of(cls, n: int, items=()) -> "WeightMultiset":

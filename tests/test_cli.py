@@ -437,6 +437,17 @@ def test_malformed_file_exits_1_naming_the_field(tmp_path, command, payload, fie
     assert f"'{field}'" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "check2step", "filtrate"])
+def test_deeply_nested_json_exits_1_naming_the_file(tmp_path, command):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    proc = run_affrep(command, str(f))
+    assert proc.returncode == 1, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert str(f) in proc.stderr
+
+
 # above the rank ceiling each of these ran for seconds to minutes (the Weyl
 # dimension's O(n^2) Fractions, the LR sweep's rows); now none starts work
 OVER_RANK_CEILING = {

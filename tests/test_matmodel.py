@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -507,32 +506,33 @@ class TestDegreeBound:
         lambda s: [[row for step in s for row in step]],
     ], ids=["reversed", "shuffled", "merged"])
     def test_reordered_layers_fail(self, reorder):
-        from affrep.filtration import socle_filtration
+        from affrep.filtration import Filtration, socle_filtration
 
         m = model_sym_dual(2, 3)
         f = socle_filtration(m)
-        assert verify_degree_bound(m, replace(f, snapshots=reorder(f.snapshots))) is False
+        g = Filtration(f.rep, f.kind, reorder(f.snapshots), f.layers)
+        assert verify_degree_bound(m, g) is False
 
     def test_sizes_must_sum_to_dimension(self):
-        from affrep.filtration import socle_filtration
+        from affrep.filtration import Filtration, socle_filtration
 
         m = model_sym_dual(2, 2)
         f = socle_filtration(m)
         with pytest.raises(ValueError):
-            verify_degree_bound(m, replace(f, snapshots=f.snapshots[:-1]))
+            verify_degree_bound(m, Filtration(f.rep, f.kind, f.snapshots[:-1], f.layers))
 
     def test_dependent_basis_rejected(self):
-        from affrep.filtration import socle_filtration
+        from affrep.filtration import Filtration, socle_filtration
 
         m = model_sym_dual(2, 2)
         f = socle_filtration(m)
         top = f.snapshots[-1]
         snapshots = f.snapshots[:-1] + [top[:-1] + [dict(top[0])]]
         with pytest.raises(ValueError):
-            verify_degree_bound(m, replace(f, snapshots=snapshots))
+            verify_degree_bound(m, Filtration(f.rep, f.kind, snapshots, f.layers))
 
     def test_agrees_with_symbolic_expansion(self):
-        from affrep.filtration import radical_filtration, socle_filtration
+        from affrep.filtration import Filtration, radical_filtration, socle_filtration
         from affrep.selftest import _model_sweep
 
         rng = random.Random(5)
@@ -542,7 +542,7 @@ class TestDegreeBound:
                 shuffled = list(f.snapshots)
                 rng.shuffle(shuffled)
                 for snapshots in (f.snapshots, f.snapshots[::-1], shuffled):
-                    g = replace(f, snapshots=snapshots)
+                    g = Filtration(f.rep, f.kind, snapshots, f.layers)
                     got = verify_degree_bound(m, g)
                     assert got == degree_bound_holds(m, g), (name, f.kind, g.layer_sizes())
                     outcomes.add(got)

@@ -2,7 +2,10 @@ import time
 
 import pytest
 
+from affrep.catalog import CatalogEntry
 from affrep.config import MAX_SPLIT_CANDIDATES
+from affrep.filtration import Filtration
+from affrep.matmodel import AffMatrixRep
 from affrep.rationality import (
     EXCEPTIONAL,
     FREE,
@@ -10,13 +13,15 @@ from affrep.rationality import (
     POSSIBLY_NOT_GENERICALLY_FREE,
     RATIONAL_BY_A,
     RATIONAL_BY_B,
+    RankLabels,
     TwoStepExtension,
     Verdict,
     check_generic_freeness,
     check_structural,
     decide_rationality,
 )
-from affrep.schur import dual, normalize
+from affrep.repclass import StabilizerReport
+from affrep.schur import WeightMultiset, dual, normalize
 
 
 def W(n, *parts):
@@ -188,3 +193,70 @@ class TestVerdictInvariants:
     def test_evidence_nonempty(self):
         with pytest.raises(ValueError):
             Verdict(RATIONAL_BY_B, None, [], 0)
+
+
+def _values():
+    """(build, repr) for one instance of each slotted value type; `build`
+    makes a fresh, equal instance on each call.  The reprs are those the
+    types printed as dataclasses and a NamedTuple."""
+    ms = "WeightMultiset(n=3, entries=((Weight(n=3, parts=(1, 0, 0)), 1),))"
+    verdict = "Verdict(outcome='RationalByB', witness=None, evidence=[{'x': 1}], seed=0)"
+    rep = "AffMatrixRep(n=1, dim=0, sl_gens={}, trans_gens=[], weight_grading=[])"
+
+    def one(n, *parts):
+        return WeightMultiset.of(n, [W(n, *parts)])
+
+    def ext():
+        return TwoStepExtension(2, one(2, 1), one(2), one(2))
+
+    return {
+        "Weight": (lambda: W(3, 1), "Weight(n=3, parts=(1, 0, 0))"),
+        "WeightMultiset": (lambda: one(3, 1), ms),
+        "TwoStepExtension": (ext, (
+            "TwoStepExtension(n=2, S=WeightMultiset(n=2, entries=((Weight(n=2, parts=(1, 0)), 1),)), "
+            "Q=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)), "
+            "W=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)), "
+            "assume_generically_free=False)")),
+        "StabilizerReport": (lambda: StabilizerReport(1, 2, 3),
+                             "StabilizerReport(stab_dim=1, trials=2, seed=3)"),
+        "RankLabels": (lambda: RankLabels(W(2), W(2, 1), W(2, 1), one(2, 1), one(2)), (
+            "RankLabels(triv=Weight(n=2, parts=(0, 0)), std=Weight(n=2, parts=(1, 0)), "
+            "dstd=Weight(n=2, parts=(1, 0)), "
+            "r1=WeightMultiset(n=2, entries=((Weight(n=2, parts=(1, 0)), 1),)), "
+            "r2=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)))")),
+        "Verdict": (lambda: Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0), verdict),
+        "CatalogEntry": (
+            lambda: CatalogEntry(2, one(3, 1), one(3, 1), "Q-bad",
+                                 Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0)),
+            f"CatalogEntry(n=2, S={ms}, Q={ms}, trigger='Q-bad', verdict={verdict})"),
+        "AffMatrixRep": (lambda: AffMatrixRep(1, 0, {}, [], []), rep),
+        "Filtration": (lambda: Filtration(AffMatrixRep(1, 0, {}, [], []), "socle", [[]], []),
+                       f"Filtration(rep={rep}, kind='socle', snapshots=[[]], layers=[])"),
+    }
+
+
+VALUES = _values()
+FROZEN = {"Weight", "WeightMultiset", "TwoStepExtension", "StabilizerReport", "RankLabels"}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_compare_print_and_hash_by_field(name):
+    build, want = VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == b and a is not b
+    assert a != object()
+    assert repr(a) == want
+    assert not hasattr(a, "__dict__")
+    if name in FROZEN:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_value_types_differ_by_any_field():
+    a = Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0)
+    assert a != Verdict(RATIONAL_BY_B, None, [{"x": 1}], 1)
+    assert a != Verdict(RATIONAL_BY_B, None, [{"x": 2}], 0)
+    assert StabilizerReport(1, 2, 3) != StabilizerReport(1, 2, 4)

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,7 @@ import stabilizer_oracle
 
 from affrep import repclass
 from affrep.config import ResourceCapError
-from affrep.matmodel import sl_basis_keys
+from affrep.matmodel import AffMatrixRep, sl_basis_keys
 from affrep.repclass import (
     BAD,
     GOOD,
@@ -193,7 +192,8 @@ class TestIntegerStabilizerAgainstOracle:
 
         def rescaled(n, parts):
             m = real(n, parts)
-            return replace(m, sl_gens={k: g.scale(factors[parts]) for k, g in m.sl_gens.items()})
+            sl_gens = {k: g.scale(factors[parts]) for k, g in m.sl_gens.items()}
+            return AffMatrixRep(m.n, m.dim, sl_gens, m.trans_gens, m.weight_grading)
 
         monkeypatch.setattr(repclass, "model_for_weight", rescaled)
         repclass._integer_gens.cache_clear()

@@ -8,6 +8,7 @@ from cli_process import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affrep.catalog import irreps_up_to_dim
 from affrep.oracle import product_as_multiset
 from affrep.schur import (
     Weight,
@@ -75,10 +76,23 @@ class TestWeightHash:
                 assert twin == w and twin is not w
                 assert hash(twin) == hash(w)
                 assert {w: 1}[twin] == 1
+                ms, ms_twin = WeightMultiset(n, ((w, 2),)), WeightMultiset(n, ((twin, 2),))
+                assert ms_twin == ms and hash(ms_twin) == hash(ms)
+                assert {ms: 1}[ms_twin] == 1
 
     def test_hash_is_the_tuple_hash(self):
         for w in small_weights(3, 4) + [normalize(2, [5]), normalize(1, [])]:
             assert hash(w) == hash((w.n, w.parts))
+            ms = WeightMultiset.of(w.n, [w, w, normalize(w.n, [])])
+            assert hash(ms) == hash((ms.n, ms.entries))
+
+    def test_order_is_the_tuple_order(self):
+        labels = [w for n in (2, 3, 4) for w in irreps_up_to_dim(n, 64)]
+        for a in labels:
+            for b in labels:
+                ta, tb = (a.n, a.parts), (b.n, b.parts)
+                assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
+                assert (a == b) == (ta == tb)
 
     def test_hash_ignores_the_hash_seed(self):
         code = ("from affrep.schur import normalize; "
