@@ -12,6 +12,17 @@ products of each candidate's count vector with columns built once per
 product.  Both clauses grow their multisets with one enumerator,
 `_grown`, and the pairs are sorted at the end, so repeated runs are
 byte-identical.
+
+The class of each admitted Q is fixed when it is admitted, and only the
+bad sweep asks the engine.  Clause (i)'s quotients are Bad: they are the
+grown set.  A clause (ii) Q with a label outside the bad family is Good.
+Any other clause (ii) Q is not in the grown set, so `keep` rejected one of
+its canonical prefixes P; P holds no more trivials than Q, which is under
+the cap, so the engine found a full-rank point p of P.  The image rows of
+Q = P + R at (p, r) contain those of P at p, so Q too has a finite generic
+stabilizer (rank is lower semicontinuous): it is GoodHeuristic with no
+draw of its own.  An entry keeps only that class; its verdict is decided
+from its fields when it is read, and no engine call remains by then.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import itertools
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
-from .repclass import BAD, bad_list, classify
+from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_list, classify
 from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
 from .schur import (
     Value,
@@ -37,15 +48,27 @@ TRIGGER_SMALL_S = "dim-S-small"
 
 
 class CatalogEntry(Value):
-    __slots__ = ("n", "S", "Q", "trigger", "verdict")
+    """A candidate pair, the clause that admits it, and the class of its Q
+    as the catalog established it under `seed` and `trials`."""
+
+    __slots__ = ("n", "S", "Q", "trigger", "q_class", "seed", "trials")
 
     def __init__(self, n: int, S: WeightMultiset, Q: WeightMultiset, trigger: str,
-                 verdict: Verdict):
+                 q_class: str, seed: int, trials: int):
         self.n = n
         self.S = S
         self.Q = Q
         self.trigger = trigger
-        self.verdict = verdict
+        self.q_class = q_class
+        self.seed = seed
+        self.trials = trials
+
+    @property
+    def verdict(self) -> Verdict:
+        """The rationality verdict of the W = 0 instance, decided afresh on
+        each read from the fields alone; it makes no engine call."""
+        ext = TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
+        return _decide(ext, self.seed, self.trials, self.q_class)
 
 
 def _grown(n: int, labels, keep) -> list[WeightMultiset]:
@@ -130,8 +153,9 @@ def enumerate_exceptional_candidates(
     trials: int = DEFAULT_TRIALS,
 ) -> list[CatalogEntry]:
     """All (Q, S) candidate pairs admitted by the finiteness clauses, each
-    with the rationality verdict of the W = 0 instance attached and the
-    clause that admits it as its trigger, sorted by (Q, S).
+    with the clause that admits it as its trigger and the class of its Q
+    (from which the verdict of the W = 0 instance is decided when it is
+    read), sorted by (Q, S).
 
     Caps cannot exceed the clause thresholds (n^2 - 2 trivial summands,
     n^2 + 2n - 1 for dim S); asking for more is refused since nothing
@@ -146,32 +170,27 @@ def enumerate_exceptional_candidates(
 
     base = rank_labels(n)
     triv, std, dstd = base.triv, base.std, base.dstd
-    no_w = WeightMultiset.of(n, [])
+    bad = bad_list(n)
     entries: list[CatalogEntry] = []
-
-    def admit(q: WeightMultiset, s: WeightMultiset, trigger: str):
-        """Record a pair that passed both containments, so the decision does
-        not check them again."""
-        verdict = _decide(TwoStepExtension(n, s, q, no_w), seed, trials)
-        entries.append(CatalogEntry(n, s, q, trigger, verdict))
-
     # clause (i): the bad quotients under the trivial cap, grown over the bad
     # labels, the trivial one first; badness passes to sub-multisets and a
     # quotient is classified as its nontrivial part is, so all are found.  S
     # is drawn from Q (x) standard, so only Q inside S (x) dual standard is
     # open, and S is capped only when a cap is asked for
-    bad_qs = _grown(n, sorted(bad_list(n)), lambda q: q.count(triv) <= trivial_cap
+    bad_qs = _grown(n, sorted(bad), lambda q: q.count(triv) <= trivial_cap
                     and classify(q, seed=seed, trials=trials) == BAD)
     for q in bad_qs:
         labels = sorted(tensor_counts(q.entries, std).items())
         caps = [] if max_dim_s is None else [([weyl_dim(w) for w, _ in labels], max_dim_s)]
         for s in _fitting_subs(labels, dstd, q.entries, caps):
-            admit(q, WeightMultiset(n, s), TRIGGER_BAD_Q)
+            entries.append(CatalogEntry(n, WeightMultiset(n, s), q, TRIGGER_BAD_Q, BAD,
+                                        seed, trials))
 
     # clause (ii): small submodules, over multisets of small irreducibles;
     # Q runs over sub-multisets of S (x) dual standard, so only S inside
     # Q (x) standard is open.  Clause (i) already admits every pair whose Q
-    # is bad, under the same caps, so this clause admits only the rest
+    # is bad, under the same caps, so this clause admits only the rest, whose
+    # class the grown set certifies (module docstring)
     bad_entries = {q.entries for q in bad_qs}
     for s in _grown(n, irreps_up_to_dim(n, dim_s_cap), lambda s: s.dim() <= dim_s_cap):
         labels = sorted(tensor_counts(s.entries, dstd).items())
@@ -179,7 +198,9 @@ def enumerate_exceptional_candidates(
         caps = [([1] + [0] * (len(labels) - 1), trivial_cap)] if labels[0][0] == triv else []
         for q in _fitting_subs(labels, std, s.entries, caps):
             if q not in bad_entries:
-                admit(WeightMultiset(n, q), s, TRIGGER_SMALL_S)
+                q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
+                entries.append(CatalogEntry(n, s, WeightMultiset(n, q), TRIGGER_SMALL_S, q_class,
+                                            seed, trials))
 
     entries.sort(key=lambda e: (e.Q.entries, e.S.entries))
     return entries

@@ -74,7 +74,9 @@ def parse_weight_arg(n: int, text: str):
     return normalize(n, parts)
 
 
-def emit(args, payload: dict, text_lines: list[str]) -> None:
+def emit(args, payload: dict, text_lines) -> None:
+    """Print `payload` as JSON, or else the lines of the iterable
+    `text_lines`, which is read only for text output."""
     if args.format == "json":
         payload = dict(payload)
         payload["seed"] = args.seed
@@ -161,12 +163,16 @@ def cmd_classify(args) -> int:
     rep = ser.multiset_from_json(read_json_file(args.rep_file))
     verdict, report = classify_with_report(rep, seed=args.seed, trials=args.trials)
     payload = {"classification": verdict}
-    lines = [verdict]
     if report is not None:
         payload["stabilizer"] = ser.stabilizer_report_to_json(report)
-        lines.append(f"stab_dim: {report.stab_dim} (trials {report.trials})")
-    emit(args, payload, lines)
+    emit(args, payload, _classify_lines(verdict, report))
     return EXIT_OK
+
+
+def _classify_lines(verdict: str, report):
+    yield verdict
+    if report is not None:
+        yield f"stab_dim: {report.stab_dim} (trials {report.trials})"
 
 
 def _require(args, **needed):
@@ -212,19 +218,21 @@ def cmd_filtrate(args) -> int:
 def cmd_check2step(args) -> int:
     ext = ser.extension_from_json(read_json_file(args.ext_file))
     verdict = decide_rationality(ext, seed=args.seed, trials=args.trials)
-    payload = ser.verdict_to_json(verdict)
-    lines = [f"outcome: {verdict.outcome}"]
-    if verdict.witness is not None:
-        lines.append(f"witness: W1={verdict.witness['W1']} W2={verdict.witness['W2']}")
-    for ev in verdict.evidence:
-        desc = {k: v for k, v in ev.items() if k not in ("condition", "paper_clause")}
-        lines.append(f"  [{ev['condition']}/{ev['paper_clause']}] {desc}")
-    emit(args, payload, lines)
+    emit(args, ser.verdict_to_json(verdict), _verdict_lines(verdict))
     if verdict.outcome == EXCEPTIONAL:
         return EXIT_EXCEPTIONAL
     if verdict.outcome == POSSIBLY_NOT_GENERICALLY_FREE:
         return EXIT_NOT_FREE
     return EXIT_OK
+
+
+def _verdict_lines(verdict):
+    yield f"outcome: {verdict.outcome}"
+    if verdict.witness is not None:
+        yield f"witness: W1={verdict.witness['W1']} W2={verdict.witness['W2']}"
+    for ev in verdict.evidence:
+        desc = {k: v for k, v in ev.items() if k not in ("condition", "paper_clause")}
+        yield f"  [{ev['condition']}/{ev['paper_clause']}] {desc}"
 
 
 def cmd_enumerate(args) -> int:
@@ -236,14 +244,17 @@ def cmd_enumerate(args) -> int:
         trials=args.trials,
     )
     # the file is opened only now, so a refused catalog leaves none; each
-    # line is written as it is serialized
+    # line's verdict is decided as the line is serialized, read once, and
+    # dropped with the line once it is written
     by_trigger: dict[str, int] = {}
     by_verdict: dict[str, int] = {}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         for e in entries:
-            fh.write(ser.dumps(ser.catalog_entry_to_json(e)) + "\n")
+            line = ser.catalog_entry_to_json(e)
+            fh.write(ser.dumps(line) + "\n")
+            outcome = line["verdict"]["outcome"]
             by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
-            by_verdict[e.verdict.outcome] = by_verdict.get(e.verdict.outcome, 0) + 1
+            by_verdict[outcome] = by_verdict.get(outcome, 0) + 1
     stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(entries)}", file=stream)
     for k in sorted(by_trigger):

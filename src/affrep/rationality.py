@@ -132,11 +132,13 @@ def _r3_shapes(n: int, q: WeightMultiset) -> bool:
 
 
 def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
-                           trials: int = DEFAULT_TRIALS):
+                           trials: int = DEFAULT_TRIALS, q_class: str | None = None):
     """Sufficient freeness criterion on the quotient: its completely
     reducible quotient (Q itself here) must be good, and Q must avoid the
     short list of translation-stabilized shapes.  An external assertion on
-    the extension overrides the criterion.  Returns (status, detail).
+    the extension overrides the criterion.  `q_class` is the class of Q
+    when the caller has established it; otherwise Q is classified.
+    Returns (status, detail).
     """
     if ext.assume_generically_free:
         return FREE, "asserted"
@@ -148,7 +150,7 @@ def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
         return POSSIBLY_NOT_FREE, "R2"
     if _r3_shapes(ext.n, q):
         return POSSIBLY_NOT_FREE, "R3"
-    verdict = classify(q, seed=seed, trials=trials)
+    verdict = q_class or classify(q, seed=seed, trials=trials)
     if verdict == BAD:
         return POSSIBLY_NOT_FREE, "bad-quotient"
     return FREE, verdict
@@ -172,15 +174,22 @@ def decide_rationality(
     return _decide(ext, seed, trials)
 
 
-def _decide(ext: TwoStepExtension, seed: int, trials: int) -> Verdict:
+def _decide(ext: TwoStepExtension, seed: int, trials: int,
+            q_class: str | None = None) -> Verdict:
     """`decide_rationality` for an extension whose structural containments
-    the caller has established (the catalog builds its pairs that way)."""
+    the caller has established (the catalog builds its pairs that way).
+
+    `q_class`, when given, is the caller's established class of Q; it
+    stands in for `classify(Q)` in both places that ask it, the freeness
+    gate and the split candidate W2 = 0, so the decision asks the engine
+    only about Q + W2 for a nonempty W2.  The catalog passes the class it
+    fixed when it admitted Q; `decide_rationality` passes none."""
     n = ext.n
     evidence: list[dict] = [
         {"condition": "structural-containments", "paper_clause": "shape", "result": True}
     ]
 
-    status, detail = check_generic_freeness(ext, seed=seed, trials=trials)
+    status, detail = check_generic_freeness(ext, seed=seed, trials=trials, q_class=q_class)
     evidence.append(
         {"condition": "generic-freeness", "paper_clause": detail, "result": status}
     )
@@ -215,7 +224,8 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int) -> Verdict:
             }
         )
     for w2 in candidates:
-        cls = classify(ext.Q.add(w2), seed=seed, trials=trials)
+        cls = (q_class if q_class and not w2.entries
+               else classify(ext.Q.add(w2), seed=seed, trials=trials))
         dim_ok = dim_sw - w2.dim() >= threshold_a
         evidence.append(
             {

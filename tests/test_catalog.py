@@ -277,9 +277,10 @@ def test_trivial_padding_of_a_core_changes_no_classification():
 
 def test_rank3_catalog_repeats_no_work(monkeypatch):
     # a count of calls, not a time: the rank-3 catalog runs the stabilizer
-    # once per distinct nontrivial quotient part it classifies (364 runs; it
-    # took 917 when Q and Q + trivials each had their own run) and never
-    # checks the containments again (it took 3,015 checks, one per entry)
+    # once per distinct nontrivial quotient part the bad sweep asks about
+    # (50 runs; 364 when every clause-(ii) quotient was classified, 917 when
+    # Q and Q + trivials each had their own run) and never checks the
+    # containments again (it took 3,015 checks, one per entry)
     calls = {"stabilizer_dimension": 0, "check_structural": 0}
 
     def counted(module, name):
@@ -295,7 +296,7 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
     counted(rationality, "check_structural")
     repclass.classify_with_report.cache_clear()
     assert len(enumerate_exceptional_candidates(3)) == 3015
-    assert calls["stabilizer_dimension"] <= 364
+    assert calls["stabilizer_dimension"] <= 50
     assert calls["check_structural"] == 0
 
 
@@ -349,6 +350,95 @@ def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _stabilizer_args(monkeypatch):
+    """The multisets every later stabilizer call is asked about, in order."""
+    seen = []
+    original = repclass.stabilizer_dimension
+
+    def wrapper(rep, *args, **kwargs):
+        seen.append(rep)
+        return original(rep, *args, **kwargs)
+
+    monkeypatch.setattr(repclass, "stabilizer_dimension", wrapper)
+    return seen
+
+
+def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkeypatch):
+    # the catalog classifies no clause-(ii) quotient: a bad core is in the
+    # grown set, and any other quotient of bad labels is certified by the
+    # prefix the sweep rejected.  So the whole catalog asks the stabilizer
+    # about exactly what the bad sweep alone asks about, and the
+    # GoodHeuristic quotients beyond that boundary get no call at all
+    n = 3
+    seen = _stabilizer_args(monkeypatch)
+    triv, cap = W(n, 0), n * n - 2
+    repclass.classify_with_report.cache_clear()
+    _grown(n, sorted(bad_list(n)), lambda q: q.count(triv) <= cap and classify(q) == BAD)
+    swept = set(seen)
+    assert len(seen) == len(swept) == 50
+    seen.clear()
+    repclass.classify_with_report.cache_clear()
+    entries = enumerate_exceptional_candidates(n)
+    assert set(seen) == swept and len(seen) == len(swept)
+    bad = bad_list(n)
+    unasked = {repclass.nontrivial_part(e.Q) for e in entries
+               if e.trigger == TRIGGER_SMALL_S and all(w in bad for w in e.Q.weights())}
+    unasked -= swept
+    # each of these would run the stabilizer if it were classified alone
+    assert len(unasked) > 100
+    for core in unasked:
+        assert classify_with_report(core)[1] is not None
+
+
+@pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
+def test_written_verdicts_equal_lone_decisions(tmp_path, args):
+    # every line's verdict, decided from the class the catalog fixed for Q,
+    # is the one a lone check2step of the W = 0 instance gives, which asks
+    # the engine about Q itself
+    from affrep.cli import main
+    from affrep.rationality import decide_rationality
+    from affrep.serialize import multiset_from_json, verdict_to_json
+
+    out = tmp_path / "catalog.jsonl"
+    assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
+    argv = args.split()
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else DEFAULT_SEED
+    trials = int(argv[argv.index("--trials") + 1]) if "--trials" in argv else DEFAULT_TRIALS
+    lines = out.read_text().splitlines()
+    assert lines
+    for line in lines:
+        data = json.loads(line)
+        S, Q = multiset_from_json(data["S"]), multiset_from_json(data["Q"])
+        ext = TwoStepExtension(data["n"], S, Q, WeightMultiset.of(data["n"], []))
+        lone = decide_rationality(ext, seed=seed, trials=trials)
+        assert data["verdict"] == json.loads(json.dumps(verdict_to_json(lone))), line
+
+
+def test_writing_the_catalog_makes_no_engine_call(monkeypatch, tmp_path):
+    # the counts at the return of the enumeration equal those after the
+    # whole command: deciding and writing the lines asks neither the
+    # classifier nor the stabilizer anything
+    from affrep import catalog
+    from affrep.cli import main
+
+    seen = _stabilizer_args(monkeypatch)
+    at_return = {}
+    original = catalog.enumerate_exceptional_candidates
+
+    def counted(*args, **kwargs):
+        entries = original(*args, **kwargs)
+        info = classify_with_report.cache_info()
+        at_return.update(stabilizer=len(seen), classify=info.hits + info.misses)
+        return entries
+
+    monkeypatch.setattr(catalog, "enumerate_exceptional_candidates", counted)
+    classify_with_report.cache_clear()
+    assert main(["enumerate", "--n", "3", "--out", str(tmp_path / "catalog.jsonl")]) == 0
+    info = classify_with_report.cache_info()
+    assert at_return == {"stabilizer": len(seen), "classify": info.hits + info.misses}
+    assert 0 < at_return["stabilizer"] <= 50
+
+
 # every bounded cache a catalog run fills, as module.function
 CATALOG_CACHES = (
     "schur._weyl_dim",
@@ -366,8 +456,10 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     # catalog's alone; a cache evicted nothing when it still holds every
     # miss.  The lines are written as they are made, so the peak holds the
     # entries but not the file's 14 MB of text twice over (95 MB when it
-    # did, 56 MB since), and the entries, their verdicts and multisets
-    # carry no per-instance __dict__ (52 MB).  The peak is the process's
+    # did, 56 MB since), and the entries and multisets carry no
+    # per-instance __dict__ (52 MB).  An entry holds no verdict: each is
+    # decided as its line is written and dropped with it (33 MB).  The peak
+    # is the process's
     # own VmHWM in KiB: its ru_maxrss would also count the test process,
     # whose peak a child inherits through exec on Linux
     code = (
@@ -391,6 +483,6 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     info = json.loads(proc.stdout)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[4]
-    assert info.pop("peak_kib") < 54 * 1024
+    assert info.pop("peak_kib") < 40 * 1024
     for name, cache in info.items():
         assert cache["misses"] == cache["currsize"] < cache["maxsize"], name

@@ -226,9 +226,9 @@ def _values():
             "r2=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)))")),
         "Verdict": (lambda: Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0), verdict),
         "CatalogEntry": (
-            lambda: CatalogEntry(2, one(3, 1), one(3, 1), "Q-bad",
-                                 Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0)),
-            f"CatalogEntry(n=2, S={ms}, Q={ms}, trigger='Q-bad', verdict={verdict})"),
+            lambda: CatalogEntry(3, one(3, 1), one(3, 1), "Q-bad", "Bad", 0, 3),
+            f"CatalogEntry(n=3, S={ms}, Q={ms}, trigger='Q-bad', q_class='Bad', seed=0, "
+            "trials=3)"),
         "AffMatrixRep": (lambda: AffMatrixRep(1, 0, {}, [], []), rep),
         "Filtration": (lambda: Filtration(AffMatrixRep(1, 0, {}, [], []), "socle", [[]], []),
                        f"Filtration(rep={rep}, kind='socle', snapshots=[[]], layers=[])"),
