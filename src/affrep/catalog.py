@@ -37,7 +37,6 @@ from .schur import (
     Value,
     Weight,
     WeightMultiset,
-    count_vectors,
     lr_decompose,
     tensor_counts,
     weyl_dim,
@@ -115,22 +114,58 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
 
-def _fitting_subs(labels, factor: Weight, inner, caps=()):
-    """Every nonempty sub-multiset s of `labels` ((label, mult) pairs sorted
-    by label) with `inner` contained in s (x) (irrep factor), as
-    `WeightMultiset` entries in `sub_entries` order.
+def _fitting_subs(labels, factor: Weight, inner, caps=()) -> list[tuple]:
+    """The list of every nonempty sub-multiset s of `labels` ((label, mult)
+    pairs sorted by label) with `inner` contained in s (x) (irrep factor),
+    as `WeightMultiset` entries in `sub_entries` order.
 
     With `inner` fixed the test is linear in the count vector c of s: for
     each (w, m) of `inner`, sum_j c_j * mult(w in labels_j (x) factor) >= m,
     the sum `tensor_counts` would form for w.  Those columns are built once.
-    `caps` are (column, bound) pairs that c must keep at or below bound."""
+    `caps` are (column, bound) pairs that c must keep at or below bound.
+
+    The count vectors are walked depth first, one coordinate at a time in
+    lexicographic order.  At coordinate i the values that can still fit
+    form one range: at least the shortfall of each need, less the most the
+    later coordinates can add (their mult times column entry), over its
+    entry; at most the multiplicity and each cap's room over its entry.
+    The needs hold on an up-set and the caps on a down-set, so every
+    vector the walk completes fits, and none is tested."""
     prods = [dict(lr_decompose(u, factor).entries) for u, _ in labels]
-    needs = [([p.get(w, 0) for p in prods], m) for w, m in inner]
-    for counts in itertools.islice(count_vectors(labels), 1, None):
-        if any(sum(map(mul, counts, col)) > bound for col, bound in caps):
-            continue
-        if all(sum(map(mul, counts, col)) >= m for col, m in needs):
-            yield tuple((w, c) for (w, _), c in zip(labels, counts) if c)
+    mults = [m for _, m in labels]
+    # each need's column, and reach[i]: the most coordinates i and later add
+    needs = []
+    for w, _ in inner:
+        col = [p.get(w, 0) for p in prods]
+        reach = list(itertools.accumulate(map(mul, reversed(mults), reversed(col)), initial=0))
+        needs.append((col, reach[::-1]))
+    found = []
+    last = len(labels) - 1
+
+    def walk(i, prefix, short, room):
+        w, hi = labels[i]
+        lo = 0
+        for (col, reach), gap in zip(needs, short):
+            gap -= reach[i + 1]
+            if gap > 0:
+                if not col[i]:
+                    return
+                lo = max(lo, -(-gap // col[i]))
+        for (col, _), r in zip(caps, room):
+            if col[i]:
+                hi = min(hi, r // col[i])
+        for c in range(lo, hi + 1):
+            sub = prefix + ((w, c),) if c else prefix
+            if i == last:
+                found.append(sub)
+            else:
+                walk(i + 1, sub, [s - c * col[i] for (col, _), s in zip(needs, short)],
+                     [r - c * col[i] for (col, _), r in zip(caps, room)])
+
+    if labels:
+        walk(0, (), [m for _, m in inner], [bound for _, bound in caps])
+    # the empty vector comes first when it fits (an empty `inner`)
+    return found[1:] if found and not found[0] else found
 
 
 def _cap(name: str, value: int | None, least: int, clause_bound: int) -> int:
@@ -163,8 +198,8 @@ def enumerate_exceptional_candidates(
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    if n > 4:
-        raise ValueError(f"enumeration cap: rank must be at most 4, got {n}")
+    if n > 5:
+        raise ValueError(f"enumeration cap: rank must be at most 5, got {n}")
     trivial_cap = _cap("max_trivials", max_trivials, 0, n * n - 2)
     dim_s_cap = _cap("max_dim_s", max_dim_s, 1, n * n + 2 * n - 1)
 

@@ -244,17 +244,16 @@ def cmd_enumerate(args) -> int:
         trials=args.trials,
     )
     # the file is opened only now, so a refused catalog leaves none; each
-    # line's verdict is decided as the line is serialized, read once, and
-    # dropped with the line once it is written
+    # line's verdict is decided as the line is written, read once, and
+    # dropped with the line
     by_trigger: dict[str, int] = {}
     by_verdict: dict[str, int] = {}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         for e in entries:
-            line = ser.catalog_entry_to_json(e)
-            fh.write(ser.dumps(line) + "\n")
-            outcome = line["verdict"]["outcome"]
+            verdict = e.verdict
+            fh.write(ser.catalog_line(e, verdict) + "\n")
             by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
-            by_verdict[outcome] = by_verdict.get(outcome, 0) + 1
+            by_verdict[verdict.outcome] = by_verdict.get(verdict.outcome, 0) + 1
     stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(entries)}", file=stream)
     for k in sorted(by_trigger):

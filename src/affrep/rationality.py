@@ -212,8 +212,10 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
     dim_sw = ext.S.dim() + ext.W.dim()
     count = math.prod(m + 1 for _, m in ext.W.entries)
     exhaustive = count <= MAX_SPLIT_CANDIDATES
+    # an empty W's only candidate is W itself
     candidates = (
-        ext.W.submultisets() if exhaustive else _greedy_candidates(ext)
+        (ext.W,) if not ext.W.entries
+        else ext.W.submultisets() if exhaustive else _greedy_candidates(ext)
     )
     if not exhaustive:
         evidence.append(

@@ -181,17 +181,11 @@ class WeightMultiset:
         return " + ".join(terms)
 
 
-def count_vectors(pairs):
-    """Every count vector from all zeros to the multiplicities of (label,
-    mult) pairs, in lexicographic order: the sub-multisets of the pairs."""
-    return itertools.product(*(range(m + 1) for _, m in pairs))
-
-
 def sub_entries(pairs):
     """Every sub-multiset of (label, mult) pairs sorted by label, as the
     entries of a `WeightMultiset`: one per count vector from all zeros (the
-    empty one, first) to the multiplicities."""
-    for counts in count_vectors(pairs):
+    empty one, first) to the multiplicities, in lexicographic order."""
+    for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
         yield tuple((w, c) for (w, _), c in zip(pairs, counts) if c)
 
 

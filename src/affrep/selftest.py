@@ -241,14 +241,14 @@ def criterion_9_decision_procedure() -> tuple[bool, str]:
 
 
 def criterion_10_catalog() -> tuple[bool, str]:
-    from .serialize import catalog_entry_to_json, dumps
+    from .serialize import catalog_line
 
     t0 = time.time()
     first = enumerate_exceptional_candidates(3)
     second = enumerate_exceptional_candidates(3)
     elapsed = time.time() - t0
-    lines1 = [dumps(catalog_entry_to_json(e)) for e in first]
-    lines2 = [dumps(catalog_entry_to_json(e)) for e in second]
+    lines1 = [catalog_line(e, e.verdict) for e in first]
+    lines2 = [catalog_line(e, e.verdict) for e in second]
     if lines1 != lines2:
         return False, "two enumeration runs differ"
     if elapsed > 300:

@@ -19,8 +19,11 @@ from .repclass import StabilizerReport
 from .schur import Weight, WeightMultiset
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def fraction_from_str(s) -> int | Fraction:
@@ -234,11 +237,17 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
-def catalog_entry_to_json(e: CatalogEntry) -> dict:
-    return {
-        "n": e.n,
-        "S": multiset_to_json(e.S),
-        "Q": multiset_to_json(e.Q),
-        "trigger": e.trigger,
-        "verdict": verdict_to_json(e.verdict),
-    }
+def _multiset_text(ms: WeightMultiset) -> str:
+    summands = ",".join(f'{{"lambda":[{",".join(map(str, w.parts))}],"mult":{m}}}'
+                        for w, m in ms.entries)
+    return f'{{"n":{ms.n},"summands":[{summands}]}}'
+
+
+def catalog_line(e: CatalogEntry, verdict: Verdict) -> str:
+    """One catalog line, exactly `dumps` of the entry's object with
+    `verdict` as its verdict, written without the general encoder but for
+    the verdict: keys in sorted order, the multisets as `multiset_to_json`
+    gives them.  Nothing else needs escaping: parts, multiplicities and the
+    rank are integers, and a trigger is a `TRIGGER_*` constant."""
+    return (f'{{"Q":{_multiset_text(e.Q)},"S":{_multiset_text(e.S)},"n":{e.n},'
+            f'"trigger":"{e.trigger}","verdict":{dumps(verdict_to_json(verdict))}}}')

@@ -161,12 +161,12 @@ def test_fitting_subs_keep_equality_and_drop_empty():
 
 class TestEnumerate:
     def test_deterministic(self):
-        from affrep.serialize import catalog_entry_to_json, dumps
+        from affrep.serialize import catalog_line
 
         a = enumerate_exceptional_candidates(2)
         b = enumerate_exceptional_candidates(2)
-        assert [dumps(catalog_entry_to_json(e)) for e in a] == [
-            dumps(catalog_entry_to_json(e)) for e in b
+        assert [catalog_line(e, e.verdict) for e in a] == [
+            catalog_line(e, e.verdict) for e in b
         ]
 
     def test_entries_satisfy_clauses(self):
@@ -201,7 +201,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_exceptional_candidates(3, max_trivials=8)
         with pytest.raises(ValueError):
-            enumerate_exceptional_candidates(5)
+            enumerate_exceptional_candidates(6)
 
     def test_affine_restriction_pattern_present(self):
         # the degree <= 1 function model restricted from rank 4 realizes the
@@ -486,3 +486,94 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     assert info.pop("peak_kib") < 40 * 1024
     for name, cache in info.items():
         assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
+
+
+RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d"
+
+
+def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
+    # rank 5 is the top of the cap: in a fresh process its bytes are
+    # pinned, no bounded cache evicts (`classify_with_report` holds about
+    # 8,000 multisets of its 16,384), and the peak stays under 100 MB (the
+    # process's own VmHWM, as in the rank-4 test)
+    code = (
+        "import contextlib, importlib, json, sys\n"
+        "from affrep.cli import main\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    assert main(['enumerate', '--n', '5', '--out', sys.argv[1]]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    info = {'peak_kib': int(next(l for l in fh if l.startswith('VmHWM:')).split()[1])}\n"
+        "for name in sys.argv[2:]:\n"
+        "    mod, fn = name.split('.')\n"
+        "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
+        ".cache_info()._asdict()\n"
+        "print(json.dumps(info))\n"
+    )
+    out = tmp_path / "catalog.jsonl"
+    proc = subprocess.run([sys.executable, "-c", code, str(out), *CATALOG_CACHES],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    info = json.loads(proc.stdout)
+    data = out.read_bytes()
+    assert data.count(b"\n") == 96612
+    assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
+    assert info.pop("peak_kib") < 100 * 1024
+    for name, cache in info.items():
+        assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
+def test_written_verdict_follows_trigger(tmp_path, n):
+    # with W = 0 the clause decides the verdict: a clause-(i) Q is Bad, so
+    # the freeness gate fails; a clause-(ii) Q is good with fewer than
+    # n^2 - 1 trivials (criterion B fails) and dim S < n^2 + 2n (the split
+    # at W2 = 0 fails).  `_decide` still makes the decision, with its trail
+    from affrep.cli import main
+
+    out = tmp_path / "catalog.jsonl"
+    assert main(["enumerate", "--n", str(n), "--out", str(out)]) == 0
+    follows = {TRIGGER_BAD_Q: "PossiblyNotGenericallyFree", TRIGGER_SMALL_S: "Exceptional"}
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {data["trigger"] for data in lines} == set(follows)
+    for data in lines:
+        assert data["verdict"]["outcome"] == follows[data["trigger"]], data
+
+
+def _line_by_general_encoder(e, v) -> str:
+    def multiset(ms):
+        return {"n": ms.n,
+                "summands": [{"lambda": list(w.parts), "mult": m} for w, m in ms.entries]}
+
+    verdict = {"outcome": v.outcome, "witness": v.witness, "evidence": v.evidence,
+               "seed": v.seed}
+    return json.dumps({"n": e.n, "S": multiset(e.S), "Q": multiset(e.Q), "trigger": e.trigger,
+                       "verdict": verdict}, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
+def test_catalog_line_equals_the_general_encoder(args):
+    from affrep.serialize import catalog_line
+
+    argv = args.split()
+    kwargs = {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
+    entries = enumerate_exceptional_candidates(**kwargs)
+    assert entries
+    for e in entries:
+        v = e.verdict
+        assert catalog_line(e, v) == _line_by_general_encoder(e, v)
+
+
+def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
+    from affrep.catalog import CatalogEntry
+    from affrep.repclass import GOOD
+    from affrep.serialize import catalog_line
+
+    n = 3
+    S = WeightMultiset.of(n, [(W(n, 12, 5), 11), (W(n, 1), 2)])
+    Q = WeightMultiset.of(n, [(W(n, 0), 10), (W(n, 10, 3), 12)])
+    e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, 20231, 13)
+    v = e.verdict
+    line = catalog_line(e, v)
+    assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
+    assert line == _line_by_general_encoder(e, v)
