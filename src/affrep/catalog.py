@@ -117,7 +117,7 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
 def _fitting_subs(labels, factor: Weight, inner, caps=()) -> list[tuple]:
     """The list of every nonempty sub-multiset s of `labels` ((label, mult)
     pairs sorted by label) with `inner` contained in s (x) (irrep factor),
-    as `WeightMultiset` entries in `sub_entries` order.
+    as `WeightMultiset` entries in lexicographic order of the count vectors.
 
     With `inner` fixed the test is linear in the count vector c of s: for
     each (w, m) of `inner`, sum_j c_j * mult(w in labels_j (x) factor) >= m,

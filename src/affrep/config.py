@@ -41,10 +41,12 @@ MAX_PIERI_STRIPS = 10_000
 # exterior square and its dual, one trial) took 1.8 s, and three copies of
 # the rank-12 exterior square (12.1 M, 2.4 s) are refused
 MAX_STABILIZER_WORK = 2_500_000
-# largest number of W2 sub-multisets searched exhaustively before the
-# greedy shortcut kicks in; they are all built and sorted before the first
-# is classified, which took 0.6-0.7 s (39 MB peak) for 2^15 of them and
-# 1.6-1.7 s (66 MB) for 2^16 on a 2-core x86-64 box under CPython 3.11
+# largest number of W2 sub-multisets the split search of `check2step` tries;
+# they are made one at a time by dimension, and the search stops at the
+# first accepted one, so the cap is checked as each candidate comes, not
+# before the search: a W with more sub-multisets is answered when an early
+# one is accepted.  Trying 2^15 trivial W2 against a bad Q took 0.6-0.7 s on a
+# 2-core x86-64 box under CPython 3.11
 MAX_SPLIT_CANDIDATES = 2 ** 15
 
 

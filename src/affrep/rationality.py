@@ -12,10 +12,10 @@ evidence trail.
 
 from __future__ import annotations
 
-import math
+import heapq
 from functools import lru_cache
 
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES
+from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
 from .repclass import (
     BAD,
     GOOD,
@@ -166,8 +166,10 @@ def decide_rationality(
     Requires the structural containments; raises ValueError otherwise.
     Evaluation order: freeness gate, criterion (B) (the quotient carries at
     least n^2 - 1 trivial summands), then the split search (A) over
-    decompositions W = W1 + W2 by increasing dim W2 (so the reported witness
-    maximizes dim(S + W1)); first acceptance wins.
+    decompositions W = W1 + W2 by increasing dim W2, ties by W2's entries
+    (so the reported witness maximizes dim(S + W1)); first acceptance wins.
+    A search that would try more than MAX_SPLIT_CANDIDATES splits raises
+    ResourceCapError.
     """
     if not check_structural(ext):
         raise ValueError("structural containments fail; not a two-step extension")
@@ -210,36 +212,25 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
 
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
-    count = math.prod(m + 1 for _, m in ext.W.entries)
-    exhaustive = count <= MAX_SPLIT_CANDIDATES
-    # an empty W's only candidate is W itself
-    candidates = (
-        (ext.W,) if not ext.W.entries
-        else ext.W.submultisets() if exhaustive else _greedy_candidates(ext)
-    )
-    if not exhaustive:
-        evidence.append(
-            {
-                "condition": "split-search-incomplete",
-                "paper_clause": "A",
-                "result": f"greedy shortcut over {count} candidates",
-            }
-        )
-    for w2 in candidates:
+    for tried, w2 in enumerate(_by_dimension(ext.W)):
+        if tried == MAX_SPLIT_CANDIDATES:
+            raise ResourceCapError("max_split_candidates", f"more than {MAX_SPLIT_CANDIDATES}",
+                                   MAX_SPLIT_CANDIDATES)
         cls = (q_class if q_class and not w2.entries
                else classify(ext.Q.add(w2), seed=seed, trials=trials))
-        dim_ok = dim_sw - w2.dim() >= threshold_a
+        dim_s_w1 = dim_sw - w2.dim()
+        accepted = cls in (GOOD, GOOD_HEURISTIC) and dim_s_w1 >= threshold_a
         evidence.append(
             {
                 "condition": "split",
                 "paper_clause": "A",
                 "w2": [[list(w.parts), m] for w, m in w2.entries],
                 "classify": cls,
-                "dim_S_W1": dim_sw - w2.dim(),
-                "result": cls in (GOOD, GOOD_HEURISTIC) and dim_ok,
+                "dim_S_W1": dim_s_w1,
+                "result": accepted,
             }
         )
-        if cls in (GOOD, GOOD_HEURISTIC) and dim_ok:
+        if accepted:
             w1 = _subtract(ext.W, w2)
             witness = {
                 "W1": [[list(w.parts), m] for w, m in w1.entries],
@@ -248,6 +239,25 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
             }
             return Verdict(RATIONAL_BY_A, witness, evidence, seed)
     return Verdict(EXCEPTIONAL, None, evidence, seed)
+
+
+def _by_dimension(ms: WeightMultiset):
+    """Every sub-multiset of `ms`, lazily, by dimension and ties by the
+    entries tuple.  A count vector's parent lowers its last nonzero count
+    by one, so each vector is pushed once, by its parent; every label has
+    dimension at least 1, so a child sorts after its parent and the heap
+    pops the vectors in order."""
+    n, pairs = ms.n, ms.entries
+    heap = [(0, (), (0,) * len(pairs), 0)]
+    while heap:
+        d, entries, counts, last = heapq.heappop(heap)
+        yield WeightMultiset(n, entries)
+        for i in range(last, len(pairs)):
+            w, m = pairs[i]
+            if counts[i] < m:
+                child = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                entries = tuple((v, c) for (v, _), c in zip(pairs, child) if c)
+                heapq.heappush(heap, (d + weyl_dim(w), entries, child, i))
 
 
 def _subtract(ms: WeightMultiset, sub: WeightMultiset) -> WeightMultiset:
@@ -259,19 +269,3 @@ def _subtract(ms: WeightMultiset, sub: WeightMultiset) -> WeightMultiset:
         if rem:
             entries.append((w, rem))
     return WeightMultiset.of(ms.n, entries)
-
-
-def _greedy_candidates(ext: TwoStepExtension):
-    """Fallback when W has too many sub-multisets: grow W2 by smallest
-    dimension first until the augmented quotient is good."""
-    n = ext.n
-    singles = sorted(
-        ((w, weyl_dim(w)) for w, m in ext.W.entries for _ in range(m)),
-        key=lambda t: (t[1], t[0].parts),
-    )
-    out = [WeightMultiset.of(n, [])]
-    acc: list[Weight] = []
-    for w, _ in singles:
-        acc.append(w)
-        out.append(WeightMultiset.of(n, list(acc)))
-    return out

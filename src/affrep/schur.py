@@ -8,7 +8,6 @@ trivially on SL_n).  All arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 
@@ -165,13 +164,6 @@ class WeightMultiset:
             raise ValueError("rank mismatch")
         return WeightMultiset.of(self.n, list(self.entries) + list(other.entries))
 
-    def submultisets(self) -> list["WeightMultiset"]:
-        """All sub-multisets in a canonical order: increasing dimension, ties
-        by the entries tuple."""
-        subs = [WeightMultiset(self.n, e) for e in sub_entries(self.entries)]
-        subs.sort(key=lambda s: (s.dim(), s.entries))
-        return subs
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"
@@ -179,14 +171,6 @@ class WeightMultiset:
         for w, m in self.entries:
             terms.append(str(w) if m == 1 else f"{m}*{w}")
         return " + ".join(terms)
-
-
-def sub_entries(pairs):
-    """Every sub-multiset of (label, mult) pairs sorted by label, as the
-    entries of a `WeightMultiset`: one per count vector from all zeros (the
-    empty one, first) to the multiplicities, in lexicographic order."""
-    for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
-        yield tuple((w, c) for (w, _), c in zip(pairs, counts) if c)
 
 
 def normalize(n: int, raw) -> Weight:

@@ -10,6 +10,7 @@ import pytest
 from cli_process import SRC, run_affrep
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from submultiset_oracle import sub_entries
 
 from affrep import rationality, repclass
 from affrep.catalog import (
@@ -29,7 +30,6 @@ from affrep.schur import (
     dual,
     multiset_fits_in_product,
     normalize,
-    sub_entries,
     tensor_counts,
     weyl_dim,
 )

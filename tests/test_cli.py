@@ -363,6 +363,29 @@ class TestCheck2Step:
         assert rc == 1
         assert "structural" in err
 
+    def test_split_cap_exits_1_naming_it(self, tmp_path):
+        # every W2 of trivials leaves Q + W2 bad, so all 40,001 would be tried
+        f = self.write_ext(tmp_path, 3, [((2, 1, 0), 1)], [((2, 0, 0), 1)],
+                           W=[((0, 0, 0), 40000)], free=True)
+        t0 = time.perf_counter()
+        proc = run_affrep("check2step", str(f), timeout=60)
+        assert time.perf_counter() - t0 < 5.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "error: resource cap exceeded: max_split_candidates needs more than 32768, "
+            "cap is 32768"]
+
+    def test_split_order_ignores_the_hash_seed(self, tmp_path):
+        # 10 trivials tie with [3] and [2] with [2,2] in dimension, so the
+        # tried W2 follow the ties' order on the entries
+        f = self.write_ext(tmp_path, 3, [((2, 1, 0), 1)], [((2, 0, 0), 1)],
+                           W=[((0, 0, 0), 10), ((3, 0, 0), 1), ((2, 2, 0), 1), ((2, 0, 0), 1)],
+                           free=True)
+        procs = [run_affrep("check2step", str(f), hashseed=h) for h in ("0", "1")]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert procs[0].stdout == procs[1].stdout
+        assert "witness: W1=" in procs[0].stdout
+
 
 def _malformed_models():
     """(model file object, field named in the error), each a small edit of

@@ -1,9 +1,12 @@
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from submultiset_oracle import sub_entries
 
-from affrep.catalog import CatalogEntry
-from affrep.config import MAX_SPLIT_CANDIDATES
+from affrep.catalog import CatalogEntry, irreps_up_to_dim
+from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
 from affrep.filtration import Filtration
 from affrep.matmodel import AffMatrixRep
 from affrep.rationality import (
@@ -16,12 +19,13 @@ from affrep.rationality import (
     RankLabels,
     TwoStepExtension,
     Verdict,
+    _by_dimension,
     check_generic_freeness,
     check_structural,
     decide_rationality,
 )
-from affrep.repclass import StabilizerReport
-from affrep.schur import WeightMultiset, dual, normalize
+from affrep.repclass import GOOD, GOOD_HEURISTIC, StabilizerReport, classify
+from affrep.schur import WeightMultiset, dual, lr_decompose, normalize
 
 
 def W(n, *parts):
@@ -158,29 +162,137 @@ class TestDecide:
         b = decide_rationality(ext, seed=5)
         assert a.outcome == b.outcome and a.witness == b.witness and a.evidence == b.evidence
 
-    def test_greedy_shortcut_records_incompleteness(self):
-        # 20 distinct labels of multiplicity 1 have 2^20 sub-multisets, over
-        # the cap of MAX_SPLIT_CANDIDATES
-        labels = [W(3, a, b) for a in range(1, 6) for b in range(a + 1)]
-        assert len(set(labels)) == 20 and 2 ** 20 > MAX_SPLIT_CANDIDATES
-        ext = TwoStepExtension.of(3, S=[W(3, 4, 3)], Q=[W(3, 3, 3)], W=labels)
-        v = decide_rationality(ext)
-        flags = [e for e in v.evidence if e["condition"] == "split-search-incomplete"]
-        assert [f["result"] for f in flags] == [f"greedy shortcut over {2 ** 20} candidates"]
-        assert v.outcome == RATIONAL_BY_A  # the empty split already works
 
-    def test_split_setup_is_bounded(self):
-        # every candidate is built and sorted before the first is classified:
-        # 2^17 of them took about 4 s and 120 MB, so 17 distinct labels take
-        # the greedy path
-        labels = [W(3, a, b) for a in range(1, 6) for b in range(a + 1)][:17]
-        assert len(set(labels)) == 17 and 2 ** 17 > MAX_SPLIT_CANDIDATES
+def _past_old_cap(trivials):
+    # Q + W2 is good only once W2 holds [3], which ties in dimension with
+    # 10 trivials and sorts after them
+    return TwoStepExtension.of(3, S=[W(3, 2, 1)], Q=[W(3, 2)], W=[(W(3), trivials), W(3, 3)],
+                               assume_generically_free=True)
+
+
+class TestSplitSearch:
+    def test_finds_a_split_in_a_w_over_the_cap(self):
+        # 2 * 16,384 sub-multisets for 16,383 trivials and [3], and 2 * 16,385,
+        # over MAX_SPLIT_CANDIDATES, for one more; both accept [3] as the
+        # twelfth candidate, after W2 = 0 and 1-10 trivials
+        a, b = (decide_rationality(_past_old_cap(k)) for k in (16383, 16384))
+        for v in (a, b):
+            assert v.outcome == RATIONAL_BY_A
+            assert v.witness["W2"] == [[[3, 0, 0], 1]]
+            assert [e["w2"] for e in v.evidence if e["condition"] == "split"] == (
+                [[]] + [[[[0, 0, 0], k]] for k in range(1, 11)] + [[[[3, 0, 0], 1]]])
+
+        def plain(ev):
+            return {k: v for k, v in ev.items() if k != "dim_S_W1"}
+
+        # the one more trivial moves only dim(S + W1), by its dimension 1
+        assert [plain(e) for e in a.evidence] == [plain(e) for e in b.evidence]
+        assert [e["dim_S_W1"] + 1 for e in a.evidence if "dim_S_W1" in e] == [
+            e["dim_S_W1"] for e in b.evidence if "dim_S_W1" in e]
+
+    @pytest.mark.parametrize("count", [17, 20])
+    def test_many_distinct_labels_answer_at_the_first_candidate(self, count):
+        # 2^17 and 2^20 sub-multisets; the empty split already works, and
+        # nothing beyond it is made
+        labels = [W(3, a, b) for a in range(1, 6) for b in range(a + 1)][:count]
+        assert len(set(labels)) == count
         ext = TwoStepExtension.of(3, S=[W(3, 4, 3)], Q=[W(3, 3, 3)], W=labels)
         t0 = time.perf_counter()
         v = decide_rationality(ext)
+        assert time.perf_counter() - t0 < 1.0
+        assert v.outcome == RATIONAL_BY_A and v.witness["W2"] == []
+        assert [e["condition"] for e in v.evidence] == [
+            "structural-containments", "generic-freeness", "trivial-summands-in-Q", "split"]
+
+    def test_over_the_cap_is_refused(self):
+        # Q + W2 is bad for every W2 of trivials, so all 40,001 would be tried
+        ext = TwoStepExtension.of(3, S=[W(3, 2, 1)], Q=[W(3, 2)], W=[(W(3), 40000)],
+                                  assume_generically_free=True)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError) as info:
+            decide_rationality(ext)
         assert time.perf_counter() - t0 < 2.0
-        flags = [e for e in v.evidence if e["condition"] == "split-search-incomplete"]
-        assert [f["result"] for f in flags] == [f"greedy shortcut over {2 ** 17} candidates"]
+        assert info.value.cap_name == "max_split_candidates"
+        assert str(info.value) == (
+            f"resource cap exceeded: max_split_candidates needs more than "
+            f"{MAX_SPLIT_CANDIDATES}, cap is {MAX_SPLIT_CANDIDATES}")
+
+    def test_cap_is_inclusive(self):
+        ext = TwoStepExtension.of(3, S=[W(3, 2, 1)], Q=[W(3, 2)],
+                                  W=[(W(3), MAX_SPLIT_CANDIDATES - 1)],
+                                  assume_generically_free=True)
+        v = decide_rationality(ext)
+        assert v.outcome == EXCEPTIONAL
+        assert sum(e["condition"] == "split" for e in v.evidence) == MAX_SPLIT_CANDIDATES
+
+
+def _small_multisets(n):
+    labels = irreps_up_to_dim(n, 15)
+    return st.dictionaries(st.sampled_from(labels), st.integers(1, 4), max_size=4).map(
+        lambda d: WeightMultiset.of(n, d.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_small_multisets))
+@example(WeightMultiset.of(3, [(W(3), 10), W(3, 3)]))
+def test_by_dimension_matches_sorted_brute_force(ms):
+    brute = sorted((WeightMultiset(ms.n, e) for e in sub_entries(ms.entries)),
+                   key=lambda s: (s.dim(), s.entries))
+    assert list(_by_dimension(ms)) == brute
+
+
+def exhaustive_decide(ext, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+    """Reference decision: every sub-multiset of W is built and sorted by
+    (dimension, entries) before the first split is tried."""
+    n = ext.n
+    evidence = [{"condition": "structural-containments", "paper_clause": "shape", "result": True}]
+    status, detail = check_generic_freeness(ext, seed=seed, trials=trials)
+    evidence.append({"condition": "generic-freeness", "paper_clause": detail, "result": status})
+    if status != FREE:
+        return Verdict(POSSIBLY_NOT_GENERICALLY_FREE, None, evidence, seed)
+    trivial_count = ext.Q.count(normalize(n, []))
+    evidence.append({"condition": "trivial-summands-in-Q", "paper_clause": "B",
+                     "result": f"{trivial_count} of {n * n - 1} required"})
+    if trivial_count >= n * n - 1:
+        return Verdict(RATIONAL_BY_B, None, evidence, seed)
+    dim_sw = ext.S.dim() + ext.W.dim()
+    subs = sorted((WeightMultiset(n, e) for e in sub_entries(ext.W.entries)),
+                  key=lambda s: (s.dim(), s.entries))
+    for w2 in subs:
+        cls = classify(ext.Q.add(w2), seed=seed, trials=trials)
+        ok = cls in (GOOD, GOOD_HEURISTIC) and dim_sw - w2.dim() >= n * n + 2 * n
+        evidence.append({"condition": "split", "paper_clause": "A",
+                         "w2": [[list(w.parts), m] for w, m in w2.entries], "classify": cls,
+                         "dim_S_W1": dim_sw - w2.dim(), "result": ok})
+        if ok:
+            w1 = WeightMultiset.of(n, [(w, m - w2.count(w)) for w, m in ext.W.entries])
+            witness = {"W1": [[list(w.parts), m] for w, m in w1.entries],
+                       "W2": [[list(w.parts), m] for w, m in w2.entries],
+                       "heuristic_goodness": cls == GOOD_HEURISTIC}
+            return Verdict(RATIONAL_BY_A, witness, evidence, seed)
+    return Verdict(EXCEPTIONAL, None, evidence, seed)
+
+
+@st.composite
+def _small_extensions(draw):
+    n = draw(st.sampled_from([2, 3]))
+    labels = irreps_up_to_dim(n, 10)
+    q = draw(st.sampled_from(labels))
+    # S inside Q (x) standard; the structural check keeps the pairs that
+    # are extensions
+    product = lr_decompose(q, normalize(n, [1])).entries
+    s = draw(st.lists(st.sampled_from(product), min_size=1, max_size=len(product), unique=True))
+    w = draw(st.dictionaries(st.sampled_from(labels), st.integers(1, 3), min_size=1, max_size=3))
+    ext = TwoStepExtension.of(n, S=s, Q=[q], W=w.items(), assume_generically_free=draw(st.booleans()))
+    assume(check_structural(ext))
+    return ext
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_extensions())
+def test_decide_matches_the_exhaustive_search(ext):
+    got, want = decide_rationality(ext), exhaustive_decide(ext)
+    assert (got.outcome, got.witness, got.evidence) == (want.outcome, want.witness, want.evidence)
 
 
 class TestVerdictInvariants:
