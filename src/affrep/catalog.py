@@ -28,13 +28,13 @@ from its fields when it is read, and no engine call remains by then.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_list, classify
 from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
 from .schur import (
-    Value,
     Weight,
     WeightMultiset,
     lr_decompose,
@@ -46,21 +46,12 @@ TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
 
 
-class CatalogEntry(Value):
+class CatalogEntry(namedtuple("CatalogEntry", "n S Q trigger q_class seed trials")):
     """A candidate pair, the clause that admits it, and the class of its Q
     as the catalog established it under `seed` and `trials`."""
 
-    __slots__ = ("n", "S", "Q", "trigger", "q_class", "seed", "trials")
-
-    def __init__(self, n: int, S: WeightMultiset, Q: WeightMultiset, trigger: str,
-                 q_class: str, seed: int, trials: int):
-        self.n = n
-        self.S = S
-        self.Q = Q
-        self.trigger = trigger
-        self.q_class = q_class
-        self.seed = seed
-        self.trials = trials
+    __slots__ = ()
+    __hash__ = None
 
     @property
     def verdict(self) -> Verdict:

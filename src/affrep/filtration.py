@@ -12,34 +12,29 @@ reduces layer identification to character bookkeeping.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .linalg import Echelon, Vec, common_kernel
 from .matmodel import AffMatrixRep, dual_model, grading_rep
 from .oracle import ssyt_contents
-from .schur import Value, Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
+from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
 
 SOCLE = "socle"
 RADICAL = "radical"
 
 
-class Filtration(Value):
+class Filtration(namedtuple("Filtration", "rep kind snapshots layers")):
     """A chain of invariant subspaces with identified semisimple layers.
 
     snapshots[i] holds the basis rows added at step i, so the concatenation
     is a filtration-adapted basis and chain member i is spanned by
-    snapshots[0..i].
+    snapshots[0..i].  Built with no checks, so `_replace` (which skips
+    `__new__`) is safe on it, unlike on the checked value types.
     """
 
-    __slots__ = ("rep", "kind", "snapshots", "layers")
-
-    def __init__(self, rep: AffMatrixRep, kind: str, snapshots: list[list[Vec]],
-                 layers: list[WeightMultiset]):
-        self.rep = rep
-        self.kind = kind
-        self.snapshots = snapshots
-        self.layers = layers
+    __slots__ = ()
+    __hash__ = None
 
     @property
     def length(self) -> int:
@@ -123,8 +118,7 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
         snapshots.append(step_rows)
         total += len(step_rows)
     filt = Filtration(rep, SOCLE, snapshots, [])
-    filt.layers = identify_layers(rep, filt)
-    return filt
+    return filt._replace(layers=identify_layers(rep, filt))
 
 
 def radical_filtration(rep: AffMatrixRep) -> Filtration:
@@ -156,8 +150,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
                 step.append(dict(ech.rows[p]))
         snapshots.append(step)
     filt = Filtration(rep, RADICAL, snapshots, [])
-    filt.layers = identify_layers(rep, filt)
-    return filt
+    return filt._replace(layers=identify_layers(rep, filt))
 
 
 def dual_multiset(ms: WeightMultiset) -> WeightMultiset:

@@ -19,6 +19,7 @@ Sign conventions, fixed once:
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -29,7 +30,7 @@ from .config import (
     ResourceCapError,
 )
 from .linalg import Echelon, SMat, Vec, closure, common_kernel, restrict
-from .schur import Value, Weight, WeightMultiset, dual, weyl_dim
+from .schur import Weight, WeightMultiset, dual, weyl_dim
 
 
 # --- sl_n basis bookkeeping -------------------------------------------------
@@ -84,18 +85,11 @@ def _entries(m: SMat) -> list[tuple[int, int, object]]:
     return [(r, c, v) for c, col in m.cols.items() for r, v in col.items()]
 
 
-class AffMatrixRep(Value):
+class AffMatrixRep(namedtuple("AffMatrixRep", "n dim sl_gens trans_gens weight_grading")):
     """Matrix model: sl_n generators, translation generators, weight grading."""
 
-    __slots__ = ("n", "dim", "sl_gens", "trans_gens", "weight_grading")
-
-    def __init__(self, n: int, dim: int, sl_gens: dict[str, SMat], trans_gens: list[SMat],
-                 weight_grading: list[tuple[int, ...]]):
-        self.n = n
-        self.dim = dim
-        self.sl_gens = sl_gens
-        self.trans_gens = trans_gens
-        self.weight_grading = weight_grading
+    __slots__ = ()
+    __hash__ = None
 
     def sl_keys(self) -> list[str]:
         return sl_basis_keys(self.n)

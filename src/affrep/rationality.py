@@ -13,6 +13,7 @@ evidence trail.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from functools import lru_cache
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
@@ -23,8 +24,6 @@ from .repclass import (
     classify,
 )
 from .schur import (
-    Value,
-    Weight,
     WeightMultiset,
     dual,
     multiset_fits_in_product,
@@ -41,24 +40,17 @@ FREE = "Free"
 POSSIBLY_NOT_FREE = "PossiblyNotFree"
 
 
-class TwoStepExtension(Value):
+class TwoStepExtension(namedtuple("TwoStepExtension", "n S Q W assume_generically_free")):
     """Semisimple data of a length-two extension plus a detached summand."""
 
-    __slots__ = ("n", "S", "Q", "W", "assume_generically_free")
+    __slots__ = ()
 
-    def __init__(self, n: int, S: WeightMultiset, Q: WeightMultiset, W: WeightMultiset,
-                 assume_generically_free: bool = False):
+    def __new__(cls, n: int, S: WeightMultiset, Q: WeightMultiset, W: WeightMultiset,
+                assume_generically_free: bool = False):
         for part in (S, Q, W):
             if part.n != n:
                 raise ValueError("rank mismatch between extension parts")
-        self.n = n
-        self.S = S
-        self.Q = Q
-        self.W = W
-        self.assume_generically_free = assume_generically_free
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+        return tuple.__new__(cls, (n, S, Q, W, assume_generically_free))
 
     @classmethod
     def of(cls, n: int, S=(), Q=(), W=(), assume_generically_free: bool = False):
@@ -71,37 +63,24 @@ class TwoStepExtension(Value):
         )
 
 
-class Verdict(Value):
-    __slots__ = ("outcome", "witness", "evidence", "seed")
+class Verdict(namedtuple("Verdict", "outcome witness evidence seed")):
+    __slots__ = ()
+    __hash__ = None
 
-    def __init__(self, outcome: str, witness: dict | None, evidence: list[dict], seed: int):
+    def __new__(cls, outcome: str, witness: dict | None, evidence: list[dict], seed: int):
         if (outcome == RATIONAL_BY_A) != (witness is not None):
             raise ValueError("witness present iff the split criterion decided")
         if not evidence:
             raise ValueError("evidence must be nonempty")
-        self.outcome = outcome
-        self.witness = witness
-        self.evidence = evidence
-        self.seed = seed
+        return tuple.__new__(cls, (outcome, witness, evidence, seed))
 
 
-class RankLabels(Value):
+class RankLabels(namedtuple("RankLabels", "triv std dstd r1 r2")):
     """The labels every extension of one rank is tested against: trivial,
     standard, dual standard, and the quotients of the R1 and R2 shapes
     (R2 is None below rank 2, where it has no label)."""
 
-    __slots__ = ("triv", "std", "dstd", "r1", "r2")
-
-    def __init__(self, triv: Weight, std: Weight, dstd: Weight, r1: WeightMultiset,
-                 r2: WeightMultiset | None):
-        self.triv = triv
-        self.std = std
-        self.dstd = dstd
-        self.r1 = r1
-        self.r2 = r2
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    __slots__ = ()
 
 
 # the same few values for every extension of a rank; one entry per rank

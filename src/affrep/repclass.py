@@ -13,6 +13,7 @@ The engine runs on the exact matrix models of the irreducibles that
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
@@ -20,23 +21,15 @@ from .config import (COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, MAX_STABILIZER_W
                      ResourceCapError)
 from .linalg import integer_rank
 from .matmodel import model_for_weight, sl_basis_keys
-from .schur import Value, Weight, WeightMultiset, dual, normalize, weyl_dim
+from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 
 GOOD = "Good"
 BAD = "Bad"
 GOOD_HEURISTIC = "GoodHeuristic"
 
 
-class StabilizerReport(Value):
-    __slots__ = ("stab_dim", "trials", "seed")
-
-    def __init__(self, stab_dim: int, trials: int, seed: int):
-        self.stab_dim = stab_dim
-        self.trials = trials
-        self.seed = seed
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+class StabilizerReport(namedtuple("StabilizerReport", "stab_dim trials seed")):
+    __slots__ = ()
 
 
 # asked once per classification; one entry per rank

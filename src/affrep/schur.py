@@ -8,41 +8,19 @@ trivially on SL_n).  All arithmetic is exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 
-class Value:
-    """Base of the slotted value types built on weights: equality field by
-    field, over the names in `__slots__`, and the `Type(field=value, ...)`
-    repr.  A subclass is unhashable unless it defines `__hash__`."""
+class Weight(namedtuple("Weight", "n parts")):
+    """Normalized highest-weight label for an irreducible SL_n-representation.
+
+    A value: the tuple (n, parts), so equal, ordered and hashed as that
+    tuple (a tuple of ints hashes the same under every PYTHONHASHSEED)."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({body})"
-
-
-class Weight:
-    """Normalized highest-weight label for an irreducible SL_n-representation.
-
-    A value: equal, hashed and ordered as the tuple (n, parts).  Immutable
-    by convention; nothing assigns to a weight after it is built, and
-    enforcing it would cost a call on every construction."""
-
-    __slots__ = ("n", "parts", "_hash")
-
-    def __init__(self, n: int, parts: tuple[int, ...]):
+    def __new__(cls, n: int, parts: tuple[int, ...]):
         if n < 1:
             raise ValueError(f"rank must be >= 1, got {n}")
         if len(parts) != n:
@@ -53,42 +31,7 @@ class Weight:
             raise ValueError(f"weight {list(parts)} is not non-increasing")
         if parts[-1] != 0:
             raise ValueError(f"weight {list(parts)} is not normalized (last part nonzero)")
-        self.n = n
-        self.parts = parts
-        # labels are dict keys on every hot path; a tuple of ints hashes the
-        # same under every PYTHONHASHSEED
-        self._hash = hash((n, parts))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return self.n == other.n and self.parts == other.parts
-
-    def __lt__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.n, self.parts) < (other.n, other.parts)
-
-    def __le__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.n, self.parts) <= (other.n, other.parts)
-
-    def __gt__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.n, self.parts) > (other.n, other.parts)
-
-    def __ge__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.n, self.parts) >= (other.n, other.parts)
-
-    def __repr__(self) -> str:
-        return f"Weight(n={self.n!r}, parts={self.parts!r})"
+        return tuple.__new__(cls, (n, parts))
 
     @property
     def size(self) -> int:
@@ -101,15 +44,13 @@ class Weight:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-class WeightMultiset:
+class WeightMultiset(namedtuple("WeightMultiset", "n entries")):
     """Finite multiset of same-rank weights; the semisimple data everywhere.
-    A value like `Weight`: equal and hashed as the tuple (n, entries)."""
+    A value like `Weight`: the tuple (n, entries)."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: tuple[tuple[Weight, int], ...]):
-        self.n = n
-        self.entries = entries
+    def __new__(cls, n: int, entries: tuple[tuple[Weight, int], ...]):
         # canonical means strictly increasing labels: sorted, no label twice
         prev = None
         for w, m in entries:
@@ -122,17 +63,7 @@ class WeightMultiset:
                     raise ValueError(f"duplicate entry for {w}")
                 raise ValueError("entries not in canonical order; use WeightMultiset.of")
             prev = w
-
-    def __eq__(self, other):
-        if other.__class__ is not WeightMultiset:
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.entries))
-
-    def __repr__(self) -> str:
-        return f"WeightMultiset(n={self.n!r}, entries={self.entries!r})"
+        return tuple.__new__(cls, (n, entries))
 
     @classmethod
     def of(cls, n: int, items=()) -> "WeightMultiset":

@@ -167,7 +167,7 @@ class TestChecks:
         # a socle chain whose layer 1 is not inside Q_0 (x) dual standard:
         # both checks must see the same failing pair (0, 1)
         soc = socle_filtration(model_sym_dual(3, 2))
-        soc.layers = [soc.layers[0], WeightMultiset.of(3, [W(3, 1)]), soc.layers[2]]
+        soc = soc._replace(layers=[soc.layers[0], WeightMultiset.of(3, [W(3, 1)]), soc.layers[2]])
         assert not check_embedding_theorem(soc)
         assert not check_blocks_containment(soc)
 

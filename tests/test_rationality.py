@@ -360,6 +360,9 @@ def test_value_types_compare_print_and_hash_by_field(name):
     assert a != object()
     assert repr(a) == want
     assert not hasattr(a, "__dict__")
+    for field in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
     if name in FROZEN:
         assert hash(a) == hash(b)
     else:

@@ -95,17 +95,25 @@ class TestWeightHash:
                 assert (a == b) == (ta == tb)
 
     def test_hash_ignores_the_hash_seed(self):
+        # a multiset and an extension are cache keys through their tuple hash
         code = ("from affrep.schur import normalize; "
-                "print(hash(normalize(4, [2, 1])), hash(normalize(3, [])))")
+                "from affrep.rationality import TwoStepExtension; "
+                "ext = TwoStepExtension.of(3, [normalize(3, [1])], [normalize(3, [])]); "
+                "print(hash(normalize(4, [2, 1])), hash(normalize(3, [])), "
+                "hash(ext.S), hash(ext))")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         outs = set()
-        for hashseed in ("0", "12345"):
+        for hashseed in ("0", "1", "12345"):
             env["PYTHONHASHSEED"] = hashseed
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, timeout=60)
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
-        assert outs == {f"{hash((4, (2, 1, 0, 0)))} {hash((3, (0, 0, 0)))}\n"}
+        s = (3, (((3, (1, 0, 0)), 1),))
+        q = (3, (((3, (0, 0, 0)), 1),))
+        ext = (3, s, q, (3, ()), False)
+        assert outs == {f"{hash((4, (2, 1, 0, 0)))} {hash((3, (0, 0, 0)))} "
+                        f"{hash(s)} {hash(ext)}\n"}
 
 
 class TestWeightMultiset:
