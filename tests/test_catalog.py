@@ -10,14 +10,14 @@ import pytest
 from cli_process import SRC, run_affrep
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from submultiset_oracle import sub_entries
+from submultiset_oracle import grown_reference, sub_entries
 
 from affrep import rationality, repclass
 from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
-    _fitting_subs,
-    _grown,
+    _partners,
+    _walk,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
@@ -28,6 +28,7 @@ from affrep.schur import (
     Weight,
     WeightMultiset,
     dual,
+    lr_decompose,
     multiset_fits_in_product,
     normalize,
     tensor_counts,
@@ -72,24 +73,94 @@ class TestIrrepsUpToDim:
 
 @pytest.mark.parametrize("n,bound", [(2, 9), (3, 10), (4, 12)])
 def test_grown_reaches_each_bounded_multiset_once(n, bound):
-    # the monotone bound of clause (ii): every nonempty multiset of the
-    # irreducibles with total dimension <= bound, against all count vectors
-    labels = irreps_up_to_dim(n, bound)
+    # the bound of clause (ii): every nonempty multiset of the irreducibles
+    # with total dimension <= bound, against all count vectors in their
+    # order; the walk meets the bound as a keep and as a linear cap alike
+    labels = sorted(irreps_up_to_dim(n, bound))
+    dims = [weyl_dim(w) for w in labels]
+    most = [(w, bound // d) for w, d in zip(labels, dims)]
     tried = []
 
     def keep(ms):
         tried.append(ms.entries)
         return ms.dim() <= bound
 
-    got = [ms.entries for ms in _grown(n, labels, keep)]
-    most = WeightMultiset.of(n, [(w, bound // weyl_dim(w)) for w in labels])
-    brute = {e for e in itertools.islice(sub_entries(most.entries), 1, None)
-             if WeightMultiset(n, e).dim() <= bound}
-    assert len(got) == len(set(got))
-    assert set(got) == brute
-    # keep sees each grown multiset once, and each accepted one is kept
+    got = _walk(n, most, keep=keep)
+    brute = [e for e in itertools.islice(sub_entries(most), 1, None)
+             if WeightMultiset(n, e).dim() <= bound]
+    assert got == brute
+    assert _walk(n, most, caps=[(dims, bound)]) == got
+    # keep sees each multiset once, and each accepted one is kept
     assert len(tried) == len(set(tried))
-    assert [e for e in tried if WeightMultiset(n, e).dim() <= bound] == got
+    assert sorted(e for e in tried if WeightMultiset(n, e).dim() <= bound) == sorted(got)
+
+
+# --- the walk against the reference grower --------------------------------------
+
+def _summed(n, entries):
+    return Weight(n, tuple(sum(m * w.parts[j] for w, m in entries) for j in range(n)))
+
+
+def walk_uses(use, n):
+    """(labels with their most, the keep the catalog walks them with, and a
+    keep that ends the growth with no most bound) for one catalog use at
+    rank n under the default caps."""
+    dim_cap, triv, trivial_cap = n * n + 2 * n - 1, W(n, 0), n * n - 2
+    if use == "fundamentals":
+        labels = [(W(n, *(1,) * i), dim_cap) for i in range(1, n)]
+
+        def keep(ms):
+            return weyl_dim(_summed(n, ms.entries)) <= dim_cap
+
+        return labels, keep, keep
+    if use == "bad sweep":
+        labels = [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad_list(n))]
+        return (labels, lambda q: classify(q) == BAD,
+                lambda q: q.count(triv) <= trivial_cap and classify(q) == BAD)
+    labels = [(w, dim_cap // weyl_dim(w)) for w in sorted(irreps_up_to_dim(n, dim_cap))]
+
+    def small(ms):
+        return ms.dim() <= dim_cap
+
+    return labels, small, small
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("use", ["fundamentals", "bad sweep", "small S"])
+def test_walk_asks_keep_what_the_grown_reference_asks(use, n):
+    # with the walk's bounds as a first test, the grower asks keep about
+    # exactly the multisets the walk asks about, once each, and keeps the
+    # same ones; without them, given a keep that ends the growth by itself,
+    # it keeps the same ones too, so no most bound cuts off a multiset
+    labels, keep, unbounded = walk_uses(use, n)
+    most = dict(labels)
+    walk_asks, grown_asks = [], []
+
+    def asking(log):
+        def asked(ms):
+            log.append(ms.entries)
+            return keep(ms)
+        return asked
+
+    walked = _walk(n, labels, keep=asking(walk_asks))
+    grown_keep = asking(grown_asks)
+    grown = grown_reference(n, sorted(most), lambda ms: all(m <= most[w] for w, m in ms.entries)
+                            and grown_keep(ms))
+    assert sorted(walked) == sorted(ms.entries for ms in grown)
+    assert len(walk_asks) == len(set(walk_asks))
+    assert sorted(walk_asks) == sorted(grown_asks)
+    unbounded_grown = grown_reference(n, sorted(most), unbounded)
+    assert sorted(walked) == sorted(ms.entries for ms in unbounded_grown)
+
+
+@pytest.mark.parametrize("labels", [
+    [(W(2, 0), 2), (W(2, 1), 3), (W(2, 2), 3)],   # the rank-2 bad sweep's bounds
+    [(W(3, 1), 4), (W(3, 1, 1), 4)],              # fundamentals under dimension 4
+])
+def test_walk_keeping_everything_stops_at_most(labels):
+    n = labels[0][0].n
+    got = _walk(n, labels, keep=lambda ms: True)
+    assert got == list(itertools.islice(sub_entries(labels), 1, None))
 
 
 # --- the candidate filter against the one it replaced ------------------------
@@ -118,13 +189,15 @@ def small_multisets(draw, n):
 
 @st.composite
 def filter_cases(draw):
-    """(sorted labels of M (x) f, test factor, inner, caps) at ranks 2-4,
-    with f and the test factor each the standard or its dual.  The inner side
-    is M itself, as in the catalog, or an unrelated small multiset."""
+    """(n, M, f, test factor, inner, caps) at ranks 2-4, with f and the
+    test factor each the standard or its dual; the labels are those of
+    M (x) f.  The inner side is M itself, as in the catalog, or an
+    unrelated small multiset."""
     n = draw(st.integers(2, 4))
     std = normalize(n, [1])
     outer = draw(small_multisets(n))
-    labels = sorted(tensor_counts(outer.entries, draw(st.sampled_from([std, dual(std)]))).items())
+    f = draw(st.sampled_from([std, dual(std)]))
+    labels = sorted(tensor_counts(outer.entries, f).items())
     # the oracle forms a product per candidate; keep it to a few thousand
     assume(math.prod(m + 1 for _, m in labels) <= 4096)
     factor = draw(st.sampled_from([std, dual(std)]))
@@ -134,16 +207,24 @@ def filter_cases(draw):
         caps.append(({w: weyl_dim(w) for w, _ in labels}, draw(st.integers(1, 40))))
     if draw(st.booleans()):
         caps.append(({w: int(w.is_trivial()) for w, _ in labels}, draw(st.integers(0, 3))))
-    return labels, factor, inner.entries, caps
+    return n, outer, f, factor, inner.entries, caps
 
 
 @settings(max_examples=150, deadline=None)
 @given(filter_cases())
 def test_fitting_subs_match_oracle(case):
-    labels, factor, inner, caps = case
+    # the walk, given one need column per label of the inner side; and the
+    # partner search, which builds those columns, wherever the case is the
+    # catalog's (inner = M, the test factor the dual of f)
+    n, outer, f, factor, inner, caps = case
+    labels = sorted(tensor_counts(outer.entries, f).items())
+    want = list(fitting_subs_oracle(labels, factor, inner, caps))
+    prods = [dict(lr_decompose(u, factor).entries) for u, _ in labels]
+    needs = [([p.get(w, 0) for p in prods], m) for w, m in inner]
     columns = [([weight[w] for w, _ in labels], bound) for weight, bound in caps]
-    got = list(_fitting_subs(labels, factor, inner, columns))
-    assert got == list(fitting_subs_oracle(labels, factor, inner, caps))
+    assert _walk(n, labels, needs, columns) == want
+    if inner == outer.entries and factor == dual(f):
+        assert _partners(n, inner, f, [(weight.get, bound) for weight, bound in caps]) == want
 
 
 def test_fitting_subs_keep_equality_and_drop_empty():
@@ -152,11 +233,11 @@ def test_fitting_subs_keep_equality_and_drop_empty():
     # the count vectors run in lexicographic order
     n = 3
     std, dstd = W(n, 1), dual(W(n, 1))
-    labels = sorted(tensor_counts([(std, 1)], dstd).items())
-    got = list(_fitting_subs(labels, std, [(std, 1)]))
+    got = _partners(n, [(std, 1)], dstd)
     assert got == [((W(n, 2, 1), 1),), ((W(n, 0), 1),), ((W(n, 0), 1), (W(n, 2, 1), 1))]
-    assert list(_fitting_subs(labels, std, [(std, 2)])) == [
-        ((W(n, 0), 1), (W(n, 2, 1), 1))]
+    # two copies of the standard need both labels: each product holds it once
+    labels = sorted(tensor_counts([(std, 1)], dstd).items())
+    assert _walk(n, labels, [([1, 1], 2)]) == [((W(n, 0), 1), (W(n, 2, 1), 1))]
 
 
 class TestEnumerate:
@@ -229,10 +310,12 @@ class TestEnumerate:
 # --- clause (i) against the construction it replaced ---------------------------
 
 def bad_cores(n, seed, trials):
-    """The nonempty multisets over the nontrivial bad labels that `classify`
-    still calls bad, grown label by label."""
-    labels = sorted(w for w in bad_list(n) if not w.is_trivial())
-    return _grown(n, labels, lambda ms: classify(ms, seed=seed, trials=trials) == BAD)
+    """The nonempty multisets over the nontrivial bad labels, at most
+    n^2 - 1 copies of each, that `classify` still calls bad, walked label by
+    label."""
+    labels = sorted((w, n * n - 1) for w in bad_list(n) if not w.is_trivial())
+    return [WeightMultiset(n, e) for e in
+            _walk(n, labels, keep=lambda ms: classify(ms, seed=seed, trials=trials) == BAD)]
 
 
 def bad_quotients_reference(n, trivial_cap, seed, trials):
@@ -298,6 +381,21 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
     assert len(enumerate_exceptional_candidates(3)) == 3015
     assert calls["stabilizer_dimension"] <= 50
     assert calls["check_structural"] == 0
+
+
+@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(3, 50, 349, 400),
+                                                           (4, 167, 2337, 2505)])
+def test_catalog_engine_calls_pinned(monkeypatch, n, stabilizer_args, hits, misses):
+    # from a cleared cache the catalog asks the stabilizer about so many
+    # distinct multisets, once each, and the classifier's cache reads so
+    # many hits and misses: a walk that asks the engine about another set
+    # of multisets moves these counts
+    seen = _stabilizer_args(monkeypatch)
+    repclass.classify_with_report.cache_clear()
+    enumerate_exceptional_candidates(n)
+    info = repclass.classify_with_report.cache_info()
+    assert len(seen) == len(set(seen)) == stabilizer_args
+    assert (info.hits, info.misses) == (hits, misses)
 
 
 CATALOG_SHA256 = {
@@ -373,7 +471,8 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     seen = _stabilizer_args(monkeypatch)
     triv, cap = W(n, 0), n * n - 2
     repclass.classify_with_report.cache_clear()
-    _grown(n, sorted(bad_list(n)), lambda q: q.count(triv) <= cap and classify(q) == BAD)
+    _walk(n, [(w, cap if w == triv else n * n - 1) for w in sorted(bad_list(n))],
+          keep=lambda q: classify(q) == BAD)
     swept = set(seen)
     assert len(seen) == len(swept) == 50
     seen.clear()
