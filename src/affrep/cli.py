@@ -111,8 +111,10 @@ def read_model_file(path: str, max_dim: int):
 def write_or_print(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
+        # two writes, so a model file's megabytes are not copied to add "\n"
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 

@@ -334,23 +334,27 @@ def _bracket_is(a: SMat, b: SMat, terms) -> bool:
     """Is [a, b] = sum of c * m over the (m, c) in `terms`?  Compared one
     column at a time, with no intermediate matrix: column j of xy is
     sum_k y_kj (column k of x)."""
-    cols = set(a.cols) | set(b.cols)
+    a_cols, b_cols = a.cols, b.cols
+    cols = a_cols.keys() | b_cols.keys()
     for m, _ in terms:
         cols.update(m.cols)
-    products = ((a.cols, b.cols, 1), (b.cols, a.cols, -1))
     negated = [(m.cols, -c) for m, c in terms]
     for j in cols:
         diff: Vec = {}
-        for x_cols, y_cols, sign in products:
-            y_j = y_cols.get(j)
-            if not y_j:
-                continue
-            for k, c in y_j.items():
-                x_k = x_cols.get(k)
-                if x_k:
-                    c *= sign
-                    for r, v in x_k.items():
+        b_j = b_cols.get(j)
+        if b_j:
+            for k, c in b_j.items():
+                a_k = a_cols.get(k)
+                if a_k:
+                    for r, v in a_k.items():
                         diff[r] = diff.get(r, 0) + c * v
+        a_j = a_cols.get(j)
+        if a_j:
+            for k, c in a_j.items():
+                b_k = b_cols.get(k)
+                if b_k:
+                    for r, v in b_k.items():
+                        diff[r] = diff.get(r, 0) - c * v
         for m_cols, c in negated:
             m_j = m_cols.get(j)
             if m_j:

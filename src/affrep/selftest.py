@@ -1,5 +1,9 @@
 """Acceptance suite: one callable per criterion, runnable from the CLI
 (`affrep selftest`) and from pytest.  Each check returns (passed, detail).
+Two criteria hold a fast writer or engine to an independent reference:
+criterion 1 the LR decompositions to the monomial oracle (`oracle.py`),
+criterion 3 the model-file writer `model_dumps` to the dense form
+`model_to_json` encoded by the general JSON encoder.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .schur import (
     normalize,
     weyl_dim,
 )
+from .serialize import catalog_line, dumps, model_dumps, model_from_json, model_to_json
 
 
 def _small_weights(n: int, max_size: int) -> list[Weight]:
@@ -85,9 +90,17 @@ def criterion_2_canonical_filtration() -> tuple[bool, str]:
 
 
 def criterion_3_example_models() -> tuple[bool, str]:
-    """The two bundled submodels reproduce their expected layer lists."""
+    """The two bundled submodels reproduce their expected layer lists, and
+    each one's file text (`model_dumps`) is the general encoder's text of
+    its dense form (`model_to_json`), which reads back to the same model."""
     W3 = lambda *p: normalize(3, list(p))
     v = cubic_top_submodel(3)
+    w = three_generator_submodel(4)
+    for name, m in (("first", v), ("second", w)):
+        if model_dumps(m) != dumps(model_to_json(m)):
+            return False, f"{name} model's file text differs from its dense form's"
+        if model_from_json(model_to_json(m)) != m:
+            return False, f"{name} model does not read back from its dense form"
     rad = radical_filtration(v)
     want = [
         WeightMultiset.of(3, [W3(1, 1)]),
@@ -97,7 +110,6 @@ def criterion_3_example_models() -> tuple[bool, str]:
     if rad.layers != want:
         return False, f"first model radical layers {[str(x) for x in rad.layers]}"
     W4 = lambda *p: normalize(4, list(p))
-    w = three_generator_submodel(4)
     rad2 = radical_filtration(w)
     want2 = [
         WeightMultiset.of(4, [W4(3, 3, 3)]),
@@ -114,7 +126,7 @@ def criterion_3_example_models() -> tuple[bool, str]:
         return False, f"second model radical layers {[str(x) for x in rad2.layers]}"
     if soc2.layers != want2s:
         return False, f"second model socle layers {[str(x) for x in soc2.layers]}"
-    return True, "both bundled submodels match their layer lists exactly"
+    return True, "both bundled submodels match their layer lists and write their dense form"
 
 
 def _model_sweep():
@@ -241,8 +253,6 @@ def criterion_9_decision_procedure() -> tuple[bool, str]:
 
 
 def criterion_10_catalog() -> tuple[bool, str]:
-    from .serialize import catalog_line
-
     t0 = time.time()
     first = enumerate_exceptional_candidates(3)
     second = enumerate_exceptional_candidates(3)

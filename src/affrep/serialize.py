@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import CatalogEntry
 from .filtration import Filtration
@@ -129,6 +130,9 @@ def _matrix_from_json(data, dim: int, field: str) -> SMat:
 
 
 def model_to_json(rep: AffMatrixRep) -> dict:
+    """The model file's object in its dense form, every matrix a list of
+    rows of rational strings: the reference `model_dumps` writes the text
+    of, and the inverse of `model_from_json`."""
     return {
         "n": rep.n,
         "N": rep.dim,
@@ -138,21 +142,38 @@ def model_to_json(rep: AffMatrixRep) -> dict:
     }
 
 
+def _matrix_text(m: SMat) -> str:
+    """`dumps(_matrix_to_json(m))`, written from one all-zero row string:
+    every empty row is that string, and a row that holds entries is spliced
+    from it, `str(v)` in place of the "0" of column c, which sits at offset
+    2 + 4c of '["0","0",...]'."""
+    zero = "[" + ",".join(['"0"'] * m.ncols) + "]"
+    by_row: dict[int, list] = {}
+    for c, col in m.cols.items():
+        for r, v in col.items():
+            by_row.setdefault(r, []).append((c, v))
+    rows = [zero] * m.nrows
+    for r, cells in by_row.items():
+        cells.sort()  # columns are distinct in a row, so no value is compared
+        pieces, at = [], 0
+        for c, v in cells:
+            pieces += (zero[at:2 + 4 * c], str(v))
+            at = 3 + 4 * c
+        pieces.append(zero[at:])
+        rows[r] = "".join(pieces)
+    return "[" + ",".join(rows) + "]"
+
+
 def model_dumps(rep: AffMatrixRep) -> str:
     """The model file text, exactly `dumps(model_to_json(rep))`, written
-    without the general encoder: top-level and `sl_gens` keys in sorted
-    order, each dense row joined as one string.  Nothing needs escaping:
-    every cell is `str` of an `int` or a `Fraction` ("3", "-5/7") and every
-    key is a canonical `E_i_j` / `H_k`."""
-    data = model_to_json(rep)
-
-    def matrix(rows):
-        return "[" + ",".join('["' + '","'.join(row) + '"]' for row in rows) + "]"
-
-    sl = ",".join(f'"{k}":{matrix(m)}' for k, m in sorted(data["sl_gens"].items()))
-    trans = ",".join(matrix(t) for t in data["trans_gens"])
-    return (f'{{"N":{data["N"]},"n":{data["n"]},"sl_gens":{{{sl}}},'
-            f'"trans_gens":[{trans}],"weight_grading":{dumps(data["weight_grading"])}}}')
+    from the sparse matrices without building the dense form: top-level and
+    `sl_gens` keys in sorted order, each matrix by `_matrix_text`.  Nothing
+    needs escaping: every cell is `str` of an `int` or a `Fraction` ("3",
+    "-5/7") and every key is a canonical `E_i_j` / `H_k`."""
+    sl = ",".join(f'"{k}":{_matrix_text(rep.sl_gens[k])}' for k in sorted(rep.sl_gens))
+    trans = ",".join(map(_matrix_text, rep.trans_gens))
+    return (f'{{"N":{rep.dim},"n":{rep.n},"sl_gens":{{{sl}}},"trans_gens":[{trans}],'
+            f'"weight_grading":{dumps([list(g) for g in rep.weight_grading])}}}')
 
 
 def model_from_json(data) -> AffMatrixRep:
@@ -237,10 +258,19 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
+@lru_cache(maxsize=1024)
+def _summand_head(w: Weight) -> str:
+    """A summand's text up to its multiplicity: '{"lambda":[2,1,0],"mult":'."""
+    return f'{{"lambda":[{",".join(map(str, w.parts))}],"mult":'
+
+
 def _multiset_text(ms: WeightMultiset) -> str:
-    summands = ",".join(f'{{"lambda":[{",".join(map(str, w.parts))}],"mult":{m}}}'
-                        for w, m in ms.entries)
+    summands = ",".join(f"{_summand_head(w)}{m}}}" for w, m in ms.entries)
     return f'{{"n":{ms.n},"summands":[{summands}]}}'
+
+
+# the catalog comes sorted by Q, so consecutive lines repeat one Q's text
+_q_text = lru_cache(maxsize=1)(_multiset_text)
 
 
 def catalog_line(e: CatalogEntry, verdict: Verdict) -> str:
@@ -249,5 +279,5 @@ def catalog_line(e: CatalogEntry, verdict: Verdict) -> str:
     the verdict: keys in sorted order, the multisets as `multiset_to_json`
     gives them.  Nothing else needs escaping: parts, multiplicities and the
     rank are integers, and a trigger is a `TRIGGER_*` constant."""
-    return (f'{{"Q":{_multiset_text(e.Q)},"S":{_multiset_text(e.S)},"n":{e.n},'
+    return (f'{{"Q":{_q_text(e.Q)},"S":{_multiset_text(e.S)},"n":{e.n},'
             f'"trigger":"{e.trigger}","verdict":{dumps(verdict_to_json(verdict))}}}')

@@ -676,3 +676,26 @@ def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
     line = catalog_line(e, v)
     assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
     assert line == _line_by_general_encoder(e, v)
+
+
+def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
+    """The line writer keeps the last `Q`'s text; a line whose `Q` differs
+    from the last one's, or equals it as a different object, still gets its
+    own `Q` and `S` text."""
+    from affrep.catalog import CatalogEntry
+    from affrep.repclass import GOOD
+    from affrep.serialize import _multiset_text, catalog_line
+
+    n = 3
+    first, second = WeightMultiset.of(n, [(W(n, 1), 3)]), WeightMultiset.of(n, [(W(n, 1, 1), 3)])
+    again = WeightMultiset.of(n, [(W(n, 1), 3)])
+    for Q, S in [(first, WeightMultiset.of(n, [(W(n, 2, 1), 1)])),
+                 (second, WeightMultiset.of(n, [(W(n, 2), 2)])),
+                 (first, WeightMultiset.of(n, [(W(n, 3), 1)])),
+                 (second, WeightMultiset.of(n, [(W(n, 2, 1), 1)])),
+                 (again, WeightMultiset.of(n, [(W(n, 2, 1), 2)]))]:
+        e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, DEFAULT_SEED, DEFAULT_TRIALS)
+        v = e.verdict
+        line = catalog_line(e, v)
+        assert line.startswith(f'{{"Q":{_multiset_text(Q)},"S":{_multiset_text(S)},"n":3,')
+        assert line == _line_by_general_encoder(e, v)

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affrep import serialize as ser
@@ -123,6 +123,32 @@ def test_matrix_reader_matches_dense_reference(case):
     assert got == ser._matrix_from_json(ser._matrix_to_json(m), m.nrows, "m")
 
 
+@st.composite
+def matrices_with_full_rows(draw):
+    """Square matrices whose rows often hold several entries, often in the
+    first or the last column, with integer and fractional values."""
+    dim = draw(st.integers(1, 12))
+    column = st.one_of(st.sampled_from([0, dim - 1]), st.integers(0, dim - 1))
+    values = st.one_of(NONZERO, st.integers(-10**6, 10**6).filter(bool))
+    m = SMat(dim, dim)
+    cells = st.dictionaries(st.tuples(st.integers(0, dim - 1), column), values, max_size=4 * dim)
+    for (r, c), v in draw(cells).items():
+        m.add_entry(r, c, v)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_full_rows())
+@example(SMat(1, 1))
+@example(SMat(1, 1, {0: {0: -7}}))
+@example(SMat(5, 5))
+# one row with entries in the last, first and a middle column, stored out of
+# column order, and a row whose only entry is in the first column
+@example(SMat(4, 4, {3: {2: -300}, 0: {2: Fraction(-5, 7), 1: 12345}, 1: {2: 10}}))
+def test_matrix_text_is_dumps_of_dense_rows(m):
+    assert ser._matrix_text(m) == ser.dumps(reference_rows(m))
+
+
 @pytest.mark.parametrize("build,digest", [
     (lambda: cubic_top_submodel(3),
      "5753811efe44d3feb51f7ec3c7a0f5449897ce3357995e820ddef188863dd491"),
@@ -168,6 +194,19 @@ def _fractional_model():
 def test_model_dumps_is_dumps_of_model_to_json(build):
     rep = build()
     assert ser.model_dumps(rep) == ser.dumps(ser.model_to_json(rep))
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 3)),
+     "f20df993280068545bae56f36888ccbaa34eed7def3f49c10186344816da21d7"),
+    (lambda: tensor_model(sl_only_model(W(4, 2)), model_sym_dual(4, 2)),
+     "f7fbdf1b9d2073126b139d844cc37ddeaee3c25febe558e5b635ed4af437fee5"),
+], ids=["N=160", "N=150"])
+def test_model_dumps_pinned_on_largest_workload_shapes(build, digest):
+    """The largest model shapes of the `models` benchmark workload, pinned
+    as the dense writer wrote them."""
+    text = ser.model_dumps(build()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_model_dumps_cases_cover_a_fraction_and_empty_sl_gens():
