@@ -182,8 +182,8 @@ def enumerate_exceptional_candidates(
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    if n > 5:
-        raise ValueError(f"enumeration cap: rank must be at most 5, got {n}")
+    if n > 6:
+        raise ValueError(f"enumeration cap: rank must be at most 6, got {n}")
     trivial_cap = _cap("max_trivials", max_trivials, 0, n * n - 2)
     dim_s_cap = _cap("max_dim_s", max_dim_s, 1, n * n + 2 * n - 1)
 

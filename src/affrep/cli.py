@@ -42,10 +42,10 @@ from .rationality import (
 )
 from .repclass import classify_with_report
 from .schur import (
-    _candidate_outer_shapes,
     dual,
     horizontal_strips,
     lr_decompose,
+    lr_outer_shapes,
     normalize,
     pieri_sym,
     weyl_dim,
@@ -139,10 +139,9 @@ def cmd_tensor(args) -> int:
     content = min(a.size, b.size)
     if content > MAX_LR_CONTENT:
         raise ResourceCapError("max_lr_content", content, MAX_LR_CONTENT)
-    # the shapes the decomposition sweeps, around the larger weight as
-    # lr_decompose picks it; counted no further than one past the cap
-    outer = b if b.size > a.size else a
-    shapes = _candidate_outer_shapes(outer.parts, a.size + b.size, args.n)
+    # the shapes the decomposition sweeps, counted no further than one
+    # past the cap
+    shapes = lr_outer_shapes(a, b)
     if sum(1 for _ in itertools.islice(shapes, MAX_LR_SHAPES + 1)) > MAX_LR_SHAPES:
         raise ResourceCapError("max_lr_shapes", f"more than {MAX_LR_SHAPES}", MAX_LR_SHAPES)
     ms = lr_decompose(a, b)

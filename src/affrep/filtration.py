@@ -13,12 +13,11 @@ reduces layer identification to character bookkeeping.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 
 from .linalg import Echelon, Vec, common_kernel
-from .matmodel import AffMatrixRep, dual_model, grading_rep
-from .oracle import ssyt_contents
-from .schur import Weight, WeightMultiset, dual, multiset_fits_in_product, normalize
+from .matmodel import AffMatrixRep, dual_model
+from .oracle import decompose_character
+from .schur import WeightMultiset, dual, grading_rep, multiset_fits_in_product, normalize
 
 SOCLE = "socle"
 RADICAL = "radical"
@@ -60,38 +59,6 @@ def _layer_weight_counter(rep: AffMatrixRep, rows: list[Vec]) -> Counter:
     return out
 
 
-# one entry per layer label met; bounded for a long-running process
-@lru_cache(maxsize=1024)
-def _irrep_character(n: int, parts: tuple[int, ...]) -> Counter:
-    """Weight multiset of the irreducible with the given normalized label,
-    as canonical representatives modulo the diagonal."""
-    out: Counter = Counter()
-    for content in ssyt_contents(parts, n):
-        out[grading_rep(content)] += 1
-    return out
-
-
-def decompose_character(n: int, char: Counter) -> WeightMultiset:
-    """Write a character (multiset of normalized torus weights) as a sum of
-    irreducible characters by peeling the lexicographically largest weight."""
-    work = Counter({k: v for k, v in char.items() if v})
-    found: list[tuple[Weight, int]] = []
-    while work:
-        lead = max(work)
-        if any(a < b for a, b in zip(lead, lead[1:])) or lead[-1] != 0 or lead[0] < 0:
-            raise ValueError(f"character has non-dominant leading weight {lead}")
-        mult = work[lead]
-        if mult < 0:
-            raise ValueError(f"negative multiplicity at {lead}; grading is inconsistent")
-        w = Weight(n, lead)
-        for g, c in _irrep_character(n, lead).items():
-            work[g] -= mult * c
-            if not work[g]:
-                del work[g]
-        found.append((w, mult))
-    return WeightMultiset.of(n, found)
-
-
 def identify_layers(rep: AffMatrixRep, filtration: Filtration) -> list[WeightMultiset]:
     """Each layer's character, decomposed into irreducible labels."""
     return [decompose_character(rep.n, _layer_weight_counter(rep, step))
@@ -114,7 +81,7 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
         for vec in kernel:
             p = ech.insert(vec)
             if p is not None:
-                step_rows.append(dict(ech.rows[p]))
+                step_rows.append(ech.rows[p])
         snapshots.append(step_rows)
         total += len(step_rows)
     filt = Filtration(rep, SOCLE, snapshots, [])
@@ -135,7 +102,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
                 if img:
                     p = ech.insert(img)
                     if p is not None:
-                        rows.append(dict(ech.rows[p]))
+                        rows.append(ech.rows[p])
         if not rows:
             break
         levels.append(rows)
@@ -147,7 +114,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
         for vec in level_rows:
             p = ech.insert(vec)
             if p is not None:
-                step.append(dict(ech.rows[p]))
+                step.append(ech.rows[p])
         snapshots.append(step)
     filt = Filtration(rep, RADICAL, snapshots, [])
     return filt._replace(layers=identify_layers(rep, filt))

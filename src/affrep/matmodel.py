@@ -30,7 +30,7 @@ from .config import (
     ResourceCapError,
 )
 from .linalg import Echelon, SMat, Vec, closure, common_kernel, restrict
-from .schur import Weight, WeightMultiset, dual, weyl_dim
+from .schur import Weight, WeightMultiset, dual, grading_rep, weyl_dim
 
 
 # --- sl_n basis bookkeeping -------------------------------------------------
@@ -488,13 +488,6 @@ def validate_model(rep: AffMatrixRep) -> None:
 
 
 # --- highest weight vectors and generated submodels --------------------------
-
-def grading_rep(g: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of a torus weight modulo the diagonal:
-    subtract the last coordinate from all."""
-    last = g[-1]
-    return tuple(x - last for x in g)
-
 
 def highest_weight_vectors(rep: AffMatrixRep, label: Weight, indices=None) -> list[Vec]:
     """Echelon-canonical basis of the space of vectors of normalized weight

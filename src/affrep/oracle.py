@@ -1,17 +1,20 @@
-"""Brute-force Schur polynomial oracle.
+"""The character calculus: brute-force Schur characters and their peeler.
 
-Expands Schur polynomials as explicit monomial sums by enumerating
-semistandard tableaux, multiplies the expansions, and re-expands products in
-the Schur basis by peeling dominant leading monomials.  Deliberately
-independent of the Littlewood-Richardson code in `schur`, so the two can
-check each other.
+An irreducible's character is its multiset of torus weights modulo the
+diagonal, one per semistandard tableau (s_lambda is the sum of x^content
+over the tableaux of shape lambda).  `decompose_character` writes any
+character as a sum of irreducible ones by peeling its largest weight; the
+filtrations identify their layers with it, and `product_as_multiset`
+decomposes a tensor product with it.  Deliberately independent of the
+Littlewood-Richardson code in `schur`, so the two can check each other.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
-from .schur import Weight, WeightMultiset, normalize
+from .schur import Weight, WeightMultiset, grading_rep
 
 
 # one entry per (shape, rank); 88 for the inputs of 2550 seeded requests
@@ -50,12 +53,38 @@ def ssyt_contents(shape: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-def schur_monomials(shape, num_vars: int) -> dict[tuple[int, ...], int]:
-    """The Schur polynomial s_shape(x_1..x_num_vars) as {exponent: coefficient}."""
-    poly: dict[tuple[int, ...], int] = {}
-    for content in ssyt_contents(tuple(shape), num_vars):
-        poly[content] = poly.get(content, 0) + 1
-    return poly
+# one entry per label met (layer labels and oracle factors); bounded for a
+# long-running process
+@lru_cache(maxsize=1024)
+def irrep_character(n: int, parts: tuple[int, ...]) -> Counter:
+    """Weight multiset of the irreducible with the given normalized label,
+    as canonical representatives modulo the diagonal, one per tableau.
+    The cached Counter is shared by every caller, so it is only read."""
+    out: Counter = Counter()
+    for content in ssyt_contents(parts, n):
+        out[grading_rep(content)] += 1
+    return out
+
+
+def decompose_character(n: int, char: Counter) -> WeightMultiset:
+    """Write a character (multiset of normalized torus weights) as a sum of
+    irreducible characters by peeling the lexicographically largest weight."""
+    work = Counter({k: v for k, v in char.items() if v})
+    found: list[tuple[Weight, int]] = []
+    while work:
+        lead = max(work)
+        if any(a < b for a, b in zip(lead, lead[1:])) or lead[-1] != 0 or lead[0] < 0:
+            raise ValueError(f"character has non-dominant leading weight {lead}")
+        mult = work[lead]
+        if mult < 0:
+            raise ValueError(f"negative multiplicity at {lead}; grading is inconsistent")
+        w = Weight(n, lead)
+        for g, c in irrep_character(n, lead).items():
+            work[g] -= mult * c
+            if not work[g]:
+                del work[g]
+        found.append((w, mult))
+    return WeightMultiset.of(n, found)
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -71,37 +100,12 @@ def poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def poly_sub_scaled(p: dict, q: dict, c: int) -> dict:
-    out = dict(p)
-    for e, v in q.items():
-        nv = out.get(e, 0) - c * v
-        if nv:
-            out[e] = nv
-        else:
-            out.pop(e, None)
-    return out
-
-
-def monomials_to_schur(poly: dict, num_vars: int) -> dict[tuple[int, ...], int]:
-    """Expand a symmetric polynomial in the Schur basis by repeatedly peeling
-    the lexicographically largest monomial (its exponent must be a partition)."""
-    work = {e: c for e, c in poly.items() if c}
-    out: dict[tuple[int, ...], int] = {}
-    while work:
-        lead = max(work)
-        if any(a < b for a, b in zip(lead, lead[1:])):
-            raise ValueError(f"leading exponent {lead} is not dominant; input not symmetric?")
-        c = work[lead]
-        out[lead] = c
-        work = poly_sub_scaled(work, schur_monomials(lead, num_vars), c)
-    return out
-
-
 def product_as_multiset(a: Weight, b: Weight) -> WeightMultiset:
-    """Tensor decomposition computed purely through monomial expansions;
-    the independent cross-check for lr_decompose."""
+    """Tensor decomposition computed purely through characters: the product
+    of the two tableau characters, peeled into irreducibles.  Weights modulo
+    the diagonal add like the weights themselves, so the product of the
+    reduced characters is the reduced character of the product.  The
+    independent cross-check for lr_decompose."""
     n = a.n
-    prod = poly_mul(schur_monomials(a.parts, n), schur_monomials(b.parts, n))
-    return WeightMultiset.of(
-        n, [(normalize(n, shape), c) for shape, c in monomials_to_schur(prod, n).items()]
-    )
+    prod = poly_mul(irrep_character(n, a.parts), irrep_character(n, b.parts))
+    return decompose_character(n, prod)

@@ -114,9 +114,14 @@ def normalize(n: int, raw) -> Weight:
         raise ValueError(f"sequence {raw} longer than rank {n}")
     if any(a < b for a, b in zip(raw, raw[1:])):
         raise ValueError(f"sequence {raw} is not non-increasing")
-    raw = raw + [0] * (n - len(raw))
-    last = raw[-1]
-    return Weight(n, tuple(p - last for p in raw))
+    return Weight(n, grading_rep(raw + [0] * (n - len(raw))))
+
+
+def grading_rep(g) -> tuple[int, ...]:
+    """Canonical representative of a torus weight modulo the diagonal:
+    subtract the last coordinate from all."""
+    last = g[-1]
+    return tuple(x - last for x in g)
 
 
 def dual(w: Weight) -> Weight:
@@ -242,9 +247,20 @@ def lr_decompose(a: Weight, b: Weight) -> WeightMultiset:
     multiplicities, normalized to SL_n labels."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    if b.size > a.size:
-        a, b = b, a  # fewer fillings with the smaller content
+    a, b = _outer_first(a, b)
     return _lr_decompose(a.n, a.parts, b.parts)
+
+
+def _outer_first(a: Weight, b: Weight) -> tuple[Weight, Weight]:
+    """The factors as `lr_decompose` takes them: the larger weight outside,
+    for fewer fillings with the smaller content."""
+    return (b, a) if b.size > a.size else (a, b)
+
+
+def lr_outer_shapes(a: Weight, b: Weight):
+    """The candidate outer shapes `lr_decompose(a, b)` sweeps, lazily."""
+    outer, _ = _outer_first(a, b)
+    return _candidate_outer_shapes(outer.parts, a.size + b.size, a.n)
 
 
 # the catalog asks for the same few products over and over (20 distinct

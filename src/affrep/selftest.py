@@ -1,7 +1,8 @@
 """Acceptance suite: one callable per criterion, runnable from the CLI
 (`affrep selftest`) and from pytest.  Each check returns (passed, detail).
 Two criteria hold a fast writer or engine to an independent reference:
-criterion 1 the LR decompositions to the monomial oracle (`oracle.py`),
+criterion 1 the LR decompositions to the character oracle (`oracle.py`:
+products of tableau characters, peeled into irreducible ones),
 criterion 3 the model-file writer `model_dumps` to the dense form
 `model_to_json` encoded by the general JSON encoder.
 """
@@ -60,7 +61,7 @@ def _small_weights(n: int, max_size: int) -> list[Weight]:
 
 
 def criterion_1_lr_oracle() -> tuple[bool, str]:
-    """Tensor decompositions agree with the monomial oracle for all pairs of
+    """Tensor decompositions agree with the character oracle for all pairs of
     weights of size at most 4 at ranks 2, 3, 4; must finish within 2 minutes."""
     t0 = time.time()
     pairs = 0

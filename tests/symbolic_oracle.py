@@ -13,10 +13,22 @@ from fractions import Fraction
 from math import factorial
 
 from affrep.linalg import SMat
-from affrep.oracle import poly_mul, poly_sub_scaled
+from affrep.oracle import poly_mul
 from dense import to_dense
 
 PolyMatrix = dict  # column-major {col: {row: polynomial}}
+
+
+def poly_sub_scaled(p: dict, q: dict, c) -> dict:
+    """p - c*q as a fresh dict, dropping the entries that cancel."""
+    out = dict(p)
+    for e, v in q.items():
+        nv = out.get(e, 0) - c * v
+        if nv:
+            out[e] = nv
+        else:
+            out.pop(e, None)
+    return out
 
 
 def _accumulate(col: dict, r: int, poly: dict, c) -> None:

@@ -282,7 +282,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_exceptional_candidates(3, max_trivials=8)
         with pytest.raises(ValueError):
-            enumerate_exceptional_candidates(6)
+            enumerate_exceptional_candidates(7)
 
     def test_affine_restriction_pattern_present(self):
         # the degree <= 1 function model restricted from rank 4 realizes the
@@ -591,7 +591,7 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 
 
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
-    # rank 5 is the top of the cap: in a fresh process its bytes are
+    # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
     # pinned, no bounded cache evicts (`classify_with_report` holds about
     # 8,000 multisets of its 16,384), and the peak stays under 100 MB (the
     # process's own VmHWM, as in the rank-4 test)

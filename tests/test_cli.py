@@ -637,7 +637,7 @@ class TestEnumerate:
         assert err == summary
         assert err.splitlines()[0] == f"entries: {len(out.splitlines())}"
 
-    @pytest.mark.parametrize("flags", [["--n", "6"], ["--n", "3", "--max-trivials", "99"]],
+    @pytest.mark.parametrize("flags", [["--n", "7"], ["--n", "3", "--max-trivials", "99"]],
                              ids=["rank", "max-trivials"])
     def test_refused_catalog_creates_no_file(self, capsys, tmp_path, flags):
         out_file = tmp_path / "cat.jsonl"

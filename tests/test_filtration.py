@@ -7,7 +7,6 @@ from affrep.filtration import (
     check_blocks_containment,
     check_duality,
     check_embedding_theorem,
-    decompose_character,
     dual_multiset,
     identify_layers,
     radical_filtration,
@@ -20,7 +19,8 @@ from affrep.matmodel import (
     sl_only_model,
     tensor_model,
 )
-from affrep.schur import WeightMultiset, dual, normalize
+from affrep.oracle import decompose_character, irrep_character, ssyt_contents
+from affrep.schur import WeightMultiset, dual, grading_rep, normalize
 
 
 def W(n, *parts):
@@ -117,11 +117,9 @@ class TestIdentifyLayers:
 
     def test_decompose_character_adjoint(self):
         char = Counter()
-        from affrep.oracle import ssyt_contents
-        from affrep.matmodel import grading_rep
-
         for c in ssyt_contents((2, 1, 0), 3):
             char[grading_rep(c)] += 1
+        assert irrep_character(3, (2, 1, 0)) == char
         ms = decompose_character(3, char)
         assert ms == WeightMultiset.of(3, [W(3, 2, 1)])
 

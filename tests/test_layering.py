@@ -2,8 +2,10 @@
 so it must not import the modules built on top of it.  The classifier, the
 rationality decision and the catalog read models through `matmodel`; if
 `matmodel` imported any of them, the model format would again be split
-across modules.  And every command starts a fresh interpreter, so the CLI
-must not pay for standard modules it does not need at start-up.
+across modules.  The character oracle is the reference `selftest` checks
+the Littlewood-Richardson code against, so it reads weights from `schur`
+and nothing of that code.  And every command starts a fresh interpreter,
+so the CLI must not pay for standard modules it does not need at start-up.
 """
 
 import ast
@@ -43,6 +45,33 @@ def test_imported_modules_reads_every_import_form():
 def test_matmodel_imports_no_module_above_it():
     tree = ast.parse((PACKAGE / "matmodel.py").read_text(encoding="utf-8"))
     assert _imported_modules(tree) & ABOVE_MATMODEL == set()
+
+
+# what `schur` computes a tensor product with; the oracle computes it alone
+LR_NAMES = {"lr_decompose", "tensor_counts", "multiset_fits_in_product", "pieri_sym"}
+
+
+def _names(tree) -> set[str]:
+    """Every identifier, attribute name and imported name in the module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_oracle_is_independent_of_the_lr_code():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    affrep_modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert _imported_modules(tree) & affrep_modules == {"schur"}
+    names = _names(tree)
+    assert names & LR_NAMES == set()
+    assert not any(name.startswith("_lr_") or name == "_candidate_outer_shapes"
+                   for name in names)
 
 
 # `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`

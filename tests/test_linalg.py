@@ -241,6 +241,21 @@ def test_insert_keeps_int_rows_for_unit_pivots():
     assert type(ech.rows[1][3]) is int
 
 
+def test_insert_never_mutates_a_stored_row():
+    # the filtrations keep `ech.rows[p]` itself in their snapshots, so a
+    # later insert that clears p's row from a pivot column must replace
+    # the row with a fresh dict, not edit it
+    ech = Echelon()
+    vec = {0: 1, 1: 2, 2: 3}
+    p = ech.insert(vec)
+    stored, copy = ech.rows[p], dict(ech.rows[p])
+    assert ech.insert({1: 1, 3: 1}) == 1
+    assert ech.insert({2: 2, 3: 5}) == 2
+    assert ech.rows[p] == {0: 1, 3: Fraction(-19, 2)}
+    assert ech.rows[p] is not stored
+    assert stored == copy and vec == {0: 1, 1: 2, 2: 3}
+
+
 DIM = 5
 # mostly zeros, so that proper invariant subspaces are common
 SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2])

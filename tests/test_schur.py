@@ -18,6 +18,7 @@ from affrep.schur import (
     dual,
     horizontal_strips,
     lr_decompose,
+    lr_outer_shapes,
     multiset_fits_in_product,
     normalize,
     pieri_sym,
@@ -270,6 +271,22 @@ class TestLR:
     def test_rank_one(self):
         t = Weight(1, (0,))
         assert lr_decompose(t, t) == WeightMultiset.of(1, [t])
+
+    def test_outer_shapes_are_the_sweep(self):
+        # every shape contains the larger factor (the first on a tie), has
+        # both factors' boxes in at most n rows, and every summand is one
+        for n in (2, 3):
+            ws = small_weights(n, 3)
+            for a in ws:
+                for b in ws:
+                    outer = b if b.size > a.size else a
+                    shapes = list(lr_outer_shapes(a, b))
+                    assert len(set(shapes)) == len(shapes)
+                    for nu in shapes:
+                        assert len(nu) == n and sum(nu) == a.size + b.size
+                        assert all(x >= y for x, y in zip(nu, outer.parts))
+                    labels = {normalize(n, nu) for nu in shapes}
+                    assert labels >= set(lr_decompose(a, b).weights())
 
 
 class TestContains:
