@@ -12,8 +12,9 @@ DEFAULT_TRIALS = 3
 # random stabilizer points draw each coordinate from [-COORD_BOUND, COORD_BOUND]
 COORD_BOUND = 100
 
-# largest n^|w| tensor power the Schur-functor builder will touch; the
-# rank-8 adjoint (8^8 cells) is refused, every catalog label fits
+# largest product of C(n, h) over the column heights h of a label, the
+# cells of the exterior powers the irreducible builder works in; every
+# catalog label fits
 MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000

@@ -19,9 +19,11 @@ Sign conventions, fixed once:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from math import comb, prod
+from operator import mul
 
 from .config import (
     DEFAULT_MAX_MODEL_DIM,
@@ -199,73 +201,66 @@ def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
 
 # --- irreducible models generated by a highest weight vector ----------------
 
-def _tensor_op(mat: SMat, places: list[int]):
-    """The action of an n x n matrix on a tensor power of C^n, one slot at a
-    time (a derivation), as a function on sparse vectors.  A coordinate is a
-    word read as a base-n number: the letter in slot s has place value
-    places[s]."""
+def _wedge_op(mat: SMat, columns: list[list[int]]):
+    """The action of an n x n matrix, one letter at a time (a derivation), on
+    the product of the columns' exterior powers of C^n, as a function on
+    sparse vectors.  A coordinate is a word whose letters increase down each
+    column, read as a base-n number; `columns` holds each column's place
+    values, top to bottom.  A letter moved onto another in its column gives
+    zero; else the column is re-sorted, with sign -1 per row crossed."""
     n = mat.nrows
+    slots = [(place, i, col) for col in columns for i, place in enumerate(col)]
 
     def op(vec: Vec) -> Vec:
         out: Vec = {}
         for code, val in vec.items():
-            for place in places:
-                letter = code // place % n
-                for target, a in mat.cols.get(letter, {}).items():
-                    key = code + (target - letter) * place
-                    out[key] = out.get(key, 0) + a * val
+            for place, i, col in slots:
+                moves = mat.cols.get(code // place % n)
+                if not moves:
+                    continue
+                word = [code // p % n for p in col]
+                rest = word[:i] + word[i + 1:]
+                base = code - sum(map(mul, word, col))
+                for target, a in moves.items():
+                    if target in rest:
+                        continue
+                    j = bisect_left(rest, target)
+                    key = base + sum(map(mul, rest[:j] + [target] + rest[j:], col))
+                    out[key] = out.get(key, 0) + (-a if (i - j) % 2 else a) * val
         return {c: v for c, v in out.items() if v}
 
     return op
 
 
 def _build_tensor_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
-    """The irreducible with label `parts` as the submodule of the |parts|-th
-    tensor power of C^n generated by its highest weight vector (Weyl's
-    construction; Fulton-Harris, Representation Theory, section 6.1), with
-    zero translations.
-
-    The seed is the tensor product, over the columns of the row-filled
-    diagram, of the wedges e_1 ^ ... ^ e_h of the column heights h: a vector
-    of weight `parts` that every raising operator kills, so the lowering
-    operators E_i_j (i > j) span the irreducible from it.  The model basis is
-    the reduced echelon basis of that span, which depends on the subspace
-    alone.  Every tensor coordinate has a definite torus weight, so no row
-    mixes weights and a row's grading is that of its pivot."""
+    """The irreducible with label `parts`, with zero translations, as the
+    span of its highest weight vector under the lowering operators E_i_j
+    (i > j) in the product of the exterior powers of C^n, one per column of
+    the row-filled diagram (Weyl's construction; Fulton, Young Tableaux,
+    section 8.1).  The seed is one coordinate: the wedge e_1 ^ ... ^ e_h in
+    each column of height h.  The basis is the span's reduced echelon basis,
+    the same as in the full tensor power (README, "Irreducible models"), and
+    a row's grading is that of its pivot."""
     w = Weight(n, parts)
-    d = w.size
     target_dim = weyl_dim(w)
-    if d == 0:
-        gens = {k: SMat(1, 1) for k in sl_basis_keys(n)}
-        return AffMatrixRep(n, 1, gens, [SMat(1, 1) for _ in range(n)], [(0,) * n])
-    if n ** d > MAX_TENSOR_CELLS:
-        raise ResourceCapError("max_tensor_cells", n ** d, MAX_TENSOR_CELLS)
-
-    # first slot most significant
-    places = [n ** (d - 1 - slot) for slot in range(d)]
+    heights = [sum(p > c for p in parts) for c in range(parts[0])]
+    cells = prod(comb(n, h) for h in heights)
+    if cells > MAX_TENSOR_CELLS:
+        raise ResourceCapError("max_tensor_cells", cells, MAX_TENSOR_CELLS)
+    # the row-major slots of the diagram, the first slot most significant
+    places = [n ** (w.size - 1 - slot) for slot in range(w.size)]
     starts = list(itertools.accumulate(parts, initial=0))
-    seed: Vec = {0: 1}
-    for c in range(parts[0]):
-        # the slots of column c, top to bottom, hold letters 0..h-1 in every order
-        slots = [places[starts[r] + c] for r in range(n) if parts[r] > c]
-        wedge = {}
-        for perm in itertools.permutations(range(len(slots))):
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            wedge[sum(x * p for x, p in zip(perm, slots))] = (-1) ** inversions
-        seed = {a + b: x * y for a, x in seed.items() for b, y in wedge.items()}
+    columns = [[places[starts[r] + c] for r in range(h)] for c, h in enumerate(heights)]
+    seed = {sum(r * place for col in columns for r, place in enumerate(col)): 1}
 
-    ops = {key: _tensor_op(sl_defining_matrix(n, key), places) for key in sl_basis_keys(n)}
+    ops = {key: _wedge_op(sl_defining_matrix(n, key), columns) for key in sl_basis_keys(n)}
     lowering = [ops[f"E_{i}_{j}"] for i in range(2, n + 1) for j in range(1, i)]
     span = closure([seed], lowering)
     if len(span) != target_dim:
         raise RuntimeError(f"generated submodule has dimension {len(span)}, expected {target_dim}")
     gens = {key: restrict(span, op) for key, op in ops.items()}
-    grading = []
-    for code in sorted(span.rows):
-        g = [0] * n
-        for place in places:
-            g[code // place % n] += 1
-        grading.append(tuple(g))
+    grading = [tuple(map([code // place % n for place in places].count, range(n)))
+               for code in sorted(span.rows)]
     zero = [SMat(target_dim, target_dim) for _ in range(n)]
     return AffMatrixRep(n, target_dim, gens, zero, grading)
 
@@ -274,9 +269,10 @@ def _build_tensor_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
 # caps memory
 @lru_cache(maxsize=128)
 def model_for_weight(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
-    """Model of the labeled irreducible with zero translations, built
-    through the cheaper of the label and its dual.  The model is shared by
-    every caller, so none may mutate it."""
+    """Model of the labeled irreducible with zero translations.  A label
+    with more boxes than its dual is the dual model of its dual: both cost
+    the same, but the branch fixes the basis model files are written in.
+    The model is shared by every caller, so none may mutate it."""
     w = Weight(n, parts)
     dw = dual(w)
     if dw.size < w.size:

@@ -156,14 +156,20 @@ class TestClassify:
         assert (rc, out) == (1, "")
         assert f"max_stabilizer_work needs {needed}, cap is 2500000" in err
 
-    def test_tensor_cell_cap(self, capsys, tmp_path):
-        # the rank-8 adjoint is in the bad list, and its model would need
-        # 8^8 cells of the 8th tensor power
+    def test_rank8_adjoint_is_answered(self, capsys, tmp_path):
+        # the rank-8 adjoint is in the bad list; its model needs 8 x 8
+        # cells, Lambda^7 (x) C^8, of its columns' exterior powers
         f = tmp_path / "rep.json"
         f.write_text(json.dumps({"n": 8, "summands": [{"lambda": [2, 1, 1, 1, 1, 1, 1, 0]}]}))
-        rc, out, err = run(capsys, "classify", str(f))
+        rc, out, _ = run(capsys, "classify", str(f))
+        assert rc == 0
+        assert out.splitlines()[:2] == ["Bad", "stab_dim: 7 (trials 3)"]
+
+    def test_tensor_cell_cap(self, capsys):
+        # a row of 12 boxes has 12 one-box columns, 3^12 cells at rank 3
+        rc, out, err = run(capsys, "model", "sl-only", "--n", "3", "--lambda", "12")
         assert (rc, out) == (1, "")
-        assert "max_tensor_cells needs 16777216" in err
+        assert "max_tensor_cells needs 531441" in err
 
 
 class TestModelAndFiltrate:

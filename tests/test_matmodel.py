@@ -37,6 +37,7 @@ from affrep.oracle import ssyt_contents
 from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from dense import to_dense
 from symbolic_oracle import degree_bound_holds, symbolic_unipotent
+from tensor_power_reference import tensor_power_model
 
 
 def W(n, *parts):
@@ -235,15 +236,26 @@ class TestIrreducibleModel:
                 assert diff == (1, -1, 0)
 
     def test_resource_cap(self):
-        # a self-dual size-10 label at rank 4 needs 4^10 cells, so neither
-        # it nor its dual is built
-        w = W(4, 5, 3, 2)
-        assert dual(w) == w
-        for build in (lambda: matmodel._build_tensor_model(4, w.parts),
-                      lambda: model_for_weight(4, w.parts)):
-            with pytest.raises(ResourceCapError) as exc:
-                build()
-            assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
+        # a row of 10 boxes at rank 4 has 10 one-box columns, 4^10 cells, and
+        # its dual's 10 columns of height 3 have C(4, 3)^10 = 4^10 too, so
+        # neither is built, directly or through the other
+        w = W(4, 10)
+        assert dual(w) == W(4, 10, 10, 10)
+        for parts in (w.parts, dual(w).parts):
+            for build in (matmodel._build_tensor_model, model_for_weight):
+                with pytest.raises(ResourceCapError) as exc:
+                    build(4, parts)
+                assert (exc.value.needed, exc.value.cap) == (4 ** 10, MAX_TENSOR_CELLS)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_the_tensor_power_reference(self, n):
+        # every label with n^|parts| <= 1,024, the trivial one included:
+        # the same basis, matrices and grading as inside the full tensor power
+        labels = [parts + (0,) for d in range(11) if n ** d <= 1024
+                  for parts in itertools.product(range(d + 1), repeat=n - 1)
+                  if sum(parts) == d and list(parts) == sorted(parts, reverse=True)]
+        for parts in labels:
+            assert matmodel._build_tensor_model(n, parts) == tensor_power_model(n, parts), parts
 
 
 class TestGeneratedSubmodel:

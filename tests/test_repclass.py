@@ -97,6 +97,25 @@ class TestStabilizer:
                 got_dual = stabilizer_dimension(WeightMultiset.of(n, [dual(w)]), seed=13).stab_dim
                 assert got_dual == got, (n, w)
 
+    # the generic stabilizer is n^2 - 1 less the generic orbit's dimension:
+    # the adjoint's regular semisimple orbit has codimension n - 1 (its
+    # centralizer is a torus); a nondegenerate quadratic form's orbit is open,
+    # stabilized by SO_n; an alternating form's orbit is open for odd n, and
+    # for even n a level set of the Pfaffian, of codimension 1
+    CLASSICAL = {
+        "adjoint": (lambda n: (2,) + (1,) * (n - 2) + (0,), lambda n: n - 1),
+        "sym2": (lambda n: (2,) + (0,) * (n - 1), lambda n: n * (n - 1) // 2),
+        "wedge2": (lambda n: (1, 1) + (0,) * (n - 2),
+                   lambda n: n * n - 1 - n * (n - 1) // 2 + (n % 2 == 0)),
+    }
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("family", CLASSICAL)
+    def test_classical_values_at_ranks_5_to_8(self, family, n):
+        parts, want = self.CLASSICAL[family]
+        rep = WeightMultiset.of(n, [Weight(n, parts(n))])
+        assert stabilizer_dimension(rep).stab_dim == want(n)
+
     @pytest.mark.parametrize("label,rank,trials", [
         ((1, 0, 0, 0), 4, 1),  # 4 rows of rank 4: the first trial reaches the floor 15 - 4
         ((1, 1, 0, 0), 5, 3),  # 6 rows of rank 5: no trial reaches the floor 15 - 6
