@@ -133,17 +133,21 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+def _check_sweep(name: str, sweep, cap: int) -> None:
+    """Refuse a sweep of more than `cap` items, counted no further than one
+    past the cap."""
+    if sum(1 for _ in itertools.islice(sweep, cap + 1)) > cap:
+        raise ResourceCapError(name, f"more than {cap}", cap)
+
+
 def cmd_tensor(args) -> int:
     a = parse_weight_arg(args.n, args.a)
     b = parse_weight_arg(args.n, args.b)
     content = min(a.size, b.size)
     if content > MAX_LR_CONTENT:
         raise ResourceCapError("max_lr_content", content, MAX_LR_CONTENT)
-    # the shapes the decomposition sweeps, counted no further than one
-    # past the cap
-    shapes = lr_outer_shapes(a, b)
-    if sum(1 for _ in itertools.islice(shapes, MAX_LR_SHAPES + 1)) > MAX_LR_SHAPES:
-        raise ResourceCapError("max_lr_shapes", f"more than {MAX_LR_SHAPES}", MAX_LR_SHAPES)
+    # the shapes the decomposition sweeps
+    _check_sweep("max_lr_shapes", lr_outer_shapes(a, b), MAX_LR_SHAPES)
     ms = lr_decompose(a, b)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK
@@ -151,10 +155,8 @@ def cmd_tensor(args) -> int:
 
 def cmd_pieri(args) -> int:
     w = parse_weight_arg(args.n, args.lam)
-    # one summand per strip; counted no further than one past the cap
-    strips = horizontal_strips(w.parts, args.k, w.n)
-    if sum(1 for _ in itertools.islice(strips, MAX_PIERI_STRIPS + 1)) > MAX_PIERI_STRIPS:
-        raise ResourceCapError("max_pieri_strips", f"more than {MAX_PIERI_STRIPS}", MAX_PIERI_STRIPS)
+    # one summand per strip
+    _check_sweep("max_pieri_strips", horizontal_strips(w.parts, args.k, w.n), MAX_PIERI_STRIPS)
     ms = pieri_sym(w, args.k)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK

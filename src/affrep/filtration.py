@@ -65,6 +65,11 @@ def identify_layers(rep: AffMatrixRep, filtration: Filtration) -> list[WeightMul
             for step in filtration.snapshots]
 
 
+def _insert_new(ech: Echelon, vecs) -> list[Vec]:
+    """Insert each nonzero vector into `ech`; the rows it added, in order."""
+    return [ech.rows[p] for p in map(ech.insert, filter(None, vecs)) if p is not None]
+
+
 def socle_filtration(rep: AffMatrixRep) -> Filtration:
     """Ascending chain: each step adds the common kernel of the translation
     generators on the quotient by the previous member."""
@@ -77,11 +82,7 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
         kernel = common_kernel(rep.trans_gens, coords, ech)
         if not kernel:
             raise RuntimeError("socle of a nonzero quotient is zero; translations not nilpotent?")
-        step_rows: list[Vec] = []
-        for vec in kernel:
-            p = ech.insert(vec)
-            if p is not None:
-                step_rows.append(ech.rows[p])
+        step_rows = _insert_new(ech, kernel)
         snapshots.append(step_rows)
         total += len(step_rows)
     filt = Filtration(rep, SOCLE, snapshots, [])
@@ -94,28 +95,13 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
     # level 0 = whole space; level k+1 = sum of translation images of level k
     levels: list[list[Vec]] = [[{i: 1} for i in range(rep.dim)]]
     while True:
-        ech = Echelon()
-        rows: list[Vec] = []
-        for b in levels[-1]:
-            for t in rep.trans_gens:
-                img = t.apply(b)
-                if img:
-                    p = ech.insert(img)
-                    if p is not None:
-                        rows.append(ech.rows[p])
+        rows = _insert_new(Echelon(), (t.apply(b) for b in levels[-1] for t in rep.trans_gens))
         if not rows:
             break
         levels.append(rows)
     # assemble ascending nested snapshots: deepest level first
     ech = Echelon()
-    snapshots = []
-    for level_rows in reversed(levels):
-        step: list[Vec] = []
-        for vec in level_rows:
-            p = ech.insert(vec)
-            if p is not None:
-                step.append(ech.rows[p])
-        snapshots.append(step)
+    snapshots = [_insert_new(ech, level_rows) for level_rows in reversed(levels)]
     filt = Filtration(rep, RADICAL, snapshots, [])
     return filt._replace(layers=identify_layers(rep, filt))
 

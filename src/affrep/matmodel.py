@@ -3,8 +3,10 @@
 An AffMatrixRep packages matrices for the fixed sl_n basis together with n
 commuting nilpotent translation generators T_1..T_n and an integer torus
 weight for every basis vector.  This module owns that basis: its key
-strings (`E_i_j`, `H_k`) are parsed only by `sl_defining_matrix`, and every
-matrix model, the irreducible SL_n-models included, is built here.  All
+strings, `E_i_j` and `H_k` for sl_n and `T_j` for the translations, are
+made and read only here, and `affine_basis` lists all n^2 - 1 + n of them
+with their matrices in the affine defining representation.  Every matrix
+model, the irreducible SL_n-models included, is built here.  All
 constructors produce models whose defining relations can be re-verified
 exactly with `validate_model`.
 
@@ -87,6 +89,17 @@ def _entries(m: SMat) -> list[tuple[int, int, object]]:
     return [(r, c, v) for c, col in m.cols.items() for r, v in col.items()]
 
 
+def affine_basis(n: int) -> list[tuple[str, list]]:
+    """Every generator of saff_n as (key, entries): its nonzero (row,
+    column, value) entries in the affine defining representation on
+    C^(n+1), whose block matrices [[X, v], [0, 0]] make column n the
+    constant coordinate, of weight 0.  First the sl_basis_keys in the top
+    left n x n block, then T_1..T_n with T_j = -E_j_(n+1), the sign that
+    makes T_j = d/dx_j under the rule of `model_sym_dual`."""
+    return ([(key, _entries(sl_defining_matrix(n, key))) for key in sl_basis_keys(n)]
+            + [(f"T_{j + 1}", [(j, n, -1)]) for j in range(n)])
+
+
 class AffMatrixRep(namedtuple("AffMatrixRep", "n dim sl_gens trans_gens weight_grading")):
     """Matrix model: sl_n generators, translation generators, weight grading."""
 
@@ -129,32 +142,21 @@ def model_sym_dual(n: int, l: int, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffM
     index = {e: i for i, e in enumerate(basis)}
     N = len(basis)
 
-    sl_gens: dict[str, SMat] = {}
-    for key in sl_basis_keys(n):
+    gens = []
+    for _, entries in affine_basis(n):
         m = SMat(N, N)
-        entries = _entries(sl_defining_matrix(n, key))
         for e, i in index.items():
-            # an entry v at (a, b) acts as -v x_b d/dx_a
+            # an entry v at (a, b) acts as -v x_b d/dx_a, with x_(n+1) = 1
             for a, b, v in entries:
                 if e[a] > 0:
-                    ne = list(e)
+                    ne = [*e, 0]
                     ne[a] -= 1
                     ne[b] += 1
-                    m.add_entry(index[tuple(ne)], i, -v * e[a])
-        sl_gens[key] = m
-
-    trans = []
-    for t in range(n):
-        m = SMat(N, N)
-        for e, i in index.items():
-            if e[t] > 0:
-                ne = list(e)
-                ne[t] -= 1
-                m.add_entry(index[tuple(ne)], i, e[t])
-        trans.append(m)
+                    m.add_entry(index[tuple(ne[:n])], i, -v * e[a])
+        gens.append(m)
 
     grading = [tuple(-x for x in e) for e in basis]
-    return AffMatrixRep(n, N, sl_gens, trans, grading)
+    return AffMatrixRep(n, N, dict(zip(sl_basis_keys(n), gens)), gens[-n:], grading)
 
 
 def dual_model(rep: AffMatrixRep) -> AffMatrixRep:
@@ -361,18 +363,12 @@ def _bracket_is(a: SMat, b: SMat, terms) -> bool:
     return True
 
 
-def _chevalley_generators(n: int) -> tuple[list[str], list[str], list[str]]:
-    """The keys of e_i = E_i_(i+1), f_i = E_(i+1)_i and h_i = H_i."""
-    return ([f"E_{i}_{i + 1}" for i in range(1, n)],
-            [f"E_{i + 1}_{i}" for i in range(1, n)],
-            [f"H_{i}" for i in range(1, n)])
-
-
 @lru_cache(maxsize=16)
 def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
     """The bracket pairs (a, b, [a, b]) that `validate_model` checks, with
-    [a, b] as (key, coefficient) terms in the sl_basis_keys basis.  They are
-    a generating set of the relations of sl_n, in the order of
+    [a, b] as (key, coefficient) terms in the keys of `affine_basis`,
+    computed from its matrices.  They are a generating set of the relations
+    of saff_n.  First the sl_n pairs, in the order of
     itertools.combinations(keys, 2):
 
       * every pair of Chevalley generators e_i, f_i, h_i;
@@ -386,8 +382,15 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
     they extend to a Lie homomorphism from sl_n (Serre's theorem; Humphreys,
     GTM 9, 18.3), and by induction on height every stored E_i_j is its image.
     Every other pair then holds too.
+
+    Then (T_i, T_j) for i < j, and (X, T_j), [X, T_j] = sum_i X_ij T_i, for
+    X among the e_i and f_i in key order, j inner.  By the Jacobi identity
+    the X that satisfy the latter form a subalgebra, and e_i, f_i generate
+    sl_n, so every X satisfies it.
     """
-    e, f, h = _chevalley_generators(n)
+    e = [f"E_{i}_{i + 1}" for i in range(1, n)]
+    f = [f"E_{i + 1}_{i}" for i in range(1, n)]
+    h = [f"H_{i}" for i in range(1, n)]
     wanted = {frozenset(p) for p in itertools.combinations(e + f + h, 2)}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -400,19 +403,32 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
             wanted.add(frozenset((x, f"E_{i}_{i + 2}")))
         for x in f[i - 1:i + 1]:
             wanted.add(frozenset((x, f"E_{i + 2}_{i}")))
-    return tuple(
-        (a, b, tuple(bracket_coefficients(
-            n, sl_defining_matrix(n, a).commutator(sl_defining_matrix(n, b))).items()))
-        for a, b in itertools.combinations(sl_basis_keys(n), 2)
-        if frozenset((a, b)) in wanted
-    )
+    keys = sl_basis_keys(n)
+    trans = [f"T_{j}" for j in range(1, n + 1)]
+    pairs = [p for p in itertools.combinations(keys, 2) if frozenset(p) in wanted]
+    pairs += list(itertools.combinations(trans, 2))
+    pairs += [(x, t) for x in keys if x in e or x in f for t in trans]
+
+    mats = {}
+    for key, entries in affine_basis(n):
+        mats[key] = m = SMat(n + 1, n + 1)
+        for a, b, v in entries:
+            m.add_entry(a, b, v)
+
+    def expand(m: SMat) -> tuple:
+        # the top left block in the sl_n basis, then column n, with T_j = -E_j_(n+1)
+        t = [(f"T_{j + 1}", -v) for j, v in sorted(m.cols.get(n, {}).items())]
+        return tuple(bracket_coefficients(n, m).items()) + tuple(t)
+
+    return tuple((a, b, expand(mats[a].commutator(mats[b]))) for a, b in pairs)
 
 
 def validate_model(rep: AffMatrixRep) -> None:
     """Re-verify the defining relations; raises ModelInvariantError naming
     the first failure.  Brackets are checked on the generating set
-    `relation_pairs` and the translation action on the generators e_i, f_i,
-    which accepts exactly the models that satisfy every relation."""
+    `relation_pairs`, which accepts exactly the models that satisfy every
+    relation, then the translations' nilpotency, then the grading of every
+    generator of `affine_basis`."""
     n = rep.n
     keys = rep.sl_keys()
     if sorted(rep.sl_gens) != sorted(keys):
@@ -422,26 +438,10 @@ def validate_model(rep: AffMatrixRep) -> None:
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
-    sl, trans = rep.sl_gens, rep.trans_gens
+    gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
     for a, b, terms in relation_pairs(n):
-        if not _bracket_is(sl[a], sl[b], [(sl[k], c) for k, c in terms]):
+        if not _bracket_is(gens[a], gens[b], [(gens[k], c) for k, c in terms]):
             raise ModelInvariantError(f"[{a},{b}]")
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _bracket_is(trans[i], trans[j], ()):
-                raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
-
-    # [X, T_j] = sum_i X_ij T_i : translations transform like the standard
-    # rep.  By the Jacobi identity the X that satisfy it form a subalgebra,
-    # and e_i, f_i generate sl_n, so checking them suffices.
-    e, f, _ = _chevalley_generators(n)
-    for key in [k for k in keys if k in e or k in f]:
-        x = sl_defining_matrix(n, key)
-        for j in range(n):
-            terms = [(trans[i], c) for i, c in x.cols.get(j, {}).items()]
-            if not _bracket_is(sl[key], trans[j], terms):
-                raise ModelInvariantError(f"[{key},T_{j + 1}]")
 
     for j, t in enumerate(rep.trans_gens):
         power = t
@@ -452,12 +452,12 @@ def validate_model(rep: AffMatrixRep) -> None:
         if not power.is_zero():
             raise ModelInvariantError(f"T_{j + 1} nilpotency")
 
-    # grading: a root vector E_a_b shifts weights by e_a - e_b, a diagonal
-    # generator X acts on a vector of weight g by the scalar sum_i X_ii g_i
+    # grading: an off-diagonal entry at (a, b) shifts weights by e_a - e_b,
+    # where the constant coordinate n has weight 0, so T_j shifts by e_j; a
+    # diagonal generator X acts on a vector of weight g by sum_i X_ii g_i
     g = rep.weight_grading
-    for key in keys:
-        mat = rep.sl_gens[key]
-        entries = _entries(sl_defining_matrix(n, key))
+    for key, entries in affine_basis(n):
+        mat = gens[key]
         if all(a == b for a, b, _ in entries):
             for c, col in mat.cols.items():
                 for r, val in col.items():
@@ -473,14 +473,6 @@ def validate_model(rep: AffMatrixRep) -> None:
                     diff = tuple(x - y for x, y in zip(g[r], g[c]))
                     if diff != want:
                         raise ModelInvariantError(f"grading shift of {key}")
-    # nonzero translations shift every weight by the corresponding unit vector
-    for j, t in enumerate(rep.trans_gens):
-        want = tuple(1 if i == j else 0 for i in range(n))
-        for c, col in t.cols.items():
-            for r in col:
-                diff = tuple(x - y for x, y in zip(g[r], g[c]))
-                if diff != want:
-                    raise ModelInvariantError(f"grading shift of T_{j + 1}")
 
 
 # --- highest weight vectors and generated submodels --------------------------

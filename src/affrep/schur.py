@@ -272,8 +272,6 @@ def _lr_decompose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> WeightMulti
     out = []
     bparts = tuple(p for p in b if p > 0)
     for nu in _candidate_outer_shapes(a, total, n):
-        if any(x < y for x, y in zip(nu, a)):
-            continue
         c = _lr_fillings(nu, a, bparts) if bparts else 1
         if c:
             out.append((normalize(n, nu), c))

@@ -246,6 +246,18 @@ class TestModelAndFiltrate:
         assert out == ""
         assert "E_1_2" in err
 
+    def test_rejects_a_translation_among_the_sl_generators(self, capsys, tmp_path):
+        # the validator's one key table holds sl_gens and T_j; a file may
+        # not supply a translation under an sl key
+        f = tmp_path / "m.json"
+        run(capsys, "model", "sym-dual", "--n", "2", "--l", "1", "--out", str(f))
+        data = json.loads(f.read_text())
+        data["sl_gens"]["T_1"] = data["trans_gens"][0]
+        f.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "filtrate", str(f))
+        assert (rc, out) == (1, "")
+        assert err == "error: model invariant violated: sl generator keys\n"
+
     @pytest.mark.parametrize("which,flags", [
         ("sym-dual", ["--n", "3", "--l", "4"]),          # dim 35
         ("sl-only", ["--n", "3", "--lambda", "2,1,0"]),  # dim 8

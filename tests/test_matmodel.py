@@ -17,6 +17,7 @@ from affrep import serialize as ser
 from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapError
 from affrep.linalg import SMat
 from affrep.matmodel import (
+    affine_basis,
     bracket_coefficients,
     dual_model,
     generated_submodel,
@@ -304,6 +305,74 @@ class TestValidator:
         with pytest.raises(ModelInvariantError):
             validate_model(m)
 
+    def test_names_noncommuting_translations(self):
+        m = model_sym_dual(2, 2)
+        m.trans_gens[0] = m.trans_gens[0].add(m.sl_gens["H_1"])
+        with pytest.raises(ModelInvariantError) as exc:
+            validate_model(m)
+        assert exc.value.relation == "[T_1,T_2]"
+
+    def test_names_broken_translation_action(self):
+        # [E_1_2, T_2] = T_1, and doubling T_2 keeps [T_1, T_2] = 0
+        m = model_sym_dual(2, 1)
+        m.trans_gens[1] = m.trans_gens[1].scale(2)
+        with pytest.raises(ModelInvariantError) as exc:
+            validate_model(m)
+        assert exc.value.relation == "[E_1_2,T_2]"
+
+    def test_names_broken_translation_grading(self):
+        # on the affine line T_1 sends x, of weight -1, to 1, of weight 0
+        m = model_sym_dual(1, 1)
+        m.weight_grading[1] = (0,)
+        with pytest.raises(ModelInvariantError) as exc:
+            validate_model(m)
+        assert exc.value.relation == "grading shift of T_1"
+
+
+def _affine_matrices(n):
+    """The (n+1) x (n+1) matrix of every generator in `affine_basis`."""
+    out = {}
+    for key, entries in affine_basis(n):
+        out[key] = m = SMat(n + 1, n + 1)
+        for a, b, v in entries:
+            m.add_entry(a, b, v)
+    return out
+
+
+class TestAffineBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_keys_and_translations(self, n):
+        table = affine_basis(n)
+        assert [k for k, _ in table] == sl_basis_keys(n) + [f"T_{j}" for j in range(1, n + 1)]
+        for key, entries in table[:n * n - 1]:
+            assert entries == [(r, c, v) for c, col in sl_defining_matrix(n, key).cols.items()
+                               for r, v in col.items()]
+        # T_j = -E_j_(n+1): the constant coordinate is column n
+        assert [entries for _, entries in table[n * n - 1:]] == [[(j, n, -1)] for j in range(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_relations_are_commutators_of_the_table(self, n):
+        mats = _affine_matrices(n)
+        for a, b, terms in relation_pairs(n):
+            expect = SMat(n + 1, n + 1)
+            for k, c in terms:
+                expect = expect.add(mats[k].scale(c))
+            assert mats[a].commutator(mats[b]) == expect, (a, b, terms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_translation_rows_follow_the_standard_rep(self, n):
+        # [X, T_j] = sum_i X_ij T_i for X among e_i, f_i, and [T_i, T_j] = 0
+        rows = [p for p in relation_pairs(n) if p[1].startswith("T_")]
+        trans = [f"T_{j}" for j in range(1, n + 1)]
+        simple = [k for k in sl_basis_keys(n) if k.startswith("E_")
+                  and abs(int(k.split("_")[1]) - int(k.split("_")[2])) == 1]
+        want = [(a, b, ()) for a, b in itertools.combinations(trans, 2)]
+        for x in simple:
+            cols = sl_defining_matrix(n, x).cols
+            want += [(x, f"T_{j + 1}", tuple((f"T_{i + 1}", c) for i, c in cols.get(j, {}).items()))
+                     for j in range(n)]
+        assert rows == want
+
 
 def _read_back(rep):
     return ser.model_from_json(json.loads(ser.dumps(ser.model_to_json(rep))))
@@ -435,7 +504,9 @@ class TestValidatorAgainstOracle:
         validate_model(rep)
         assert calls["bracket"] == brackets
         assert calls["action"] == actions
-        assert len(relation_pairs(n)) == brackets
+        # the translation relations are rows of the same table: the C(n, 2)
+        # pairs [T_i, T_j] are not calls on an sl generator
+        assert len(relation_pairs(n)) == brackets + comb(n, 2) + actions
 
 
 @st.composite
