@@ -31,7 +31,6 @@ from .matmodel import (
     sl_only_model,
     tensor_model,
     validate_model,
-    verify_degree_bound,
 )
 from .filtration import (
     Filtration,
@@ -41,6 +40,7 @@ from .filtration import (
     identify_layers,
     radical_filtration,
     socle_filtration,
+    verify_degree_bound,
 )
 from .rationality import (
     EXCEPTIONAL,

@@ -19,7 +19,7 @@ MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000
 # largest rank a weight argument (`--n` of dim, dual, tensor, pieri and
-# model sl-only) may name; the Weyl dimension takes O(n^2) Fraction products
+# model sl-only) may name; the Weyl dimension is one product of O(n^2) integers
 # and the LR sweep one row per rank, while every command path stops far below
 MAX_WEIGHT_RANK = 32
 # largest size of the smaller weight `tensor` decomposes; the LR fillings

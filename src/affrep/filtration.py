@@ -28,8 +28,7 @@ class Filtration(namedtuple("Filtration", "rep kind snapshots layers")):
 
     snapshots[i] holds the basis rows added at step i, so the concatenation
     is a filtration-adapted basis and chain member i is spanned by
-    snapshots[0..i].  Built with no checks, so `_replace` (which skips
-    `__new__`) is safe on it, unlike on the checked value types.
+    snapshots[0..i].
     """
 
     __slots__ = ()
@@ -59,10 +58,10 @@ def _layer_weight_counter(rep: AffMatrixRep, rows: list[Vec]) -> Counter:
     return out
 
 
-def identify_layers(rep: AffMatrixRep, filtration: Filtration) -> list[WeightMultiset]:
-    """Each layer's character, decomposed into irreducible labels."""
-    return [decompose_character(rep.n, _layer_weight_counter(rep, step))
-            for step in filtration.snapshots]
+def identify_layers(rep: AffMatrixRep, steps: list[list[Vec]]) -> list[WeightMultiset]:
+    """The character of each step's rows (a filtration's snapshots),
+    decomposed into irreducible labels."""
+    return [decompose_character(rep.n, _layer_weight_counter(rep, step)) for step in steps]
 
 
 def _insert_new(ech: Echelon, vecs) -> list[Vec]:
@@ -85,8 +84,7 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
         step_rows = _insert_new(ech, kernel)
         snapshots.append(step_rows)
         total += len(step_rows)
-    filt = Filtration(rep, SOCLE, snapshots, [])
-    return filt._replace(layers=identify_layers(rep, filt))
+    return Filtration(rep, SOCLE, snapshots, identify_layers(rep, snapshots))
 
 
 def radical_filtration(rep: AffMatrixRep) -> Filtration:
@@ -102,8 +100,7 @@ def radical_filtration(rep: AffMatrixRep) -> Filtration:
     # assemble ascending nested snapshots: deepest level first
     ech = Echelon()
     snapshots = [_insert_new(ech, level_rows) for level_rows in reversed(levels)]
-    filt = Filtration(rep, RADICAL, snapshots, [])
-    return filt._replace(layers=identify_layers(rep, filt))
+    return Filtration(rep, RADICAL, snapshots, identify_layers(rep, snapshots))
 
 
 def dual_multiset(ms: WeightMultiset) -> WeightMultiset:
@@ -147,3 +144,31 @@ def check_embedding_theorem(soc: Filtration) -> bool:
     standard."""
     _require_socle(soc)
     return all(_layers_fit(soc, 0, j) for j in range(soc.length + 1))
+
+
+def verify_degree_bound(rep: AffMatrixRep, filtration: Filtration) -> bool:
+    """In a filtration-adapted basis, is the block of exp(sum v_i T_i) from
+    layer j to layer i of total degree at most j - i in v (blocks below the
+    diagonal vanishing, diagonal blocks identities)?
+
+    Checked as chain containment: every T_i maps chain member j into member
+    j - 1.  That is equivalent, because the degree-k part of exp(M), with
+    M = sum v_i T_i, is M^k/k!: the linear part is M itself and cannot
+    cancel, and a strictly block-triangular M lowers the layer k times in M^k.
+    Raises ValueError if the layer sizes do not sum to the model dimension
+    or the adapted basis is linearly dependent.
+    """
+    if sum(filtration.layer_sizes()) != rep.dim:
+        raise ValueError("filtration does not match the model")
+    ech = Echelon()
+    holds = True
+    for step in filtration.snapshots:
+        # ech spans member j - 1 here; keep going after a failure so that a
+        # dependent basis is always reported
+        holds = holds and all(
+            ech.contains(t.apply(vec)) for vec in step for t in rep.trans_gens
+        )
+        for vec in step:
+            if ech.insert(vec) is None:
+                raise ValueError("filtration-adapted basis is linearly dependent")
+    return holds

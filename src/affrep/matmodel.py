@@ -513,33 +513,3 @@ def generated_submodel(rep: AffMatrixRep, seeds: list[Vec]) -> AffMatrixRep:
     trans = [restrict(ech, t.apply) for t in rep.trans_gens]
     grading = [g[p] for p in sorted(ech.rows)]
     return AffMatrixRep(rep.n, len(ech), sl_gens, trans, grading)
-
-
-# --- the polynomial degree bound ---------------------------------------------
-
-def verify_degree_bound(rep: AffMatrixRep, filtration) -> bool:
-    """In a filtration-adapted basis, is the block of exp(sum v_i T_i) from
-    layer j to layer i of total degree at most j - i in v (blocks below the
-    diagonal vanishing, diagonal blocks identities)?
-
-    Checked as chain containment: every T_i maps chain member j into member
-    j - 1.  That is equivalent, because the degree-k part of exp(M), with
-    M = sum v_i T_i, is M^k/k!: the linear part is M itself and cannot
-    cancel, and a strictly block-triangular M lowers the layer k times in M^k.
-    Raises ValueError if the layer sizes do not sum to the model dimension
-    or the adapted basis is linearly dependent.
-    """
-    if sum(filtration.layer_sizes()) != rep.dim:
-        raise ValueError("filtration does not match the model")
-    ech = Echelon()
-    holds = True
-    for step in filtration.snapshots:
-        # ech spans member j - 1 here; keep going after a failure so that a
-        # dependent basis is always reported
-        holds = holds and all(
-            ech.contains(t.apply(vec)) for vec in step for t in rep.trans_gens
-        )
-        for vec in step:
-            if ech.insert(vec) is None:
-                raise ValueError("filtration-adapted basis is linearly dependent")
-    return holds

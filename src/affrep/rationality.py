@@ -191,7 +191,7 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
 
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
-    for tried, w2 in enumerate(_by_dimension(ext.W)):
+    for tried, (w2, counts) in enumerate(_by_dimension(ext.W)):
         if tried == MAX_SPLIT_CANDIDATES:
             raise ResourceCapError("max_split_candidates", f"more than {MAX_SPLIT_CANDIDATES}",
                                    MAX_SPLIT_CANDIDATES)
@@ -203,48 +203,42 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
             {
                 "condition": "split",
                 "paper_clause": "A",
-                "w2": [[list(w.parts), m] for w, m in w2.entries],
+                "w2": _summands(w2.entries),
                 "classify": cls,
                 "dim_S_W1": dim_s_w1,
                 "result": accepted,
             }
         )
         if accepted:
-            w1 = _subtract(ext.W, w2)
+            w1 = [(w, m - c) for (w, m), c in zip(ext.W.entries, counts) if m > c]
             witness = {
-                "W1": [[list(w.parts), m] for w, m in w1.entries],
-                "W2": [[list(w.parts), m] for w, m in w2.entries],
+                "W1": _summands(w1),
+                "W2": _summands(w2.entries),
                 "heuristic_goodness": cls == GOOD_HEURISTIC,
             }
             return Verdict(RATIONAL_BY_A, witness, evidence, seed)
     return Verdict(EXCEPTIONAL, None, evidence, seed)
 
 
+def _summands(entries) -> list:
+    """A multiset's (label, multiplicity) entries as the trail writes them."""
+    return [[list(w.parts), m] for w, m in entries]
+
+
 def _by_dimension(ms: WeightMultiset):
     """Every sub-multiset of `ms`, lazily, by dimension and ties by the
-    entries tuple.  A count vector's parent lowers its last nonzero count
-    by one, so each vector is pushed once, by its parent; every label has
-    dimension at least 1, so a child sorts after its parent and the heap
-    pops the vectors in order."""
+    entries tuple, each with its count vector over `ms.entries`.  A count
+    vector's parent lowers its last nonzero count by one, so each vector is
+    pushed once, by its parent; every label has dimension at least 1, so a
+    child sorts after its parent and the heap pops the vectors in order."""
     n, pairs = ms.n, ms.entries
     heap = [(0, (), (0,) * len(pairs), 0)]
     while heap:
         d, entries, counts, last = heapq.heappop(heap)
-        yield WeightMultiset(n, entries)
+        yield WeightMultiset(n, entries), counts
         for i in range(last, len(pairs)):
             w, m = pairs[i]
             if counts[i] < m:
                 child = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
                 entries = tuple((v, c) for (v, _), c in zip(pairs, child) if c)
                 heapq.heappush(heap, (d + weyl_dim(w), entries, child, i))
-
-
-def _subtract(ms: WeightMultiset, sub: WeightMultiset) -> WeightMultiset:
-    entries = []
-    for w, m in ms.entries:
-        rem = m - sub.count(w)
-        if rem < 0:
-            raise ValueError("not a sub-multiset")
-        if rem:
-            entries.append((w, rem))
-    return WeightMultiset.of(ms.n, entries)

@@ -26,9 +26,10 @@ from .filtration import (
     check_embedding_theorem,
     radical_filtration,
     socle_filtration,
+    verify_degree_bound,
 )
 from .gallery import cubic_top_submodel, three_generator_submodel
-from .matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model, verify_degree_bound
+from .matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model
 from .oracle import product_as_multiset
 from .rationality import (
     EXCEPTIONAL,

@@ -4,7 +4,7 @@ Expands exp(sum v_i T_i) as a matrix of polynomials in v_1..v_n (exponent
 tuple -> Fraction) and reads off the degree of every block in a
 filtration-adapted basis.  Conjugation is applied to the generators before
 expanding, since B^-1 exp(M) B = exp(B^-1 M B).  Independent of
-`affrep.matmodel.verify_degree_bound`, which tests compare against it.
+`affrep.filtration.verify_degree_bound`, which tests compare against it.
 """
 
 from __future__ import annotations

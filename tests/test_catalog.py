@@ -633,10 +633,21 @@ def test_written_verdict_follows_trigger(tmp_path, n):
     out = tmp_path / "catalog.jsonl"
     assert main(["enumerate", "--n", str(n), "--out", str(out)]) == 0
     follows = {TRIGGER_BAD_Q: "PossiblyNotGenericallyFree", TRIGGER_SMALL_S: "Exceptional"}
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    texts = out.read_text().splitlines()
+    lines = [json.loads(line) for line in texts]
     assert {data["trigger"] for data in lines} == set(follows)
     for data in lines:
         assert data["verdict"]["outcome"] == follows[data["trigger"]], data
+    # a clause-(i) verdict depends on Q alone: every line of one Q carries
+    # the same verdict text, byte for byte (keys are sorted, so the line
+    # starts with Q and ends with the verdict)
+    bad_q = [text for text, data in zip(texts, lines) if data["trigger"] == TRIGGER_BAD_Q]
+    verdict_of_q = {}
+    for text in bad_q:
+        q_text = text[:text.index(',"S":')]
+        verdict_text = text[text.index(',"verdict":'):]
+        assert verdict_of_q.setdefault(q_text, verdict_text) == verdict_text, q_text
+    assert len(verdict_of_q) < len(bad_q)
 
 
 def _line_by_general_encoder(e, v) -> str:

@@ -113,7 +113,7 @@ class TestIdentifyLayers:
     def test_canonical(self):
         m = model_sym_dual(3, 2)
         f = socle_filtration(m)
-        assert identify_layers(m, f) == sym_dual_layers(3, 2)
+        assert identify_layers(m, f.snapshots) == sym_dual_layers(3, 2)
 
     def test_decompose_character_adjoint(self):
         char = Counter()

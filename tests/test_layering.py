@@ -2,9 +2,10 @@
 so it must not import the modules built on top of it.  The classifier, the
 rationality decision and the catalog read models through `matmodel`; if
 `matmodel` imported any of them, the model format would again be split
-across modules.  The character oracle is the reference `selftest` checks
-the Littlewood-Richardson code against, so it reads weights from `schur`
-and nothing of that code.  And every command starts a fresh interpreter,
+across modules.  Nor does `matmodel` read a filtration: the checks on
+filtrations live in `filtration`.  The character oracle is the reference
+`selftest` checks the Littlewood-Richardson code against, so it reads
+weights from `schur` and nothing of that code.  And every command starts a fresh interpreter,
 so the CLI must not pay for standard modules it does not need at start-up.
 """
 
@@ -62,6 +63,15 @@ def _names(tree) -> set[str]:
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
     return out
+
+
+# what a filtration is made of; filtrations read models, never the reverse
+FILTRATION_NAMES = {"snapshots", "layer_sizes"}
+
+
+def test_matmodel_reads_no_filtration():
+    tree = ast.parse((PACKAGE / "matmodel.py").read_text(encoding="utf-8"))
+    assert _names(tree) & FILTRATION_NAMES == set()
 
 
 def test_oracle_is_independent_of_the_lr_code():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from affrep import matmodel
 from affrep import serialize as ser
 from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapError
+from affrep.filtration import verify_degree_bound
 from affrep.linalg import SMat
 from affrep.matmodel import (
     affine_basis,
@@ -32,7 +33,6 @@ from affrep.matmodel import (
     sl_only_sum_model,
     tensor_model,
     validate_model,
-    verify_degree_bound,
 )
 from affrep.oracle import ssyt_contents
 from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim

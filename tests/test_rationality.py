@@ -238,7 +238,10 @@ def _small_multisets(n):
 def test_by_dimension_matches_sorted_brute_force(ms):
     brute = sorted((WeightMultiset(ms.n, e) for e in sub_entries(ms.entries)),
                    key=lambda s: (s.dim(), s.entries))
-    assert list(_by_dimension(ms)) == brute
+    pairs = list(_by_dimension(ms))
+    assert [w2 for w2, _ in pairs] == brute
+    for w2, counts in pairs:
+        assert counts == tuple(w2.count(w) for w, _ in ms.entries)
 
 
 def exhaustive_decide(ext, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
