@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given the run configuration; the seed is
 echoed in every report.  Exit codes: 0 success (including both rational
-outcomes of check2step), 1 parse/validation/resource errors, 2 exceptional
-two-step instance, 3 possibly-not-generically-free instance.
+outcomes of check2step), 1 usage/parse/validation/resource errors, 2
+exceptional two-step instance, 3 possibly-not-generically-free instance.
 """
 
 from __future__ import annotations
@@ -109,10 +109,9 @@ def read_model_file(path: str, max_dim: int):
 
 
 def write_or_print(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         # two writes, so a model file's megabytes are not copied to add "\n"
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     else:
@@ -178,27 +177,17 @@ def _classify_lines(verdict: str, report):
         yield f"stab_dim: {report.stab_dim} (trials {report.trials})"
 
 
-def _require(args, **needed):
-    for flag, value in needed.items():
-        if value is None:
-            raise ValueError(f"model {args.which} requires --{flag}")
-
-
 def cmd_model(args) -> int:
     if args.which == "sym-dual":
-        _require(args, n=args.n, l=args.l)
         _check_rank(args.n)
         rep = model_sym_dual(args.n, args.l, max_dim=args.max_model_dim)
     elif args.which == "dual":
-        _require(args, **{"in": args.infile})
         rep = dual_model(read_model_file(args.infile, args.max_model_dim))
     elif args.which == "tensor":
-        _require(args, a=args.a, b=args.b)
         a = read_model_file(args.a, args.max_model_dim)
         b = read_model_file(args.b, args.max_model_dim)
         rep = tensor_model(a, b, max_dim=args.max_model_dim)
     else:
-        _require(args, n=args.n, **{"lambda": args.lam})
         rep = sl_only_model(parse_weight_arg(args.n, args.lam), max_dim=args.max_model_dim)
     write_or_print(args, ser.model_dumps(rep))
     return EXIT_OK
@@ -271,21 +260,33 @@ def cmd_selftest(args) -> int:
     from .selftest import run_all
 
     ok = run_all()
-    print(f"seed: {args.seed}")
+    print(f"seed: {DEFAULT_SEED}")
     return EXIT_OK if ok else EXIT_ERROR
 
 
 # --- argument wiring -------------------------------------------------------------
 
+def positive(text: str) -> int:
+    """argparse type of --trials and --max-model-dim: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    # each command takes only the flags it reads
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for all randomized subsystems (echoed in reports)")
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    report = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    report.add_argument("--format", choices=("text", "json"), default="text")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--trials", type=positive, default=DEFAULT_TRIALS,
                         help="random points tried by the stabilizer engine")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-model-dim", type=int, default=DEFAULT_MAX_MODEL_DIM,
-                        help="refuse to build matrix models above this dimension")
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--max-model-dim", type=positive, default=DEFAULT_MAX_MODEL_DIM,
+                        help="refuse to build or read matrix models above this dimension")
 
     p = argparse.ArgumentParser(
         prog="affrep",
@@ -293,63 +294,69 @@ def build_parser() -> argparse.ArgumentParser:
         "weight calculus, matrix models, filtrations, and two-step "
         "rationality decisions.",
         epilog="check2step exit codes: 0 rational (either criterion), "
-        "2 exceptional, 3 possibly not generically free; all other "
-        "commands exit 0 on success and 1 on errors.",
+        "2 exceptional, 3 possibly not generically free; other commands "
+        "exit 0 on success; every command exits 1 on errors, usage errors too.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("dim", parents=[common], help="dimension of an irreducible")
+    sp = sub.add_parser("dim", parents=[report], help="dimension of an irreducible")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA",
                     help="weight, e.g. 2,1,0")
     sp.set_defaults(fn=cmd_dim)
 
-    sp = sub.add_parser("dual", parents=[common], help="dual weight")
+    sp = sub.add_parser("dual", parents=[report], help="dual weight")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
     sp.set_defaults(fn=cmd_dual)
 
-    sp = sub.add_parser("tensor", parents=[common], help="tensor product decomposition")
+    sp = sub.add_parser("tensor", parents=[report], help="tensor product decomposition")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--a", required=True, metavar="LAMBDA")
     sp.add_argument("--b", required=True, metavar="LAMBDA")
     sp.set_defaults(fn=cmd_tensor)
 
-    sp = sub.add_parser("pieri", parents=[common],
+    sp = sub.add_parser("pieri", parents=[report],
                         help="decomposition of (irrep) x Sym^k(standard)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(fn=cmd_pieri)
 
-    sp = sub.add_parser("classify", parents=[common],
+    sp = sub.add_parser("classify", parents=[report, engine],
                         help="good/bad classification of a semisimple representation")
     sp.add_argument("rep_file", help="JSON weight multiset file")
     sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("model", parents=[common], help="emit matrix model files")
-    sp.add_argument("which", choices=("sym-dual", "dual", "tensor", "sl-only"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--lambda", dest="lam", metavar="LAMBDA")
-    sp.add_argument("--in", dest="infile", help="input model file (for dual)")
-    sp.add_argument("--a", help="first factor model file (for tensor)")
-    sp.add_argument("--b", help="second factor model file (for tensor)")
-    sp.add_argument("--out", help="output path (default stdout)")
+    sp = sub.add_parser("model", help="emit matrix model files")
     sp.set_defaults(fn=cmd_model)
+    kinds = sp.add_subparsers(dest="which", required=True)
+    written = argparse.ArgumentParser(add_help=False, parents=[models])
+    written.add_argument("--out", help="output path (default stdout)")
+    kp = kinds.add_parser("sym-dual", parents=[written], help="functions of degree <= l")
+    kp.add_argument("--n", type=int, required=True)
+    kp.add_argument("--l", type=int, required=True)
+    kp = kinds.add_parser("dual", parents=[written], help="dual of a model file")
+    kp.add_argument("--in", dest="infile", required=True, help="input model file")
+    kp = kinds.add_parser("tensor", parents=[written], help="tensor product of two model files")
+    kp.add_argument("--a", required=True, help="first factor model file")
+    kp.add_argument("--b", required=True, help="second factor model file")
+    kp = kinds.add_parser("sl-only", parents=[written], help="an irreducible, zero translations")
+    kp.add_argument("--n", type=int, required=True)
+    kp.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
 
-    sp = sub.add_parser("filtrate", parents=[common],
+    sp = sub.add_parser("filtrate", parents=[report, models],
                         help="compute a filtration of a model file and run the checks")
     sp.add_argument("model_file")
     sp.add_argument("--kind", choices=("socle", "radical"), default="socle")
     sp.set_defaults(fn=cmd_filtrate)
 
-    sp = sub.add_parser("check2step", parents=[common],
+    sp = sub.add_parser("check2step", parents=[report, engine],
                         help="decide the two-step rationality criteria")
     sp.add_argument("ext_file", help="JSON extension file with fields n, S, Q, W")
     sp.set_defaults(fn=cmd_check2step)
 
-    sp = sub.add_parser("enumerate", parents=[common],
+    sp = sub.add_parser("enumerate", parents=[seeded, engine],
                         help="stream the finite catalog of exceptional candidates")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-trivials", type=int, default=None,
@@ -359,21 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write JSON lines here; summary goes to stdout")
     sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("selftest", parents=[common],
-                        help="run the acceptance suite (one line per criterion)")
+    sp = sub.add_parser("selftest", help="run the acceptance suite (one line per criterion)")
     sp.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        if args.max_model_dim < 1:
-            raise ValueError(f"--max-model-dim must be at least 1, got {args.max_model_dim}")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code check2step gives an
+        # exceptional instance; --help exits 0
+        return EXIT_ERROR if exc.code == 2 else exc.code
     except (ValueError, ResourceCapError, ModelInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

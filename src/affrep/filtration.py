@@ -146,7 +146,7 @@ def check_embedding_theorem(soc: Filtration) -> bool:
     return all(_layers_fit(soc, 0, j) for j in range(soc.length + 1))
 
 
-def verify_degree_bound(rep: AffMatrixRep, filtration: Filtration) -> bool:
+def verify_degree_bound(filtration: Filtration) -> bool:
     """In a filtration-adapted basis, is the block of exp(sum v_i T_i) from
     layer j to layer i of total degree at most j - i in v (blocks below the
     diagonal vanishing, diagonal blocks identities)?
@@ -158,6 +158,7 @@ def verify_degree_bound(rep: AffMatrixRep, filtration: Filtration) -> bool:
     Raises ValueError if the layer sizes do not sum to the model dimension
     or the adapted basis is linearly dependent.
     """
+    rep = filtration.rep
     if sum(filtration.layer_sizes()) != rep.dim:
         raise ValueError("filtration does not match the model")
     ech = Echelon()

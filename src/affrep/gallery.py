@@ -16,6 +16,7 @@ from .matmodel import (
     generated_submodel,
     highest_weight_vectors,
     model_sym_dual,
+    monomial_basis,
     sl_only_sum_model,
     tensor_model,
 )
@@ -40,8 +41,6 @@ def _degree_block(a_dim: int, s_n: int, s_l: int, degrees) -> list[int]:
     """Ambient indices of a tensor model (sl-only of dimension a_dim) x
     (functions of degree <= s_l) whose function part has degree in
     `degrees`.  Relies on the degree-then-lex monomial order."""
-    from .matmodel import monomial_basis
-
     mono = monomial_basis(s_n, s_l)
     s_dim = len(mono)
     wanted = [j for j, e in enumerate(mono) if sum(e) in degrees]

@@ -152,7 +152,7 @@ def criterion_4_degree_bound() -> tuple[bool, str]:
     block-degree check (chain containment) on every model of the sweep."""
     count = 0
     for name, m in _model_sweep():
-        if not verify_degree_bound(m, socle_filtration(m)):
+        if not verify_degree_bound(socle_filtration(m)):
             return False, f"degree bound fails for {name}"
         count += 1
     return True, f"degree bounds hold on {count} models"

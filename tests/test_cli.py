@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -83,11 +84,60 @@ class TestWeightCommands:
         assert rc == 1
         assert "--l" in err
 
-    @pytest.mark.parametrize("flag", ["--trials", "--max-model-dim"])
-    def test_invalid_config_rejected(self, capsys, flag):
-        rc, _, err = run(capsys, "dim", "--n", "3", "--lambda", "1,0,0", flag, "0")
+    @pytest.mark.parametrize("command,flag", [
+        ("classify", "--trials"),
+        ("filtrate", "--max-model-dim"),
+    ], ids=["--trials", "--max-model-dim"])
+    def test_invalid_config_rejected(self, capsys, command, flag):
+        # refused by the flag's type before the file is opened
+        rc, _, err = run(capsys, command, "in.json", flag, "0")
         assert rc == 1
-        assert flag in err
+        assert f"argument {flag}: must be at least 1, got 0" in err
+
+
+# the options of every command path; 49 slots, each read by its command
+COMMAND_FLAGS = {
+    ("dim",): {"--seed", "--format", "--n", "--lambda"},
+    ("dual",): {"--seed", "--format", "--n", "--lambda"},
+    ("tensor",): {"--seed", "--format", "--n", "--a", "--b"},
+    ("pieri",): {"--seed", "--format", "--n", "--lambda", "--k"},
+    ("classify",): {"--seed", "--format", "--trials"},
+    ("check2step",): {"--seed", "--format", "--trials"},
+    ("filtrate",): {"--seed", "--format", "--max-model-dim", "--kind"},
+    ("enumerate",): {"--seed", "--trials", "--n", "--max-trivials", "--max-dim-s", "--out"},
+    ("model", "sym-dual"): {"--max-model-dim", "--out", "--n", "--l"},
+    ("model", "dual"): {"--max-model-dim", "--out", "--in"},
+    ("model", "tensor"): {"--max-model-dim", "--out", "--a", "--b"},
+    ("model", "sl-only"): {"--max-model-dim", "--out", "--n", "--lambda"},
+    ("selftest",): set(),
+}
+
+
+def _command_paths(parser, path=()):
+    """(command path, option strings) for every leaf parser below `parser`."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _command_paths(child, path + (name,))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    paths = dict(_command_paths(cli.build_parser()))
+    assert paths == COMMAND_FLAGS
+    assert sum(map(len, paths.values())) == 49
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check2step", "--bogus", "ext.json"], "unrecognized arguments: --bogus"),
+    (["check2step"], "the following arguments are required: ext_file"),
+], ids=["unknown-flag", "missing-file"])
+def test_usage_error_exits_1_not_2(capsys, argv, message):
+    # exit 2 is check2step's Exceptional verdict, so a usage error must not give it
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert message in err
 
 
 class TestClassify:

@@ -1,8 +1,8 @@
 """Command-line fuzzing: random argv for the weight commands and malformed
 multiset, extension and model files, run through `cli.main` in process so
 that an escaping exception fails the test with its own traceback.  Every run
-must return an exit code from 0 to 3, or stop in argparse with
-`SystemExit(2)`.
+must return an exit code from 0 to 3; a usage error returns 1 like any other
+error, so a `SystemExit` escaping `main` fails the test.
 """
 
 import contextlib
@@ -26,8 +26,7 @@ def _exit_code(argv):
         try:
             return main(argv)
         except SystemExit as exc:
-            assert exc.code == 2, (argv, exc.code)
-            return exc.code
+            raise AssertionError(f"SystemExit({exc.code!r}) escaped main for {argv}") from None
 
 
 def _or_malformed(values):

@@ -566,19 +566,19 @@ class TestDegreeBound:
 
         for n, l in [(1, 3), (2, 2), (2, 3), (3, 2)]:
             m = model_sym_dual(n, l)
-            assert verify_degree_bound(m, socle_filtration(m))
+            assert verify_degree_bound(socle_filtration(m))
 
     def test_sl_only_trivially(self):
         from affrep.filtration import socle_filtration
 
         m = sl_only_model(W(3, 2, 1))
-        assert verify_degree_bound(m, socle_filtration(m))
+        assert verify_degree_bound(socle_filtration(m))
 
     def test_dual_with_radical_filtration(self):
         from affrep.filtration import radical_filtration
 
         m = dual_model(model_sym_dual(3, 2))
-        assert verify_degree_bound(m, radical_filtration(m))
+        assert verify_degree_bound(radical_filtration(m))
 
     @pytest.mark.parametrize("reorder", [
         lambda s: s[::-1],
@@ -591,7 +591,7 @@ class TestDegreeBound:
         m = model_sym_dual(2, 3)
         f = socle_filtration(m)
         g = Filtration(f.rep, f.kind, reorder(f.snapshots), f.layers)
-        assert verify_degree_bound(m, g) is False
+        assert verify_degree_bound(g) is False
 
     def test_sizes_must_sum_to_dimension(self):
         from affrep.filtration import Filtration, socle_filtration
@@ -599,7 +599,7 @@ class TestDegreeBound:
         m = model_sym_dual(2, 2)
         f = socle_filtration(m)
         with pytest.raises(ValueError):
-            verify_degree_bound(m, Filtration(f.rep, f.kind, f.snapshots[:-1], f.layers))
+            verify_degree_bound(Filtration(f.rep, f.kind, f.snapshots[:-1], f.layers))
 
     def test_dependent_basis_rejected(self):
         from affrep.filtration import Filtration, socle_filtration
@@ -609,7 +609,7 @@ class TestDegreeBound:
         top = f.snapshots[-1]
         snapshots = f.snapshots[:-1] + [top[:-1] + [dict(top[0])]]
         with pytest.raises(ValueError):
-            verify_degree_bound(m, Filtration(f.rep, f.kind, snapshots, f.layers))
+            verify_degree_bound(Filtration(f.rep, f.kind, snapshots, f.layers))
 
     def test_agrees_with_symbolic_expansion(self):
         from affrep.filtration import Filtration, radical_filtration, socle_filtration
@@ -623,7 +623,7 @@ class TestDegreeBound:
                 rng.shuffle(shuffled)
                 for snapshots in (f.snapshots, f.snapshots[::-1], shuffled):
                     g = Filtration(f.rep, f.kind, snapshots, f.layers)
-                    got = verify_degree_bound(m, g)
+                    got = verify_degree_bound(g)
                     assert got == degree_bound_holds(m, g), (name, f.kind, g.layer_sizes())
                     outcomes.add(got)
         assert outcomes == {True, False}
