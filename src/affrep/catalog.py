@@ -27,6 +27,11 @@ and the tests check that it does not arise.  Either way Q is
 GoodHeuristic with no draw of its own.  An entry keeps only that class;
 its verdict is decided from its fields when it is read, and no engine
 call remains by then.
+
+With W = 0 the decision reads few of an entry's fields, its decision
+signature (`decision_signatures`), and many entries share one: the rank-3
+catalog's 3,015 have 62.  So a writer decides and encodes one verdict per
+signature and gives it to every entry of that signature.
 """
 
 from __future__ import annotations
@@ -37,7 +42,14 @@ from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS
 from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_list, classify
-from .rationality import TwoStepExtension, Verdict, _decide, rank_labels
+from .rationality import (
+    FREE,
+    TwoStepExtension,
+    Verdict,
+    _decide,
+    check_generic_freeness,
+    rank_labels,
+)
 from .schur import Weight, WeightMultiset, dual, lr_decompose, tensor_counts, weyl_dim
 
 TRIGGER_BAD_Q = "Q-bad"
@@ -54,9 +66,35 @@ class CatalogEntry(namedtuple("CatalogEntry", "n S Q trigger q_class seed trials
     @property
     def verdict(self) -> Verdict:
         """The rationality verdict of the W = 0 instance, decided afresh on
-        each read from the fields alone; it makes no engine call."""
-        ext = TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
-        return _decide(ext, self.seed, self.trials, self.q_class)
+        each read from the fields alone; it makes no engine call.  Entries
+        of one signature (`decision_signatures`) get equal verdicts, so a
+        writer reads it on one entry of each."""
+        return _decide(self._instance(), self.seed, self.trials, self.q_class)
+
+    def _instance(self) -> TwoStepExtension:
+        return TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
+
+
+def decision_signatures(entries):
+    """Each entry's decision signature, lazily: the values its verdict is
+    decided from, for entries of one catalog (one rank, seed and trials),
+    sorted by Q as `enumerate_exceptional_candidates` returns them.
+
+    With W = 0, `_decide` reads Q only through the freeness gate (status,
+    detail) and, past a passed gate, its trivial count; S only through its
+    dimension; and its one split candidate, W2 = 0, takes the class of Q.
+    So the signature is (gate, class of Q), extended by (trivial count,
+    dim S) when the gate is Free, and entries of one signature get equal
+    verdicts.  The gate and trivial count are found once per run of equal
+    Q (and class): the catalog builds a new Q object per clause-(ii)
+    entry, so runs are told apart by value."""
+    run = None
+    for e in entries:
+        if run != (e.Q, e.q_class):
+            run = (e.Q, e.q_class)
+            gate = check_generic_freeness(e._instance(), e.seed, e.trials, e.q_class)
+            trivials = e.Q.count(rank_labels(e.n).triv) if gate[0] == FREE else None
+        yield (gate, e.q_class) if trivials is None else (gate, e.q_class, trivials, e.S.dim())
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:

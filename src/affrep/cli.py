@@ -235,17 +235,21 @@ def cmd_enumerate(args) -> int:
         seed=args.seed,
         trials=args.trials,
     )
-    # the file is opened only now, so a refused catalog leaves none; each
-    # line's verdict is decided as the line is written, read once, and
-    # dropped with the line
+    # the file is opened only now, so a refused catalog leaves none.  A
+    # verdict is decided and encoded once per decision signature, on the
+    # first line that has it; the table lives for this call only
+    decided: dict[tuple, tuple[str, str]] = {}
     by_trigger: dict[str, int] = {}
     by_verdict: dict[str, int] = {}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for e in entries:
-            verdict = e.verdict
-            fh.write(ser.catalog_line(e, verdict) + "\n")
+        for e, signature in zip(entries, catalog_mod.decision_signatures(entries)):
+            if signature not in decided:
+                verdict = e.verdict
+                decided[signature] = (verdict.outcome, ser.dumps(ser.verdict_to_json(verdict)))
+            outcome, verdict_text = decided[signature]
+            fh.write(ser.catalog_line(e, verdict_text) + "\n")
             by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
-            by_verdict[verdict.outcome] = by_verdict.get(verdict.outcome, 0) + 1
+            by_verdict[outcome] = by_verdict.get(outcome, 0) + 1
     stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(entries)}", file=stream)
     for k in sorted(by_trigger):
@@ -268,7 +272,10 @@ def cmd_selftest(args) -> int:
 
 def positive(text: str) -> int:
     """argparse type of --trials and --max-model-dim: an integer of at least 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -344,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     kp = kinds.add_parser("sl-only", parents=[written], help="an irreducible, zero translations")
     kp.add_argument("--n", type=int, required=True)
     kp.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
+    # a missing kind is named by the kinds, as the usage line lists them
+    kinds.metavar = "{" + ",".join(kinds.choices) + "}"
 
     sp = sub.add_parser("filtrate", parents=[report, models],
                         help="compute a filtration of a model file and run the checks")

@@ -454,17 +454,19 @@ def validate_model(rep: AffMatrixRep) -> None:
 
     # grading: an off-diagonal entry at (a, b) shifts weights by e_a - e_b,
     # where the constant coordinate n has weight 0, so T_j shifts by e_j; a
-    # diagonal generator X acts on a vector of weight g by sum_i X_ii g_i
+    # diagonal generator X acts on a vector of weight g by sum_i X_ii g_i,
+    # at every coordinate, a coordinate the matrix does not store included
     g = rep.weight_grading
     for key, entries in affine_basis(n):
         mat = gens[key]
         if all(a == b for a, b, _ in entries):
+            eigenvalues = [0] * rep.dim
             for c, col in mat.cols.items():
-                for r, val in col.items():
-                    if r != c:
-                        raise ModelInvariantError(f"{key} not diagonal")
-                    if val != sum(v * g[c][a] for a, _, v in entries):
-                        raise ModelInvariantError(f"{key} eigenvalue")
+                if len(col) != 1 or c not in col:
+                    raise ModelInvariantError(f"{key} not diagonal")
+                eigenvalues[c] = col[c]
+            if eigenvalues != [sum(v * gc[a] for a, _, v in entries) for gc in g]:
+                raise ModelInvariantError(f"{key} eigenvalue")
         else:
             [(a, b, _)] = entries
             want = tuple((1 if i == a else 0) - (1 if i == b else 0) for i in range(n))

@@ -50,7 +50,14 @@ from .schur import (
     normalize,
     weyl_dim,
 )
-from .serialize import catalog_line, dumps, model_dumps, model_from_json, model_to_json
+from .serialize import (
+    catalog_line,
+    dumps,
+    model_dumps,
+    model_from_json,
+    model_to_json,
+    verdict_to_json,
+)
 
 
 def _small_weights(n: int, max_size: int) -> list[Weight]:
@@ -259,8 +266,8 @@ def criterion_10_catalog() -> tuple[bool, str]:
     first = enumerate_exceptional_candidates(3)
     second = enumerate_exceptional_candidates(3)
     elapsed = time.time() - t0
-    lines1 = [catalog_line(e, e.verdict) for e in first]
-    lines2 = [catalog_line(e, e.verdict) for e in second]
+    lines1 = [catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in first]
+    lines2 = [catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in second]
     if lines1 != lines2:
         return False, "two enumeration runs differ"
     if elapsed > 300:

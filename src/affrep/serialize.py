@@ -273,11 +273,14 @@ def _multiset_text(ms: WeightMultiset) -> str:
 _q_text = lru_cache(maxsize=1)(_multiset_text)
 
 
-def catalog_line(e: CatalogEntry, verdict: Verdict) -> str:
-    """One catalog line, exactly `dumps` of the entry's object with
-    `verdict` as its verdict, written without the general encoder but for
-    the verdict: keys in sorted order, the multisets as `multiset_to_json`
-    gives them.  Nothing else needs escaping: parts, multiplicities and the
-    rank are integers, and a trigger is a `TRIGGER_*` constant."""
+def catalog_line(e: CatalogEntry, verdict_text: str) -> str:
+    """One catalog line, exactly `dumps` of the entry's object with the
+    verdict whose encoding, `dumps(verdict_to_json(v))`, is `verdict_text`.
+    The verdict comes encoded because the lines of one decision signature
+    share it (`catalog.decision_signatures`), so a writer encodes it once.
+    The rest is written without the general encoder: keys in sorted order,
+    the multisets as `multiset_to_json` gives them.  Nothing needs
+    escaping: parts, multiplicities and the rank are integers, and a
+    trigger is a `TRIGGER_*` constant."""
     return (f'{{"Q":{_q_text(e.Q)},"S":{_multiset_text(e.S)},"n":{e.n},'
-            f'"trigger":"{e.trigger}","verdict":{dumps(verdict_to_json(verdict))}}}')
+            f'"trigger":"{e.trigger}","verdict":{verdict_text}}}')

@@ -242,12 +242,12 @@ def test_fitting_subs_keep_equality_and_drop_empty():
 
 class TestEnumerate:
     def test_deterministic(self):
-        from affrep.serialize import catalog_line
+        from affrep.serialize import catalog_line, dumps, verdict_to_json
 
         a = enumerate_exceptional_candidates(2)
         b = enumerate_exceptional_candidates(2)
-        assert [catalog_line(e, e.verdict) for e in a] == [
-            catalog_line(e, e.verdict) for e in b
+        assert [catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in a] == [
+            catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in b
         ]
 
     def test_entries_satisfy_clauses(self):
@@ -489,11 +489,15 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
         assert classify_with_report(core)[1] is not None
 
 
-@pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
+@pytest.mark.parametrize("args", ["--n 2", "--n 3", "--n 4", *sorted(CAPPED_SHA256)])
 def test_written_verdicts_equal_lone_decisions(tmp_path, args):
-    # every line's verdict, decided from the class the catalog fixed for Q,
-    # is the one a lone check2step of the W = 0 instance gives, which asks
-    # the engine about Q itself
+    # every line's verdict, decided from the class the catalog fixed for Q
+    # once per decision signature, is the one a lone check2step of the
+    # W = 0 instance gives, which asks the engine about Q itself.  At rank 4
+    # a fixed sample is checked: the first line of each signature, where
+    # the writer decides, and every 50th line, most of which take the
+    # verdict of an earlier line
+    from affrep.catalog import decision_signatures
     from affrep.cli import main
     from affrep.rationality import decide_rationality
     from affrep.serialize import multiset_from_json, verdict_to_json
@@ -505,6 +509,13 @@ def test_written_verdicts_equal_lone_decisions(tmp_path, args):
     trials = int(argv[argv.index("--trials") + 1]) if "--trials" in argv else DEFAULT_TRIALS
     lines = out.read_text().splitlines()
     assert lines
+    if args == "--n 4":
+        first = {}
+        for i, signature in enumerate(decision_signatures(enumerate_exceptional_candidates(4))):
+            first.setdefault(signature, i)
+        assert len(first) == 4 + 129
+        lines = [lines[i] for i in sorted(set(first.values()) | set(range(0, len(lines), 50)))]
+        assert len(lines) == 568
     for line in lines:
         data = json.loads(line)
         S, Q = multiset_from_json(data["S"]), multiset_from_json(data["Q"])
@@ -536,6 +547,32 @@ def test_writing_the_catalog_makes_no_engine_call(monkeypatch, tmp_path):
     info = classify_with_report.cache_info()
     assert at_return == {"stabilizer": len(seen), "classify": info.hits + info.misses}
     assert 0 < at_return["stabilizer"] <= 50
+
+
+@pytest.mark.parametrize("n,clause_i,clause_ii", [(2, 3, 24), (3, 3, 59), (4, 4, 129)])
+def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path, n, clause_i,
+                                                          clause_ii):
+    # the clause-(ii) lines share verdicts too: the signature drops Q, whose
+    # class, trivial count and freeness gate are all it reads of Q.  Each
+    # signature is decided once and its verdict encoded once; the table
+    # lives for one call, so a second run decides again
+    from affrep import catalog, serialize
+    from affrep.cli import main
+
+    decided, encoded = [], []
+    decide, dumps = catalog._decide, serialize.dumps
+    monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
+    monkeypatch.setattr(serialize, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
+    entries = enumerate_exceptional_candidates(n)
+    signatures = list(catalog.decision_signatures(entries))
+    assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_BAD_Q}) == clause_i
+    assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_SMALL_S}) == (
+        clause_ii)
+    for _ in range(2):
+        decided.clear()
+        encoded.clear()
+        assert main(["enumerate", "--n", str(n), "--out", str(tmp_path / "catalog.jsonl")]) == 0
+        assert len(decided) == len(encoded) == clause_i + clause_ii
 
 
 # every bounded cache a catalog run fills, as module.function
@@ -663,7 +700,7 @@ def _line_by_general_encoder(e, v) -> str:
 
 @pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
 def test_catalog_line_equals_the_general_encoder(args):
-    from affrep.serialize import catalog_line
+    from affrep.serialize import catalog_line, dumps, verdict_to_json
 
     argv = args.split()
     kwargs = {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
@@ -671,20 +708,20 @@ def test_catalog_line_equals_the_general_encoder(args):
     assert entries
     for e in entries:
         v = e.verdict
-        assert catalog_line(e, v) == _line_by_general_encoder(e, v)
+        assert catalog_line(e, dumps(verdict_to_json(v))) == _line_by_general_encoder(e, v)
 
 
 def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
     from affrep.catalog import CatalogEntry
     from affrep.repclass import GOOD
-    from affrep.serialize import catalog_line
+    from affrep.serialize import catalog_line, dumps, verdict_to_json
 
     n = 3
     S = WeightMultiset.of(n, [(W(n, 12, 5), 11), (W(n, 1), 2)])
     Q = WeightMultiset.of(n, [(W(n, 0), 10), (W(n, 10, 3), 12)])
     e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, 20231, 13)
     v = e.verdict
-    line = catalog_line(e, v)
+    line = catalog_line(e, dumps(verdict_to_json(v)))
     assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
     assert line == _line_by_general_encoder(e, v)
 
@@ -695,7 +732,7 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
     own `Q` and `S` text."""
     from affrep.catalog import CatalogEntry
     from affrep.repclass import GOOD
-    from affrep.serialize import _multiset_text, catalog_line
+    from affrep.serialize import _multiset_text, catalog_line, dumps, verdict_to_json
 
     n = 3
     first, second = WeightMultiset.of(n, [(W(n, 1), 3)]), WeightMultiset.of(n, [(W(n, 1, 1), 3)])
@@ -707,6 +744,6 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
                  (again, WeightMultiset.of(n, [(W(n, 2, 1), 2)]))]:
         e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, DEFAULT_SEED, DEFAULT_TRIALS)
         v = e.verdict
-        line = catalog_line(e, v)
+        line = catalog_line(e, dumps(verdict_to_json(v)))
         assert line.startswith(f'{{"Q":{_multiset_text(Q)},"S":{_multiset_text(S)},"n":3,')
         assert line == _line_by_general_encoder(e, v)

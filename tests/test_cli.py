@@ -132,7 +132,10 @@ def test_each_command_takes_only_the_flags_it_reads():
 @pytest.mark.parametrize("argv,message", [
     (["check2step", "--bogus", "ext.json"], "unrecognized arguments: --bogus"),
     (["check2step"], "the following arguments are required: ext_file"),
-], ids=["unknown-flag", "missing-file"])
+    # a message names what the user types, not a dest or a type function
+    (["model"], "the following arguments are required: {sym-dual,dual,tensor,sl-only}"),
+    (["classify", "rep.json", "--trials", "abc"], "argument --trials: expected an integer, got 'abc'"),
+], ids=["unknown-flag", "missing-file", "missing-model-kind", "non-integer-trials"])
 def test_usage_error_exits_1_not_2(capsys, argv, message):
     # exit 2 is check2step's Exceptional verdict, so a usage error must not give it
     rc, out, err = run(capsys, *argv)
@@ -307,6 +310,19 @@ class TestModelAndFiltrate:
         rc, out, err = run(capsys, "filtrate", str(f))
         assert (rc, out) == (1, "")
         assert err == "error: model invariant violated: sl generator keys\n"
+
+    def test_rejects_a_grading_that_no_stored_entry_contradicts(self, capsys, tmp_path):
+        # all generators zero: H_1 acts by 0, not by the grading's 1 and -1,
+        # so this is not the model of one standard summand it claims to be
+        zero = [["0", "0"], ["0", "0"]]
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"n": 2, "N": 2,
+                                 "sl_gens": {"E_1_2": zero, "E_2_1": zero, "H_1": zero},
+                                 "trans_gens": [zero, zero],
+                                 "weight_grading": [[1, 0], [0, 1]]}))
+        rc, out, err = run(capsys, "filtrate", "--kind", "socle", str(f))
+        assert (rc, out) == (1, "")
+        assert err == "error: model invariant violated: H_1 eigenvalue\n"
 
     @pytest.mark.parametrize("which,flags", [
         ("sym-dual", ["--n", "3", "--l", "4"]),          # dim 35

@@ -5,6 +5,7 @@ must return an exit code from 0 to 3; a usage error returns 1 like any other
 error, so a `SystemExit` escaping `main` fails the test.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affrep import serialize as ser
-from affrep.cli import main
+from affrep.cli import build_parser, main
 from affrep.matmodel import model_sym_dual
 
 MALFORMED_TOKENS = ["", "x", "1.5", "-", ",", "1,,2", "1 2", "٣", "0x10", "1e3", "nan",
@@ -43,11 +44,19 @@ COMMAND_FLAGS = {
     "tensor": {"--n": RANKS, "--a": WEIGHTS, "--b": WEIGHTS},
     "pieri": {"--n": RANKS, "--lambda": WEIGHTS, "--k": DEGREES},
 }
+# the flags every weight command takes besides its own; a flag its parser
+# refuses would end the run at argparse, before any weight is parsed
 COMMON_FLAGS = {
     "--format": st.sampled_from(["text", "json", "xml"]),
     "--seed": _or_malformed(st.integers(-5, 5).map(str)),
-    "--trials": _or_malformed(st.integers(-1, 3).map(str)),
 }
+
+
+def test_draws_exactly_the_flags_each_parser_takes():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, flags in COMMAND_FLAGS.items():
+        taken = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert set(flags) | set(COMMON_FLAGS) == taken - {"-h", "--help"}, command
 
 
 @st.composite

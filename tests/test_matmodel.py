@@ -18,6 +18,7 @@ from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapErro
 from affrep.filtration import verify_degree_bound
 from affrep.linalg import SMat
 from affrep.matmodel import (
+    AffMatrixRep,
     affine_basis,
     bracket_coefficients,
     dual_model,
@@ -319,6 +320,18 @@ class TestValidator:
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
         assert exc.value.relation == "[E_1_2,T_2]"
+
+    def test_checks_the_eigenvalue_where_a_cartan_generator_is_zero(self):
+        # every generator zero on two coordinates graded (1, 0) and (0, 1):
+        # H_1 must act by 1 and -1 there, which no stored entry says
+        m = AffMatrixRep(2, 2, {k: SMat(2, 2) for k in sl_basis_keys(2)},
+                         [SMat(2, 2), SMat(2, 2)], [(1, 0), (0, 1)])
+        for validate in (validate_model, validator_oracle.validate_model):
+            with pytest.raises(ModelInvariantError) as exc:
+                validate(m)
+            assert exc.value.relation == "H_1 eigenvalue"
+        # graded (0, 0) twice it is two trivial summands, and valid
+        validate_model(m._replace(weight_grading=[(0, 0), (0, 0)]))
 
     def test_names_broken_translation_grading(self):
         # on the affine line T_1 sends x, of weight -1, to 1, of weight 0

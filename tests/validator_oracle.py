@@ -79,11 +79,13 @@ def validate_model(rep: AffMatrixRep) -> None:
         else:
             k = int(parts[1]) - 1
             for c, col in mat.cols.items():
-                for r, val in col.items():
+                for r in col:
                     if r != c:
                         raise ModelInvariantError(f"{key} not diagonal")
-                    if val != g[c][k] - g[c][k + 1]:
-                        raise ModelInvariantError(f"{key} eigenvalue")
+            # every coordinate, stored or not, has its grading's eigenvalue
+            for c in range(rep.dim):
+                if mat.entry(c, c) != g[c][k] - g[c][k + 1]:
+                    raise ModelInvariantError(f"{key} eigenvalue")
     for j, t in enumerate(rep.trans_gens):
         want = tuple(1 if i == j else 0 for i in range(n))
         for c, col in t.cols.items():
