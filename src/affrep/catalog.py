@@ -30,8 +30,9 @@ call remains by then.
 
 With W = 0 the decision reads few of an entry's fields, its decision
 signature (`decision_signatures`), and many entries share one: the rank-3
-catalog's 3,015 have 62.  So a writer decides and encodes one verdict per
-signature and gives it to every entry of that signature.
+catalog's 3,015 have 62.  So `serialize.write_catalog` decides and
+encodes one verdict per signature and gives it to every entry of that
+signature.
 """
 
 from __future__ import annotations

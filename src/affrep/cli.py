@@ -235,21 +235,9 @@ def cmd_enumerate(args) -> int:
         seed=args.seed,
         trials=args.trials,
     )
-    # the file is opened only now, so a refused catalog leaves none.  A
-    # verdict is decided and encoded once per decision signature, on the
-    # first line that has it; the table lives for this call only
-    decided: dict[tuple, tuple[str, str]] = {}
-    by_trigger: dict[str, int] = {}
-    by_verdict: dict[str, int] = {}
+    # the file is opened only now, so a refused catalog leaves none
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for e, signature in zip(entries, catalog_mod.decision_signatures(entries)):
-            if signature not in decided:
-                verdict = e.verdict
-                decided[signature] = (verdict.outcome, ser.dumps(ser.verdict_to_json(verdict)))
-            outcome, verdict_text = decided[signature]
-            fh.write(ser.catalog_line(e, verdict_text) + "\n")
-            by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
-            by_verdict[outcome] = by_verdict.get(outcome, 0) + 1
+        by_trigger, by_verdict = ser.write_catalog(entries, fh)
     stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(entries)}", file=stream)
     for k in sorted(by_trigger):

@@ -10,7 +10,7 @@ one (the layer structure is asserted by the test suite).
 
 from __future__ import annotations
 
-from .linalg import Vec
+from .linalg import Vec, vec_add_scaled
 from .matmodel import (
     AffMatrixRep,
     generated_submodel,
@@ -25,15 +25,8 @@ from .schur import WeightMultiset, dual, normalize
 
 def _mix(vectors: list[Vec]) -> Vec:
     out: Vec = {}
-    c = 1
-    for v in vectors:
-        for i, x in v.items():
-            val = out.get(i, 0) + c * x
-            if val:
-                out[i] = val
-            else:
-                del out[i]
-        c *= 2
+    for i, v in enumerate(vectors):
+        out = vec_add_scaled(out, v, 2 ** i)
     return out
 
 

@@ -2,13 +2,14 @@
 
 An AffMatrixRep packages matrices for the fixed sl_n basis together with n
 commuting nilpotent translation generators T_1..T_n and an integer torus
-weight for every basis vector.  This module owns that basis: its key
-strings, `E_i_j` and `H_k` for sl_n and `T_j` for the translations, are
-made and read only here, and `affine_basis` lists all n^2 - 1 + n of them
-with their matrices in the affine defining representation.  Every matrix
-model, the irreducible SL_n-models included, is built here.  All
-constructors produce models whose defining relations can be re-verified
-exactly with `validate_model`.
+weight for every basis vector.  This module owns that basis, and one table,
+`affine_basis`, describes it: all n^2 - 1 + n generators, `E_i_j` and `H_k`
+for sl_n and `T_j` for the translations, each as its key and its entries in
+the affine defining representation.  Everything else takes keys and
+matrices from that table, by the place of their entries; no key is parsed.
+Every matrix model, the irreducible SL_n-models included, is built here.
+All constructors produce models whose defining relations can be
+re-verified exactly with `validate_model`.
 
 Sign conventions, fixed once:
   * functions-of-degree<=l models use X.f = -(Xx).grad(f) for sl_n and
@@ -37,34 +38,37 @@ from .linalg import Echelon, SMat, Vec, closure, common_kernel, restrict
 from .schur import Weight, WeightMultiset, dual, grading_rep, weyl_dim
 
 
-# --- sl_n basis bookkeeping -------------------------------------------------
+# --- the saff_n basis -------------------------------------------------------
+
+def affine_basis(n: int) -> list[tuple[str, list]]:
+    """Every generator of saff_n as (key, entries): its nonzero (row,
+    column, value) entries in the affine defining representation on
+    C^(n+1), whose block matrices [[X, v], [0, 0]] make column n the
+    constant coordinate, of weight 0.  First the sl_n basis in the top left
+    n x n block: the elementary E_i_j (i != j, row-major), then the Cartan
+    differences H_k = E_k_k - E_(k+1)_(k+1).  Then T_1..T_n with
+    T_j = -E_j_(n+1), the sign that makes T_j = d/dx_j under the rule of
+    `model_sym_dual`.  The only place a key is written."""
+    return ([(f"E_{i + 1}_{j + 1}", [(i, j, 1)]) for i in range(n) for j in range(n) if i != j]
+            + [(f"H_{k + 1}", [(k, k, 1), (k + 1, k + 1, -1)]) for k in range(n - 1)]
+            + [(f"T_{j + 1}", [(j, n, -1)]) for j in range(n)])
+
 
 def sl_basis_keys(n: int) -> list[str]:
-    """Fixed ordered basis of sl_n: elementary E_i_j (i != j, row-major),
-    then Cartan differences H_k = E_k_k - E_(k+1)_(k+1)."""
-    keys = [f"E_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    keys += [f"H_{k}" for k in range(1, n)]
-    return keys
+    """The keys of the sl_n rows of `affine_basis`, its first n^2 - 1."""
+    return [key for key, _ in affine_basis(n)[:n * n - 1]]
 
 
-def sl_defining_matrix(n: int, key: str) -> SMat:
-    """The n x n matrix of a basis element in the defining representation."""
-    m = SMat(n, n)
-    parts = key.split("_")
-    if parts[0] == "E":
-        i, j = int(parts[1]) - 1, int(parts[2]) - 1
-        m.add_entry(i, j, 1)
-    elif parts[0] == "H":
-        k = int(parts[1]) - 1
-        m.add_entry(k, k, 1)
-        m.add_entry(k + 1, k + 1, -1)
-    else:
-        raise ValueError(f"unknown generator key {key!r}")
-    return m
+def _key_at(n: int) -> dict[tuple[int, int], str]:
+    """Each key of `affine_basis` by the place of its row's first entry:
+    (i, j) gives E_(i+1)_(j+1) for i != j < n, (k, k) gives H_(k+1), and
+    (j, n) gives T_(j+1)."""
+    return {entries[0][:2]: key for key, entries in affine_basis(n)}
 
 
 def bracket_coefficients(n: int, mat: SMat) -> dict:
     """Expand a traceless n x n matrix in the sl_basis_keys basis."""
+    key_at = _key_at(n)
     coeffs = {}
     diag = [mat.entry(i, i) for i in range(n)]
     if sum(diag) != 0:
@@ -74,30 +78,14 @@ def bracket_coefficients(n: int, mat: SMat) -> dict:
             if i != j:
                 v = mat.entry(i, j)
                 if v:
-                    coeffs[f"E_{i + 1}_{j + 1}"] = v
+                    coeffs[key_at[i, j]] = v
     # telescoping: diag = sum c_k (e_k - e_{k+1}) with c_k = d_1 + ... + d_k
     acc = 0
     for k in range(n - 1):
         acc += diag[k]
         if acc:
-            coeffs[f"H_{k + 1}"] = acc
+            coeffs[key_at[k, k]] = acc
     return coeffs
-
-
-def _entries(m: SMat) -> list[tuple[int, int, object]]:
-    """The nonzero entries (row, column, value) of a matrix."""
-    return [(r, c, v) for c, col in m.cols.items() for r, v in col.items()]
-
-
-def affine_basis(n: int) -> list[tuple[str, list]]:
-    """Every generator of saff_n as (key, entries): its nonzero (row,
-    column, value) entries in the affine defining representation on
-    C^(n+1), whose block matrices [[X, v], [0, 0]] make column n the
-    constant coordinate, of weight 0.  First the sl_basis_keys in the top
-    left n x n block, then T_1..T_n with T_j = -E_j_(n+1), the sign that
-    makes T_j = d/dx_j under the rule of `model_sym_dual`."""
-    return ([(key, _entries(sl_defining_matrix(n, key))) for key in sl_basis_keys(n)]
-            + [(f"T_{j + 1}", [(j, n, -1)]) for j in range(n)])
 
 
 class AffMatrixRep(namedtuple("AffMatrixRep", "n dim sl_gens trans_gens weight_grading")):
@@ -203,21 +191,24 @@ def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
 
 # --- irreducible models generated by a highest weight vector ----------------
 
-def _wedge_op(mat: SMat, columns: list[list[int]]):
-    """The action of an n x n matrix, one letter at a time (a derivation), on
-    the product of the columns' exterior powers of C^n, as a function on
-    sparse vectors.  A coordinate is a word whose letters increase down each
-    column, read as a base-n number; `columns` holds each column's place
-    values, top to bottom.  A letter moved onto another in its column gives
+def _wedge_op(n: int, entries: list, columns: list[list[int]]):
+    """The action of the n x n matrix with these (row, column, value)
+    entries, one letter at a time (a derivation), on the product of the
+    columns' exterior powers of C^n, as a function on sparse vectors.  A
+    coordinate is a word whose letters increase down each column, read as
+    a base-n number; `columns` holds each column's place values, top to
+    bottom.  A letter moved onto another in its column gives
     zero; else the column is re-sorted, with sign -1 per row crossed."""
-    n = mat.nrows
+    # a letter b moves to a with an entry at (a, b); no two entries of a
+    # basis row share a column
+    moves_of = {b: {a: v} for a, b, v in entries}
     slots = [(place, i, col) for col in columns for i, place in enumerate(col)]
 
     def op(vec: Vec) -> Vec:
         out: Vec = {}
         for code, val in vec.items():
             for place, i, col in slots:
-                moves = mat.cols.get(code // place % n)
+                moves = moves_of.get(code // place % n)
                 if not moves:
                     continue
                 word = [code // p % n for p in col]
@@ -255,8 +246,11 @@ def _build_tensor_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
     columns = [[places[starts[r] + c] for r in range(h)] for c, h in enumerate(heights)]
     seed = {sum(r * place for col in columns for r, place in enumerate(col)): 1}
 
-    ops = {key: _wedge_op(sl_defining_matrix(n, key), columns) for key in sl_basis_keys(n)}
-    lowering = [ops[f"E_{i}_{j}"] for i in range(2, n + 1) for j in range(1, i)]
+    sl_rows = affine_basis(n)[:n * n - 1]
+    ops = {key: _wedge_op(n, entries, columns) for key, entries in sl_rows}
+    # E_i_j with i > j, whose single entry lies below the diagonal (an H
+    # row's first entry lies on it)
+    lowering = [ops[key] for key, entries in sl_rows if entries[0][0] > entries[0][1]]
     span = closure([seed], lowering)
     if len(span) != target_dim:
         raise RuntimeError(f"generated submodule has dimension {len(span)}, expected {target_dim}")
@@ -388,36 +382,38 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
     the X that satisfy the latter form a subalgebra, and e_i, f_i generate
     sl_n, so every X satisfies it.
     """
-    e = [f"E_{i}_{i + 1}" for i in range(1, n)]
-    f = [f"E_{i + 1}_{i}" for i in range(1, n)]
-    h = [f"H_{i}" for i in range(1, n)]
+    table = affine_basis(n)
+    key_at = _key_at(n)
+    e = [key_at[i, i + 1] for i in range(n - 1)]
+    f = [key_at[i + 1, i] for i in range(n - 1)]
+    h = [key_at[i, i] for i in range(n - 1)]
     wanted = {frozenset(p) for p in itertools.combinations(e + f + h, 2)}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i in range(n):
+        for j in range(n):
             if abs(i - j) >= 2:
                 k = j - 1 if i < j else j + 1
-                wanted.add(frozenset((f"E_{i}_{k}", f"E_{k}_{j}")))
-    for i in range(1, n - 1):
+                wanted.add(frozenset((key_at[i, k], key_at[k, j])))
+    for i in range(n - 2):
         # [e_i, e_(i+1)] = E_i_(i+2) and [f_i, f_(i+1)] = -E_(i+2)_i
-        for x in e[i - 1:i + 1]:
-            wanted.add(frozenset((x, f"E_{i}_{i + 2}")))
-        for x in f[i - 1:i + 1]:
-            wanted.add(frozenset((x, f"E_{i + 2}_{i}")))
-    keys = sl_basis_keys(n)
-    trans = [f"T_{j}" for j in range(1, n + 1)]
+        for x in e[i:i + 2]:
+            wanted.add(frozenset((x, key_at[i, i + 2])))
+        for x in f[i:i + 2]:
+            wanted.add(frozenset((x, key_at[i + 2, i])))
+    keys = [key for key, _ in table[:n * n - 1]]
+    trans = [key for key, _ in table[n * n - 1:]]
     pairs = [p for p in itertools.combinations(keys, 2) if frozenset(p) in wanted]
     pairs += list(itertools.combinations(trans, 2))
     pairs += [(x, t) for x in keys if x in e or x in f for t in trans]
 
     mats = {}
-    for key, entries in affine_basis(n):
+    for key, entries in table:
         mats[key] = m = SMat(n + 1, n + 1)
         for a, b, v in entries:
             m.add_entry(a, b, v)
 
     def expand(m: SMat) -> tuple:
         # the top left block in the sl_n basis, then column n, with T_j = -E_j_(n+1)
-        t = [(f"T_{j + 1}", -v) for j, v in sorted(m.cols.get(n, {}).items())]
+        t = [(key_at[j, n], -v) for j, v in sorted(m.cols.get(n, {}).items())]
         return tuple(bracket_coefficients(n, m).items()) + tuple(t)
 
     return tuple((a, b, expand(mats[a].commutator(mats[b]))) for a, b in pairs)
@@ -430,34 +426,35 @@ def validate_model(rep: AffMatrixRep) -> None:
     relation, then the translations' nilpotency, then the grading of every
     generator of `affine_basis`."""
     n = rep.n
-    keys = rep.sl_keys()
-    if sorted(rep.sl_gens) != sorted(keys):
+    table = affine_basis(n)
+    if sorted(rep.sl_gens) != sorted(key for key, _ in table[:n * n - 1]):
         raise ModelInvariantError("sl generator keys")
     if len(rep.trans_gens) != n:
         raise ModelInvariantError("translation generator count")
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
-    gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
+    trans = dict(zip([key for key, _ in table[n * n - 1:]], rep.trans_gens))
+    gens = rep.sl_gens | trans
     for a, b, terms in relation_pairs(n):
         if not _bracket_is(gens[a], gens[b], [(gens[k], c) for k, c in terms]):
             raise ModelInvariantError(f"[{a},{b}]")
 
-    for j, t in enumerate(rep.trans_gens):
+    for key, t in trans.items():
         power = t
         for _ in range(rep.dim):
             if power.is_zero():
                 break
             power = power.matmul(t)
         if not power.is_zero():
-            raise ModelInvariantError(f"T_{j + 1} nilpotency")
+            raise ModelInvariantError(f"{key} nilpotency")
 
     # grading: an off-diagonal entry at (a, b) shifts weights by e_a - e_b,
     # where the constant coordinate n has weight 0, so T_j shifts by e_j; a
     # diagonal generator X acts on a vector of weight g by sum_i X_ii g_i,
     # at every coordinate, a coordinate the matrix does not store included
     g = rep.weight_grading
-    for key, entries in affine_basis(n):
+    for key, entries in table:
         mat = gens[key]
         if all(a == b for a, b, _ in entries):
             eigenvalues = [0] * rep.dim
@@ -490,11 +487,10 @@ def highest_weight_vectors(rep: AffMatrixRep, label: Weight, indices=None) -> li
     coords = [i for i in pool if grading_rep(rep.weight_grading[i]) == label.parts]
     if not coords:
         return []
-    raising = [
-        rep.sl_gens[f"E_{i}_{j}"]
-        for i in range(1, rep.n + 1)
-        for j in range(i + 1, rep.n + 1)
-    ]
+    # E_i_j with i < j, whose single entry lies above the diagonal; every
+    # T_j row's does too, so only the sl_n rows are read
+    raising = [rep.sl_gens[key] for key, entries in affine_basis(rep.n)[:rep.n ** 2 - 1]
+               if entries[0][0] < entries[0][1]]
     return common_kernel(raising, coords, Echelon())
 
 

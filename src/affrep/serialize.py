@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, decision_signatures
 from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, validate_model
@@ -277,10 +277,30 @@ def catalog_line(e: CatalogEntry, verdict_text: str) -> str:
     """One catalog line, exactly `dumps` of the entry's object with the
     verdict whose encoding, `dumps(verdict_to_json(v))`, is `verdict_text`.
     The verdict comes encoded because the lines of one decision signature
-    share it (`catalog.decision_signatures`), so a writer encodes it once.
+    share it (`catalog.decision_signatures`), so `write_catalog` encodes it
+    once.
     The rest is written without the general encoder: keys in sorted order,
     the multisets as `multiset_to_json` gives them.  Nothing needs
     escaping: parts, multiplicities and the rank are integers, and a
     trigger is a `TRIGGER_*` constant."""
     return (f'{{"Q":{_q_text(e.Q)},"S":{_multiset_text(e.S)},"n":{e.n},'
             f'"trigger":"{e.trigger}","verdict":{verdict_text}}}')
+
+
+def write_catalog(entries: list[CatalogEntry], fh) -> tuple[dict, dict]:
+    """Write one `catalog_line` per entry to `fh`, and return the number of
+    lines by trigger and by verdict outcome.  A verdict is decided and
+    encoded once per decision signature, on the first line that has it;
+    the table lives for this call only."""
+    decided: dict[tuple, tuple[str, str]] = {}
+    by_trigger: dict[str, int] = {}
+    by_outcome: dict[str, int] = {}
+    for e, signature in zip(entries, decision_signatures(entries)):
+        if signature not in decided:
+            verdict = e.verdict
+            decided[signature] = (verdict.outcome, dumps(verdict_to_json(verdict)))
+        outcome, verdict_text = decided[signature]
+        fh.write(catalog_line(e, verdict_text) + "\n")
+        by_trigger[e.trigger] = by_trigger.get(e.trigger, 0) + 1
+        by_outcome[outcome] = by_outcome.get(outcome, 0) + 1
+    return by_trigger, by_outcome

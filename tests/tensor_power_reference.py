@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 
 from affrep.linalg import SMat, Vec, closure, restrict
-from affrep.matmodel import AffMatrixRep, sl_basis_keys, sl_defining_matrix
+from affrep.matmodel import AffMatrixRep, sl_basis_keys
 from affrep.schur import Weight, weyl_dim
+from basis_matrix import basis_matrices
 
 
 def _tensor_op(mat: SMat, places: list[int]):
@@ -58,7 +59,7 @@ def tensor_power_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
             wedge[sum(x * p for x, p in zip(perm, slots))] = (-1) ** inversions
         seed = {a + b: x * y for a, x in seed.items() for b, y in wedge.items()}
 
-    ops = {key: _tensor_op(sl_defining_matrix(n, key), places) for key in sl_basis_keys(n)}
+    ops = {key: _tensor_op(mat, places) for key, mat in basis_matrices(n, n).items()}
     lowering = [ops[f"E_{i}_{j}"] for i in range(2, n + 1) for j in range(1, i)]
     span = closure([seed], lowering)
     assert len(span) == target_dim

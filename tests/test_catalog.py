@@ -575,6 +575,19 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
         assert len(decided) == len(encoded) == clause_i + clause_ii
 
 
+def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
+    # criterion 10 writes both rank-3 runs with `serialize.write_catalog`,
+    # the writer of `enumerate`, so it decides once per decision signature
+    from affrep import catalog, selftest
+
+    decided = []
+    decide = catalog._decide
+    monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
+    passed, detail = selftest.criterion_10_catalog()
+    assert passed, detail
+    assert len(decided) == 2 * (3 + 59)
+
+
 # every bounded cache a catalog run fills, as module.function
 CATALOG_CACHES = (
     "schur._weyl_dim",

@@ -29,7 +29,6 @@ from affrep.matmodel import (
     model_for_weight,
     relation_pairs,
     sl_basis_keys,
-    sl_defining_matrix,
     sl_only_model,
     sl_only_sum_model,
     tensor_model,
@@ -37,6 +36,7 @@ from affrep.matmodel import (
 )
 from affrep.oracle import ssyt_contents
 from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
+from basis_matrix import basis_matrices
 from dense import to_dense
 from symbolic_oracle import degree_bound_holds, symbolic_unipotent
 from tensor_power_reference import tensor_power_model
@@ -172,13 +172,14 @@ class TestSlOnly:
 class TestSlBasis:
     def test_defining_brackets_expand(self):
         n = 3
+        mats = basis_matrices(n, n)
         for a in sl_basis_keys(n):
             for b in sl_basis_keys(n):
-                ma, mb = sl_defining_matrix(n, a), sl_defining_matrix(n, b)
+                ma, mb = mats[a], mats[b]
                 coeffs = bracket_coefficients(n, ma.commutator(mb))
                 recon = SMat(n, n)
                 for key, c in coeffs.items():
-                    recon = recon.add(sl_defining_matrix(n, key).scale(c))
+                    recon = recon.add(mats[key].scale(c))
                 assert recon == ma.commutator(mb)
 
 
@@ -213,12 +214,11 @@ class TestIrreducibleModel:
         m = matmodel._build_tensor_model(n, (2, 1, 0))
         assert m.dim == 8
         keys = sl_basis_keys(n)
+        mats = basis_matrices(n, n)
         for a in keys:
             for b in keys:
                 lhs = m.sl_gens[a].commutator(m.sl_gens[b])
-                coeffs = bracket_coefficients(
-                    n, sl_defining_matrix(n, a).commutator(sl_defining_matrix(n, b))
-                )
+                coeffs = bracket_coefficients(n, mats[a].commutator(mats[b]))
                 rhs = SMat(m.dim, m.dim)
                 for key, c in coeffs.items():
                     rhs = rhs.add(m.sl_gens[key].scale(c))
@@ -342,30 +342,40 @@ class TestValidator:
         assert exc.value.relation == "grading shift of T_1"
 
 
-def _affine_matrices(n):
-    """The (n+1) x (n+1) matrix of every generator in `affine_basis`."""
-    out = {}
-    for key, entries in affine_basis(n):
-        out[key] = m = SMat(n + 1, n + 1)
-        for a, b, v in entries:
-            m.add_entry(a, b, v)
-    return out
+def _entries_named_by(n, key):
+    """The entries a key names, read from the key alone (1-based): E_i_j is
+    the matrix unit at (i, j), H_k = E_k_k - E_(k+1)_(k+1), and
+    T_j = -E_j_(n+1), so the constant coordinate is column n."""
+    kind, *places = key.split("_")
+    places = [int(p) - 1 for p in places]
+    if kind == "E":
+        i, j = places
+        return [(i, j, 1)]
+    if kind == "H":
+        (k,) = places
+        return [(k, k, 1), (k + 1, k + 1, -1)]
+    assert kind == "T", key
+    (j,) = places
+    return [(j, n, -1)]
 
 
 class TestAffineBasis:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_keys_and_translations(self, n):
-        table = affine_basis(n)
-        assert [k for k, _ in table] == sl_basis_keys(n) + [f"T_{j}" for j in range(1, n + 1)]
-        for key, entries in table[:n * n - 1]:
-            assert entries == [(r, c, v) for c, col in sl_defining_matrix(n, key).cols.items()
-                               for r, v in col.items()]
-        # T_j = -E_j_(n+1): the constant coordinate is column n
-        assert [entries for _, entries in table[n * n - 1:]] == [[(j, n, -1)] for j in range(n)]
+        keys = [k for k, _ in affine_basis(n)]
+        assert keys == ([f"E_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+                        + [f"H_{k}" for k in range(1, n)] + [f"T_{j}" for j in range(1, n + 1)])
+        assert len(set(keys)) == len(keys) == n * n - 1 + n
+        assert sl_basis_keys(n) == keys[:n * n - 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_entries_are_the_ones_each_key_names(self, n):
+        for key, entries in affine_basis(n):
+            assert entries == _entries_named_by(n, key), key
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_relations_are_commutators_of_the_table(self, n):
-        mats = _affine_matrices(n)
+        mats = basis_matrices(n, n + 1)
         for a, b, terms in relation_pairs(n):
             expect = SMat(n + 1, n + 1)
             for k, c in terms:
@@ -380,8 +390,9 @@ class TestAffineBasis:
         simple = [k for k in sl_basis_keys(n) if k.startswith("E_")
                   and abs(int(k.split("_")[1]) - int(k.split("_")[2])) == 1]
         want = [(a, b, ()) for a, b in itertools.combinations(trans, 2)]
+        mats = basis_matrices(n, n)
         for x in simple:
-            cols = sl_defining_matrix(n, x).cols
+            cols = mats[x].cols
             want += [(x, f"T_{j + 1}", tuple((f"T_{i + 1}", c) for i, c in cols.get(j, {}).items()))
                      for j in range(n)]
         assert rows == want

@@ -13,13 +13,12 @@ import itertools
 
 from affrep.config import ModelInvariantError
 from affrep.linalg import SMat
-from affrep.matmodel import AffMatrixRep, bracket_coefficients, sl_defining_matrix
+from affrep.matmodel import AffMatrixRep, bracket_coefficients
+from basis_matrix import basis_matrices
 
 
-def _expected_bracket(rep: AffMatrixRep, akey: str, bkey: str) -> SMat:
-    coeffs = bracket_coefficients(
-        rep.n, sl_defining_matrix(rep.n, akey).commutator(sl_defining_matrix(rep.n, bkey))
-    )
+def _expected_bracket(rep: AffMatrixRep, mats: dict, akey: str, bkey: str) -> SMat:
+    coeffs = bracket_coefficients(rep.n, mats[akey].commutator(mats[bkey]))
     out = SMat(rep.dim, rep.dim)
     for key, c in coeffs.items():
         out = out.add(rep.sl_gens[key].scale(c))
@@ -38,8 +37,9 @@ def validate_model(rep: AffMatrixRep) -> None:
         raise ModelInvariantError("grading length")
 
     # both sides are antisymmetric and [X, X] = 0, so each pair a < b once
+    mats = basis_matrices(n, n)
     for a, b in itertools.combinations(keys, 2):
-        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, a, b):
+        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, mats, a, b):
             raise ModelInvariantError(f"[{a},{b}]")
 
     for i in range(n):
@@ -48,7 +48,7 @@ def validate_model(rep: AffMatrixRep) -> None:
                 raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
 
     for key in keys:
-        x = sl_defining_matrix(n, key)
+        x = mats[key]
         for j in range(n):
             expect = SMat(rep.dim, rep.dim)
             for i, c in x.cols.get(j, {}).items():
