@@ -10,7 +10,7 @@ draws one side from a product with the other (S from Q (x) C^n, or Q from
 S (x) dual C^n), so only the other containment is tested, as integer dot
 products of each candidate's count vector with columns built once per
 product.  Every multiset comes from one walk over count vectors, `_walk`,
-and the pairs are sorted at the end, so repeated runs are byte-identical.
+and the pairs are kept by Q, sorted by Q and S, so runs are byte-identical.
 
 The class of each admitted Q is fixed when it is admitted, and only the
 bad sweep asks the engine.  Clause (i)'s quotients are Bad: they are the
@@ -28,11 +28,10 @@ GoodHeuristic with no draw of its own.  An entry keeps only that class;
 its verdict is decided from its fields when it is read, and no engine
 call remains by then.
 
-With W = 0 the decision reads few of an entry's fields, its decision
-signature (`decision_signatures`), and many entries share one: the rank-3
-catalog's 3,015 have 62.  So `serialize.write_catalog` decides and
-encodes one verdict per signature and gives it to every entry of that
-signature.
+With W = 0 the decision reads few of a line's fields, its decision
+signature (`decision_signatures`), and many lines share one: the rank-3
+catalog's 3,015 have 62, and `serialize.write_catalog` decides and encodes
+one verdict per signature.
 """
 
 from __future__ import annotations
@@ -70,32 +69,56 @@ class CatalogEntry(namedtuple("CatalogEntry", "n S Q trigger q_class seed trials
         each read from the fields alone; it makes no engine call.  Entries
         of one signature (`decision_signatures`) get equal verdicts, so a
         writer reads it on one entry of each."""
-        return _decide(self._instance(), self.seed, self.trials, self.q_class)
-
-    def _instance(self) -> TwoStepExtension:
-        return TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
+        instance = TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
+        return _decide(instance, self.seed, self.trials, self.q_class)
 
 
-def decision_signatures(entries):
-    """Each entry's decision signature, lazily: the values its verdict is
-    decided from, for entries of one catalog (one rank, seed and trials),
-    sorted by Q as `enumerate_exceptional_candidates` returns them.
+# a quotient of a catalog, the clause that admits it, its class, and its
+# submodules S as `_walk` entries tuples in increasing order, one line each
+QuotientGroup = namedtuple("QuotientGroup", "Q trigger q_class subs")
 
-    With W = 0, `_decide` reads Q only through the freeness gate (status,
-    detail) and, past a passed gate, its trivial count; S only through its
-    dimension; and its one split candidate, W2 = 0, takes the class of Q.
-    So the signature is (gate, class of Q), extended by (trivial count,
-    dim S) when the gate is Free, and entries of one signature get equal
-    verdicts.  The gate and trivial count are found once per run of equal
-    Q (and class): the catalog builds a new Q object per clause-(ii)
-    entry, so runs are told apart by value."""
-    run = None
-    for e in entries:
-        if run != (e.Q, e.q_class):
-            run = (e.Q, e.q_class)
-            gate = check_generic_freeness(e._instance(), e.seed, e.trials, e.q_class)
-            trivials = e.Q.count(rank_labels(e.n).triv) if gate[0] == FREE else None
-        yield (gate, e.q_class) if trivials is None else (gate, e.q_class, trivials, e.S.dim())
+
+class Catalog:
+    """The catalog of one rank, seed and trials as its quotient groups in
+    file order (increasing Q).  Its `len` is its number of lines, and
+    iterating it gives one `CatalogEntry` per line, in file order."""
+
+    def __init__(self, n: int, seed: int, trials: int, groups: list[QuotientGroup]):
+        self.n, self.seed, self.trials, self.groups = n, seed, trials, groups
+
+    def __len__(self) -> int:
+        return sum(len(group.subs) for group in self.groups)
+
+    def __iter__(self):
+        return (self.entry(group, s) for group in self.groups for s in group.subs)
+
+    def entry(self, group: QuotientGroup, s: tuple) -> CatalogEntry:
+        return CatalogEntry(self.n, WeightMultiset(self.n, s), group.Q, group.trigger,
+                            group.q_class, self.seed, self.trials)
+
+
+def decision_signatures(catalog: Catalog):
+    """For each group of `catalog`, in order, its lines' decision
+    signatures: the values a line's verdict is decided from.  With W = 0,
+    `_decide` reads Q only through the freeness gate (status, detail) and,
+    past a passed gate, its trivial count; S only through its dimension;
+    and its one split candidate, W2 = 0, takes the class of Q.  So the
+    signature is (gate, class of Q), extended by (trivial count, dim S)
+    when the gate is Free, and lines of one signature get equal verdicts.
+    The gate is found once per group, on Q alone, and dim S once per S:
+    only clause (ii) passes the gate, and its walk pairs each S with many Q."""
+    n, empty, triv = catalog.n, WeightMultiset(catalog.n, ()), rank_labels(catalog.n).triv
+    dims: dict[tuple, int] = {}
+    for group in catalog.groups:
+        gate = check_generic_freeness(TwoStepExtension(n, empty, group.Q, empty), catalog.seed,
+                                      catalog.trials, group.q_class)
+        if gate[0] != FREE:
+            yield [(gate, group.q_class)] * len(group.subs)
+        else:
+            trivials = group.Q.count(triv)
+            yield [(gate, group.q_class, trivials,
+                    dims.get(s) or dims.setdefault(s, sum(m * weyl_dim(w) for w, m in s)))
+                   for s in group.subs]
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
@@ -209,11 +232,11 @@ def enumerate_exceptional_candidates(
     max_dim_s: int | None = None,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-) -> list[CatalogEntry]:
-    """All (Q, S) candidate pairs admitted by the finiteness clauses, each
-    with the clause that admits it as its trigger and the class of its Q
+) -> Catalog:
+    """All (Q, S) candidate pairs admitted by the finiteness clauses, by Q:
+    each with the clause that admits it as its trigger, the class of Q
     (from which the verdict of the W = 0 instance is decided when it is
-    read), sorted by (Q, S).
+    read) and its S list, sorted by Q and each list by S.
 
     Caps cannot exceed the clause thresholds (n^2 - 2 trivial summands,
     n^2 + 2n - 1 for dim S); asking for more is refused since nothing
@@ -221,15 +244,14 @@ def enumerate_exceptional_candidates(
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    if n > 6:
-        raise ValueError(f"enumeration cap: rank must be at most 6, got {n}")
+    if n > 7:
+        raise ValueError(f"enumeration cap: rank must be at most 7, got {n}")
     trivial_cap = _cap("max_trivials", max_trivials, 0, n * n - 2)
     dim_s_cap = _cap("max_dim_s", max_dim_s, 1, n * n + 2 * n - 1)
 
     base = rank_labels(n)
     triv, std, dstd = base.triv, base.std, base.dstd
     bad = bad_list(n)
-    entries: list[CatalogEntry] = []
     # clause (i): the bad quotients under the trivial cap and n^2 - 1 copies
     # of any other label (module docstring), walked over the bad labels;
     # badness passes to sub-multisets and a quotient is classified as its
@@ -239,28 +261,29 @@ def enumerate_exceptional_candidates(
     bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
                    keep=lambda q: classify(q, seed=seed, trials=trials) == BAD)
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
-    for q in bad_qs:
-        Q = WeightMultiset(n, q)
-        for s in _partners(n, q, std, dim_caps):
-            entries.append(CatalogEntry(n, WeightMultiset(n, s), Q, TRIGGER_BAD_Q, BAD, seed,
-                                        trials))
+    bad_subs = {q: sorted(_partners(n, q, std, dim_caps)) for q in bad_qs}
 
     # clause (ii): small submodules, over multisets of small irreducibles;
     # Q runs over sub-multisets of S (x) dual standard, so only S inside
     # Q (x) standard is open.  Clause (i) already admits every pair whose Q
     # is bad, under the same caps, so this clause admits only the rest, whose
     # class the bad sweep certifies (module docstring)
-    bad_qs = set(bad_qs)
+    small_subs: dict[tuple, list[tuple]] = {}
     small = sorted(irreps_up_to_dim(n, dim_s_cap))
     dims = [weyl_dim(w) for w in small]
     for s in _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
                    caps=[(dims, dim_s_cap)]):
-        S = WeightMultiset(n, s)
         for q in _partners(n, s, dstd, [(Weight.is_trivial, trivial_cap)]):
-            if q not in bad_qs:
-                q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
-                entries.append(CatalogEntry(n, S, WeightMultiset(n, q), TRIGGER_SMALL_S, q_class,
-                                            seed, trials))
+            if q not in bad_subs:
+                small_subs.setdefault(q, []).append(s)
 
-    entries.sort(key=lambda e: (e.Q.entries, e.S.entries))
-    return entries
+    # the clauses share no Q, and each Q's entries tuple is its sort key
+    groups = []
+    for q in sorted(bad_subs.keys() | small_subs.keys()):
+        if q in small_subs:
+            q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
+            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_SMALL_S, q_class,
+                                        sorted(small_subs[q])))
+        elif bad_subs[q]:
+            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_BAD_Q, BAD, bad_subs[q]))
+    return Catalog(n, seed, trials, groups)

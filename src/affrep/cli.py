@@ -228,7 +228,7 @@ def _verdict_lines(verdict):
 
 
 def cmd_enumerate(args) -> int:
-    entries = catalog_mod.enumerate_exceptional_candidates(
+    catalog = catalog_mod.enumerate_exceptional_candidates(
         args.n,
         max_trivials=args.max_trivials,
         max_dim_s=args.max_dim_s,
@@ -237,9 +237,9 @@ def cmd_enumerate(args) -> int:
     )
     # the file is opened only now, so a refused catalog leaves none
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        by_trigger, by_verdict = ser.write_catalog(entries, fh)
+        by_trigger, by_verdict = ser.write_catalog(catalog, fh)
     stream = sys.stdout if args.out else sys.stderr
-    print(f"entries: {len(entries)}", file=stream)
+    print(f"entries: {len(catalog)}", file=stream)
     for k in sorted(by_trigger):
         print(f"trigger {k}: {by_trigger[k]}", file=stream)
     for k in sorted(by_verdict):
@@ -368,9 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_weight_values(argv: list[str] | None) -> list[str]:
+    """`--lambda -1,-1,-2` as `--lambda=-1,-1,-2`: argparse takes -1,-1,-2 for a flag."""
+    out: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if (out and out[-1] in ("--lambda", "--a", "--b")
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_weight_values(argv))
         return args.fn(args)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code check2step gives an

@@ -260,8 +260,8 @@ def criterion_10_catalog() -> tuple[bool, str]:
     t0 = time.time()
     runs = [io.StringIO(), io.StringIO()]
     for fh in runs:
-        entries = enumerate_exceptional_candidates(3)
-        write_catalog(entries, fh)
+        catalog = enumerate_exceptional_candidates(3)
+        write_catalog(catalog, fh)
     elapsed = time.time() - t0
     if runs[0].getvalue() != runs[1].getvalue():
         return False, "two enumeration runs differ"
@@ -269,7 +269,7 @@ def criterion_10_catalog() -> tuple[bool, str]:
         return False, f"two runs took {elapsed:.1f}s (> 300s)"
     n = 3
     triv = normalize(n, [])
-    for e in entries:
+    for e in catalog:
         ext = TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, []))
         if not check_structural(ext):
             return False, f"entry fails structural containments: Q={e.Q}, S={e.S}"
@@ -283,7 +283,7 @@ def criterion_10_catalog() -> tuple[bool, str]:
                 return False, f"trigger dim-S-small not verified: S={e.S}"
         else:
             return False, f"unknown trigger {e.trigger}"
-    return True, f"{len(entries)} entries, byte-identical across runs, clauses verified ({elapsed:.1f}s)"
+    return True, f"{len(catalog)} entries, byte-identical across runs, clauses verified ({elapsed:.1f}s)"
 
 
 CRITERIA = [

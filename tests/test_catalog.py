@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -16,14 +17,26 @@ from affrep import rationality, repclass
 from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
+    Catalog,
+    CatalogEntry,
+    QuotientGroup,
     _partners,
     _walk,
+    decision_signatures,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.rationality import TwoStepExtension, check_structural
-from affrep.repclass import BAD, bad_list, classify, classify_with_report, stabilizer_dimension
+from affrep.repclass import (
+    BAD,
+    GOOD,
+    GOOD_HEURISTIC,
+    bad_list,
+    classify,
+    classify_with_report,
+    stabilizer_dimension,
+)
 from affrep.schur import (
     Weight,
     WeightMultiset,
@@ -242,13 +255,10 @@ def test_fitting_subs_keep_equality_and_drop_empty():
 
 class TestEnumerate:
     def test_deterministic(self):
-        from affrep.serialize import catalog_line, dumps, verdict_to_json
-
         a = enumerate_exceptional_candidates(2)
         b = enumerate_exceptional_candidates(2)
-        assert [catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in a] == [
-            catalog_line(e, dumps(verdict_to_json(e.verdict))) for e in b
-        ]
+        assert list(a) == list(b)
+        assert _written(a) == _written(b)
 
     def test_entries_satisfy_clauses(self):
         # the catalog decides without checking the containments again and
@@ -282,7 +292,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_exceptional_candidates(3, max_trivials=8)
         with pytest.raises(ValueError):
-            enumerate_exceptional_candidates(7)
+            enumerate_exceptional_candidates(8)
 
     def test_affine_restriction_pattern_present(self):
         # the degree <= 1 function model restricted from rank 4 realizes the
@@ -497,7 +507,6 @@ def test_written_verdicts_equal_lone_decisions(tmp_path, args):
     # a fixed sample is checked: the first line of each signature, where
     # the writer decides, and every 50th line, most of which take the
     # verdict of an earlier line
-    from affrep.catalog import decision_signatures
     from affrep.cli import main
     from affrep.rationality import decide_rationality
     from affrep.serialize import multiset_from_json, verdict_to_json
@@ -511,7 +520,7 @@ def test_written_verdicts_equal_lone_decisions(tmp_path, args):
     assert lines
     if args == "--n 4":
         first = {}
-        for i, signature in enumerate(decision_signatures(enumerate_exceptional_candidates(4))):
+        for i, signature in enumerate(_line_signatures(enumerate_exceptional_candidates(4))):
             first.setdefault(signature, i)
         assert len(first) == 4 + 129
         lines = [lines[i] for i in sorted(set(first.values()) | set(range(0, len(lines), 50)))]
@@ -564,7 +573,7 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
     monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
     monkeypatch.setattr(serialize, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
     entries = enumerate_exceptional_candidates(n)
-    signatures = list(catalog.decision_signatures(entries))
+    signatures = _line_signatures(entries)
     assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_BAD_Q}) == clause_i
     assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_SMALL_S}) == (
         clause_ii)
@@ -607,8 +616,10 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     # entries but not the file's 14 MB of text twice over (95 MB when it
     # did, 56 MB since), and the entries and multisets carry no
     # per-instance __dict__ (52 MB).  An entry holds no verdict: each is
-    # decided as its line is written and dropped with it (33 MB).  The peak
-    # is the process's
+    # decided as its line is written and dropped with it (33 MB).  The
+    # catalog is kept by quotient, each S a bare entries tuple, with no
+    # object per line and no global sort (26 MB before, 23 MB since).  The
+    # peak is the process's
     # own VmHWM in KiB: its ru_maxrss would also count the test process,
     # whose peak a child inherits through exec on Linux
     code = (
@@ -632,7 +643,7 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     info = json.loads(proc.stdout)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[4]
-    assert info.pop("peak_kib") < 40 * 1024
+    assert info.pop("peak_kib") < 30 * 1024
     for name, cache in info.items():
         assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
 
@@ -643,8 +654,9 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
     # pinned, no bounded cache evicts (`classify_with_report` holds about
-    # 8,000 multisets of its 16,384), and the peak stays under 100 MB (the
-    # process's own VmHWM, as in the rank-4 test)
+    # 8,000 multisets of its 16,384), and the peak stays under 50 MiB (the
+    # process's own VmHWM, as in the rank-4 test; 61 MiB before the catalog
+    # was kept by quotient, 43 MiB since)
     code = (
         "import contextlib, importlib, json, sys\n"
         "from affrep.cli import main\n"
@@ -667,7 +679,7 @@ def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     data = out.read_bytes()
     assert data.count(b"\n") == 96612
     assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
-    assert info.pop("peak_kib") < 100 * 1024
+    assert info.pop("peak_kib") < 50 * 1024
     for name, cache in info.items():
         assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
 
@@ -713,50 +725,130 @@ def _line_by_general_encoder(e, v) -> str:
 
 @pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
 def test_catalog_line_equals_the_general_encoder(args):
-    from affrep.serialize import catalog_line, dumps, verdict_to_json
-
-    argv = args.split()
-    kwargs = {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
-    entries = enumerate_exceptional_candidates(**kwargs)
-    assert entries
-    for e in entries:
-        v = e.verdict
-        assert catalog_line(e, dumps(verdict_to_json(v))) == _line_by_general_encoder(e, v)
+    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    assert catalog
+    lines = _written(catalog).splitlines()
+    assert len(lines) == len(catalog)
+    for e, line in zip(catalog, lines):
+        assert line == _line_by_general_encoder(e, e.verdict)
 
 
 def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
-    from affrep.catalog import CatalogEntry
-    from affrep.repclass import GOOD
-    from affrep.serialize import catalog_line, dumps, verdict_to_json
-
     n = 3
     S = WeightMultiset.of(n, [(W(n, 12, 5), 11), (W(n, 1), 2)])
     Q = WeightMultiset.of(n, [(W(n, 0), 10), (W(n, 10, 3), 12)])
-    e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, 20231, 13)
-    v = e.verdict
-    line = catalog_line(e, dumps(verdict_to_json(v)))
+    catalog = Catalog(n, 20231, 13, [QuotientGroup(Q, TRIGGER_SMALL_S, GOOD, [S.entries])])
+    (e,) = catalog
+    assert e == CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, 20231, 13)
+    line = _written(catalog)
     assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
-    assert line == _line_by_general_encoder(e, v)
+    assert line == _line_by_general_encoder(e, e.verdict) + "\n"
 
 
 def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
-    """The line writer keeps the last `Q`'s text; a line whose `Q` differs
-    from the last one's, or equals it as a different object, still gets its
-    own `Q` and `S` text."""
-    from affrep.catalog import CatalogEntry
-    from affrep.repclass import GOOD
-    from affrep.serialize import _multiset_text, catalog_line, dumps, verdict_to_json
+    """A group's `Q` text is written once for its lines; groups whose `Q`s
+    interleave, or repeat one `Q` as a different object, each get their
+    own `Q` text, and each line its own `S` text."""
+    from affrep.serialize import _multiset_text
 
     n = 3
     first, second = WeightMultiset.of(n, [(W(n, 1), 3)]), WeightMultiset.of(n, [(W(n, 1, 1), 3)])
     again = WeightMultiset.of(n, [(W(n, 1), 3)])
-    for Q, S in [(first, WeightMultiset.of(n, [(W(n, 2, 1), 1)])),
-                 (second, WeightMultiset.of(n, [(W(n, 2), 2)])),
-                 (first, WeightMultiset.of(n, [(W(n, 3), 1)])),
-                 (second, WeightMultiset.of(n, [(W(n, 2, 1), 1)])),
-                 (again, WeightMultiset.of(n, [(W(n, 2, 1), 2)]))]:
-        e = CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, DEFAULT_SEED, DEFAULT_TRIALS)
-        v = e.verdict
-        line = catalog_line(e, dumps(verdict_to_json(v)))
-        assert line.startswith(f'{{"Q":{_multiset_text(Q)},"S":{_multiset_text(S)},"n":3,')
-        assert line == _line_by_general_encoder(e, v)
+    groups = [QuotientGroup(Q, TRIGGER_SMALL_S, GOOD, [((w, m),) for w, m in subs]) for Q, subs in [
+        (first, [(W(n, 2, 1), 1)]),
+        (second, [(W(n, 2), 2), (W(n, 2, 1), 1)]),
+        (first, [(W(n, 3), 1)]),
+        (again, [(W(n, 2, 1), 2)])]]
+    catalog = Catalog(n, DEFAULT_SEED, DEFAULT_TRIALS, groups)
+    lines = _written(catalog).splitlines()
+    assert len(lines) == len(catalog) == 5
+    for e, line in zip(catalog, lines):
+        text = f'{{"Q":{_multiset_text(n, e.Q.entries)},"S":{_multiset_text(n, e.S.entries)},'
+        assert line.startswith(text + '"n":3,')
+        assert line == _line_by_general_encoder(e, e.verdict)
+
+
+# --- the catalog by quotient ---------------------------------------------------
+
+def _written(catalog) -> str:
+    from affrep.serialize import write_catalog
+
+    fh = io.StringIO()
+    write_catalog(catalog, fh)
+    return fh.getvalue()
+
+
+def _line_signatures(catalog) -> list[tuple]:
+    """The decision signature of every line of `catalog`, in file order."""
+    return [sig for signatures in decision_signatures(catalog) for sig in signatures]
+
+
+def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SEED,
+                           trials=DEFAULT_TRIALS):
+    """The catalog as one list with an entry per pair, each with its own `S`
+    (and, in clause (ii), its own `Q`), sorted once at the end by
+    (Q, S): the construction the grouped build replaced."""
+    trivial_cap = n * n - 2 if max_trivials is None else max_trivials
+    dim_s_cap = n * n + 2 * n - 1 if max_dim_s is None else max_dim_s
+    triv, std = W(n, 0), W(n, 1)
+    bad = bad_list(n)
+    bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
+                   keep=lambda q: classify(q, seed=seed, trials=trials) == BAD)
+    dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
+    entries = [CatalogEntry(n, WeightMultiset(n, s), WeightMultiset(n, q), TRIGGER_BAD_Q, BAD,
+                            seed, trials)
+               for q in bad_qs for s in _partners(n, q, std, dim_caps)]
+    bad_set = set(bad_qs)
+    small = sorted(irreps_up_to_dim(n, dim_s_cap))
+    dims = [weyl_dim(w) for w in small]
+    for s in _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
+                   caps=[(dims, dim_s_cap)]):
+        for q in _partners(n, s, dual(std), [(Weight.is_trivial, trivial_cap)]):
+            if q not in bad_set:
+                q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
+                entries.append(CatalogEntry(n, WeightMultiset(n, s), WeightMultiset(n, q),
+                                            TRIGGER_SMALL_S, q_class, seed, trials))
+    entries.sort(key=lambda e: (e.Q.entries, e.S.entries))
+    return entries
+
+
+CATALOG_ARGS = ["--n 2", "--n 3", "--n 4", *sorted(CAPPED_SHA256)]
+
+
+def _catalog_kwargs(args):
+    argv = args.split()
+    return {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
+
+
+@pytest.mark.parametrize("args", CATALOG_ARGS)
+def test_each_quotient_is_one_group_in_increasing_order(args):
+    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    qs = [group.Q.entries for group in catalog.groups]
+    # strictly increasing, so each Q heads exactly one group
+    assert all(a < b for a, b in zip(qs, qs[1:]))
+    for group in catalog.groups:
+        assert group.subs
+        assert all(a < b for a, b in zip(group.subs, group.subs[1:])), str(group.Q)
+        # one trigger and one class per group, the class that trigger fixes
+        assert group.trigger in (TRIGGER_BAD_Q, TRIGGER_SMALL_S)
+        assert (group.trigger == TRIGGER_BAD_Q) == (group.q_class == BAD)
+        assert group.q_class in (BAD, GOOD, GOOD_HEURISTIC)
+
+
+@pytest.mark.parametrize("args", CATALOG_ARGS)
+def test_length_is_the_summary_and_the_file_line_count(tmp_path, capsys, args):
+    from affrep.cli import main
+
+    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    out = tmp_path / "catalog.jsonl"
+    capsys.readouterr()
+    assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[0] == f"entries: {len(catalog)}"
+    assert out.read_bytes().count(b"\n") == len(catalog) == sum(1 for _ in catalog)
+
+
+@pytest.mark.parametrize("args", CATALOG_ARGS)
+def test_iterating_gives_the_flat_sorted_entries(args):
+    kwargs = _catalog_kwargs(args)
+    assert list(enumerate_exceptional_candidates(**kwargs)) == flat_catalog_reference(**kwargs)

@@ -79,6 +79,35 @@ class TestWeightCommands:
         assert rc == 1
         assert "'x'" in err
 
+    @pytest.mark.parametrize("argv,first", [
+        (["dim", "--n", "3", "--lambda", "-1,-1,-2"], "3"),
+        (["dim", "--n", "3", "--lambda=-1,-1,-2"], "3"),
+        (["dual", "--n", "3", "--lambda", "-1,-1,-2"], "[1,0,0]"),
+        (["pieri", "--n", "3", "--lambda", "-1,-1,-2", "--k", "1"], "[0,0,0] + [2,1,0]"),
+        (["tensor", "--n", "3", "--a", "0,0,-1", "--b", "-1,-1,-2"], "[1,0,0] + [2,2,0]"),
+        (["tensor", "--n", "3", "--a=0,0,-1", "--b=-1,-1,-2"], "[1,0,0] + [2,2,0]"),
+    ], ids=["dim", "dim-joined", "dual", "pieri", "tensor", "tensor-joined"])
+    def test_weight_with_a_leading_minus(self, capsys, argv, first):
+        # a separate value with a leading minus is read as the flag's value,
+        # as the joined form is
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out.splitlines() == [first, "seed: 1729"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["dim", "--n", "3", "--lambda"], "argument --lambda: expected one argument"),
+        (["dim", "--lambda", "--n", "3"], "argument --lambda: expected one argument"),
+        (["dim", "--n", "3", "--lambda", "-x"], "argument --lambda: expected one argument"),
+        (["tensor", "--n", "3", "--a", "-1,0,0", "--b"], "argument --b: expected one argument"),
+        (["dim", "--n", "3", "--lambda", "-1,-1,-2", "-3"], "unrecognized arguments: -3"),
+        (["dim", "--n", "3", "--lambda", "1,0,0", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["missing-last", "missing-before-flag", "flag-like", "missing-b", "stray-number",
+            "unknown-flag"])
+    def test_weight_flag_usage_errors(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert message in err
+
     def test_missing_model_arguments(self, capsys):
         rc, _, err = run(capsys, "model", "sym-dual", "--n", "2")
         assert rc == 1
@@ -721,7 +750,7 @@ class TestEnumerate:
         assert err == summary
         assert err.splitlines()[0] == f"entries: {len(out.splitlines())}"
 
-    @pytest.mark.parametrize("flags", [["--n", "7"], ["--n", "3", "--max-trivials", "99"]],
+    @pytest.mark.parametrize("flags", [["--n", "8"], ["--n", "3", "--max-trivials", "99"]],
                              ids=["rank", "max-trivials"])
     def test_refused_catalog_creates_no_file(self, capsys, tmp_path, flags):
         out_file = tmp_path / "cat.jsonl"
