@@ -4,9 +4,10 @@ The ascending chain takes maximal completely reducible subrepresentations of
 successive quotients; since the translations act trivially on any completely
 reducible piece and the translation subgroup is normal, that submodule is
 exactly the common kernel of the translation generators.  The descending
-construction iterates sums of translation images instead.  Both are computed
-by exact sparse elimination with a fixed pivot rule, so chains are
-bit-reproducible, and every chain vector is a torus weight vector, which
+construction iterates sums of translation images instead, one elimination
+per level, and takes each layer's rows from that level's own echelon.  Both
+are computed by exact sparse elimination with a fixed pivot rule, so chains
+are bit-reproducible, and every chain vector is a torus weight vector, which
 reduces layer identification to character bookkeeping.
 """
 
@@ -89,17 +90,22 @@ def socle_filtration(rep: AffMatrixRep) -> Filtration:
 
 def radical_filtration(rep: AffMatrixRep) -> Filtration:
     """Descending construction, recorded ascending: member j is the span of
-    all products of at least (length - j) translation generators."""
-    # level 0 = whole space; level k+1 = sum of translation images of level k
-    levels: list[list[Vec]] = [[{i: 1} for i in range(rep.dim)]]
+    all products of at least (length - j) translation generators.  Level 0
+    is the whole space and level k+1 the sum of the translation images of
+    level k.  Level k+1 lies in level k, so its pivots are among level k's,
+    and the rows of level k's echelon at the other pivots complement it (a
+    row's least index is its pivot): they are level k's snapshot."""
+    level = {i: {i: 1} for i in range(rep.dim)}  # pivot -> row
+    snapshots: list[list[Vec]] = []
     while True:
-        rows = _insert_new(Echelon(), (t.apply(b) for b in levels[-1] for t in rep.trans_gens))
-        if not rows:
+        below = Echelon()
+        for image in filter(None, (t.apply(row) for row in level.values() for t in rep.trans_gens)):
+            below.insert(image)
+        snapshots.append([row for p, row in level.items() if p not in below.rows])
+        if not below.rows:
             break
-        levels.append(rows)
-    # assemble ascending nested snapshots: deepest level first
-    ech = Echelon()
-    snapshots = [_insert_new(ech, level_rows) for level_rows in reversed(levels)]
+        level = below.rows
+    snapshots.reverse()
     return Filtration(rep, RADICAL, snapshots, identify_layers(rep, snapshots))
 
 

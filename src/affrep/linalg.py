@@ -56,10 +56,6 @@ class SMat:
         self.ncols = ncols
         self.cols: dict[int, Vec] = cols if cols is not None else {}
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {i: {i: 1} for i in range(n)})
-
     def add_entry(self, r, c, v):
         if not v:
             return
@@ -133,19 +129,6 @@ class SMat:
             for r, v in col.items():
                 cols.setdefault(r, {})[c] = -v
         return SMat(self.ncols, self.nrows, cols)
-
-    def kron(self, other: "SMat") -> "SMat":
-        cols: dict[int, Vec] = {}
-        on = other.nrows
-        oc = other.ncols
-        for c1, col1 in self.cols.items():
-            for c2, col2 in other.cols.items():
-                col = {}
-                for r1, v1 in col1.items():
-                    for r2, v2 in col2.items():
-                        col[r1 * on + r2] = v1 * v2
-                cols[c1 * oc + c2] = col
-        return SMat(self.nrows * on, self.ncols * oc, cols)
 
     def direct_sum(self, other: "SMat") -> "SMat":
         cols = {c: dict(col) for c, col in self.cols.items()}

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .config import (
     DEFAULT_MAX_MODEL_DIM,
@@ -160,24 +160,40 @@ def dual_model(rep: AffMatrixRep) -> AffMatrixRep:
 
 def tensor_model(a: AffMatrixRep, b: AffMatrixRep,
                  max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
-    """Tensor product with the factorwise (Leibniz) action."""
+    """Tensor product with the factorwise (Leibniz) action: each generator
+    is X (x) 1 + 1 (x) Y on the basis e_i (x) f_k, at index i * b.dim + k."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
     _check_cap(a.dim * b.dim, max_dim)
-    ia = SMat.identity(a.dim)
-    ib = SMat.identity(b.dim)
+    nb = b.dim
 
-    def leibniz(ma: SMat, mb: SMat) -> SMat:
-        return ma.kron(ib).add(ia.kron(mb))
+    def leibniz(x: SMat, y: SMat) -> SMat:
+        # column block i: column k holds column k of Y at rows (i, r), and
+        # each entry v of X at (r, i) adds v at row (r, k); the two meet
+        # only at row (i, k), where they may cancel
+        y_entries = [(k, r, v) for k, y_k in y.cols.items() for r, v in y_k.items()]
+        cols = {}
+        for i in range(a.dim):
+            base = i * nb
+            block = [{} for _ in range(nb)]
+            for k, r, v in y_entries:
+                block[k][base + r] = v
+            for r, v in x.cols.get(i, {}).items():
+                for row, col in enumerate(block, r * nb):
+                    val = col.get(row, 0) + v
+                    if val:
+                        col[row] = val
+                    else:
+                        del col[row]
+            for k, col in enumerate(block):
+                if col:
+                    cols[base + k] = col
+        return SMat(a.dim * nb, a.dim * nb, cols)
 
     sl_gens = {k: leibniz(a.sl_gens[k], b.sl_gens[k]) for k in a.sl_keys()}
     trans = [leibniz(ta, tb) for ta, tb in zip(a.trans_gens, b.trans_gens)]
-    grading = [
-        tuple(x + y for x, y in zip(ga, gb))
-        for ga in a.weight_grading
-        for gb in b.weight_grading
-    ]
-    return AffMatrixRep(a.n, a.dim * b.dim, sl_gens, trans, grading)
+    grading = [tuple(map(add, ga, gb)) for ga in a.weight_grading for gb in b.weight_grading]
+    return AffMatrixRep(a.n, a.dim * nb, sl_gens, trans, grading)
 
 
 def direct_sum_model(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
@@ -323,38 +339,27 @@ def sl_only_sum_model(ms: WeightMultiset) -> AffMatrixRep:
 # --- validation --------------------------------------------------------------
 
 def _bracket_is(a: SMat, b: SMat, terms) -> bool:
-    """Is [a, b] = sum of c * m over the (m, c) in `terms`?  Compared one
-    column at a time, with no intermediate matrix: column j of xy is
-    sum_k y_kj (column k of x)."""
-    a_cols, b_cols = a.cols, b.cols
-    cols = a_cols.keys() | b_cols.keys()
-    for m, _ in terms:
-        cols.update(m.cols)
-    negated = [(m.cols, -c) for m, c in terms]
-    for j in cols:
-        diff: Vec = {}
-        b_j = b_cols.get(j)
-        if b_j:
-            for k, c in b_j.items():
-                a_k = a_cols.get(k)
-                if a_k:
-                    for r, v in a_k.items():
-                        diff[r] = diff.get(r, 0) + c * v
-        a_j = a_cols.get(j)
-        if a_j:
-            for k, c in a_j.items():
-                b_k = b_cols.get(k)
-                if b_k:
-                    for r, v in b_k.items():
-                        diff[r] = diff.get(r, 0) - c * v
-        for m_cols, c in negated:
-            m_j = m_cols.get(j)
-            if m_j:
-                for r, v in m_j.items():
-                    diff[r] = diff.get(r, 0) + c * v
-        if any(diff.values()):
-            return False
-    return True
+    """Is [a, b] = sum of c * m over the (m, c) in `terms`?  ab - ba - sum
+    c * m is added up in one dict keyed by r * N + j, with no intermediate
+    matrix: column j of xy is sum_k y_kj (column k of x)."""
+    dim = a.nrows
+    diff: Vec = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        x_cols = x.cols
+        for j, y_j in y.cols.items():
+            for k, c in y_j.items():
+                x_k = x_cols.get(k)
+                if x_k:
+                    c *= sign
+                    for r, v in x_k.items():
+                        key = r * dim + j
+                        diff[key] = diff.get(key, 0) + c * v
+    for m, c in terms:
+        for j, m_j in m.cols.items():
+            for r, v in m_j.items():
+                key = r * dim + j
+                diff[key] = diff.get(key, 0) - c * v
+    return not any(diff.values())
 
 
 @lru_cache(maxsize=16)
@@ -469,8 +474,7 @@ def validate_model(rep: AffMatrixRep) -> None:
             want = tuple((1 if i == a else 0) - (1 if i == b else 0) for i in range(n))
             for c, col in mat.cols.items():
                 for r in col:
-                    diff = tuple(x - y for x, y in zip(g[r], g[c]))
-                    if diff != want:
+                    if tuple(map(sub, g[r], g[c])) != want:
                         raise ModelInvariantError(f"grading shift of {key}")
 
 

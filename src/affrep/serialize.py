@@ -116,7 +116,9 @@ def _matrix_from_json(data, dim: int, field: str) -> SMat:
         raise ValueError(f"field {field!r} must be a list of {dim} lists of {dim} entries")
     cols: dict[int, dict] = {}
     for r, row in enumerate(data):
-        if row.count("0") == dim:
+        # the scan stops after the last cell other than "0", past every bad one
+        left = dim - row.count("0")
+        if not left:
             continue
         for c, x in enumerate(row):
             if x != "0":
@@ -126,6 +128,9 @@ def _matrix_from_json(data, dim: int, field: str) -> SMat:
                     raise ValueError(f"field {field!r}: {exc}") from None
                 if v:
                     cols.setdefault(c, {})[r] = v
+                left -= 1
+                if not left:
+                    break
     return SMat(dim, dim, cols)
 
 

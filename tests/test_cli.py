@@ -422,6 +422,32 @@ class TestModelAndFiltrate:
         assert out.splitlines()[0] == f"kind: {kind}"
         assert calls == {"socle_filtration": 1, "radical_filtration": radical_calls}
 
+    @pytest.mark.parametrize("n,l,lam,kind,digest", [
+        (3, 2, "3,0,0", "socle", "cae65cb8c347ff98c4af09c62d220b20ecc6e283d375cfdcf33895bd37163ec1"),
+        (3, 2, "3,0,0", "radical", "f5120651d17bfd28c477facd51373d468130b0d8e7177289df0cef00c8a5ae17"),
+        (3, 3, "2,1,0", "socle", "6b97094c674f44226ce9f8e1715947493dd5808833a49ef8ccf97fbf69a0a8e0"),
+        (3, 3, "2,1,0", "radical", "ca3baf6f6be7078cee1ce35df0034d84617c8009efb8fafdf57b0620152c5b7a"),
+        (4, 2, "1,1,0,0", "socle", "4b29d70a9c3964bf9662a8aaa185a5646eb724f9fba8a1f7c03b7a2bfa00820e"),
+        (4, 2, "1,1,0,0", "radical", "cf59d738aca8ffa2a2aafb5f4dae384b1c5ac08ca83ad2eae1c5d532733b4014"),
+        (4, 1, "2,1,0,0", "socle", "16a3411467870f23afb43ddbebf2a03cb85c9c78971b2906235569aad04c91cd"),
+        (4, 1, "2,1,0,0", "radical", "5aa97300dae29fb60318d4faa36c6bebfb8a09e0a1a7bd82f200ae9d425020f0"),
+        (4, 2, "2,0,0,0", "socle", "a479daa35d64be7a613e31c0346a679928e6a2c620a80c8080013b6c25d4eebd"),
+        (4, 2, "2,0,0,0", "radical", "4704e0acc85f9a3f7bfdfe8dc3747602f6650117935d93a16ebbbc89cc96ffb6"),
+    ])
+    def test_filtrate_output_pinned_on_workload_shapes(self, capsys, tmp_path, n, l, lam, kind,
+                                                       digest):
+        # the five model shapes of the `models` benchmark workload, each with
+        # the first label of its slot, written by `model` and read back
+        a, b, t = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.json"
+        for argv in (["sl-only", "--n", n, "--lambda", lam, "--out", a],
+                     ["sym-dual", "--n", n, "--l", l, "--out", b],
+                     ["tensor", "--a", a, "--b", b, "--out", t]):
+            rc, _, err = run(capsys, "model", *map(str, argv))
+            assert rc == 0, err
+        rc, out, _ = run(capsys, "filtrate", str(t), "--kind", kind, "--format", "json")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_filtrate_bundled_example(self, capsys, tmp_path):
         from affrep.gallery import cubic_top_submodel
 

@@ -4,6 +4,8 @@ from math import comb
 import pytest
 
 from affrep.filtration import (
+    RADICAL,
+    Filtration,
     check_blocks_containment,
     check_duality,
     check_embedding_theorem,
@@ -11,8 +13,10 @@ from affrep.filtration import (
     identify_layers,
     radical_filtration,
     socle_filtration,
+    verify_degree_bound,
 )
-from affrep.linalg import SMat
+from affrep.gallery import cubic_top_submodel, three_generator_submodel
+from affrep.linalg import Echelon, SMat
 from affrep.matmodel import (
     dual_model,
     model_sym_dual,
@@ -21,6 +25,8 @@ from affrep.matmodel import (
 )
 from affrep.oracle import decompose_character, irrep_character, ssyt_contents
 from affrep.schur import WeightMultiset, dual, grading_rep, normalize
+from kron_reference import identity
+from model_cases import WORKLOAD_MODELS, workload_model
 
 
 def W(n, *parts):
@@ -53,7 +59,7 @@ class TestSocle:
         for vi, ti in zip([3, -1, 7], m.trans_gens):
             t = t.add(ti.scale(vi))
         order = 0
-        power = SMat.identity(m.dim)
+        power = identity(m.dim)
         while not power.is_zero():
             power = power.matmul(t)
             order += 1
@@ -107,6 +113,55 @@ class TestRadical:
         ]
         for m in models:
             assert socle_filtration(m).length == radical_filtration(m).length
+
+
+def two_pass_radical_reference(rep):
+    """The radical chain assembled in a second pass: each level is
+    eliminated on its own, then every level again, deepest first, into one
+    echelon, each snapshot holding the rows that level added there."""
+    def insert_new(ech, vecs):
+        return [ech.rows[p] for p in map(ech.insert, filter(None, vecs)) if p is not None]
+
+    levels = [[{i: 1} for i in range(rep.dim)]]
+    while True:
+        rows = insert_new(Echelon(), (t.apply(b) for b in levels[-1] for t in rep.trans_gens))
+        if not rows:
+            break
+        levels.append(rows)
+    ech = Echelon()
+    snapshots = [insert_new(ech, level) for level in reversed(levels)]
+    return Filtration(rep, RADICAL, snapshots, identify_layers(rep, snapshots))
+
+
+def chain_members(filt):
+    """The reduced echelon rows of each chain member, unique to its span."""
+    ech, members = Echelon(), []
+    for step in filt.snapshots:
+        for vec in step:
+            ech.insert(vec)
+        members.append(dict(ech.rows))
+    return members
+
+
+RADICAL_CASES = (
+    [(f"workload{n, l, parts}", lambda n=n, l=l, parts=parts: workload_model(n, l, parts))
+     for n, l, parts in WORKLOAD_MODELS]
+    + [("cubic_top_submodel(3)", lambda: cubic_top_submodel(3)),
+       ("three_generator_submodel(4)", lambda: three_generator_submodel(4))]
+    + [(f"sym-dual({n},{l})", lambda n=n, l=l: model_sym_dual(n, l))
+       for n in (2, 3) for l in range(4)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in RADICAL_CASES],
+                         ids=[name for name, _ in RADICAL_CASES])
+def test_radical_chain_equals_two_pass_assembly(build):
+    for rep in (build(), dual_model(build())):
+        got, want = radical_filtration(rep), two_pass_radical_reference(rep)
+        assert got.chain_dims() == want.chain_dims()
+        assert got.layers == want.layers
+        assert chain_members(got) == chain_members(want)
+        assert verify_degree_bound(got)
 
 
 class TestIdentifyLayers:

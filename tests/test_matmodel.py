@@ -16,6 +16,7 @@ from affrep import matmodel
 from affrep import serialize as ser
 from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapError
 from affrep.filtration import verify_degree_bound
+from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
 from affrep.matmodel import (
     AffMatrixRep,
@@ -38,6 +39,8 @@ from affrep.oracle import ssyt_contents
 from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from basis_matrix import basis_matrices
 from dense import to_dense
+from kron_reference import identity, tensor_model_reference
+from model_cases import fractional_model, sweep_labels
 from symbolic_oracle import degree_bound_holds, symbolic_unipotent
 from tensor_power_reference import tensor_power_model
 
@@ -75,7 +78,7 @@ class TestModelSymDual:
             t = SMat(m.dim, m.dim)
             for k, tk in enumerate(m.trans_gens):
                 t = t.add(tk.scale(k + 2))
-            power = SMat.identity(m.dim)
+            power = identity(m.dim)
             for _ in range(l):
                 power = power.matmul(t)
             assert not power.is_zero()
@@ -124,6 +127,16 @@ class TestDualModel:
         validate_model(dual_model(model_sym_dual(3, 2)))
 
 
+TENSOR_FACTORS = (
+    [("cubic_top_submodel(3)", lambda: cubic_top_submodel(3)),
+     ("three_generator_submodel(4)", lambda: three_generator_submodel(4)),
+     ("fraction -5/7", fractional_model)]
+    + [(f"sym-dual({n},{l})", functools.partial(model_sym_dual, n, l))
+       for n in (1, 2, 3) for l in range(4)]
+    + [(f"sl-only{w.parts}", functools.partial(sl_only_model, w)) for w in sweep_labels()]
+)
+
+
 class TestTensorModel:
     def test_trivial_factor_is_identity(self):
         triv = sl_only_model(W(2, 0))
@@ -145,6 +158,35 @@ class TestTensorModel:
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
             tensor_model(model_sym_dual(3, 2), model_sym_dual(3, 2), max_dim=50)
+
+    @pytest.mark.parametrize("build", [f for _, f in TENSOR_FACTORS],
+                             ids=[name for name, _ in TENSOR_FACTORS])
+    def test_equals_two_kron_reference(self, build):
+        # each factor and its dual, on both sides of the two rank-n partners
+        # of dimension n + 1, and beside its own dual when that stays small
+        for m in (build(), dual_model(build())):
+            sym = model_sym_dual(m.n, 1)
+            partners = (sym, dual_model(sym))
+            pairs = [(m, p) for p in partners] + [(p, m) for p in partners]
+            if m.dim <= 12:
+                pairs.append((m, dual_model(m)))
+            for a, b in pairs:
+                got, want = tensor_model(a, b), tensor_model_reference(a, b)
+                assert (got.n, got.dim, got.weight_grading) == (want.n, want.dim, want.weight_grading)
+                assert got.sl_gens == want.sl_gens
+                assert got.trans_gens == want.trans_gens
+                for mat in got.all_gens():
+                    assert all(col and all(col.values()) for col in mat.cols.values())
+
+    def test_cancelled_diagonal_entries_are_not_stored(self):
+        # H_1 on m (x) dual(m) is x_ii - x_ii = 0 at row and column (i, i)
+        m = model_sym_dual(2, 2)
+        x = m.sl_gens["H_1"]
+        h = tensor_model(m, dual_model(m)).sl_gens["H_1"]
+        cancelled = [i * m.dim + i for i in range(m.dim) if x.entry(i, i)]
+        assert cancelled
+        assert not any(h.entry(c, c) for c in cancelled)
+        assert h == tensor_model_reference(m, dual_model(m)).sl_gens["H_1"]
 
 
 class TestSlOnly:

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import itertools
 import json
 from fractions import Fraction
 
@@ -13,8 +12,9 @@ from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
 from affrep.matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model
 from affrep.rationality import TwoStepExtension, decide_rationality
-from affrep.schur import Weight, WeightMultiset, normalize
+from affrep.schur import WeightMultiset, normalize
 from dense import to_dense
+from model_cases import fractional_model, sweep_labels
 
 
 def W(n, *parts):
@@ -123,6 +123,57 @@ def test_matrix_reader_matches_dense_reference(case):
     assert got == ser._matrix_from_json(ser._matrix_to_json(m), m.nrows, "m")
 
 
+def row_loop_reference(data, dim: int, field: str) -> SMat:
+    """The reader's earlier row loop, which scans every cell of a row that
+    holds any cell other than "0"; the reader stops after the last one."""
+    cols: dict[int, dict] = {}
+    for r, row in enumerate(data):
+        if row.count("0") == dim:
+            continue
+        for c, x in enumerate(row):
+            if x != "0":
+                try:
+                    v = ser.fraction_from_str(x)
+                except ValueError as exc:
+                    raise ValueError(f"field {field!r}: {exc}") from None
+                if v:
+                    cols.setdefault(c, {})[r] = v
+    return SMat(dim, dim, cols)
+
+
+def read_or_error(read, rows):
+    try:
+        return layout(read(rows, len(rows), "sl_gens.H_1"))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "0", "0"], ["0", "0", "5"], ["0", "0", "0"]],
+    [["0", "3", "0"], ["-1/2", "0", "7"], ["0", "0", "12/4"]],
+    [["0", "0", "0"], ["2", "0", "abc"], ["0", "x", "0"]],
+    [["0", "0", "1/0"], ["x", "0", "0"], ["0", "0", "0"]],
+    [["-0", "0", "0/3"], [0, "0", "0"], ["0", "4", 0]],
+    [["-0", "0", "0"], ["0", "0/3", "0"], ["0", "0", 0]],
+    [["0", "1", "0"], ["0", "0", True], ["0", "0", "0"]],
+    [["0", "0", "0"], ["0", "2", "0"], ["0", "0", 1.5]],
+    [["0", "0", "0"], [[], "0", "0"], ["0", "0", "0"]],
+    [["0", "-7", "0"], ["0", None, "0"], ["0", "0", "0"]],
+    [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+], ids=["last column", "two in a row", "bad after a nonzero", "first bad in row-major order",
+        "zero spellings", "only zero spellings", "true", "1.5", "[]", "null", "all zero"])
+def test_matrix_reader_matches_row_loop(rows):
+    """Same stored entries, in the same order, or the same error text."""
+    assert read_or_error(ser._matrix_from_json, rows) == read_or_error(row_loop_reference, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_matrices())
+def test_matrix_reader_matches_row_loop_on_spelled_matrices(case):
+    _, rows = case
+    assert read_or_error(ser._matrix_from_json, rows) == read_or_error(row_loop_reference, rows)
+
+
 @st.composite
 def matrices_with_full_rows(draw):
     """Square matrices whose rows often hold several entries, often in the
@@ -161,14 +212,6 @@ def test_gallery_model_bytes_pinned(build, digest):
     assert ser.dumps(ser.model_to_json(ser.model_from_json(json.loads(text)))) + "\n" == text
 
 
-def sweep_labels() -> list[Weight]:
-    """Every label at ranks 2-4 with parts <= 3 (34 labels, some built
-    through the dual), in ascending (n, parts) order."""
-    return [Weight(n, (*parts, 0)) for n in (2, 3, 4)
-            for parts in itertools.product(range(4), repeat=n - 1)
-            if list(parts) == sorted(parts, reverse=True)]
-
-
 def test_sl_only_model_bytes_pinned_over_label_sweep():
     labels = sweep_labels()
     assert len(labels) == 34
@@ -177,19 +220,12 @@ def test_sl_only_model_bytes_pinned_over_label_sweep():
         "094937bb903256d78251064f6f1d9cc4b3817cffadbc297aa680ff9aeee06278")
 
 
-def _fractional_model():
-    """A model (not a valid one) holding the entry -5/7."""
-    m = model_sym_dual(2, 1)
-    m.sl_gens["H_1"].add_entry(0, 1, Fraction(-5, 7))
-    return m
-
-
 @pytest.mark.parametrize("build", [
     *(functools.partial(model_sym_dual, n, 2) for n in (1, 2, 3, 4)),
     *(functools.partial(sl_only_model, w) for w in sweep_labels()),
     lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 1)),
     lambda: dual_model(tensor_model(sl_only_model(W(4, 1, 1)), model_sym_dual(4, 1))),
-    _fractional_model,
+    fractional_model,
 ])
 def test_model_dumps_is_dumps_of_model_to_json(build):
     rep = build()
@@ -210,7 +246,7 @@ def test_model_dumps_pinned_on_largest_workload_shapes(build, digest):
 
 
 def test_model_dumps_cases_cover_a_fraction_and_empty_sl_gens():
-    assert '"-5/7"' in ser.model_dumps(_fractional_model())
+    assert '"-5/7"' in ser.model_dumps(fractional_model())
     assert model_sym_dual(1, 2).sl_gens == {}
 
 
