@@ -225,7 +225,7 @@ def test_sl_only_model_bytes_pinned_over_label_sweep():
     *(functools.partial(sl_only_model, w) for w in sweep_labels()),
     lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 1)),
     lambda: dual_model(tensor_model(sl_only_model(W(4, 1, 1)), model_sym_dual(4, 1))),
-    fractional_model,
+    pytest.param(fractional_model, id="_fractional_model"),
 ])
 def test_model_dumps_is_dumps_of_model_to_json(build):
     rep = build()
