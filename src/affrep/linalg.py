@@ -1,14 +1,15 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts {index: value} with no stored zeros; a value is an `int`
-or a `Fraction`, and integral entries stay `int` until a true division
+or a `Fraction`.  Integral entries stay `int` until a true division
 (`Echelon.insert` normalizing a pivot other than 1 or -1) makes a
-`Fraction`.  Matrices keep a column-major sparse layout, which makes
-applying a matrix to a vector (the hot path everywhere in this package) a
-handful of dict lookups.  Row
-reduction uses the leftmost-pivot rule throughout so that every echelon
-basis, kernel and chain computed here is bit-reproducible.  Where only a
-rank is needed, `integer_rank` eliminates integer rows without fractions.
+`Fraction`; arithmetic with it can leave integral `Fraction`s in vectors,
+which `restrict` stores in matrices as `int`.  Matrices keep a column-major
+sparse layout, which makes applying a matrix to a vector (the hot path
+everywhere in this package) a handful of dict lookups.  Row reduction uses
+the leftmost-pivot rule throughout so that every echelon basis, kernel and
+chain computed here is bit-reproducible.  Where only a rank is needed,
+`integer_rank` eliminates integer rows without fractions.
 `closure` and `restrict` turn a set of linear maps and seed vectors into the
 generated invariant subspace and the matrices of the maps on it.
 """
@@ -70,9 +71,6 @@ class SMat:
 
     def entry(self, r, c):
         return self.cols.get(c, {}).get(r, 0)
-
-    def is_zero(self) -> bool:
-        return not self.cols
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector."""
@@ -221,7 +219,8 @@ def closure(seeds, ops) -> Echelon:
 
 def restrict(ech: Echelon, op) -> SMat:
     """The matrix of `op` (as in `closure`) on the span of `ech`, in its rows
-    taken in pivot order; raises ModelInvariantError if op leaves the span."""
+    taken in pivot order, with integral entries as `int`; raises
+    ModelInvariantError if op leaves the span."""
     pivots = sorted(ech.rows)
     col_of = {p: i for i, p in enumerate(pivots)}
     out = SMat(len(pivots), len(pivots))
@@ -230,7 +229,7 @@ def restrict(ech: Echelon, op) -> SMat:
         if coeff is None:
             raise ModelInvariantError("span not invariant")
         for q, c in coeff.items():
-            out.add_entry(col_of[q], j, c)
+            out.add_entry(col_of[q], j, c.numerator if c.denominator == 1 else c)
     return out
 
 

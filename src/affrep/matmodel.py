@@ -364,35 +364,42 @@ def _bracket_is(a: SMat, b: SMat, terms) -> bool:
 
 @lru_cache(maxsize=16)
 def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
-    """The bracket pairs (a, b, [a, b]) that `validate_model` checks, with
-    [a, b] as (key, coefficient) terms in the keys of `affine_basis`,
-    computed from its matrices.  They are a generating set of the relations
-    of saff_n.  First the sl_n pairs, in the order of
-    itertools.combinations(keys, 2):
+    """The bracket pairs (a, b, [a, b]) that `validate_model` checks once the
+    grading holds, with [a, b] as (key, coefficient) terms in the keys of
+    `affine_basis`, computed from its matrices.  With the grading they
+    generate every relation of saff_n.  First the sl_n pairs, in the order
+    of itertools.combinations(keys, 2):
 
-      * every pair of Chevalley generators e_i, f_i, h_i;
+      * every pair of the Chevalley generators e_i, f_i;
       * for each non-simple E_i_j (|i - j| >= 2), the pair (E_i_k, E_k_j)
         with k adjacent to j between i and j, which defines it by roots of
         lower height;
       * the Serre pairs (e_i, [e_i, e_j]) and (f_i, [f_i, f_j]) for
         adjacent i, j.
 
-    If they hold, the generators satisfy the Chevalley-Serre relations, so
-    they extend to a Lie homomorphism from sl_n (Serre's theorem; Humphreys,
-    GTM 9, 18.3), and by induction on height every stored E_i_j is its image.
-    Every other pair then holds too.
+    No pair holds an h_i, by (a), Cartan brackets: if H_k is diagonal with
+    eigenvalue lambda(g) on grading g, and every stored entry (r, c) of an
+    off-diagonal X has g_r - g_c = alpha_X, then [H_k, X] = lambda(alpha_X) X
+    and [H_k, H_l] = 0.  So the generators satisfy the Chevalley-Serre
+    relations and extend to a Lie homomorphism from sl_n (Serre's theorem;
+    Humphreys, GTM 9, 18.3), and by induction on height every stored E_i_j
+    is its image.  Every other sl_n pair then holds too.
 
-    Then (T_i, T_j) for i < j, and (X, T_j), [X, T_j] = sum_i X_ij T_i, for
-    X among the e_i and f_i in key order, j inner.  By the Jacobi identity
-    the X that satisfy the latter form a subalgebra, and e_i, f_i generate
-    sl_n, so every X satisfies it.
+    Then (e_a, T_1) for each a, (f_j, T_j) for each j, and (T_1, T_2), by
+    (c), translations: End(V) is now an sl_n-module under ad, so
+    [e_a, T_1] = 0 and the weight e_1 that (a) gives T_1 make it a highest
+    weight vector, which generates a copy of C^n or 0 (a finite-dimensional
+    cyclic highest weight module is irreducible).  [f_j, T_j] = T_(j+1)
+    pins every other T_j in that copy, so [X, T_j] = sum_i X_ij T_i for
+    every X.  Then e_i ^ e_j -> [T_i, T_j] is equivariant on the
+    irreducible Lambda^2 C^n, so [T_1, T_2] = 0 makes all translations
+    commute.
     """
     table = affine_basis(n)
     key_at = _key_at(n)
     e = [key_at[i, i + 1] for i in range(n - 1)]
     f = [key_at[i + 1, i] for i in range(n - 1)]
-    h = [key_at[i, i] for i in range(n - 1)]
-    wanted = {frozenset(p) for p in itertools.combinations(e + f + h, 2)}
+    wanted = {frozenset(p) for p in itertools.combinations(e + f, 2)}
     for i in range(n):
         for j in range(n):
             if abs(i - j) >= 2:
@@ -407,8 +414,8 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
     keys = [key for key, _ in table[:n * n - 1]]
     trans = [key for key, _ in table[n * n - 1:]]
     pairs = [p for p in itertools.combinations(keys, 2) if frozenset(p) in wanted]
-    pairs += list(itertools.combinations(trans, 2))
-    pairs += [(x, t) for x in keys if x in e or x in f for t in trans]
+    pairs += [(x, trans[0]) for x in e] + list(zip(f, trans))
+    pairs += [tuple(trans[:2])] if n > 1 else []
 
     mats = {}
     for key, entries in table:
@@ -426,10 +433,13 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
 
 def validate_model(rep: AffMatrixRep) -> None:
     """Re-verify the defining relations; raises ModelInvariantError naming
-    the first failure.  Brackets are checked on the generating set
-    `relation_pairs`, which accepts exactly the models that satisfy every
-    relation, then the translations' nilpotency, then the grading of every
-    generator of `affine_basis`."""
+    the first failure.  After the keys, the translation count and the
+    grading length, the grading of every generator of `affine_basis`, then
+    the rows of `relation_pairs`.  The grading alone proves the brackets
+    with an H_k (fact (a) of `relation_pairs`) and (b), nilpotency: T_j
+    raises grading coordinate j by exactly 1 at every stored entry, so
+    T_j^dim = 0.  So this accepts exactly the models that satisfy every
+    relation, and it takes no matrix power."""
     n = rep.n
     table = affine_basis(n)
     if sorted(rep.sl_gens) != sorted(key for key, _ in table[:n * n - 1]):
@@ -439,21 +449,7 @@ def validate_model(rep: AffMatrixRep) -> None:
     if len(rep.weight_grading) != rep.dim:
         raise ModelInvariantError("grading length")
 
-    trans = dict(zip([key for key, _ in table[n * n - 1:]], rep.trans_gens))
-    gens = rep.sl_gens | trans
-    for a, b, terms in relation_pairs(n):
-        if not _bracket_is(gens[a], gens[b], [(gens[k], c) for k, c in terms]):
-            raise ModelInvariantError(f"[{a},{b}]")
-
-    for key, t in trans.items():
-        power = t
-        for _ in range(rep.dim):
-            if power.is_zero():
-                break
-            power = power.matmul(t)
-        if not power.is_zero():
-            raise ModelInvariantError(f"{key} nilpotency")
-
+    gens = rep.sl_gens | dict(zip([key for key, _ in table[n * n - 1:]], rep.trans_gens))
     # grading: an off-diagonal entry at (a, b) shifts weights by e_a - e_b,
     # where the constant coordinate n has weight 0, so T_j shifts by e_j; a
     # diagonal generator X acts on a vector of weight g by sum_i X_ii g_i,
@@ -476,6 +472,10 @@ def validate_model(rep: AffMatrixRep) -> None:
                 for r in col:
                     if tuple(map(sub, g[r], g[c])) != want:
                         raise ModelInvariantError(f"grading shift of {key}")
+
+    for a, b, terms in relation_pairs(n):
+        if not _bracket_is(gens[a], gens[b], [(gens[k], c) for k, c in terms]):
+            raise ModelInvariantError(f"[{a},{b}]")
 
 
 # --- highest weight vectors and generated submodels --------------------------

@@ -599,6 +599,20 @@ def test_malformed_file_exits_1_naming_the_field(tmp_path, command, payload, fie
     assert f"'{field}'" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["filtrate"], ["model", "dual", "--in"]],
+                         ids=["filtrate", "model-dual"])
+def test_non_nilpotent_translation_exits_1_naming_its_grading(tmp_path, command):
+    # a diagonal entry of T_1 shifts no weight; the grading check, which is
+    # what proves the translations nilpotent, names it
+    data = ser.model_to_json(model_sym_dual(2, 1))
+    data["trans_gens"][0][1][1] = "1"
+    f = tmp_path / "m.json"
+    f.write_text(ser.dumps(data))
+    proc = run_affrep(*command, str(f), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: model invariant violated: grading shift of T_1\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "check2step", "filtrate"])
 def test_deeply_nested_json_exits_1_naming_the_file(tmp_path, command):
     f = tmp_path / "deep.json"

@@ -60,7 +60,7 @@ class TestSocle:
             t = t.add(ti.scale(vi))
         order = 0
         power = identity(m.dim)
-        while not power.is_zero():
+        while power.cols:
             power = power.matmul(t)
             order += 1
         f = socle_filtration(m)

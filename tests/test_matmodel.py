@@ -81,8 +81,8 @@ class TestModelSymDual:
             power = identity(m.dim)
             for _ in range(l):
                 power = power.matmul(t)
-            assert not power.is_zero()
-            assert power.matmul(t).is_zero()
+            assert power.cols
+            assert not power.matmul(t).cols
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -193,13 +193,13 @@ class TestSlOnly:
     def test_trivial(self):
         m = sl_only_model(W(3, 0))
         assert m.dim == 1
-        assert all(mat.is_zero() for mat in m.sl_gens.values())
-        assert all(t.is_zero() for t in m.trans_gens)
+        assert all(not mat.cols for mat in m.sl_gens.values())
+        assert all(not t.cols for t in m.trans_gens)
 
     def test_standard_with_zero_translations(self):
         m = sl_only_model(W(3, 1))
         assert m.dim == 3
-        assert all(t.is_zero() for t in m.trans_gens)
+        assert all(not t.cols for t in m.trans_gens)
         validate_model(m)
 
     def test_sum_model_aligns_gradings(self):
@@ -241,7 +241,7 @@ class TestIrreducibleModel:
     def test_trivial_weight(self):
         m = matmodel._build_tensor_model(3, (0, 0, 0))
         assert m.dim == 1
-        assert all(mat.is_zero() for mat in m.all_gens())
+        assert all(not mat.cols for mat in m.all_gens())
 
     def test_sym2_character(self):
         # the multiset of grading vectors must match the tableau contents
@@ -337,10 +337,21 @@ class TestValidator:
             validate_model(m)
 
     def test_names_first_broken_bracket(self):
+        # doubling E_2_3 keeps the grading, and [e_1, e_2] = E_1_3 is the
+        # first relation of either check order that it breaks
+        m = model_sym_dual(3, 2)
+        m.sl_gens["E_2_3"] = m.sl_gens["E_2_3"].scale(2)
+        for validate in (validate_model, validator_oracle.validate_model):
+            with pytest.raises(ModelInvariantError) as exc:
+                validate(m)
+            assert exc.value.relation == "[E_1_2,E_2_3]"
+        # doubling H_2 breaks its eigenvalues, which the grading check reads
+        # before any bracket
         m = model_sym_dual(3, 2)
         m.sl_gens["H_2"] = m.sl_gens["H_2"].scale(2)
-        with pytest.raises(ModelInvariantError, match=r"\[E_1_2,H_2\]"):
+        with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
+        assert exc.value.relation == "H_2 eigenvalue"
 
     def test_detects_broken_grading(self):
         m = model_sym_dual(2, 1)
@@ -349,19 +360,55 @@ class TestValidator:
             validate_model(m)
 
     def test_names_noncommuting_translations(self):
+        # negating the second factor's part of each T_j on the first
+        # factor's degree-1 vectors keeps the grading and every [X, T_j]
+        # (the sign commutes with sl_n), but the factors' parts of T_1 and
+        # T_2 now anticommute
+        a = model_sym_dual(2, 1)
+        m = tensor_model(a, a)
+        for t in m.trans_gens:
+            for c, col in t.cols.items():
+                for r in col:
+                    if r // a.dim == c // a.dim != 0:
+                        col[r] = -col[r]
+        for validate in (validate_model, validator_oracle.validate_model):
+            with pytest.raises(ModelInvariantError) as exc:
+                validate(m)
+            assert exc.value.relation == "[T_1,T_2]"
+        # adding H_1 gives T_1 diagonal entries, which shift no weight
         m = model_sym_dual(2, 2)
         m.trans_gens[0] = m.trans_gens[0].add(m.sl_gens["H_1"])
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
-        assert exc.value.relation == "[T_1,T_2]"
+        assert exc.value.relation == "grading shift of T_1"
 
     def test_names_broken_translation_action(self):
-        # [E_1_2, T_2] = T_1, and doubling T_2 keeps [T_1, T_2] = 0
+        # doubling T_2 keeps the grading and [T_1, T_2] = 0, but breaks
+        # [f_1, T_1] = T_2, the first of the checked rows, and
+        # [E_1_2, T_2] = T_1, the first of all [X, T_j]
         m = model_sym_dual(2, 1)
         m.trans_gens[1] = m.trans_gens[1].scale(2)
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
+        assert exc.value.relation == "[E_2_1,T_1]"
+        with pytest.raises(ModelInvariantError) as exc:
+            validator_oracle.validate_model(m)
         assert exc.value.relation == "[E_1_2,T_2]"
+
+    def test_names_a_first_translation_that_is_no_highest_weight_vector(self):
+        # a trivial summand u beside Sym^3 C^2 graded (2,-1) .. (-1,2): T_1
+        # sends u to the vector graded (1, 0), which E_1_2 does not kill,
+        # and T_2 = [f_1, T_1], so [f_1, T_1] = T_2 and [T_1, T_2] = 0 hold
+        # and only [e_1, T_1] = 0 fails
+        m = matmodel.direct_sum_model(sl_only_model(W(2)),
+                                      matmodel.shift_grading(sl_only_model(W(2, 3)), -1))
+        t1 = SMat(m.dim, m.dim)
+        t1.add_entry(m.weight_grading.index((1, 0)), 0, 1)
+        m = m._replace(trans_gens=[t1, m.sl_gens["E_2_1"].commutator(t1)])
+        for validate in (validate_model, validator_oracle.validate_model):
+            with pytest.raises(ModelInvariantError) as exc:
+                validate(m)
+            assert exc.value.relation == "[E_1_2,T_1]"
 
     def test_checks_the_eigenvalue_where_a_cartan_generator_is_zero(self):
         # every generator zero on two coordinates graded (1, 0) and (0, 1):
@@ -426,18 +473,15 @@ class TestAffineBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_translation_rows_follow_the_standard_rep(self, n):
-        # [X, T_j] = sum_i X_ij T_i for X among e_i, f_i, and [T_i, T_j] = 0
+        # [X, T_j] = sum_i X_ij T_i for (e_a, T_1) and (f_j, T_j), then
+        # [T_1, T_2] = 0
         rows = [p for p in relation_pairs(n) if p[1].startswith("T_")]
-        trans = [f"T_{j}" for j in range(1, n + 1)]
-        simple = [k for k in sl_basis_keys(n) if k.startswith("E_")
-                  and abs(int(k.split("_")[1]) - int(k.split("_")[2])) == 1]
-        want = [(a, b, ()) for a, b in itertools.combinations(trans, 2)]
+        e = [(f"E_{i}_{i + 1}", 1) for i in range(1, n)]
+        f = [(f"E_{j + 1}_{j}", j) for j in range(1, n)]
         mats = basis_matrices(n, n)
-        for x in simple:
-            cols = mats[x].cols
-            want += [(x, f"T_{j + 1}", tuple((f"T_{i + 1}", c) for i, c in cols.get(j, {}).items()))
-                     for j in range(n)]
-        assert rows == want
+        want = [(x, f"T_{j}", tuple((f"T_{i + 1}", c) for i, c in mats[x].cols.get(j - 1, {}).items()))
+                for x, j in e + f]
+        assert rows == want + [("T_1", "T_2", ())]
 
 
 def _read_back(rep):
@@ -475,11 +519,13 @@ def _set_gen(rep, key, m):
 @st.composite
 def perturbed_models(draw):
     """A base model with one perturbation: add to one entry, scale a
-    generator by 0, 2 or -1, swap two generators, or add a multiple of
-    another generator to a translation."""
+    generator by 0, 2 or -1, swap two generators, add a multiple of
+    another generator to a translation, or rescale one or two stored
+    entries by 2, -1, 1/2 or 3.  The last keeps the grading, so it reaches
+    the brackets and translation rows the other kinds mostly stop before."""
     rep = copy.deepcopy(draw(st.sampled_from(_base_models())))
     gens = _gens(rep)
-    kind = draw(st.sampled_from(["entry", "scale", "swap", "translation"]))
+    kind = draw(st.sampled_from(["entry", "scale", "swap", "translation", "rescale"]))
     if kind == "entry":
         key, m = draw(st.sampled_from(gens))
         r, c = draw(st.integers(0, rep.dim - 1)), draw(st.integers(0, rep.dim - 1))
@@ -496,6 +542,13 @@ def perturbed_models(draw):
         _, other = draw(st.sampled_from(gens))
         c = draw(st.sampled_from([1, -1, 2]))
         rep.trans_gens[j] = rep.trans_gens[j].add(other.scale(c))
+    elif kind == "rescale":
+        stored = [(m.cols[c], r) for _, m in gens for c in m.cols for r in m.cols[c]]
+        if stored:
+            picks = st.lists(st.integers(0, len(stored) - 1), min_size=1, max_size=2, unique=True)
+            for i in draw(picks):
+                col, r = stored[i]
+                col[r] *= draw(st.sampled_from([2, -1, Fraction(1, 2), 3]))
     return rep
 
 
@@ -552,10 +605,10 @@ class TestValidatorAgainstOracle:
             validate_model(rep)
             validator_oracle.validate_model(rep)
 
-    @pytest.mark.parametrize("n,brackets,actions", [(3, 19, 12), (4, 46, 24)])
+    @pytest.mark.parametrize("n,brackets,actions", [(3, 10, 4), (4, 25, 6)])
     def test_relation_set_size(self, monkeypatch, n, brackets, actions):
-        # pins the generating set: at n = 4 the full set is 105 brackets and
-        # 60 [X, T] checks, at n = 3 it is 28 and 24
+        # pins the rows the grading leaves open: at n = 4 the full set is 105
+        # brackets, 60 [X, T] checks and 6 [T_i, T_j], at n = 3 28, 24 and 3
         rep = model_sym_dual(n, 2)
         sl = {id(m) for m in rep.sl_gens.values()}
         calls = Counter()
@@ -570,9 +623,47 @@ class TestValidatorAgainstOracle:
         validate_model(rep)
         assert calls["bracket"] == brackets
         assert calls["action"] == actions
-        # the translation relations are rows of the same table: the C(n, 2)
-        # pairs [T_i, T_j] are not calls on an sl generator
-        assert len(relation_pairs(n)) == brackets + comb(n, 2) + actions
+        # the translation relations are rows of the same table: the one pair
+        # [T_1, T_2] is not a call on an sl generator
+        assert len(relation_pairs(n)) == brackets + 1 + actions
+
+
+def _check_grading_facts(rep):
+    """What the grading check proves: (b) T_j^dim = 0, and (a)
+    [H_k, X] = lambda_k(alpha_X) X for every off-diagonal generator X, the
+    T_j included, where alpha_X is X's shift e_a - e_b (e_n = 0) and
+    lambda_k(alpha) = alpha_k - alpha_(k+1)."""
+    n = rep.n
+    for t in rep.trans_gens:
+        power = t
+        for _ in range(rep.dim - 1):
+            power = power.matmul(t)
+        assert not power.cols
+    gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
+    for key, x in gens.items():
+        entries = _entries_named_by(n, key)
+        if len(entries) != 1:
+            continue
+        [(a, b, _)] = entries
+        alpha = [(i == a) - (i == b) for i in range(n)]
+        for k in range(n - 1):
+            h = rep.sl_gens[f"H_{k + 1}"]
+            assert h.commutator(x) == x.scale(alpha[k] - alpha[k + 1]), (key, k)
+
+
+class TestGradingFacts:
+    def test_base_models(self):
+        for rep in _base_models():
+            _check_grading_facts(rep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_models())
+    def test_perturbations_that_keep_the_grading(self, rep):
+        try:
+            validator_oracle.check_grading(rep)
+        except ModelInvariantError:
+            return
+        _check_grading_facts(rep)
 
 
 @st.composite
@@ -624,6 +715,16 @@ def test_integral_entries_stay_int():
     assert _entry_types(sym) == _entry_types(a) == _entry_types(b) == {int}
     assert _entry_types(dual_model(b)) == {int}
     assert _entry_types(tensor_model(a, b)) == {int}
+
+
+def test_generated_models_store_no_integral_fraction():
+    # `restrict` stores an integral coordinate as int, however the echelon
+    # rows it was read from came to hold it
+    models = [model_for_weight(w.n, w.parts) for w in sweep_labels()]
+    models += [cubic_top_submodel(3), three_generator_submodel(4)]
+    for rep in models:
+        assert not any(isinstance(v, Fraction) and v.denominator == 1
+                       for m in rep.all_gens() for col in m.cols.values() for v in col.values())
 
 
 class TestDegreeBound:
