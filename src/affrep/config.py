@@ -18,9 +18,10 @@ COORD_BOUND = 100
 MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000
-# largest rank a weight argument (`--n` of dim, dual, tensor, pieri and
-# model sl-only) may name; the Weyl dimension is one product of O(n^2) integers
-# and the LR sweep one row per rank, while every command path stops far below
+# largest rank a weight argument (`--n` of dim, dual, tensor, pieri and model
+# sl-only) or a check2step extension file may name; the Weyl dimension is one
+# product of O(n^2) integers and the LR sweep recurses one frame per row
+# (rank 1,500 overflows the stack), while every command path stops far below
 MAX_WEIGHT_RANK = 32
 # largest size of the smaller weight `tensor` decomposes; the LR fillings
 # recurse once per box of it and their count grows with it and the rank (4

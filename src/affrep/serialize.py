@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import TRIGGER_SMALL_S, Catalog, decision_signatures
+from .config import MAX_WEIGHT_RANK
 from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, validate_model
@@ -239,6 +240,8 @@ def extension_from_json(data) -> TwoStepExtension:
         if key not in data:
             raise ValueError(f"extension file missing field {key!r}")
     n = _require_at_least(data["n"], "n", 2)
+    if n > MAX_WEIGHT_RANK:
+        raise ValueError(f"field 'n' {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
 
     def part(key):
         d = data[key]

@@ -448,6 +448,24 @@ def test_capped_catalog_bytes_pinned(tmp_path, args):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CAPPED_SHA256[args]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalog_depends_on_the_seed_only_through_its_seed_field(tmp_path, n):
+    # the seed picks the random stabilizer points; where they are generic
+    # no verdict depends on them, and the seed shows only where each
+    # verdict writes it
+    from affrep.cli import main
+
+    stripped = []
+    for seed in (DEFAULT_SEED, 1, 2):
+        out = tmp_path / f"catalog-{seed}.jsonl"
+        assert main(["enumerate", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        field = f'"seed":{seed},'
+        assert text.count(field) == text.count("\n") > 0
+        stripped.append(text.replace(field, ""))
+    assert stripped[0] == stripped[1] == stripped[2]
+
+
 def test_catalog_bytes_equal_across_processes_and_hash_seeds(tmp_path):
     outputs = []
     for hashseed in ("0", "12345"):

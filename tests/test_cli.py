@@ -514,6 +514,23 @@ class TestCheck2Step:
             "error: resource cap exceeded: max_split_candidates needs more than 32768, "
             "cap is 32768"]
 
+    @pytest.mark.parametrize("n", [33, 1500])
+    def test_rank_above_the_cap_exits_1_naming_it(self, tmp_path, n):
+        # the structural check's LR sweep recurses one frame per row, and at
+        # rank 1,500 it overflowed the stack
+        f = self.write_ext(tmp_path, n, [((1,) + (0,) * (n - 1), 1)], [((0,) * n, 1)],
+                           free=True)
+        proc = run_affrep("check2step", str(f), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            f"error: field 'n' {n} exceeds the largest supported rank 32"]
+
+    def test_rank_at_the_cap_is_answered(self, tmp_path):
+        f = self.write_ext(tmp_path, 32, [((1,) + (0,) * 31, 1)], [((0,) * 32, 1)], free=True)
+        proc = run_affrep("check2step", str(f), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines()[0] == "outcome: Exceptional"
+
     def test_split_order_ignores_the_hash_seed(self, tmp_path):
         # 10 trivials tie with [3] and [2] with [2,2] in dimension, so the
         # tried W2 follow the ties' order on the entries

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from affrep import serialize as ser
 from affrep.config import MAX_TENSOR_CELLS, ModelInvariantError, ResourceCapError
 from affrep.filtration import verify_degree_bound
 from affrep.gallery import cubic_top_submodel, three_generator_submodel
-from affrep.linalg import SMat
+from affrep.linalg import Echelon, SMat, common_kernel
 from affrep.matmodel import (
     AffMatrixRep,
     affine_basis,
@@ -364,13 +365,7 @@ class TestValidator:
         # factor's degree-1 vectors keeps the grading and every [X, T_j]
         # (the sign commutes with sl_n), but the factors' parts of T_1 and
         # T_2 now anticommute
-        a = model_sym_dual(2, 1)
-        m = tensor_model(a, a)
-        for t in m.trans_gens:
-            for c, col in t.cols.items():
-                for r in col:
-                    if r // a.dim == c // a.dim != 0:
-                        col[r] = -col[r]
+        m = _anticommuting_translations_model(2)
         for validate in (validate_model, validator_oracle.validate_model):
             with pytest.raises(ModelInvariantError) as exc:
                 validate(m)
@@ -400,11 +395,7 @@ class TestValidator:
         # sends u to the vector graded (1, 0), which E_1_2 does not kill,
         # and T_2 = [f_1, T_1], so [f_1, T_1] = T_2 and [T_1, T_2] = 0 hold
         # and only [e_1, T_1] = 0 fails
-        m = matmodel.direct_sum_model(sl_only_model(W(2)),
-                                      matmodel.shift_grading(sl_only_model(W(2, 3)), -1))
-        t1 = SMat(m.dim, m.dim)
-        t1.add_entry(m.weight_grading.index((1, 0)), 0, 1)
-        m = m._replace(trans_gens=[t1, m.sl_gens["E_2_1"].commutator(t1)])
+        m = _highest_weight_translation_model(2, 1)
         for validate in (validate_model, validator_oracle.validate_model):
             with pytest.raises(ModelInvariantError) as exc:
                 validate(m)
@@ -429,6 +420,118 @@ class TestValidator:
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
         assert exc.value.relation == "grading shift of T_1"
+
+
+def _anticommuting_translations_model(n):
+    """sym-dual(n,1) (x) sym-dual(n,1) with the second factor's part of each
+    T_j negated on the first factor's degree-1 vectors: the sign commutes
+    with sl_n, so the grading and every [X, T_j] hold, but the factors'
+    parts of T_i and T_j anticommute, so [T_i, T_j] != 0."""
+    a = model_sym_dual(n, 1)
+    m = tensor_model(a, a)
+    for t in m.trans_gens:
+        for c, col in t.cols.items():
+            for r in col:
+                if r // a.dim == c // a.dim != 0:
+                    col[r] = -col[r]
+    return m
+
+
+def _highest_weight_translation_model(n, a):
+    """A trivial summand u beside the irreducible (3, 1^(n-2), 0) graded down
+    by 1, whose vectors graded (1, 0, .., 0) have sl_n-weight omega_1.  T_1
+    sends u to the one such vector v that every e_b with b != a kills (e_a
+    does not), and T_(j+1) = [f_j, T_j]: every translation maps u into the
+    irreducible and kills it, so the translations commute, and of the
+    translation rows only [e_a, T_1] = 0 fails."""
+    top = matmodel.shift_grading(sl_only_model(W(n, 3, *[1] * (n - 2))), -1)
+    m = matmodel.direct_sum_model(sl_only_model(W(n)), top)
+    coords = [i for i, g in enumerate(m.weight_grading) if g == (1,) + (0,) * (n - 1)]
+    others = [m.sl_gens[f"E_{b}_{b + 1}"] for b in range(1, n) if b != a]
+    [v] = common_kernel(others, coords, Echelon())
+    m = m._replace(trans_gens=[SMat(m.dim, m.dim, {0: v})]
+                   + [SMat(m.dim, m.dim) for _ in range(n - 1)])
+    _rederive_translations(m, 0)
+    return m
+
+
+def _scaled(rep, keys, c):
+    """A copy of `rep` with the generators of these keys (T_j included)
+    times c."""
+    rep = copy.deepcopy(rep)
+    for key in keys:
+        if key.startswith("T_"):
+            j = int(key[2:]) - 1
+            rep.trans_gens[j] = rep.trans_gens[j].scale(c)
+        else:
+            rep.sl_gens[key] = rep.sl_gens[key].scale(c)
+    return rep
+
+
+def _row_witness(n, a, b, terms):
+    """A model that passes the grading and every row of relation_pairs(n)
+    except (a, b), or None for an (e_i, f_j) row with i != j."""
+    if a == "T_1":
+        return _anticommuting_translations_model(n)
+    x, y = map(int, a.split("_")[1:])
+    if b.startswith("T_"):
+        if y == x + 1:
+            # (e_x, T_1)
+            return _highest_weight_translation_model(n, x)
+        # (f_y, T_y): T_(y+1) .. T_n doubled keeps every later (f_j, T_j)
+        return _scaled(model_sym_dual(n, 1), [f"T_{j}" for j in range(y + 1, n + 1)], 2)
+    if terms and terms[0][0].startswith("H_"):
+        # (e_x, f_x): e_x doubled with every E_p_q (p < q) whose root
+        # alpha_p + .. + alpha_(q-1) holds alpha_x; every other row is
+        # homogeneous in that scaling, and [e_x, f_x] = 2 h_x
+        return _scaled(model_sym_dual(n, 1), [f"E_{p}_{q}" for p in range(1, x + 1)
+                                              for q in range(x + 1, n + 1)], 2)
+    if not terms:
+        return None
+    # the defining pair of a non-simple E_p_q: E_p_q doubled with each E_p_r
+    # that the rows define from it, r beyond q
+    [(key, _)] = terms
+    p, q = map(int, key.split("_")[1:])
+    beyond = range(q, n + 1) if p < q else range(1, q + 1)
+    return _scaled(model_sym_dual(n, 1), [f"E_{p}_{r}" for r in beyond], 2)
+
+
+def _row_holds(rep, a, b, terms):
+    gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
+    diff = gens[a].commutator(gens[b])
+    for k, c in terms:
+        diff = diff.sub(gens[k].scale(c))
+    return not any(v for col in diff.cols.values() for v in col.values())
+
+
+# the (e_i, f_j) rows with i != j: kept without a witness and without a
+# proof that they follow from the other rows (1,400 random draws at n = 3,
+# entry rescales and additions that keep the grading, found none, nor did
+# 3,000 draws of `perturbed_models` fail one of them alone)
+UNWITNESSED_ROWS = {
+    2: [],
+    3: [("E_1_2", "E_3_2"), ("E_2_1", "E_2_3")],
+    4: [("E_1_2", "E_3_2"), ("E_1_2", "E_4_3"), ("E_2_1", "E_2_3"), ("E_2_1", "E_3_4"),
+        ("E_2_3", "E_4_3"), ("E_3_2", "E_3_4")],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_row_has_a_witness_but_the_known_gap(n):
+    # a witness passes the grading and every other row, fails its row, and
+    # the full check refuses it: no row can be dropped
+    rows = relation_pairs(n)
+    unwitnessed = []
+    for a, b, terms in rows:
+        rep = _row_witness(n, a, b, terms)
+        if rep is None:
+            unwitnessed.append((a, b))
+            continue
+        validator_oracle.check_grading(rep)
+        assert [r[:2] for r in rows if not _row_holds(rep, *r)] == [(a, b)]
+        assert _failure(validate_model, rep) == f"[{a},{b}]"
+        assert _failure(validator_oracle.validate_model, rep) is not None
+    assert unwitnessed == UNWITNESSED_ROWS[n]
 
 
 def _entries_named_by(n, key):
@@ -472,6 +575,20 @@ class TestAffineBasis:
             assert mats[a].commutator(mats[b]) == expect, (a, b, terms)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sl_rows_are_the_chevalley_pairs_and_one_defining_pair_each(self, n):
+        # every (e_i, f_j), and for each non-simple E_i_j the pair
+        # (E_i_k, E_k_j) with k next to j; no Serre pair
+        e = [f"E_{i}_{i + 1}" for i in range(1, n)]
+        f = [f"E_{i + 1}_{i}" for i in range(1, n)]
+        defining = [(f"E_{i}_{j - 1 if i < j else j + 1}", f"E_{j - 1 if i < j else j + 1}_{j}")
+                    for i in range(1, n + 1) for j in range(1, n + 1) if abs(i - j) >= 2]
+        want = {frozenset(p) for p in itertools.product(e, f)} | {frozenset(p) for p in defining}
+        rows = [p[:2] for p in relation_pairs(n) if not p[1].startswith("T_")]
+        assert {frozenset(p) for p in rows} == want
+        assert len(rows) == (n - 1) ** 2 + (n - 1) * (n - 2)
+        assert len(relation_pairs(n)) == 2 * n * n - 3 * n + 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_translation_rows_follow_the_standard_rep(self, n):
         # [X, T_j] = sum_i X_ij T_i for (e_a, T_1) and (f_j, T_j), then
         # [T_1, T_2] = 0
@@ -494,13 +611,16 @@ def _entry_types(rep):
 
 @functools.lru_cache(maxsize=None)
 def _base_models():
-    """Small models of each kind the CLI writes, and read-back ones, at n = 1..4."""
+    """Small models of each kind the CLI writes, and read-back ones, at n = 1..4.
+    sym-dual(n,1) (x) sym-dual(n,1) has two translation paths to the
+    constants, so a twist of it can fail [T_1, T_2] alone."""
     out = []
     for n, l, label in [(1, 2, (1,)), (2, 2, (2,)), (3, 1, (2, 1)), (4, 1, (1, 1))]:
-        sym = model_sym_dual(n, l)
+        sym, sym1 = model_sym_dual(n, l), model_sym_dual(n, 1)
         sl = sl_only_model(W(n, *label))
-        tensor = tensor_model(sl, model_sym_dual(n, 1))
-        out += [sym, sl, dual_model(sym), tensor, _read_back(tensor), _read_back(dual_model(sym))]
+        tensor = tensor_model(sl, sym1)
+        out += [sym, sl, dual_model(sym), tensor, _read_back(tensor), _read_back(dual_model(sym)),
+                tensor_model(sym1, sym1)]
     return out
 
 
@@ -516,16 +636,30 @@ def _set_gen(rep, key, m):
         rep.trans_gens[key] = m
 
 
+def _rederive_translations(rep, j):
+    """Set each translation after the one at index j to [f_k, T_k] of the one
+    before it, so the (f_k, T_k) rows from there on hold; the grading is
+    kept."""
+    for k in range(j, rep.n - 1):
+        rep.trans_gens[k + 1] = rep.sl_gens[f"E_{k + 2}_{k + 1}"].commutator(rep.trans_gens[k])
+
+
 @st.composite
 def perturbed_models(draw):
     """A base model with one perturbation: add to one entry, scale a
     generator by 0, 2 or -1, swap two generators, add a multiple of
-    another generator to a translation, or rescale one or two stored
-    entries by 2, -1, 1/2 or 3.  The last keeps the grading, so it reaches
-    the brackets and translation rows the other kinds mostly stop before."""
+    another generator to a translation, rescale one or two stored
+    entries by 2, -1, 1/2 or 3, or twist a translation.  A twist adds 1, -1
+    or 2 at one or two places with T_1's grading shift, or with a random
+    T_j's (re-derive), then sets each later T_(k+1) = [f_k, T_k].  The
+    rescale and the twists keep the grading, so they reach the brackets and
+    translation rows the other kinds mostly stop before, and a twist keeps
+    the (f_k, T_k) rows after T_j, so it reaches the (e_a, T_1) rows and,
+    rarely, [T_1, T_2]."""
     rep = copy.deepcopy(draw(st.sampled_from(_base_models())))
     gens = _gens(rep)
-    kind = draw(st.sampled_from(["entry", "scale", "swap", "translation", "rescale"]))
+    kind = draw(st.sampled_from(["entry", "scale", "swap", "translation", "rescale",
+                                 "twist", "re-derive"]))
     if kind == "entry":
         key, m = draw(st.sampled_from(gens))
         r, c = draw(st.integers(0, rep.dim - 1)), draw(st.integers(0, rep.dim - 1))
@@ -549,6 +683,17 @@ def perturbed_models(draw):
             for i in draw(picks):
                 col, r = stored[i]
                 col[r] *= draw(st.sampled_from([2, -1, Fraction(1, 2), 3]))
+    elif kind in ("twist", "re-derive"):
+        j = 0 if kind == "twist" else draw(st.integers(0, rep.n - 1))
+        g = rep.weight_grading
+        shift = tuple(int(i == j) for i in range(rep.n))
+        places = [(r, c) for c in range(rep.dim) for r in range(rep.dim)
+                  if tuple(map(operator.sub, g[r], g[c])) == shift]
+        if places:
+            picks = st.lists(st.sampled_from(places), min_size=1, max_size=2, unique=True)
+            for r, c in draw(picks):
+                rep.trans_gens[j].add_entry(r, c, draw(st.sampled_from([1, -1, 2])))
+            _rederive_translations(rep, j)
     return rep
 
 
@@ -605,10 +750,12 @@ class TestValidatorAgainstOracle:
             validate_model(rep)
             validator_oracle.validate_model(rep)
 
-    @pytest.mark.parametrize("n,brackets,actions", [(3, 10, 4), (4, 25, 6)])
+    @pytest.mark.parametrize("n,brackets,actions", [(3, 6, 4), (4, 15, 6)])
     def test_relation_set_size(self, monkeypatch, n, brackets, actions):
-        # pins the rows the grading leaves open: at n = 4 the full set is 105
-        # brackets, 60 [X, T] checks and 6 [T_i, T_j], at n = 3 28, 24 and 3
+        # pins the rows the grading and finite dimension leave open: every
+        # (e_i, f_j) and one defining pair per non-simple E_i_j, so
+        # (n - 1)(2n - 3) brackets, where the full set is 105 brackets, 60
+        # [X, T] checks and 6 [T_i, T_j] at n = 4, and 28, 24 and 3 at n = 3
         rep = model_sym_dual(n, 2)
         sl = {id(m) for m in rep.sl_gens.values()}
         calls = Counter()

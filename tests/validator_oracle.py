@@ -6,8 +6,8 @@ C(n^2 - 1, 2) pairs of sl_basis_keys, the translation action
 [X, T_j] = sum_i X_ij T_i for every key, the commutativity of every pair of
 translations, and the translations' nilpotency, in that order.  Tests
 compare the program's validator, which checks the grading and then only the
-relations the grading leaves open, against it: both must accept and reject
-the same models.  The nilpotency check stays although a grading that passes
+relations that the grading and the model's finite dimension leave open,
+against it: both must accept and reject the same models.  The nilpotency check stays although a grading that passes
 already implies it.
 """
 
