@@ -53,7 +53,7 @@ from .rationality import (
     check_structural,
     decide_rationality,
 )
-from .catalog import CatalogEntry, enumerate_exceptional_candidates, irreps_up_to_dim
+from .catalog import enumerate_exceptional_candidates, irreps_up_to_dim
 from .config import ModelInvariantError, ResourceCapError
 
 __version__ = "0.1.0"

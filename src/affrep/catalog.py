@@ -24,9 +24,9 @@ semicontinuous).  Or P holds n^2 - 1 copies of a nontrivial label, which
 alone have a finite generic stabilizer (each copy lowers it, or it kills
 the label, on which sl_n acts faithfully); that is an engine miss on P,
 and the tests check that it does not arise.  Either way Q is
-GoodHeuristic with no draw of its own.  An entry keeps only that class;
-its verdict is decided from its fields when it is read, and no engine
-call remains by then.
+GoodHeuristic with no draw of its own.  A group keeps only that class;
+a line's verdict is decided from it when the line is written
+(`Catalog.verdict`), and no engine call remains by then.
 
 With W = 0 the decision reads few of a line's fields, its decision
 signature (`decision_signatures`), and many lines share one: the rank-3
@@ -56,23 +56,6 @@ TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
 
 
-class CatalogEntry(namedtuple("CatalogEntry", "n S Q trigger q_class seed trials")):
-    """A candidate pair, the clause that admits it, and the class of its Q
-    as the catalog established it under `seed` and `trials`."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    @property
-    def verdict(self) -> Verdict:
-        """The rationality verdict of the W = 0 instance, decided afresh on
-        each read from the fields alone; it makes no engine call.  Entries
-        of one signature (`decision_signatures`) get equal verdicts, so a
-        writer reads it on one entry of each."""
-        instance = TwoStepExtension(self.n, self.S, self.Q, WeightMultiset(self.n, ()))
-        return _decide(instance, self.seed, self.trials, self.q_class)
-
-
 # a quotient of a catalog, the clause that admits it, its class, and its
 # submodules S as `_walk` entries tuples in increasing order, one line each
 QuotientGroup = namedtuple("QuotientGroup", "Q trigger q_class subs")
@@ -80,8 +63,8 @@ QuotientGroup = namedtuple("QuotientGroup", "Q trigger q_class subs")
 
 class Catalog:
     """The catalog of one rank, seed and trials as its quotient groups in
-    file order (increasing Q).  Its `len` is its number of lines, and
-    iterating it gives one `CatalogEntry` per line, in file order."""
+    file order (increasing Q).  A line is a group and one of its `subs`;
+    the catalog's `len` is its number of lines."""
 
     def __init__(self, n: int, seed: int, trials: int, groups: list[QuotientGroup]):
         self.n, self.seed, self.trials, self.groups = n, seed, trials, groups
@@ -89,12 +72,14 @@ class Catalog:
     def __len__(self) -> int:
         return sum(len(group.subs) for group in self.groups)
 
-    def __iter__(self):
-        return (self.entry(group, s) for group in self.groups for s in group.subs)
-
-    def entry(self, group: QuotientGroup, s: tuple) -> CatalogEntry:
-        return CatalogEntry(self.n, WeightMultiset(self.n, s), group.Q, group.trigger,
-                            group.q_class, self.seed, self.trials)
+    def verdict(self, group: QuotientGroup, s: tuple) -> Verdict:
+        """The verdict of the line (Q of `group`, S = `s`) as a W = 0
+        instance, decided from the class the catalog fixed for Q with no
+        engine call; lines of one signature (`decision_signatures`) get
+        equal verdicts."""
+        empty = WeightMultiset(self.n, ())
+        instance = TwoStepExtension(self.n, WeightMultiset(self.n, s), group.Q, empty)
+        return _decide(instance, self.seed, self.trials, group.q_class)
 
 
 def decision_signatures(catalog: Catalog):

@@ -9,7 +9,6 @@ exceptional two-step instance, 3 possibly-not-generically-free instance.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from contextlib import nullcontext
@@ -23,9 +22,10 @@ from .config import (
     MAX_LR_CONTENT,
     MAX_LR_SHAPES,
     MAX_PIERI_STRIPS,
-    MAX_WEIGHT_RANK,
     ModelInvariantError,
     ResourceCapError,
+    check_rank,
+    check_sweep,
 )
 from .filtration import (
     check_blocks_containment,
@@ -57,13 +57,8 @@ EXIT_EXCEPTIONAL = 2
 EXIT_NOT_FREE = 3
 
 
-def _check_rank(n: int) -> None:
-    if n > MAX_WEIGHT_RANK:
-        raise ValueError(f"--n {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
-
-
 def parse_weight_arg(n: int, text: str):
-    _check_rank(n)
+    check_rank(n, "--n")
     parts = []
     for token in text.split(","):
         token = token.strip()
@@ -132,13 +127,6 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _check_sweep(name: str, sweep, cap: int) -> None:
-    """Refuse a sweep of more than `cap` items, counted no further than one
-    past the cap."""
-    if sum(1 for _ in itertools.islice(sweep, cap + 1)) > cap:
-        raise ResourceCapError(name, f"more than {cap}", cap)
-
-
 def cmd_tensor(args) -> int:
     a = parse_weight_arg(args.n, args.a)
     b = parse_weight_arg(args.n, args.b)
@@ -146,7 +134,7 @@ def cmd_tensor(args) -> int:
     if content > MAX_LR_CONTENT:
         raise ResourceCapError("max_lr_content", content, MAX_LR_CONTENT)
     # the shapes the decomposition sweeps
-    _check_sweep("max_lr_shapes", lr_outer_shapes(a, b), MAX_LR_SHAPES)
+    check_sweep("max_lr_shapes", lr_outer_shapes(a, b), MAX_LR_SHAPES)
     ms = lr_decompose(a, b)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK
@@ -155,7 +143,7 @@ def cmd_tensor(args) -> int:
 def cmd_pieri(args) -> int:
     w = parse_weight_arg(args.n, args.lam)
     # one summand per strip
-    _check_sweep("max_pieri_strips", horizontal_strips(w.parts, args.k, w.n), MAX_PIERI_STRIPS)
+    check_sweep("max_pieri_strips", horizontal_strips(w.parts, args.k, w.n), MAX_PIERI_STRIPS)
     ms = pieri_sym(w, args.k)
     emit(args, {"decomposition": ser.multiset_to_json(ms)}, [str(ms)])
     return EXIT_OK
@@ -179,7 +167,7 @@ def _classify_lines(verdict: str, report):
 
 def cmd_model(args) -> int:
     if args.which == "sym-dual":
-        _check_rank(args.n)
+        check_rank(args.n, "--n")
         rep = model_sym_dual(args.n, args.l, max_dim=args.max_model_dim)
     elif args.which == "dual":
         rep = dual_model(read_model_file(args.infile, args.max_model_dim))

@@ -1,11 +1,13 @@
-"""Defaults for seeds, trial counts and resource caps, and the errors raised
-when a cap or a model invariant is violated.
+"""Defaults for seeds, trial counts and resource caps, the cap checks, and
+the errors raised when a cap or a model invariant is violated.
 
 Every randomized subsystem draws from one generator seeded with the run's
 seed, so identical (inputs, seed) always reproduce identical outputs.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 3
@@ -19,19 +21,20 @@ MAX_TENSOR_CELLS = 300_000
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000
 # largest rank a weight argument (`--n` of dim, dual, tensor, pieri and model
-# sl-only) or a check2step extension file may name; the Weyl dimension is one
-# product of O(n^2) integers and the LR sweep recurses one frame per row
-# (rank 1,500 overflows the stack), while every command path stops far below
+# sl-only), a check2step extension file or a model file may name; the Weyl
+# dimension is one product of O(n^2) integers, the LR sweep recurses one frame
+# per row (rank 1,500 overflows the stack) and validating a model builds the
+# saff_n basis first (2.8 GB at rank 3,000); every command path stops far below
 MAX_WEIGHT_RANK = 32
 # largest size of the smaller weight `tensor` decomposes; the LR fillings
 # recurse once per box of it and their count grows with it and the rank (4
 # rows of 5 boxes take 1.5 s at rank 32)
 MAX_LR_CONTENT = 16
-# largest number of candidate outer shapes `tensor` lets the LR
-# decomposition sweep; a shape costs 20-640 us of fillings below the content
-# cap, more for a larger smaller weight (the slowest product timed under
-# this bound took 0.76 s), and the rank-32 staircase with 4 boxes (37,388
-# shapes, 2 s) is refused
+# largest number of candidate outer shapes the LR decomposition may sweep
+# for `tensor`, and for `check2step` per S label times the dual standard; a
+# shape costs 20-640 us of fillings below the content cap, more for a larger
+# smaller weight (the slowest product timed under this bound took 0.76 s),
+# and the rank-32 staircase with 4 boxes (37,388 shapes, 2 s) is refused
 MAX_LR_SHAPES = 3_000
 # largest number of horizontal strips (one summand each) `pieri` lets its
 # decomposition build; a strip costs 12-40 us to build and print, more at a
@@ -60,6 +63,20 @@ class ResourceCapError(RuntimeError):
         self.needed = needed
         self.cap = cap
         super().__init__(f"resource cap exceeded: {cap_name} needs {needed}, cap is {cap}")
+
+
+def check_sweep(name: str, sweep, cap: int) -> None:
+    """Refuse a sweep of more than `cap` items, counted no further than one
+    past the cap."""
+    if sum(1 for _ in islice(sweep, cap + 1)) > cap:
+        raise ResourceCapError(name, f"more than {cap}", cap)
+
+
+def check_rank(n: int, name: str) -> int:
+    """`n`, refused above MAX_WEIGHT_RANK with `name` naming it in the error."""
+    if n > MAX_WEIGHT_RANK:
+        raise ValueError(f"{name} {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
+    return n
 
 
 class ModelInvariantError(RuntimeError):

@@ -21,14 +21,14 @@ from .schur import Weight, WeightMultiset, grading_rep
 @lru_cache(maxsize=256)
 def ssyt_contents(shape: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...], ...]:
     """Content vectors of all semistandard tableaux of the given shape with
-    entries in 1..num_vars, one vector per tableau (repeats kept)."""
+    entries in 1..num_vars, one vector per tableau (repeats kept).  A cell
+    with k cells below it in its column takes at most num_vars - k, so every
+    partial filling completes, and more rows than num_vars leave none."""
     shape = tuple(p for p in shape if p > 0)
     if not shape:
         return ((0,) * num_vars,)
-    rows = len(shape)
-    if rows > num_vars:
-        return ()
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+    top = {(r, c): num_vars - sum(1 for p in shape[r + 1:] if p > c) for r, c in cells}
     grid: dict[tuple[int, int], int] = {}
     out: list[tuple[int, ...]] = []
     content = [0] * num_vars
@@ -38,16 +38,15 @@ def ssyt_contents(shape: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...
             out.append(tuple(content))
             return
         r, c = cells[idx]
+        # the cells left of and above (r, c) precede it, so hold this filling's entries
         lo = grid[(r, c - 1)] if c > 0 else 1
-        above = grid.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, num_vars + 1):
+        if r > 0:
+            lo = max(lo, grid[(r - 1, c)] + 1)
+        for v in range(lo, top[(r, c)] + 1):
             grid[(r, c)] = v
             content[v - 1] += 1
             rec(idx + 1)
             content[v - 1] -= 1
-            del grid[(r, c)]
 
     rec(0)
     return tuple(out)

@@ -15,8 +15,10 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from functools import lru_cache
+from math import comb
 
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
+from .config import (DEFAULT_SEED, DEFAULT_TRIALS, MAX_LR_SHAPES, MAX_SPLIT_CANDIDATES,
+                     ResourceCapError, check_sweep)
 from .repclass import (
     BAD,
     GOOD,
@@ -26,6 +28,7 @@ from .repclass import (
 from .schur import (
     WeightMultiset,
     dual,
+    lr_outer_shapes,
     multiset_fits_in_product,
     normalize,
     weyl_dim,
@@ -93,10 +96,17 @@ def rank_labels(n: int) -> RankLabels:
 
 def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
-    S (x) dual standard, with multiplicities."""
-    labels = rank_labels(ext.n)
-    return (multiset_fits_in_product(ext.S.entries, ext.Q.entries, labels.std)
-            and multiset_fits_in_product(ext.Q.entries, ext.S.entries, labels.dstd))
+    S (x) dual standard, with multiplicities.  Before the second, each S
+    label u whose LR shapes times the dual standard may exceed MAX_LR_SHAPES
+    (C(k + n - 1, n - 1) bounds them, k = min(|u|, n - 1)) has them counted
+    as `tensor` does, and more than the cap raise ResourceCapError."""
+    n, labels = ext.n, rank_labels(ext.n)
+    if not multiset_fits_in_product(ext.S.entries, ext.Q.entries, labels.std):
+        return False
+    for u, _ in ext.S.entries:
+        if comb(min(u.size, n - 1) + n - 1, n - 1) > MAX_LR_SHAPES:
+            check_sweep("max_lr_shapes", lr_outer_shapes(u, labels.dstd), MAX_LR_SHAPES)
+    return multiset_fits_in_product(ext.Q.entries, ext.S.entries, labels.dstd)
 
 
 def _r3_shapes(n: int, q: WeightMultiset) -> bool:

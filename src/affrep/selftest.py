@@ -268,21 +268,21 @@ def criterion_10_catalog() -> tuple[bool, str]:
     if elapsed > 300:
         return False, f"two runs took {elapsed:.1f}s (> 300s)"
     n = 3
-    triv = normalize(n, [])
-    for e in catalog:
-        ext = TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, []))
-        if not check_structural(ext):
-            return False, f"entry fails structural containments: Q={e.Q}, S={e.S}"
-        if e.Q.count(triv) >= n * n - 1:
-            return False, f"entry exceeds the trivial-summand clause: Q={e.Q}"
-        if e.trigger == TRIGGER_BAD_Q:
-            if classify(e.Q) != BAD:
-                return False, f"trigger Q-bad not verified: Q={e.Q}"
-        elif e.trigger == TRIGGER_SMALL_S:
-            if e.S.dim() >= n * n + 2 * n:
-                return False, f"trigger dim-S-small not verified: S={e.S}"
-        else:
-            return False, f"unknown trigger {e.trigger}"
+    triv, empty = normalize(n, []), WeightMultiset.of(n, [])
+    for group in catalog.groups:
+        Q = group.Q
+        if Q.count(triv) >= n * n - 1:
+            return False, f"entry exceeds the trivial-summand clause: Q={Q}"
+        if group.trigger not in (TRIGGER_BAD_Q, TRIGGER_SMALL_S):
+            return False, f"unknown trigger {group.trigger}"
+        if group.trigger == TRIGGER_BAD_Q and classify(Q) != BAD:
+            return False, f"trigger Q-bad not verified: Q={Q}"
+        for s in group.subs:
+            S = WeightMultiset(n, s)
+            if not check_structural(TwoStepExtension(n, S, Q, empty)):
+                return False, f"entry fails structural containments: Q={Q}, S={S}"
+            if group.trigger == TRIGGER_SMALL_S and S.dim() >= n * n + 2 * n:
+                return False, f"trigger dim-S-small not verified: S={S}"
     return True, f"{len(catalog)} entries, byte-identical across runs, clauses verified ({elapsed:.1f}s)"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import TRIGGER_SMALL_S, Catalog, decision_signatures
-from .config import MAX_WEIGHT_RANK
+from .config import check_rank
 from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, validate_model
@@ -189,7 +189,9 @@ def model_from_json(data) -> AffMatrixRep:
     for key in ("n", "N", "sl_gens", "trans_gens", "weight_grading"):
         if key not in data:
             raise ValueError(f"model file missing field {key!r}")
-    n, dim = _require_at_least(data["n"], "n", 1), _require_at_least(data["N"], "N", 1)
+    # the rank is capped before validation builds the saff_n basis of it
+    n = check_rank(_require_at_least(data["n"], "n", 1), "field 'n'")
+    dim = _require_at_least(data["N"], "N", 1)
     sl, trans, grading = data["sl_gens"], data["trans_gens"], data["weight_grading"]
     if not isinstance(sl, dict):
         raise ValueError(f"field 'sl_gens' must be an object, got {type(sl).__name__}")
@@ -239,9 +241,7 @@ def extension_from_json(data) -> TwoStepExtension:
     for key in ("n", "S", "Q", "W"):
         if key not in data:
             raise ValueError(f"extension file missing field {key!r}")
-    n = _require_at_least(data["n"], "n", 2)
-    if n > MAX_WEIGHT_RANK:
-        raise ValueError(f"field 'n' {n} exceeds the largest supported rank {MAX_WEIGHT_RANK}")
+    n = check_rank(_require_at_least(data["n"], "n", 2), "field 'n'")
 
     def part(key):
         d = data[key]
@@ -281,7 +281,7 @@ def _multiset_text(n: int, entries) -> str:
 def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     """Write the catalog to `fh`, one string per quotient group, and return
     the number of lines by trigger and by verdict outcome.  Each line is
-    `dumps` of its entry's object, written directly (sorted keys, integers
+    `dumps` of its JSON object, written directly (sorted keys, integers
     and `TRIGGER_*` constants only), with `Q`'s text made once per group,
     a clause-(ii) `S` text once per `S` (207 `S` on 2,105 lines at rank 3;
     clause (i)'s seldom repeat), and a verdict decided and encoded once per
@@ -298,7 +298,7 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
         lines, s_texts = [], small_s if group.trigger == TRIGGER_SMALL_S else {}
         for s, signature in zip(group.subs, signatures):
             if signature not in decided:
-                verdict = catalog.entry(group, s).verdict
+                verdict = catalog.verdict(group, s)
                 decided[signature] = (verdict.outcome, dumps(verdict_to_json(verdict)))
             outcome, verdict_text = decided[signature]
             s_text = s_texts.get(s) or s_texts.setdefault(s, _multiset_text(n, s))

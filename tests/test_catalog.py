@@ -18,7 +18,6 @@ from affrep.catalog import (
     TRIGGER_BAD_Q,
     TRIGGER_SMALL_S,
     Catalog,
-    CatalogEntry,
     QuotientGroup,
     _partners,
     _walk,
@@ -257,7 +256,7 @@ class TestEnumerate:
     def test_deterministic(self):
         a = enumerate_exceptional_candidates(2)
         b = enumerate_exceptional_candidates(2)
-        assert list(a) == list(b)
+        assert a.groups == b.groups
         assert _written(a) == _written(b)
 
     def test_entries_satisfy_clauses(self):
@@ -267,24 +266,27 @@ class TestEnumerate:
         # Q classifies as bad
         for n, seed, trials in ((2, DEFAULT_SEED, DEFAULT_TRIALS), (3, DEFAULT_SEED, DEFAULT_TRIALS),
                                 (2, 42, 5), (3, 42, 5)):
-            entries = enumerate_exceptional_candidates(n, seed=seed, trials=trials)
-            assert entries
+            catalog = enumerate_exceptional_candidates(n, seed=seed, trials=trials)
+            assert catalog
             # the clauses are disjoint, so no pair is produced twice
-            assert len({(e.Q.entries, e.S.entries) for e in entries}) == len(entries)
+            assert len({(g.Q.entries, s) for g in catalog.groups for s in g.subs}) == len(catalog)
             triv = W(n, 0)
-            for e in entries:
-                assert check_structural(TwoStepExtension(n, e.S, e.Q, WeightMultiset.of(n, [])))
-                assert e.Q.count(triv) < n * n - 1
-                bad = classify(e.Q, seed=seed, trials=trials) == BAD
-                assert (e.trigger == TRIGGER_BAD_Q) == bad, (n, seed, str(e.Q), str(e.S))
-                if not bad:
-                    assert e.trigger == TRIGGER_SMALL_S
-                    assert e.S.dim() < n * n + 2 * n
+            for group in catalog.groups:
+                Q = group.Q
+                assert Q.count(triv) < n * n - 1
+                bad = classify(Q, seed=seed, trials=trials) == BAD
+                assert (group.trigger == TRIGGER_BAD_Q) == bad, (n, seed, str(Q))
+                for s in group.subs:
+                    S = WeightMultiset(n, s)
+                    assert check_structural(TwoStepExtension(n, S, Q, WeightMultiset.of(n, [])))
+                    if not bad:
+                        assert group.trigger == TRIGGER_SMALL_S
+                        assert S.dim() < n * n + 2 * n, (n, seed, str(Q), str(S))
 
     def test_dim_s_cap_flag(self):
-        entries = enumerate_exceptional_candidates(2, max_dim_s=4)
-        assert entries
-        assert all(e.S.dim() <= 4 for e in entries)
+        catalog = enumerate_exceptional_candidates(2, max_dim_s=4)
+        assert catalog
+        assert all(WeightMultiset(2, s).dim() <= 4 for g in catalog.groups for s in g.subs)
 
     def test_cap_violations_refused(self):
         with pytest.raises(ValueError):
@@ -298,22 +300,24 @@ class TestEnumerate:
         # the degree <= 1 function model restricted from rank 4 realizes the
         # pair (S, Q) = (trivial, dual standard); it must be in the catalog,
         # flagged as possibly not generically free
-        entries = enumerate_exceptional_candidates(3)
+        catalog = enumerate_exceptional_candidates(3)
         hits = [
-            e
-            for e in entries
-            if e.Q.entries == ((dual(W(3, 1)), 1),)
-            and e.S.entries == ((W(3, 0), 1),)
+            (group, s)
+            for group in catalog.groups
+            for s in group.subs
+            if group.Q.entries == ((dual(W(3, 1)), 1),)
+            and s == ((W(3, 0), 1),)
         ]
         assert len(hits) == 1
-        assert hits[0].verdict.outcome == "PossiblyNotGenericallyFree"
+        assert catalog.verdict(*hits[0]).outcome == "PossiblyNotGenericallyFree"
 
     def test_verdicts_never_rational(self):
         # every admitted candidate fails both rationality criteria by design
-        entries = enumerate_exceptional_candidates(2)
+        catalog = enumerate_exceptional_candidates(2)
         assert all(
-            e.verdict.outcome in ("Exceptional", "PossiblyNotGenericallyFree")
-            for e in entries
+            catalog.verdict(group, s).outcome in ("Exceptional", "PossiblyNotGenericallyFree")
+            for group in catalog.groups
+            for s in group.subs
         )
 
 
@@ -346,11 +350,11 @@ def test_bad_quotients_match_padded_cores(n, max_trivials, seed, trials):
     # the grown bad quotients are the padded cores: a quotient classifies as
     # its nontrivial part, and a pure-trivial one is bad; with no cap on
     # dim S every bad quotient has some S, so each one is in the catalog
-    entries = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed,
+    catalog = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed,
                                                trials=trials)
     cap = n * n - 2 if max_trivials is None else max_trivials
     want = {q.entries for q in bad_quotients_reference(n, cap, seed, trials)}
-    assert {e.Q.entries for e in entries if e.trigger == TRIGGER_BAD_Q} == want
+    assert {g.Q.entries for g in catalog.groups if g.trigger == TRIGGER_BAD_Q} == want
 
 
 def test_trivial_padding_of_a_core_changes_no_classification():
@@ -505,11 +509,11 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     assert len(seen) == len(swept) == 50
     seen.clear()
     repclass.classify_with_report.cache_clear()
-    entries = enumerate_exceptional_candidates(n)
+    catalog = enumerate_exceptional_candidates(n)
     assert set(seen) == swept and len(seen) == len(swept)
     bad = bad_list(n)
-    unasked = {repclass.nontrivial_part(e.Q) for e in entries
-               if e.trigger == TRIGGER_SMALL_S and all(w in bad for w in e.Q.weights())}
+    unasked = {repclass.nontrivial_part(g.Q) for g in catalog.groups
+               if g.trigger == TRIGGER_SMALL_S and all(w in bad for w in g.Q.weights())}
     unasked -= swept
     # each of these would run the stabilizer if it were classified alone
     assert len(unasked) > 100
@@ -590,11 +594,12 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
     decide, dumps = catalog._decide, serialize.dumps
     monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
     monkeypatch.setattr(serialize, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
-    entries = enumerate_exceptional_candidates(n)
-    signatures = _line_signatures(entries)
-    assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_BAD_Q}) == clause_i
-    assert len({s for e, s in zip(entries, signatures) if e.trigger == TRIGGER_SMALL_S}) == (
-        clause_ii)
+    catalog = enumerate_exceptional_candidates(n)
+    by_trigger = {TRIGGER_BAD_Q: set(), TRIGGER_SMALL_S: set()}
+    for group, signatures in zip(catalog.groups, decision_signatures(catalog)):
+        by_trigger[group.trigger].update(signatures)
+    assert len(by_trigger[TRIGGER_BAD_Q]) == clause_i
+    assert len(by_trigger[TRIGGER_SMALL_S]) == clause_ii
     for _ in range(2):
         decided.clear()
         encoded.clear()
@@ -730,15 +735,22 @@ def test_written_verdict_follows_trigger(tmp_path, n):
     assert len(verdict_of_q) < len(bad_q)
 
 
-def _line_by_general_encoder(e, v) -> str:
-    def multiset(ms):
-        return {"n": ms.n,
-                "summands": [{"lambda": list(w.parts), "mult": m} for w, m in ms.entries]}
+def _line_by_general_encoder(catalog, group, s) -> str:
+    def multiset(entries):
+        return {"n": catalog.n,
+                "summands": [{"lambda": list(w.parts), "mult": m} for w, m in entries]}
 
+    v = catalog.verdict(group, s)
     verdict = {"outcome": v.outcome, "witness": v.witness, "evidence": v.evidence,
                "seed": v.seed}
-    return json.dumps({"n": e.n, "S": multiset(e.S), "Q": multiset(e.Q), "trigger": e.trigger,
-                       "verdict": verdict}, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"n": catalog.n, "S": multiset(s), "Q": multiset(group.Q.entries),
+                       "trigger": group.trigger, "verdict": verdict},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _lines(catalog) -> list[tuple]:
+    """Every line of `catalog` as (group, S entries), in file order."""
+    return [(group, s) for group in catalog.groups for s in group.subs]
 
 
 @pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
@@ -747,8 +759,8 @@ def test_catalog_line_equals_the_general_encoder(args):
     assert catalog
     lines = _written(catalog).splitlines()
     assert len(lines) == len(catalog)
-    for e, line in zip(catalog, lines):
-        assert line == _line_by_general_encoder(e, e.verdict)
+    for (group, s), line in zip(_lines(catalog), lines):
+        assert line == _line_by_general_encoder(catalog, group, s)
 
 
 def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
@@ -756,11 +768,11 @@ def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
     S = WeightMultiset.of(n, [(W(n, 12, 5), 11), (W(n, 1), 2)])
     Q = WeightMultiset.of(n, [(W(n, 0), 10), (W(n, 10, 3), 12)])
     catalog = Catalog(n, 20231, 13, [QuotientGroup(Q, TRIGGER_SMALL_S, GOOD, [S.entries])])
-    (e,) = catalog
-    assert e == CatalogEntry(n, S, Q, TRIGGER_SMALL_S, GOOD, 20231, 13)
+    ((group, s),) = _lines(catalog)
+    assert (group.Q, WeightMultiset(n, s), catalog.seed, catalog.trials) == (Q, S, 20231, 13)
     line = _written(catalog)
     assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
-    assert line == _line_by_general_encoder(e, e.verdict) + "\n"
+    assert line == _line_by_general_encoder(catalog, group, s) + "\n"
 
 
 def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
@@ -780,10 +792,10 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
     catalog = Catalog(n, DEFAULT_SEED, DEFAULT_TRIALS, groups)
     lines = _written(catalog).splitlines()
     assert len(lines) == len(catalog) == 5
-    for e, line in zip(catalog, lines):
-        text = f'{{"Q":{_multiset_text(n, e.Q.entries)},"S":{_multiset_text(n, e.S.entries)},'
+    for (group, s), line in zip(_lines(catalog), lines):
+        text = f'{{"Q":{_multiset_text(n, group.Q.entries)},"S":{_multiset_text(n, s)},'
         assert line.startswith(text + '"n":3,')
-        assert line == _line_by_general_encoder(e, e.verdict)
+        assert line == _line_by_general_encoder(catalog, group, s)
 
 
 # --- the catalog by quotient ---------------------------------------------------
@@ -803,9 +815,9 @@ def _line_signatures(catalog) -> list[tuple]:
 
 def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SEED,
                            trials=DEFAULT_TRIALS):
-    """The catalog as one list with an entry per pair, each with its own `S`
-    (and, in clause (ii), its own `Q`), sorted once at the end by
-    (Q, S): the construction the grouped build replaced."""
+    """The catalog as one list with a (Q, S, trigger, class of Q) entry per
+    pair, each with its own `S` (and, in clause (ii), its own `Q`), sorted
+    once at the end by (Q, S): the construction the grouped build replaced."""
     trivial_cap = n * n - 2 if max_trivials is None else max_trivials
     dim_s_cap = n * n + 2 * n - 1 if max_dim_s is None else max_dim_s
     triv, std = W(n, 0), W(n, 1)
@@ -813,8 +825,7 @@ def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SE
     bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
                    keep=lambda q: classify(q, seed=seed, trials=trials) == BAD)
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
-    entries = [CatalogEntry(n, WeightMultiset(n, s), WeightMultiset(n, q), TRIGGER_BAD_Q, BAD,
-                            seed, trials)
+    entries = [(WeightMultiset(n, q), WeightMultiset(n, s), TRIGGER_BAD_Q, BAD)
                for q in bad_qs for s in _partners(n, q, std, dim_caps)]
     bad_set = set(bad_qs)
     small = sorted(irreps_up_to_dim(n, dim_s_cap))
@@ -824,9 +835,9 @@ def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SE
         for q in _partners(n, s, dual(std), [(Weight.is_trivial, trivial_cap)]):
             if q not in bad_set:
                 q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
-                entries.append(CatalogEntry(n, WeightMultiset(n, s), WeightMultiset(n, q),
-                                            TRIGGER_SMALL_S, q_class, seed, trials))
-    entries.sort(key=lambda e: (e.Q.entries, e.S.entries))
+                entries.append((WeightMultiset(n, q), WeightMultiset(n, s), TRIGGER_SMALL_S,
+                                q_class))
+    entries.sort(key=lambda e: (e[0].entries, e[1].entries))
     return entries
 
 
@@ -863,10 +874,16 @@ def test_length_is_the_summary_and_the_file_line_count(tmp_path, capsys, args):
     assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
     summary = capsys.readouterr().out.splitlines()
     assert summary[0] == f"entries: {len(catalog)}"
-    assert out.read_bytes().count(b"\n") == len(catalog) == sum(1 for _ in catalog)
+    lines = sum(map(len, decision_signatures(catalog)))
+    assert out.read_bytes().count(b"\n") == len(catalog) == lines
 
 
 @pytest.mark.parametrize("args", CATALOG_ARGS)
 def test_iterating_gives_the_flat_sorted_entries(args):
     kwargs = _catalog_kwargs(args)
-    assert list(enumerate_exceptional_candidates(**kwargs)) == flat_catalog_reference(**kwargs)
+    catalog = enumerate_exceptional_candidates(**kwargs)
+    lines = [(group.Q, WeightMultiset(catalog.n, s), group.trigger, group.q_class)
+             for group, s in _lines(catalog)]
+    assert lines == flat_catalog_reference(**kwargs)
+    assert (catalog.seed, catalog.trials) == (kwargs.get("seed", DEFAULT_SEED),
+                                              kwargs.get("trials", DEFAULT_TRIALS))

@@ -462,6 +462,41 @@ class TestModelAndFiltrate:
             [{"lambda": [1, 0, 0], "mult": 1}, {"lambda": [3, 3, 0], "mult": 1}],
         ]
 
+    def test_filtrate_of_a_rank_32_model_finishes(self, tmp_path):
+        # the 33-dim model of functions of degree <= 1 at the largest rank:
+        # naming its top layer enumerates the tableaux of a 31-cell column,
+        # which once took about 2^32 steps (over 300 s)
+        f = tmp_path / "m.json"
+        proc = run_affrep("model", "sym-dual", "--n", "32", "--l", "1", "--out", str(f),
+                          timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_affrep("filtrate", str(f), "--format", "json", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["chain_dims"] == [1, 33]
+        assert data["checks"] == {"blocks": True, "duality": True, "embedding": True}
+        assert [ms["summands"] for ms in data["layers"]] == [
+            [{"lambda": [0] * 32, "mult": 1}],
+            [{"lambda": [1] * 31 + [0], "mult": 1}],
+        ]
+
+
+    @pytest.mark.parametrize("n,error", [
+        (32, "model invariant violated: sl generator keys"),
+        (33, "field 'n' 33 exceeds the largest supported rank 32"),
+        (3000, "field 'n' 3000 exceeds the largest supported rank 32"),
+    ])
+    def test_model_file_rank_is_capped_before_validation(self, tmp_path, n, error):
+        # validation builds the saff_n basis of the file's rank first; at
+        # rank 3,000 that took 23 s and 2.8 GB before the keys were refused.
+        # Rank 32 passes the cap and fails on its missing sl generators
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"n": n, "N": 1, "sl_gens": {}, "trans_gens": [[["0"]]] * n,
+                                 "weight_grading": [[0] * n]}))
+        proc = run_affrep("filtrate", str(f), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [f"error: {error}"]
+
 
 class TestCheck2Step:
     def write_ext(self, tmp_path, n, S, Q, W=(), free=False):
@@ -530,6 +565,23 @@ class TestCheck2Step:
         proc = run_affrep("check2step", str(f), timeout=60)
         assert proc.returncode == 2
         assert proc.stdout.splitlines()[0] == "outcome: Exceptional"
+
+    @pytest.mark.parametrize("S,Q", [
+        ([40], [39]), ([40, 20], [40, 19]), ([40, 30, 20, 10], [40, 30, 20, 9]),
+        ([60, 50, 40, 30, 20, 10], [60, 50, 40, 30, 20, 9]),
+    ], ids=["1-row", "2-row", "4-row", "6-row"])
+    def test_lr_sweep_above_the_shape_cap_exits_1(self, tmp_path, S, Q):
+        # S times the dual standard at rank 32 has more than MAX_LR_SHAPES
+        # candidate shapes: the 1-row case took 3.6 s to answer, the 2-row
+        # one 13 s, the others ran past 100 s
+        def label(parts):
+            return tuple(parts) + (0,) * (32 - len(parts))
+
+        f = self.write_ext(tmp_path, 32, [(label(S), 1)], [(label(Q), 1)])
+        proc = run_affrep("check2step", str(f), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "error: resource cap exceeded: max_lr_shapes needs more than 3000, cap is 3000"]
 
     def test_split_order_ignores_the_hash_seed(self, tmp_path):
         # 10 trivials tie with [3] and [2] with [2,2] in dimension, so the

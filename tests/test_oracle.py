@@ -63,3 +63,56 @@ def test_oracle_lr_sweep_small():
     weights = [W(3, 1), W(3, 1, 1), W(3, 2), W(3, 2, 1)]
     for a, b in itertools.product(weights, repeat=2):
         assert product_as_multiset(a, b) == lr_decompose(a, b)
+
+
+def unpruned_ssyt_contents(shape, num_vars):
+    """`ssyt_contents` without its column bound: every cell tries each
+    entry from its row and column lower bound up to num_vars, so a branch
+    may end with no tableau."""
+    shape = tuple(p for p in shape if p > 0)
+    if not shape:
+        return ((0,) * num_vars,)
+    if len(shape) > num_vars:
+        return ()
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+    grid, out, content = {}, [], [0] * num_vars
+
+    def rec(idx):
+        if idx == len(cells):
+            out.append(tuple(content))
+            return
+        r, c = cells[idx]
+        lo = grid[(r, c - 1)] if c > 0 else 1
+        if (r - 1, c) in grid:
+            lo = max(lo, grid[(r - 1, c)] + 1)
+        for v in range(lo, num_vars + 1):
+            grid[(r, c)] = v
+            content[v - 1] += 1
+            rec(idx + 1)
+            content[v - 1] -= 1
+            del grid[(r, c)]
+
+    rec(0)
+    return tuple(out)
+
+
+def test_ssyt_contents_equal_the_unpruned_enumeration():
+    # every shape with parts <= 4 and up to num_vars + 1 rows at 1-5
+    # variables: the same tableaux in the same order
+    shapes = 0
+    for num_vars in range(1, 6):
+        for rows in range(num_vars + 2):
+            for shape in itertools.combinations_with_replacement(range(4, 0, -1), rows):
+                assert ssyt_contents(shape, num_vars) == unpruned_ssyt_contents(shape, num_vars), (
+                    shape, num_vars)
+                shapes += 1
+    assert shapes == 456
+
+
+def test_tall_columns_are_enumerated_without_dead_branches():
+    # a column one short of num_vars omits one value; unpruned, the walk
+    # visits about 2^num_vars partial columns (2^32 here)
+    got = ssyt_contents((1,) * 31, 32)
+    assert sorted(got) == sorted(tuple(int(i != j) for i in range(32)) for j in range(32))
+    for shape, num_vars in [((2,) * 10, 12), ((3, 3, 2, 2, 1, 1, 1), 8)]:
+        assert len(ssyt_contents(shape, num_vars)) == weyl_dim(normalize(num_vars, list(shape)))

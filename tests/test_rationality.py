@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from submultiset_oracle import sub_entries
 
-from affrep.catalog import CatalogEntry, irreps_up_to_dim
+from affrep.catalog import irreps_up_to_dim
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
 from affrep.filtration import Filtration
 from affrep.matmodel import AffMatrixRep
@@ -50,6 +50,25 @@ class TestStructural:
     def test_sym2_not_in_trivial_times_standard(self):
         ext = TwoStepExtension.of(3, S=[W(3, 2)], Q=[W(3, 0)])
         assert not check_structural(ext)
+
+    def test_lr_shapes_are_counted_only_above_the_cap_bound(self, monkeypatch):
+        # at rank 32 an S label of size 2 has at most C(33, 31) = 528 shapes
+        # times the dual standard and is not counted; one of size 3 (bound
+        # 5,984) is counted and has few; one of size 40 has more than the cap
+        from affrep import rationality
+
+        counted = []
+        monkeypatch.setattr(rationality, "check_sweep",
+                            lambda name, sweep, cap: counted.append(sum(1 for _ in sweep)))
+        assert check_structural(TwoStepExtension.of(32, S=[W(32, 2)], Q=[W(32, 1)]))
+        assert counted == []
+        assert check_structural(TwoStepExtension.of(32, S=[W(32, 3)], Q=[W(32, 2)]))
+        assert counted == [5]
+        monkeypatch.undo()
+        with pytest.raises(ResourceCapError, match="max_lr_shapes"):
+            check_structural(TwoStepExtension.of(32, S=[W(32, 40)], Q=[W(32, 39)]))
+        # a failed first containment is answered without a sweep
+        assert not check_structural(TwoStepExtension.of(32, S=[W(32, 40)], Q=[W(32, 1)]))
 
 
 class TestFreeness:
@@ -340,10 +359,6 @@ def _values():
             "r1=WeightMultiset(n=2, entries=((Weight(n=2, parts=(1, 0)), 1),)), "
             "r2=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)))")),
         "Verdict": (lambda: Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0), verdict),
-        "CatalogEntry": (
-            lambda: CatalogEntry(3, one(3, 1), one(3, 1), "Q-bad", "Bad", 0, 3),
-            f"CatalogEntry(n=3, S={ms}, Q={ms}, trigger='Q-bad', q_class='Bad', seed=0, "
-            "trials=3)"),
         "AffMatrixRep": (lambda: AffMatrixRep(1, 0, {}, [], []), rep),
         "Filtration": (lambda: Filtration(AffMatrixRep(1, 0, {}, [], []), "socle", [[]], []),
                        f"Filtration(rep={rep}, kind='socle', snapshots=[[]], layers=[])"),
