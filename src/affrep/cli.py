@@ -24,6 +24,7 @@ from .config import (
     MAX_PIERI_STRIPS,
     ModelInvariantError,
     ResourceCapError,
+    check_model_dim,
     check_rank,
     check_sweep,
 )
@@ -98,8 +99,8 @@ def read_model_file(path: str, max_dim: int):
     # refuse an oversized model before its O(N^2) entries are converted and
     # validated; a malformed N is left to model_from_json, which names the field
     dim = data.get("N") if isinstance(data, dict) else None
-    if type(dim) is int and dim > max_dim:
-        raise ResourceCapError("max_model_dim", dim, max_dim)
+    if type(dim) is int:
+        check_model_dim(dim, max_dim)
     return ser.model_from_json(data)
 
 

@@ -72,6 +72,12 @@ def check_sweep(name: str, sweep, cap: int) -> None:
         raise ResourceCapError(name, f"more than {cap}", cap)
 
 
+def check_model_dim(dim: int, max_dim: int) -> None:
+    """Refuse a model of dimension above `max_dim` (`--max-model-dim`)."""
+    if dim > max_dim:
+        raise ResourceCapError("max_model_dim", dim, max_dim)
+
+
 def check_rank(n: int, name: str) -> int:
     """`n`, refused above MAX_WEIGHT_RANK with `name` naming it in the error."""
     if n > MAX_WEIGHT_RANK:

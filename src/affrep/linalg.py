@@ -4,14 +4,18 @@ Vectors are dicts {index: value} with no stored zeros; a value is an `int`
 or a `Fraction`.  Integral entries stay `int` until a true division
 (`Echelon.insert` normalizing a pivot other than 1 or -1) makes a
 `Fraction`; arithmetic with it can leave integral `Fraction`s in vectors,
-which `restrict` stores in matrices as `int`.  Matrices keep a column-major
-sparse layout, which makes applying a matrix to a vector (the hot path
-everywhere in this package) a handful of dict lookups.  Row reduction uses
-the leftmost-pivot rule throughout so that every echelon basis, kernel and
-chain computed here is bit-reproducible.  Where only a rank is needed,
-`integer_rank` eliminates integer rows without fractions.
-`closure` and `restrict` turn a set of linear maps and seed vectors into the
-generated invariant subspace and the matrices of the maps on it.
+which `restrict` stores in matrices as `int`.  `SMat` holds a model's
+generators: built entry by entry, applied to vectors, negated-transposed
+for the dual and stacked for a direct sum, and nothing more; the one
+product of two matrices, the bracket `matmodel` validates with, reads its
+columns directly.  Its column-major sparse layout makes applying a matrix
+to a vector (the hot path everywhere in this package) a handful of dict
+lookups.  Row reduction uses the leftmost-pivot rule throughout so that
+every echelon basis, kernel and chain computed here is bit-reproducible.
+Where only a rank is needed, `integer_rank` eliminates integer rows
+without fractions.  `closure` and `restrict` turn a set of linear maps and
+seed vectors into the generated invariant subspace and the matrices of the
+maps on it.
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ class SMat:
             if not col:
                 del self.cols[c]
 
-    def entry(self, r, c):
-        return self.cols.get(c, {}).get(r, 0)
-
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector."""
         out: Vec = {}
@@ -86,39 +87,6 @@ class SMat:
                 else:
                     del out[r]
         return out
-
-    def matmul(self, other: "SMat") -> "SMat":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = {}
-        for c, col in other.cols.items():
-            newcol = self.apply(col)
-            if newcol:
-                cols[c] = newcol
-        return SMat(self.nrows, other.ncols, cols)
-
-    def add(self, other: "SMat") -> "SMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = SMat(self.nrows, self.ncols, {c: dict(col) for c, col in self.cols.items()})
-        for c, col in other.cols.items():
-            for r, v in col.items():
-                out.add_entry(r, c, v)
-        return out
-
-    def scale(self, c) -> "SMat":
-        if not c:
-            return SMat(self.nrows, self.ncols)
-        return SMat(
-            self.nrows, self.ncols,
-            {j: {r: v * c for r, v in col.items()} for j, col in self.cols.items()},
-        )
-
-    def sub(self, other: "SMat") -> "SMat":
-        return self.add(other.scale(-1))
-
-    def commutator(self, other: "SMat") -> "SMat":
-        return self.matmul(other).sub(other.matmul(self))
 
     def neg_transpose(self) -> "SMat":
         """-A^T, the dual of a Lie algebra action."""

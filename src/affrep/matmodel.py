@@ -33,6 +33,7 @@ from .config import (
     MAX_TENSOR_CELLS,
     ModelInvariantError,
     ResourceCapError,
+    check_model_dim,
 )
 from .linalg import Echelon, SMat, Vec, closure, common_kernel, restrict
 from .schur import Weight, WeightMultiset, dual, grading_rep, weyl_dim
@@ -66,17 +67,18 @@ def _key_at(n: int) -> dict[tuple[int, int], str]:
     return {entries[0][:2]: key for key, entries in affine_basis(n)}
 
 
-def bracket_coefficients(n: int, mat: SMat) -> dict:
-    """Expand a traceless n x n matrix in the sl_basis_keys basis."""
+def bracket_coefficients(n: int, table: dict) -> dict:
+    """Expand a traceless n x n matrix, given as a {(row, col): value}
+    table, in the sl_basis_keys basis."""
     key_at = _key_at(n)
     coeffs = {}
-    diag = [mat.entry(i, i) for i in range(n)]
+    diag = [table.get((i, i), 0) for i in range(n)]
     if sum(diag) != 0:
         raise ValueError("matrix has nonzero trace")
     for i in range(n):
         for j in range(n):
             if i != j:
-                v = mat.entry(i, j)
+                v = table.get((i, j), 0)
                 if v:
                     coeffs[key_at[i, j]] = v
     # telescoping: diag = sum c_k (e_k - e_{k+1}) with c_k = d_1 + ... + d_k
@@ -101,11 +103,6 @@ class AffMatrixRep(namedtuple("AffMatrixRep", "n dim sl_gens trans_gens weight_g
         return [self.sl_gens[k] for k in self.sl_keys()] + list(self.trans_gens)
 
 
-def _check_cap(dim: int, max_dim: int):
-    if dim > max_dim:
-        raise ResourceCapError("max_model_dim", dim, max_dim)
-
-
 def monomial_basis(n: int, l: int) -> list[tuple[int, ...]]:
     """Exponent vectors of monomials of total degree <= l, ordered by degree
     then lexicographically.  A monomial of degree deg is the multiset of its
@@ -125,7 +122,7 @@ def model_sym_dual(n: int, l: int, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffM
     """
     if n < 1 or l < 0:
         raise ValueError("need n >= 1 and l >= 0")
-    _check_cap(comb(n + l, l), max_dim)
+    check_model_dim(comb(n + l, l), max_dim)
     basis = monomial_basis(n, l)
     index = {e: i for i, e in enumerate(basis)}
     N = len(basis)
@@ -164,7 +161,7 @@ def tensor_model(a: AffMatrixRep, b: AffMatrixRep,
     is X (x) 1 + 1 (x) Y on the basis e_i (x) f_k, at index i * b.dim + k."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    _check_cap(a.dim * b.dim, max_dim)
+    check_model_dim(a.dim * b.dim, max_dim)
     nb = b.dim
 
     def leibniz(x: SMat, y: SMat) -> SMat:
@@ -295,7 +292,7 @@ def model_for_weight(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
 def sl_only_model(w: Weight, max_dim: int = DEFAULT_MAX_MODEL_DIM) -> AffMatrixRep:
     """A pure SL_n-representation viewed as an affine-group model: all
     translation generators are zero."""
-    _check_cap(weyl_dim(w), max_dim)
+    check_model_dim(weyl_dim(w), max_dim)
     return model_for_weight(w.n, w.parts)
 
 
@@ -338,10 +335,12 @@ def sl_only_sum_model(ms: WeightMultiset) -> AffMatrixRep:
 
 # --- validation --------------------------------------------------------------
 
-def _bracket_is(a: SMat, b: SMat, terms) -> bool:
-    """Is [a, b] = sum of c * m over the (m, c) in `terms`?  ab - ba - sum
-    c * m is added up in one dict keyed by r * N + j, with no intermediate
-    matrix: column j of xy is sum_k y_kj (column k of x)."""
+def _bracket(a: SMat, b: SMat, terms=()) -> Vec:
+    """[a, b] minus the sum of c * m over the (m, c) in `terms`, as a table
+    keyed by r * N + j for its entry (r, j); an entry that cancels stays as
+    a zero.  ab - ba - sum c * m is added up in one dict, with no
+    intermediate matrix: column j of xy is sum_k y_kj (column k of x).  The
+    only product of two matrices in the package."""
     dim = a.nrows
     diff: Vec = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
@@ -359,19 +358,20 @@ def _bracket_is(a: SMat, b: SMat, terms) -> bool:
             for r, v in m_j.items():
                 key = r * dim + j
                 diff[key] = diff.get(key, 0) - c * v
-    return not any(diff.values())
+    return diff
 
 
 @lru_cache(maxsize=16)
 def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
     """The 2n^2 - 3n + 2 bracket pairs (a, b, [a, b]) that `validate_model`
     checks once the grading holds, with [a, b] as (key, coefficient) terms
-    in the keys of `affine_basis`, computed from its matrices.  With the
-    grading they generate every relation of saff_n.  First the sl_n pairs,
-    in the order of itertools.combinations(keys, 2): every Chevalley pair
-    (e_i, f_j), and for each non-simple E_i_j (|i - j| >= 2) the pair
-    (E_i_k, E_k_j) with k adjacent to j between i and j, which defines it by
-    roots of lower height.
+    in the keys of `affine_basis`, computed from its matrices by `_bracket`,
+    the routine that checks the rows.  With the grading they generate every
+    relation of saff_n.  First the sl_n pairs, in the order of
+    itertools.combinations(keys, 2): every Chevalley pair (e_i, f_j), and
+    for each non-simple E_i_j (|i - j| >= 2) the pair (E_i_k, E_k_j) with k
+    adjacent to j between i and j, which defines it by roots of lower
+    height.
 
     No pair holds an h_i, by (a), Cartan brackets: if H_k is diagonal with
     eigenvalue lambda(g) on grading g, and every stored entry (r, c) of an
@@ -418,12 +418,13 @@ def relation_pairs(n: int) -> tuple[tuple[str, str, tuple], ...]:
         for a, b, v in entries:
             m.add_entry(a, b, v)
 
-    def expand(m: SMat) -> tuple:
+    def expand(diff: Vec) -> tuple:
         # the top left block in the sl_n basis, then column n, with T_j = -E_j_(n+1)
-        t = [(key_at[j, n], -v) for j, v in sorted(m.cols.get(n, {}).items())]
-        return tuple(bracket_coefficients(n, m).items()) + tuple(t)
+        at = {divmod(key, n + 1): v for key, v in diff.items() if v}
+        t = [(key_at[j, n], -v) for (j, c), v in sorted(at.items()) if c == n]
+        return tuple(bracket_coefficients(n, at).items()) + tuple(t)
 
-    return tuple((a, b, expand(mats[a].commutator(mats[b]))) for a, b in pairs)
+    return tuple((a, b, expand(_bracket(mats[a], mats[b]))) for a, b in pairs)
 
 
 def validate_model(rep: AffMatrixRep) -> None:
@@ -469,7 +470,7 @@ def validate_model(rep: AffMatrixRep) -> None:
                         raise ModelInvariantError(f"grading shift of {key}")
 
     for a, b, terms in relation_pairs(n):
-        if not _bracket_is(gens[a], gens[b], [(gens[k], c) for k, c in terms]):
+        if any(_bracket(gens[a], gens[b], [(gens[k], c) for k, c in terms]).values()):
             raise ModelInvariantError(f"[{a},{b}]")
 
 

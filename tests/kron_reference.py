@@ -1,11 +1,12 @@
 """The tensor product of models by two Kronecker products, for
 `matmodel.tensor_model`, which builds each generator column by column, to be
-checked against: X (x) 1 + 1 (x) Y as `kron(X, I).add(kron(I, Y))`."""
+checked against: X (x) 1 + 1 (x) Y as `add(kron(X, I), kron(I, Y))`."""
 
 from __future__ import annotations
 
 from affrep.linalg import SMat, Vec
 from affrep.matmodel import AffMatrixRep
+from matrix_reference import add
 
 
 def identity(n: int) -> SMat:
@@ -24,12 +25,12 @@ def kron(x: SMat, y: SMat) -> SMat:
 
 
 def tensor_model_reference(a: AffMatrixRep, b: AffMatrixRep) -> AffMatrixRep:
-    """The Leibniz tensor model of a and b; `SMat.add` drops every entry
-    that cancels, so no zero is stored."""
+    """The Leibniz tensor model of a and b; `add` drops every entry that
+    cancels, so no zero is stored."""
     ia, ib = identity(a.dim), identity(b.dim)
 
     def leibniz(x: SMat, y: SMat) -> SMat:
-        return kron(x, ib).add(kron(ia, y))
+        return add(kron(x, ib), kron(ia, y))
 
     return AffMatrixRep(
         a.n, a.dim * b.dim,

@@ -15,6 +15,7 @@ from math import factorial
 from affrep.linalg import SMat
 from affrep.oracle import poly_mul
 from dense import to_dense
+from matrix_reference import matmul
 
 PolyMatrix = dict  # column-major {col: {row: polynomial}}
 
@@ -112,7 +113,7 @@ def degree_bound_holds(rep, filtration) -> bool:
         for r, v in vec.items():
             b.add_entry(r, j, v)
     binv = _inverse(b)
-    adapted = [binv.matmul(t).matmul(b) for t in rep.trans_gens]
+    adapted = [matmul(matmul(binv, t), b) for t in rep.trans_gens]
     one = {(0,) * rep.n: Fraction(1)}
     for c, col in symbolic_unipotent(adapted, rep.dim).items():
         for r, poly in col.items():

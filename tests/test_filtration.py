@@ -26,6 +26,7 @@ from affrep.matmodel import (
 from affrep.oracle import decompose_character, irrep_character, ssyt_contents
 from affrep.schur import WeightMultiset, dual, grading_rep, normalize
 from kron_reference import identity
+from matrix_reference import add, matmul, scale
 from model_cases import WORKLOAD_MODELS, workload_model
 
 
@@ -57,11 +58,11 @@ class TestSocle:
         m = model_sym_dual(3, 3)
         t = SMat(m.dim, m.dim)
         for vi, ti in zip([3, -1, 7], m.trans_gens):
-            t = t.add(ti.scale(vi))
+            t = add(t, scale(ti, vi))
         order = 0
         power = identity(m.dim)
         while power.cols:
-            power = power.matmul(t)
+            power = matmul(power, t)
             order += 1
         f = socle_filtration(m)
         assert f.length + 1 == order

@@ -41,6 +41,7 @@ from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from basis_matrix import basis_matrices
 from dense import to_dense
 from kron_reference import identity, tensor_model_reference
+from matrix_reference import add, commutator, entries, entry, matmul, scale, sub
 from model_cases import fractional_model, sweep_labels
 from symbolic_oracle import degree_bound_holds, symbolic_unipotent
 from tensor_power_reference import tensor_power_model
@@ -78,12 +79,12 @@ class TestModelSymDual:
             m = model_sym_dual(n, l)
             t = SMat(m.dim, m.dim)
             for k, tk in enumerate(m.trans_gens):
-                t = t.add(tk.scale(k + 2))
+                t = add(t, scale(tk, k + 2))
             power = identity(m.dim)
             for _ in range(l):
-                power = power.matmul(t)
+                power = matmul(power, t)
             assert power.cols
-            assert not power.matmul(t).cols
+            assert not matmul(power, t).cols
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -184,9 +185,9 @@ class TestTensorModel:
         m = model_sym_dual(2, 2)
         x = m.sl_gens["H_1"]
         h = tensor_model(m, dual_model(m)).sl_gens["H_1"]
-        cancelled = [i * m.dim + i for i in range(m.dim) if x.entry(i, i)]
+        cancelled = [i * m.dim + i for i in range(m.dim) if entry(x, i, i)]
         assert cancelled
-        assert not any(h.entry(c, c) for c in cancelled)
+        assert not any(entry(h, c, c) for c in cancelled)
         assert h == tensor_model_reference(m, dual_model(m)).sl_gens["H_1"]
 
 
@@ -219,11 +220,11 @@ class TestSlBasis:
         for a in sl_basis_keys(n):
             for b in sl_basis_keys(n):
                 ma, mb = mats[a], mats[b]
-                coeffs = bracket_coefficients(n, ma.commutator(mb))
+                coeffs = bracket_coefficients(n, entries(commutator(ma, mb)))
                 recon = SMat(n, n)
                 for key, c in coeffs.items():
-                    recon = recon.add(mats[key].scale(c))
-                assert recon == ma.commutator(mb)
+                    recon = add(recon, scale(mats[key], c))
+                assert recon == commutator(ma, mb)
 
 
 class TestIrreducibleModel:
@@ -236,7 +237,7 @@ class TestIrreducibleModel:
             [[1, 0], [0, -1]],
             [[-1, 0], [0, 1]],
         )
-        comm = m.sl_gens["E_1_2"].commutator(m.sl_gens["E_2_1"])
+        comm = commutator(m.sl_gens["E_1_2"], m.sl_gens["E_2_1"])
         assert comm == m.sl_gens["H_1"]
 
     def test_trivial_weight(self):
@@ -260,11 +261,11 @@ class TestIrreducibleModel:
         mats = basis_matrices(n, n)
         for a in keys:
             for b in keys:
-                lhs = m.sl_gens[a].commutator(m.sl_gens[b])
-                coeffs = bracket_coefficients(n, mats[a].commutator(mats[b]))
+                lhs = commutator(m.sl_gens[a], m.sl_gens[b])
+                coeffs = bracket_coefficients(n, entries(commutator(mats[a], mats[b])))
                 rhs = SMat(m.dim, m.dim)
                 for key, c in coeffs.items():
-                    rhs = rhs.add(m.sl_gens[key].scale(c))
+                    rhs = add(rhs, scale(m.sl_gens[key], c))
                 assert lhs == rhs, (a, b)
 
     def test_dimensions_match_weyl(self):
@@ -333,7 +334,7 @@ class TestGeneratedSubmodel:
 class TestValidator:
     def test_detects_broken_bracket(self):
         m = model_sym_dual(2, 1)
-        m.sl_gens["E_1_2"] = m.sl_gens["E_1_2"].scale(2)
+        m.sl_gens["E_1_2"] = scale(m.sl_gens["E_1_2"], 2)
         with pytest.raises(ModelInvariantError):
             validate_model(m)
 
@@ -341,7 +342,7 @@ class TestValidator:
         # doubling E_2_3 keeps the grading, and [e_1, e_2] = E_1_3 is the
         # first relation of either check order that it breaks
         m = model_sym_dual(3, 2)
-        m.sl_gens["E_2_3"] = m.sl_gens["E_2_3"].scale(2)
+        m.sl_gens["E_2_3"] = scale(m.sl_gens["E_2_3"], 2)
         for validate in (validate_model, validator_oracle.validate_model):
             with pytest.raises(ModelInvariantError) as exc:
                 validate(m)
@@ -349,7 +350,7 @@ class TestValidator:
         # doubling H_2 breaks its eigenvalues, which the grading check reads
         # before any bracket
         m = model_sym_dual(3, 2)
-        m.sl_gens["H_2"] = m.sl_gens["H_2"].scale(2)
+        m.sl_gens["H_2"] = scale(m.sl_gens["H_2"], 2)
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
         assert exc.value.relation == "H_2 eigenvalue"
@@ -372,7 +373,7 @@ class TestValidator:
             assert exc.value.relation == "[T_1,T_2]"
         # adding H_1 gives T_1 diagonal entries, which shift no weight
         m = model_sym_dual(2, 2)
-        m.trans_gens[0] = m.trans_gens[0].add(m.sl_gens["H_1"])
+        m.trans_gens[0] = add(m.trans_gens[0], m.sl_gens["H_1"])
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
         assert exc.value.relation == "grading shift of T_1"
@@ -382,7 +383,7 @@ class TestValidator:
         # [f_1, T_1] = T_2, the first of the checked rows, and
         # [E_1_2, T_2] = T_1, the first of all [X, T_j]
         m = model_sym_dual(2, 1)
-        m.trans_gens[1] = m.trans_gens[1].scale(2)
+        m.trans_gens[1] = scale(m.trans_gens[1], 2)
         with pytest.raises(ModelInvariantError) as exc:
             validate_model(m)
         assert exc.value.relation == "[E_2_1,T_1]"
@@ -462,9 +463,9 @@ def _scaled(rep, keys, c):
     for key in keys:
         if key.startswith("T_"):
             j = int(key[2:]) - 1
-            rep.trans_gens[j] = rep.trans_gens[j].scale(c)
+            rep.trans_gens[j] = scale(rep.trans_gens[j], c)
         else:
-            rep.sl_gens[key] = rep.sl_gens[key].scale(c)
+            rep.sl_gens[key] = scale(rep.sl_gens[key], c)
     return rep
 
 
@@ -488,7 +489,7 @@ def _conjugated_adjoint(phi):
     for a, b, terms in relation_pairs(3):
         if len(terms) == 1 and terms[0][0].startswith("E_"):
             [(key, c)] = terms
-            rep.sl_gens[key] = rep.sl_gens[a].commutator(rep.sl_gens[b]).scale(c)
+            rep.sl_gens[key] = scale(commutator(rep.sl_gens[a], rep.sl_gens[b]), c)
     return rep
 
 
@@ -523,9 +524,9 @@ def _row_witness(n, a, b, terms):
 
 def _row_holds(rep, a, b, terms):
     gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
-    diff = gens[a].commutator(gens[b])
+    diff = commutator(gens[a], gens[b])
     for k, c in terms:
-        diff = diff.sub(gens[k].scale(c))
+        diff = sub(diff, scale(gens[k], c))
     return not any(v for col in diff.cols.values() for v in col.values())
 
 
@@ -592,14 +593,21 @@ class TestAffineBasis:
         for key, entries in affine_basis(n):
             assert entries == _entries_named_by(n, key), key
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_relations_are_commutators_of_the_table(self, n):
+        # each row's terms, in order, are the sl_n expansion of the top left
+        # block of the reference commutator, then -v T_(j+1) for each entry
+        # v at (j, n), by row; and they sum back to that commutator
         mats = basis_matrices(n, n + 1)
         for a, b, terms in relation_pairs(n):
+            comm = commutator(mats[a], mats[b])
+            at = entries(comm)
+            t = [(f"T_{j + 1}", -v) for (j, c), v in sorted(at.items()) if c == n]
+            assert terms == tuple(bracket_coefficients(n, at).items()) + tuple(t), (a, b)
             expect = SMat(n + 1, n + 1)
             for k, c in terms:
-                expect = expect.add(mats[k].scale(c))
-            assert mats[a].commutator(mats[b]) == expect, (a, b, terms)
+                expect = add(expect, scale(mats[k], c))
+            assert comm == expect, (a, b, terms)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sl_rows_are_the_chevalley_pairs_and_one_defining_pair_each(self, n):
@@ -668,7 +676,7 @@ def _rederive_translations(rep, j):
     before it, so the (f_k, T_k) rows from there on hold; the grading is
     kept."""
     for k in range(j, rep.n - 1):
-        rep.trans_gens[k + 1] = rep.sl_gens[f"E_{k + 2}_{k + 1}"].commutator(rep.trans_gens[k])
+        rep.trans_gens[k + 1] = commutator(rep.sl_gens[f"E_{k + 2}_{k + 1}"], rep.trans_gens[k])
 
 
 @st.composite
@@ -693,7 +701,7 @@ def perturbed_models(draw):
         m.add_entry(r, c, draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
     elif kind == "scale":
         key, m = draw(st.sampled_from(gens))
-        _set_gen(rep, key, m.scale(draw(st.sampled_from([0, 2, -1]))))
+        _set_gen(rep, key, scale(m, draw(st.sampled_from([0, 2, -1]))))
     elif kind == "swap" and len(gens) > 1:
         (k1, m1), (k2, m2) = draw(st.permutations(gens))[:2]
         _set_gen(rep, k1, m2)
@@ -702,7 +710,7 @@ def perturbed_models(draw):
         j = draw(st.integers(0, rep.n - 1))
         _, other = draw(st.sampled_from(gens))
         c = draw(st.sampled_from([1, -1, 2]))
-        rep.trans_gens[j] = rep.trans_gens[j].add(other.scale(c))
+        rep.trans_gens[j] = add(rep.trans_gens[j], scale(other, c))
     elif kind == "rescale":
         stored = [(m.cols[c], r) for _, m in gens for c in m.cols for r in m.cols[c]]
         if stored:
@@ -786,14 +794,14 @@ class TestValidatorAgainstOracle:
         rep = model_sym_dual(n, 2)
         sl = {id(m) for m in rep.sl_gens.values()}
         calls = Counter()
-        bracket_is = matmodel._bracket_is
+        bracket = matmodel._bracket
 
-        def counting(a, b, terms):
+        def counting(a, b, terms=()):
             if id(a) in sl:
                 calls["bracket" if id(b) in sl else "action"] += 1
-            return bracket_is(a, b, terms)
+            return bracket(a, b, terms)
 
-        monkeypatch.setattr(matmodel, "_bracket_is", counting)
+        monkeypatch.setattr(matmodel, "_bracket", counting)
         validate_model(rep)
         assert calls["bracket"] == brackets
         assert calls["action"] == actions
@@ -811,7 +819,7 @@ def _check_grading_facts(rep):
     for t in rep.trans_gens:
         power = t
         for _ in range(rep.dim - 1):
-            power = power.matmul(t)
+            power = matmul(power, t)
         assert not power.cols
     gens = rep.sl_gens | {f"T_{j + 1}": t for j, t in enumerate(rep.trans_gens)}
     for key, x in gens.items():
@@ -822,7 +830,7 @@ def _check_grading_facts(rep):
         alpha = [(i == a) - (i == b) for i in range(n)]
         for k in range(n - 1):
             h = rep.sl_gens[f"H_{k + 1}"]
-            assert h.commutator(x) == x.scale(alpha[k] - alpha[k + 1]), (key, k)
+            assert commutator(h, x) == scale(x, alpha[k] - alpha[k + 1]), (key, k)
 
 
 class TestGradingFacts:
@@ -862,9 +870,9 @@ def bracket_cases(draw):
     terms = [(draw(small_sparse_matrices(dim)), draw(coeff))
              for _ in range(draw(st.integers(0, 2)))]
     if draw(st.booleans()):
-        rest = a.commutator(b)
+        rest = commutator(a, b)
         for m, c in terms:
-            rest = rest.sub(m.scale(c))
+            rest = sub(rest, scale(m, c))
         terms.append((rest, 1))
         if draw(st.booleans()):
             rest.add_entry(draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)),
@@ -874,12 +882,14 @@ def bracket_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(bracket_cases())
-def test_bracket_is_agrees_with_the_commutator(case):
+def test_bracket_agrees_with_the_commutator(case):
+    # the table holds ab - ba - sum c m, zeros aside, keyed by r * N + j
     a, b, terms = case
-    want = SMat(a.nrows, a.ncols)
+    want = commutator(a, b)
     for m, c in terms:
-        want = want.add(m.scale(c))
-    assert matmodel._bracket_is(a, b, terms) == (a.commutator(b) == want)
+        want = sub(want, scale(m, c))
+    got = {key: v for key, v in matmodel._bracket(a, b, terms).items() if v}
+    assert got == {r * a.nrows + j: v for (r, j), v in entries(want).items()}
 
 
 def test_integral_entries_stay_int():

@@ -17,6 +17,7 @@ from affrep.repclass import (
     stabilizer_dimension,
 )
 from affrep.schur import Weight, WeightMultiset, dual, normalize
+from matrix_reference import scale
 
 
 def W(n, *parts):
@@ -211,7 +212,7 @@ class TestIntegerStabilizerAgainstOracle:
 
         def rescaled(n, parts):
             m = real(n, parts)
-            sl_gens = {k: g.scale(factors[parts]) for k, g in m.sl_gens.items()}
+            sl_gens = {k: scale(g, factors[parts]) for k, g in m.sl_gens.items()}
             return AffMatrixRep(m.n, m.dim, sl_gens, m.trans_gens, m.weight_grading)
 
         monkeypatch.setattr(repclass, "model_for_weight", rescaled)

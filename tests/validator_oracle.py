@@ -7,8 +7,10 @@ C(n^2 - 1, 2) pairs of sl_basis_keys, the translation action
 translations, and the translations' nilpotency, in that order.  Tests
 compare the program's validator, which checks the grading and then only the
 relations that the grading and the model's finite dimension leave open,
-against it: both must accept and reject the same models.  The nilpotency check stays although a grading that passes
-already implies it.
+against it: both must accept and reject the same models.  The nilpotency
+check stays although a grading that passes already implies it.  Products,
+sums and commutators come from `matrix_reference`, which the program's
+validator does not share.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from affrep.config import ModelInvariantError
 from affrep.linalg import SMat
 from affrep.matmodel import AffMatrixRep, bracket_coefficients
 from basis_matrix import basis_matrices
+from matrix_reference import add, commutator, entries, entry, matmul, scale
 
 
 def _expected_bracket(rep: AffMatrixRep, mats: dict, akey: str, bkey: str) -> SMat:
-    coeffs = bracket_coefficients(rep.n, mats[akey].commutator(mats[bkey]))
+    coeffs = bracket_coefficients(rep.n, entries(commutator(mats[akey], mats[bkey])))
     out = SMat(rep.dim, rep.dim)
     for key, c in coeffs.items():
-        out = out.add(rep.sl_gens[key].scale(c))
+        out = add(out, scale(rep.sl_gens[key], c))
     return out
 
 
@@ -52,7 +55,7 @@ def check_grading(rep: AffMatrixRep) -> None:
                         raise ModelInvariantError(f"{key} not diagonal")
             # every coordinate, stored or not, has its grading's eigenvalue
             for c in range(rep.dim):
-                if mat.entry(c, c) != g[c][k] - g[c][k + 1]:
+                if entry(mat, c, c) != g[c][k] - g[c][k + 1]:
                     raise ModelInvariantError(f"{key} eigenvalue")
     for j, t in enumerate(rep.trans_gens):
         want = tuple(1 if i == j else 0 for i in range(n))
@@ -78,7 +81,7 @@ def validate_model(rep: AffMatrixRep) -> None:
     # both sides are antisymmetric and [X, X] = 0, so each pair a < b once
     mats = basis_matrices(n, n)
     for a, b in itertools.combinations(keys, 2):
-        if rep.sl_gens[a].commutator(rep.sl_gens[b]) != _expected_bracket(rep, mats, a, b):
+        if commutator(rep.sl_gens[a], rep.sl_gens[b]) != _expected_bracket(rep, mats, a, b):
             raise ModelInvariantError(f"[{a},{b}]")
 
     for key in keys:
@@ -86,13 +89,13 @@ def validate_model(rep: AffMatrixRep) -> None:
         for j in range(n):
             expect = SMat(rep.dim, rep.dim)
             for i, c in x.cols.get(j, {}).items():
-                expect = expect.add(rep.trans_gens[i].scale(c))
-            if rep.sl_gens[key].commutator(rep.trans_gens[j]) != expect:
+                expect = add(expect, scale(rep.trans_gens[i], c))
+            if commutator(rep.sl_gens[key], rep.trans_gens[j]) != expect:
                 raise ModelInvariantError(f"[{key},T_{j + 1}]")
 
     for i in range(n):
         for j in range(i + 1, n):
-            if rep.trans_gens[i].commutator(rep.trans_gens[j]).cols:
+            if commutator(rep.trans_gens[i], rep.trans_gens[j]).cols:
                 raise ModelInvariantError(f"[T_{i + 1},T_{j + 1}]")
 
     for j, t in enumerate(rep.trans_gens):
@@ -100,6 +103,6 @@ def validate_model(rep: AffMatrixRep) -> None:
         for _ in range(rep.dim):
             if not power.cols:
                 break
-            power = power.matmul(t)
+            power = matmul(power, t)
         if power.cols:
             raise ModelInvariantError(f"T_{j + 1} nilpotency")
