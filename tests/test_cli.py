@@ -381,6 +381,21 @@ class TestModelAndFiltrate:
         # the 8-dim file itself is refused, not only a 64-dim product
         assert "max_model_dim needs 8" in err
 
+    @pytest.mark.parametrize("command", [
+        ["filtrate", "{f}"],
+        ["model", "dual", "--in", "{f}"],
+        ["model", "tensor", "--a", "{f}", "--b", "{f}"],
+    ], ids=["filtrate", "model-dual", "model-tensor"])
+    def test_model_cap_on_read_reads_no_further_than_the_header(self, capsys, tmp_path,
+                                                                command):
+        # what follows the canonical header is neither JSON nor UTF-8, so
+        # reading it would fail with another error
+        f = tmp_path / "big.json"
+        f.write_bytes(b'{"N":9,"n":2,"sl_gens":{' + b"\xff garbage" * 1000)
+        rc, out, err = run(capsys, *(a.format(f=f) for a in command), "--max-model-dim", "4")
+        assert (rc, out) == (1, "")
+        assert err == "error: resource cap exceeded: max_model_dim needs 9, cap is 4\n"
+
     def test_files_pinned(self, capsys, tmp_path):
         files = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.json", tmp_path / "d.json"
         for argv in pinned_model_commands(*files):

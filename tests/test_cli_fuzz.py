@@ -1,5 +1,6 @@
 """Command-line fuzzing: random argv for the weight commands and malformed
-multiset, extension and model files, run through `cli.main` in process so
+multiset, extension and model files (model files also as byte-level
+mutations of the writer's text), run through `cli.main` in process so
 that an escaping exception fails the test with its own traceback.  Every run
 must return an exit code from 0 to 3; a usage error returns 1 like any other
 error, so a `SystemExit` escaping `main` fails the test.
@@ -11,6 +12,7 @@ import io
 import json
 
 import pytest
+from byte_mutations import mutated
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +104,7 @@ VALID_FILES = {
                    "assume_generically_free": False},
     "filtrate": ser.model_to_json(model_sym_dual(2, 1)),
 }
+MODEL_TEXT = (ser.model_dumps(model_sym_dual(2, 1)) + "\n").encode()
 # integers stay small: a huge multiplicity of a bad-family label is a
 # well-formed input the classifier has no cap for
 JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
@@ -152,9 +155,19 @@ def test_valid_file_runs(tmp_path, command):
 def test_broken_files_never_raise(tmp_path, command):
     f = tmp_path / "input.json"
 
+    # each broken document as `json.dumps` writes it (", " separators, keys
+    # in their order) and as the program's writers do (sorted keys, no
+    # spaces), which for a model is the text the model scanner reads
+    contents = [
+        broken_document(VALID_FILES[command]).flatmap(
+            lambda doc: st.sampled_from([json.dumps(doc), ser.dumps(doc)])),
+        st.text(max_size=20), st.binary(max_size=20),
+    ]
+    if command == "filtrate":
+        contents.append(mutated(MODEL_TEXT))
+
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(broken_document(VALID_FILES[command]).map(json.dumps),
-                     st.text(max_size=20), st.binary(max_size=20)))
+    @given(st.one_of(contents))
     def check(content):
         if isinstance(content, bytes):
             f.write_bytes(content)

@@ -148,20 +148,25 @@ def read_or_error(read, rows):
         return str(exc)
 
 
-@pytest.mark.parametrize("rows", [
-    [["0", "0", "0"], ["0", "0", "5"], ["0", "0", "0"]],
-    [["0", "3", "0"], ["-1/2", "0", "7"], ["0", "0", "12/4"]],
-    [["0", "0", "0"], ["2", "0", "abc"], ["0", "x", "0"]],
-    [["0", "0", "1/0"], ["x", "0", "0"], ["0", "0", "0"]],
-    [["-0", "0", "0/3"], [0, "0", "0"], ["0", "4", 0]],
-    [["-0", "0", "0"], ["0", "0/3", "0"], ["0", "0", 0]],
-    [["0", "1", "0"], ["0", "0", True], ["0", "0", "0"]],
-    [["0", "0", "0"], ["0", "2", "0"], ["0", "0", 1.5]],
-    [["0", "0", "0"], [[], "0", "0"], ["0", "0", "0"]],
-    [["0", "-7", "0"], ["0", None, "0"], ["0", "0", "0"]],
-    [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
-], ids=["last column", "two in a row", "bad after a nonzero", "first bad in row-major order",
-        "zero spellings", "only zero spellings", "true", "1.5", "[]", "null", "all zero"])
+MATRIX_CASES = {
+    "last column": [["0", "0", "0"], ["0", "0", "5"], ["0", "0", "0"]],
+    "two in a row": [["0", "3", "0"], ["-1/2", "0", "7"], ["0", "0", "12/4"]],
+    "bad after a nonzero": [["0", "0", "0"], ["2", "0", "abc"], ["0", "x", "0"]],
+    "first bad in row-major order": [["0", "0", "1/0"], ["x", "0", "0"], ["0", "0", "0"]],
+    "zero spellings": [["-0", "0", "0/3"], [0, "0", "0"], ["0", "4", 0]],
+    "only zero spellings": [["-0", "0", "0"], ["0", "0/3", "0"], ["0", "0", 0]],
+    "true": [["0", "1", "0"], ["0", "0", True], ["0", "0", "0"]],
+    "1.5": [["0", "0", "0"], ["0", "2", "0"], ["0", "0", 1.5]],
+    "[]": [["0", "0", "0"], [[], "0", "0"], ["0", "0", "0"]],
+    "null": [["0", "-7", "0"], ["0", None, "0"], ["0", "0", "0"]],
+    "all zero": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    "canonical": [["0", "-5/7", "0"], ["12", "0", "0"], ["0", "0", "-3"]],
+    "leading zero, tab, unreduced": [["05", "0", "1\t"], ["0", "6/2", "0"], ["0", "0", "0"]],
+    "brackets in a cell": [["0", "1]]", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+}
+
+
+@pytest.mark.parametrize("rows", MATRIX_CASES.values(), ids=MATRIX_CASES)
 def test_matrix_reader_matches_row_loop(rows):
     """Same stored entries, in the same order, or the same error text."""
     assert read_or_error(ser._matrix_from_json, rows) == read_or_error(row_loop_reference, rows)
@@ -172,6 +177,48 @@ def test_matrix_reader_matches_row_loop(rows):
 def test_matrix_reader_matches_row_loop_on_spelled_matrices(case):
     _, rows = case
     assert read_or_error(ser._matrix_from_json, rows) == read_or_error(row_loop_reference, rows)
+
+
+def scanned_matrix(rows):
+    """What `scan_model` reads as the one translation matrix of a rank-1
+    model file that writes it as `rows`, or None if it declines the file."""
+    dim = len(rows)
+    text = (f'{{"N":{dim},"n":1,"sl_gens":{{}},"trans_gens":[{ser.dumps(rows)}],'
+            f'"weight_grading":{ser.dumps([[0]] * dim)}}}\n').encode()
+    data = ser.scan_model(text)
+    return None if data is None else data["trans_gens"][0]
+
+
+def canonical(x) -> bool:
+    """Whether x is a string the writer writes: `str` of its value."""
+    try:
+        return isinstance(x, str) and str(ser.fraction_from_str(x)) == x
+    except ValueError:
+        return False
+
+
+def typed_layout(m: SMat):
+    return [(c, [(r, repr(v)) for r, v in col.items()]) for c, col in m.cols.items()]
+
+
+def assert_scanned_as_read(rows):
+    """The scanner reads exactly the matrices whose cells are all canonical,
+    and reads them as `_matrix_from_json` does, value types included."""
+    got = scanned_matrix(rows)
+    assert (got is not None) == all(canonical(x) for row in rows for x in row)
+    if got is not None:
+        assert typed_layout(got) == typed_layout(ser._matrix_from_json(rows, len(rows), "m"))
+
+
+@pytest.mark.parametrize("rows", MATRIX_CASES.values(), ids=MATRIX_CASES)
+def test_scanner_reads_a_matrix_as_the_reader_does(rows):
+    assert_scanned_as_read(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_matrices())
+def test_scanner_reads_spelled_matrices_as_the_reader_does(case):
+    assert_scanned_as_read(case[1])
 
 
 @st.composite
