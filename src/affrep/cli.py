@@ -100,14 +100,19 @@ def _parse_json(text: str, path: str):
 
 
 def read_model_file(path: str, max_dim: int):
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         # a file whose canonical header names an N above the cap is refused
         # before the rest of it is read
         head = fh.read(ser.MODEL_HEAD_BYTES)
         found = ser.MODEL_HEAD.match(head)
         if found:
             check_model_dim(int(found[1]), max_dim)
-        raw = head + fh.read()
+        # unbuffered, so a file read again from its start lands in one bytes
+        # object, never copied; only a pipe keeps its header and copies it
+        if fh.seekable():
+            fh.seek(0)
+            head = b""
+        raw = head + fh.readall()
     data = ser.scan_model(raw)
     if data is None:
         # text the writer did not produce is decoded as `read_json_file`

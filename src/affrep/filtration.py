@@ -133,7 +133,11 @@ def check_duality(soc: Filtration) -> bool:
     """The radical layers of the dual model must be the duals of the socle
     layers of the model, in reversed order."""
     _require_socle(soc)
-    rad = radical_filtration(dual_model(soc.rep))
+    rep = soc.rep
+    # the radical filtration reads only the translations and the grading, so
+    # the dual of the sl_n generators is not built
+    rad = radical_filtration(dual_model(
+        AffMatrixRep(rep.n, rep.dim, {}, rep.trans_gens, rep.weight_grading)))
     return rad.layers[::-1] == [dual_multiset(q) for q in soc.layers]
 
 

@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts {index: value} with no stored zeros; a value is an `int`
-or a `Fraction`.  Integral entries stay `int` until a true division
-(`Echelon.insert` normalizing a pivot other than 1 or -1) makes a
-`Fraction`; arithmetic with it can leave integral `Fraction`s in vectors,
-which `restrict` stores in matrices as `int`.  `SMat` holds a model's
+or a `Fraction`.  `Echelon` stores every integral entry as `int`: it
+divides a row by its pivot with integer division when the pivot divides
+every entry, so only a true division makes a `Fraction`.  Arithmetic with
+`Fraction`s can leave integral ones in other vectors, which `restrict`
+stores in matrices as `int`.  `SMat` holds a model's
 generators: built entry by entry, applied to vectors, negated-transposed
 for the dual and stacked for a direct sum, and nothing more; the one
 product of two matrices, the bracket `matmodel` validates with, reads its
@@ -28,11 +29,6 @@ from .config import ModelInvariantError
 Vec = dict  # {index: int | Fraction}
 
 
-def vec_scale(v: Vec, c) -> Vec:
-    if not c:
-        return {}
-    return {i: x * c for i, x in v.items()}
-
 def vec_add_scaled(v: Vec, w: Vec, c) -> Vec:
     """v + c*w as a fresh dict."""
     out = dict(v)
@@ -45,6 +41,10 @@ def vec_add_scaled(v: Vec, w: Vec, c) -> Vec:
         else:
             out.pop(i, None)
     return out
+
+def _exact(x):
+    """`x` as an `int` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 def vec_pivot(v: Vec):
     """Smallest index with a nonzero entry, or None."""
@@ -115,12 +115,17 @@ class Echelon:
     mutually reduced with pivot entry 1: each row is zero at every other
     row's pivot.  So reducing a vector by one row changes it at no other
     pivot, the pivots in its support can be cleared in any order, and the
-    coordinates of a vector in the span are its entries at the pivots.  A
-    row of `int` entries stays `int` when its pivot is 1 or -1.
+    coordinates of a vector in the span are its entries at the pivots.
+    Every stored entry that is integral is an `int`: a row of `int` entries
+    whose pivot divides them all is divided by integer division, and only
+    the entries of a row that a true division leaves non-integral are
+    `Fraction`s.  `held` is every column a kept row has held, so a new
+    pivot outside it is in no kept row and clearing it scans nothing.
     """
 
     def __init__(self):
         self.rows: dict[int, Vec] = {}  # pivot -> row
+        self.held: set[int] = set()
 
     def __len__(self):
         return len(self.rows)
@@ -149,14 +154,22 @@ class Echelon:
             return None
         p = vec_pivot(row)
         lead = row[p]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            row = vec_scale(row, inv.numerator if inv.denominator == 1 else inv)
-        # keep full reduction: clear the new pivot from existing rows
-        for q, r in self.rows.items():
-            if p in r:
-                self.rows[q] = vec_add_scaled(r, row, -r[p])
-        self.rows[p] = row
+        if Fraction in map(type, row.values()):
+            inv = 1 / Fraction(lead)
+            row = {i: _exact(x * inv) for i, x in row.items()}
+        elif lead != 1:
+            row = {i: Fraction(x, lead) if x % lead else x // lead for i, x in row.items()}
+        rows = self.rows
+        if p in self.held:
+            # keep full reduction: clear the new pivot from existing rows
+            for q, r in rows.items():
+                if p in r:
+                    r = vec_add_scaled(r, row, -r[p])
+                    if Fraction in map(type, r.values()):
+                        r = {i: _exact(x) for i, x in r.items()}
+                    rows[q] = r
+        self.held.update(row)
+        rows[p] = row
         return p
 
     def coords(self, v: Vec):
@@ -197,7 +210,7 @@ def restrict(ech: Echelon, op) -> SMat:
         if coeff is None:
             raise ModelInvariantError("span not invariant")
         for q, c in coeff.items():
-            out.add_entry(col_of[q], j, c.numerator if c.denominator == 1 else c)
+            out.add_entry(col_of[q], j, _exact(c))
     return out
 
 

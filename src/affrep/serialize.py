@@ -151,38 +151,47 @@ def model_to_json(rep: AffMatrixRep) -> dict:
     }
 
 
-def _matrix_text(m: SMat) -> str:
-    """`dumps(_matrix_to_json(m))`, written from one all-zero row string:
-    every empty row is that string, and a row that holds entries is spliced
-    from it, `str(v)` in place of the "0" of column c, which sits at offset
-    2 + 4c of '["0","0",...]'."""
-    zero = "[" + ",".join(['"0"'] * m.ncols) + "]"
-    by_row: dict[int, list] = {}
-    for c, col in m.cols.items():
-        for r, v in col.items():
-            by_row.setdefault(r, []).append((c, v))
-    rows = [zero] * m.nrows
-    for r, cells in by_row.items():
-        cells.sort()  # columns are distinct in a row, so no value is compared
-        pieces, at = [], 0
-        for c, v in cells:
-            pieces += (zero[at:2 + 4 * c], str(v))
-            at = 3 + 4 * c
-        pieces.append(zero[at:])
-        rows[r] = "".join(pieces)
-    return "[" + ",".join(rows) + "]"
+def _zero_matrix_text(dim: int) -> str:
+    """`dumps` of the `dim` x `dim` matrix of "0" cells; the "0" of cell
+    (r, c) sits at 3 + r * (4 * dim + 2) + 4c."""
+    row = "[" + ",".join(['"0"'] * dim) + "]"
+    return "[" + ",".join([row] * dim) + "]"
 
 
 def model_dumps(rep: AffMatrixRep) -> str:
     """The model file text, exactly `dumps(model_to_json(rep))`, written
     from the sparse matrices without building the dense form: top-level and
-    `sl_gens` keys in sorted order, each matrix by `_matrix_text`.  Nothing
-    needs escaping: every cell is `str` of an `int` or a `Fraction` ("3",
-    "-5/7") and every key is a canonical `E_i_j` / `H_k`."""
-    sl = ",".join(f'"{k}":{_matrix_text(rep.sl_gens[k])}' for k in sorted(rep.sl_gens))
-    trans = ",".join(map(_matrix_text, rep.trans_gens))
-    return (f'{{"N":{rep.dim},"n":{rep.n},"sl_gens":{{{sl}}},"trans_gens":[{trans}],'
-            f'"weight_grading":{dumps([list(g) for g in rep.weight_grading])}}}')
+    `sl_gens` keys in sorted order, and each matrix as slices of one
+    all-zero matrix text with `str(v)` in place of the "0" of each stored
+    cell, the whole file joined once.  Nothing needs escaping: every cell is
+    `str` of an `int` or a `Fraction` ("3", "-5/7") and every key is a
+    canonical `E_i_j` / `H_k`."""
+    dim = rep.dim
+    zero = _zero_matrix_text(dim)
+    stride = 4 * dim + 2  # a row's text and the comma after it
+    out = [f'{{"N":{dim},"n":{rep.n},"sl_gens":{{']
+
+    def splice(m: SMat):
+        # each cell's offset in `zero`; offsets are distinct, so sorting
+        # compares no value
+        cells = sorted((3 + r * stride + 4 * c, v)
+                       for c, col in m.cols.items() for r, v in col.items())
+        at = 0
+        for i, v in cells:
+            out.extend((zero[at:i], str(v)))
+            at = i + 1
+        out.append(zero[at:])
+
+    for i, k in enumerate(sorted(rep.sl_gens)):
+        out.append(f',"{k}":' if i else f'"{k}":')
+        splice(rep.sl_gens[k])
+    out.append('},"trans_gens":[')
+    for i, t in enumerate(rep.trans_gens):
+        if i:
+            out.append(",")
+        splice(t)
+    out.append(f'],"weight_grading":{dumps([list(g) for g in rep.weight_grading])}}}')
+    return "".join(out)
 
 
 # the start of every file `model_dumps` writes, up to its first generator; a
@@ -196,11 +205,14 @@ MODEL_HEAD_BYTES = 64
 _CELL_STARTS = bytes(b if b in b'[],"0' else ord("x") for b in range(256))
 
 
-def _scan_matrix(raw: bytes, marks: bytes, at: int, zero: bytes, dim: int):
+def _scan_matrix(raw: bytes, marks: bytes, at: int, zero: bytes, dim: int, values: dict):
     """The matrix whose text starts at `raw[at]`, and the index past that
-    text, which must be `zero` (`_matrix_text` of the zero matrix) with some
-    "0" cells holding `str` of a nonzero value instead; ValueError if not.
-    Cells are stored in row-major order, as `_matrix_from_json` stores them."""
+    text, which must be `zero` (`_zero_matrix_text`, encoded) with some "0"
+    cells holding `str` of a nonzero value instead; ValueError if not.
+    Cells are stored in row-major order, as `_matrix_from_json` stores
+    them.  `values` maps each cell's bytes that the file has spelled so far
+    to its value, so each distinct cell is decoded and checked once per
+    file."""
     cols: dict[int, dict] = {}
     stride = 4 * dim + 2  # a row's text and the comma after it
     z = 0  # the index in `zero` that raw[at] must match
@@ -216,12 +228,15 @@ def _scan_matrix(raw: bytes, marks: bytes, at: int, zero: bytes, dim: int):
         if zero[z:z + 1] != b"0" or raw[at:i] != zero[start:z]:
             raise ValueError("not a canonical matrix")
         at = raw.index(b'"', i)
-        cell = raw[i:at].decode()
-        v = Fraction(cell) if "/" in cell else int(cell)
-        if str(v) != cell:  # so "-0", "6/2", "05" and " 1" are refused
-            raise ValueError("not a canonical cell")
-        # the "0" of cell (r, c) sits at 3 + r * stride + 4c
-        r, c = divmod(z - 3, stride)
+        cell = raw[i:at]
+        v = values.get(cell)
+        if v is None:
+            text = cell.decode()
+            v = Fraction(text) if "/" in text else int(text)
+            if str(v) != text:  # so "-0", "6/2", "05" and " 1" are refused
+                raise ValueError("not a canonical cell")
+            values[cell] = v
+        r, c = divmod(z - 3, stride)  # the cell's offset, as `_zero_matrix_text` puts it
         cols.setdefault(c // 4, {})[r] = v
         z += 1
 
@@ -242,10 +257,9 @@ def scan_model(raw: bytes) -> dict | None:
     dim = int(head[1]) if head else 0
     if not head or len(raw) < 4 * dim * dim:
         return None
-    row = b"[" + b",".join([b'"0"'] * dim) + b"]"
-    zero = b"[" + b",".join([row] * dim) + b"]"
+    zero = _zero_matrix_text(dim).encode()
     marks = raw.translate(_CELL_STARTS)
-    sl, trans, key, at = {}, [], "", head.end()
+    sl, trans, key, at, values = {}, [], "", head.end(), {}
     try:
         more = raw.startswith(b'"', at)
         while more:
@@ -255,7 +269,7 @@ def scan_model(raw: bytes) -> dict | None:
             if not name.isidentifier() or name <= key:
                 return None
             key = name
-            sl[key], at = _scan_matrix(raw, marks, end + 2, zero, dim)
+            sl[key], at = _scan_matrix(raw, marks, end + 2, zero, dim, values)
             more = raw.startswith(b',"', at)
             at += more
         if not raw.startswith(b'},"trans_gens":[', at):
@@ -263,7 +277,7 @@ def scan_model(raw: bytes) -> dict | None:
         at += 16
         more = raw.startswith(b"[", at)
         while more:
-            m, at = _scan_matrix(raw, marks, at, zero, dim)
+            m, at = _scan_matrix(raw, marks, at, zero, dim, values)
             trans.append(m)
             more = raw.startswith(b",[", at)
             at += more

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from affrep import filtration
 from affrep.filtration import (
     RADICAL,
     Filtration,
@@ -163,6 +164,29 @@ def test_radical_chain_equals_two_pass_assembly(build):
         assert got.layers == want.layers
         assert chain_members(got) == chain_members(want)
         assert verify_degree_bound(got)
+
+
+DUALITY_CASES = RADICAL_CASES[:len(WORKLOAD_MODELS) + 2]  # the workload and gallery models
+
+
+@pytest.mark.parametrize("build", [b for _, b in DUALITY_CASES],
+                         ids=[name for name, _ in DUALITY_CASES])
+def test_check_duality_filters_the_dual_model(build, monkeypatch):
+    """`check_duality` builds only the dual's translations and grading; the
+    radical filtration it gets from them is that of the whole dual model."""
+    rep = build()
+    seen = []
+
+    def recording(model):
+        seen.append(radical_filtration(model))
+        return seen[-1]
+
+    monkeypatch.setattr(filtration, "radical_filtration", recording)
+    assert check_duality(socle_filtration(rep))
+    want = radical_filtration(dual_model(rep))
+    assert len(seen) == 1
+    assert seen[0].layers == want.layers
+    assert seen[0].snapshots == want.snapshots
 
 
 class TestIdentifyLayers:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affrep.config import ModelInvariantError
@@ -234,11 +234,79 @@ def test_insert_keeps_int_rows_for_unit_pivots():
     assert ech.insert({0: 1, 1: 2, 2: 5}) == 0
     assert ech.rows == {1: {1: 1, 3: -4}, 0: {0: 1, 2: 5, 3: 8}}
     assert {type(x) for row in ech.rows.values() for x in row.values()} == {int}
-    # a pivot other than 1 or -1 divides, and only then a Fraction appears
+    # a pivot that does not divide every entry of its row, and only that,
+    # makes a Fraction
     assert ech.insert({2: 2, 3: 1}) == 2
     assert ech.rows[2] == {2: 1, 3: Fraction(1, 2)}
     assert ech.rows[0] == {0: 1, 3: Fraction(11, 2)}
     assert type(ech.rows[1][3]) is int
+
+
+class ReferenceEchelon:
+    """`Echelon.insert` by the book: reduce by the kept rows in ascending
+    pivot order, divide the row by its pivot as a `Fraction`, and clear the
+    new pivot from every kept row that holds it, scanning them all."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def insert(self, v):
+        row, _ = ascending_reduce(self, v)
+        if not row:
+            return None
+        p = min(row)
+        inv = 1 / Fraction(row[p])
+        row = {i: x * inv for i, x in row.items()}
+        for q, r in self.rows.items():
+            if p in r:
+                self.rows[q] = vec_add_scaled(r, row, -r[p])
+        self.rows[p] = row
+        return p
+
+
+@st.composite
+def insert_sequences(draw):
+    """Sparse vectors to insert in order: integer ones with small and large
+    entries, often scaled so that the pivot divides every entry, some with
+    fractions (integral ones among them), and combinations of earlier ones,
+    so that dependent vectors are common."""
+    entry = st.one_of(st.integers(-9, 9), ENTRY, st.fractions(-9, 9, max_denominator=6))
+    vecs = []
+    for _ in range(draw(st.integers(1, 12))):
+        if vecs and draw(st.booleans()):
+            vec = {}
+            for i in draw(st.lists(st.sampled_from(range(len(vecs))), min_size=1, max_size=3)):
+                vec = vec_add_scaled(vec, vecs[i], draw(st.integers(-5, 5)))
+        else:
+            support = draw(st.lists(st.integers(0, NCOLS - 1), max_size=5, unique=True))
+            vec = {j: x for j in support if (x := draw(entry))}
+        scale = draw(st.sampled_from([1, -1, 2, -3, 6]))
+        vecs.append({j: x * scale for j, x in vec.items()})
+    return vecs
+
+
+@settings(max_examples=500, deadline=None)
+@given(insert_sequences())
+@example([{0: 2, 3: 4}])
+# clearing pivot 1 from the first row leaves its entry 1/2 + 1/2
+@example([{0: 2, 1: 1, 2: 1}, {1: 1, 2: -1}])
+def test_insert_matches_the_fraction_reference(vecs):
+    ech, ref = Echelon(), ReferenceEchelon()
+    for vec in vecs:
+        assert ech.insert(vec) == ref.insert(vec)
+        assert ech.rows == ref.rows
+        assert not [x for row in ech.rows.values() for x in row.values()
+                    if type(x) is Fraction and x.denominator == 1]
+
+
+def test_insert_divides_a_row_its_pivot_divides_in_integers():
+    ech = Echelon()
+    assert ech.insert({0: 2, 3: 4}) == 0
+    assert [(i, type(x), x) for i, x in ech.rows[0].items()] == [(0, int, 1), (3, int, 2)]
+    # a pivot that divides some entries only: those stay int
+    assert ech.insert({1: 4, 2: 6, 3: 8}) == 1
+    assert [(i, type(x), x) for i, x in ech.rows[1].items()] == [
+        (1, int, 1), (2, Fraction, Fraction(3, 2)), (3, int, 2)]
 
 
 def test_insert_never_mutates_a_stored_row():

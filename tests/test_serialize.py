@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from affrep import serialize as ser
 from affrep.gallery import cubic_top_submodel, three_generator_submodel
 from affrep.linalg import SMat
-from affrep.matmodel import dual_model, model_sym_dual, sl_only_model, tensor_model
+from affrep.matmodel import (
+    AffMatrixRep, dual_model, model_sym_dual, sl_basis_keys, sl_only_model, tensor_model)
 from affrep.rationality import TwoStepExtension, decide_rationality
 from affrep.schur import WeightMultiset, normalize
 from dense import to_dense
@@ -222,29 +223,40 @@ def test_scanner_reads_spelled_matrices_as_the_reader_does(case):
 
 
 @st.composite
-def matrices_with_full_rows(draw):
-    """Square matrices whose rows often hold several entries, often in the
-    first or the last column, with integer and fractional values."""
-    dim = draw(st.integers(1, 12))
+def sparse_models(draw):
+    """Models in shape only (neither writer validates): rank 1 to 3, N from
+    1, every matrix sparse and often empty, its rows often holding several
+    entries, often in the first or the last column, with negative,
+    multi-digit and fractional values."""
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 10))
     column = st.one_of(st.sampled_from([0, dim - 1]), st.integers(0, dim - 1))
     values = st.one_of(NONZERO, st.integers(-10**6, 10**6).filter(bool))
-    m = SMat(dim, dim)
-    cells = st.dictionaries(st.tuples(st.integers(0, dim - 1), column), values, max_size=4 * dim)
-    for (r, c), v in draw(cells).items():
-        m.add_entry(r, c, v)
-    return m
+    cells = st.dictionaries(st.tuples(st.integers(0, dim - 1), column), values, max_size=3 * dim)
+
+    def matrix():
+        m = SMat(dim, dim)
+        for (r, c), v in draw(cells).items():
+            m.add_entry(r, c, v)
+        return m
+
+    sl = {k: matrix() for k in sl_basis_keys(n)}
+    trans = [matrix() for _ in range(n)]
+    grading = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * n), min_size=dim, max_size=dim))
+    return AffMatrixRep(n, dim, sl, trans, grading)
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices_with_full_rows())
-@example(SMat(1, 1))
-@example(SMat(1, 1, {0: {0: -7}}))
-@example(SMat(5, 5))
+@given(sparse_models())
+@example(AffMatrixRep(1, 1, {}, [SMat(1, 1)], [(0,)]))
+@example(AffMatrixRep(1, 1, {}, [SMat(1, 1, {0: {0: -7}})], [(-3,)]))
+@example(AffMatrixRep(2, 5, {k: SMat(5, 5) for k in sl_basis_keys(2)},
+                      [SMat(5, 5), SMat(5, 5)], [(0, 0)] * 5))
 # one row with entries in the last, first and a middle column, stored out of
 # column order, and a row whose only entry is in the first column
-@example(SMat(4, 4, {3: {2: -300}, 0: {2: Fraction(-5, 7), 1: 12345}, 1: {2: 10}}))
-def test_matrix_text_is_dumps_of_dense_rows(m):
-    assert ser._matrix_text(m) == ser.dumps(reference_rows(m))
+@example(AffMatrixRep(1, 4, {}, [SMat(4, 4, {3: {2: -300}, 0: {2: Fraction(-5, 7), 1: 12345},
+                                             1: {2: 10}})], [(1,), (0,), (0,), (-1,)]))
+def test_model_dumps_is_dumps_of_model_to_json_on_sparse_models(rep):
+    assert ser.model_dumps(rep) == ser.dumps(ser.model_to_json(rep))
 
 
 @pytest.mark.parametrize("build,digest", [
