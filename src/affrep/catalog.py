@@ -40,7 +40,7 @@ import itertools
 from collections import namedtuple
 from operator import mul
 
-from .config import DEFAULT_SEED, DEFAULT_TRIALS
+from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_CATALOG_RANK
 from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_list, classify
 from .rationality import (
     FREE,
@@ -229,8 +229,8 @@ def enumerate_exceptional_candidates(
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    if n > 7:
-        raise ValueError(f"enumeration cap: rank must be at most 7, got {n}")
+    if n > MAX_CATALOG_RANK:
+        raise ValueError(f"enumeration cap: rank must be at most {MAX_CATALOG_RANK}, got {n}")
     trivial_cap = _cap("max_trivials", max_trivials, 0, n * n - 2)
     dim_s_cap = _cap("max_dim_s", max_dim_s, 1, n * n + 2 * n - 1)
 

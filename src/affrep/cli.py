@@ -9,8 +9,6 @@ exceptional two-step instance, 3 possibly-not-generically-free instance.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
 from contextlib import nullcontext
 
@@ -25,7 +23,6 @@ from .config import (
     MAX_PIERI_STRIPS,
     ModelInvariantError,
     ResourceCapError,
-    check_model_dim,
     check_rank,
     check_sweep,
 )
@@ -86,47 +83,7 @@ def emit(args, payload: dict, text_lines) -> None:
 
 def read_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(fh.read(), path)
-
-
-def _parse_json(text: str, path: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}")
-    except RecursionError:
-        # the decoder recurses once per open array or object
-        raise ValueError(f"invalid JSON in {path}: nested too deeply")
-
-
-def read_model_file(path: str, max_dim: int):
-    with open(path, "rb", buffering=0) as fh:
-        # a file whose canonical header names an N above the cap is refused
-        # before the rest of it is read
-        head = fh.read(ser.MODEL_HEAD_BYTES)
-        found = ser.MODEL_HEAD.match(head)
-        if found:
-            check_model_dim(int(found[1]), max_dim)
-        # unbuffered, so a file read again from its start lands in one bytes
-        # object, never copied; only a pipe keeps its header and copies it
-        if fh.seekable():
-            fh.seek(0)
-            head = b""
-        raw = head + fh.readall()
-    data = ser.scan_model(raw)
-    if data is None:
-        # text the writer did not produce is decoded as `read_json_file`
-        # decodes it and read with `json`, with the same errors; the bytes
-        # are not kept while json builds its lists
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-        del raw
-        data = _parse_json(text, path)
-    # refuse an oversized model before its O(N^2) entries are converted and
-    # validated; a malformed N is left to model_from_json, which names the field
-    dim = data.get("N") if isinstance(data, dict) else None
-    if type(dim) is int:
-        check_model_dim(dim, max_dim)
-    return ser.model_from_json(data)
+        return ser.parse_json(fh.read(), path)
 
 
 def write_or_print(args, text: str) -> None:
@@ -196,10 +153,10 @@ def cmd_model(args) -> int:
         check_rank(args.n, "--n")
         rep = model_sym_dual(args.n, args.l, max_dim=args.max_model_dim)
     elif args.which == "dual":
-        rep = dual_model(read_model_file(args.infile, args.max_model_dim))
+        rep = dual_model(ser.read_model_file(args.infile, args.max_model_dim))
     elif args.which == "tensor":
-        a = read_model_file(args.a, args.max_model_dim)
-        b = read_model_file(args.b, args.max_model_dim)
+        a = ser.read_model_file(args.a, args.max_model_dim)
+        b = ser.read_model_file(args.b, args.max_model_dim)
         rep = tensor_model(a, b, max_dim=args.max_model_dim)
     else:
         rep = sl_only_model(parse_weight_arg(args.n, args.lam), max_dim=args.max_model_dim)
@@ -208,7 +165,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_filtrate(args) -> int:
-    rep = read_model_file(args.model_file, args.max_model_dim)
+    rep = ser.read_model_file(args.model_file, args.max_model_dim)
     soc = socle_filtration(rep)
     filt = soc if args.kind == "socle" else radical_filtration(rep)
     checks = {

@@ -7,16 +7,17 @@ exactly.  Rationals are encoded as strings: "3" or "-5/7".
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import TRIGGER_SMALL_S, Catalog, decision_signatures
-from .config import check_rank
+from .config import MAX_WEIGHT_RANK, check_model_dim, check_rank
 from .filtration import Filtration
 from .linalg import SMat
-from .matmodel import AffMatrixRep, validate_model
+from .matmodel import AffMatrixRep, sl_basis_keys, validate_model
 from .rationality import TwoStepExtension, Verdict
 from .repclass import StabilizerReport
 from .schur import Weight, WeightMultiset
@@ -158,39 +159,42 @@ def _zero_matrix_text(dim: int) -> str:
     return "[" + ",".join([row] * dim) + "]"
 
 
+def _frame(n: int, dim: int, keys) -> list[str]:
+    """The model file's text around its matrices, `sl_gens` under `keys` in
+    that order and then n translations: the text before each matrix, and
+    after the last the text up to the grading.  A NUL, which no key holds,
+    marks each matrix in the template."""
+    sl, trans = ",".join(f'"{k}":\0' for k in keys), ",".join("\0" * n)
+    text = f'{{"N":{dim},"n":{n},"sl_gens":{{{sl}}},"trans_gens":[{trans}],"weight_grading":'
+    return text.split("\0")
+
+
 def model_dumps(rep: AffMatrixRep) -> str:
     """The model file text, exactly `dumps(model_to_json(rep))`, written
-    from the sparse matrices without building the dense form: top-level and
-    `sl_gens` keys in sorted order, and each matrix as slices of one
-    all-zero matrix text with `str(v)` in place of the "0" of each stored
-    cell, the whole file joined once.  Nothing needs escaping: every cell is
-    `str` of an `int` or a `Fraction` ("3", "-5/7") and every key is a
-    canonical `E_i_j` / `H_k`."""
+    from the sparse matrices without building the dense form: `_frame` for
+    the sorted `sl_gens` keys, and each matrix as slices of one all-zero
+    matrix text with `str(v)` in place of the "0" of each stored cell, the
+    whole file joined once.  Nothing needs escaping: every cell is `str` of
+    an `int` or a `Fraction` ("3", "-5/7") and every key is a canonical
+    `E_i_j` / `H_k`."""
     dim = rep.dim
     zero = _zero_matrix_text(dim)
     stride = 4 * dim + 2  # a row's text and the comma after it
-    out = [f'{{"N":{dim},"n":{rep.n},"sl_gens":{{']
-
-    def splice(m: SMat):
+    keys = sorted(rep.sl_gens)
+    frame = _frame(rep.n, dim, keys)
+    out = []
+    for text, m in zip(frame, [*map(rep.sl_gens.get, keys), *rep.trans_gens]):
         # each cell's offset in `zero`; offsets are distinct, so sorting
         # compares no value
         cells = sorted((3 + r * stride + 4 * c, v)
                        for c, col in m.cols.items() for r, v in col.items())
+        out.append(text)
         at = 0
         for i, v in cells:
             out.extend((zero[at:i], str(v)))
             at = i + 1
         out.append(zero[at:])
-
-    for i, k in enumerate(sorted(rep.sl_gens)):
-        out.append(f',"{k}":' if i else f'"{k}":')
-        splice(rep.sl_gens[k])
-    out.append('},"trans_gens":[')
-    for i, t in enumerate(rep.trans_gens):
-        if i:
-            out.append(",")
-        splice(t)
-    out.append(f'],"weight_grading":{dumps([list(g) for g in rep.weight_grading])}}}')
+    out.append(f'{frame[-1]}{dumps([list(g) for g in rep.weight_grading])}}}')
     return "".join(out)
 
 
@@ -232,7 +236,7 @@ def _scan_matrix(raw: bytes, marks: bytes, at: int, zero: bytes, dim: int, value
         v = values.get(cell)
         if v is None:
             text = cell.decode()
-            v = Fraction(text) if "/" in text else int(text)
+            v = fraction_from_str(text)
             if str(v) != text:  # so "-0", "6/2", "05" and " 1" are refused
                 raise ValueError("not a canonical cell")
             values[cell] = v
@@ -247,54 +251,89 @@ def scan_model(raw: bytes) -> dict | None:
     of its rows; None for any other bytes, and never an error, so the caller
     can read those with `json` and report what is wrong as before.
 
-    Each matrix is matched against the all-zero matrix text for the header's
-    N: one `bytes.translate` of the file marks where a nonzero cell may
-    start, `find` jumps to the next mark, and the bytes in between must equal
-    the matching slice of the template, compared in C.  The all-zero text
-    (4N^2 bytes) is built only when the file is at least that long, so it
-    never costs more than the file."""
+    The header gives n and N, and with them the file's `_frame`: exactly the
+    sorted keys of `sl_basis_keys(n)` and n translations.  Each frame text
+    must come where the one before it ends, and each matrix is matched
+    against the all-zero matrix text for N: one `bytes.translate` of the
+    file marks where a nonzero cell may start, `find` jumps to the next
+    mark, and the bytes in between must equal the matching slice of the
+    template, compared in C.  The all-zero text (4N^2 bytes) is built only
+    when the file is at least that long, so it never costs more than the
+    file, and the keys only for a rank a model file may have."""
     head = MODEL_HEAD.match(raw, 0, MODEL_HEAD_BYTES)
-    dim = int(head[1]) if head else 0
-    if not head or len(raw) < 4 * dim * dim:
+    dim, n = (int(head[1]), int(head[2])) if head else (0, 0)
+    if not head or n > MAX_WEIGHT_RANK or len(raw) < 4 * dim * dim:
         return None
+    keys = sorted(sl_basis_keys(n))
+    *heads, last = (text.encode() for text in _frame(n, dim, keys))
     zero = _zero_matrix_text(dim).encode()
     marks = raw.translate(_CELL_STARTS)
-    sl, trans, key, at, values = {}, [], "", head.end(), {}
+    mats, at, values = [], 0, {}
+    end = len(raw) - raw.endswith(b"\n") - 1
     try:
-        more = raw.startswith(b'"', at)
-        while more:
-            end = raw.index(b'":', at + 1)
-            name = raw[at + 1:end].decode()
-            # sorted keys, so none is read twice (json would keep the last)
-            if not name.isidentifier() or name <= key:
+        for text in heads:
+            if not raw.startswith(text, at):
                 return None
-            key = name
-            sl[key], at = _scan_matrix(raw, marks, end + 2, zero, dim, values)
-            more = raw.startswith(b',"', at)
-            at += more
-        if not raw.startswith(b'},"trans_gens":[', at):
-            return None
-        at += 16
-        more = raw.startswith(b"[", at)
-        while more:
-            m, at = _scan_matrix(raw, marks, at, zero, dim, values)
-            trans.append(m)
-            more = raw.startswith(b",[", at)
-            at += more
-        end = len(raw) - raw.endswith(b"\n") - 1
-        if not raw.startswith(b'],"weight_grading":', at) or raw[end:end + 1] != b"}":
+            m, at = _scan_matrix(raw, marks, at + len(text), zero, dim, values)
+            mats.append(m)
+        if not raw.startswith(last, at) or raw[end:end + 1] != b"}":
             return None
         # the grading is a few bytes per basis vector; json reads it, and it
         # must be what `dumps` writes (called as `_ENCODER`, so that the
         # traced `serialize.dumps` of perfbench counts only output)
-        tail = raw[at + 19:end]
+        tail = raw[at + len(last):end]
         grading = json.loads(tail)
         if _ENCODER.encode(grading).encode() != tail:
             return None
-    except (ValueError, ZeroDivisionError, RecursionError):
+    except (ValueError, RecursionError):
         return None
-    return {"N": dim, "n": int(head[2]), "sl_gens": sl, "trans_gens": trans,
-            "weight_grading": grading}
+    return {"N": dim, "n": n, "sl_gens": dict(zip(keys, mats)),
+            "trans_gens": mats[len(keys):], "weight_grading": grading}
+
+
+def parse_json(text: str, path: str):
+    """The JSON value of `text`, read from the file `path`; a ValueError
+    naming the file if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        # the decoder recurses once per open array or object
+        raise ValueError(f"invalid JSON in {path}: nested too deeply")
+
+
+def read_model_file(path: str, max_dim: int) -> AffMatrixRep:
+    """The validated model in the file `path`, refused if its N is above
+    `max_dim`: read by `scan_model` if it is what `model_dumps` writes, and
+    with `json` otherwise."""
+    with open(path, "rb", buffering=0) as fh:
+        # a file whose canonical header names an N above the cap is refused
+        # before the rest of it is read
+        head = fh.read(MODEL_HEAD_BYTES)
+        found = MODEL_HEAD.match(head)
+        if found:
+            check_model_dim(int(found[1]), max_dim)
+        # unbuffered, so a file read again from its start lands in one bytes
+        # object, never copied; only a pipe keeps its header and copies it
+        if fh.seekable():
+            fh.seek(0)
+            head = b""
+        raw = head + fh.readall()
+    data = scan_model(raw)
+    if data is None:
+        # text the writer did not produce is decoded as `cli.read_json_file`
+        # decodes it and read with `json`, with the same errors; the bytes
+        # are not kept while json builds its lists
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        del raw
+        data = parse_json(text, path)
+    # refuse an oversized model before its O(N^2) entries are converted and
+    # validated; a malformed N is left to model_from_json, which names the field
+    dim = data.get("N") if isinstance(data, dict) else None
+    if type(dim) is int:
+        check_model_dim(dim, max_dim)
+    return model_from_json(data)
 
 
 def model_from_json(data) -> AffMatrixRep:

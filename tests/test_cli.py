@@ -874,14 +874,17 @@ class TestEnumerate:
         assert err == summary
         assert err.splitlines()[0] == f"entries: {len(out.splitlines())}"
 
-    @pytest.mark.parametrize("flags", [["--n", "8"], ["--n", "3", "--max-trivials", "99"]],
-                             ids=["rank", "max-trivials"])
-    def test_refused_catalog_creates_no_file(self, capsys, tmp_path, flags):
+    @pytest.mark.parametrize("flags,error", [
+        (["--n", "8"], "enumeration cap: rank must be at most 7, got 8"),
+        (["--n", "3", "--max-trivials", "99"],
+         "cap violated: max_trivials 99 exceeds the clause bound 7"),
+    ], ids=["rank", "max-trivials"])
+    def test_refused_catalog_creates_no_file(self, capsys, tmp_path, flags, error):
         out_file = tmp_path / "cat.jsonl"
         rc, out, err = run(capsys, "enumerate", *flags, "--out", str(out_file))
         assert rc == 1
         assert out == ""
-        assert "cap" in err
+        assert err == f"error: {error}\n"
         assert not out_file.exists()
 
     def test_dim_s_cap(self, capsys, tmp_path):

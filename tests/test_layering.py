@@ -5,8 +5,10 @@ rationality decision and the catalog read models through `matmodel`; if
 across modules.  Nor does `matmodel` read a filtration: the checks on
 filtrations live in `filtration`.  The character oracle is the reference
 `selftest` checks the Littlewood-Richardson code against, so it reads
-weights from `schur` and nothing of that code.  And every command starts a fresh interpreter,
-so the CLI must not pay for standard modules it does not need at start-up.
+weights from `schur` and nothing of that code.  `serialize` alone knows the
+model file's bytes: the CLI reads model files through it.  And every command
+starts a fresh interpreter, so the CLI must not pay for standard modules it
+does not need at start-up.
 """
 
 import ast
@@ -82,6 +84,15 @@ def test_oracle_is_independent_of_the_lr_code():
     assert names & LR_NAMES == set()
     assert not any(name.startswith("_lr_") or name == "_candidate_outer_shapes"
                    for name in names)
+
+
+# what the model file's bytes are made of; `serialize` writes and reads them
+MODEL_FILE_NAMES = {"MODEL_HEAD", "MODEL_HEAD_BYTES", "scan_model", "_frame"}
+
+
+def test_cli_names_nothing_of_the_model_file_bytes():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _names(tree) & MODEL_FILE_NAMES == set()
 
 
 # `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`

@@ -1,8 +1,10 @@
 """The model-file reader.  `serialize.scan_model` reads the text the writer
-produces, and `cli.read_model_file` reads any other text with `json`.  Each
-file here is read through `cli.main` twice, once as the program reads it and
-once with the scanner declining everything; both must give the same model,
-or the same exit code and `error:` line."""
+produces: the frame `model_dumps` writes for the header's n and N, with
+exactly the sorted sl_n keys and n translations, around canonical matrices.
+`serialize.read_model_file` reads any other text with `json`.  Each file
+here is read through `cli.main` twice, once as the program reads it and once
+with the scanner declining everything; both must give the same model, or the
+same exit code and `error:` line."""
 
 import contextlib
 import io
@@ -15,7 +17,6 @@ from byte_mutations import mutated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affrep import cli
 from affrep import serialize as ser
 from affrep.cli import main
 from affrep.config import DEFAULT_MAX_MODEL_DIM
@@ -121,6 +122,10 @@ NAMED = [
     ("a bracket for the final brace", lambda t: t[:-2] + b"]\n", False),
     ("truncated in a matrix", lambda t: t[:len(t) // 2], False),
     ("truncated before the last brace", lambda t: t[:-2], False),
+    # keys and translations other than the frame's; validation refuses both
+    ("H_1 renamed H_9", lambda t: t.replace(b'"H_1"', b'"H_9"', 1), False),
+    ("a third translation", lambda t: t.replace(b'],"weight_grading"', b',' + ZERO_ROWS
+                                                + b'],"weight_grading"', 1), False),
 ]
 
 
@@ -157,6 +162,10 @@ def test_named_edits_end_as_expected(tmp_path):
     assert results["weight_grading nested 10,000 deep"][1].endswith(": nested too deeply\n")
     assert results["a row fewer than N"] == (
         1, "error: field 'sl_gens.E_1_2' must be a list of 3 lists of 3 entries\n")
+    assert results["H_1 renamed H_9"] == (
+        1, "error: model invariant violated: sl generator keys\n")
+    assert results["a third translation"] == (
+        1, "error: field 'trans_gens' must be a list of 2 matrices\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,13 +216,15 @@ def _written_by_model(tmp_path):
 
 def _written_by_model_dumps(tmp_path):
     """The bundled models, the two largest `models` workload shapes (N 160
-    and N 150) and a direct sum."""
+    and N 150), a direct sum, and ranks 9 to 12: from rank 10 the sorted
+    keys leave basis order ("E_1_10" sorts before "E_1_2")."""
     models = [
         cubic_top_submodel(3),
         three_generator_submodel(4),
         tensor_model(sl_only_model(normalize(3, [2, 1])), model_sym_dual(3, 3)),
         tensor_model(sl_only_model(normalize(4, [2])), model_sym_dual(4, 2)),
         direct_sum_model(model_sym_dual(2, 2), sl_only_model(normalize(2, [1]))),
+        *(model_sym_dual(n, 1) for n in (9, 10, 11, 12)),
     ]
     files = [tmp_path / f"m{i}.json" for i in range(len(models))]
     for f, rep in zip(files, models):
@@ -231,8 +242,8 @@ def test_every_file_the_program_writes_is_scanned(tmp_path, monkeypatch, written
     def no_json(text, path):
         raise AssertionError(f"{path} was read with json")
 
-    monkeypatch.setattr(cli, "_parse_json", no_json)
-    assert [layout(cli.read_model_file(str(f), DEFAULT_MAX_MODEL_DIM)) for f in files] == want
+    monkeypatch.setattr(ser, "parse_json", no_json)
+    assert [layout(ser.read_model_file(str(f), DEFAULT_MAX_MODEL_DIM)) for f in files] == want
 
 
 def test_a_short_file_claiming_a_huge_n_builds_no_template(tmp_path):
