@@ -13,13 +13,17 @@ product.  Every multiset comes from one walk over count vectors, `_walk`,
 and the pairs are kept by Q, sorted by Q and S, so runs are byte-identical.
 
 The class of each admitted Q is fixed when it is admitted, and only the
-bad sweep asks the engine.  Clause (i)'s quotients are Bad: they are the
-swept set.  A clause (ii) Q with a label outside the bad family is Good.
-The sweep walked any other clause (ii) Q's count vector up to a prefix P
-that it did not extend.  Either `keep` rejected P: P holds no more
-trivials than Q, which is under the cap, so the engine found a full-rank
-point p of P, and the image rows of Q = P + R at (p, r) contain those of P
-at p, so Q too has a finite generic stabilizer (rank is lower
+bad sweep asks the engine.  A quotient is classified as its nontrivial
+part, its core, so the sweep walks the bad cores once, each asked about
+once, and pads each with 0 to the cap of trivials.  Clause (i)'s
+quotients are Bad: they are the padded cores.  A clause (ii) Q with a
+label outside the bad family is Good.  Any other clause (ii) Q holds no
+more trivials than the cap, so its core C is not a bad core, and C is not
+empty (the empty core is bad, and its paddings are the pure-trivial
+quotients).  The sweep walked C's count vector up to a prefix P of C that
+it did not extend.  Either `keep` rejected P: the engine found a
+full-rank point p of P, and the image rows of Q = P + R at (p, r) contain
+those of P at p, so Q too has a finite generic stabilizer (rank is lower
 semicontinuous).  Or P holds n^2 - 1 copies of a nontrivial label, which
 alone have a finite generic stabilizer (each copy lowers it, or it kills
 the label, on which sl_n acts faithfully); that is an engine miss on P,
@@ -238,13 +242,21 @@ def enumerate_exceptional_candidates(
     triv, std, dstd = base.triv, base.std, base.dstd
     bad = bad_list(n)
     # clause (i): the bad quotients under the trivial cap and n^2 - 1 copies
-    # of any other label (module docstring), walked over the bad labels;
-    # badness passes to sub-multisets and a quotient is classified as its
-    # nontrivial part is, so all are found.  S is drawn from Q (x) standard,
-    # so only Q inside S (x) dual standard is open, and S is capped only
-    # when a cap is asked for
-    bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
-                   keep=lambda q: classify(q, seed=seed, trials=trials) == BAD)
+    # of any other label (module docstring).  A quotient is classified as
+    # its nontrivial part, its core, is, so the bad cores are walked once
+    # over the nontrivial bad labels (badness passes to sub-multisets, so
+    # all are found), the empty core classified on its own, and each is
+    # padded with 0 to `trivial_cap` trivial summands; the trivial label
+    # sorts first, so a padded entries tuple is canonical.  S is drawn from
+    # Q (x) standard, so only Q inside S (x) dual standard is open, and S is
+    # capped only when a cap is asked for
+    def is_bad(q):
+        return classify(q, seed=seed, trials=trials) == BAD
+
+    cores = [()] if is_bad(WeightMultiset(n, ())) else []
+    cores += _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)
+    bad_qs = [((triv, t),) + core if t else core
+              for core in cores for t in range(trivial_cap + 1) if t or core]
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     bad_subs = {q: sorted(_partners(n, q, std, dim_caps)) for q in bad_qs}
 

@@ -155,11 +155,12 @@ def nontrivial_part(rep: WeightMultiset) -> WeightMultiset:
     return rep
 
 
-# the rank-4 catalog classifies 2,505 distinct multisets and the rank-5 one
-# 7,968, all in its bad sweep; the rank-6 one makes 16,800 misses and 16,319
-# hits and evicts, but with the same counts as under a 32,768 bound, so no
-# evicted multiset is asked for again and no stabilizer reruns
-@lru_cache(maxsize=16384)
+# holds what one decision asks again: the freeness gate's Q, asked again as
+# the split W2 = 0, and Q's core, asked again for a Q + W2 that adds only
+# trivials.  The catalog asks about each bad core once and never hits; a
+# larger bound only kept one entry per call across requests, whose seeds
+# differ
+@lru_cache(maxsize=16)
 def classify_with_report(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
@@ -172,8 +173,10 @@ def classify_with_report(
     no isogenous group can act generically freely; a zero kernel is reported
     as GoodHeuristic (see module docstring).  Trivial summands change
     neither (the engine skips them), so a `rep` with trivial summands gets
-    the memoized answer of its nontrivial part.  Results are memoized; all
-    inputs are immutable.
+    the answer of its nontrivial part, its core, and only the core reaches
+    the engine.  The last few answers are memoized (all inputs are
+    immutable), enough for one decision's repeats; no answer depends on
+    what the memo holds.
     """
     core = nontrivial_part(rep)
     if core != rep:

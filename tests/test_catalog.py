@@ -397,13 +397,16 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
     assert calls["check_structural"] == 0
 
 
-@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(3, 50, 349, 400),
-                                                           (4, 167, 2337, 2505)])
+@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 6, 0, 6), (3, 50, 0, 50),
+                                                           (4, 167, 0, 167)])
 def test_catalog_engine_calls_pinned(monkeypatch, n, stabilizer_args, hits, misses):
     # from a cleared cache the catalog asks the stabilizer about so many
     # distinct multisets, once each, and the classifier's cache reads so
-    # many hits and misses: a walk that asks the engine about another set
-    # of multisets moves these counts
+    # many hits and misses: the bad sweep walks the cores once, so it asks
+    # the classifier about each core once and never about a padded quotient
+    # (at ranks 3 and 4 it made 349 / 2,337 hits and 400 / 2,505 misses
+    # when it walked the cores once per trivial count).  A walk that asks
+    # the engine about another set of multisets moves these counts
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     enumerate_exceptional_candidates(n)
@@ -497,8 +500,12 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     # the catalog classifies no clause-(ii) quotient: a bad core is in the
     # grown set, and any other quotient of bad labels is certified by the
     # prefix the sweep rejected.  So the whole catalog asks the stabilizer
-    # about exactly what the bad sweep alone asks about, and the
-    # GoodHeuristic quotients beyond that boundary get no call at all
+    # about exactly the cores a sweep of the bad quotients themselves asks
+    # about (walked over all bad labels, trivial count first, each answered
+    # by its core), each once, and the GoodHeuristic quotients beyond that
+    # boundary get no call at all.  That sweep asks about each core once
+    # per trivial count, more often than the classifier's memo spans, so
+    # only its set of cores is the reference
     n = 3
     seen = _stabilizer_args(monkeypatch)
     triv, cap = W(n, 0), n * n - 2
@@ -506,7 +513,8 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     _walk(n, [(w, cap if w == triv else n * n - 1) for w in sorted(bad_list(n))],
           keep=lambda q: classify(q) == BAD)
     swept = set(seen)
-    assert len(seen) == len(swept) == 50
+    assert len(swept) == 50
+    assert all(not q.count(triv) for q in swept)
     seen.clear()
     repclass.classify_with_report.cache_clear()
     catalog = enumerate_exceptional_candidates(n)
@@ -631,44 +639,69 @@ CATALOG_CACHES = (
     "rationality.rank_labels",
 )
 
+# run in a fresh process, so the counts and the peak memory are the
+# catalog's alone: the catalog of rank argv[2] written to argv[1], then its
+# peak, the multisets it sent to the stabilizer, and the `cache_info()` of
+# each cache in argv[3:].  The peak is the process's own VmHWM in KiB: its
+# ru_maxrss would also count the test process, whose peak a child inherits
+# through exec on Linux
+FRESH_CATALOG = (
+    "import contextlib, importlib, json, sys\n"
+    "from affrep import repclass\n"
+    "from affrep.cli import main\n"
+    "seen, stabilizer = [], repclass.stabilizer_dimension\n"
+    "def counted(rep, **kwargs):\n"
+    "    seen.append(rep)\n"
+    "    return stabilizer(rep, **kwargs)\n"
+    "repclass.stabilizer_dimension = counted\n"
+    "with contextlib.redirect_stdout(sys.stderr):\n"
+    "    assert main(['enumerate', '--n', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
+    "info = {'peak_kib': int(hwm.split()[1]), 'stabilizer': [len(seen), len(set(seen))]}\n"
+    "for name in sys.argv[3:]:\n"
+    "    mod, fn = name.split('.')\n"
+    "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
+    ".cache_info()._asdict()\n"
+    "print(json.dumps(info))\n"
+)
+
+
+def _fresh_catalog(tmp_path, n):
+    """The rank-n catalog's bytes and `FRESH_CATALOG`'s report of its run."""
+    out = tmp_path / "catalog.jsonl"
+    proc = subprocess.run([sys.executable, "-c", FRESH_CATALOG, str(out), str(n),
+                           *CATALOG_CACHES], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes(), json.loads(proc.stdout)
+
+
+def _assert_no_work_repeated(info, stabilizer_args):
+    """No bounded cache evicted an entry it was asked for again.  The
+    classifier's memo spans one decision, not the catalog, so for it that
+    means no multiset asked twice: no hit, and one miss per distinct
+    stabilizer argument, each sent once.  Every other cache evicted nothing:
+    it still holds every miss."""
+    assert info.pop("stabilizer") == [stabilizer_args, stabilizer_args]
+    classifier = info.pop("repclass.classify_with_report")
+    assert (classifier["hits"], classifier["misses"]) == (0, stabilizer_args)
+    for name, cache in info.items():
+        assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
+
 
 def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
-    # in a fresh process, so the counts and the peak memory are the
-    # catalog's alone; a cache evicted nothing when it still holds every
-    # miss.  The lines are written as they are made, so the peak holds the
+    # the lines are written as they are made, so the peak holds the
     # entries but not the file's 14 MB of text twice over (95 MB when it
     # did, 56 MB since), and the entries and multisets carry no
     # per-instance __dict__ (52 MB).  An entry holds no verdict: each is
     # decided as its line is written and dropped with it (33 MB).  The
     # catalog is kept by quotient, each S a bare entries tuple, with no
-    # object per line and no global sort (26 MB before, 23 MB since).  The
-    # peak is the process's
-    # own VmHWM in KiB: its ru_maxrss would also count the test process,
-    # whose peak a child inherits through exec on Linux
-    code = (
-        "import contextlib, importlib, json, sys\n"
-        "from affrep.cli import main\n"
-        "with contextlib.redirect_stdout(sys.stderr):\n"
-        "    assert main(['enumerate', '--n', '4', '--out', sys.argv[1]]) == 0\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
-        "info = {'peak_kib': int(hwm.split()[1])}\n"
-        "for name in sys.argv[2:]:\n"
-        "    mod, fn = name.split('.')\n"
-        "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
-        ".cache_info()._asdict()\n"
-        "print(json.dumps(info))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = tmp_path / "catalog.jsonl"
-    proc = subprocess.run([sys.executable, "-c", code, str(out), *CATALOG_CACHES], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    info = json.loads(proc.stdout)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256[4]
+    # object per line and no global sort (26 MB before, 23 MB since)
+    data, info = _fresh_catalog(tmp_path, 4)
+    assert hashlib.sha256(data).hexdigest() == CATALOG_SHA256[4]
     assert info.pop("peak_kib") < 30 * 1024
-    for name, cache in info.items():
-        assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
+    _assert_no_work_repeated(info, 167)
 
 
 RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d"
@@ -676,35 +709,16 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
-    # pinned, no bounded cache evicts (`classify_with_report` holds about
-    # 8,000 multisets of its 16,384), and the peak stays under 50 MiB (the
-    # process's own VmHWM, as in the rank-4 test; 61 MiB before the catalog
-    # was kept by quotient, 43 MiB since)
-    code = (
-        "import contextlib, importlib, json, sys\n"
-        "from affrep.cli import main\n"
-        "with contextlib.redirect_stdout(sys.stderr):\n"
-        "    assert main(['enumerate', '--n', '5', '--out', sys.argv[1]]) == 0\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    info = {'peak_kib': int(next(l for l in fh if l.startswith('VmHWM:')).split()[1])}\n"
-        "for name in sys.argv[2:]:\n"
-        "    mod, fn = name.split('.')\n"
-        "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
-        ".cache_info()._asdict()\n"
-        "print(json.dumps(info))\n"
-    )
-    out = tmp_path / "catalog.jsonl"
-    proc = subprocess.run([sys.executable, "-c", code, str(out), *CATALOG_CACHES],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    info = json.loads(proc.stdout)
-    data = out.read_bytes()
+    # pinned, the bad sweep sends each of its 332 cores to the stabilizer
+    # once with no classifier hit (7,968 misses when the classifier's memo
+    # held 16,384 answers and the sweep walked the cores once per trivial
+    # count), no other bounded cache evicts, and the peak stays under 50 MiB
+    # (61 MiB before the catalog was kept by quotient, 43 MiB since)
+    data, info = _fresh_catalog(tmp_path, 5)
     assert data.count(b"\n") == 96612
     assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
     assert info.pop("peak_kib") < 50 * 1024
-    for name, cache in info.items():
-        assert cache["misses"] == cache["currsize"] < cache["maxsize"], name
+    _assert_no_work_repeated(info, 332)
 
 
 @pytest.mark.parametrize("n", sorted(CATALOG_SHA256))

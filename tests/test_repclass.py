@@ -7,6 +7,7 @@ import stabilizer_oracle
 from affrep import repclass
 from affrep.config import ResourceCapError
 from affrep.matmodel import AffMatrixRep, sl_basis_keys
+from affrep.rationality import TwoStepExtension, decide_rationality
 from affrep.repclass import (
     BAD,
     GOOD,
@@ -249,6 +250,38 @@ class TestClassify:
         for extra in [W(3, 0), W(3, 1), W(3, 2, 1), W(3, 3)]:
             bigger = base.add(WeightMultiset.of(3, [extra]))
             assert classify(bigger) in (GOOD, GOOD_HEURISTIC)
+
+
+def test_one_decision_sends_the_quotient_core_to_the_stabilizer_once(monkeypatch):
+    # Q = trivial + 2 standard at rank 2 is GoodHeuristic and of no R1-R3
+    # shape, so the freeness gate classifies it; criterion B fails (1 of 3
+    # trivials), and the split search asks Q again at W2 = 0 and Q plus a
+    # trivial at W2 = trivial.  All three are answered by Q's core, which
+    # the classifier's memo keeps for the whole decision: the stabilizer
+    # sees the core once and no multiset with a trivial summand
+    n = 2
+    triv, std = W(n, 0), W(n, 1)
+    core = WeightMultiset.of(n, [(std, 2)])
+    seen = []
+    original = repclass.stabilizer_dimension
+
+    def counted(rep, *args, **kwargs):
+        seen.append(rep)
+        return original(rep, *args, **kwargs)
+
+    monkeypatch.setattr(repclass, "stabilizer_dimension", counted)
+    ext = TwoStepExtension.of(n, S=[(triv, 2), std], Q=[triv, (std, 2)], W=[triv])
+    classify_with_report.cache_clear()
+    verdict = decide_rationality(ext)
+    splits = [e for e in verdict.evidence if e["condition"] == "split"]
+    assert verdict.evidence[1]["result"] == "Free"
+    assert [e["w2"] for e in splits] == [[], [[list(triv.parts), 1]]]
+    assert [e["classify"] for e in splits] == [GOOD_HEURISTIC] * 2
+    assert seen == [core]
+    seen.clear()
+    classify_with_report.cache_clear()
+    assert classify(ext.Q.add(WeightMultiset.of(n, [(triv, 5)]))) == GOOD_HEURISTIC
+    assert seen == [core]
 
 
 def minimal_good_power(w: Weight, max_t: int = 20) -> int | None:

@@ -279,15 +279,33 @@ def test_sl_only_model_bytes_pinned_over_label_sweep():
         "094937bb903256d78251064f6f1d9cc4b3817cffadbc297aa680ff9aeee06278")
 
 
-@pytest.mark.parametrize("build", [
-    *(functools.partial(model_sym_dual, n, 2) for n in (1, 2, 3, 4)),
-    *(functools.partial(sl_only_model, w) for w in sweep_labels()),
-    lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 1)),
-    lambda: dual_model(tensor_model(sl_only_model(W(4, 1, 1)), model_sym_dual(4, 1))),
-    pytest.param(fractional_model, id="_fractional_model"),
-    # from rank 10 the sorted keys leave basis order
-    *(functools.partial(model_sym_dual, n, 1) for n in (9, 10, 11, 12)),
-])
+def _dumps_cases():
+    """The models `model_dumps` is compared on, each with an id fixed to it.
+    These 45 keep the ids pytest once gave them by position, which lists of
+    test names kept across changes already hold: build0-build3 are
+    `model_sym_dual(n, 2)` for n = 1-4, build4-build37 `sl_only_model` over
+    `sweep_labels()`, <lambda>0 and <lambda>1 a tensor model and a dual
+    tensor model, and build41-build44 `model_sym_dual(n, 1)` for n = 9-12
+    (from rank 10 the sorted keys leave basis order).  A case added later is
+    named after the model it builds, so inserting one moves no id."""
+    labels = sweep_labels()
+    assert len(labels) == 34
+    return [
+        *(pytest.param(functools.partial(model_sym_dual, n, 2), id=f"build{n - 1}")
+          for n in (1, 2, 3, 4)),
+        *(pytest.param(functools.partial(sl_only_model, w), id=f"build{4 + i}")
+          for i, w in enumerate(labels)),
+        pytest.param(lambda: tensor_model(sl_only_model(W(3, 2, 1)), model_sym_dual(3, 1)),
+                     id="<lambda>0"),
+        pytest.param(lambda: dual_model(tensor_model(sl_only_model(W(4, 1, 1)),
+                                                     model_sym_dual(4, 1))), id="<lambda>1"),
+        pytest.param(fractional_model, id="_fractional_model"),
+        *(pytest.param(functools.partial(model_sym_dual, n, 1), id=f"build{32 + n}")
+          for n in (9, 10, 11, 12)),
+    ]
+
+
+@pytest.mark.parametrize("build", _dumps_cases())
 def test_model_dumps_is_dumps_of_model_to_json(build):
     rep = build()
     assert ser.model_dumps(rep) == ser.dumps(ser.model_to_json(rep))
