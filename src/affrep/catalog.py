@@ -14,14 +14,14 @@ and the pairs are kept by Q, sorted by Q and S, so runs are byte-identical.
 
 The class of each admitted Q is fixed when it is admitted, and only the
 bad sweep asks the engine.  A quotient is classified as its nontrivial
-part, its core, so the sweep walks the bad cores once, each asked about
-once, and pads each with 0 to the cap of trivials.  Clause (i)'s
-quotients are Bad: they are the padded cores.  A clause (ii) Q with a
-label outside the bad family is Good.  Any other clause (ii) Q holds no
-more trivials than the cap, so its core C is not a bad core, and C is not
-empty (the empty core is bad, and its paddings are the pure-trivial
-quotients).  The sweep walked C's count vector up to a prefix P of C that
-it did not extend.  Either `keep` rejected P: the engine found a
+part, its core, so the sweep walks the cores once, asking about each
+multiset it reaches once, and pads each bad core with 0 to the cap of
+trivials.  Clause (i)'s quotients are Bad: they are the padded cores.
+A clause (ii) Q with a label outside the bad family is Good.  Any other
+clause (ii) Q holds no more trivials than the cap, so its core C is not a
+bad core, and C is not empty (the empty core is bad, and its paddings are
+the pure-trivial quotients).  The sweep walked C's count vector up to a
+prefix P of C that it did not extend.  Either `keep` rejected P: the engine found a
 full-rank point p of P, and the image rows of Q = P + R at (p, r) contain
 those of P at p, so Q too has a finite generic stabilizer (rank is lower
 semicontinuous).  Or P holds n^2 - 1 copies of a nontrivial label, which
@@ -243,7 +243,7 @@ def enumerate_exceptional_candidates(
     bad = bad_list(n)
     # clause (i): the bad quotients under the trivial cap and n^2 - 1 copies
     # of any other label (module docstring).  A quotient is classified as
-    # its nontrivial part, its core, is, so the bad cores are walked once
+    # its nontrivial part (its core) is, so the bad cores are walked once
     # over the nontrivial bad labels (badness passes to sub-multisets, so
     # all are found), the empty core classified on its own, and each is
     # padded with 0 to `trivial_cap` trivial summands; the trivial label

@@ -398,15 +398,17 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
 
 
 @pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 6, 0, 6), (3, 50, 0, 50),
-                                                           (4, 167, 0, 167)])
+                                                           (4, 167, 0, 167)],
+                         ids=["rank2", "rank3", "rank4"])
 def test_catalog_engine_calls_pinned(monkeypatch, n, stabilizer_args, hits, misses):
     # from a cleared cache the catalog asks the stabilizer about so many
     # distinct multisets, once each, and the classifier's cache reads so
     # many hits and misses: the bad sweep walks the cores once, so it asks
-    # the classifier about each core once and never about a padded quotient
-    # (at ranks 3 and 4 it made 349 / 2,337 hits and 400 / 2,505 misses
-    # when it walked the cores once per trivial count).  A walk that asks
-    # the engine about another set of multisets moves these counts
+    # the classifier once about each multiset it reaches and never about a
+    # padded quotient (at ranks 3 and 4 it made 349 / 2,337 hits and 400 /
+    # 2,505 misses when it walked the cores once per trivial count).  A
+    # walk that asks the engine about another set of multisets moves these
+    # counts
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     enumerate_exceptional_candidates(n)
@@ -709,8 +711,8 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
-    # pinned, the bad sweep sends each of its 332 cores to the stabilizer
-    # once with no classifier hit (7,968 misses when the classifier's memo
+    # pinned, the bad sweep sends each of the 332 multisets it reaches to the
+    # stabilizer once with no classifier hit (7,968 misses when the memo
     # held 16,384 answers and the sweep walked the cores once per trivial
     # count), no other bounded cache evicts, and the peak stays under 50 MiB
     # (61 MiB before the catalog was kept by quotient, 43 MiB since)

@@ -7,7 +7,7 @@ import stabilizer_oracle
 from affrep import repclass
 from affrep.config import ResourceCapError
 from affrep.matmodel import AffMatrixRep, sl_basis_keys
-from affrep.rationality import TwoStepExtension, decide_rationality
+from affrep.rationality import FREE, TwoStepExtension, decide_rationality
 from affrep.repclass import (
     BAD,
     GOOD,
@@ -274,7 +274,7 @@ def test_one_decision_sends_the_quotient_core_to_the_stabilizer_once(monkeypatch
     classify_with_report.cache_clear()
     verdict = decide_rationality(ext)
     splits = [e for e in verdict.evidence if e["condition"] == "split"]
-    assert verdict.evidence[1]["result"] == "Free"
+    assert verdict.evidence[1]["result"] == FREE
     assert [e["w2"] for e in splits] == [[], [[list(triv.parts), 1]]]
     assert [e["classify"] for e in splits] == [GOOD_HEURISTIC] * 2
     assert seen == [core]
