@@ -9,8 +9,27 @@ it.  Pairs must satisfy the structural containments both ways; each clause
 draws one side from a product with the other (S from Q (x) C^n, or Q from
 S (x) dual C^n), so only the other containment is tested, as integer dot
 products of each candidate's count vector with columns built once per
-product.  Every multiset comes from one walk over count vectors, `_walk`,
-and the pairs are kept by Q, sorted by Q and S, so runs are byte-identical.
+product.  Every walked multiset comes from one walk over count vectors,
+`_walk`, the partners of a trivially padded multiset past a base come
+from a shift (below), and the pairs are kept by Q, sorted by Q and S, so
+runs are byte-identical.
+
+Padding with trivials shifts the partners.  Write ad for the traceless
+adjoint.  A label u (x) dual C^n holds the trivial only for u = C^n, and
+then once, and C^n (x) dual C^n = 1 + ad.  In clause (i), every S of
+Q = t*1 + C (C the core) holds t copies of C^n, so S = t*C^n + S'' with
+S'' inside C (x) C^n, and Q lies in S (x) dual C^n exactly when C lies in
+S'' (x) dual C^n + t*ad; once t >= m_ad(C) the S'' no longer depend on t.
+Clause (ii) mirrors it: every Q of S = a*1 + S' is a*dual C^n + Q'' with
+Q'' inside S' (x) dual C^n and Q's trivials those of Q'', and S lies in
+Q (x) C^n exactly when S' lies in Q'' (x) C^n + a*ad; once a >= m_ad(S')
+the Q'' are fixed.  (At n = 2, where C^n is its own dual, both hold.)  So
+the partners are walked only for the paddings up to a base max(m_ad, 1),
+not 0: the walk drops the empty multiset, and every base entry must hold
+the shifted label.  A larger padding takes the base list with the
+difference added to each entry's C^n count (clause i), dropping the S
+beyond a dim-S cap, or to its dual C^n count (clause ii).  The shift keeps
+each list's order and shares the entries' other (label, count) pairs.
 
 The class of each admitted Q is fixed when it is admitted, and only the
 bad sweep asks the engine.  A quotient is classified as its nontrivial
@@ -54,7 +73,7 @@ from .rationality import (
     check_generic_freeness,
     rank_labels,
 )
-from .schur import Weight, WeightMultiset, dual, lr_decompose, tensor_counts, weyl_dim
+from .schur import Weight, WeightMultiset, dual, lr_decompose, normalize, tensor_counts, weyl_dim
 
 TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
@@ -203,6 +222,36 @@ def _partners(n: int, x, factor: Weight, caps=()) -> list[tuple]:
     return _walk(n, labels, needs, [([f(w) for w, _ in labels], most) for f, most in caps])
 
 
+def _padded_partners(n: int, core: tuple, top: int, factor: Weight, caps=(), dim_cap=None):
+    """(core plus p trivials, its sorted `_partners` over `factor` under
+    `caps`) for p = 0..top, the empty multiset left out; `core` holds no
+    trivial.  Only the paddings up to the base max(m_ad(core), 1) are
+    walked: a larger one takes the base list with p - base more copies of
+    `factor` in each entry (module docstring), those of dimension at most
+    `dim_cap` when one is given.  A shifted entry shares the base entry's
+    other pairs, and each shifted pair is made once."""
+    triv = Weight(n, (0,) * n)
+    base = min(max(dict(core).get(normalize(n, [2] + [1] * (n - 2)), 0), 1), top)
+    for p in range(base + 1):
+        if p or core:
+            padded = ((triv, p),) + core if p else core
+            found = sorted(_partners(n, padded, factor, caps))
+            yield padded, found
+    if top > base:
+        # each base entry as (pairs before factor's, its count, pairs after, dim)
+        spots = []
+        for s in found:
+            i = next(i for i, (w, _) in enumerate(s) if w == factor)
+            spots.append((s[:i], s[i][1], s[i + 1:],
+                          0 if dim_cap is None else sum(m * weyl_dim(w) for w, m in s)))
+        step, made = weyl_dim(factor), {}
+        for p in range(base + 1, top + 1):
+            k = p - base
+            yield ((triv, p),) + core, [head + (made.setdefault(c + k, (factor, c + k)),) + tail
+                                        for head, c, tail, d in spots
+                                        if dim_cap is None or d + k * step <= dim_cap]
+
+
 def _cap(name: str, value: int | None, least: int, clause_bound: int) -> int:
     """The requested cap, or the clause bound when none is given; a cap
     below `least` or beyond the clause bound is refused."""
@@ -255,24 +304,27 @@ def enumerate_exceptional_candidates(
 
     cores = [()] if is_bad(WeightMultiset(n, ())) else []
     cores += _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)
-    bad_qs = [((triv, t),) + core if t else core
-              for core in cores for t in range(trivial_cap + 1) if t or core]
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
-    bad_subs = {q: sorted(_partners(n, q, std, dim_caps)) for q in bad_qs}
+    bad_subs = dict(pair for core in cores
+                    for pair in _padded_partners(n, core, trivial_cap, std, dim_caps, max_dim_s))
 
-    # clause (ii): small submodules, over multisets of small irreducibles;
-    # Q runs over sub-multisets of S (x) dual standard, so only S inside
-    # Q (x) standard is open.  Clause (i) already admits every pair whose Q
-    # is bad, under the same caps, so this clause admits only the rest, whose
-    # class the bad sweep certifies (module docstring)
+    # clause (ii): small submodules, over multisets of small irreducibles,
+    # each core with every padding under the dim-S cap; Q runs over
+    # sub-multisets of S (x) dual standard, so only S inside Q (x) standard
+    # is open.  Clause (i) already admits every pair whose Q is bad, under
+    # the same caps, so this clause admits only the rest, whose class the
+    # bad sweep certifies (module docstring)
     small_subs: dict[tuple, list[tuple]] = {}
-    small = sorted(irreps_up_to_dim(n, dim_s_cap))
+    small = [w for w in sorted(irreps_up_to_dim(n, dim_s_cap)) if w != triv]
     dims = [weyl_dim(w) for w in small]
-    for s in _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
-                   caps=[(dims, dim_s_cap)]):
-        for q in _partners(n, s, dstd, [(Weight.is_trivial, trivial_cap)]):
-            if q not in bad_subs:
-                small_subs.setdefault(q, []).append(s)
+    trivial_caps = [(Weight.is_trivial, trivial_cap)]
+    for core in [()] + _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
+                             caps=[(dims, dim_s_cap)]):
+        room = dim_s_cap - sum(m * weyl_dim(w) for w, m in core)
+        for s, qs in _padded_partners(n, core, room, dstd, trivial_caps):
+            for q in qs:
+                if q not in bad_subs:
+                    small_subs.setdefault(q, []).append(s)
 
     # the clauses share no Q, and each Q's entries tuple is its sort key
     groups = []

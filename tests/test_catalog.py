@@ -19,6 +19,7 @@ from affrep.catalog import (
     TRIGGER_SMALL_S,
     Catalog,
     QuotientGroup,
+    _padded_partners,
     _partners,
     _walk,
     decision_signatures,
@@ -113,6 +114,23 @@ def _summed(n, entries):
     return Weight(n, tuple(sum(m * w.parts[j] for w, m in entries) for j in range(n)))
 
 
+def classified_bad_by_core(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+    """A keep for a sweep of quotients with trivials: whether `classify`
+    calls a multiset bad, asked once per nontrivial part, which every
+    padding of it classifies as
+    (`test_trivial_padding_of_a_core_changes_no_classification`); the
+    classifier's own memo spans one decision, not a sweep."""
+    answers = {}
+
+    def is_bad(q):
+        core = repclass.nontrivial_part(q)
+        if core not in answers:
+            answers[core] = classify(q, seed=seed, trials=trials) == BAD
+        return answers[core]
+
+    return is_bad
+
+
 def walk_uses(use, n):
     """(labels with their most, the keep the catalog walks them with, and a
     keep that ends the growth with no most bound) for one catalog use at
@@ -127,8 +145,8 @@ def walk_uses(use, n):
         return labels, keep, keep
     if use == "bad sweep":
         labels = [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad_list(n))]
-        return (labels, lambda q: classify(q) == BAD,
-                lambda q: q.count(triv) <= trivial_cap and classify(q) == BAD)
+        is_bad = classified_bad_by_core()
+        return labels, is_bad, lambda q: q.count(triv) <= trivial_cap and is_bad(q)
     labels = [(w, dim_cap // weyl_dim(w)) for w in sorted(irreps_up_to_dim(n, dim_cap))]
 
     def small(ms):
@@ -372,6 +390,99 @@ def test_trivial_padding_of_a_core_changes_no_classification():
             assert stabilizer_dimension(padded).stab_dim == want_dim, (str(core), t)
 
 
+# --- the trivially padded partners are a shift of one walk per core -------------
+
+def _adjoint(n):
+    return normalize(n, [2] + [1] * (n - 2))
+
+
+def _shifted(entries, label, k):
+    """`entries` with k more copies of `label`."""
+    return tuple((w, m + k if w == label else m) for w, m in entries)
+
+
+def _assert_shifts(n, core, top, factor, caps, dim_cap=None):
+    """Past the base max(m_ad, 1), the sorted `_partners` of each padding
+    of `core` are the base's, in the same order, each with the difference
+    added to its `factor` count, those over `dim_cap` dropped; and
+    `_padded_partners` yields every padding's own walk.  The number of
+    shifted entries checked."""
+    triv = W(n, 0)
+    padded = {p: ((triv, p),) + core if p else core for p in range(top + 1) if p or core}
+    walks = {p: sorted(_partners(n, q, factor, caps)) for p, q in padded.items()}
+    assert dict(_padded_partners(n, core, top, factor, caps, dim_cap)) == {
+        padded[p]: walk for p, walk in walks.items()}
+    base = max(dict(core).get(_adjoint(n), 0), 1)
+    shifted = 0
+    for p in range(base + 1, top + 1):
+        got = [_shifted(s, factor, p - base) for s in walks[base]]
+        if dim_cap is not None:
+            got = [s for s in got if WeightMultiset(n, s).dim() <= dim_cap]
+        assert got == walks[p], (core, p)
+        shifted += len(got)
+    return shifted
+
+
+@pytest.mark.parametrize("n,max_dim_s", [(2, None), (2, 6), (3, None), (3, 8), (3, 11),
+                                         (4, None), (4, 12)])
+def test_padded_bad_core_partners_are_the_shifted_base_list(n, max_dim_s):
+    # clause (i): every S of t trivials + core C is t copies of C^n plus an
+    # S'' inside C (x) C^n, and Q lies in S (x) dual C^n exactly when C lies
+    # in S'' (x) dual C^n + t ad, so past the base the S'' are fixed
+    caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
+    cores = [()] + [core.entries for core in bad_cores(n, DEFAULT_SEED, DEFAULT_TRIALS)]
+    assert sum(_assert_shifts(n, core, n * n - 2, W(n, 1), caps, max_dim_s) for core in cores)
+
+
+@pytest.mark.parametrize("n,max_dim_s,max_trivials", [(2, None, None), (2, 3, None),
+                                                      (3, None, None), (3, 8, None),
+                                                      (3, None, 2), (4, None, None),
+                                                      (4, 12, None)])
+def test_padded_small_s_partners_are_the_shifted_base_list(n, max_dim_s, max_trivials):
+    # clause (ii), the mirror: every Q of a trivials + S' is a copies of
+    # dual C^n plus a Q'' inside S' (x) dual C^n, with the trivials of Q'',
+    # and S lies in Q (x) C^n exactly when S' lies in Q'' (x) C^n + a ad;
+    # so every small S' has the shifted partners at each padding under the
+    # dim-S cap
+    dim_cap = n * n + 2 * n - 1 if max_dim_s is None else max_dim_s
+    caps = [(Weight.is_trivial, n * n - 2 if max_trivials is None else max_trivials)]
+    small = sorted(w for w in irreps_up_to_dim(n, dim_cap) if not w.is_trivial())
+    dims = [weyl_dim(w) for w in small]
+    cores = [()] + _walk(n, [(w, dim_cap // d) for w, d in zip(small, dims)],
+                         caps=[(dims, dim_cap)])
+    assert sum(_assert_shifts(n, core, dim_cap - WeightMultiset(n, core).dim(), dual(W(n, 1)), caps)
+               for core in cores)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ads,standards", [(2, 0), (3, 0), (2, 1)])
+def test_the_shift_base_is_the_adjoint_count(n, ads, standards):
+    # no core the catalog shifts holds two adjoints at ranks 2-7, so the
+    # base's m_ad term is checked here: with m_ad copies the partners are
+    # fixed from padding m_ad on, and not yet from m_ad - 1
+    triv, std = W(n, 0), W(n, 1)
+    core = WeightMultiset.of(n, [(_adjoint(n), ads), (std, standards)]).entries
+    for factor in (std, dual(std)):
+        assert _assert_shifts(n, core, ads + 3, factor, ())
+        walk = {p: sorted(_partners(n, ((triv, p),) + core, factor)) for p in (ads - 1, ads)}
+        assert [_shifted(s, factor, 1) for s in walk[ads - 1]] != walk[ads]
+
+
+@pytest.mark.parametrize("n,walks", [(2, 30), (3, 111)])
+def test_partner_walks_pinned(monkeypatch, n, walks):
+    # each core of either clause is walked for its paddings up to its base
+    # and shifted beyond it (52 and 330 walks at ranks 2 and 3 when each
+    # padding had a walk of its own); ranks 4 and 5 are pinned in a fresh
+    # process (`FRESH_CATALOG`)
+    from affrep import catalog
+
+    walked = []
+    partners = catalog._partners
+    monkeypatch.setattr(catalog, "_partners", lambda *args: walked.append(args) or partners(*args))
+    enumerate_exceptional_candidates(n)
+    assert len(walked) == walks
+
+
 def test_rank3_catalog_repeats_no_work(monkeypatch):
     # a count of calls, not a time: the rank-3 catalog runs the stabilizer
     # once per distinct nontrivial quotient part the bad sweep asks about
@@ -505,17 +616,16 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     # about exactly the cores a sweep of the bad quotients themselves asks
     # about (walked over all bad labels, trivial count first, each answered
     # by its core), each once, and the GoodHeuristic quotients beyond that
-    # boundary get no call at all.  That sweep asks about each core once
-    # per trivial count, more often than the classifier's memo spans, so
-    # only its set of cores is the reference
+    # boundary get no call at all.  That sweep's keep asks the classifier
+    # once per core, so it too sends each core to the stabilizer once
     n = 3
     seen = _stabilizer_args(monkeypatch)
     triv, cap = W(n, 0), n * n - 2
     repclass.classify_with_report.cache_clear()
     _walk(n, [(w, cap if w == triv else n * n - 1) for w in sorted(bad_list(n))],
-          keep=lambda q: classify(q) == BAD)
+          keep=classified_bad_by_core())
     swept = set(seen)
-    assert len(swept) == 50
+    assert len(seen) == len(swept) == 50
     assert all(not q.count(triv) for q in swept)
     seen.clear()
     repclass.classify_with_report.cache_clear()
@@ -630,6 +740,20 @@ def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
     assert len(decided) == 2 * (3 + 59)
 
 
+def test_selftest_catalog_criterion_classifies_each_bad_core_once(monkeypatch):
+    # each enumeration sends the bad sweep's 50 multisets to the stabilizer,
+    # and the Q-bad check classifies each of the 15 Q-bad cores once, not
+    # once per trivial count (217 calls when it classified every Q-bad Q)
+    from affrep import selftest
+
+    seen = _stabilizer_args(monkeypatch)
+    repclass.classify_with_report.cache_clear()
+    passed, detail = selftest.criterion_10_catalog()
+    assert passed, detail
+    assert len(seen) == 2 * 50 + 15
+    assert len(set(seen)) == 50
+
+
 # every bounded cache a catalog run fills, as module.function
 CATALOG_CACHES = (
     "schur._weyl_dim",
@@ -643,24 +767,30 @@ CATALOG_CACHES = (
 
 # run in a fresh process, so the counts and the peak memory are the
 # catalog's alone: the catalog of rank argv[2] written to argv[1], then its
-# peak, the multisets it sent to the stabilizer, and the `cache_info()` of
-# each cache in argv[3:].  The peak is the process's own VmHWM in KiB: its
-# ru_maxrss would also count the test process, whose peak a child inherits
-# through exec on Linux
+# peak, the multisets it sent to the stabilizer, its number of partner
+# walks, and the `cache_info()` of each cache in argv[3:].  The peak is the
+# process's own VmHWM in KiB: its ru_maxrss would also count the test
+# process, whose peak a child inherits through exec on Linux
 FRESH_CATALOG = (
     "import contextlib, importlib, json, sys\n"
-    "from affrep import repclass\n"
+    "from affrep import catalog, repclass\n"
     "from affrep.cli import main\n"
     "seen, stabilizer = [], repclass.stabilizer_dimension\n"
     "def counted(rep, **kwargs):\n"
     "    seen.append(rep)\n"
     "    return stabilizer(rep, **kwargs)\n"
     "repclass.stabilizer_dimension = counted\n"
+    "walks, partners = [0], catalog._partners\n"
+    "def walked(*args):\n"
+    "    walks[0] += 1\n"
+    "    return partners(*args)\n"
+    "catalog._partners = walked\n"
     "with contextlib.redirect_stdout(sys.stderr):\n"
     "    assert main(['enumerate', '--n', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
     "with open('/proc/self/status') as fh:\n"
     "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
-    "info = {'peak_kib': int(hwm.split()[1]), 'stabilizer': [len(seen), len(set(seen))]}\n"
+    "info = {'peak_kib': int(hwm.split()[1]), 'stabilizer': [len(seen), len(set(seen))],\n"
+    "        'partner_walks': walks[0]}\n"
     "for name in sys.argv[3:]:\n"
     "    mod, fn = name.split('.')\n"
     "    info[name] = getattr(importlib.import_module('affrep.' + mod), fn)"
@@ -699,10 +829,13 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     # per-instance __dict__ (52 MB).  An entry holds no verdict: each is
     # decided as its line is written and dropped with it (33 MB).  The
     # catalog is kept by quotient, each S a bare entries tuple, with no
-    # object per line and no global sort (26 MB before, 23 MB since)
+    # object per line and no global sort (26 MB before, 23 MB since).  Each
+    # core is walked for its paddings up to its base and shifted beyond it:
+    # 261 partner walks (1,270 when each padding had its own)
     data, info = _fresh_catalog(tmp_path, 4)
     assert hashlib.sha256(data).hexdigest() == CATALOG_SHA256[4]
     assert info.pop("peak_kib") < 30 * 1024
+    assert info.pop("partner_walks") == 261
     _assert_no_work_repeated(info, 167)
 
 
@@ -715,11 +848,13 @@ def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # stabilizer once with no classifier hit (7,968 misses when the memo
     # held 16,384 answers and the sweep walked the cores once per trivial
     # count), no other bounded cache evicts, and the peak stays under 50 MiB
-    # (61 MiB before the catalog was kept by quotient, 43 MiB since)
+    # (61 MiB before the catalog was kept by quotient, 43 MiB since), with
+    # 411 partner walks (3,325 when each padding had its own)
     data, info = _fresh_catalog(tmp_path, 5)
     assert data.count(b"\n") == 96612
     assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
     assert info.pop("peak_kib") < 50 * 1024
+    assert info.pop("partner_walks") == 411
     _assert_no_work_repeated(info, 332)
 
 
@@ -839,7 +974,7 @@ def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SE
     triv, std = W(n, 0), W(n, 1)
     bad = bad_list(n)
     bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
-                   keep=lambda q: classify(q, seed=seed, trials=trials) == BAD)
+                   keep=classified_bad_by_core(seed, trials))
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     entries = [(WeightMultiset(n, q), WeightMultiset(n, s), TRIGGER_BAD_Q, BAD)
                for q in bad_qs for s in _partners(n, q, std, dim_caps)]
