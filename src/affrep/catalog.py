@@ -35,24 +35,31 @@ The class of each admitted Q is fixed when it is admitted, and only the
 bad sweep asks the engine.  A quotient is classified as its nontrivial
 part, its core, so the sweep walks the cores once, asking about each
 multiset it reaches once, and pads each bad core with 0 to the cap of
-trivials.  Clause (i)'s quotients are Bad: they are the padded cores.
+trivials.  The outer automorphism of SL_n carries each module to its
+dual, so the two have generic stabilizers of one dimension, and the sweep
+asks the engine about one member of each dual pair: a multiset whose dual
+it has asked about in this call takes that answer (a Good so taken rests
+on a full-rank point of the dual, and a Bad is as trusted as the one it
+repeats).  Clause (i)'s quotients are Bad: they are the padded cores.
 A clause (ii) Q with a label outside the bad family is Good.  Any other
 clause (ii) Q holds no more trivials than the cap, so its core C is not a
 bad core, and C is not empty (the empty core is bad, and its paddings are
 the pure-trivial quotients).  The sweep walked C's count vector up to a
-prefix P of C that it did not extend.  Either `keep` rejected P: the engine found a
-full-rank point p of P, and the image rows of Q = P + R at (p, r) contain
-those of P at p, so Q too has a finite generic stabilizer (rank is lower
-semicontinuous).  Or P holds n^2 - 1 copies of a nontrivial label, which
-alone have a finite generic stabilizer (each copy lowers it, or it kills
-the label, on which sl_n acts faithfully); that is an engine miss on P,
-and the tests check that it does not arise.  Either way Q is
-GoodHeuristic with no draw of its own.  A group keeps only that class;
-a line's verdict is decided from it when the line is written
-(`Catalog.verdict`), and no engine call remains by then.
+prefix P of C that it did not extend.  Either `keep` rejected P: the
+engine found a full-rank point of P or of its dual, so P has a finite
+generic stabilizer and, full rank being generic, a full-rank point p; the
+image rows of Q = P + R at (p, r) contain those of P at p, so Q too has a
+finite generic stabilizer (rank is lower semicontinuous).  Or P holds
+n^2 - 1 copies of a nontrivial label, which alone have a finite generic
+stabilizer (each copy lowers it, or it kills the label, on which sl_n acts
+faithfully); that is an engine miss on P, and the tests check that it
+does not arise.  Either way Q is GoodHeuristic with no draw of its own.
+A group keeps only that class; a line's verdict is decided from it when
+the line is written (`Catalog.verdict`), and no engine call remains by
+then.
 
 With W = 0 the decision reads few of a line's fields, its decision
-signature (`decision_signatures`), and many lines share one: the rank-3
+signature (`decision_signature`), and many lines share one: the rank-3
 catalog's 3,015 have 62, and `serialize.write_catalog` decides and encodes
 one verdict per signature.
 """
@@ -98,35 +105,28 @@ class Catalog:
     def verdict(self, group: QuotientGroup, s: tuple) -> Verdict:
         """The verdict of the line (Q of `group`, S = `s`) as a W = 0
         instance, decided from the class the catalog fixed for Q with no
-        engine call; lines of one signature (`decision_signatures`) get
+        engine call; lines of one signature (`decision_signature`) get
         equal verdicts."""
         empty = WeightMultiset(self.n, ())
         instance = TwoStepExtension(self.n, WeightMultiset(self.n, s), group.Q, empty)
         return _decide(instance, self.seed, self.trials, group.q_class)
 
 
-def decision_signatures(catalog: Catalog):
-    """For each group of `catalog`, in order, its lines' decision
-    signatures: the values a line's verdict is decided from.  With W = 0,
-    `_decide` reads Q only through the freeness gate (status, detail) and,
-    past a passed gate, its trivial count; S only through its dimension;
-    and its one split candidate, W2 = 0, takes the class of Q.  So the
-    signature is (gate, class of Q), extended by (trivial count, dim S)
-    when the gate is Free, and lines of one signature get equal verdicts.
-    The gate is found once per group, on Q alone, and dim S once per S:
-    only clause (ii) passes the gate, and its walk pairs each S with many Q."""
-    n, empty, triv = catalog.n, WeightMultiset(catalog.n, ()), rank_labels(catalog.n).triv
-    dims: dict[tuple, int] = {}
-    for group in catalog.groups:
-        gate = check_generic_freeness(TwoStepExtension(n, empty, group.Q, empty), catalog.seed,
-                                      catalog.trials, group.q_class)
-        if gate[0] != FREE:
-            yield [(gate, group.q_class)] * len(group.subs)
-        else:
-            trivials = group.Q.count(triv)
-            yield [(gate, group.q_class, trivials,
-                    dims.get(s) or dims.setdefault(s, sum(m * weyl_dim(w) for w, m in s)))
-                   for s in group.subs]
+def decision_signature(catalog: Catalog, group: QuotientGroup) -> tuple[tuple, bool]:
+    """The decision signature that the lines of `group` share, and whether
+    each line extends it by its dim S.  A line's signature holds the values
+    its verdict is decided from: with W = 0, `_decide` reads Q only through
+    the freeness gate (status, detail) and, past a passed gate, its trivial
+    count; S only through its dimension; and its one split candidate,
+    W2 = 0, takes the class of Q.  So the signature is (gate, class of Q),
+    extended by (trivial count, dim S) when the gate is Free, and lines of
+    one signature get equal verdicts.  Only clause (ii) passes the gate."""
+    n, empty = catalog.n, WeightMultiset(catalog.n, ())
+    gate = check_generic_freeness(TwoStepExtension(n, empty, group.Q, empty), catalog.seed,
+                                  catalog.trials, group.q_class)
+    if gate[0] != FREE:
+        return (gate, group.q_class), False
+    return (gate, group.q_class, group.Q.count(rank_labels(n).triv)), True
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
@@ -298,9 +298,15 @@ def enumerate_exceptional_candidates(
     # padded with 0 to `trivial_cap` trivial summands; the trivial label
     # sorts first, so a padded entries tuple is canonical.  S is drawn from
     # Q (x) standard, so only Q inside S (x) dual standard is open, and S is
-    # capped only when a cap is asked for
+    # capped only when a cap is asked for.  A multiset whose dual the sweep
+    # has asked about takes its dual's answer (module docstring)
+    answers: dict[tuple, bool] = {}
+
     def is_bad(q):
-        return classify(q, seed=seed, trials=trials) == BAD
+        bad = answers.get(tuple(sorted((dual(w), m) for w, m in q.entries)))
+        if bad is None:
+            bad = answers[q.entries] = classify(q, seed=seed, trials=trials) == BAD
+        return bad
 
     cores = [()] if is_bad(WeightMultiset(n, ())) else []
     cores += _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)

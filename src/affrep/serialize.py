@@ -11,16 +11,15 @@ import io
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
 
-from .catalog import TRIGGER_SMALL_S, Catalog, decision_signatures
+from .catalog import TRIGGER_SMALL_S, Catalog, decision_signature
 from .config import MAX_WEIGHT_RANK, check_model_dim, check_rank
 from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, sl_basis_keys, validate_model
 from .rationality import TwoStepExtension, Verdict
 from .repclass import StabilizerReport
-from .schur import Weight, WeightMultiset
+from .schur import Weight, WeightMultiset, weyl_dim
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -421,44 +420,70 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
-@lru_cache(maxsize=1024)
-def _summand_head(w: Weight) -> str:
-    """A summand's text up to its multiplicity: '{"lambda":[2,1,0],"mult":'."""
-    return f'{{"lambda":[{",".join(map(str, w.parts))}],"mult":'
-
-
-def _multiset_text(n: int, entries) -> str:
-    """`dumps(multiset_to_json(WeightMultiset(n, entries)))`."""
-    summands = ",".join(f"{_summand_head(w)}{m}}}" for w, m in entries)
-    return f'{{"n":{n},"summands":[{summands}]}}'
+def _multiset_text(n: int, entries, summands: dict) -> str:
+    """`dumps(multiset_to_json(WeightMultiset(n, entries)))`, each summand's
+    text taken from `summands`, a table from (label, count) pairs to their
+    text that it fills."""
+    texts = []
+    for pair in entries:
+        text = summands.get(pair)
+        if text is None:
+            w, m = pair
+            text = summands[pair] = f'{{"lambda":[{",".join(map(str, w.parts))}],"mult":{m}}}'
+        texts.append(text)
+    return f'{{"n":{n},"summands":[{",".join(texts)}]}}'
 
 
 def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     """Write the catalog to `fh`, one string per quotient group, and return
     the number of lines by trigger and by verdict outcome.  Each line is
     `dumps` of its JSON object, written directly (sorted keys, integers
-    and `TRIGGER_*` constants only), with `Q`'s text made once per group,
-    a clause-(ii) `S` text once per `S` (207 `S` on 2,105 lines at rank 3;
-    clause (i)'s seldom repeat), and a verdict decided and encoded once per
-    decision signature (`catalog.decision_signatures`).  No table outlives
-    the call."""
+    and `TRIGGER_*` constants only): a head with the group's `Q`, the `S`
+    text and a tail with the verdict.  A summand's text is made once per
+    (label, count), and a clause-(ii) `S` text once per `S`, with its
+    dimension (207 `S` on 2,105 lines at rank 3; clause (i)'s seldom
+    repeat).  A verdict is decided and encoded once per decision signature
+    (`catalog.decision_signature`); a group whose freeness gate fails has
+    one, so one tail serves all its lines.  No table outlives the call."""
     n = catalog.n
+    summands: dict[tuple, str] = {}
+    small_s: dict[tuple, tuple[str, int]] = {}
     decided: dict[tuple, tuple[str, str]] = {}
-    small_s: dict[tuple, str] = {}
     by_trigger: dict[str, int] = {}
     by_outcome: dict[str, int] = {}
-    for group, signatures in zip(catalog.groups, decision_signatures(catalog)):
-        head = f'{{"Q":{_multiset_text(n, group.Q.entries)},"S":'
+
+    def small(s):
+        known = small_s.get(s)
+        if known is None:
+            known = small_s[s] = (_multiset_text(n, s, summands),
+                                  sum(m * weyl_dim(w) for w, m in s))
+        return known
+
+    def decide(signature, group, s):
+        if signature not in decided:
+            verdict = catalog.verdict(group, s)
+            decided[signature] = (verdict.outcome, dumps(verdict_to_json(verdict)))
+        return decided[signature]
+
+    for group in catalog.groups:
+        head = f'{{"Q":{_multiset_text(n, group.Q.entries, summands)},"S":'
         frame = f',"n":{n},"trigger":"{group.trigger}","verdict":'
-        lines, s_texts = [], small_s if group.trigger == TRIGGER_SMALL_S else {}
-        for s, signature in zip(group.subs, signatures):
-            if signature not in decided:
-                verdict = catalog.verdict(group, s)
-                decided[signature] = (verdict.outcome, dumps(verdict_to_json(verdict)))
-            outcome, verdict_text = decided[signature]
-            s_text = s_texts.get(s) or s_texts.setdefault(s, _multiset_text(n, s))
-            lines.append(f"{head}{s_text}{frame}{verdict_text}}}\n")
-            by_outcome[outcome] = by_outcome.get(outcome, 0) + 1
+        shared, per_s = decision_signature(catalog, group)
+        if per_s:
+            lines = []
+            for s in group.subs:
+                s_text, dim_s = small(s)
+                outcome, verdict_text = decide(shared + (dim_s,), group, s)
+                lines.append(f"{head}{s_text}{frame}{verdict_text}}}\n")
+                by_outcome[outcome] = by_outcome.get(outcome, 0) + 1
+        else:
+            outcome, verdict_text = decide(shared, group, group.subs[0])
+            tail = f"{frame}{verdict_text}}}\n"
+            if group.trigger == TRIGGER_SMALL_S:
+                lines = [head + small(s)[0] + tail for s in group.subs]
+            else:
+                lines = [head + _multiset_text(n, s, summands) + tail for s in group.subs]
+            by_outcome[outcome] = by_outcome.get(outcome, 0) + len(lines)
         by_trigger[group.trigger] = by_trigger.get(group.trigger, 0) + len(lines)
         fh.write("".join(lines))
     return by_trigger, by_outcome

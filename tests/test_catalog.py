@@ -22,7 +22,7 @@ from affrep.catalog import (
     _padded_partners,
     _partners,
     _walk,
-    decision_signatures,
+    decision_signature,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
@@ -51,6 +51,11 @@ from affrep.schur import (
 
 def W(n, *parts):
     return normalize(n, list(parts))
+
+
+def dual_multiset(ms):
+    """The dual of a multiset: each label through `schur.dual`, re-sorted."""
+    return WeightMultiset.of(ms.n, [(dual(w), m) for w, m in ms.entries])
 
 
 class TestIrrepsUpToDim:
@@ -362,12 +367,14 @@ def bad_quotients_reference(n, trivial_cap, seed, trials):
     (2, None, DEFAULT_SEED, DEFAULT_TRIALS), (3, None, DEFAULT_SEED, DEFAULT_TRIALS),
     (2, 0, DEFAULT_SEED, DEFAULT_TRIALS), (3, 0, DEFAULT_SEED, DEFAULT_TRIALS),
     (2, 2, DEFAULT_SEED, DEFAULT_TRIALS), (3, 2, DEFAULT_SEED, DEFAULT_TRIALS),
-    (2, None, 42, 5), (3, None, 42, 5),
+    (2, None, 42, 5), (3, None, 42, 5), (4, None, DEFAULT_SEED, DEFAULT_TRIALS),
 ])
 def test_bad_quotients_match_padded_cores(n, max_trivials, seed, trials):
     # the grown bad quotients are the padded cores: a quotient classifies as
     # its nontrivial part, and a pure-trivial one is bad; with no cap on
-    # dim S every bad quotient has some S, so each one is in the catalog
+    # dim S every bad quotient has some S, so each one is in the catalog.
+    # The reference sweep asks the engine about every multiset it reaches,
+    # so the catalog's answers taken from a dual change no class
     catalog = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed,
                                                trials=trials)
     cap = n * n - 2 if max_trivials is None else max_trivials
@@ -486,8 +493,9 @@ def test_partner_walks_pinned(monkeypatch, n, walks):
 def test_rank3_catalog_repeats_no_work(monkeypatch):
     # a count of calls, not a time: the rank-3 catalog runs the stabilizer
     # once per distinct nontrivial quotient part the bad sweep asks about
-    # (50 runs; 364 when every clause-(ii) quotient was classified, 917 when
-    # Q and Q + trivials each had their own run) and never checks the
+    # and not about its dual too (30 runs; 50 when it asked about both, 364
+    # when every clause-(ii) quotient was classified, 917 when Q and
+    # Q + trivials each had their own run) and never checks the
     # containments again (it took 3,015 checks, one per entry)
     calls = {"stabilizer_dimension": 0, "check_structural": 0}
 
@@ -504,22 +512,23 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
     counted(rationality, "check_structural")
     repclass.classify_with_report.cache_clear()
     assert len(enumerate_exceptional_candidates(3)) == 3015
-    assert calls["stabilizer_dimension"] <= 50
+    assert calls["stabilizer_dimension"] <= 30
     assert calls["check_structural"] == 0
 
 
-@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 6, 0, 6), (3, 50, 0, 50),
-                                                           (4, 167, 0, 167)],
+@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 6, 0, 6), (3, 30, 0, 30),
+                                                           (4, 101, 0, 101)],
                          ids=["rank2", "rank3", "rank4"])
 def test_catalog_engine_calls_pinned(monkeypatch, n, stabilizer_args, hits, misses):
     # from a cleared cache the catalog asks the stabilizer about so many
     # distinct multisets, once each, and the classifier's cache reads so
     # many hits and misses: the bad sweep walks the cores once, so it asks
-    # the classifier once about each multiset it reaches and never about a
-    # padded quotient (at ranks 3 and 4 it made 349 / 2,337 hits and 400 /
-    # 2,505 misses when it walked the cores once per trivial count).  A
-    # walk that asks the engine about another set of multisets moves these
-    # counts
+    # the classifier once about each multiset it reaches whose dual it has
+    # not asked about, and never about a padded quotient (at ranks 3 and 4
+    # it made 50 / 167 misses when it also asked about the duals, and 349 /
+    # 2,337 hits and 400 / 2,505 misses when it walked the cores once per
+    # trivial count; rank 2's labels are self-dual).  A walk that asks the
+    # engine about another set of multisets moves these counts
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     enumerate_exceptional_candidates(n)
@@ -617,7 +626,9 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     # about (walked over all bad labels, trivial count first, each answered
     # by its core), each once, and the GoodHeuristic quotients beyond that
     # boundary get no call at all.  That sweep's keep asks the classifier
-    # once per core, so it too sends each core to the stabilizer once
+    # once per core, so it sends each core to the stabilizer once; the
+    # catalog sends only those whose dual it has not sent, so each swept
+    # core is sent itself or through its dual
     n = 3
     seen = _stabilizer_args(monkeypatch)
     triv, cap = W(n, 0), n * n - 2
@@ -630,7 +641,9 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     seen.clear()
     repclass.classify_with_report.cache_clear()
     catalog = enumerate_exceptional_candidates(n)
-    assert set(seen) == swept and len(seen) == len(swept)
+    asked = set(seen)
+    assert len(seen) == len(asked) == 30 and asked <= swept
+    assert all(q in asked or dual_multiset(q) in asked for q in swept)
     bad = bad_list(n)
     unasked = {repclass.nontrivial_part(g.Q) for g in catalog.groups
                if g.trigger == TRIGGER_SMALL_S and all(w in bad for w in g.Q.weights())}
@@ -639,6 +652,79 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     assert len(unasked) > 100
     for core in unasked:
         assert classify_with_report(core)[1] is not None
+
+
+# --- duality: the outer automorphism of SL_n carries each module to its dual ----
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweep_sends_no_multiset_whose_dual_it_has_sent(monkeypatch, n):
+    # a multiset and its dual have generic stabilizers of one dimension, so
+    # the bad sweep answers a multiset whose dual it has asked about from
+    # that answer, and sends one member of each dual pair to the stabilizer
+    seen = _stabilizer_args(monkeypatch)
+    repclass.classify_with_report.cache_clear()
+    enumerate_exceptional_candidates(n)
+    assert len(seen) == len(set(seen))
+    for i, q in enumerate(seen):
+        assert dual_multiset(q) not in seen[:i], str(q)
+
+
+@pytest.mark.parametrize("n,count", [(2, 2), (3, 14), (4, 44)])
+def test_reference_bad_cores_are_closed_under_duality(n, count):
+    cores = set(bad_cores(n, DEFAULT_SEED, DEFAULT_TRIALS))
+    assert len(cores) == count
+    assert {dual_multiset(core) for core in cores} == cores
+
+
+@pytest.mark.parametrize("args,pairs", [("--n 2", 79), ("--n 3", 265), ("--n 4", 423),
+                                        ("--n 3 --max-trivials 2", 228),
+                                        ("--n 3 --max-dim-s 5", 4),
+                                        ("--n 3 --max-trivials 0 --max-dim-s 8", 8),
+                                        ("--n 2 --max-dim-s 3", 5),
+                                        ("--n 3 --seed 42 --trials 5", 265)])
+def test_catalog_pairs_within_both_bounds_are_closed_under_duality(args, pairs):
+    # (S, Q) -> (Q*, S*) keeps both containments: S inside Q (x) C^n exactly
+    # when S* lies inside Q* (x) dual C^n, and likewise for the other.  The
+    # catalog admits every pair that meets them with dim S and the trivials
+    # of Q within its bounds, so the pairs whose both sides are within both
+    # bounds map onto each other.  This reads only the catalog and `dual`,
+    # and shares no code with the walk, the partners or the shift; a pair
+    # that maps outside is a defect of the catalog
+    kwargs = _catalog_kwargs(args)
+    catalog = enumerate_exceptional_candidates(**kwargs)
+    n = catalog.n
+    trivial_cap = kwargs.get("max_trivials", n * n - 2)
+    dim_cap = kwargs.get("max_dim_s", n * n + 2 * n - 1)
+
+    def within(ms):
+        return ms.dim() <= dim_cap and ms.count(W(n, 0)) <= trivial_cap
+
+    region = {(WeightMultiset(n, s), g.Q) for g in catalog.groups if within(g.Q)
+              for s in g.subs if within(WeightMultiset(n, s))}
+    assert len(region) == pairs
+    assert {(dual_multiset(Q), dual_multiset(S)) for S, Q in region} == region
+
+
+@st.composite
+def structural_pairs(draw):
+    """(S, Q) at ranks 2-4: a small Q and an S drawn inside Q (x) standard,
+    so that the other containment holds in some draws and fails in others."""
+    n = draw(st.integers(2, 4))
+    Q = draw(small_multisets(n))
+    labels = sorted(tensor_counts(Q.entries, W(n, 1)).items())
+    counts = [draw(st.integers(0, m)) for _, m in labels]
+    assume(any(counts))
+    return WeightMultiset(n, tuple((w, c) for (w, _), c in zip(labels, counts) if c)), Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(structural_pairs(), st.integers(2, 4).flatmap(
+    lambda n: st.tuples(small_multisets(n), small_multisets(n)))))
+def test_structural_check_agrees_on_the_dual_pair(pair):
+    S, Q = pair
+    n, empty = S.n, WeightMultiset(S.n, ())
+    assert check_structural(TwoStepExtension(n, S, Q, empty)) == check_structural(
+        TwoStepExtension(n, dual_multiset(Q), dual_multiset(S), empty))
 
 
 @pytest.mark.parametrize("args", ["--n 2", "--n 3", "--n 4", *sorted(CAPPED_SHA256)])
@@ -716,7 +802,7 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
     monkeypatch.setattr(serialize, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
     catalog = enumerate_exceptional_candidates(n)
     by_trigger = {TRIGGER_BAD_Q: set(), TRIGGER_SMALL_S: set()}
-    for group, signatures in zip(catalog.groups, decision_signatures(catalog)):
+    for group, signatures in zip(catalog.groups, _group_signatures(catalog)):
         by_trigger[group.trigger].update(signatures)
     assert len(by_trigger[TRIGGER_BAD_Q]) == clause_i
     assert len(by_trigger[TRIGGER_SMALL_S]) == clause_ii
@@ -741,17 +827,21 @@ def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
 
 
 def test_selftest_catalog_criterion_classifies_each_bad_core_once(monkeypatch):
-    # each enumeration sends the bad sweep's 50 multisets to the stabilizer,
-    # and the Q-bad check classifies each of the 15 Q-bad cores once, not
-    # once per trivial count (217 calls when it classified every Q-bad Q)
+    # each enumeration sends the bad sweep's 30 multisets to the stabilizer
+    # (50 when it sent each dual too), and the Q-bad check classifies each
+    # of the 15 Q-bad cores once, not once per trivial count; two of them
+    # are the classifier's memo of the second enumeration, and 6 of the 13
+    # it sends were answered through their duals in the sweep (217 calls
+    # when it classified every Q-bad Q, 2 * 50 + 15 with 50 distinct when
+    # the sweep sent the duals too)
     from affrep import selftest
 
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     passed, detail = selftest.criterion_10_catalog()
     assert passed, detail
-    assert len(seen) == 2 * 50 + 15
-    assert len(set(seen)) == 50
+    assert len(seen) == 2 * 30 + 13
+    assert len(set(seen)) == 30 + 6
 
 
 # every bounded cache a catalog run fills, as module.function
@@ -836,7 +926,7 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     assert hashlib.sha256(data).hexdigest() == CATALOG_SHA256[4]
     assert info.pop("peak_kib") < 30 * 1024
     assert info.pop("partner_walks") == 261
-    _assert_no_work_repeated(info, 167)
+    _assert_no_work_repeated(info, 101)
 
 
 RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d"
@@ -844,8 +934,9 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
-    # pinned, the bad sweep sends each of the 332 multisets it reaches to the
-    # stabilizer once with no classifier hit (7,968 misses when the memo
+    # pinned, the bad sweep sends each of the 186 multisets it reaches, but
+    # not their duals, to the stabilizer once with no classifier hit (332
+    # when it sent the duals too, 7,968 misses when the memo
     # held 16,384 answers and the sweep walked the cores once per trivial
     # count), no other bounded cache evicts, and the peak stays under 50 MiB
     # (61 MiB before the catalog was kept by quotient, 43 MiB since), with
@@ -855,7 +946,7 @@ def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
     assert info.pop("peak_kib") < 50 * 1024
     assert info.pop("partner_walks") == 411
-    _assert_no_work_repeated(info, 332)
+    _assert_no_work_repeated(info, 186)
 
 
 @pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
@@ -932,7 +1023,7 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
     own `Q` text, and each line its own `S` text."""
     from affrep.serialize import _multiset_text
 
-    n = 3
+    n, summands = 3, {}
     first, second = WeightMultiset.of(n, [(W(n, 1), 3)]), WeightMultiset.of(n, [(W(n, 1, 1), 3)])
     again = WeightMultiset.of(n, [(W(n, 1), 3)])
     groups = [QuotientGroup(Q, TRIGGER_SMALL_S, GOOD, [((w, m),) for w, m in subs]) for Q, subs in [
@@ -944,7 +1035,8 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
     lines = _written(catalog).splitlines()
     assert len(lines) == len(catalog) == 5
     for (group, s), line in zip(_lines(catalog), lines):
-        text = f'{{"Q":{_multiset_text(n, group.Q.entries)},"S":{_multiset_text(n, s)},'
+        text = (f'{{"Q":{_multiset_text(n, group.Q.entries, summands)},'
+                f'"S":{_multiset_text(n, s, summands)},')
         assert line.startswith(text + '"n":3,')
         assert line == _line_by_general_encoder(catalog, group, s)
 
@@ -959,9 +1051,19 @@ def _written(catalog) -> str:
     return fh.getvalue()
 
 
+def _group_signatures(catalog):
+    """For each group of `catalog`, in order, its lines' decision
+    signatures: the group's shared signature, extended by each line's dim S
+    when the group's freeness gate passes."""
+    for group in catalog.groups:
+        shared, per_s = decision_signature(catalog, group)
+        yield [shared + (WeightMultiset(catalog.n, s).dim(),) if per_s else shared
+               for s in group.subs]
+
+
 def _line_signatures(catalog) -> list[tuple]:
     """The decision signature of every line of `catalog`, in file order."""
-    return [sig for signatures in decision_signatures(catalog) for sig in signatures]
+    return [sig for signatures in _group_signatures(catalog) for sig in signatures]
 
 
 def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SEED,
@@ -1025,7 +1127,7 @@ def test_length_is_the_summary_and_the_file_line_count(tmp_path, capsys, args):
     assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
     summary = capsys.readouterr().out.splitlines()
     assert summary[0] == f"entries: {len(catalog)}"
-    lines = sum(map(len, decision_signatures(catalog)))
+    lines = sum(map(len, _group_signatures(catalog)))
     assert out.read_bytes().count(b"\n") == len(catalog) == lines
 
 
