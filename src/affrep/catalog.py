@@ -33,30 +33,39 @@ each list's order and shares the entries' other (label, count) pairs.
 
 The class of each admitted Q is fixed when it is admitted, and only the
 bad sweep asks the engine.  A quotient is classified as its nontrivial
-part, its core, so the sweep walks the cores once, asking about each
+part, its core, so the sweep walks the cores once, answering each
 multiset it reaches once, and pads each bad core with 0 to the cap of
-trivials.  The outer automorphism of SL_n carries each module to its
-dual, so the two have generic stabilizers of one dimension, and the sweep
-asks the engine about one member of each dual pair: a multiset whose dual
-it has asked about in this call takes that answer (a Good so taken rests
-on a full-rank point of the dual, and a Bad is as trusted as the one it
-repeats).  Clause (i)'s quotients are Bad: they are the padded cores.
-A clause (ii) Q with a label outside the bad family is Good.  Any other
-clause (ii) Q holds no more trivials than the cap, so its core C is not a
-bad core, and C is not empty (the empty core is bad, and its paddings are
-the pure-trivial quotients).  The sweep walked C's count vector up to a
-prefix P of C that it did not extend.  Either `keep` rejected P: the
-engine found a full-rank point of P or of its dual, so P has a finite
-generic stabilizer and, full rank being generic, a full-rank point p; the
-image rows of Q = P + R at (p, r) contain those of P at p, so Q too has a
-finite generic stabilizer (rank is lower semicontinuous).  Or P holds
-n^2 - 1 copies of a nontrivial label, which alone have a finite generic
-stabilizer (each copy lowers it, or it kills the label, on which sl_n acts
-faithfully); that is an engine miss on P, and the tests check that it
-does not arise.  Either way Q is GoodHeuristic with no draw of its own.
-A group keeps only that class; a line's verdict is decided from it when
-the line is written (`Catalog.verdict`), and no engine call remains by
-then.
+trivials.  Three facts answer most multisets with no engine call.  A
+multiset of dimension below n^2 - 1 is Bad: its image rows, one per
+coordinate, cannot reach rank n^2 - 1, so its generic stabilizer has
+positive dimension (the row-count floor; the engine stops there too).
+The outer automorphism of SL_n carries each module to its dual, so the
+two have generic stabilizers of one dimension.  And a multiset G + R
+holding a G with a full-rank point g has one too: its image rows at
+(g, r) contain those of G at g (rank is lower semicontinuous).  So the
+sweep keeps, for one call, each multiset the engine found Good together
+with its dual; it answers Bad under the floor, Good for a multiset that
+holds one it keeps, and Bad for one whose dual the engine found Bad, and
+it asks the engine the rest, one member of each dual pair.  A Good so
+answered rests on a full-rank point of a multiset it holds, a Bad under
+the floor is exact, and a Bad through a dual is as trusted as the one it
+repeats.  Clause (i)'s quotients are Bad: they are the padded cores.  A
+clause (ii) Q with a label outside the bad family is Good.  Any other
+clause (ii) Q holds no more trivials than the cap, so its core C is not
+a bad core, and C is not empty (the empty core is bad, and its paddings
+are the pure-trivial quotients).  The sweep walked C's count vector up
+to a prefix P of C that it did not extend.  Either `keep` rejected P: P
+is or holds a multiset G that the engine found Good, or the dual of one
+(the floor answers only Bad), so G has a finite generic stabilizer and,
+full rank being generic, a full-rank point g; the image rows of
+Q = G + R at (g, r) contain those of G at g, so Q too has a finite
+generic stabilizer.  Or P holds n^2 - 1 copies of a nontrivial label,
+which alone have a finite generic stabilizer (each copy lowers it, or it
+kills the label, on which sl_n acts faithfully); that is an engine miss
+on P, and the tests check that it does not arise.  Either way Q is
+GoodHeuristic with no draw of its own.  A group keeps only that class; a
+line's verdict is decided from it when the line is written
+(`Catalog.verdict`), and no engine call remains by then.
 
 With W = 0 the decision reads few of a line's fields, its decision
 signature (`decision_signature`), and many lines share one: the rank-3
@@ -121,12 +130,10 @@ def decision_signature(catalog: Catalog, group: QuotientGroup) -> tuple[tuple, b
     W2 = 0, takes the class of Q.  So the signature is (gate, class of Q),
     extended by (trivial count, dim S) when the gate is Free, and lines of
     one signature get equal verdicts.  Only clause (ii) passes the gate."""
-    n, empty = catalog.n, WeightMultiset(catalog.n, ())
-    gate = check_generic_freeness(TwoStepExtension(n, empty, group.Q, empty), catalog.seed,
-                                  catalog.trials, group.q_class)
+    gate = check_generic_freeness(group.Q, catalog.seed, catalog.trials, group.q_class)
     if gate[0] != FREE:
         return (gate, group.q_class), False
-    return (gate, group.q_class, group.Q.count(rank_labels(n).triv)), True
+    return (gate, group.q_class, group.Q.count(rank_labels(catalog.n).triv)), True
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
@@ -298,15 +305,28 @@ def enumerate_exceptional_candidates(
     # padded with 0 to `trivial_cap` trivial summands; the trivial label
     # sorts first, so a padded entries tuple is canonical.  S is drawn from
     # Q (x) standard, so only Q inside S (x) dual standard is open, and S is
-    # capped only when a cap is asked for.  A multiset whose dual the sweep
-    # has asked about takes its dual's answer (module docstring)
-    answers: dict[tuple, bool] = {}
+    # capped only when a cap is asked for.  The sweep answers Bad below the
+    # row-count floor and Good over a Good multiset or its dual, takes a
+    # Bad from a multiset's dual, and asks the engine the rest (module
+    # docstring); its tables live for one call
+    floor = n * n - 1
+    goods: list[tuple] = []
+    bads: set[tuple] = set()
 
     def is_bad(q):
-        bad = answers.get(tuple(sorted((dual(w), m) for w, m in q.entries)))
-        if bad is None:
-            bad = answers[q.entries] = classify(q, seed=seed, trials=trials) == BAD
-        return bad
+        if q.dim() < floor:
+            return True
+        counts = dict(q.entries)
+        if any(all(counts.get(w, 0) >= m for w, m in good) for good in goods):
+            return False
+        dual_entries = tuple(sorted((dual(w), m) for w, m in q.entries))
+        if dual_entries in bads:
+            return True
+        if classify(q, seed=seed, trials=trials) == BAD:
+            bads.add(q.entries)
+            return True
+        goods.extend((q.entries, dual_entries))
+        return False
 
     cores = [()] if is_bad(WeightMultiset(n, ())) else []
     cores += _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)

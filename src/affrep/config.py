@@ -19,7 +19,7 @@ COORD_BOUND = 100
 # catalog label fits
 MAX_TENSOR_CELLS = 300_000
 # largest rank `enumerate` builds the catalog at; rank 8 (2,024,463 lines,
-# 1.36 GB) took 14.9-15.8 s at 245 MiB with the cap lifted, rank 7 4.9-5.4 s
+# 1.36 GB) took 10.5-11.7 s at 241 MiB with the cap lifted, rank 7 4.7-5.4 s
 MAX_CATALOG_RANK = 7
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000

@@ -120,24 +120,22 @@ def _r3_shapes(n: int, q: WeightMultiset) -> bool:
     return 1 <= total <= n - 1
 
 
-def check_generic_freeness(ext: TwoStepExtension, seed: int = DEFAULT_SEED,
+def check_generic_freeness(q: WeightMultiset, seed: int = DEFAULT_SEED,
                            trials: int = DEFAULT_TRIALS, q_class: str | None = None):
-    """Sufficient freeness criterion on the quotient: its completely
-    reducible quotient (Q itself here) must be good, and Q must avoid the
-    short list of translation-stabilized shapes.  An external assertion on
-    the extension overrides the criterion.  `q_class` is the class of Q
-    when the caller has established it; otherwise Q is classified.
-    Returns (status, detail).
+    """Sufficient freeness criterion on the quotient `q`: its completely
+    reducible quotient (`q` itself here) must be good, and `q` must avoid
+    the short list of translation-stabilized shapes.  `q_class` is the
+    class of `q` when the caller has established it; otherwise `q` is
+    classified.  Returns (status, detail); an extension's assertion of
+    generic freeness overrides the criterion (`_decide`).
     """
-    if ext.assume_generically_free:
-        return FREE, "asserted"
-    q = ext.Q
-    labels = rank_labels(ext.n)
+    n = q.n
+    labels = rank_labels(n)
     if q == labels.r1:
         return POSSIBLY_NOT_FREE, "R1"
     if q == labels.r2:
         return POSSIBLY_NOT_FREE, "R2"
-    if _r3_shapes(ext.n, q):
+    if _r3_shapes(n, q):
         return POSSIBLY_NOT_FREE, "R3"
     verdict = q_class or classify(q, seed=seed, trials=trials)
     if verdict == BAD:
@@ -180,7 +178,10 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
         {"condition": "structural-containments", "paper_clause": "shape", "result": True}
     ]
 
-    status, detail = check_generic_freeness(ext, seed=seed, trials=trials, q_class=q_class)
+    if ext.assume_generically_free:
+        status, detail = FREE, "asserted"
+    else:
+        status, detail = check_generic_freeness(ext.Q, seed=seed, trials=trials, q_class=q_class)
     evidence.append(
         {"condition": "generic-freeness", "paper_clause": detail, "result": status}
     )

@@ -443,12 +443,14 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     (label, count), and a clause-(ii) `S` text once per `S`, with its
     dimension (207 `S` on 2,105 lines at rank 3; clause (i)'s seldom
     repeat).  A verdict is decided and encoded once per decision signature
-    (`catalog.decision_signature`); a group whose freeness gate fails has
-    one, so one tail serves all its lines.  No table outlives the call."""
+    (`catalog.decision_signature`), in a table per quotient group's shared
+    signature: a group whose freeness gate fails has one verdict, so one
+    tail serves all its lines, and a free group's lines look theirs up by
+    dim S.  No table outlives the call."""
     n = catalog.n
     summands: dict[tuple, str] = {}
     small_s: dict[tuple, tuple[str, int]] = {}
-    decided: dict[tuple, tuple[str, str]] = {}
+    decided: dict[tuple, dict] = {}
     by_trigger: dict[str, int] = {}
     by_outcome: dict[str, int] = {}
 
@@ -459,25 +461,27 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
                                   sum(m * weyl_dim(w) for w, m in s))
         return known
 
-    def decide(signature, group, s):
-        if signature not in decided:
+    def decide(table, key, group, s):
+        known = table.get(key)
+        if known is None:
             verdict = catalog.verdict(group, s)
-            decided[signature] = (verdict.outcome, dumps(verdict_to_json(verdict)))
-        return decided[signature]
+            known = table[key] = (verdict.outcome, dumps(verdict_to_json(verdict)))
+        return known
 
     for group in catalog.groups:
         head = f'{{"Q":{_multiset_text(n, group.Q.entries, summands)},"S":'
         frame = f',"n":{n},"trigger":"{group.trigger}","verdict":'
         shared, per_s = decision_signature(catalog, group)
+        table = decided.setdefault(shared, {})
         if per_s:
             lines = []
             for s in group.subs:
                 s_text, dim_s = small(s)
-                outcome, verdict_text = decide(shared + (dim_s,), group, s)
+                outcome, verdict_text = decide(table, dim_s, group, s)
                 lines.append(f"{head}{s_text}{frame}{verdict_text}}}\n")
                 by_outcome[outcome] = by_outcome.get(outcome, 0) + 1
         else:
-            outcome, verdict_text = decide(shared, group, group.subs[0])
+            outcome, verdict_text = decide(table, None, group, group.subs[0])
             tail = f"{frame}{verdict_text}}}\n"
             if group.trigger == TRIGGER_SMALL_S:
                 lines = [head + small(s)[0] + tail for s in group.subs]

@@ -374,7 +374,8 @@ def test_bad_quotients_match_padded_cores(n, max_trivials, seed, trials):
     # its nontrivial part, and a pure-trivial one is bad; with no cap on
     # dim S every bad quotient has some S, so each one is in the catalog.
     # The reference sweep asks the engine about every multiset it reaches,
-    # so the catalog's answers taken from a dual change no class
+    # so the catalog's answers taken from a dual, the row-count floor or a
+    # Good sub-multiset change no class
     catalog = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed,
                                                trials=trials)
     cap = n * n - 2 if max_trivials is None else max_trivials
@@ -492,11 +493,13 @@ def test_partner_walks_pinned(monkeypatch, n, walks):
 
 def test_rank3_catalog_repeats_no_work(monkeypatch):
     # a count of calls, not a time: the rank-3 catalog runs the stabilizer
-    # once per distinct nontrivial quotient part the bad sweep asks about
-    # and not about its dual too (30 runs; 50 when it asked about both, 364
-    # when every clause-(ii) quotient was classified, 917 when Q and
-    # Q + trivials each had their own run) and never checks the
-    # containments again (it took 3,015 checks, one per entry)
+    # once per distinct nontrivial quotient part the bad sweep asks about,
+    # not about its dual too, not below the row-count floor and not over a
+    # Good sub-multiset or its dual (14 runs; 30 before the floor and the
+    # sub-multisets, 50 when it asked about both duals, 364 when every
+    # clause-(ii) quotient was classified, 917 when Q and Q + trivials each
+    # had their own run) and never checks the containments again (it took
+    # 3,015 checks, one per entry)
     calls = {"stabilizer_dimension": 0, "check_structural": 0}
 
     def counted(module, name):
@@ -512,23 +515,26 @@ def test_rank3_catalog_repeats_no_work(monkeypatch):
     counted(rationality, "check_structural")
     repclass.classify_with_report.cache_clear()
     assert len(enumerate_exceptional_candidates(3)) == 3015
-    assert calls["stabilizer_dimension"] <= 30
+    assert calls["stabilizer_dimension"] == 14
     assert calls["check_structural"] == 0
 
 
-@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 6, 0, 6), (3, 30, 0, 30),
-                                                           (4, 101, 0, 101)],
+@pytest.mark.parametrize("n,stabilizer_args,hits,misses", [(2, 4, 0, 4), (3, 14, 0, 14),
+                                                           (4, 34, 0, 34)],
                          ids=["rank2", "rank3", "rank4"])
 def test_catalog_engine_calls_pinned(monkeypatch, n, stabilizer_args, hits, misses):
     # from a cleared cache the catalog asks the stabilizer about so many
     # distinct multisets, once each, and the classifier's cache reads so
     # many hits and misses: the bad sweep walks the cores once, so it asks
-    # the classifier once about each multiset it reaches whose dual it has
-    # not asked about, and never about a padded quotient (at ranks 3 and 4
-    # it made 50 / 167 misses when it also asked about the duals, and 349 /
-    # 2,337 hits and 400 / 2,505 misses when it walked the cores once per
-    # trivial count; rank 2's labels are self-dual).  A walk that asks the
-    # engine about another set of multisets moves these counts
+    # the classifier once about each multiset it reaches that is above the
+    # row-count floor, holds no Good multiset or its dual, and whose dual
+    # it has not asked about, and never about a padded quotient (at ranks
+    # 2-4 it made 6 / 30 / 101 misses before the floor and the Good
+    # sub-multisets, 6 / 50 / 167 when it also asked about the duals, and
+    # at ranks 3 and 4 349 / 2,337 hits and 400 / 2,505 misses when it
+    # walked the cores once per trivial count; rank 2's labels are
+    # self-dual).  A walk that asks the engine about another set of
+    # multisets moves these counts
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     enumerate_exceptional_candidates(n)
@@ -618,6 +624,11 @@ def _stabilizer_args(monkeypatch):
     return seen
 
 
+def _holds(q, p):
+    """Does the multiset q hold the multiset p, with multiplicities?"""
+    return all(q.count(w) >= m for w, m in p.entries)
+
+
 def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkeypatch):
     # the catalog classifies no clause-(ii) quotient: a bad core is in the
     # grown set, and any other quotient of bad labels is certified by the
@@ -627,8 +638,10 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     # by its core), each once, and the GoodHeuristic quotients beyond that
     # boundary get no call at all.  That sweep's keep asks the classifier
     # once per core, so it sends each core to the stabilizer once; the
-    # catalog sends only those whose dual it has not sent, so each swept
-    # core is sent itself or through its dual
+    # catalog sends only those above the row-count floor, holding no
+    # multiset it found Good or that one's dual, and whose dual it has not
+    # sent, so each swept core is sent itself or through its dual, is
+    # under the floor, or holds a sent Good multiset or its dual
     n = 3
     seen = _stabilizer_args(monkeypatch)
     triv, cap = W(n, 0), n * n - 2
@@ -642,8 +655,11 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     repclass.classify_with_report.cache_clear()
     catalog = enumerate_exceptional_candidates(n)
     asked = set(seen)
-    assert len(seen) == len(asked) == 30 and asked <= swept
-    assert all(q in asked or dual_multiset(q) in asked for q in swept)
+    assert len(seen) == len(asked) == 14 and asked <= swept
+    goods = [p for p in asked if classify(p) != BAD]
+    goods += [dual_multiset(p) for p in goods]
+    assert all(q in asked or dual_multiset(q) in asked or q.dim() < n * n - 1
+               or any(_holds(q, p) for p in goods) for q in swept)
     bad = bad_list(n)
     unasked = {repclass.nontrivial_part(g.Q) for g in catalog.groups
                if g.trigger == TRIGGER_SMALL_S and all(w in bad for w in g.Q.weights())}
@@ -652,6 +668,13 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     assert len(unasked) > 100
     for core in unasked:
         assert classify_with_report(core)[1] is not None
+
+
+# the bad sweep's answers at ranks 2-4 in its walk: (engine calls, Bad by
+# the row-count floor, Good through a Good sub-multiset or its dual, Bad
+# through the dual); the empty core, under the floor too, is answered
+# outside the walk
+SWEEP_ANSWERS = {2: (4, 1, 0, 0), 3: (14, 7, 25, 3), 4: (34, 22, 101, 9)}
 
 
 # --- duality: the outer automorphism of SL_n carries each module to its dual ----
@@ -667,6 +690,47 @@ def test_sweep_sends_no_multiset_whose_dual_it_has_sent(monkeypatch, n):
     assert len(seen) == len(set(seen))
     for i, q in enumerate(seen):
         assert dual_multiset(q) not in seen[:i], str(q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweep_answers_without_the_engine_what_the_engine_answers(monkeypatch, n):
+    # the bad sweep answers Bad below the row-count floor (fewer rows than
+    # sl_n has dimensions), Good over a multiset the engine found Good or
+    # that one's dual (rank is lower semicontinuous), and takes a Bad from
+    # a multiset's dual; every multiset it answers with no engine call gets
+    # the same class from a fresh `classify`, and every Good so answered
+    # holds a multiset, or the dual of one, that the engine found Good
+    from affrep import catalog
+
+    sweep_labels = [(w, n * n - 1) for w in sorted(bad_list(n)) if not w.is_trivial()]
+    answers, engine = {}, {}
+    walk, classify_ = catalog._walk, catalog.classify
+
+    def asked(q, **kwargs):
+        engine[q] = classify_(q, **kwargs)
+        return engine[q]
+
+    def walked(n, labels, needs=(), caps=(), keep=None):
+        if labels == sweep_labels:
+            def recorded(q):
+                answers[q] = keep(q)
+                return answers[q]
+
+            return walk(n, labels, needs, caps, recorded)
+        return walk(n, labels, needs, caps, keep)
+
+    monkeypatch.setattr(catalog, "classify", asked)
+    monkeypatch.setattr(catalog, "_walk", walked)
+    enumerate_exceptional_candidates(n)
+    goods = [p for p, cls in engine.items() if cls != BAD]
+    goods += [dual_multiset(p) for p in goods]
+    inferred = {q: bad for q, bad in answers.items() if q not in engine}
+    for q, bad in inferred.items():
+        assert (classify(q) == BAD) == bad, str(q)
+        assert bad or any(_holds(q, p) for p in goods), str(q)
+    floor = sum(q.dim() < n * n - 1 for q in inferred)
+    good = sum(not bad for bad in inferred.values())
+    assert (len(engine), floor, good, len(inferred) - floor - good) == SWEEP_ANSWERS[n]
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 14), (4, 44)])
@@ -783,7 +847,7 @@ def test_writing_the_catalog_makes_no_engine_call(monkeypatch, tmp_path):
     assert main(["enumerate", "--n", "3", "--out", str(tmp_path / "catalog.jsonl")]) == 0
     info = classify_with_report.cache_info()
     assert at_return == {"stabilizer": len(seen), "classify": info.hits + info.misses}
-    assert 0 < at_return["stabilizer"] <= 50
+    assert at_return["stabilizer"] == 14
 
 
 @pytest.mark.parametrize("n,clause_i,clause_ii", [(2, 3, 24), (3, 3, 59), (4, 4, 129)])
@@ -827,21 +891,23 @@ def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
 
 
 def test_selftest_catalog_criterion_classifies_each_bad_core_once(monkeypatch):
-    # each enumeration sends the bad sweep's 30 multisets to the stabilizer
-    # (50 when it sent each dual too), and the Q-bad check classifies each
-    # of the 15 Q-bad cores once, not once per trivial count; two of them
-    # are the classifier's memo of the second enumeration, and 6 of the 13
-    # it sends were answered through their duals in the sweep (217 calls
-    # when it classified every Q-bad Q, 2 * 50 + 15 with 50 distinct when
-    # the sweep sent the duals too)
+    # the first enumeration sends the bad sweep's 14 multisets to the
+    # stabilizer and the second finds all 14 in the classifier's memo;
+    # the Q-bad check classifies each of the 15 Q-bad cores once, not once
+    # per trivial count, and one of them is still in the memo.  The 11 new
+    # ones are the 8 cores the sweep answered by the row-count floor and
+    # the 3 it answered through their duals (217 calls when it classified
+    # every Q-bad Q, 2 * 50 + 15 with 50 distinct when the sweep sent the
+    # duals too, 2 * 30 + 13 with 36 distinct before the floor and the Good
+    # sub-multisets)
     from affrep import selftest
 
     seen = _stabilizer_args(monkeypatch)
     repclass.classify_with_report.cache_clear()
     passed, detail = selftest.criterion_10_catalog()
     assert passed, detail
-    assert len(seen) == 2 * 30 + 13
-    assert len(set(seen)) == 30 + 6
+    assert len(seen) == 14 + 14
+    assert len(set(seen)) == 14 + 11
 
 
 # every bounded cache a catalog run fills, as module.function
@@ -926,7 +992,7 @@ def test_rank4_catalog_evicts_no_cache_entry(tmp_path):
     assert hashlib.sha256(data).hexdigest() == CATALOG_SHA256[4]
     assert info.pop("peak_kib") < 30 * 1024
     assert info.pop("partner_walks") == 261
-    _assert_no_work_repeated(info, 101)
+    _assert_no_work_repeated(info, 34)
 
 
 RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d"
@@ -934,8 +1000,10 @@ RANK5_SHA256 = "be7e0d150a59c1ff2e1efd770920080299fa7d6283af3cb2778b73e533aa1a9d
 
 def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     # rank 5 is the largest rank tier-1 runs: in a fresh process its bytes are
-    # pinned, the bad sweep sends each of the 186 multisets it reaches, but
-    # not their duals, to the stabilizer once with no classifier hit (332
+    # pinned, the bad sweep sends each of the 57 multisets it asks about
+    # (not their duals, none below the row-count floor and none over a
+    # Good sub-multiset or its dual) to the stabilizer once with no
+    # classifier hit (186 before the floor and the sub-multisets, 332
     # when it sent the duals too, 7,968 misses when the memo
     # held 16,384 answers and the sweep walked the cores once per trivial
     # count), no other bounded cache evicts, and the peak stays under 50 MiB
@@ -946,7 +1014,7 @@ def test_rank5_catalog_pinned_evicts_no_cache_entry(tmp_path):
     assert hashlib.sha256(data).hexdigest() == RANK5_SHA256
     assert info.pop("peak_kib") < 50 * 1024
     assert info.pop("partner_walks") == 411
-    _assert_no_work_repeated(info, 186)
+    _assert_no_work_repeated(info, 57)
 
 
 @pytest.mark.parametrize("n", sorted(CATALOG_SHA256))

@@ -74,12 +74,12 @@ class TestStructural:
 class TestFreeness:
     def test_good_quotient_free(self):
         ext = TwoStepExtension.of(3, S=[W(3, 4, 3)], Q=[W(3, 3, 3)])
-        status, detail = check_generic_freeness(ext)
+        status, detail = check_generic_freeness(ext.Q)
         assert status == FREE
 
     def test_standard_is_r1(self):
         ext = TwoStepExtension.of(3, S=[W(3, 2)], Q=[W(3, 1)])
-        assert check_generic_freeness(ext) == (POSSIBLY_NOT_FREE, "R1")
+        assert check_generic_freeness(ext.Q) == (POSSIBLY_NOT_FREE, "R1")
 
     def test_r3_mixed_sum(self):
         n = 5
@@ -88,7 +88,7 @@ class TestFreeness:
             S=[(normalize(n, [1]), 2)],
             Q=[(normalize(n, []), 2), (dual(normalize(n, [1])), 2)],
         )
-        assert check_generic_freeness(ext) == (POSSIBLY_NOT_FREE, "R3")
+        assert check_generic_freeness(ext.Q) == (POSSIBLY_NOT_FREE, "R3")
 
     def test_r3_bound_excludes_n_summands(self):
         n = 5
@@ -99,12 +99,12 @@ class TestFreeness:
             S=[(normalize(n, [1]), 3)],
             Q=[(normalize(n, []), 2), (dual(normalize(n, [1])), 3)],
         )
-        status, detail = check_generic_freeness(ext)
+        status, detail = check_generic_freeness(ext.Q)
         assert (status, detail) != (POSSIBLY_NOT_FREE, "R3")
 
     def test_bad_quotient(self):
         ext = TwoStepExtension.of(3, S=[W(3, 2), W(3, 1, 1)], Q=[W(3, 2, 1)])
-        assert check_generic_freeness(ext) == (POSSIBLY_NOT_FREE, "bad-quotient")
+        assert check_generic_freeness(ext.Q) == (POSSIBLY_NOT_FREE, "bad-quotient")
 
 
 class TestDecide:
@@ -268,7 +268,8 @@ def exhaustive_decide(ext, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     (dimension, entries) before the first split is tried."""
     n = ext.n
     evidence = [{"condition": "structural-containments", "paper_clause": "shape", "result": True}]
-    status, detail = check_generic_freeness(ext, seed=seed, trials=trials)
+    status, detail = ((FREE, "asserted") if ext.assume_generically_free
+                      else check_generic_freeness(ext.Q, seed=seed, trials=trials))
     evidence.append({"condition": "generic-freeness", "paper_clause": detail, "result": status})
     if status != FREE:
         return Verdict(POSSIBLY_NOT_GENERICALLY_FREE, None, evidence, seed)
