@@ -301,11 +301,11 @@ def enumerate_exceptional_candidates(
     # of any other label (module docstring).  A quotient is classified as
     # its nontrivial part (its core) is, so the bad cores are walked once
     # over the nontrivial bad labels (badness passes to sub-multisets, so
-    # all are found), the empty core classified on its own, and each is
-    # padded with 0 to `trivial_cap` trivial summands; the trivial label
-    # sorts first, so a padded entries tuple is canonical.  S is drawn from
-    # Q (x) standard, so only Q inside S (x) dual standard is open, and S is
-    # capped only when a cap is asked for.  The sweep answers Bad below the
+    # all are found), the empty core, under the row-count floor, is bad,
+    # and each is padded with 0 to `trivial_cap` trivial summands; the
+    # trivial label sorts first, so a padded entries tuple is canonical.  S
+    # is drawn from Q (x) standard, so only Q inside S (x) dual standard is
+    # open, and S is capped only when a cap is asked for.  The sweep answers Bad below the
     # row-count floor and Good over a Good multiset or its dual, takes a
     # Bad from a multiset's dual, and asks the engine the rest (module
     # docstring); its tables live for one call
@@ -328,8 +328,7 @@ def enumerate_exceptional_candidates(
         goods.extend((q.entries, dual_entries))
         return False
 
-    cores = [()] if is_bad(WeightMultiset(n, ())) else []
-    cores += _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)
+    cores = [()] + _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     bad_subs = dict(pair for core in cores
                     for pair in _padded_partners(n, core, trivial_cap, std, dim_caps, max_dim_s))

@@ -672,8 +672,8 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
 
 # the bad sweep's answers at ranks 2-4 in its walk: (engine calls, Bad by
 # the row-count floor, Good through a Good sub-multiset or its dual, Bad
-# through the dual); the empty core, under the floor too, is answered
-# outside the walk
+# through the dual); the empty core, under the floor too, is a bad core
+# with no question asked
 SWEEP_ANSWERS = {2: (4, 1, 0, 0), 3: (14, 7, 25, 3), 4: (34, 22, 101, 9)}
 
 
