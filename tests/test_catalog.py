@@ -891,22 +891,21 @@ def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
 
 
 def test_selftest_catalog_criterion_classifies_each_bad_core_once(monkeypatch):
-    # the first enumeration sends the bad sweep's 14 multisets to the
-    # stabilizer and the second finds all 14 in the classifier's memo;
-    # the Q-bad check classifies each of the 15 Q-bad cores once, not once
-    # per trivial count, and one of them is still in the memo.  The 11 new
-    # ones are the 8 cores the sweep answered by the row-count floor and
-    # the 3 it answered through their duals (217 calls when it classified
-    # every Q-bad Q, 2 * 50 + 15 with 50 distinct when the sweep sent the
-    # duals too, 2 * 30 + 13 with 36 distinct before the floor and the Good
+    # each enumeration starts from an empty classifier memo and sends the
+    # bad sweep's 14 multisets to the stabilizer; the Q-bad check
+    # classifies each of the 15 Q-bad cores once, not once per trivial
+    # count, and one of them is still in the memo.  The 11 new ones are
+    # the 8 cores the sweep answered by the row-count floor and the 3 it
+    # answered through their duals (217 calls when it classified every
+    # Q-bad Q, 2 * 50 + 15 with 50 distinct when the sweep sent the duals
+    # too, 2 * 30 + 13 with 36 distinct before the floor and the Good
     # sub-multisets)
     from affrep import selftest
 
     seen = _stabilizer_args(monkeypatch)
-    repclass.classify_with_report.cache_clear()
     passed, detail = selftest.criterion_10_catalog()
     assert passed, detail
-    assert len(seen) == 14 + 14
+    assert len(seen) == 2 * 14 + 14
     assert len(set(seen)) == 14 + 11
 
 
