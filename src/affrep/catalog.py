@@ -31,41 +31,21 @@ difference added to each entry's C^n count (clause i), dropping the S
 beyond a dim-S cap, or to its dual C^n count (clause ii).  The shift keeps
 each list's order and shares the entries' other (label, count) pairs.
 
-The class of each admitted Q is fixed when it is admitted, and only the
-bad sweep asks the engine.  A quotient is classified as its nontrivial
-part, its core, so the sweep walks the cores once, answering each
-multiset it reaches once, and pads each bad core with 0 to the cap of
-trivials.  Three facts answer most multisets with no engine call.  A
-multiset of dimension below n^2 - 1 is Bad: its image rows, one per
-coordinate, cannot reach rank n^2 - 1, so its generic stabilizer has
-positive dimension (the row-count floor; the engine stops there too).
-The outer automorphism of SL_n carries each module to its dual, so the
-two have generic stabilizers of one dimension.  And a multiset G + R
-holding a G with a full-rank point g has one too: its image rows at
-(g, r) contain those of G at g (rank is lower semicontinuous).  So the
-sweep keeps, for one call, each multiset the engine found Good together
-with its dual; it answers Bad under the floor, Good for a multiset that
-holds one it keeps, and Bad for one whose dual the engine found Bad, and
-it asks the engine the rest, one member of each dual pair.  A Good so
-answered rests on a full-rank point of a multiset it holds, a Bad under
-the floor is exact, and a Bad through a dual is as trusted as the one it
-repeats.  Clause (i)'s quotients are Bad: they are the padded cores.  A
-clause (ii) Q with a label outside the bad family is Good.  Any other
-clause (ii) Q holds no more trivials than the cap, so its core C is not
-a bad core, and C is not empty (the empty core is bad, and its paddings
-are the pure-trivial quotients).  The sweep walked C's count vector up
-to a prefix P of C that it did not extend.  Either `keep` rejected P: P
-is or holds a multiset G that the engine found Good, or the dual of one
-(the floor answers only Bad), so G has a finite generic stabilizer and,
-full rank being generic, a full-rank point g; the image rows of
-Q = G + R at (g, r) contain those of G at g, so Q too has a finite
-generic stabilizer.  Or P holds n^2 - 1 copies of a nontrivial label,
-which alone have a finite generic stabilizer (each copy lowers it, or it
-kills the label, on which sl_n acts faithfully); that is an engine miss
-on P, and the tests check that it does not arise.  Either way Q is
-GoodHeuristic with no draw of its own.  A group keeps only that class; a
-line's verdict is decided from it when the line is written
-(`Catalog.verdict`), and no engine call remains by then.
+The class of each admitted Q is fixed when it is admitted, and no engine
+call is made.  A quotient is classified as its nontrivial part, its core,
+and the bad cores are the down-closure of the tabulated bad frontier
+(`repclass.bad_cores`), the empty core included; each is padded with 0 to
+the cap of trivials.  Clause (i)'s quotients are Bad: they are the
+padded cores.  A clause (ii) Q with a label outside the bad family is Good.
+Any other clause (ii) Q holds no more trivials than the cap and is not a
+padded bad core, so its core lies outside the down-closure and holds a
+border multiset of the table, one at which the engine found a point where
+the action has full rank; the image rows of Q = G + R at (g, r) contain
+those of G at g (rank is lower semicontinuous), so Q too has a finite
+generic stabilizer, and it is GoodHeuristic, as `repclass.classify` answers
+it (the `repclass` docstring states what the table is trusted for).  A
+group keeps only that class; a line's verdict is decided from it when the
+line is written (`Catalog.verdict`), and no engine call remains by then.
 
 With W = 0 the decision reads few of a line's fields, its decision
 signature (`decision_signature`), and many lines share one: the rank-3
@@ -80,7 +60,7 @@ from collections import namedtuple
 from operator import mul
 
 from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_CATALOG_RANK
-from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_list, classify
+from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_cores, bad_list
 from .rationality import (
     FREE,
     TwoStepExtension,
@@ -299,36 +279,13 @@ def enumerate_exceptional_candidates(
     bad = bad_list(n)
     # clause (i): the bad quotients under the trivial cap and n^2 - 1 copies
     # of any other label (module docstring).  A quotient is classified as
-    # its nontrivial part (its core) is, so the bad cores are walked once
-    # over the nontrivial bad labels (badness passes to sub-multisets, so
-    # all are found), the empty core, under the row-count floor, is bad,
-    # and each is padded with 0 to `trivial_cap` trivial summands; the
-    # trivial label sorts first, so a padded entries tuple is canonical.  S
-    # is drawn from Q (x) standard, so only Q inside S (x) dual standard is
-    # open, and S is capped only when a cap is asked for.  The sweep answers Bad below the
-    # row-count floor and Good over a Good multiset or its dual, takes a
-    # Bad from a multiset's dual, and asks the engine the rest (module
-    # docstring); its tables live for one call
-    floor = n * n - 1
-    goods: list[tuple] = []
-    bads: set[tuple] = set()
-
-    def is_bad(q):
-        if q.dim() < floor:
-            return True
-        counts = dict(q.entries)
-        if any(all(counts.get(w, 0) >= m for w, m in good) for good in goods):
-            return False
-        dual_entries = tuple(sorted((dual(w), m) for w, m in q.entries))
-        if dual_entries in bads:
-            return True
-        if classify(q, seed=seed, trials=trials) == BAD:
-            bads.add(q.entries)
-            return True
-        goods.extend((q.entries, dual_entries))
-        return False
-
-    cores = [()] + _walk(n, [(w, n * n - 1) for w in sorted(bad) if w != triv], keep=is_bad)
+    # its nontrivial part (its core) is, so the bad cores are the tabulated
+    # ones, the empty core among them, each padded with 0 to `trivial_cap`
+    # trivial summands; the trivial label sorts first, so a padded entries
+    # tuple is canonical.  S is drawn from Q (x) standard, so only Q inside
+    # S (x) dual standard is open, and S is capped only when a cap is asked
+    # for
+    cores = sorted(bad_cores(n))
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     bad_subs = dict(pair for core in cores
                     for pair in _padded_partners(n, core, trivial_cap, std, dim_caps, max_dim_s))
@@ -338,7 +295,7 @@ def enumerate_exceptional_candidates(
     # sub-multisets of S (x) dual standard, so only S inside Q (x) standard
     # is open.  Clause (i) already admits every pair whose Q is bad, under
     # the same caps, so this clause admits only the rest, whose class the
-    # bad sweep certifies (module docstring)
+    # table certifies (module docstring)
     small_subs: dict[tuple, list[tuple]] = {}
     small = [w for w in sorted(irreps_up_to_dim(n, dim_s_cap)) if w != triv]
     dims = [weyl_dim(w) for w in small]

@@ -18,6 +18,7 @@ from .config import (
     DEFAULT_MAX_MODEL_DIM,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_CATALOG_RANK,
     MAX_LR_CONTENT,
     MAX_LR_SHAPES,
     MAX_PIERI_STRIPS,
@@ -242,14 +243,24 @@ def positive(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # each command takes only the flags it reads
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for all randomized subsystems (echoed in reports)")
-    report = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    report.add_argument("--format", choices=("text", "json"), default="text")
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--trials", type=positive, default=DEFAULT_TRIALS,
-                        help="random points tried by the stabilizer engine")
+    def flag(*names, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    def seeded(help):
+        return flag("--seed", type=int, default=DEFAULT_SEED, help=help)
+
+    def engine(help):
+        return flag("--trials", type=positive, default=DEFAULT_TRIALS, help=help)
+
+    echoed = seeded("seed for all randomized subsystems (echoed in reports)")
+    formatted = flag("--format", choices=("text", "json"), default="text")
+    report = argparse.ArgumentParser(add_help=False, parents=[echoed, formatted])
+    # at the catalog's ranks check2step and enumerate classify from the
+    # bad-frontier table and draw no point (repclass.classify)
+    top = MAX_CATALOG_RANK
+    tabled = f"ranks 2-{top} are answered from the bad-frontier table and draw nothing"
     models = argparse.ArgumentParser(add_help=False)
     models.add_argument("--max-model-dim", type=positive, default=DEFAULT_MAX_MODEL_DIM,
                         help="refuse to build or read matrix models above this dimension")
@@ -289,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(fn=cmd_pieri)
 
-    sp = sub.add_parser("classify", parents=[report, engine],
-                        help="good/bad classification of a semisimple representation")
+    sp = sub.add_parser("classify", help="good/bad classification of a semisimple representation",
+                        parents=[report, engine("random points tried by the stabilizer engine")])
     sp.add_argument("rep_file", help="JSON weight multiset file")
     sp.set_defaults(fn=cmd_classify)
 
@@ -319,13 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("socle", "radical"), default="socle")
     sp.set_defaults(fn=cmd_filtrate)
 
-    sp = sub.add_parser("check2step", parents=[report, engine],
-                        help="decide the two-step rationality criteria")
+    sp = sub.add_parser("check2step", help="decide the two-step rationality criteria", parents=[
+        seeded(f"seed of the stabilizer engine's points above rank {top} (echoed in reports); "
+               + tabled),
+        formatted,
+        engine(f"random points the stabilizer engine tries above rank {top}; " + tabled)])
     sp.add_argument("ext_file", help="JSON extension file with fields n, S, Q, W")
     sp.set_defaults(fn=cmd_check2step)
 
-    sp = sub.add_parser("enumerate", parents=[seeded, engine],
-                        help="stream the finite catalog of exceptional candidates")
+    sp = sub.add_parser("enumerate", help="stream the finite catalog of exceptional candidates",
+                        parents=[seeded("seed echoed in each verdict; " + tabled),
+                                 engine("trials passed to each verdict's decision; " + tabled)])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-trivials", type=int, default=None,
                     help="cap on trivial summands in Q (at most n^2-2)")

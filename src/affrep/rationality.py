@@ -170,8 +170,8 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
 
     `q_class`, when given, is the caller's established class of Q; it
     stands in for `classify(Q)` in both places that ask it, the freeness
-    gate and the split candidate W2 = 0, so the decision asks the engine
-    only about Q + W2 for a nonempty W2.  The catalog passes the class it
+    gate and the split candidate W2 = 0, so the decision classifies only
+    Q + W2 for a nonempty W2.  The catalog passes the class it
     fixed when it admitted Q; `decide_rationality` passes none."""
     n = ext.n
     evidence: list[dict] = [

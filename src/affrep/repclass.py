@@ -8,10 +8,26 @@ A zero kernel certifies a finite generic stabilizer, which is reported as
 level does not exclude a finite non-central one at the group level.
 The engine runs on the exact matrix models of the irreducibles that
 `matmodel.model_for_weight` builds; this module only classifies.
+
+At ranks 2 to `config.MAX_CATALOG_RANK` the engine's answers on the bad
+family are tabulated.  A multiset of nontrivial bad labels is a bad core
+when its generic stabilizer has positive dimension; a sub-multiset of a
+bad core is one too (its image rows at a point are among the core's), so
+the bad cores form a down-set, given by its maximal members, the bad
+frontier (`bad_frontier`).  `classify` answers from it with no point
+drawn: `Bad` inside its down-closure (`bad_cores`), `GoodHeuristic`
+outside.  The table is the engine's: each frontier member is engine-`Bad`,
+and each border multiset (a minimal one outside the down-closure) has an
+engine point where the action has full rank.  Every multiset outside holds
+a border multiset, whose full-rank point extends to it (rank is lower
+semicontinuous), so a tabled `GoodHeuristic` is as exact as the engine's;
+a tabled `Bad` lies under a frontier member and is as trusted as the
+engine's `Bad` there.  The tests rebuild the table from the engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import namedtuple
 from functools import lru_cache
@@ -48,6 +64,51 @@ def bad_list(n: int) -> frozenset[Weight]:
         normalize(n, [2] + [1] * (n - 2)),  # traceless adjoint
     ]
     return frozenset(base + [dual(w) for w in base])
+
+
+# the bad frontier at ranks 2 to config.MAX_CATALOG_RANK: one count vector
+# per maximal bad core, a digit per nontrivial bad label in sorted order,
+# as the engine finds them at the default seed and trials
+# (tests/frontier_reference.py rebuilds them)
+_BAD_FRONTIER = {
+    2: "01 10",
+    3: "00010 01001 01100 10001 10100 12000 21000",
+    4: "000010 002001 002100 010001 010100 013000 021000 040000 101001 101100 "
+       "112000 120000 200001 200100 203000 211000 302000 310000",
+    5: "0000010 0003001 0003100 0010001 0010100 0014000 0021000 0100001 0100100 "
+       "0111000 0201000 1002001 1002100 1013000 1020000 1103000 1110000 1200000 "
+       "2001001 2001100 2012000 2102000 3000001 3000100 3004000 3011000 3101000 "
+       "4003000 4100000",
+    6: "0000010 0004001 0004100 0010001 0010100 0015000 0021000 0030000 0100001 "
+       "0100100 0105000 0111000 0120000 0201000 0210000 0300000 1003001 1003100 "
+       "1014000 1020000 1104000 1110000 1200000 2002001 2002100 2013000 2103000 "
+       "3001001 3001100 3012000 3102000 4000001 4000100 4005000 4011000 4101000 "
+       "5004000 5010000 5100000",
+    7: "0000010 0005001 0005100 0010001 0010100 0016000 0021000 0100001 0100100 "
+       "0111000 0201000 1004001 1004100 1015000 1020000 1105000 1110000 1200000 "
+       "2003001 2003100 2014000 2104000 3002001 3002100 3013000 3103000 4001001 "
+       "4001100 4012000 4102000 5000001 5000100 5006000 5011000 5101000 6005000 "
+       "6100000",
+}
+
+
+def bad_frontier(n: int) -> list[tuple]:
+    """The maximal bad cores at rank n, 2 to config.MAX_CATALOG_RANK, as
+    `WeightMultiset` entries tuples in the table's order."""
+    labels = sorted(w for w in bad_list(n) if not w.is_trivial())
+    return [tuple((w, int(c)) for w, c in zip(labels, vector) if c != "0")
+            for vector in _BAD_FRONTIER[n].split()]
+
+
+# one entry per rank; built once, asked by every classification there
+@lru_cache(maxsize=16)
+def bad_cores(n: int) -> frozenset[tuple]:
+    """The down-closure of the bad frontier at rank n: every multiset of
+    nontrivial bad labels under a frontier member, the empty one included,
+    as `WeightMultiset` entries tuples."""
+    return frozenset(tuple((w, c) for (w, _), c in zip(top, counts) if c)
+                     for top in bad_frontier(n)
+                     for counts in itertools.product(*(range(m + 1) for _, m in top)))
 
 
 # one entry per label the stabilizer draws (6 in the rank-4 catalog); the
@@ -155,18 +216,18 @@ def nontrivial_part(rep: WeightMultiset) -> WeightMultiset:
     return rep
 
 
-# holds what one decision asks again: the freeness gate's Q, asked again as
-# the split W2 = 0, and Q's core, asked again for a Q + W2 that adds only
-# trivials.  The catalog asks about each bad core once and never hits; a
-# larger bound only kept one entry per call across requests, whose seeds
-# differ
+# above the tabulated ranks, holds what one decision asks again: the
+# freeness gate's Q, asked again as the split W2 = 0, and Q's core, asked
+# again for a Q + W2 that adds only trivials.  A larger bound only kept one
+# entry per call across requests, whose seeds differ
 @lru_cache(maxsize=16)
 def classify_with_report(
     rep: WeightMultiset,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ):
-    """(classification, StabilizerReport or None).
+    """(classification, StabilizerReport or None), from the engine at
+    every rank.
 
     A summand outside the bad family makes the whole sum good outright.
     Otherwise the stabilizer engine decides: positive kernel dimension means
@@ -189,4 +250,22 @@ def classify_with_report(
 
 
 def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> str:
+    """The class of `rep`, with no report.
+
+    A summand outside the bad family gives `Good`.  At a tabulated rank
+    (2 to config.MAX_CATALOG_RANK) the nontrivial part is then `Bad` when
+    it is a bad core (`bad_cores`) and `GoodHeuristic` when not, with no
+    point drawn, so `seed` and `trials` are unused there.  A tabled
+    `GoodHeuristic` is exact: every border multiset of the table has an
+    engine full-rank point, and the multiset holds one.  A tabled `Bad`
+    is as trusted as the engine's `Bad` on the frontier member above it.
+    So the answer can differ from the engine's at this seed only where
+    the engine's points would all miss a full-rank point (module
+    docstring).  Above the tabulated ranks the engine answers."""
+    core = nontrivial_part(rep)
+    bad = bad_list(rep.n)
+    if any(w not in bad for w in core.weights()):
+        return GOOD
+    if rep.n in _BAD_FRONTIER:
+        return BAD if core.entries in bad_cores(rep.n) else GOOD_HEURISTIC
     return classify_with_report(rep, seed, trials)[0]

@@ -10,6 +10,7 @@ from cli_process import run_affrep
 from affrep import cli
 from affrep import serialize as ser
 from affrep.cli import main
+from affrep.config import ResourceCapError
 from affrep.matmodel import model_sym_dual
 from affrep.repclass import stabilizer_dimension
 
@@ -597,6 +598,21 @@ class TestCheck2Step:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.splitlines() == [
             "error: resource cap exceeded: max_lr_shapes needs more than 3000, cap is 3000"]
+
+    def test_quotient_over_the_stabilizer_work_cap_is_answered_at_rank_7(self, capsys, tmp_path):
+        # 8 adjoints at rank 7 have 384 counted rows, so the engine's work
+        # 3 x 384 x 48 x 48 is over its cap and check2step exited 1 naming
+        # max_stabilizer_work; the bad-frontier table answers the quotient
+        # GoodHeuristic with no engine work
+        n, adjoint, std = 7, (2, 1, 1, 1, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ResourceCapError):
+            stabilizer_dimension(ser.multiset_from_json(
+                {"n": n, "summands": [{"lambda": list(adjoint), "mult": 8}]}))
+        f = self.write_ext(tmp_path, n, [(std, 8)], [(adjoint, 8)], W=[(std, 1)])
+        rc, out, _ = run(capsys, "check2step", str(f))
+        assert rc == 0
+        assert out.splitlines()[:2] == ["outcome: RationalByA",
+                                        f"witness: W1=[[{list(std)}, 1]] W2=[]"]
 
     def test_split_order_ignores_the_hash_seed(self, tmp_path):
         # 10 trivials tie with [3] and [2] with [2,2] in dimension, so the

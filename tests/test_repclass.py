@@ -3,21 +3,25 @@ from fractions import Fraction
 
 import pytest
 import stabilizer_oracle
+from frontier_reference import border, count_vector, engine_bad_cores, maximal
 
 from affrep import repclass
-from affrep.config import ResourceCapError
+from affrep.catalog import _walk
+from affrep.config import MAX_CATALOG_RANK, ResourceCapError
 from affrep.matmodel import AffMatrixRep, sl_basis_keys
 from affrep.rationality import FREE, TwoStepExtension, decide_rationality
 from affrep.repclass import (
     BAD,
     GOOD,
     GOOD_HEURISTIC,
+    bad_cores,
+    bad_frontier,
     bad_list,
     classify,
     classify_with_report,
     stabilizer_dimension,
 )
-from affrep.schur import Weight, WeightMultiset, dual, normalize
+from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from matrix_reference import scale
 
 
@@ -253,15 +257,16 @@ class TestClassify:
 
 
 def test_one_decision_sends_the_quotient_core_to_the_stabilizer_once(monkeypatch):
-    # Q = trivial + 2 standard at rank 2 is GoodHeuristic and of no R1-R3
-    # shape, so the freeness gate classifies it; criterion B fails (1 of 3
-    # trivials), and the split search asks Q again at W2 = 0 and Q plus a
-    # trivial at W2 = trivial.  All three are answered by Q's core, which
-    # the classifier's memo keeps for the whole decision: the stabilizer
-    # sees the core once and no multiset with a trivial summand
-    n = 2
-    triv, std = W(n, 0), W(n, 1)
-    core = WeightMultiset.of(n, [(std, 2)])
+    # above the tabulated ranks the engine answers.  Q = trivial + 8
+    # standard at rank 8 is GoodHeuristic and of no R1-R3 shape, so the
+    # freeness gate classifies it; criterion B fails (1 of 63 trivials),
+    # and the split search asks Q again at W2 = 0, where it is accepted.
+    # Both are answered by Q's core, which the classifier's memo keeps for
+    # the whole decision, and so is Q plus trivials: the stabilizer sees
+    # the core once and no multiset with a trivial summand
+    n = 8
+    triv, std, wedge = W(n, 0), W(n, 1), W(n, 1, 1)
+    core = WeightMultiset.of(n, [(std, 8)])
     seen = []
     original = repclass.stabilizer_dimension
 
@@ -270,13 +275,12 @@ def test_one_decision_sends_the_quotient_core_to_the_stabilizer_once(monkeypatch
         return original(rep, *args, **kwargs)
 
     monkeypatch.setattr(repclass, "stabilizer_dimension", counted)
-    ext = TwoStepExtension.of(n, S=[(triv, 2), std], Q=[triv, (std, 2)], W=[triv])
+    ext = TwoStepExtension.of(n, S=[std, (wedge, 8)], Q=[triv, (std, 8)], W=[triv])
     classify_with_report.cache_clear()
     verdict = decide_rationality(ext)
     splits = [e for e in verdict.evidence if e["condition"] == "split"]
     assert verdict.evidence[1]["result"] == FREE
-    assert [e["w2"] for e in splits] == [[], [[list(triv.parts), 1]]]
-    assert [e["classify"] for e in splits] == [GOOD_HEURISTIC] * 2
+    assert [(e["w2"], e["classify"]) for e in splits] == [([], GOOD_HEURISTIC)]
     assert seen == [core]
     seen.clear()
     classify_with_report.cache_clear()
@@ -304,3 +308,52 @@ class TestMinimalGoodPower:
 
     def test_trivial_never_good(self):
         assert minimal_good_power(W(3, 0), max_t=5) is None
+
+
+# --- the bad frontier table ----------------------------------------------------
+
+def _dual_entries(entries):
+    return tuple(sorted((dual(w), m) for w, m in entries))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bad_frontier_is_the_engine_frontier(n):
+    # the table is the maximal bad cores of the engine's sweep, in count
+    # vector order, each engine-Bad, and every border multiset (a minimal
+    # one outside the down-closure, found from the table) has a point of
+    # full rank, so every multiset outside is GoodHeuristic by the engine's
+    # own certificate; ranks 5-7 are checked by running
+    # tests/frontier_reference.py
+    frontier = bad_frontier(n)
+    assert frontier == maximal(n, [core.entries for core in engine_bad_cores(n)])
+    assert all(classify_with_report(WeightMultiset(n, top))[0] == BAD for top in frontier)
+    edge = border(n, bad_cores(n))
+    assert edge
+    assert all(stabilizer_dimension(ms).stab_dim == 0 for ms in edge)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_CATALOG_RANK + 1))
+def test_bad_frontier_is_a_dual_closed_antichain_over_the_floor(monkeypatch, n):
+    # with no engine call: no frontier member lies under another, the dual
+    # of each is one (the outer automorphism of SL_n carries a module to
+    # its dual), and every multiset of nontrivial bad labels of dimension
+    # below n^2 - 1 is a bad core (its image rows cannot reach rank n^2 - 1)
+    monkeypatch.setattr(repclass, "stabilizer_dimension", None)
+    frontier = bad_frontier(n)
+    vectors = [count_vector(n, top) for top in frontier]
+    assert len(set(vectors)) == len(vectors)
+    assert not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors for v in vectors)
+    assert {_dual_entries(top) for top in frontier} == set(frontier)
+    labels = sorted(w for w in bad_list(n) if not w.is_trivial())
+    dims = [weyl_dim(w) for w in labels]
+    under = _walk(n, [(w, n * n - 2) for w in labels], caps=[(dims, n * n - 2)])
+    assert under and all(entries in bad_cores(n) for entries in under)
+    assert () in bad_cores(n)
+    assert all(classify(WeightMultiset(n, top)) == BAD for top in frontier)
+    assert all(classify(ms) == GOOD_HEURISTIC for ms in border(n, bad_cores(n)))
+
+
+def test_classify_answers_what_the_engine_answers():
+    # the table against the engine on every small multiset of bad labels
+    for rep in _bad_family_reps():
+        assert classify(rep) == classify_with_report(rep)[0], str(rep)
