@@ -31,21 +31,21 @@ difference added to each entry's C^n count (clause i), dropping the S
 beyond a dim-S cap, or to its dual C^n count (clause ii).  The shift keeps
 each list's order and shares the entries' other (label, count) pairs.
 
-The class of each admitted Q is fixed when it is admitted, and no engine
-call is made.  A quotient is classified as its nontrivial part, its core,
-and the bad cores are the down-closure of the tabulated bad frontier
-(`repclass.bad_cores`), the empty core included; each is padded with 0 to
-the cap of trivials.  Clause (i)'s quotients are Bad: they are the
-padded cores.  A clause (ii) Q with a label outside the bad family is Good.
-Any other clause (ii) Q holds no more trivials than the cap and is not a
-padded bad core, so its core lies outside the down-closure and holds a
-border multiset of the table, one at which the engine found a point where
-the action has full rank; the image rows of Q = G + R at (g, r) contain
-those of G at g (rank is lower semicontinuous), so Q too has a finite
-generic stabilizer, and it is GoodHeuristic, as `repclass.classify` answers
-it (the `repclass` docstring states what the table is trusted for).  A
-group keeps only that class; a line's verdict is decided from it when the
-line is written (`Catalog.verdict`), and no engine call remains by then.
+A quotient's class is `repclass.classify`'s, asked when a line is
+decided, and no engine call is made.  A quotient is classified as its
+nontrivial part, its core, and the bad cores are the down-closure of the
+tabulated bad frontier (`repclass.bad_cores`), the empty core included;
+each is padded with 0 to the cap of trivials.  Clause (i)'s quotients are
+Bad: they are the padded cores.  A clause (ii) Q with a label outside the
+bad family is Good.  Any other clause (ii) Q holds no more trivials than
+the cap and is not a padded bad core, so its core lies outside the
+down-closure and holds a border multiset of the table, one at which the
+engine found a point where the action has full rank; the image rows of
+Q = G + R at (g, r) contain those of G at g (rank is lower
+semicontinuous), so Q too has a finite generic stabilizer, and it is
+GoodHeuristic (the `repclass` docstring states what the table is trusted
+for).  Every rank the catalog accepts is tabulated, so the table answers
+each of them with no point drawn.
 
 With W = 0 the decision reads few of a line's fields, its decision
 signature (`decision_signature`), and many lines share one: the rank-3
@@ -59,8 +59,8 @@ import itertools
 from collections import namedtuple
 from operator import mul
 
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_CATALOG_RANK
-from .repclass import BAD, GOOD, GOOD_HEURISTIC, bad_cores, bad_list
+from .config import DEFAULT_SEED, MAX_CATALOG_RANK
+from .repclass import bad_cores
 from .rationality import (
     FREE,
     TwoStepExtension,
@@ -75,30 +75,30 @@ TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
 
 
-# a quotient of a catalog, the clause that admits it, its class, and its
-# submodules S as `_walk` entries tuples in increasing order, one line each
-QuotientGroup = namedtuple("QuotientGroup", "Q trigger q_class subs")
+# a quotient of a catalog, the clause that admits it, and its submodules S
+# as `_walk` entries tuples in increasing order, one line each
+QuotientGroup = namedtuple("QuotientGroup", "Q trigger subs")
 
 
 class Catalog:
-    """The catalog of one rank, seed and trials as its quotient groups in
-    file order (increasing Q).  A line is a group and one of its `subs`;
-    the catalog's `len` is its number of lines."""
+    """The catalog of one rank and seed as its quotient groups in file
+    order (increasing Q).  A line is a group and one of its `subs`; the
+    catalog's `len` is its number of lines."""
 
-    def __init__(self, n: int, seed: int, trials: int, groups: list[QuotientGroup]):
-        self.n, self.seed, self.trials, self.groups = n, seed, trials, groups
+    def __init__(self, n: int, seed: int, groups: list[QuotientGroup]):
+        self.n, self.seed, self.groups = n, seed, groups
 
     def __len__(self) -> int:
         return sum(len(group.subs) for group in self.groups)
 
     def verdict(self, group: QuotientGroup, s: tuple) -> Verdict:
         """The verdict of the line (Q of `group`, S = `s`) as a W = 0
-        instance, decided from the class the catalog fixed for Q with no
-        engine call; lines of one signature (`decision_signature`) get
-        equal verdicts."""
+        instance, decided by `check2step`'s decision at the catalog's seed;
+        the table classifies Q with no engine call.  Lines of one signature
+        (`decision_signature`) get equal verdicts."""
         empty = WeightMultiset(self.n, ())
         instance = TwoStepExtension(self.n, WeightMultiset(self.n, s), group.Q, empty)
-        return _decide(instance, self.seed, self.trials, group.q_class)
+        return _decide(instance, self.seed)
 
 
 def decision_signature(catalog: Catalog, group: QuotientGroup) -> tuple[tuple, bool]:
@@ -107,13 +107,14 @@ def decision_signature(catalog: Catalog, group: QuotientGroup) -> tuple[tuple, b
     its verdict is decided from: with W = 0, `_decide` reads Q only through
     the freeness gate (status, detail) and, past a passed gate, its trivial
     count; S only through its dimension; and its one split candidate,
-    W2 = 0, takes the class of Q.  So the signature is (gate, class of Q),
-    extended by (trivial count, dim S) when the gate is Free, and lines of
-    one signature get equal verdicts.  Only clause (ii) passes the gate."""
-    gate = check_generic_freeness(group.Q, catalog.seed, catalog.trials, group.q_class)
+    W2 = 0, takes the class of Q, which is a passed gate's detail.  So the
+    signature is (gate,), extended by (trivial count, dim S) when the gate
+    is Free, and lines of one signature get equal verdicts.  Only clause
+    (ii) passes the gate."""
+    gate = check_generic_freeness(group.Q)
     if gate[0] != FREE:
-        return (gate, group.q_class), False
-    return (gate, group.q_class, group.Q.count(rank_labels(catalog.n).triv)), True
+        return (gate,), False
+    return (gate, group.Q.count(rank_labels(catalog.n).triv)), True
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
@@ -256,12 +257,11 @@ def enumerate_exceptional_candidates(
     max_trivials: int | None = None,
     max_dim_s: int | None = None,
     seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
 ) -> Catalog:
     """All (Q, S) candidate pairs admitted by the finiteness clauses, by Q:
-    each with the clause that admits it as its trigger, the class of Q
-    (from which the verdict of the W = 0 instance is decided when it is
-    read) and its S list, sorted by Q and each list by S.
+    each with the clause that admits it as its trigger and its S list,
+    sorted by Q and each list by S.  The verdict of a pair's W = 0 instance
+    is decided when its line is written, at `seed`.
 
     Caps cannot exceed the clause thresholds (n^2 - 2 trivial summands,
     n^2 + 2n - 1 for dim S); asking for more is refused since nothing
@@ -276,7 +276,6 @@ def enumerate_exceptional_candidates(
 
     base = rank_labels(n)
     triv, std, dstd = base.triv, base.std, base.dstd
-    bad = bad_list(n)
     # clause (i): the bad quotients under the trivial cap and n^2 - 1 copies
     # of any other label (module docstring).  A quotient is classified as
     # its nontrivial part (its core) is, so the bad cores are the tabulated
@@ -294,8 +293,8 @@ def enumerate_exceptional_candidates(
     # each core with every padding under the dim-S cap; Q runs over
     # sub-multisets of S (x) dual standard, so only S inside Q (x) standard
     # is open.  Clause (i) already admits every pair whose Q is bad, under
-    # the same caps, so this clause admits only the rest, whose class the
-    # table certifies (module docstring)
+    # the same caps, so this clause admits only the rest, which the table
+    # classifies as good (module docstring)
     small_subs: dict[tuple, list[tuple]] = {}
     small = [w for w in sorted(irreps_up_to_dim(n, dim_s_cap)) if w != triv]
     dims = [weyl_dim(w) for w in small]
@@ -312,9 +311,8 @@ def enumerate_exceptional_candidates(
     groups = []
     for q in sorted(bad_subs.keys() | small_subs.keys()):
         if q in small_subs:
-            q_class = GOOD_HEURISTIC if all(w in bad for w, _ in q) else GOOD
-            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_SMALL_S, q_class,
+            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_SMALL_S,
                                         sorted(small_subs[q])))
         elif bad_subs[q]:
-            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_BAD_Q, BAD, bad_subs[q]))
-    return Catalog(n, seed, trials, groups)
+            groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_BAD_Q, bad_subs[q]))
+    return Catalog(n, seed, groups)

@@ -205,7 +205,6 @@ def cmd_enumerate(args) -> int:
         max_trivials=args.max_trivials,
         max_dim_s=args.max_dim_s,
         seed=args.seed,
-        trials=args.trials,
     )
     # the file is opened only now, so a refused catalog leaves none
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
@@ -339,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check2step)
 
     sp = sub.add_parser("enumerate", help="stream the finite catalog of exceptional candidates",
-                        parents=[seeded("seed echoed in each verdict; " + tabled),
-                                 engine("trials passed to each verdict's decision; " + tabled)])
+                        parents=[seeded("seed echoed in each verdict; every rank it takes "
+                                        "is answered from the bad-frontier table and draws "
+                                        "nothing")])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-trivials", type=int, default=None,
                     help="cap on trivial summands in Q (at most n^2-2)")

@@ -121,13 +121,13 @@ def _r3_shapes(n: int, q: WeightMultiset) -> bool:
 
 
 def check_generic_freeness(q: WeightMultiset, seed: int = DEFAULT_SEED,
-                           trials: int = DEFAULT_TRIALS, q_class: str | None = None):
+                           trials: int = DEFAULT_TRIALS):
     """Sufficient freeness criterion on the quotient `q`: its completely
     reducible quotient (`q` itself here) must be good, and `q` must avoid
-    the short list of translation-stabilized shapes.  `q_class` is the
-    class of `q` when the caller has established it; otherwise `q` is
-    classified.  Returns (status, detail); an extension's assertion of
-    generic freeness overrides the criterion (`_decide`).
+    the short list of translation-stabilized shapes.  Returns (status,
+    detail), the detail of a passed gate being the class of `q`; an
+    extension's assertion of generic freeness overrides the criterion
+    (`_decide`).
     """
     n = q.n
     labels = rank_labels(n)
@@ -137,7 +137,7 @@ def check_generic_freeness(q: WeightMultiset, seed: int = DEFAULT_SEED,
         return POSSIBLY_NOT_FREE, "R2"
     if _r3_shapes(n, q):
         return POSSIBLY_NOT_FREE, "R3"
-    verdict = q_class or classify(q, seed=seed, trials=trials)
+    verdict = classify(q, seed=seed, trials=trials)
     if verdict == BAD:
         return POSSIBLY_NOT_FREE, "bad-quotient"
     return FREE, verdict
@@ -163,16 +163,9 @@ def decide_rationality(
     return _decide(ext, seed, trials)
 
 
-def _decide(ext: TwoStepExtension, seed: int, trials: int,
-            q_class: str | None = None) -> Verdict:
+def _decide(ext: TwoStepExtension, seed: int, trials: int = DEFAULT_TRIALS) -> Verdict:
     """`decide_rationality` for an extension whose structural containments
-    the caller has established (the catalog builds its pairs that way).
-
-    `q_class`, when given, is the caller's established class of Q; it
-    stands in for `classify(Q)` in both places that ask it, the freeness
-    gate and the split candidate W2 = 0, so the decision classifies only
-    Q + W2 for a nonempty W2.  The catalog passes the class it
-    fixed when it admitted Q; `decide_rationality` passes none."""
+    the caller has established (the catalog builds its pairs that way)."""
     n = ext.n
     evidence: list[dict] = [
         {"condition": "structural-containments", "paper_clause": "shape", "result": True}
@@ -181,7 +174,7 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
     if ext.assume_generically_free:
         status, detail = FREE, "asserted"
     else:
-        status, detail = check_generic_freeness(ext.Q, seed=seed, trials=trials, q_class=q_class)
+        status, detail = check_generic_freeness(ext.Q, seed=seed, trials=trials)
     evidence.append(
         {"condition": "generic-freeness", "paper_clause": detail, "result": status}
     )
@@ -206,8 +199,7 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int,
         if tried == MAX_SPLIT_CANDIDATES:
             raise ResourceCapError("max_split_candidates", f"more than {MAX_SPLIT_CANDIDATES}",
                                    MAX_SPLIT_CANDIDATES)
-        cls = (q_class if q_class and not w2.entries
-               else classify(ext.Q.add(w2), seed=seed, trials=trials))
+        cls = classify(ext.Q.add(w2), seed=seed, trials=trials)
         dim_s_w1 = dim_sw - w2.dim()
         accepted = cls in (GOOD, GOOD_HEURISTIC) and dim_s_w1 >= threshold_a
         evidence.append(

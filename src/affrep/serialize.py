@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from .catalog import TRIGGER_SMALL_S, Catalog, decision_signature
+from .catalog import Catalog, decision_signature
 from .config import MAX_WEIGHT_RANK, check_model_dim, check_rank
 from .filtration import Filtration
 from .linalg import SMat
@@ -446,7 +446,9 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     (`catalog.decision_signature`), in a table per quotient group's shared
     signature: a group whose freeness gate fails has one verdict, so one
     tail serves all its lines, and a free group's lines look theirs up by
-    dim S.  No table outlives the call."""
+    dim S.  Only clause (ii) passes the gate: its quotients are good, and
+    the translation-stabilized shapes R1-R3 are padded bad cores, so they
+    are clause (i)'s.  No table outlives the call."""
     n = catalog.n
     summands: dict[tuple, str] = {}
     small_s: dict[tuple, tuple[str, int]] = {}
@@ -483,10 +485,7 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
         else:
             outcome, verdict_text = decide(table, None, group, group.subs[0])
             tail = f"{frame}{verdict_text}}}\n"
-            if group.trigger == TRIGGER_SMALL_S:
-                lines = [head + small(s)[0] + tail for s in group.subs]
-            else:
-                lines = [head + _multiset_text(n, s, summands) + tail for s in group.subs]
+            lines = [head + _multiset_text(n, s, summands) + tail for s in group.subs]
             by_outcome[outcome] = by_outcome.get(outcome, 0) + len(lines)
         by_trigger[group.trigger] = by_trigger.get(group.trigger, 0) + len(lines)
         fh.write("".join(lines))

@@ -125,7 +125,7 @@ class TestWeightCommands:
         assert f"argument {flag}: must be at least 1, got 0" in err
 
 
-# the options of every command path; 49 slots, each read by its command
+# the options of every command path; 48 slots, each read by its command
 COMMAND_FLAGS = {
     ("dim",): {"--seed", "--format", "--n", "--lambda"},
     ("dual",): {"--seed", "--format", "--n", "--lambda"},
@@ -134,7 +134,7 @@ COMMAND_FLAGS = {
     ("classify",): {"--seed", "--format", "--trials"},
     ("check2step",): {"--seed", "--format", "--trials"},
     ("filtrate",): {"--seed", "--format", "--max-model-dim", "--kind"},
-    ("enumerate",): {"--seed", "--trials", "--n", "--max-trivials", "--max-dim-s", "--out"},
+    ("enumerate",): {"--seed", "--n", "--max-trivials", "--max-dim-s", "--out"},
     ("model", "sym-dual"): {"--max-model-dim", "--out", "--n", "--l"},
     ("model", "dual"): {"--max-model-dim", "--out", "--in"},
     ("model", "tensor"): {"--max-model-dim", "--out", "--a", "--b"},
@@ -156,7 +156,7 @@ def _command_paths(parser, path=()):
 def test_each_command_takes_only_the_flags_it_reads():
     paths = dict(_command_paths(cli.build_parser()))
     assert paths == COMMAND_FLAGS
-    assert sum(map(len, paths.values())) == 49
+    assert sum(map(len, paths.values())) == 48
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -165,7 +165,10 @@ def test_each_command_takes_only_the_flags_it_reads():
     # a message names what the user types, not a dest or a type function
     (["model"], "the following arguments are required: {sym-dual,dual,tensor,sl-only}"),
     (["classify", "rep.json", "--trials", "abc"], "argument --trials: expected an integer, got 'abc'"),
-], ids=["unknown-flag", "missing-file", "missing-model-kind", "non-integer-trials"])
+    # the catalog draws no point at any rank it takes, so it has no trials
+    (["enumerate", "--n", "3", "--trials", "5"], "unrecognized arguments: --trials 5"),
+], ids=["unknown-flag", "missing-file", "missing-model-kind", "non-integer-trials",
+        "enumerate-trials"])
 def test_usage_error_exits_1_not_2(capsys, argv, message):
     # exit 2 is check2step's Exceptional verdict, so a usage error must not give it
     rc, out, err = run(capsys, *argv)

@@ -354,6 +354,12 @@ def test_bad_frontier_is_a_dual_closed_antichain_over_the_floor(monkeypatch, n):
 
 
 def test_classify_answers_what_the_engine_answers():
-    # the table against the engine on every small multiset of bad labels
+    # the table against the engine on every small multiset of bad labels,
+    # bare, padded with one and with n^2 - 2 trivial summands (the table
+    # reads the core past the trivial entry), and with a label outside the
+    # bad family added
     for rep in _bad_family_reps():
-        assert classify(rep) == classify_with_report(rep)[0], str(rep)
+        n = rep.n
+        for extra in ([(W(n, 0), 1)], [(W(n, 0), n * n - 2)], [W(n, 3)], []):
+            asked = rep.add(WeightMultiset.of(n, extra))
+            assert classify(asked) == classify_with_report(asked)[0], str(asked)
