@@ -338,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check2step)
 
     sp = sub.add_parser("enumerate", help="stream the finite catalog of exceptional candidates",
-                        parents=[seeded("seed echoed in each verdict; every rank it takes "
-                                        "is answered from the bad-frontier table and draws "
-                                        "nothing")])
+                        parents=[seeded("seed echoed in each verdict; " + tabled)])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-trivials", type=int, default=None,
                     help="cap on trivial summands in Q (at most n^2-2)")

@@ -262,11 +262,12 @@ def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAUL
     So the answer can differ from the engine's at this seed only where
     the engine's points would all miss a full-rank point (module
     docstring).  Above the tabulated ranks the engine answers."""
+    # the core's entries: `rep`'s past its trivial entry, which sorts first
+    entries = rep.entries
+    core = entries[1:] if entries and entries[0][0].is_trivial() else entries
     bad = bad_list(rep.n)
-    if any(w not in bad for w, _ in rep.entries):
+    if any(w not in bad for w, _ in core):
         return GOOD
     if rep.n in _BAD_FRONTIER:
-        # the core is `rep` without its trivial entry, which sorts first
-        core = rep.entries[1:] if rep.entries and rep.entries[0][0].is_trivial() else rep.entries
         return BAD if core in bad_cores(rep.n) else GOOD_HEURISTIC
     return classify_with_report(rep, seed, trials)[0]

@@ -933,11 +933,10 @@ def test_written_verdict_follows_trigger(tmp_path, args):
     # with W = 0 the clause decides the verdict: a clause-(i) Q is Bad, so
     # the freeness gate fails; a clause-(ii) Q is good with fewer than
     # n^2 - 1 trivials (criterion B fails) and dim S < n^2 + 2n (the split
-    # at W2 = 0 fails), and the translation-stabilized shapes, padded bad
-    # cores, are clause (i)'s, so the gate passes.  `serialize.write_catalog`
-    # writes a gate-failing group's S texts only one way, which this holds
-    # it to under the caps too.  `_decide` still makes the decision, with
-    # its trail
+    # at W2 = 0 fails); the translation-stabilized shapes are padded bad
+    # cores, admitted by clause (i), so every clause-(ii) Q passes the gate,
+    # under the caps too, as `serialize.write_catalog` relies on.  `_decide`
+    # still makes the decision, with its trail
     from affrep.cli import main
 
     out = tmp_path / "catalog.jsonl"
