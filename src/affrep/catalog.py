@@ -28,7 +28,8 @@ the partners are walked only for the paddings up to a base max(m_ad, 1),
 not 0: the walk drops the empty multiset, and every base entry must hold
 the shifted label.  A larger padding takes the base list with the
 difference added to each entry's C^n count (clause i), dropping the S
-beyond a dim-S cap, or to its dual C^n count (clause ii).  The shift keeps
+beyond a dim-S cap, or to its dual C^n count (clause ii), which moves no
+trivial count, so no cap of clause (ii) drops an entry.  The shift keeps
 each list's order and shares the entries' other (label, count) pairs.
 
 A quotient's class is `repclass.classify`'s, asked when a line is
@@ -61,15 +62,9 @@ from operator import mul
 
 from .config import DEFAULT_SEED, MAX_CATALOG_RANK
 from .repclass import bad_cores
-from .rationality import (
-    FREE,
-    TwoStepExtension,
-    Verdict,
-    _decide,
-    check_generic_freeness,
-    rank_labels,
-)
-from .schur import Weight, WeightMultiset, dual, lr_decompose, normalize, tensor_counts, weyl_dim
+from .rationality import FREE, TwoStepExtension, Verdict, _decide, check_generic_freeness
+from .schur import (Weight, WeightMultiset, dual, entries_dim, lr_decompose, rank_labels,
+                    tensor_counts, weyl_dim)
 
 TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
@@ -191,7 +186,7 @@ def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
         return Weight(n, tuple(sum(m * w.parts[j] for w, m in entries) for j in range(n)))
 
     walked = _walk(n, fundamentals, keep=lambda ms: weyl_dim(summed(ms.entries)) <= max_dim)
-    found = [Weight(n, (0,) * n)] + [summed(e) for e in walked]
+    found = [rank_labels(n).triv] + [summed(e) for e in walked]
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
 
@@ -210,34 +205,41 @@ def _partners(n: int, x, factor: Weight, caps=()) -> list[tuple]:
     return _walk(n, labels, needs, [([f(w) for w, _ in labels], most) for f, most in caps])
 
 
-def _padded_partners(n: int, core: tuple, top: int, factor: Weight, caps=(), dim_cap=None):
+def _padded_partners(n: int, core: tuple, top: int, factor: Weight, caps=()):
     """(core plus p trivials, its sorted `_partners` over `factor` under
     `caps`) for p = 0..top, the empty multiset left out; `core` holds no
     trivial.  Only the paddings up to the base max(m_ad(core), 1) are
     walked: a larger one takes the base list with p - base more copies of
-    `factor` in each entry (module docstring), those of dimension at most
-    `dim_cap` when one is given.  A shifted entry shares the base entry's
-    other pairs, and each shifted pair is made once."""
-    triv = Weight(n, (0,) * n)
-    base = min(max(dict(core).get(normalize(n, [2] + [1] * (n - 2)), 0), 1), top)
+    `factor` in each entry (module docstring), those under every cap the
+    shift moves.  A cap (f, most) moves when f(factor) is nonzero: k more
+    copies add k * f(factor) to an entry's sum; any other cap holds for a
+    shifted entry as for its base entry.  A shifted entry shares the base
+    entry's other pairs, and each shifted pair is made once."""
+    labels = rank_labels(n)
+    triv = labels.triv
+    base = min(max(dict(core).get(labels.adj, 0), 1), top)
     for p in range(base + 1):
         if p or core:
             padded = ((triv, p),) + core if p else core
             found = sorted(_partners(n, padded, factor, caps))
             yield padded, found
     if top > base:
-        # each base entry as (pairs before factor's, its count, pairs after, dim)
+        moved = [(f, most, f(factor)) for f, most in caps if f(factor)]
+        # each base entry as (pairs before factor's, its count, pairs after,
+        # its sum under each moved cap)
         spots = []
         for s in found:
             i = next(i for i, (w, _) in enumerate(s) if w == factor)
             spots.append((s[:i], s[i][1], s[i + 1:],
-                          0 if dim_cap is None else sum(m * weyl_dim(w) for w, m in s)))
-        step, made = weyl_dim(factor), {}
+                          [sum(m * f(w) for w, m in s) for f, _, _ in moved]))
+        made = {}
         for p in range(base + 1, top + 1):
             k = p - base
+            kept = spots if not moved else [
+                spot for spot in spots
+                if all(d + k * step <= most for d, (_, most, step) in zip(spot[3], moved))]
             yield ((triv, p),) + core, [head + (made.setdefault(c + k, (factor, c + k)),) + tail
-                                        for head, c, tail, d in spots
-                                        if dim_cap is None or d + k * step <= dim_cap]
+                                        for head, c, tail, _ in kept]
 
 
 def _cap(name: str, value: int | None, least: int, clause_bound: int) -> int:
@@ -287,7 +289,7 @@ def enumerate_exceptional_candidates(
     cores = sorted(bad_cores(n))
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     bad_subs = dict(pair for core in cores
-                    for pair in _padded_partners(n, core, trivial_cap, std, dim_caps, max_dim_s))
+                    for pair in _padded_partners(n, core, trivial_cap, std, dim_caps))
 
     # clause (ii): small submodules, over multisets of small irreducibles,
     # each core with every padding under the dim-S cap; Q runs over
@@ -301,7 +303,7 @@ def enumerate_exceptional_candidates(
     trivial_caps = [(Weight.is_trivial, trivial_cap)]
     for core in [()] + _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
                              caps=[(dims, dim_s_cap)]):
-        room = dim_s_cap - sum(m * weyl_dim(w) for w, m in core)
+        room = dim_s_cap - entries_dim(core)
         for s, qs in _padded_partners(n, core, room, dstd, trivial_caps):
             for q in qs:
                 if q not in bad_subs:

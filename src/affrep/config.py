@@ -18,8 +18,10 @@ COORD_BOUND = 100
 # cells of the exterior powers the irreducible builder works in; every
 # catalog label fits
 MAX_TENSOR_CELLS = 300_000
-# largest rank `enumerate` builds the catalog at; rank 8 (2,024,463 lines,
-# 1.36 GB) took 10.5-11.7 s at 241 MiB with the cap lifted, rank 7 4.7-5.4 s
+# largest rank `enumerate` builds the catalog at, the last rank of the
+# bad-frontier table (`repclass.bad_frontier`); rank 8 (2,024,463 lines,
+# 1.36 GB) needs a row of that table as well as this cap lifted, and with
+# one it took 6.9-7.5 s at 239.6 MiB on a 2-core box, rank 7 4.7-5.4 s
 MAX_CATALOG_RANK = 7
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000

@@ -20,7 +20,7 @@ from .matmodel import (
     sl_only_sum_model,
     tensor_model,
 )
-from .schur import WeightMultiset, dual, normalize
+from .schur import WeightMultiset, dual, normalize, rank_labels
 
 
 def _mix(vectors: list[Vec]) -> Vec:
@@ -48,13 +48,14 @@ def cubic_top_submodel(n: int = 3) -> AffMatrixRep:
     what makes the two filtrations of this model place it in different
     layers.
     """
-    amb_a = sl_only_sum_model(WeightMultiset.of(n, [dual(normalize(n, [1]))]))
+    labels = rank_labels(n)
+    amb_a = sl_only_sum_model(WeightMultiset.of(n, [labels.dstd]))
     amb = tensor_model(amb_a, model_sym_dual(n, 2))
     seeds = []
-    for raw in ([3], [1, 1]):
-        hw = highest_weight_vectors(amb, dual(normalize(n, raw)))
+    for label in (normalize(n, [3]), labels.wedge2):
+        hw = highest_weight_vectors(amb, dual(label))
         if len(hw) != 1:
-            raise RuntimeError(f"expected a unique highest weight vector for {raw}")
+            raise RuntimeError(f"expected a unique highest weight vector for dual {label}")
         seeds.append(hw[0])
     return generated_submodel(amb, seeds)
 

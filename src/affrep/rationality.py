@@ -12,9 +12,7 @@ evidence trail.
 
 from __future__ import annotations
 
-import heapq
 from collections import namedtuple
-from functools import lru_cache
 from math import comb
 
 from .config import (DEFAULT_SEED, DEFAULT_TRIALS, MAX_LR_SHAPES, MAX_SPLIT_CANDIDATES,
@@ -27,11 +25,11 @@ from .repclass import (
 )
 from .schur import (
     WeightMultiset,
+    by_dimension,
     dual,
     lr_outer_shapes,
     multiset_fits_in_product,
-    normalize,
-    weyl_dim,
+    rank_labels,
 )
 
 RATIONAL_BY_A = "RationalByA"
@@ -78,22 +76,6 @@ class Verdict(namedtuple("Verdict", "outcome witness evidence seed")):
         return tuple.__new__(cls, (outcome, witness, evidence, seed))
 
 
-class RankLabels(namedtuple("RankLabels", "triv std dstd r1 r2")):
-    """The labels every extension of one rank is tested against: trivial,
-    standard, dual standard, and the quotients of the R1 and R2 shapes
-    (R2 is None below rank 2, where it has no label)."""
-
-    __slots__ = ()
-
-
-# the same few values for every extension of a rank; one entry per rank
-@lru_cache(maxsize=16)
-def rank_labels(n: int) -> RankLabels:
-    std = normalize(n, [1])
-    r2 = WeightMultiset.of(n, [dual(normalize(n, [1, 1]))]) if n >= 2 else None
-    return RankLabels(normalize(n, []), std, dual(std), WeightMultiset.of(n, [std]), r2)
-
-
 def check_structural(ext: TwoStepExtension) -> bool:
     """Both character containments: S inside Q (x) standard and Q inside
     S (x) dual standard, with multiplicities.  Before the second, each S
@@ -129,11 +111,13 @@ def check_generic_freeness(q: WeightMultiset, seed: int = DEFAULT_SEED,
     extension's assertion of generic freeness overrides the criterion
     (`_decide`).
     """
-    n = q.n
+    n, entries = q.n, q.entries
     labels = rank_labels(n)
-    if q == labels.r1:
+    if entries == ((labels.std, 1),):
         return POSSIBLY_NOT_FREE, "R1"
-    if q == labels.r2:
+    # one copy of the dual exterior square; the dual is taken only of a
+    # lone label, since the catalog asks the gate once per quotient
+    if len(entries) == 1 and entries[0][1] == 1 and dual(entries[0][0]) == labels.wedge2:
         return POSSIBLY_NOT_FREE, "R2"
     if _r3_shapes(n, q):
         return POSSIBLY_NOT_FREE, "R3"
@@ -195,7 +179,7 @@ def _decide(ext: TwoStepExtension, seed: int, trials: int = DEFAULT_TRIALS) -> V
 
     threshold_a = n * n + 2 * n
     dim_sw = ext.S.dim() + ext.W.dim()
-    for tried, (w2, counts) in enumerate(_by_dimension(ext.W)):
+    for tried, (w2, counts) in enumerate(by_dimension(ext.W)):
         if tried == MAX_SPLIT_CANDIDATES:
             raise ResourceCapError("max_split_candidates", f"more than {MAX_SPLIT_CANDIDATES}",
                                    MAX_SPLIT_CANDIDATES)
@@ -227,21 +211,3 @@ def _summands(entries) -> list:
     """A multiset's (label, multiplicity) entries as the trail writes them."""
     return [[list(w.parts), m] for w, m in entries]
 
-
-def _by_dimension(ms: WeightMultiset):
-    """Every sub-multiset of `ms`, lazily, by dimension and ties by the
-    entries tuple, each with its count vector over `ms.entries`.  A count
-    vector's parent lowers its last nonzero count by one, so each vector is
-    pushed once, by its parent; every label has dimension at least 1, so a
-    child sorts after its parent and the heap pops the vectors in order."""
-    n, pairs = ms.n, ms.entries
-    heap = [(0, (), (0,) * len(pairs), 0)]
-    while heap:
-        d, entries, counts, last = heapq.heappop(heap)
-        yield WeightMultiset(n, entries), counts
-        for i in range(last, len(pairs)):
-            w, m = pairs[i]
-            if counts[i] < m:
-                child = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-                entries = tuple((v, c) for (v, _), c in zip(pairs, child) if c)
-                heapq.heappush(heap, (d + weyl_dim(w), entries, child, i))

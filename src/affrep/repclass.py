@@ -27,7 +27,6 @@ engine's `Bad` there.  The tests rebuild the table from the engine.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import namedtuple
 from functools import lru_cache
@@ -37,7 +36,8 @@ from .config import (COORD_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, MAX_STABILIZER_W
                      ResourceCapError)
 from .linalg import integer_rank
 from .matmodel import model_for_weight, sl_basis_keys
-from .schur import Weight, WeightMultiset, dual, normalize, weyl_dim
+from .schur import (Weight, WeightMultiset, by_dimension, core_entries, dual, rank_labels,
+                    weyl_dim)
 
 GOOD = "Good"
 BAD = "Bad"
@@ -52,18 +52,10 @@ class StabilizerReport(namedtuple("StabilizerReport", "stab_dim trials seed")):
 @lru_cache(maxsize=16)
 def bad_list(n: int) -> frozenset[Weight]:
     """Canonical labels of the irreducible representations in the known bad
-    family: exterior square, symmetric square, standard, trivial, the
-    traceless adjoint, and all duals (deduplicated after normalization)."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    base = [
-        normalize(n, [1, 1]),            # exterior square
-        normalize(n, [2]),               # symmetric square
-        normalize(n, [1]),               # standard
-        normalize(n, []),                # trivial
-        normalize(n, [2] + [1] * (n - 2)),  # traceless adjoint
-    ]
-    return frozenset(base + [dual(w) for w in base])
+    family: the named labels of the rank (`schur.rank_labels`) and their
+    duals, deduplicated after normalization."""
+    labels = rank_labels(n)
+    return frozenset(labels + tuple(dual(w) for w in labels))
 
 
 # the bad frontier at ranks 2 to config.MAX_CATALOG_RANK: one count vector
@@ -106,9 +98,8 @@ def bad_cores(n: int) -> frozenset[tuple]:
     """The down-closure of the bad frontier at rank n: every multiset of
     nontrivial bad labels under a frontier member, the empty one included,
     as `WeightMultiset` entries tuples."""
-    return frozenset(tuple((w, c) for (w, _), c in zip(top, counts) if c)
-                     for top in bad_frontier(n)
-                     for counts in itertools.product(*(range(m + 1) for _, m in top)))
+    return frozenset(sub.entries for top in bad_frontier(n)
+                     for sub, _ in by_dimension(WeightMultiset(n, top)))
 
 
 # one entry per label the stabilizer draws (6 in the rank-4 catalog); the
@@ -208,14 +199,6 @@ def stabilizer_dimension(
     return StabilizerReport(stab_dim=best, trials=trials, seed=seed)
 
 
-def nontrivial_part(rep: WeightMultiset) -> WeightMultiset:
-    """`rep` without its trivial summand, which is its first entry when
-    present (the trivial label sorts first); `rep` itself when it has none."""
-    if rep.entries and rep.entries[0][0].is_trivial():
-        return WeightMultiset(rep.n, rep.entries[1:])
-    return rep
-
-
 # above the tabulated ranks, holds what one decision asks again: the
 # freeness gate's Q, asked again as the split W2 = 0, and Q's core, asked
 # again for a Q + W2 that adds only trivials.  A larger bound only kept one
@@ -239,11 +222,11 @@ def classify_with_report(
     immutable), enough for one decision's repeats; no answer depends on
     what the memo holds.
     """
-    core = nontrivial_part(rep)
-    if core != rep:
-        return classify_with_report(core, seed, trials)
+    core = core_entries(rep.entries)
+    if core != rep.entries:
+        return classify_with_report(WeightMultiset(rep.n, core), seed, trials)
     bad = bad_list(rep.n)
-    if any(w not in bad for w in rep.weights()):
+    if any(w not in bad for w, _ in core):
         return GOOD, None
     report = stabilizer_dimension(rep, seed=seed, trials=trials)
     return (BAD if report.stab_dim > 0 else GOOD_HEURISTIC), report
@@ -262,9 +245,7 @@ def classify(rep: WeightMultiset, seed: int = DEFAULT_SEED, trials: int = DEFAUL
     So the answer can differ from the engine's at this seed only where
     the engine's points would all miss a full-rank point (module
     docstring).  Above the tabulated ranks the engine answers."""
-    # the core's entries: `rep`'s past its trivial entry, which sorts first
-    entries = rep.entries
-    core = entries[1:] if entries and entries[0][0].is_trivial() else entries
+    core = core_entries(rep.entries)
     bad = bad_list(rep.n)
     if any(w not in bad for w, _ in core):
         return GOOD

@@ -8,6 +8,7 @@ trivially on SL_n).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from functools import lru_cache
 
@@ -85,10 +86,7 @@ class WeightMultiset(namedtuple("WeightMultiset", "n entries")):
         return 0
 
     def dim(self) -> int:
-        return sum(m * weyl_dim(w) for w, m in self.entries)
-
-    def weights(self) -> list[Weight]:
-        return [w for w, _ in self.entries]
+        return entries_dim(self.entries)
 
     def add(self, other: "WeightMultiset") -> "WeightMultiset":
         if other.n != self.n:
@@ -148,6 +146,57 @@ def _weyl_dim(n: int, parts: tuple[int, ...]) -> int:
 def weyl_dim(w: Weight) -> int:
     """Dimension of the irreducible with highest weight w (exact integer)."""
     return _weyl_dim(w.n, w.parts)
+
+
+def entries_dim(entries) -> int:
+    """Dimension of the sum of (label, mult) pairs, such as
+    `WeightMultiset.entries`."""
+    return sum(m * weyl_dim(w) for w, m in entries)
+
+
+def core_entries(entries) -> tuple:
+    """A multiset's core, its nontrivial part: `entries` past the trivial
+    label's, which sorts first; `entries` itself when it holds none."""
+    return entries[1:] if entries and entries[0][0].is_trivial() else entries
+
+
+class RankLabels(namedtuple("RankLabels", "triv std dstd wedge2 sym2 adj")):
+    """The named labels of one rank, the bad family's up to duals: trivial,
+    standard, dual standard, exterior square, symmetric square and traceless
+    adjoint."""
+
+    __slots__ = ()
+
+
+# the same few values for every question at a rank; one entry per rank
+@lru_cache(maxsize=16)
+def rank_labels(n: int) -> RankLabels:
+    """The named labels at rank n, from rank 2 on (the exterior square
+    needs two rows)."""
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    std = normalize(n, [1])
+    return RankLabels(normalize(n, []), std, dual(std), normalize(n, [1, 1]),
+                      normalize(n, [2]), normalize(n, [2] + [1] * (n - 2)))
+
+
+def by_dimension(ms: WeightMultiset):
+    """Every sub-multiset of `ms`, lazily, by dimension and ties by the
+    entries tuple, each with its count vector over `ms.entries`.  A count
+    vector's parent lowers its last nonzero count by one, so each vector is
+    pushed once, by its parent; every label has dimension at least 1, so a
+    child sorts after its parent and the heap pops the vectors in order."""
+    n, pairs = ms.n, ms.entries
+    heap = [(0, (), (0,) * len(pairs), 0)]
+    while heap:
+        d, entries, counts, last = heapq.heappop(heap)
+        yield WeightMultiset(n, entries), counts
+        for i in range(last, len(pairs)):
+            w, m = pairs[i]
+            if counts[i] < m:
+                child = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                entries = tuple((v, c) for (v, _), c in zip(pairs, child) if c)
+                heapq.heappush(heap, (d + weyl_dim(w), entries, child, i))
 
 
 def horizontal_strips(parts: tuple[int, ...], k: int, nrows: int):

@@ -41,15 +41,16 @@ from .rationality import (
     check_structural,
     decide_rationality,
 )
-from .repclass import (BAD, bad_list, classify_with_report, nontrivial_part,
-                       stabilizer_dimension)
+from .repclass import BAD, bad_list, classify_with_report, stabilizer_dimension
 from .schur import (
     Weight,
     WeightMultiset,
     check_lr_gap_bound,
+    core_entries,
     dual,
     lr_decompose,
     normalize,
+    rank_labels,
     weyl_dim,
 )
 from .serialize import dumps, model_dumps, model_from_json, model_to_json, write_catalog
@@ -140,10 +141,10 @@ def _model_sweep():
             m = model_sym_dual(n, l)
             models.append((f"functions(n={n},l={l})", m))
             models.append((f"dual functions(n={n},l={l})", dual_model(m)))
-    models.append(("sl-only adjoint(3)", sl_only_model(normalize(3, [2, 1]))))
-    models.append(("sl-only standard(2)", sl_only_model(normalize(2, [1]))))
+    models.append(("sl-only adjoint(3)", sl_only_model(rank_labels(3).adj)))
+    models.append(("sl-only standard(2)", sl_only_model(rank_labels(2).std)))
     for n in (2, 3):
-        t = tensor_model(sl_only_model(dual(normalize(n, [1]))), model_sym_dual(n, 2))
+        t = tensor_model(sl_only_model(rank_labels(n).dstd), model_sym_dual(n, 2))
         models.append((f"dual-standard x functions(n={n},l=2)", t))
     models.append(("cubic-top submodel", cubic_top_submodel(3)))
     return models
@@ -201,16 +202,16 @@ def criterion_8_stabilizer_regressions() -> tuple[bool, str]:
     seeds = (11, 23, 47)
     cases = []
     for n in (3, 4):
-        std = normalize(n, [1])
+        labels = rank_labels(n)
         cases.extend(
             [
-                (WeightMultiset.of(n, [std]), n * n - 1 - n),
-                (WeightMultiset.of(n, [normalize(n, [2] + [1] * (n - 2))]), n - 1),
-                (WeightMultiset.of(n, [normalize(n, [2])]), n * (n - 1) // 2),
-                (WeightMultiset.of(n, [(std, n)]), 0),
+                (WeightMultiset.of(n, [labels.std]), n * n - 1 - n),
+                (WeightMultiset.of(n, [labels.adj]), n - 1),
+                (WeightMultiset.of(n, [labels.sym2]), n * (n - 1) // 2),
+                (WeightMultiset.of(n, [(labels.std, n)]), 0),
             ]
         )
-    cases.append((WeightMultiset.of(4, [normalize(4, [1, 1])]), 10))
+    cases.append((WeightMultiset.of(4, [rank_labels(4).wedge2]), 10))
     for rep, want in cases:
         for seed in seeds:
             got = stabilizer_dimension(rep, seed=seed).stab_dim
@@ -234,7 +235,7 @@ def criterion_9_decision_procedure() -> tuple[bool, str]:
     ext_e = TwoStepExtension.of(
         10,
         S=[normalize(10, [1, 1, 1])],
-        Q=[normalize(10, [1, 1])],
+        Q=[rank_labels(10).wedge2],
         assume_generically_free=True,
     )
     if decide_rationality(ext_e).outcome != EXCEPTIONAL:
@@ -269,10 +270,10 @@ def criterion_10_catalog() -> tuple[bool, str]:
     if elapsed > 300:
         return False, f"two runs took {elapsed:.1f}s (> 300s)"
     n = 3
-    triv, empty = normalize(n, []), WeightMultiset.of(n, [])
+    triv, empty = rank_labels(n).triv, WeightMultiset.of(n, [])
     # a Q classifies as its core does, so each Q-bad core is classified
     # once, by the engine: the catalog took its bad cores from the table
-    core_classes: dict[WeightMultiset, str] = {}
+    core_classes: dict[tuple, str] = {}
     for group in catalog.groups:
         Q = group.Q
         if Q.count(triv) >= n * n - 1:
@@ -280,7 +281,7 @@ def criterion_10_catalog() -> tuple[bool, str]:
         if group.trigger not in (TRIGGER_BAD_Q, TRIGGER_SMALL_S):
             return False, f"unknown trigger {group.trigger}"
         if group.trigger == TRIGGER_BAD_Q:
-            core = nontrivial_part(Q)
+            core = core_entries(Q.entries)
             if core not in core_classes:
                 core_classes[core] = classify_with_report(Q)[0]
             if core_classes[core] != BAD:

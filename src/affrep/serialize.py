@@ -19,7 +19,7 @@ from .linalg import SMat
 from .matmodel import AffMatrixRep, sl_basis_keys, validate_model
 from .rationality import TwoStepExtension, Verdict
 from .repclass import StabilizerReport
-from .schur import Weight, WeightMultiset, weyl_dim
+from .schur import Weight, WeightMultiset, entries_dim
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -459,8 +459,7 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     def small(s):
         known = small_s.get(s)
         if known is None:
-            known = small_s[s] = (_multiset_text(n, s, summands),
-                                  sum(m * weyl_dim(w) for w, m in s))
+            known = small_s[s] = (_multiset_text(n, s, summands), entries_dim(s))
         return known
 
     def decide(table, key, group, s):

@@ -41,6 +41,7 @@ from affrep.repclass import (
 from affrep.schur import (
     Weight,
     WeightMultiset,
+    core_entries,
     dual,
     lr_decompose,
     multiset_fits_in_product,
@@ -129,7 +130,7 @@ def classified_bad_by_core(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     answers = {}
 
     def is_bad(q):
-        core = repclass.nontrivial_part(q)
+        core = core_entries(q.entries)
         if core not in answers:
             answers[core] = classify_with_report(q, seed, trials)[0] == BAD
         return answers[core]
@@ -401,23 +402,22 @@ def _shifted(entries, label, k):
     return tuple((w, m + k if w == label else m) for w, m in entries)
 
 
-def _assert_shifts(n, core, top, factor, caps, dim_cap=None):
+def _assert_shifts(n, core, top, factor, caps):
     """Past the base max(m_ad, 1), the sorted `_partners` of each padding
     of `core` are the base's, in the same order, each with the difference
-    added to its `factor` count, those over `dim_cap` dropped; and
-    `_padded_partners` yields every padding's own walk.  The number of
-    shifted entries checked."""
+    added to its `factor` count, those over a cap (f, most) (the sum of
+    f over its summands above most) dropped; and `_padded_partners` yields
+    every padding's own walk.  The number of shifted entries checked."""
     triv = W(n, 0)
     padded = {p: ((triv, p),) + core if p else core for p in range(top + 1) if p or core}
     walks = {p: sorted(_partners(n, q, factor, caps)) for p, q in padded.items()}
-    assert dict(_padded_partners(n, core, top, factor, caps, dim_cap)) == {
+    assert dict(_padded_partners(n, core, top, factor, caps)) == {
         padded[p]: walk for p, walk in walks.items()}
     base = max(dict(core).get(_adjoint(n), 0), 1)
     shifted = 0
     for p in range(base + 1, top + 1):
         got = [_shifted(s, factor, p - base) for s in walks[base]]
-        if dim_cap is not None:
-            got = [s for s in got if WeightMultiset(n, s).dim() <= dim_cap]
+        got = [s for s in got if all(sum(m * f(w) for w, m in s) <= most for f, most in caps)]
         assert got == walks[p], (core, p)
         shifted += len(got)
     return shifted
@@ -431,7 +431,7 @@ def test_padded_bad_core_partners_are_the_shifted_base_list(n, max_dim_s):
     # in S'' (x) dual C^n + t ad, so past the base the S'' are fixed
     caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     cores = [()] + [core.entries for core in engine_bad_cores(n)]
-    assert sum(_assert_shifts(n, core, n * n - 2, W(n, 1), caps, max_dim_s) for core in cores)
+    assert sum(_assert_shifts(n, core, n * n - 2, W(n, 1), caps) for core in cores)
 
 
 @pytest.mark.parametrize("n,max_dim_s,max_trivials", [(2, None, None), (2, 3, None),
@@ -637,8 +637,8 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     catalog = enumerate_exceptional_candidates(n)
     assert seen == []
     bad = bad_list(n)
-    unasked = {repclass.nontrivial_part(g.Q) for g in catalog.groups
-               if g.trigger == TRIGGER_SMALL_S and all(w in bad for w in g.Q.weights())}
+    unasked = {WeightMultiset(n, core_entries(g.Q.entries)) for g in catalog.groups
+               if g.trigger == TRIGGER_SMALL_S and all(w in bad for w, _ in g.Q.entries)}
     unasked -= swept
     assert len(unasked) > 100
     for core in unasked:
@@ -827,7 +827,7 @@ CATALOG_CACHES = (
     "repclass.classify_with_report",
     "repclass.bad_list",
     "repclass.bad_cores",
-    "rationality.rank_labels",
+    "schur.rank_labels",
 )
 
 # run in a fresh process, so the counts and the peak memory are the

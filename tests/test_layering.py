@@ -6,9 +6,11 @@ across modules.  Nor does `matmodel` read a filtration: the checks on
 filtrations live in `filtration`.  The character oracle is the reference
 `selftest` checks the Littlewood-Richardson code against, so it reads
 weights from `schur` and nothing of that code.  `serialize` alone knows the
-model file's bytes: the CLI reads model files through it.  And every command
-starts a fresh interpreter, so the CLI must not pay for standard modules it
-does not need at start-up.
+model file's bytes: the CLI reads model files through it.  The named labels
+of a rank (trivial, standard, exterior and symmetric square, adjoint) are
+built from their raw parts in `schur.rank_labels` alone, and every other
+module reads them there.  And every command starts a fresh interpreter, so
+the CLI must not pay for standard modules it does not need at start-up.
 """
 
 import ast
@@ -93,6 +95,56 @@ MODEL_FILE_NAMES = {"MODEL_HEAD", "MODEL_HEAD_BYTES", "scan_model", "_frame"}
 def test_cli_names_nothing_of_the_model_file_bytes():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert _names(tree) & MODEL_FILE_NAMES == set()
+
+
+# the raw parts of the named labels (the trivial's two ways, the standard's,
+# the exterior and the symmetric square's); the adjoint's is
+# [2] + [1] * (n - 2)
+NAMED_RAWS = {(), (0,), (1,), (1, 1), (2,)}
+
+
+def _literal_ints(node):
+    """The integers of a list or tuple display of integer literals, else None."""
+    if isinstance(node, (ast.List, ast.Tuple)) and all(
+            isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts):
+        return tuple(e.value for e in node.elts)
+    return None
+
+
+def _builds_named_label(node) -> bool:
+    """Whether `node` is `normalize(_, raw)` with a named label's raw parts
+    (`NAMED_RAWS` or `[2] + [1] * (...)`), or `Weight(_, (0,) * _)`, the
+    trivial, each called by name or as an attribute."""
+    if not isinstance(node, ast.Call) or len(node.args) != 2:
+        return False
+    func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+    raw = node.args[1]
+    if func == "normalize":
+        if _literal_ints(raw) in NAMED_RAWS:
+            return True
+        return (isinstance(raw, ast.BinOp) and isinstance(raw.op, ast.Add)
+                and _literal_ints(raw.left) == (2,) and isinstance(raw.right, ast.BinOp)
+                and isinstance(raw.right.op, ast.Mult) and _literal_ints(raw.right.left) == (1,))
+    return (func == "Weight" and isinstance(raw, ast.BinOp) and isinstance(raw.op, ast.Mult)
+            and _literal_ints(raw.left) == (0,))
+
+
+def test_builds_named_label_reads_every_form():
+    named = ["normalize(n, [])", "normalize(3, [0])", "normalize(n, [1])",
+             "schur.normalize(n, [1, 1])", "normalize(n, (2,))",
+             "normalize(n, [2] + [1] * (n - 2))", "Weight(n, (0,) * n)"]
+    other = ["normalize(n, [3])", "normalize(n, raw)", "normalize(n, [1, 1, 1])",
+             "normalize(n, [j - i])", "Weight(n, (1,) * n)", "Weight(n, parts)"]
+    for text in named + other:
+        assert _builds_named_label(ast.parse(text, mode="eval").body) == (text in named), text
+
+
+def test_only_schur_builds_a_named_label():
+    built = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "schur"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _builds_named_label(node)]
+    assert built == []
 
 
 # `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`

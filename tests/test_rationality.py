@@ -16,16 +16,14 @@ from affrep.rationality import (
     POSSIBLY_NOT_GENERICALLY_FREE,
     RATIONAL_BY_A,
     RATIONAL_BY_B,
-    RankLabels,
     TwoStepExtension,
     Verdict,
-    _by_dimension,
     check_generic_freeness,
     check_structural,
     decide_rationality,
 )
 from affrep.repclass import GOOD, GOOD_HEURISTIC, StabilizerReport, classify
-from affrep.schur import WeightMultiset, dual, lr_decompose, normalize
+from affrep.schur import RankLabels, WeightMultiset, by_dimension, dual, lr_decompose, normalize
 
 
 def W(n, *parts):
@@ -257,7 +255,7 @@ def _small_multisets(n):
 def test_by_dimension_matches_sorted_brute_force(ms):
     brute = sorted((WeightMultiset(ms.n, e) for e in sub_entries(ms.entries)),
                    key=lambda s: (s.dim(), s.entries))
-    pairs = list(_by_dimension(ms))
+    pairs = list(by_dimension(ms))
     assert [w2 for w2, _ in pairs] == brute
     for w2, counts in pairs:
         assert counts == tuple(w2.count(w) for w, _ in ms.entries)
@@ -354,11 +352,10 @@ def _values():
             "assume_generically_free=False)")),
         "StabilizerReport": (lambda: StabilizerReport(1, 2, 3),
                              "StabilizerReport(stab_dim=1, trials=2, seed=3)"),
-        "RankLabels": (lambda: RankLabels(W(2), W(2, 1), W(2, 1), one(2, 1), one(2)), (
+        "RankLabels": (lambda: RankLabels(W(2), W(2, 1), W(2, 1), W(2, 1, 1), W(2, 2), W(2, 2)), (
             "RankLabels(triv=Weight(n=2, parts=(0, 0)), std=Weight(n=2, parts=(1, 0)), "
-            "dstd=Weight(n=2, parts=(1, 0)), "
-            "r1=WeightMultiset(n=2, entries=((Weight(n=2, parts=(1, 0)), 1),)), "
-            "r2=WeightMultiset(n=2, entries=((Weight(n=2, parts=(0, 0)), 1),)))")),
+            "dstd=Weight(n=2, parts=(1, 0)), wedge2=Weight(n=2, parts=(0, 0)), "
+            "sym2=Weight(n=2, parts=(2, 0)), adj=Weight(n=2, parts=(2, 0)))")),
         "Verdict": (lambda: Verdict(RATIONAL_BY_B, None, [{"x": 1}], 0), verdict),
         "AffMatrixRep": (lambda: AffMatrixRep(1, 0, {}, [], []), rep),
         "Filtration": (lambda: Filtration(AffMatrixRep(1, 0, {}, [], []), "socle", [[]], []),

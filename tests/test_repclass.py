@@ -23,6 +23,7 @@ from affrep.repclass import (
 )
 from affrep.schur import Weight, WeightMultiset, dual, normalize, weyl_dim
 from matrix_reference import scale
+from submultiset_oracle import sub_entries
 
 
 def W(n, *parts):
@@ -351,6 +352,17 @@ def test_bad_frontier_is_a_dual_closed_antichain_over_the_floor(monkeypatch, n):
     assert () in bad_cores(n)
     assert all(classify(WeightMultiset(n, top)) == BAD for top in frontier)
     assert all(classify(ms) == GOOD_HEURISTIC for ms in border(n, bad_cores(n)))
+
+
+@pytest.mark.parametrize("n,size", list(zip(range(2, MAX_CATALOG_RANK + 1),
+                                             (3, 15, 45, 86, 125, 158))))
+def test_bad_cores_are_the_down_closure_of_the_frontier(n, size):
+    # every sub-multiset of each frontier member, the empty one included,
+    # by brute force over count vectors; the program builds the closure
+    # with the split search's enumerator
+    closure = {sub for top in bad_frontier(n) for sub in sub_entries(top)}
+    assert bad_cores(n) == closure
+    assert len(closure) == size
 
 
 def test_classify_answers_what_the_engine_answers():

@@ -286,7 +286,7 @@ class TestLR:
                         assert len(nu) == n and sum(nu) == a.size + b.size
                         assert all(x >= y for x, y in zip(nu, outer.parts))
                     labels = {normalize(n, nu) for nu in shapes}
-                    assert labels >= set(lr_decompose(a, b).weights())
+                    assert labels >= {w for w, _ in lr_decompose(a, b).entries}
 
 
 class TestContains:
