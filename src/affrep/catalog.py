@@ -48,10 +48,9 @@ GoodHeuristic (the `repclass` docstring states what the table is trusted
 for).  Every rank the catalog accepts is tabulated, so the table answers
 each of them with no point drawn.
 
-With W = 0 the decision reads few of a line's fields, its decision
-signature (`decision_signature`), and many lines share one: the rank-3
-catalog's 3,015 have 62, and `serialize.write_catalog` decides and encodes
-one verdict per signature.
+The catalog lists the pairs and decides none: `serialize.write_catalog`
+decides each line as a W = 0 instance (`rationality.decide_pair`), once
+per decision signature (`rationality.decision_signature`).
 """
 
 from __future__ import annotations
@@ -60,9 +59,8 @@ import itertools
 from collections import namedtuple
 from operator import mul
 
-from .config import DEFAULT_SEED, MAX_CATALOG_RANK
+from .config import MAX_CATALOG_RANK
 from .repclass import bad_cores
-from .rationality import FREE, TwoStepExtension, Verdict, _decide, check_generic_freeness
 from .schur import (Weight, WeightMultiset, dual, entries_dim, lr_decompose, rank_labels,
                     tensor_counts, weyl_dim)
 
@@ -76,40 +74,15 @@ QuotientGroup = namedtuple("QuotientGroup", "Q trigger subs")
 
 
 class Catalog:
-    """The catalog of one rank and seed as its quotient groups in file
-    order (increasing Q).  A line is a group and one of its `subs`; the
-    catalog's `len` is its number of lines."""
+    """The catalog of one rank as its quotient groups in file order
+    (increasing Q).  A line is a group and one of its `subs`; the catalog's
+    `len` is its number of lines."""
 
-    def __init__(self, n: int, seed: int, groups: list[QuotientGroup]):
-        self.n, self.seed, self.groups = n, seed, groups
+    def __init__(self, n: int, groups: list[QuotientGroup]):
+        self.n, self.groups = n, groups
 
     def __len__(self) -> int:
         return sum(len(group.subs) for group in self.groups)
-
-    def verdict(self, group: QuotientGroup, s: tuple) -> Verdict:
-        """The verdict of the line (Q of `group`, S = `s`) as a W = 0
-        instance, decided by `check2step`'s decision at the catalog's seed;
-        the table classifies Q with no engine call.  Lines of one signature
-        (`decision_signature`) get equal verdicts."""
-        empty = WeightMultiset(self.n, ())
-        instance = TwoStepExtension(self.n, WeightMultiset(self.n, s), group.Q, empty)
-        return _decide(instance, self.seed)
-
-
-def decision_signature(catalog: Catalog, group: QuotientGroup) -> tuple[tuple, bool]:
-    """The decision signature that the lines of `group` share, and whether
-    each line extends it by its dim S.  A line's signature holds the values
-    its verdict is decided from: with W = 0, `_decide` reads Q only through
-    the freeness gate (status, detail) and, past a passed gate, its trivial
-    count; S only through its dimension; and its one split candidate,
-    W2 = 0, takes the class of Q, which is a passed gate's detail.  So the
-    signature is (gate,), extended by (trivial count, dim S) when the gate
-    is Free, and lines of one signature get equal verdicts.  Only clause
-    (ii) passes the gate."""
-    gate = check_generic_freeness(group.Q)
-    if gate[0] != FREE:
-        return (gate,), False
-    return (gate, group.Q.count(rank_labels(catalog.n).triv)), True
 
 
 def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
@@ -258,12 +231,10 @@ def enumerate_exceptional_candidates(
     n: int,
     max_trivials: int | None = None,
     max_dim_s: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Catalog:
     """All (Q, S) candidate pairs admitted by the finiteness clauses, by Q:
     each with the clause that admits it as its trigger and its S list,
-    sorted by Q and each list by S.  The verdict of a pair's W = 0 instance
-    is decided when its line is written, at `seed`.
+    sorted by Q and each list by S.
 
     Caps cannot exceed the clause thresholds (n^2 - 2 trivial summands,
     n^2 + 2n - 1 for dim S); asking for more is refused since nothing
@@ -317,4 +288,4 @@ def enumerate_exceptional_candidates(
                                         sorted(small_subs[q])))
         elif bad_subs[q]:
             groups.append(QuotientGroup(WeightMultiset(n, q), TRIGGER_BAD_Q, bad_subs[q]))
-    return Catalog(n, seed, groups)
+    return Catalog(n, groups)

@@ -204,11 +204,10 @@ def cmd_enumerate(args) -> int:
         args.n,
         max_trivials=args.max_trivials,
         max_dim_s=args.max_dim_s,
-        seed=args.seed,
     )
     # the file is opened only now, so a refused catalog leaves none
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        by_trigger, by_verdict = ser.write_catalog(catalog, fh)
+        by_trigger, by_verdict = ser.write_catalog(catalog, fh, args.seed)
     stream = sys.stdout if args.out else sys.stderr
     print(f"entries: {len(catalog)}", file=stream)
     for k in sorted(by_trigger):

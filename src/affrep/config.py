@@ -15,8 +15,10 @@ DEFAULT_TRIALS = 3
 COORD_BOUND = 100
 
 # largest product of C(n, h) over the column heights h of a label, the
-# cells of the exterior powers the irreducible builder works in; every
-# catalog label fits
+# cells of the exterior powers the irreducible builder works in; checked
+# for the models `model sl-only` builds and the stabilizer draws on
+# (`classify`, `check2step` above rank 7, `selftest`), and the catalog
+# builds none
 MAX_TENSOR_CELLS = 300_000
 # largest rank `enumerate` builds the catalog at, the last rank of the
 # bad-frontier table (`repclass.bad_frontier`); rank 8 (2,024,463 lines,

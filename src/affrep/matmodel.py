@@ -274,8 +274,9 @@ def _build_tensor_model(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
     return AffMatrixRep(n, target_dim, gens, zero, grading)
 
 
-# a handful of labels per workload (6 in the rank-4 catalog); the bound
-# caps memory
+# a handful of labels per command: `model sl-only`'s, and the stabilizer's
+# for `classify`, `check2step` above rank 7 and `selftest`; the bound caps
+# memory
 @lru_cache(maxsize=128)
 def model_for_weight(n: int, parts: tuple[int, ...]) -> AffMatrixRep:
     """Model of the labeled irreducible with zero translations.  A label

@@ -8,6 +8,12 @@ order: generic freeness (a sufficient criterion on Q, overridable by an
 explicit assertion), the trivial-isotypic criterion (B), and the split
 search (A).  Instances passing neither are reported Exceptional with a full
 evidence trail.
+
+The catalog's pairs are decided as W = 0 instances (`decide_pair`), and
+with W = 0 the decision reads few of a pair's fields, its decision
+signature (`decision_signature`), and many pairs share one: the rank-3
+catalog's 3,015 lines have 62, and `serialize.write_catalog` decides and
+encodes one verdict per signature.
 """
 
 from __future__ import annotations
@@ -147,9 +153,34 @@ def decide_rationality(
     return _decide(ext, seed, trials)
 
 
+def decide_pair(S: WeightMultiset, Q: WeightMultiset, seed: int) -> Verdict:
+    """`decide_rationality` of the W = 0 extension of `S` by `Q` at `seed`,
+    whose structural containments the caller has established (the catalog
+    builds its pairs that way).  Pairs of one `decision_signature` get
+    equal verdicts."""
+    return _decide(TwoStepExtension(Q.n, S, Q, WeightMultiset(Q.n, ())), seed)
+
+
+def decision_signature(Q: WeightMultiset) -> tuple[tuple, bool]:
+    """The decision signature that the W = 0 pairs of quotient `Q` share,
+    and whether each pair extends it by its dim S.  A pair's signature
+    holds the values its verdict is decided from: with W = 0, `_decide`
+    reads Q only through the freeness gate (status, detail) and, past a
+    passed gate, its trivial count; S only through its dimension; and its
+    one split candidate, W2 = 0, takes the class of Q, which is a passed
+    gate's detail.  So the signature is (gate,), extended by (trivial
+    count, dim S) when the gate is Free, and pairs of one signature get
+    equal verdicts.  Of the catalog's quotients only clause (ii)'s pass
+    the gate."""
+    gate = check_generic_freeness(Q)
+    if gate[0] != FREE:
+        return (gate,), False
+    return (gate, Q.count(rank_labels(Q.n).triv)), True
+
+
 def _decide(ext: TwoStepExtension, seed: int, trials: int = DEFAULT_TRIALS) -> Verdict:
     """`decide_rationality` for an extension whose structural containments
-    the caller has established (the catalog builds its pairs that way)."""
+    the caller has established."""
     n = ext.n
     evidence: list[dict] = [
         {"condition": "structural-containments", "paper_clause": "shape", "result": True}

@@ -86,7 +86,11 @@ _BAD_FRONTIER = {
 
 def bad_frontier(n: int) -> list[tuple]:
     """The maximal bad cores at rank n, 2 to config.MAX_CATALOG_RANK, as
-    `WeightMultiset` entries tuples in the table's order."""
+    `WeightMultiset` entries tuples in the table's order; any other rank is
+    refused."""
+    if n not in _BAD_FRONTIER:
+        raise ValueError(f"no bad frontier is tabulated at rank {n}; "
+                         f"the table covers ranks {', '.join(map(str, sorted(_BAD_FRONTIER)))}")
     labels = sorted(w for w in bad_list(n) if not w.is_trivial())
     return [tuple((w, int(c)) for w, c in zip(labels, vector) if c != "0")
             for vector in _BAD_FRONTIER[n].split()]
@@ -102,8 +106,8 @@ def bad_cores(n: int) -> frozenset[tuple]:
                      for sub, _ in by_dimension(WeightMultiset(n, top)))
 
 
-# one entry per label the stabilizer draws (6 in the rank-4 catalog); the
-# bound caps memory
+# one entry per label the stabilizer draws: `classify`, `check2step` above
+# rank 7 and `selftest` send it a handful; the bound caps memory
 @lru_cache(maxsize=128)
 def _integer_gens(n: int, parts: tuple[int, ...]):
     """(dim, gens): the model's dimension and its generators in sl_basis_keys

@@ -12,12 +12,12 @@ import json
 import re
 from fractions import Fraction
 
-from .catalog import Catalog, decision_signature
+from .catalog import Catalog
 from .config import MAX_WEIGHT_RANK, check_model_dim, check_rank
 from .filtration import Filtration
 from .linalg import SMat
 from .matmodel import AffMatrixRep, sl_basis_keys, validate_model
-from .rationality import TwoStepExtension, Verdict
+from .rationality import TwoStepExtension, Verdict, decide_pair, decision_signature
 from .repclass import StabilizerReport
 from .schur import Weight, WeightMultiset, entries_dim
 
@@ -434,21 +434,23 @@ def _multiset_text(n: int, entries, summands: dict) -> str:
     return f'{{"n":{n},"summands":[{",".join(texts)}]}}'
 
 
-def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
-    """Write the catalog to `fh`, one string per quotient group, and return
-    the number of lines by trigger and by verdict outcome.  Each line is
-    `dumps` of its JSON object, written directly (sorted keys, integers
-    and `TRIGGER_*` constants only): a head with the group's `Q`, the `S`
-    text and a tail with the verdict.  A summand's text is made once per
-    (label, count), and a clause-(ii) `S` text once per `S`, with its
-    dimension (207 `S` on 2,105 lines at rank 3; clause (i)'s seldom
-    repeat).  A verdict is decided and encoded once per decision signature
-    (`catalog.decision_signature`), in a table per quotient group's shared
-    signature: a group whose freeness gate fails has one verdict, so one
-    tail serves all its lines, and a free group's lines look theirs up by
-    dim S.  Only clause (ii) passes the gate: its quotients are good, and
-    the translation-stabilized shapes R1-R3 are padded bad cores, so they
-    are clause (i)'s.  No table outlives the call."""
+def write_catalog(catalog: Catalog, fh, seed: int) -> tuple[dict, dict]:
+    """Write the catalog to `fh`, one string per quotient group, with each
+    line's verdict decided at `seed`, and return the number of lines by
+    trigger and by verdict outcome.  Each line is `dumps` of its JSON
+    object, written directly (sorted keys, integers and `TRIGGER_*`
+    constants only): a head with the group's `Q`, the `S` text and a tail
+    with the verdict.  A summand's text is made once per (label, count),
+    and a clause-(ii) `S` text once per `S`, with its dimension (207 `S` on
+    2,105 lines at rank 3; clause (i)'s seldom repeat).  A verdict is
+    decided (`rationality.decide_pair`) and encoded once per decision
+    signature (`rationality.decision_signature`), in a table per quotient
+    group's shared signature: a group whose freeness gate fails has one
+    verdict, so one tail serves all its lines, and a free group's lines
+    look theirs up by dim S.  Only clause (ii) passes the gate: its
+    quotients are good, and the translation-stabilized shapes R1-R3 are
+    padded bad cores, so they are clause (i)'s.  No table outlives the
+    call."""
     n = catalog.n
     summands: dict[tuple, str] = {}
     small_s: dict[tuple, tuple[str, int]] = {}
@@ -465,14 +467,14 @@ def write_catalog(catalog: Catalog, fh) -> tuple[dict, dict]:
     def decide(table, key, group, s):
         known = table.get(key)
         if known is None:
-            verdict = catalog.verdict(group, s)
+            verdict = decide_pair(WeightMultiset(n, s), group.Q, seed)
             known = table[key] = (verdict.outcome, dumps(verdict_to_json(verdict)))
         return known
 
     for group in catalog.groups:
         head = f'{{"Q":{_multiset_text(n, group.Q.entries, summands)},"S":'
         frame = f',"n":{n},"trigger":"{group.trigger}","verdict":'
-        shared, per_s = decision_signature(catalog, group)
+        shared, per_s = decision_signature(group.Q)
         table = decided.setdefault(shared, {})
         if per_s:
             lines = []

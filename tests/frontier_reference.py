@@ -8,7 +8,9 @@ where the engine first answers otherwise, finds them all.  The frontier is
 their maximal members, and the border the minimal multisets outside their
 down-closure.
 
-Run by hand to check the table at the ranks tier-1 leaves out:
+Tier-1 checks the table's premises (each frontier member engine-`Bad`,
+each border multiset of full rank) at every tabulated rank, and the sweep
+at ranks 2-4.  Run by hand to check the sweep at ranks 5-7 too:
 
     PYTHONPATH=src python tests/frontier_reference.py 5 6 7
 

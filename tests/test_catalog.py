@@ -23,12 +23,11 @@ from affrep.catalog import (
     _padded_partners,
     _partners,
     _walk,
-    decision_signature,
     enumerate_exceptional_candidates,
     irreps_up_to_dim,
 )
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
-from affrep.rationality import TwoStepExtension, check_structural
+from affrep.rationality import TwoStepExtension, check_structural, decide_pair, decision_signature
 from affrep.repclass import (
     BAD,
     GOOD,
@@ -293,7 +292,7 @@ class TestEnumerate:
         # exactly when the engine classifies Q as bad
         for n, seed, trials in ((2, DEFAULT_SEED, DEFAULT_TRIALS), (3, DEFAULT_SEED, DEFAULT_TRIALS),
                                 (2, 42, 5), (3, 42, 5)):
-            catalog = enumerate_exceptional_candidates(n, seed=seed)
+            catalog = enumerate_exceptional_candidates(n)
             assert catalog
             # the clauses are disjoint, so no pair is produced twice
             assert len({(g.Q.entries, s) for g in catalog.groups for s in g.subs}) == len(catalog)
@@ -336,13 +335,13 @@ class TestEnumerate:
             and s == ((W(3, 0), 1),)
         ]
         assert len(hits) == 1
-        assert catalog.verdict(*hits[0]).outcome == "PossiblyNotGenericallyFree"
+        assert _verdict(*hits[0]).outcome == "PossiblyNotGenericallyFree"
 
     def test_verdicts_never_rational(self):
         # every admitted candidate fails both rationality criteria by design
         catalog = enumerate_exceptional_candidates(2)
         assert all(
-            catalog.verdict(group, s).outcome in ("Exceptional", "PossiblyNotGenericallyFree")
+            _verdict(group, s).outcome in ("Exceptional", "PossiblyNotGenericallyFree")
             for group in catalog.groups
             for s in group.subs
         )
@@ -370,7 +369,7 @@ def test_bad_quotients_match_padded_cores(n, max_trivials, seed, trials):
     # dim S every bad quotient has some S, so each one is in the catalog.
     # The reference sweep asks the engine about every multiset it reaches,
     # at the seed and trials asked for, so the tabled cores change no class
-    catalog = enumerate_exceptional_candidates(n, max_trivials=max_trivials, seed=seed)
+    catalog = enumerate_exceptional_candidates(n, max_trivials=max_trivials)
     cap = n * n - 2 if max_trivials is None else max_trivials
     want = {q.entries for q in bad_quotients_reference(n, cap, seed, trials)}
     assert {g.Q.entries for g in catalog.groups if g.trigger == TRIGGER_BAD_Q} == want
@@ -668,7 +667,7 @@ def test_catalog_pairs_within_both_bounds_are_closed_under_duality(args, pairs):
     # bounds map onto each other.  This reads only the catalog and `dual`,
     # and shares no code with the walk, the partners or the shift; a pair
     # that maps outside is a defect of the catalog
-    kwargs = _catalog_kwargs(args)
+    kwargs, _ = _catalog_kwargs(args)
     catalog = enumerate_exceptional_candidates(**kwargs)
     n = catalog.n
     trivial_cap = kwargs.get("max_trivials", n * n - 2)
@@ -769,12 +768,12 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
     # class, trivial count and freeness gate are all it reads of Q.  Each
     # signature is decided once and its verdict encoded once; the table
     # lives for one call, so a second run decides again
-    from affrep import catalog, serialize
+    from affrep import serialize
     from affrep.cli import main
 
     decided, encoded = [], []
-    decide, dumps = catalog._decide, serialize.dumps
-    monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
+    decide, dumps = rationality._decide, serialize.dumps
+    monkeypatch.setattr(rationality, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
     monkeypatch.setattr(serialize, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
     catalog = enumerate_exceptional_candidates(n)
     by_trigger = {TRIGGER_BAD_Q: set(), TRIGGER_SMALL_S: set()}
@@ -792,11 +791,11 @@ def test_enumerate_decides_and_encodes_once_per_signature(monkeypatch, tmp_path,
 def test_selftest_catalog_criterion_writes_as_enumerate_does(monkeypatch):
     # criterion 10 writes both rank-3 runs with `serialize.write_catalog`,
     # the writer of `enumerate`, so it decides once per decision signature
-    from affrep import catalog, selftest
+    from affrep import selftest
 
     decided = []
-    decide = catalog._decide
-    monkeypatch.setattr(catalog, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
+    decide = rationality._decide
+    monkeypatch.setattr(rationality, "_decide", lambda *a: decided.append(a[0]) or decide(*a))
     passed, detail = selftest.criterion_10_catalog()
     assert passed, detail
     assert len(decided) == 2 * (3 + 59)
@@ -962,12 +961,12 @@ def test_written_verdict_follows_trigger(tmp_path, args):
         assert len(verdict_of_q) < len(bad_q)
 
 
-def _line_by_general_encoder(catalog, group, s) -> str:
+def _line_by_general_encoder(catalog, group, s, seed=DEFAULT_SEED) -> str:
     def multiset(entries):
         return {"n": catalog.n,
                 "summands": [{"lambda": list(w.parts), "mult": m} for w, m in entries]}
 
-    v = catalog.verdict(group, s)
+    v = _verdict(group, s, seed)
     verdict = {"outcome": v.outcome, "witness": v.witness, "evidence": v.evidence,
                "seed": v.seed}
     return json.dumps({"n": catalog.n, "S": multiset(s), "Q": multiset(group.Q.entries),
@@ -982,24 +981,26 @@ def _lines(catalog) -> list[tuple]:
 
 @pytest.mark.parametrize("args", ["--n 2", "--n 3", *sorted(CAPPED_SHA256)])
 def test_catalog_line_equals_the_general_encoder(args):
-    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    kwargs, seed = _catalog_kwargs(args)
+    catalog = enumerate_exceptional_candidates(**kwargs)
     assert catalog
-    lines = _written(catalog).splitlines()
+    lines = _written(catalog, seed).splitlines()
     assert len(lines) == len(catalog)
     for (group, s), line in zip(_lines(catalog), lines):
-        assert line == _line_by_general_encoder(catalog, group, s)
+        assert line == _line_by_general_encoder(catalog, group, s, seed)
 
 
 def test_catalog_line_writes_multi_digit_parts_and_multiplicities():
     n = 3
     S = WeightMultiset.of(n, [(W(n, 12, 5), 11), (W(n, 1), 2)])
     Q = WeightMultiset.of(n, [(W(n, 0), 10), (W(n, 10, 3), 12)])
-    catalog = Catalog(n, 20231, [QuotientGroup(Q, TRIGGER_SMALL_S, [S.entries])])
+    catalog = Catalog(n, [QuotientGroup(Q, TRIGGER_SMALL_S, [S.entries])])
     ((group, s),) = _lines(catalog)
-    assert (group.Q, WeightMultiset(n, s), catalog.seed) == (Q, S, 20231)
-    line = _written(catalog)
+    assert (group.Q, WeightMultiset(n, s)) == (Q, S)
+    line = _written(catalog, 20231)
     assert '"lambda":[12,5,0],"mult":11' in line and '"mult":12' in line
-    assert line == _line_by_general_encoder(catalog, group, s) + "\n"
+    assert '"seed":20231' in line
+    assert line == _line_by_general_encoder(catalog, group, s, 20231) + "\n"
 
 
 def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
@@ -1016,7 +1017,7 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
         (second, [(W(n, 2), 2), (W(n, 2, 1), 1)]),
         (first, [(W(n, 3), 1)]),
         (again, [(W(n, 2, 1), 2)])]]
-    catalog = Catalog(n, DEFAULT_SEED, groups)
+    catalog = Catalog(n, groups)
     lines = _written(catalog).splitlines()
     assert len(lines) == len(catalog) == 5
     for (group, s), line in zip(_lines(catalog), lines):
@@ -1028,12 +1029,17 @@ def test_catalog_line_on_interleaved_quotients_matches_multiset_text():
 
 # --- the catalog by quotient ---------------------------------------------------
 
-def _written(catalog) -> str:
+def _written(catalog, seed=DEFAULT_SEED) -> str:
     from affrep.serialize import write_catalog
 
     fh = io.StringIO()
-    write_catalog(catalog, fh)
+    write_catalog(catalog, fh, seed)
     return fh.getvalue()
+
+
+def _verdict(group, s, seed=DEFAULT_SEED):
+    """The verdict `enumerate` writes on the line (Q of `group`, S = `s`)."""
+    return decide_pair(WeightMultiset(group.Q.n, s), group.Q, seed)
 
 
 def _group_signatures(catalog):
@@ -1041,7 +1047,7 @@ def _group_signatures(catalog):
     signatures: the group's shared signature, extended by each line's dim S
     when the group's freeness gate passes."""
     for group in catalog.groups:
-        shared, per_s = decision_signature(catalog, group)
+        shared, per_s = decision_signature(group.Q)
         yield [shared + (WeightMultiset(catalog.n, s).dim(),) if per_s else shared
                for s in group.subs]
 
@@ -1082,13 +1088,17 @@ CATALOG_ARGS = ["--n 2", "--n 3", "--n 4", *sorted(CAPPED_SHA256)]
 
 
 def _catalog_kwargs(args):
+    """The `enumerate_exceptional_candidates` keyword arguments of the
+    `enumerate` flags `args`, and the seed they ask its verdicts for."""
     argv = args.split()
-    return {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
+    kwargs = {flag[2:].replace("-", "_"): int(value) for flag, value in zip(argv[::2], argv[1::2])}
+    seed = kwargs.pop("seed", DEFAULT_SEED)
+    return kwargs, seed
 
 
 @pytest.mark.parametrize("args", CATALOG_ARGS)
 def test_each_quotient_is_one_group_in_increasing_order(args):
-    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args)[0])
     qs = [group.Q.entries for group in catalog.groups]
     # strictly increasing, so each Q heads exactly one group
     assert all(a < b for a, b in zip(qs, qs[1:]))
@@ -1105,7 +1115,7 @@ def test_each_quotient_is_one_group_in_increasing_order(args):
 def test_length_is_the_summary_and_the_file_line_count(tmp_path, capsys, args):
     from affrep.cli import main
 
-    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args))
+    catalog = enumerate_exceptional_candidates(**_catalog_kwargs(args)[0])
     out = tmp_path / "catalog.jsonl"
     capsys.readouterr()
     assert main(["enumerate", *args.split(), "--out", str(out)]) == 0
@@ -1117,9 +1127,8 @@ def test_length_is_the_summary_and_the_file_line_count(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("args", CATALOG_ARGS)
 def test_iterating_gives_the_flat_sorted_entries(args):
-    kwargs = _catalog_kwargs(args)
+    kwargs, seed = _catalog_kwargs(args)
     catalog = enumerate_exceptional_candidates(**kwargs)
     lines = [(group.Q, WeightMultiset(catalog.n, s), group.trigger, classify(group.Q))
              for group, s in _lines(catalog)]
-    assert lines == flat_catalog_reference(**kwargs)
-    assert catalog.seed == kwargs.get("seed", DEFAULT_SEED)
+    assert lines == flat_catalog_reference(**kwargs, seed=seed)

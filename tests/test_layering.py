@@ -9,8 +9,11 @@ weights from `schur` and nothing of that code.  `serialize` alone knows the
 model file's bytes: the CLI reads model files through it.  The named labels
 of a rank (trivial, standard, exterior and symmetric square, adjoint) are
 built from their raw parts in `schur.rank_labels` alone, and every other
-module reads them there.  And every command starts a fresh interpreter, so
-the CLI must not pay for standard modules it does not need at start-up.
+module reads them there.  A module's `_`-prefixed names are its own: no
+other module imports one.  The catalog enumerates the candidate pairs and
+`rationality` decides them, so `catalog` imports nothing from
+`rationality`.  And every command starts a fresh interpreter, so the CLI
+must not pay for standard modules it does not need at start-up.
 """
 
 import ast
@@ -45,6 +48,34 @@ def test_imported_modules_reads_every_import_form():
     tree = ast.parse("import affrep.a\nfrom .b import f\nfrom . import c\n"
                      "from affrep import d\nfrom affrep.e import g\n")
     assert _imported_modules(tree) >= {"a", "b", "c", "d", "e"}
+
+
+def _imported_names(tree) -> list[tuple[str, str]]:
+    """(module, name) for each name a module imports from an `affrep`
+    module with `from .x import name` or `from affrep.x import name`."""
+    return [(node.module.split(".")[-1], alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module not in (None, "affrep")
+            and (node.level or node.module.startswith("affrep."))
+            for alias in node.names]
+
+
+def test_imported_names_reads_every_from_form():
+    tree = ast.parse("from .a import f, _g\nfrom affrep.b import h as i\nfrom . import c\n"
+                     "from affrep import d\nfrom itertools import chain\n"
+                     "def f():\n    from .e import _j\n")
+    assert sorted(_imported_names(tree)) == [("a", "_g"), ("a", "f"), ("b", "h"), ("e", "_j")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = [f"{path.stem} imports {module}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                for module, name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+                if name.startswith("_")]
+    assert imported == []
+
+
+def test_catalog_imports_nothing_from_rationality():
+    tree = ast.parse((PACKAGE / "catalog.py").read_text(encoding="utf-8"))
+    assert "rationality" not in _imported_modules(tree)
 
 
 def test_matmodel_imports_no_module_above_it():

@@ -320,17 +320,32 @@ def _dual_entries(entries):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bad_frontier_is_the_engine_frontier(n):
     # the table is the maximal bad cores of the engine's sweep, in count
-    # vector order, each engine-Bad, and every border multiset (a minimal
+    # vector order; the sweep at ranks 5-7 is checked by running
+    # tests/frontier_reference.py
+    assert bad_frontier(n) == maximal(n, [core.entries for core in engine_bad_cores(n)])
+
+
+@pytest.mark.parametrize("n", range(2, MAX_CATALOG_RANK + 1))
+def test_bad_frontier_premises_hold(n):
+    # what `classify` trusts the table for, at every tabulated rank: each
+    # frontier member is engine-Bad, and every border multiset (a minimal
     # one outside the down-closure, found from the table) has a point of
     # full rank, so every multiset outside is GoodHeuristic by the engine's
-    # own certificate; ranks 5-7 are checked by running
-    # tests/frontier_reference.py
+    # own certificate
     frontier = bad_frontier(n)
-    assert frontier == maximal(n, [core.entries for core in engine_bad_cores(n)])
     assert all(classify_with_report(WeightMultiset(n, top))[0] == BAD for top in frontier)
     edge = border(n, bad_cores(n))
     assert edge
     assert all(stabilizer_dimension(ms).stab_dim == 0 for ms in edge)
+
+
+@pytest.mark.parametrize("n", [1, MAX_CATALOG_RANK + 1])
+def test_bad_frontier_refuses_an_untabulated_rank(n):
+    # named, not a bare KeyError from the table
+    tabulated = ", ".join(map(str, range(2, MAX_CATALOG_RANK + 1)))
+    for table in (bad_frontier, bad_cores):
+        with pytest.raises(ValueError, match=f"at rank {n}; the table covers ranks {tabulated}$"):
+            table(n)
 
 
 @pytest.mark.parametrize("n", range(2, MAX_CATALOG_RANK + 1))
