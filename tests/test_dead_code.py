@@ -100,19 +100,15 @@ class _Names(ast.NodeVisitor):
 def _bindings(tree):
     """What a module's imports bind, anywhere in it: {name: (module, name
     there)} for `from .m import f` and `from affrep.m import f`, and
-    {alias: module} for `from . import m` and `import affrep.m as alias`."""
+    {alias: module} for `from . import m` and `from affrep import m`."""
     names, modules = {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("affrep")):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("affrep")):
             for alias in node.names:
                 if node.module in (None, "affrep"):
                     modules[alias.asname or alias.name] = alias.name
                 else:
                     names[alias.asname or alias.name] = (node.module.split(".")[-1], alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("affrep.") and alias.asname:
-                    modules[alias.asname] = alias.name.split(".")[-1]
     return names, modules
 
 
@@ -128,14 +124,14 @@ def _unreached(modules):
         """The top-level definition `name` is bound to in module `stem`."""
         if f"{stem}.{name}" in defs:
             return f"{stem}.{name}"
-        source = bindings.get(stem, ({}, {}))[0].get(name)
+        source = bindings[stem][0].get(name)
         return resolve(*source) if source else None
 
     def reached(stem, refs):
-        imported = bindings[stem][1]
+        aliases = bindings[stem][1]
         found = [resolve(stem, name) for name in refs.names]
-        found += [resolve(imported[base], attr) for base, attr in refs.qualified
-                  if base in imported]
+        found += [resolve(aliases[base], attr) for base, attr in refs.qualified
+                  if base in aliases]
         found += [q for name in refs.attrs for q in methods.get(name, ())]
         return [q for q in found if q]
 
