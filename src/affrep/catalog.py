@@ -61,8 +61,8 @@ from operator import mul
 
 from .config import MAX_CATALOG_RANK
 from .repclass import bad_cores
-from .schur import (Weight, WeightMultiset, dual, entries_dim, lr_decompose, rank_labels,
-                    tensor_counts, weyl_dim)
+from .schur import (Weight, WeightMultiset, dominant_weights, dual, entries_dim, lr_decompose,
+                    rank_labels, tensor_counts, weyl_dim)
 
 TRIGGER_BAD_Q = "Q-bad"
 TRIGGER_SMALL_S = "dim-S-small"
@@ -85,12 +85,12 @@ class Catalog:
         return sum(len(group.subs) for group in self.groups)
 
 
-def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
+def _walk(labels, needs=(), caps=()) -> list[tuple]:
     """Every nonempty sub-multiset of `labels` ((label, most) pairs sorted
-    by label) whose count vector c meets each need and cap and passes
-    `keep`, as `WeightMultiset` entries in lexicographic order of the count
-    vectors.  Needs and caps are (column, bound) pairs: sum_j c_j *
-    column_j is at least a need's bound and at most a cap's.
+    by label) whose count vector c meets each need and cap, as
+    `WeightMultiset` entries in lexicographic order of the count vectors.
+    Needs and caps are (column, bound) pairs: sum_j c_j * column_j is at
+    least a need's bound and at most a cap's.
 
     The count vectors are walked depth first, one coordinate at a time.  At
     coordinate i the values that can still fit form one range: at least
@@ -98,10 +98,7 @@ def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
     (their `most` times column entry), over its entry; at most `most` and
     each cap's room over its entry.  The needs hold on an up-set and the
     caps on a down-set, so every vector the walk completes fits, and none
-    is tested.  `keep` is asked about the prefix plus c copies of label i
-    for c = 1, 2, ... until it first rejects one, so each multiset reaches
-    it once; it must reject every extension of a multiset it rejects, and
-    then each multiset it accepts is found, since so are its prefixes."""
+    is tested."""
     mosts = [m for _, m in labels]
     # reach[i]: the most coordinates i and later add to a need's column
     reaches = [list(itertools.accumulate(map(mul, reversed(mosts), reversed(col)), initial=0))[::-1]
@@ -121,10 +118,6 @@ def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
         for (col, _), r in zip(caps, room):
             if col[i]:
                 hi = min(hi, r // col[i])
-        if keep is not None:
-            most, hi = hi, 0
-            while hi < most and keep(WeightMultiset(n, prefix + ((w, hi + 1),))):
-                hi += 1
         for c in range(lo, hi + 1):
             sub = prefix + ((w, c),) if c else prefix
             if i == last:
@@ -141,25 +134,10 @@ def _walk(n: int, labels, needs=(), caps=(), keep=None) -> list[tuple]:
 
 def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
     """All normalized weights of dimension at most max_dim, sorted by
-    (dimension, label).
-
-    A weight is walked as the multiset of its fundamental weights, a_i
-    copies of the i-th for its Dynkin labels a_i = parts[i - 1] - parts[i].
-    The dimension is nondecreasing in each a_i (each factor of Weyl's
-    formula grows along the fundamental weights), so once a weight exceeds
-    max_dim, so does every weight that adds fundamental weights to it, and
-    each a_i adds at least a_i.  (In partition coordinates no such pruning
-    is sound: the dimension is not monotone in the later parts.)
-    """
+    (dimension, label)."""
     if max_dim < 1:
         raise ValueError("dimension bound must be >= 1")
-    fundamentals = [(Weight(n, (1,) * i + (0,) * (n - i)), max_dim) for i in range(1, n)]
-
-    def summed(entries) -> Weight:
-        return Weight(n, tuple(sum(m * w.parts[j] for w, m in entries) for j in range(n)))
-
-    walked = _walk(n, fundamentals, keep=lambda ms: weyl_dim(summed(ms.entries)) <= max_dim)
-    found = [rank_labels(n).triv] + [summed(e) for e in walked]
+    found = dominant_weights(n, lambda w: weyl_dim(w) <= max_dim)
     return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
 
 
@@ -175,7 +153,7 @@ def _partners(n: int, x, factor: Weight, caps=()) -> list[tuple]:
     labels, back = sorted(tensor_counts(x, factor).items()), dual(factor)
     prods = [dict(lr_decompose(u, back).entries) for u, _ in labels]
     needs = [([p.get(w, 0) for p in prods], m) for w, m in x]
-    return _walk(n, labels, needs, [([f(w) for w, _ in labels], most) for f, most in caps])
+    return _walk(labels, needs, [([f(w) for w, _ in labels], most) for f, most in caps])
 
 
 def _padded_partners(n: int, core: tuple, top: int, factor: Weight, caps=()):
@@ -272,7 +250,7 @@ def enumerate_exceptional_candidates(
     small = [w for w in sorted(irreps_up_to_dim(n, dim_s_cap)) if w != triv]
     dims = [weyl_dim(w) for w in small]
     trivial_caps = [(Weight.is_trivial, trivial_cap)]
-    for core in [()] + _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
+    for core in [()] + _walk([(w, dim_s_cap // d) for w, d in zip(small, dims)],
                              caps=[(dims, dim_s_cap)]):
         room = dim_s_cap - entries_dim(core)
         for s, qs in _padded_partners(n, core, room, dstd, trivial_caps):

@@ -23,7 +23,7 @@ MAX_TENSOR_CELLS = 300_000
 # largest rank `enumerate` builds the catalog at, the last rank of the
 # bad-frontier table (`repclass.bad_frontier`); rank 8 (2,024,463 lines,
 # 1.36 GB) needs a row of that table as well as this cap lifted, and with
-# one it took 6.9-7.5 s at 239.6 MiB on a 2-core box, rank 7 4.7-5.4 s
+# one it took 6.9-7.5 s at 239.6 MiB on a 2-core box
 MAX_CATALOG_RANK = 7
 # largest matrix model dimension constructors will produce
 DEFAULT_MAX_MODEL_DIM = 5_000

@@ -148,6 +148,39 @@ def weyl_dim(w: Weight) -> int:
     return _weyl_dim(w.n, w.parts)
 
 
+def dominant_weights(n: int, fits) -> list[Weight]:
+    """Every weight of rank n that satisfies `fits`, in label order.
+
+    A weight is walked as its Dynkin labels a_i = parts[i - 1] - parts[i],
+    one at a time: label i is raised, adding the i-th fundamental weight
+    (i ones, then zeros), while the weight with the later labels at 0 still
+    fits.  So `fits` must fail on every weight that adds fundamental weights
+    to one it fails on, and on some multiple of each fundamental weight;
+    then every weight that fits is found, since so is each weight it is
+    raised from, and each weight is asked about once.  Dimension, size and
+    first part all qualify: each factor of Weyl's formula grows along the
+    fundamental weights, and the i-th adds i to the size and 1 to the first
+    part.  (In partition coordinates no such pruning is sound: the
+    dimension is not monotone in the later parts.)"""
+    found = []
+
+    def walk(i, w):
+        # w fits, and its labels i, i + 1, ... are 0
+        if i == n:
+            found.append(w)
+            return
+        while True:
+            walk(i + 1, w)
+            w = Weight(n, tuple(p + 1 for p in w.parts[:i]) + w.parts[i:])
+            if not fits(w):
+                return
+
+    triv = Weight(n, (0,) * n)
+    if fits(triv):
+        walk(1, triv)
+    return sorted(found)
+
+
 def entries_dim(entries) -> int:
     """Dimension of the sum of (label, mult) pairs, such as
     `WeightMultiset.entries`."""

@@ -3,10 +3,10 @@ table `repclass.bad_frontier` holds.
 
 A bad core is a nonempty multiset of nontrivial bad labels, at most
 n^2 - 1 copies of each, that the engine (`classify_with_report`) calls
-`Bad`; badness passes to sub-multisets, so one walk, stopping each count
-where the engine first answers otherwise, finds them all.  The frontier is
-their maximal members, and the border the minimal multisets outside their
-down-closure.
+`Bad`; badness passes to sub-multisets, so growing the multisets one label
+at a time while the engine answers `Bad` (`submultiset_oracle`) finds them
+all.  The frontier is their maximal members, and the border the minimal
+multisets outside their down-closure.
 
 Tier-1 checks the table's premises (each frontier member engine-`Bad`,
 each border multiset of full rank) at every tabulated rank, and the sweep
@@ -25,7 +25,8 @@ import json
 import sys
 import time
 
-from affrep.catalog import _walk
+from submultiset_oracle import grown_reference
+
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.repclass import (BAD, bad_cores, bad_frontier, bad_list, classify_with_report,
                              stabilizer_dimension)
@@ -38,10 +39,13 @@ def frontier_labels(n):
 
 
 def engine_bad_cores(n, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
-    """The bad cores as the engine answers them, walked label by label."""
-    labels = [(w, n * n - 1) for w in frontier_labels(n)]
-    return [WeightMultiset(n, e) for e in _walk(
-        n, labels, keep=lambda ms: classify_with_report(ms, seed, trials)[0] == BAD)]
+    """The bad cores as the engine answers them, grown label by label, in
+    order."""
+    def bad(ms):
+        return (all(m <= n * n - 1 for _, m in ms.entries)
+                and classify_with_report(ms, seed, trials)[0] == BAD)
+
+    return sorted(grown_reference(n, frontier_labels(n), bad))
 
 
 def count_vector(n, entries):

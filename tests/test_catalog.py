@@ -41,6 +41,7 @@ from affrep.schur import (
     Weight,
     WeightMultiset,
     core_entries,
+    dominant_weights,
     dual,
     lr_decompose,
     multiset_fits_in_product,
@@ -77,118 +78,64 @@ class TestIrrepsUpToDim:
             keys = [(weyl_dim(w), w.parts) for w in ws]
             assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("n,bound", [(2, 50), (3, 50), (4, 50), (5, 40), (6, 21)])
-    def test_complete_against_brute_force(self, n, bound):
-        # every weight with first part <= bound has dimension >= first part,
-        # so the brute-force sweep below is exhaustive for dims <= bound; it
-        # runs over every non-increasing tuple of parts up to bound
-        brute = set()
-        for parts in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
-            w = Weight(n, parts + (0,))
-            if weyl_dim(w) <= bound:
-                brute.add(w)
-        assert set(irreps_up_to_dim(n, bound)) == brute
+    @pytest.mark.parametrize("n,bound,measure", [
+        *(pytest.param(n, bound, "dim", id=f"{n}-{bound}")
+          for n, bound in [(2, 50), (3, 50), (4, 50), (5, 40), (6, 21)]),
+        (2, 30, "size"), (3, 9, "size"), (4, 6, "size"), (6, 5, "size"),
+        (2, 30, "first part"), (3, 8, "first part"), (4, 5, "first part"), (6, 3, "first part"),
+    ])
+    def test_complete_against_brute_force(self, n, bound, measure):
+        # the walker under a dimension, size or first-part bound; each is at
+        # least the first part (a dimension is more), so the brute-force
+        # sweep over every non-increasing tuple of parts up to bound is
+        # exhaustive
+        of = {"dim": weyl_dim, "size": lambda w: w.size, "first part": lambda w: w.parts[0]}
+        brute = [Weight(n, parts + (0,)) for parts in
+                 itertools.combinations_with_replacement(range(bound, -1, -1), n - 1)]
+        brute = sorted(w for w in brute if of[measure](w) <= bound)
+        assert dominant_weights(n, lambda w: of[measure](w) <= bound) == brute
+        if measure == "dim":
+            assert irreps_up_to_dim(n, bound) == sorted(brute, key=lambda w: (weyl_dim(w), w.parts))
 
 
 @pytest.mark.parametrize("n,bound", [(2, 9), (3, 10), (4, 12)])
 def test_grown_reaches_each_bounded_multiset_once(n, bound):
     # the bound of clause (ii): every nonempty multiset of the irreducibles
     # with total dimension <= bound, against all count vectors in their
-    # order; the walk meets the bound as a keep and as a linear cap alike
+    # order; the walk meets the bound as a linear cap, the reference grower
+    # as a test, and the grower reaches each multiset once
     labels = sorted(irreps_up_to_dim(n, bound))
     dims = [weyl_dim(w) for w in labels]
     most = [(w, bound // d) for w, d in zip(labels, dims)]
-    tried = []
-
-    def keep(ms):
-        tried.append(ms.entries)
-        return ms.dim() <= bound
-
-    got = _walk(n, most, keep=keep)
+    got = _walk(most, caps=[(dims, bound)])
     brute = [e for e in itertools.islice(sub_entries(most), 1, None)
              if WeightMultiset(n, e).dim() <= bound]
     assert got == brute
-    assert _walk(n, most, caps=[(dims, bound)]) == got
-    # keep sees each multiset once, and each accepted one is kept
-    assert len(tried) == len(set(tried))
-    assert sorted(e for e in tried if WeightMultiset(n, e).dim() <= bound) == sorted(got)
+    grown = [ms.entries for ms in grown_reference(n, labels, lambda ms: ms.dim() <= bound)]
+    assert len(grown) == len(set(grown))
+    assert sorted(grown) == sorted(got)
 
 
-# --- the walk against the reference grower --------------------------------------
+# --- the bad quotients, grown by the reference --------------------------------
 
-def _summed(n, entries):
-    return Weight(n, tuple(sum(m * w.parts[j] for w, m in entries) for j in range(n)))
-
-
-def classified_bad_by_core(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
-    """A keep for a sweep of quotients with trivials: whether the engine
-    calls a multiset bad, asked once per nontrivial part, which every
-    padding of it classifies as
+def grown_bad_quotients(n, trivial_cap, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+    """The entries of every multiset of bad labels, with at most
+    `trivial_cap` trivials and n^2 - 1 copies of each other label, that the
+    engine calls bad, grown label by label and sorted.  The engine is asked
+    once per nontrivial part, which every padding of it classifies as
     (`test_trivial_padding_of_a_core_changes_no_classification`); the
     classifier's own memo spans one decision, not a sweep."""
-    answers = {}
+    triv, answers = W(n, 0), {}
 
     def is_bad(q):
+        if any(m > (trivial_cap if w == triv else n * n - 1) for w, m in q.entries):
+            return False
         core = core_entries(q.entries)
         if core not in answers:
             answers[core] = classify_with_report(q, seed, trials)[0] == BAD
         return answers[core]
 
-    return is_bad
-
-
-def walk_uses(use, n):
-    """(labels with their most, the keep they are walked with, and a keep
-    that ends the growth with no most bound) for one use of the walk at
-    rank n under the default caps: the catalog's fundamentals and small S,
-    and the engine's sweep of the bad quotients, which the references
-    walk."""
-    dim_cap, triv, trivial_cap = n * n + 2 * n - 1, W(n, 0), n * n - 2
-    if use == "fundamentals":
-        labels = [(W(n, *(1,) * i), dim_cap) for i in range(1, n)]
-
-        def keep(ms):
-            return weyl_dim(_summed(n, ms.entries)) <= dim_cap
-
-        return labels, keep, keep
-    if use == "bad sweep":
-        labels = [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad_list(n))]
-        is_bad = classified_bad_by_core()
-        return labels, is_bad, lambda q: q.count(triv) <= trivial_cap and is_bad(q)
-    labels = [(w, dim_cap // weyl_dim(w)) for w in sorted(irreps_up_to_dim(n, dim_cap))]
-
-    def small(ms):
-        return ms.dim() <= dim_cap
-
-    return labels, small, small
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("use", ["fundamentals", "bad sweep", "small S"])
-def test_walk_asks_keep_what_the_grown_reference_asks(use, n):
-    # with the walk's bounds as a first test, the grower asks keep about
-    # exactly the multisets the walk asks about, once each, and keeps the
-    # same ones; without them, given a keep that ends the growth by itself,
-    # it keeps the same ones too, so no most bound cuts off a multiset
-    labels, keep, unbounded = walk_uses(use, n)
-    most = dict(labels)
-    walk_asks, grown_asks = [], []
-
-    def asking(log):
-        def asked(ms):
-            log.append(ms.entries)
-            return keep(ms)
-        return asked
-
-    walked = _walk(n, labels, keep=asking(walk_asks))
-    grown_keep = asking(grown_asks)
-    grown = grown_reference(n, sorted(most), lambda ms: all(m <= most[w] for w, m in ms.entries)
-                            and grown_keep(ms))
-    assert sorted(walked) == sorted(ms.entries for ms in grown)
-    assert len(walk_asks) == len(set(walk_asks))
-    assert sorted(walk_asks) == sorted(grown_asks)
-    unbounded_grown = grown_reference(n, sorted(most), unbounded)
-    assert sorted(walked) == sorted(ms.entries for ms in unbounded_grown)
+    return sorted(q.entries for q in grown_reference(n, sorted(bad_list(n)), is_bad))
 
 
 @pytest.mark.parametrize("labels", [
@@ -196,9 +143,7 @@ def test_walk_asks_keep_what_the_grown_reference_asks(use, n):
     [(W(3, 1), 4), (W(3, 1, 1), 4)],              # fundamentals under dimension 4
 ])
 def test_walk_keeping_everything_stops_at_most(labels):
-    n = labels[0][0].n
-    got = _walk(n, labels, keep=lambda ms: True)
-    assert got == list(itertools.islice(sub_entries(labels), 1, None))
+    assert _walk(labels) == list(itertools.islice(sub_entries(labels), 1, None))
 
 
 # --- the candidate filter against the one it replaced ------------------------
@@ -260,7 +205,7 @@ def test_fitting_subs_match_oracle(case):
     prods = [dict(lr_decompose(u, factor).entries) for u, _ in labels]
     needs = [([p.get(w, 0) for p in prods], m) for w, m in inner]
     columns = [([weight[w] for w, _ in labels], bound) for weight, bound in caps]
-    assert _walk(n, labels, needs, columns) == want
+    assert _walk(labels, needs, columns) == want
     if inner == outer.entries and factor == dual(f):
         assert _partners(n, inner, f, [(weight.get, bound) for weight, bound in caps]) == want
 
@@ -275,7 +220,7 @@ def test_fitting_subs_keep_equality_and_drop_empty():
     assert got == [((W(n, 2, 1), 1),), ((W(n, 0), 1),), ((W(n, 0), 1), (W(n, 2, 1), 1))]
     # two copies of the standard need both labels: each product holds it once
     labels = sorted(tensor_counts([(std, 1)], dstd).items())
-    assert _walk(n, labels, [([1, 1], 2)]) == [((W(n, 0), 1), (W(n, 2, 1), 1))]
+    assert _walk(labels, [([1, 1], 2)]) == [((W(n, 0), 1), (W(n, 2, 1), 1))]
 
 
 class TestEnumerate:
@@ -447,7 +392,7 @@ def test_padded_small_s_partners_are_the_shifted_base_list(n, max_dim_s, max_tri
     caps = [(Weight.is_trivial, n * n - 2 if max_trivials is None else max_trivials)]
     small = sorted(w for w in irreps_up_to_dim(n, dim_cap) if not w.is_trivial())
     dims = [weyl_dim(w) for w in small]
-    cores = [()] + _walk(n, [(w, dim_cap // d) for w, d in zip(small, dims)],
+    cores = [()] + _walk([(w, dim_cap // d) for w, d in zip(small, dims)],
                          caps=[(dims, dim_cap)])
     assert sum(_assert_shifts(n, core, dim_cap - WeightMultiset(n, core).dim(), dual(W(n, 1)), caps)
                for core in cores)
@@ -618,16 +563,15 @@ def test_clause_ii_quotients_outside_the_bad_sweep_get_no_stabilizer_call(monkey
     # the catalog classifies no quotient: a bad core is in the table's
     # down-closure, and any other quotient of bad labels holds a border
     # multiset of the table.  So the whole catalog sends nothing to the
-    # stabilizer, though a sweep of the bad quotients themselves (walked
-    # over all bad labels, trivial count first, each answered by its core)
+    # stabilizer, though a sweep of the bad quotients themselves (grown
+    # over all bad labels, each answered by its core)
     # sends each of its 50 cores once, and the GoodHeuristic clause-(ii)
     # quotients beyond that boundary would each run it if classified alone
     n = 3
     seen = _stabilizer_args(monkeypatch)
-    triv, cap = W(n, 0), n * n - 2
+    triv = W(n, 0)
     repclass.classify_with_report.cache_clear()
-    _walk(n, [(w, cap if w == triv else n * n - 1) for w in sorted(bad_list(n))],
-          keep=classified_bad_by_core())
+    grown_bad_quotients(n, n * n - 2)
     swept = set(seen)
     assert len(seen) == len(swept) == 50
     assert all(not q.count(triv) for q in swept)
@@ -1063,17 +1007,16 @@ def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SE
     once at the end by (Q, S): the construction the grouped build replaced."""
     trivial_cap = n * n - 2 if max_trivials is None else max_trivials
     dim_s_cap = n * n + 2 * n - 1 if max_dim_s is None else max_dim_s
-    triv, std = W(n, 0), W(n, 1)
+    std = W(n, 1)
     bad = bad_list(n)
-    bad_qs = _walk(n, [(w, trivial_cap if w == triv else n * n - 1) for w in sorted(bad)],
-                   keep=classified_bad_by_core(seed))
+    bad_qs = grown_bad_quotients(n, trivial_cap, seed)
     dim_caps = [] if max_dim_s is None else [(weyl_dim, max_dim_s)]
     entries = [(WeightMultiset(n, q), WeightMultiset(n, s), TRIGGER_BAD_Q, BAD)
                for q in bad_qs for s in _partners(n, q, std, dim_caps)]
     bad_set = set(bad_qs)
     small = sorted(irreps_up_to_dim(n, dim_s_cap))
     dims = [weyl_dim(w) for w in small]
-    for s in _walk(n, [(w, dim_s_cap // d) for w, d in zip(small, dims)],
+    for s in _walk([(w, dim_s_cap // d) for w, d in zip(small, dims)],
                    caps=[(dims, dim_s_cap)]):
         for q in _partners(n, s, dual(std), [(Weight.is_trivial, trivial_cap)]):
             if q not in bad_set:

@@ -10,10 +10,12 @@ model file's bytes: the CLI reads model files through it.  The named labels
 of a rank (trivial, standard, exterior and symmetric square, adjoint) are
 built from their raw parts in `schur.rank_labels` alone, and every other
 module reads them there.  A module's `_`-prefixed names are its own: no
-other module imports one.  The catalog enumerates the candidate pairs and
-`rationality` decides them, so `catalog` imports nothing from
-`rationality`.  And every command starts a fresh interpreter, so the CLI
-must not pay for standard modules it does not need at start-up.
+other module imports one, nor does a test reference (`*_reference.py`,
+`*_oracle.py`), which must share no code with what it checks.  The catalog
+enumerates the candidate pairs and `rationality` decides them, so `catalog`
+imports nothing from `rationality`.  And every command starts a fresh
+interpreter, so the CLI must not pay for standard modules it does not need
+at start-up.
 """
 
 import ast
@@ -23,7 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 PACKAGE = SRC / "affrep"
 ABOVE_MATMODEL = {"repclass", "rationality", "catalog"}
 
@@ -68,6 +71,15 @@ def test_imported_names_reads_every_from_form():
 
 def test_no_module_imports_a_private_name_of_another():
     imported = [f"{path.stem} imports {module}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                for module, name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+                if name.startswith("_")]
+    assert imported == []
+
+
+def test_no_test_reference_imports_a_private_name():
+    references = sorted([*TESTS.glob("*_reference.py"), *TESTS.glob("*_oracle.py")])
+    assert references
+    imported = [f"{path.stem} imports {module}.{name}" for path in references
                 for module, name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
                 if name.startswith("_")]
     assert imported == []

@@ -362,7 +362,7 @@ def test_bad_frontier_is_a_dual_closed_antichain_over_the_floor(monkeypatch, n):
     assert {_dual_entries(top) for top in frontier} == set(frontier)
     labels = sorted(w for w in bad_list(n) if not w.is_trivial())
     dims = [weyl_dim(w) for w in labels]
-    under = _walk(n, [(w, n * n - 2) for w in labels], caps=[(dims, n * n - 2)])
+    under = _walk([(w, n * n - 2) for w in labels], caps=[(dims, n * n - 2)])
     assert under and all(entries in bad_cores(n) for entries in under)
     assert () in bad_cores(n)
     assert all(classify(WeightMultiset(n, top)) == BAD for top in frontier)
