@@ -132,15 +132,6 @@ def _walk(labels, needs=(), caps=()) -> list[tuple]:
     return found[1:] if found and not found[0] else found
 
 
-def irreps_up_to_dim(n: int, max_dim: int) -> list[Weight]:
-    """All normalized weights of dimension at most max_dim, sorted by
-    (dimension, label)."""
-    if max_dim < 1:
-        raise ValueError("dimension bound must be >= 1")
-    found = dominant_weights(n, lambda w: weyl_dim(w) <= max_dim)
-    return sorted(found, key=lambda w: (weyl_dim(w), w.parts))
-
-
 def _partners(n: int, x, factor: Weight, caps=()) -> list[tuple]:
     """`_walk` over the sub-multisets y of x (x) (irrep factor), x being
     (label, mult) pairs, with x contained in y (x) dual(factor) and, for
@@ -247,7 +238,7 @@ def enumerate_exceptional_candidates(
     # the same caps, so this clause admits only the rest, which the table
     # classifies as good (module docstring)
     small_subs: dict[tuple, list[tuple]] = {}
-    small = [w for w in sorted(irreps_up_to_dim(n, dim_s_cap)) if w != triv]
+    small = [w for w in dominant_weights(n, lambda w: weyl_dim(w) <= dim_s_cap) if w != triv]
     dims = [weyl_dim(w) for w in small]
     trivial_caps = [(Weight.is_trivial, trivial_cap)]
     for core in [()] + _walk([(w, dim_s_cap // d) for w, d in zip(small, dims)],

@@ -24,7 +24,6 @@ from affrep.catalog import (
     _partners,
     _walk,
     enumerate_exceptional_candidates,
-    irreps_up_to_dim,
 )
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS
 from affrep.rationality import TwoStepExtension, check_structural, decide_pair, decision_signature
@@ -60,23 +59,23 @@ def dual_multiset(ms):
     return WeightMultiset.of(ms.n, [(dual(w), m) for w, m in ms.entries])
 
 
+def up_to_dim(n, bound):
+    """The irreducibles of dimension at most `bound`, in label order."""
+    return dominant_weights(n, lambda w: weyl_dim(w) <= bound)
+
+
 class TestIrrepsUpToDim:
+    """The irreducibles under a bound, walked by `schur.dominant_weights`."""
+
     def test_sl2_tower(self):
-        got = irreps_up_to_dim(2, 5)
-        assert got == [W(2, k) for k in range(5)]
+        assert up_to_dim(2, 5) == [W(2, k) for k in range(5)]
 
     def test_n3_d8(self):
-        got = irreps_up_to_dim(3, 8)
-        assert got == [W(3, 0), W(3, 1), W(3, 1, 1), W(3, 2), W(3, 2, 2), W(3, 2, 1)]
+        got = up_to_dim(3, 8)
+        assert got == [W(3, 0), W(3, 1), W(3, 1, 1), W(3, 2), W(3, 2, 1), W(3, 2, 2)]
 
     def test_n3_d9_same_as_d8(self):
-        assert irreps_up_to_dim(3, 9) == irreps_up_to_dim(3, 8)
-
-    def test_sorted_by_dim_then_label(self):
-        for n in (2, 3, 4):
-            ws = irreps_up_to_dim(n, 30)
-            keys = [(weyl_dim(w), w.parts) for w in ws]
-            assert keys == sorted(keys)
+        assert up_to_dim(3, 9) == up_to_dim(3, 8)
 
     @pytest.mark.parametrize("n,bound,measure", [
         *(pytest.param(n, bound, "dim", id=f"{n}-{bound}")
@@ -94,8 +93,6 @@ class TestIrrepsUpToDim:
                  itertools.combinations_with_replacement(range(bound, -1, -1), n - 1)]
         brute = sorted(w for w in brute if of[measure](w) <= bound)
         assert dominant_weights(n, lambda w: of[measure](w) <= bound) == brute
-        if measure == "dim":
-            assert irreps_up_to_dim(n, bound) == sorted(brute, key=lambda w: (weyl_dim(w), w.parts))
 
 
 @pytest.mark.parametrize("n,bound", [(2, 9), (3, 10), (4, 12)])
@@ -104,7 +101,7 @@ def test_grown_reaches_each_bounded_multiset_once(n, bound):
     # with total dimension <= bound, against all count vectors in their
     # order; the walk meets the bound as a linear cap, the reference grower
     # as a test, and the grower reaches each multiset once
-    labels = sorted(irreps_up_to_dim(n, bound))
+    labels = up_to_dim(n, bound)
     dims = [weyl_dim(w) for w in labels]
     most = [(w, bound // d) for w, d in zip(labels, dims)]
     got = _walk(most, caps=[(dims, bound)])
@@ -160,7 +157,7 @@ def fitting_subs_oracle(labels, factor, inner, caps=()):
 
 
 # the labels of size <= 3 at ranks 2-4, all of dimension at most 20
-SMALL_LABELS = {n: [w for w in irreps_up_to_dim(n, 20) if w.size <= 3] for n in (2, 3, 4)}
+SMALL_LABELS = {n: [w for w in up_to_dim(n, 20) if w.size <= 3] for n in (2, 3, 4)}
 
 
 @st.composite
@@ -390,7 +387,7 @@ def test_padded_small_s_partners_are_the_shifted_base_list(n, max_dim_s, max_tri
     # dim-S cap
     dim_cap = n * n + 2 * n - 1 if max_dim_s is None else max_dim_s
     caps = [(Weight.is_trivial, n * n - 2 if max_trivials is None else max_trivials)]
-    small = sorted(w for w in irreps_up_to_dim(n, dim_cap) if not w.is_trivial())
+    small = [w for w in up_to_dim(n, dim_cap) if not w.is_trivial()]
     dims = [weyl_dim(w) for w in small]
     cores = [()] + _walk([(w, dim_cap // d) for w, d in zip(small, dims)],
                          caps=[(dims, dim_cap)])
@@ -1014,7 +1011,7 @@ def flat_catalog_reference(n, max_trivials=None, max_dim_s=None, seed=DEFAULT_SE
     entries = [(WeightMultiset(n, q), WeightMultiset(n, s), TRIGGER_BAD_Q, BAD)
                for q in bad_qs for s in _partners(n, q, std, dim_caps)]
     bad_set = set(bad_qs)
-    small = sorted(irreps_up_to_dim(n, dim_s_cap))
+    small = up_to_dim(n, dim_s_cap)
     dims = [weyl_dim(w) for w in small]
     for s in _walk([(w, dim_s_cap // d) for w, d in zip(small, dims)],
                    caps=[(dims, dim_s_cap)]):

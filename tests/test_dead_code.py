@@ -3,8 +3,8 @@
 parameter must be passed by some call in `src/affrep`.
 
 The roots are `cli.main` and the module-level code of every `src/affrep`
-module but `__init__` (so `selftest.CRITERIA` reaches the criteria, and
-decorators and default values count).  From there the walk follows name
+module (so `selftest.CRITERIA` reaches the criteria, and decorators and
+default values count).  From there the walk follows name
 references through reached definitions only.  A top-level definition is
 reached only through a name bound to it, in the module that holds the
 reference: the definition's own name in its own module, a name that a
@@ -12,8 +12,8 @@ reference: the definition's own name in its own module, a name that a
 names its module (`from . import m as alias`).  A method is reached by an
 attribute name (`x.basis`) or an identifier-like string, since code can
 name a method only that way; a local variable that shares the method's
-name does not reach it.  Re-exports in `__init__`, and references from
-`tests/` or `perfbench/`, are not use.
+name does not reach it.  References from `tests/` or `perfbench/` are not
+use.
 
 `KEPT` names the unreached definitions that stay, each with its reason.
 """
@@ -29,7 +29,7 @@ ROOT_DEF = "cli.main"
 
 def _modules():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _definitions(modules):
@@ -178,7 +178,7 @@ def _passes(call, index, name, bound_first):
 def test_every_optional_parameter_is_passed():
     """A parameter that no call passes always takes its default, so it is a
     constant.  With every definition reached (the test above), every call in
-    `src/affrep` but `__init__` is on a command path.  `cli.main` is the root:
+    `src/affrep` is on a command path.  `cli.main` is the root:
     its callers are outside."""
     modules = _modules()
     calls = {}

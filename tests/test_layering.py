@@ -13,9 +13,12 @@ module reads them there.  A module's `_`-prefixed names are its own: no
 other module imports one, nor does a test reference (`*_reference.py`,
 `*_oracle.py`), which must share no code with what it checks.  The catalog
 enumerates the candidate pairs and `rationality` decides them, so `catalog`
-imports nothing from `rationality`.  And every command starts a fresh
-interpreter, so the CLI must not pay for standard modules it does not need
-at start-up.
+imports nothing from `rationality`.  These hold at run time too: the
+package root imports nothing, so importing one module loads only the
+`affrep` modules its top-level imports reach.  And every command starts a
+fresh interpreter, so the CLI must not pay for standard modules it does not
+need at start-up; yet `import affrep.cli` binds every function and method
+that `perfbench/spans.py` traces.
 """
 
 import ast
@@ -24,6 +27,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -190,16 +195,69 @@ def test_only_schur_builds_a_named_label():
     assert built == []
 
 
+def _fresh_import(code: str, *args: str):
+    """The JSON that `code` prints in a fresh interpreter.  -S: site `.pth`
+    files may preload modules and hide a regression; the rest of the
+    environment (PYTHONDONTWRITEBYTECODE too) is passed on."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 # `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`
 SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
 
 
 def test_cli_import_loads_no_slow_standard_module():
-    # -S: site `.pth` files may preload `typing` and hide a regression; the
-    # rest of the environment (PYTHONDONTWRITEBYTECODE too) is passed on
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, json, affrep.cli; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) & SLOW_TO_IMPORT == set()
+    code = "import json, sys, affrep.cli; print(json.dumps(sorted(sys.modules)))"
+    assert set(_fresh_import(code)) & SLOW_TO_IMPORT == set()
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
+
+
+def _top_level_imports(stem: str) -> set[str]:
+    """The `affrep` modules a module imports at its top level (`tree.body`);
+    imports inside functions run only when called."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    body = ast.Module([node for node in tree.body
+                       if isinstance(node, (ast.Import, ast.ImportFrom))], [])
+    return _imported_modules(body) & {path.stem for path in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_a_module_loads_only_what_it_imports(stem):
+    # `affrep` and the closure of the module's top-level `affrep` imports
+    closure, todo = {stem}, [stem]
+    while todo:
+        new = _top_level_imports(todo.pop()) - closure
+        closure |= new
+        todo += new
+    expected = {"affrep", *(f"affrep.{m}" for m in closure - {"__init__"})}
+    name = "affrep" if stem == "__init__" else f"affrep.{stem}"
+    code = ("import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+            "print(json.dumps([k for k in sys.modules if k.split('.')[0] == 'affrep']))")
+    assert set(_fresh_import(code, name)) == expected
+
+
+def _spans_tuple(name: str):
+    """A tuple literal of `perfbench/spans.py`, read without importing it."""
+    tree = ast.parse((TESTS.parent / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]]
+    return ast.literal_eval(value)
+
+
+def test_cli_import_binds_every_traced_name():
+    functions, methods = _spans_tuple("FUNCTIONS"), _spans_tuple("METHODS")
+    assert functions and methods
+    code = ("import json, sys, affrep.cli; functions, methods = json.loads(sys.argv[1]); "
+            "module = lambda m: sys.modules.get(f'affrep.{m}'); "
+            "print(json.dumps([f'{m}.{f}' for m, f in functions if not hasattr(module(m), f)] + "
+            "[f'{m}.{c}.{f}' for m, c, f in methods "
+            "if f not in vars(getattr(module(m), c, object))]))")
+    assert _fresh_import(code, json.dumps([functions, methods])) == []

@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from submultiset_oracle import sub_entries
 
-from affrep.catalog import irreps_up_to_dim
 from affrep.config import DEFAULT_SEED, DEFAULT_TRIALS, MAX_SPLIT_CANDIDATES, ResourceCapError
 from affrep.filtration import Filtration
 from affrep.matmodel import AffMatrixRep
@@ -23,7 +22,16 @@ from affrep.rationality import (
     decide_rationality,
 )
 from affrep.repclass import GOOD, GOOD_HEURISTIC, StabilizerReport, classify
-from affrep.schur import RankLabels, WeightMultiset, by_dimension, dual, lr_decompose, normalize
+from affrep.schur import (
+    RankLabels,
+    WeightMultiset,
+    by_dimension,
+    dominant_weights,
+    dual,
+    lr_decompose,
+    normalize,
+    weyl_dim,
+)
 
 
 def W(n, *parts):
@@ -244,7 +252,7 @@ class TestSplitSearch:
 
 
 def _small_multisets(n):
-    labels = irreps_up_to_dim(n, 15)
+    labels = dominant_weights(n, lambda w: weyl_dim(w) <= 15)
     return st.dictionaries(st.sampled_from(labels), st.integers(1, 4), max_size=4).map(
         lambda d: WeightMultiset.of(n, d.items()))
 
@@ -297,7 +305,7 @@ def exhaustive_decide(ext, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
 @st.composite
 def _small_extensions(draw):
     n = draw(st.sampled_from([2, 3]))
-    labels = irreps_up_to_dim(n, 10)
+    labels = dominant_weights(n, lambda w: weyl_dim(w) <= 10)
     q = draw(st.sampled_from(labels))
     # S inside Q (x) standard; the structural check keeps the pairs that
     # are extensions
